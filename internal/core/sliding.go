@@ -32,14 +32,16 @@ var (
 // Two retrain paths exist. The incremental path (Options.Incremental, on by
 // default) keeps maintained kernel matrices keyed to the window's ring
 // slots: each observation patches one kernel row/column in O(N·d), and a
-// retrain recomputes only the top-rank eigenpairs warm-started from the
-// previous retrain (kcca.Incremental). The full path trains from scratch on
-// a window snapshot taken under the lock, with the actual training running
-// OUTSIDE the lock so concurrent PredictQuery/Observe calls never stall
-// behind an O(N³) solve. The incremental path falls back to the full path
-// whenever kcca's τ-drift guard fires, the window is still growing, or the
-// iterative eigensolver declines to converge — so correctness never depends
-// on the incremental machinery.
+// retrain never rebuilds a kernel at a frozen scale — it runs the cheaper
+// eigensolver for the window's shape on the maintained matrices
+// (kcca.Incremental: the dense solve in a retained scratch buffer, or the
+// warm-started top-rank iteration on large windows at small rank). The full
+// path trains from scratch on a window snapshot taken under the lock, with
+// the actual training running OUTSIDE the lock so concurrent
+// PredictQuery/Observe calls never stall behind an O(N³) solve. The
+// incremental path falls back to the full path whenever kcca's τ-drift guard
+// fires or the window is still growing — so correctness never depends on
+// the incremental machinery.
 //
 // SlidingPredictor is safe for concurrent use: Observe/Retrain serialize on
 // an internal mutex, while PredictQuery/Current read the published model
@@ -160,7 +162,8 @@ func (s *SlidingPredictor) syncIncremental(slot int, q *dataset.Query) {
 // Retrain rebuilds the predictor from the current window: incrementally
 // when the maintained kernel state can serve (steady-state slides at frozen
 // τ), otherwise with a full training on a window snapshot, run outside the
-// lock so serving and observing continue during the O(N³) solve.
+// lock so serving and observing continue during the kernel rebuild and
+// solve.
 func (s *SlidingPredictor) Retrain() error {
 	s.mu.Lock()
 	if s.size < 5 {
@@ -170,9 +173,9 @@ func (s *SlidingPredictor) Retrain() error {
 	}
 
 	if s.inc != nil && !s.inc.NeedsFull() {
-		// Incremental retrain: cheap enough to run under the lock (top-rank
-		// warm-started eigensolve; predictions don't block — they read the
-		// atomic pointer). Non-convergence falls through to the full path.
+		// Incremental retrain: runs under the lock (an eigensolve on the
+		// maintained kernels; predictions don't block — they read the atomic
+		// pointer).
 		model, err := s.inc.Retrain()
 		if err == nil {
 			_, _, rawRows, cats, ferr := extractFeatures(s.slotWindow(), s.opt.Features)
@@ -249,8 +252,11 @@ func (s *SlidingPredictor) trainFull(qs []*dataset.Query) (*Predictor, *kcca.See
 // slotWindow returns the retained queries in ring-slot order (mu held):
 // buf[0..size-1]. During the grow phase this equals observation order; once
 // the ring wraps it is a rotation of it. Both training paths consume this
-// order so model rows stay aligned with the maintained kernel rows — KCCA
-// training and k-NN prediction are invariant under row permutation.
+// order so model rows stay aligned with the maintained kernel rows. The
+// order is part of the model: a row permutation leaves KCCA's projections
+// unchanged up to rounding, but k-NN breaks distance ties (duplicate-feature
+// rows) by row index, so a reference trained in another order — observation
+// order, say — can predict differently on such ties.
 func (s *SlidingPredictor) slotWindow() []*dataset.Query {
 	out := make([]*dataset.Query, s.size)
 	copy(out, s.buf[:s.size])

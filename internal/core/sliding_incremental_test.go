@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -9,77 +10,114 @@ import (
 	"repro/internal/obs"
 )
 
-// kccaFull / kccaInc mirror the kcca layer's retrain-path counters; the
-// tests below assert on their deltas (the counters are process-global).
+// kccaFull / kccaInc / kccaIter mirror the kcca layer's retrain-path
+// counters; the tests below assert on their deltas (the counters are
+// process-global).
 var (
 	kccaFull = obs.GetCounter("kcca.retrain.full")
 	kccaInc  = obs.GetCounter("kcca.retrain.incremental")
+	kccaIter = obs.GetCounter("kcca.retrain.solver.iterative")
 )
 
 // TestSlidingIncrementalMatchesFull is the core-level equivalence test for
 // the incremental retrain path: every time the sliding predictor serves a
-// retrain incrementally, its predictions must match a from-scratch
-// core.Train on the identical window (at the same frozen kernel scales —
-// the τ-drift guard separately bounds how far those may sit from fresh
-// heuristics) within the documented 1e-6 relative tolerance. When the guard
-// fires, the sliding predictor runs the full path, which is bit-identical
-// to core.Train by construction (kcca.TrainFull ≡ kcca.Train).
+// retrain from its maintained kernels, its predictions must match a
+// from-scratch core.Train on the identical window — in ring-slot order, the
+// order the daemon trains in, and at the same frozen kernel scales (the
+// τ-drift guard separately bounds how far those may sit from fresh
+// heuristics). Where the dense solver served the retrain the match is bit
+// for bit; where the iteration did, within the documented 1e-6 relative
+// tolerance. Each side of kcca's solver rule runs its own window shape.
+// When the guard fires, the sliding predictor runs the full path, which is
+// bit-identical to core.Train by construction (kcca.TrainFull ≡ kcca.Train).
 func TestSlidingIncrementalMatchesFull(t *testing.T) {
-	ds := pool(t)
-	s, err := NewSliding(120, 20, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	probes := ds.Queries[400:420]
+	for _, sh := range []struct {
+		name                  string
+		capacity, every, rank int
+		observes              int
+		iterative             bool
+	}{
+		{name: "dense", capacity: 120, every: 20, observes: 400},
+		// The pool's 480 queries cycle through a 450-slot ring, so the
+		// window keeps changing; at rank 3 the iteration converges in ~33
+		// steps of its 54-step budget.
+		{name: "iterative", capacity: 450, every: 50, rank: 3, observes: 650, iterative: true},
+	} {
+		t.Run(sh.name, func(t *testing.T) {
+			ds := pool(t)
+			opt := DefaultOptions()
+			opt.KCCA.Rank = sh.rank
+			s, err := NewSliding(sh.capacity, sh.every, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probes := ds.Queries[400:420]
 
-	incRounds := 0
-	for i, q := range ds.Queries[:400] {
-		before := s.Retrains()
-		incBefore := kccaInc.Value()
-		if err := s.Observe(q); err != nil {
-			t.Fatalf("observe %d: %v", i, err)
-		}
-		if s.Retrains() == before || kccaInc.Value() == incBefore {
-			continue // no retrain, or it went down the full path
-		}
-		incRounds++
-		// Reference: a full training on the same window with the kernel
-		// scales pinned to the frozen ones the incremental path used.
-		m := s.Current().Model()
-		refOpt := DefaultOptions()
-		refOpt.Incremental = false
-		refOpt.KCCA.TauX, refOpt.KCCA.TauY = m.TauX, m.TauY
-		ref, err := Train(s.Window(), refOpt)
-		if err != nil {
-			t.Fatalf("observe %d: reference train: %v", i, err)
-		}
-		for pi, tq := range probes {
-			got, err := s.PredictQuery(tq)
-			if err != nil {
-				t.Fatalf("observe %d: incremental predict: %v", i, err)
-			}
-			want, err := ref.PredictQuery(tq)
-			if err != nil {
-				t.Fatalf("observe %d: reference predict: %v", i, err)
-			}
-			gv := features.PerfRawVector(got.Metrics)
-			wv := features.PerfRawVector(want.Metrics)
-			for k := range wv {
-				scale := math.Abs(wv[k])
-				if scale < 1 {
-					scale = 1
+			served := 0
+			for i := 0; i < sh.observes; i++ {
+				before := s.Retrains()
+				incBefore, iterBefore := kccaInc.Value(), kccaIter.Value()
+				if err := s.Observe(ds.Queries[i%len(ds.Queries)]); err != nil {
+					t.Fatalf("observe %d: %v", i, err)
 				}
-				if rel := math.Abs(gv[k]-wv[k]) / scale; rel > 1e-6 {
-					t.Fatalf("observe %d, probe %d, metric %d: incremental %v vs full %v (rel %v)",
-						i, pi, k, gv[k], wv[k], rel)
+				if s.Retrains() == before || kccaInc.Value() == incBefore {
+					continue // no retrain, or it went down the full path
+				}
+				iterated := kccaIter.Value() != iterBefore
+				if iterated == sh.iterative {
+					served++
+				}
+				// Reference: a full training on the same slot-order window
+				// with the kernel scales pinned to the frozen ones the
+				// incremental path used.
+				m := s.Current().Model()
+				refOpt := opt
+				refOpt.Incremental = false
+				refOpt.KCCA.TauX, refOpt.KCCA.TauY = m.TauX, m.TauY
+				s.mu.Lock()
+				window := s.slotWindow()
+				s.mu.Unlock()
+				ref, err := Train(window, refOpt)
+				if err != nil {
+					t.Fatalf("observe %d: reference train: %v", i, err)
+				}
+				for pi, tq := range probes {
+					got, err := s.PredictQuery(tq)
+					if err != nil {
+						t.Fatalf("observe %d: incremental predict: %v", i, err)
+					}
+					want, err := ref.PredictQuery(tq)
+					if err != nil {
+						t.Fatalf("observe %d: reference predict: %v", i, err)
+					}
+					if !iterated {
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("observe %d, probe %d: dense-served retrain predicts %+v, full train %+v",
+								i, pi, *got, *want)
+						}
+						continue
+					}
+					gv := features.PerfRawVector(got.Metrics)
+					wv := features.PerfRawVector(want.Metrics)
+					for k := range wv {
+						scale := math.Abs(wv[k])
+						if scale < 1 {
+							scale = 1
+						}
+						if rel := math.Abs(gv[k]-wv[k]) / scale; rel > 1e-6 {
+							t.Fatalf("observe %d, probe %d, metric %d: incremental %v vs full %v (rel %v)",
+								i, pi, k, gv[k], wv[k], rel)
+						}
+					}
 				}
 			}
-		}
-	}
-	// The steady-state slides must actually exercise the incremental path —
-	// otherwise this test verified nothing.
-	if incRounds < 2 {
-		t.Fatalf("only %d incremental retrains over 400 observations; the incremental path is not engaging", incRounds)
+			// The steady-state slides must actually exercise this side of
+			// the rule — otherwise the test verified nothing.
+			if served < 2 {
+				t.Fatalf("only %d retrains over %d observations were served incrementally by the %s solver",
+					served, sh.observes, sh.name)
+			}
+		})
 	}
 }
 

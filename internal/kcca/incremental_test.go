@@ -6,19 +6,92 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/obs"
 	"repro/internal/statutil"
 )
 
 // incEquivTol is the documented equivalence tolerance between an incremental
-// retrain and a full dense retrain on the same window at the same (frozen)
-// kernel scales: the only difference between the two paths is the iterative
-// eigensolver's relative residual tolerance (1e-11), which kernel-PCA
-// whitening and the CCA solve amplify by a few orders of magnitude on the
-// way into projection coordinates. The scales themselves are the τ-drift
-// guard's business: it keeps the frozen τ within Options.TauDriftTol (10%)
-// of what a fresh heuristic would choose, forcing an exact full rebuild
-// beyond that.
+// retrain served by the iterative eigensolver and a full dense retrain on
+// the same window at the same (frozen) kernel scales: the only difference
+// between the two is the iteration's relative residual tolerance (1e-11),
+// which kernel-PCA whitening and the CCA solve amplify by a few orders of
+// magnitude on the way into projection coordinates. A retrain served by the
+// dense solver has no tolerance: it is the full retrain, bit for bit. The
+// scales themselves are the τ-drift guard's business: it keeps the frozen τ
+// within Options.TauDriftTol (10%) of what a fresh heuristic would choose,
+// forcing an exact full rebuild beyond that.
 const incEquivTol = 1e-6
+
+// retrainShape is one window shape of the two-sided suites: every suite
+// that exercises the incremental retrain runs one shape chooseSolver sends
+// to the dense solver and one it sends to the iteration, so neither the
+// bit-identical path nor the warm-eigenbasis path loses its coverage.
+type retrainShape struct {
+	name      string
+	n, rank   int // rank 0 is the automatic rank
+	templates int
+	jitter    float64
+	iterative bool
+}
+
+var retrainShapes = []retrainShape{
+	{name: "dense", n: 160, rank: 0, templates: 20, jitter: 0.05},
+	// Eight templates at rank 3 leave a gap below the block (the iteration
+	// converges in ~7 steps); twenty would put the cut inside a plateau of
+	// equal template eigenvalues — TestIterationGivesUpWithinBudget's case.
+	{name: "iterative", n: 480, rank: 3, templates: 8, jitter: 0.05, iterative: true},
+}
+
+func (sh retrainShape) options(t *testing.T) Options {
+	t.Helper()
+	opt := DefaultOptions()
+	opt.Rank = sh.rank
+	if it := chooseSolver(sh.n, resolveRank(sh.n, opt)) > 0; it != sh.iterative {
+		t.Fatalf("shape %s (n=%d rank=%d): chooseSolver iterative=%v, the suite needs %v",
+			sh.name, sh.n, sh.rank, it, sh.iterative)
+	}
+	return opt
+}
+
+// TestChooseSolver pins the selection rule: the daemon's stock shape and
+// small windows solve densely, large windows at small rank iterate, and at
+// fixed rank the choice is monotone in n — dense (budget 0) up to one
+// crossover, then the iteration with a budget that only grows.
+func TestChooseSolver(t *testing.T) {
+	for _, c := range []struct {
+		n, rank   int
+		iterative bool
+	}{
+		{500, 80, false}, // qpredictd defaults: window 500, auto rank
+		{120, 30, false},
+		{40, 10, false},
+		{20, 19, false},   // block as wide as the matrix
+		{1000, 80, false}, // measured break-even 9.6 iterations
+		{4000, 80, true},
+		{800, 8, true},
+		{480, 3, true},
+	} {
+		if got := chooseSolver(c.n, c.rank) > 0; got != c.iterative {
+			t.Errorf("chooseSolver(%d, %d): iterative = %v, want %v", c.n, c.rank, got, c.iterative)
+		}
+	}
+	for _, rank := range []int{3, 8, 30, 80} {
+		last := 0
+		for n := rank + 2; n <= 8000; n += 7 {
+			budget := chooseSolver(n, rank)
+			if budget < last {
+				t.Fatalf("rank %d: budget falls from %d to %d at n=%d", rank, last, budget, n)
+			}
+			if budget > 0 && budget < iterTypical {
+				t.Fatalf("rank %d n=%d: iterative with budget %d below the typical %d iterations", rank, n, budget, iterTypical)
+			}
+			last = budget
+		}
+		if last == 0 {
+			t.Errorf("rank %d: never chooses the iteration up to n=8000", rank)
+		}
+	}
+}
 
 // tmplGen generates template-clustered workload rows, the regime the paper
 // trains on: queries instantiate a modest number of templates, so feature
@@ -123,13 +196,63 @@ func alignColumns(t *testing.T, got, want *linalg.Matrix) float64 {
 	return worst
 }
 
-// TestIncrementalMatchesFullRetrain slides a window and checks that each
-// incremental retrain matches a from-scratch dense Train on the identical
-// rows within the documented tolerance.
+// requireIdentical asserts got is want bit for bit: scales, kept spectrum,
+// kernel-PCA basis, centering state, both training projections, the
+// canonical correlations, and the out-of-sample projection of every probe.
+func requireIdentical(t *testing.T, got, want *Model, probes [][]float64) {
+	t.Helper()
+	if got.TauX != want.TauX || got.TauY != want.TauY {
+		t.Fatalf("taus (%v, %v) != (%v, %v)", got.TauX, got.TauY, want.TauX, want.TauY)
+	}
+	if got.grandX != want.grandX {
+		t.Fatalf("grand mean %v != %v", got.grandX, want.grandX)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want []float64
+	}{
+		{"lamx", got.lamx, want.lamx},
+		{"Correlations", got.Correlations, want.Correlations},
+		{"rowMeansX", got.rowMeansX, want.rowMeansX},
+		{"ux", got.ux.Data, want.ux.Data},
+		{"QueryProj", got.QueryProj.Data, want.QueryProj.Data},
+		{"PerfProj", got.PerfProj.Data, want.PerfProj.Data},
+	} {
+		if len(c.got) != len(c.want) {
+			t.Fatalf("%s: %d values, want %d", c.name, len(c.got), len(c.want))
+		}
+		for i := range c.want {
+			if c.got[i] != c.want[i] {
+				t.Fatalf("%s[%d]: %v != %v", c.name, i, c.got[i], c.want[i])
+			}
+		}
+	}
+	for pi, q := range probes {
+		gp, wp := got.ProjectQuery(q), want.ProjectQuery(q)
+		for i := range wp {
+			if gp[i] != wp[i] {
+				t.Fatalf("probe %d coordinate %d: %v != %v", pi, i, gp[i], wp[i])
+			}
+		}
+	}
+}
+
+// TestIncrementalMatchesFullRetrain slides a window and holds each
+// incremental retrain to a from-scratch dense Train on the identical rows
+// (slot order, frozen scales): bit for bit where the dense solver served
+// it, within the documented tolerance where the iteration did. Each side of
+// chooseSolver's rule runs its own window shape.
 func TestIncrementalMatchesFullRetrain(t *testing.T) {
-	const d, e, n = 8, 4, 160
-	g := newTmplGen(statutil.NewRNG(11, "inc-equiv"), d, e, 20, 0.05)
-	opt := DefaultOptions()
+	for _, sh := range retrainShapes {
+		t.Run(sh.name, func(t *testing.T) { testIncrementalMatchesFull(t, sh) })
+	}
+}
+
+func testIncrementalMatchesFull(t *testing.T, sh retrainShape) {
+	const d, e = 8, 4
+	n := sh.n
+	g := newTmplGen(statutil.NewRNG(11, "inc-equiv"), d, e, sh.templates, sh.jitter)
+	opt := sh.options(t)
 
 	xs := make([][]float64, 0, n)
 	ys := make([][]float64, 0, n)
@@ -150,9 +273,13 @@ func TestIncrementalMatchesFullRetrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	inc.Install(seed)
+	probes := make([][]float64, 5)
+	for i := range probes {
+		probes[i], _ = g.pair(1)
+	}
 
 	slot := 0
-	incRounds := 0
+	servedAsShaped := 0
 	for round := 0; round < 6; round++ {
 		for step := 0; step < 10; step++ {
 			x, y := g.pair(1)
@@ -171,10 +298,17 @@ func TestIncrementalMatchesFullRetrain(t *testing.T) {
 			inc.Install(seed)
 			continue
 		}
-		incRounds++
+		iterBefore, rebuildsBefore := solverIter.Value(), retrainFull.Value()
 		got, err := inc.Retrain()
 		if err != nil {
 			t.Fatalf("round %d: incremental retrain: %v", round, err)
+		}
+		if retrainFull.Value() != rebuildsBefore {
+			t.Fatalf("round %d: the incremental retrain rebuilt its kernels", round)
+		}
+		iterated := solverIter.Value() != iterBefore
+		if iterated == sh.iterative {
+			servedAsShaped++
 		}
 		// The incremental retrain runs at the τ frozen by the last full
 		// rebuild (that is the point of the drift guard), so the dense
@@ -195,6 +329,10 @@ func TestIncrementalMatchesFullRetrain(t *testing.T) {
 			if math.Abs(tau.frozen-tau.cand) > 0.1*tau.frozen {
 				t.Fatalf("round %d: frozen τ %v beyond drift tolerance of candidate %v", round, tau.frozen, tau.cand)
 			}
+		}
+		if !iterated {
+			requireIdentical(t, got, want, probes)
+			continue
 		}
 		if len(got.lamx) != len(want.lamx) {
 			t.Fatalf("round %d: kept %d X components, dense kept %d", round, len(got.lamx), len(want.lamx))
@@ -217,8 +355,9 @@ func TestIncrementalMatchesFullRetrain(t *testing.T) {
 			t.Fatalf("round %d: perf projection rel error %v > %v", round, worst, incEquivTol)
 		}
 	}
-	if incRounds < 3 {
-		t.Fatalf("only %d of 6 rounds took the incremental path; the test is not exercising it", incRounds)
+	if servedAsShaped < 3 {
+		t.Fatalf("only %d of 6 rounds were served incrementally by the %s solver; the test is not exercising it",
+			servedAsShaped, sh.name)
 	}
 }
 
@@ -245,41 +384,24 @@ func TestTrainFullBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.TauX != want.TauX || got.TauY != want.TauY {
-		t.Fatalf("taus (%v, %v) != (%v, %v)", got.TauX, got.TauY, want.TauX, want.TauY)
-	}
-	for i := range want.lamx {
-		if got.lamx[i] != want.lamx[i] {
-			t.Fatalf("lamx[%d]: %v != %v", i, got.lamx[i], want.lamx[i])
-		}
-	}
-	for i := range want.QueryProj.Data {
-		if got.QueryProj.Data[i] != want.QueryProj.Data[i] {
-			t.Fatalf("QueryProj.Data[%d]: %v != %v", i, got.QueryProj.Data[i], want.QueryProj.Data[i])
-		}
-	}
-	for i := range want.PerfProj.Data {
-		if got.PerfProj.Data[i] != want.PerfProj.Data[i] {
-			t.Fatalf("PerfProj.Data[%d]: %v != %v", i, got.PerfProj.Data[i], want.PerfProj.Data[i])
-		}
-	}
-	for i := range want.rowMeansX {
-		if got.rowMeansX[i] != want.rowMeansX[i] {
-			t.Fatalf("rowMeansX[%d] mismatch", i)
-		}
-	}
-	if got.grandX != want.grandX {
-		t.Fatal("grand mean mismatch")
-	}
+	requireIdentical(t, got, want, xs[:5])
 }
 
 // TestIncrementalDriftGuard inflates row norms until the τ-drift guard
 // fires, and asserts via the obs counters that the retrain path switches to
-// exactly one full rebuild and then resumes incrementally.
+// exactly one full rebuild and then resumes incrementally — on either side
+// of the solver rule.
 func TestIncrementalDriftGuard(t *testing.T) {
-	const d, e, n = 8, 4, 120
-	g := newTmplGen(statutil.NewRNG(19, "inc-drift"), d, e, 16, 0.05)
-	opt := DefaultOptions()
+	for _, sh := range retrainShapes {
+		t.Run(sh.name, func(t *testing.T) { testIncrementalDriftGuard(t, sh) })
+	}
+}
+
+func testIncrementalDriftGuard(t *testing.T, sh retrainShape) {
+	const d, e = 8, 4
+	n := sh.n
+	g := newTmplGen(statutil.NewRNG(19, "inc-drift"), d, e, sh.templates, sh.jitter)
+	opt := sh.options(t)
 	xs := make([][]float64, 0, n)
 	ys := make([][]float64, 0, n)
 	inc := NewIncremental(opt, n)
@@ -357,38 +479,72 @@ func TestIncrementalDriftGuard(t *testing.T) {
 	}
 }
 
-// TestTrainLanczosOption checks the Options.Lanczos switch on one-shot
-// Train: same data, iterative vs dense solver, results within tolerance.
-func TestTrainLanczosOption(t *testing.T) {
-	const d, e, n = 8, 4, 160
-	g := newTmplGen(statutil.NewRNG(23, "lanczos-opt"), d, e, 20, 0.05)
+// TestIterationGivesUpWithinBudget is the flat-spectrum case: twenty
+// equally weighted templates at rank 3 put the cut inside a plateau, the
+// iteration cannot reach its tolerance, and the retrain must still be served
+// from the maintained kernels — the iteration stops at its break-even budget
+// and the dense solve runs on the same kernels, bit-identical to Train, with
+// no kernel rebuild.
+func TestIterationGivesUpWithinBudget(t *testing.T) {
+	const d, e, n, rank = 8, 4, 480, 3
+	budget := chooseSolver(n, rank)
+	if budget == 0 {
+		t.Fatalf("chooseSolver(%d, %d) is dense; the case needs the iterative side", n, rank)
+	}
+	g := newTmplGen(statutil.NewRNG(11, "flat-spectrum"), d, e, 20, 1e-6)
+	opt := DefaultOptions()
+	opt.Rank = rank
 	xs := make([][]float64, 0, n)
 	ys := make([][]float64, 0, n)
+	inc := NewIncremental(opt, n)
 	for i := 0; i < n; i++ {
 		x, y := g.pair(1)
 		xs, ys = append(xs, x), append(ys, y)
+		inc.Append(x, y)
 	}
-	dense, err := Train(denseOf(xs), denseOf(ys), DefaultOptions())
+	_, seed, err := inc.TrainFull(denseOf(xs), denseOf(ys))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := DefaultOptions()
-	opt.Lanczos = true
-	iter, err := Train(denseOf(xs), denseOf(ys), opt)
+	inc.Install(seed)
+	for slot := 0; slot < 10; slot++ {
+		x, y := g.pair(1)
+		xs[slot], ys[slot] = x, y
+		inc.Replace(slot, x, y)
+	}
+	if inc.NeedsFull() {
+		t.Fatal("ten redraws from the same templates tripped the τ-drift guard")
+	}
+
+	iters := obs.GetHistogram("linalg.eigen_iter.iterations")
+	callsBefore, itersBefore := iters.Count(), iters.Sum()
+	denseBefore, incBefore, rebuildsBefore := solverDense.Value(), retrainInc.Value(), retrainFull.Value()
+	got, err := inc.Retrain()
+	if err != nil {
+		t.Fatalf("retrain on a flat spectrum: %v", err)
+	}
+	if fell := solverDense.Value() - denseBefore; fell != 2 {
+		t.Fatalf("%d of 2 views fell back to the dense solve; the spectrum is not flat enough to test the give-up path", fell)
+	}
+	if retrainInc.Value() != incBefore+1 || retrainFull.Value() != rebuildsBefore {
+		t.Fatalf("give-up was not served from the maintained kernels: incremental +%d, full +%d",
+			retrainInc.Value()-incBefore, retrainFull.Value()-rebuildsBefore)
+	}
+	calls := iters.Count() - callsBefore
+	if calls != 2 {
+		t.Fatalf("%d iterative solves recorded, want one per view", calls)
+	}
+	if spent := iters.Sum() - itersBefore; spent > float64(2*budget) {
+		t.Fatalf("the two views spent %v iterations, over their budget of %d each", spent, budget)
+	}
+	// Both views fell back: the retrain is the dense one, bit for bit.
+	pinned := opt
+	pinned.TauX, pinned.TauY = got.TauX, got.TauY
+	want, err := Train(denseOf(xs), denseOf(ys), pinned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(iter.lamx) != len(dense.lamx) {
-		t.Fatalf("kept %d components, dense kept %d", len(iter.lamx), len(dense.lamx))
-	}
-	for j := range dense.lamx {
-		if rel := math.Abs(iter.lamx[j]-dense.lamx[j]) / dense.lamx[0]; rel > incEquivTol {
-			t.Fatalf("eigenvalue %d rel error %v", j, rel)
-		}
-	}
-	if worst := alignColumns(t, iter.QueryProj, dense.QueryProj); worst > incEquivTol {
-		t.Fatalf("query projection rel error %v", worst)
-	}
+	requireIdentical(t, got, want, xs[:5])
 }
 
 // TestInvalidateForcesFull checks the stale flag the sliding predictor uses

@@ -40,14 +40,6 @@ type Options struct {
 	Dims int
 	// Reg is the CCA ridge regularization; 0 selects a default.
 	Reg float64
-	// Lanczos selects the iterative top-rank eigensolver (block subspace
-	// iteration, linalg.TopEigenIterative) for the kernel-PCA step instead
-	// of the dense O(N³) tred2/tql2 solve. Off by default for one-shot
-	// training; the sliding predictor's Incremental retrainer always uses
-	// the iterative solver with warm starts, independent of this switch.
-	// Falls back to the dense solver when the iteration does not converge
-	// or the requested rank is too large a fraction of N to pay off.
-	Lanczos bool
 	// TauDriftTol is the τ-drift guard's relative tolerance for
 	// incremental retraining: a retrain whose scale heuristic has moved
 	// more than this fraction from the frozen kernel scale triggers a full
@@ -135,14 +127,6 @@ func resolveRank(n int, opt Options) int {
 	return rank
 }
 
-// iterWorthwhile reports whether the iterative top-rank eigensolver pays
-// off: its block is rank + oversampling columns, and below about half of N
-// the O(N²·b) iteration no longer beats the dense O(N³) solve (and loses
-// the room it needs to converge).
-func iterWorthwhile(n, rank int) bool {
-	return n >= 2*(rank+linalg.DefaultOversample)
-}
-
 // Train fits KCCA on the query features x and performance features y (one
 // row per training query in both, same order).
 func Train(x, y *linalg.Matrix, opt Options) (*Model, error) {
@@ -181,17 +165,15 @@ func Train(x, y *linalg.Matrix, opt Options) (*Model, error) {
 
 	rank := resolveRank(n, opt)
 
-	var phiX, phiY, ux, uy *linalg.Matrix
+	var phiX, phiY, ux *linalg.Matrix
 	var lamx []float64
 	var errX, errY error
 	stopEigen := obs.Span("kcca.train.eigen")
-	useIter := opt.Lanczos && iterWorthwhile(n, rank)
 	parallel.Do(
-		func() { phiX, ux, lamx, errX = pcaSolve(kxC, rank, useIter, nil) },
-		func() { phiY, uy, _, errY = pcaSolve(kyC, rank, useIter, nil) },
+		func() { phiX, ux, lamx, errX = kernelPCA(kxC, rank) },
+		func() { phiY, _, _, errY = kernelPCA(kyC, rank) },
 	)
 	stopEigen()
-	_ = uy
 	if errX != nil {
 		return nil, errX
 	}
@@ -206,22 +188,6 @@ func Train(x, y *linalg.Matrix, opt Options) (*Model, error) {
 // eigenvalues below keepFrac·max(λ₁, 1) are dropped (phiFromEigen), and the
 // iterative solver is told not to chase residuals on them (DropBelow).
 const keepFrac = 1e-10
-
-// pcaSolve runs kernel PCA with the dense solver or the iterative one
-// (falling back to dense when the iteration fails to converge — correctness
-// over speed, since dense always succeeds on a symmetric matrix).
-func pcaSolve(kC *linalg.Matrix, rank int, iterative bool, warm *linalg.Matrix) (phi, u *linalg.Matrix, lam []float64, err error) {
-	if iterative {
-		vals, vecs, ierr := linalg.TopEigenWarm(kC, rank, linalg.EigenOptions{Warm: warm, DropBelow: keepFrac})
-		if ierr == nil {
-			return phiFromEigen(kC.Rows, vals, vecs)
-		}
-		if !errors.Is(ierr, linalg.ErrNotConverged) {
-			return nil, nil, nil, ierr
-		}
-	}
-	return kernelPCA(kC, rank)
-}
 
 // fitModel finishes training from the per-view kernel-PCA outputs: the CCA
 // fit in reduced space, both training projections, and model assembly.
@@ -263,8 +229,9 @@ func fitModel(xOwned *linalg.Matrix, tauX, tauY float64, rowMeansX []float64, gr
 
 // kernelPCA returns Phi = U·Λ^{1/2} for the top-r eigenpairs of the
 // centered kernel matrix, dropping components with negligible eigenvalues.
+// The dense solve runs in k's own storage: k is destroyed.
 func kernelPCA(k *linalg.Matrix, r int) (phi, u *linalg.Matrix, lam []float64, err error) {
-	vals, vecs, err := linalg.TopEigen(k, r)
+	vals, vecs, err := linalg.TopEigenInPlace(k, r)
 	if err != nil {
 		return nil, nil, nil, err
 	}

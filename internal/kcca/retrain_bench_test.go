@@ -10,15 +10,19 @@ import (
 
 // Retraining-cost benchmarks: a full dense kcca.Train versus one
 // steady-state window slide (Replace + incremental Retrain) at the same
-// window size. These feed BENCH_retrain.json; CI's bench-smoke job runs the
-// smallest size only.
+// window size. These fed BENCH_retrain.json; CI's bench-smoke job runs the
+// smallest size only. The rows are a synthetic low-rank matrix (24
+// templates, jitter 1e-6) and the slide is a single row, so a warm-started
+// iteration converges in a few steps here — the iterative solver's best
+// input, not the daemon's: core's BenchmarkRetrainStock measures that.
 //
 // Asymptotics being compared, per retrain with window N, feature dim d,
 // reduced rank r ≤ 80, block b = r + oversample:
 //
-//	full:        O(N²·d) kernel build + O(N³) dense eigensolve (per view)
-//	incremental: O(N·d) kernel row patch + O(iters·N²·b) warm-started
-//	             subspace iteration (per view), iters ≈ a handful
+//	full:        O(N²·d) kernel build + ≈ 9N³ dense eigensolve (per view)
+//	incremental: O(N·d) kernel row patch + the cheaper of the dense solve
+//	             and iters·(2N²b + 10Nb² + 9b³) of warm-started subspace
+//	             iteration (per view; chooseSolver)
 //
 // plus the shared O(N·r²)-ish CCA/projection tail.
 

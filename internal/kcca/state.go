@@ -11,8 +11,9 @@ import (
 // durable serving state snapshots (internal/wal). Restoring it — rather
 // than invalidating and forcing a full retrain — is what makes a recovered
 // daemon's retrain path, and therefore its predictions, bit-identical to
-// one that never restarted: the next retrain after recovery runs the same
-// incremental warm-started eigensolve the uninterrupted process would run.
+// one that never restarted: the next retrain after recovery solves the same
+// maintained kernels (from the same warm eigenbases, where the iterative
+// solver serves the window's shape) as the uninterrupted process would.
 type IncrementalState struct {
 	Capacity     int
 	MX, MY       *kernels.MaintainedState

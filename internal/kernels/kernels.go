@@ -136,8 +136,20 @@ func CrossVectorInto(out []float64, x *linalg.Matrix, q []float64, tau float64) 
 // the row means and grand mean needed to center out-of-sample kernel
 // vectors consistently.
 func Center(k *linalg.Matrix) (centered *linalg.Matrix, rowMeans []float64, grandMean float64) {
+	centered = linalg.NewMatrix(k.Rows, k.Rows)
+	rowMeans, grandMean = CenterInto(centered, k)
+	return centered, rowMeans, grandMean
+}
+
+// CenterInto is Center into the caller-owned dst (k.Rows square, not
+// aliasing k), for retrain paths that keep an N×N scratch buffer across
+// calls.
+func CenterInto(dst, k *linalg.Matrix) (rowMeans []float64, grandMean float64) {
 	defer obs.Span("kernels.center")()
 	n := k.Rows
+	if dst.Rows != n || dst.Cols != n {
+		panic(fmt.Sprintf("kernels: CenterInto target is %dx%d, want %dx%d", dst.Rows, dst.Cols, n, n))
+	}
 	rowMeans = make([]float64, n)
 	grain := parallel.GrainFor(n, 1<<15)
 	parallel.For(n, grain, func(lo, hi int) {
@@ -146,15 +158,14 @@ func Center(k *linalg.Matrix) (centered *linalg.Matrix, rowMeans []float64, gran
 		}
 	})
 	grandMean = linalg.Mean(rowMeans)
-	centered = linalg.NewMatrix(n, n)
 	parallel.For(n, grain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for j := 0; j < n; j++ {
-				centered.Set(i, j, k.At(i, j)-rowMeans[i]-rowMeans[j]+grandMean)
+				dst.Set(i, j, k.At(i, j)-rowMeans[i]-rowMeans[j]+grandMean)
 			}
 		}
 	})
-	return centered, rowMeans, grandMean
+	return rowMeans, grandMean
 }
 
 // CenterCross centers an out-of-sample kernel vector kq (evaluations of the

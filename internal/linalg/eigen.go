@@ -22,53 +22,88 @@ type EigenSym struct {
 // algorithm (the classic tred2/tql2 pair). Only the lower triangle of a is
 // read. The result is sorted by descending eigenvalue.
 func SymEig(a *Matrix) (*EigenSym, error) {
-	defer obs.Span("linalg.eigen")()
 	if a.Rows != a.Cols {
 		return nil, errors.New("linalg: SymEig requires a square matrix")
 	}
-	n := a.Rows
-	if n == 0 {
-		return &EigenSym{Values: nil, Vectors: NewMatrix(0, 0)}, nil
+	vals, vecs, err := TopEigenInPlace(a.Clone(), a.Rows)
+	if err != nil {
+		return nil, err
 	}
-	v := a.Clone()
-	// Symmetrize from the lower triangle so callers may pass matrices with
-	// tiny asymmetries from floating point accumulation.
+	return &EigenSym{Values: vals, Vectors: vecs}, nil
+}
+
+// TopEigen returns the leading r eigenpairs (largest eigenvalues) of the
+// symmetric matrix a, leaving a untouched; r is clamped to the matrix
+// dimension.
+func TopEigen(a *Matrix, r int) (vals []float64, vecs *Matrix, err error) {
+	return TopEigenInPlace(a.Clone(), r)
+}
+
+// TopEigenInPlace is TopEigen for callers that no longer need a: the
+// decomposition runs in a's own storage (a is destroyed), so the only
+// matrix allocated is the n×r result. Only the lower triangle of a is read.
+// Every eigenpair is bit-identical to the matching pair of SymEig(a).
+func TopEigenInPlace(a *Matrix, r int) (vals []float64, vecs *Matrix, err error) {
+	defer obs.Span("linalg.eigen")()
+	if a.Rows != a.Cols {
+		return nil, nil, errors.New("linalg: TopEigenInPlace requires a square matrix")
+	}
+	n := a.Rows
+	if r > n {
+		r = n
+	}
+	if r < 0 {
+		r = 0
+	}
+	if n == 0 {
+		return nil, NewMatrix(0, 0), nil
+	}
+	// tred2/tql2 below work on the transpose of the EISPACK working matrix
+	// V (row j of the store is column j of V). V starts as the symmetrized
+	// input, which is its own transpose, so mirroring a's lower triangle
+	// upward is the whole set-up; callers may pass matrices with tiny
+	// asymmetries from floating point accumulation.
 	for i := 0; i < n; i++ {
+		ri := a.Row(i)
 		for j := i + 1; j < n; j++ {
-			v.Set(i, j, v.At(j, i))
+			ri[j] = a.Data[j*n+i]
 		}
 	}
 	d := make([]float64, n)
 	e := make([]float64, n)
-	tred2(v, d, e)
-	if err := tql2(v, d, e); err != nil {
-		return nil, err
+	tred2(a, d, e)
+	if err := tql2(a, d, e); err != nil {
+		return nil, nil, err
 	}
-	// Sort by descending eigenvalue, permuting eigenvector columns.
+	// Sort by descending eigenvalue; eigenvector j is row j of the store.
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(p, q int) bool { return d[idx[p]] > d[idx[q]] })
-	vals := make([]float64, n)
-	vecs := NewMatrix(n, n)
-	for c, j := range idx {
+	vals = make([]float64, r)
+	vecs = NewMatrix(n, r)
+	for c, j := range idx[:r] {
 		vals[c] = d[j]
-		for i := 0; i < n; i++ {
-			vecs.Set(i, c, v.At(i, j))
+		for i, x := range a.Row(j) {
+			vecs.Data[i*r+c] = x
 		}
 	}
-	return &EigenSym{Values: vals, Vectors: vecs}, nil
+	return vals, vecs, nil
 }
 
-// tred2 reduces the symmetric matrix stored in v to tridiagonal form using
-// Householder similarity transformations, accumulating the transformations
-// in v. On return d holds the diagonal and e the subdiagonal. This is a
-// direct translation of the EISPACK routine.
-func tred2(v *Matrix, d, e []float64) {
-	n := v.Rows
+// tred2 reduces a symmetric matrix to tridiagonal form using Householder
+// similarity transformations, accumulating the transformations. On return d
+// holds the diagonal and e the subdiagonal. This is the EISPACK routine with
+// its working matrix V held transposed — t.Row(j) is column j of V — because
+// every inner loop of the original walks down a column: on the row-major
+// Matrix those become contiguous slice loops. Each element sees the same
+// operations in the same order as in the column-walking form, so the results
+// are bit-identical to it.
+func tred2(t *Matrix, d, e []float64) {
+	n := t.Rows
 	for j := 0; j < n; j++ {
-		d[j] = v.At(n-1, j)
+		d[j] = t.Data[j*n+n-1]
 	}
 	for i := n - 1; i > 0; i-- {
 		scale := 0.0
@@ -76,12 +111,13 @@ func tred2(v *Matrix, d, e []float64) {
 		for k := 0; k < i; k++ {
 			scale += math.Abs(d[k])
 		}
+		ti := t.Row(i)
 		if scale == 0 {
 			e[i] = d[i-1]
 			for j := 0; j < i; j++ {
-				d[j] = v.At(i-1, j)
-				v.Set(i, j, 0)
-				v.Set(j, i, 0)
+				d[j] = t.Data[j*n+i-1]
+				t.Data[j*n+i] = 0
+				ti[j] = 0
 			}
 		} else {
 			for k := 0; k < i; k++ {
@@ -99,13 +135,38 @@ func tred2(v *Matrix, d, e []float64) {
 			for j := 0; j < i; j++ {
 				e[j] = 0
 			}
-			for j := 0; j < i; j++ {
+			// Columns j and j+1 of V go through the loop together: each of
+			// the two running sums g keeps its own index order, and e[k]
+			// still receives column j's term before column j+1's, so every
+			// value is what the one-column loop below computes — two
+			// independent add chains instead of one.
+			j := 0
+			for ; j+2 <= i; j += 2 {
+				f0, f1 := d[j], d[j+1]
+				ti[j], ti[j+1] = f0, f1
+				t0, t1 := t.Row(j), t.Row(j+1)
+				g0 := e[j] + t0[j]*f0
+				g0 += t0[j+1] * f1
+				e[j+1] += t0[j+1] * f0
+				g1 := e[j+1] + t1[j+1]*f1
+				dk, ek, t1k := d[j+2:i], e[j+2:i], t1[j+2:i]
+				for k, x0 := range t0[j+2 : i] {
+					x1 := t1k[k]
+					g0 += x0 * dk[k]
+					g1 += x1 * dk[k]
+					ek[k] = ek[k] + x0*f0 + x1*f1
+				}
+				e[j], e[j+1] = g0, g1
+			}
+			for ; j < i; j++ {
 				f = d[j]
-				v.Set(j, i, f)
-				g = e[j] + v.At(j, j)*f
-				for k := j + 1; k <= i-1; k++ {
-					g += v.At(k, j) * d[k]
-					e[k] += v.At(k, j) * f
+				ti[j] = f
+				tj := t.Row(j)
+				g = e[j] + tj[j]*f
+				dk, ek := d[j+1:i], e[j+1:i]
+				for k, x := range tj[j+1 : i] {
+					g += x * dk[k]
+					ek[k] += x * f
 				}
 				e[j] = g
 			}
@@ -118,66 +179,116 @@ func tred2(v *Matrix, d, e []float64) {
 			for j := 0; j < i; j++ {
 				e[j] -= hh * d[j]
 			}
-			// Column updates are independent (column j only reads d and e,
-			// which are fixed here, plus its own entries), so they go to the
-			// worker pool; the d refresh moves after the barrier because
-			// column j's final entries are written only by its own worker.
+			// Updates of V's columns are independent (column j only reads d
+			// and e, which are fixed here, plus its own entries), so they go
+			// to the worker pool; the d refresh moves after the barrier
+			// because column j's final entries are written only by its own
+			// worker.
 			parallel.For(i, parallel.GrainFor(i/2+1, 1<<14), func(lo, hi int) {
 				for j := lo; j < hi; j++ {
 					fj := d[j]
 					gj := e[j]
-					for k := j; k <= i-1; k++ {
-						v.Set(k, j, v.At(k, j)-(fj*e[k]+gj*d[k]))
+					tj := t.Row(j)[j:i]
+					dk, ek := d[j:i], e[j:i]
+					for k, x := range tj {
+						tj[k] = x - (fj*ek[k] + gj*dk[k])
 					}
 				}
 			})
 			for j := 0; j < i; j++ {
-				d[j] = v.At(i-1, j)
-				v.Set(i, j, 0)
+				d[j] = t.Data[j*n+i-1]
+				t.Data[j*n+i] = 0
 			}
 		}
 		d[i] = h
 	}
 	// Accumulate transformations.
 	for i := 0; i < n-1; i++ {
-		v.Set(n-1, i, v.At(i, i))
-		v.Set(i, i, 1)
+		t.Data[i*n+n-1] = t.Data[i*n+i]
+		t.Data[i*n+i] = 1
 		h := d[i+1]
+		ti1 := t.Row(i + 1)[:i+1]
 		if h != 0 {
-			for k := 0; k <= i; k++ {
-				d[k] = v.At(k, i+1) / h
+			for k, x := range ti1 {
+				d[k] = x / h
 			}
-			// Independent per column j: reads column i+1 and d (both fixed),
-			// writes only column j. Exact at every worker count.
+			dk := d[:i+1]
+			// Independent per column j of V: reads column i+1 and d (both
+			// fixed), writes only column j. Exact at every worker count.
 			parallel.For(i+1, parallel.GrainFor(i+1, 1<<14), func(lo, hi int) {
-				for j := lo; j < hi; j++ {
+				j := lo
+				for ; j+4 <= hi; j += 4 {
+					reflect4(ti1, dk, t.Row(j)[:i+1], t.Row(j + 1)[:i+1], t.Row(j + 2)[:i+1], t.Row(j + 3)[:i+1])
+				}
+				for ; j < hi; j++ {
+					tj := t.Row(j)[:i+1]
 					g := 0.0
-					for k := 0; k <= i; k++ {
-						g += v.At(k, i+1) * v.At(k, j)
+					for k, x := range ti1 {
+						g += x * tj[k]
 					}
-					for k := 0; k <= i; k++ {
-						v.Set(k, j, v.At(k, j)-g*d[k])
+					for k, x := range tj {
+						tj[k] = x - g*dk[k]
 					}
 				}
 			})
 		}
-		for k := 0; k <= i; k++ {
-			v.Set(k, i+1, 0)
+		for k := range ti1 {
+			ti1[k] = 0
 		}
 	}
 	for j := 0; j < n; j++ {
-		d[j] = v.At(n-1, j)
-		v.Set(n-1, j, 0)
+		d[j] = t.Data[j*n+n-1]
+		t.Data[j*n+n-1] = 0
 	}
-	v.Set(n-1, n-1, 1)
+	t.Data[n*n-1] = 1
 	e[0] = 0
 }
 
+// reflect4 applies tred2's accumulation step — t ← t − (u·t)·d — to four
+// columns of V at once. Each column's dot product is still summed in index
+// order, so its result is the one-column loop's bit for bit; running four
+// independent sums side by side is what hides the floating-point add latency
+// that a single running sum serializes on.
+func reflect4(u, d, t0, t1, t2, t3 []float64) {
+	n := len(u)
+	d, t0, t1, t2, t3 = d[:n], t0[:n], t1[:n], t2[:n], t3[:n]
+	var g0, g1, g2, g3 float64
+	for k, x := range u {
+		g0 += x * t0[k]
+		g1 += x * t1[k]
+		g2 += x * t2[k]
+		g3 += x * t3[k]
+	}
+	for k, dk := range d {
+		t0[k] -= g0 * dk
+		t1[k] -= g1 * dk
+		t2[k] -= g2 * dk
+		t3[k] -= g3 * dk
+	}
+}
+
+// rotGrain is the parallel grain of one tql2 Givens rotation (six flops per
+// element): below it — every matrix under 2730 rows — the rotation runs
+// inline, without a closure or a pool call per rotation.
+var rotGrain = parallel.GrainFor(6, 1<<14)
+
+// rotate applies the Givens rotation (c, s) to the vector pair (lo, hi):
+// lo ← c·lo − s·hi, hi ← s·lo + c·hi.
+func rotate(lo, hi []float64, c, s float64) {
+	hi = hi[:len(lo)]
+	for k, x := range lo {
+		hk := hi[k]
+		hi[k] = s*x + c*hk
+		lo[k] = c*x - s*hk
+	}
+}
+
 // tql2 computes the eigendecomposition of the symmetric tridiagonal matrix
-// (d, e) using the implicit QL algorithm, updating the accumulated
-// transformations in v. Direct translation of the EISPACK routine.
-func tql2(v *Matrix, d, e []float64) error {
-	n := v.Rows
+// (d, e) using the implicit QL algorithm, updating the transformations
+// tred2 accumulated: the EISPACK routine on tred2's transposed store, so
+// eigenvector j ends up in t.Row(j).
+func tql2(t *Matrix, d, e []float64) error {
+	n := t.Rows
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
 	}
@@ -235,18 +346,17 @@ func tql2(v *Matrix, d, e []float64) error {
 					c = p / r
 					p = c*d[i] - s*g
 					d[i+1] = h + s*(c*g+s*d[i])
-					// Accumulate transformation: a Givens rotation of columns
-					// (i, i+1), independent per row k. The grain keeps small
-					// matrices on the exact serial path; h is shadowed so the
-					// outer variable is untouched under parallel execution.
-					cc, ss := c, s
-					parallel.For(n, parallel.GrainFor(6, 1<<14), func(lo, hi int) {
-						for k := lo; k < hi; k++ {
-							hk := v.At(k, i+1)
-							v.Set(k, i+1, ss*v.At(k, i)+cc*hk)
-							v.Set(k, i, cc*v.At(k, i)-ss*hk)
-						}
-					})
+					// Accumulate transformation: a Givens rotation of V's
+					// columns (i, i+1), independent per element.
+					ri, ri1 := t.Row(i), t.Row(i+1)
+					if n <= rotGrain {
+						rotate(ri, ri1, c, s)
+					} else {
+						cc, ss := c, s
+						parallel.For(n, rotGrain, func(lo, hi int) {
+							rotate(ri[lo:hi], ri1[lo:hi], cc, ss)
+						})
+					}
 				}
 				p = -s * s2 * c3 * el1 * e[l] / dl1
 				e[l] = s * p
@@ -260,19 +370,4 @@ func tql2(v *Matrix, d, e []float64) error {
 		e[l] = 0
 	}
 	return nil
-}
-
-// TopEigen returns the leading r eigenpairs (largest eigenvalues) of the
-// symmetric matrix a. It simply truncates a full decomposition; r is clamped
-// to the matrix dimension.
-func TopEigen(a *Matrix, r int) (vals []float64, vecs *Matrix, err error) {
-	es, err := SymEig(a)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := len(es.Values)
-	if r > n {
-		r = n
-	}
-	return es.Values[:r], es.Vectors.SliceCols(0, r), nil
 }

@@ -1,0 +1,311 @@
+package linalg
+
+import (
+	"errors"
+	"math"
+	"sort"
+	"testing"
+)
+
+// The reference below is the EISPACK tred2/tql2 pair as this package ran it
+// before the transposed store: the column-major loops over a row-major
+// Matrix through At/Set. It stays here as the oracle that the cache-friendly
+// versions in eigen.go are held to, bit for bit.
+
+// tred2Ref reduces the symmetric matrix stored in v to tridiagonal form,
+// accumulating the Householder transformations in v; d receives the
+// diagonal, e the subdiagonal.
+func tred2Ref(v *Matrix, d, e []float64) {
+	n := v.Rows
+	for j := 0; j < n; j++ {
+		d[j] = v.At(n-1, j)
+	}
+	for i := n - 1; i > 0; i-- {
+		scale := 0.0
+		h := 0.0
+		for k := 0; k < i; k++ {
+			scale += math.Abs(d[k])
+		}
+		if scale == 0 {
+			e[i] = d[i-1]
+			for j := 0; j < i; j++ {
+				d[j] = v.At(i-1, j)
+				v.Set(i, j, 0)
+				v.Set(j, i, 0)
+			}
+		} else {
+			for k := 0; k < i; k++ {
+				d[k] /= scale
+				h += d[k] * d[k]
+			}
+			f := d[i-1]
+			g := math.Sqrt(h)
+			if f > 0 {
+				g = -g
+			}
+			e[i] = scale * g
+			h -= f * g
+			d[i-1] = f - g
+			for j := 0; j < i; j++ {
+				e[j] = 0
+			}
+			for j := 0; j < i; j++ {
+				f = d[j]
+				v.Set(j, i, f)
+				g = e[j] + v.At(j, j)*f
+				for k := j + 1; k <= i-1; k++ {
+					g += v.At(k, j) * d[k]
+					e[k] += v.At(k, j) * f
+				}
+				e[j] = g
+			}
+			f = 0
+			for j := 0; j < i; j++ {
+				e[j] /= h
+				f += e[j] * d[j]
+			}
+			hh := f / (h + h)
+			for j := 0; j < i; j++ {
+				e[j] -= hh * d[j]
+			}
+			for j := 0; j < i; j++ {
+				fj := d[j]
+				gj := e[j]
+				for k := j; k <= i-1; k++ {
+					v.Set(k, j, v.At(k, j)-(fj*e[k]+gj*d[k]))
+				}
+			}
+			for j := 0; j < i; j++ {
+				d[j] = v.At(i-1, j)
+				v.Set(i, j, 0)
+			}
+		}
+		d[i] = h
+	}
+	// Accumulate transformations.
+	for i := 0; i < n-1; i++ {
+		v.Set(n-1, i, v.At(i, i))
+		v.Set(i, i, 1)
+		h := d[i+1]
+		if h != 0 {
+			for k := 0; k <= i; k++ {
+				d[k] = v.At(k, i+1) / h
+			}
+			for j := 0; j < i+1; j++ {
+				g := 0.0
+				for k := 0; k <= i; k++ {
+					g += v.At(k, i+1) * v.At(k, j)
+				}
+				for k := 0; k <= i; k++ {
+					v.Set(k, j, v.At(k, j)-g*d[k])
+				}
+			}
+		}
+		for k := 0; k <= i; k++ {
+			v.Set(k, i+1, 0)
+		}
+	}
+	for j := 0; j < n; j++ {
+		d[j] = v.At(n-1, j)
+		v.Set(n-1, j, 0)
+	}
+	v.Set(n-1, n-1, 1)
+	e[0] = 0
+}
+
+// tql2Ref is the implicit QL algorithm on (d, e), updating the accumulated
+// transformations in v.
+func tql2Ref(v *Matrix, d, e []float64) error {
+	n := v.Rows
+	for i := 1; i < n; i++ {
+		e[i-1] = e[i]
+	}
+	e[n-1] = 0
+
+	f := 0.0
+	tst1 := 0.0
+	eps := math.Pow(2, -52)
+	for l := 0; l < n; l++ {
+		tst1 = math.Max(tst1, math.Abs(d[l])+math.Abs(e[l]))
+		m := l
+		for m < n {
+			if math.Abs(e[m]) <= eps*tst1 {
+				break
+			}
+			m++
+		}
+		if m > l {
+			for iter := 0; ; iter++ {
+				if iter > 50 {
+					return errors.New("linalg: tql2 failed to converge")
+				}
+				// Compute implicit shift.
+				g := d[l]
+				p := (d[l+1] - g) / (2 * e[l])
+				r := math.Hypot(p, 1)
+				if p < 0 {
+					r = -r
+				}
+				d[l] = e[l] / (p + r)
+				d[l+1] = e[l] * (p + r)
+				dl1 := d[l+1]
+				h := g - d[l]
+				for i := l + 2; i < n; i++ {
+					d[i] -= h
+				}
+				f += h
+				// Implicit QL transformation.
+				p = d[m]
+				c := 1.0
+				c2 := c
+				c3 := c
+				el1 := e[l+1]
+				s := 0.0
+				s2 := 0.0
+				for i := m - 1; i >= l; i-- {
+					c3 = c2
+					c2 = c
+					s2 = s
+					g = c * e[i]
+					h = c * p
+					r = math.Hypot(p, e[i])
+					e[i+1] = s * r
+					s = e[i] / r
+					c = p / r
+					p = c*d[i] - s*g
+					d[i+1] = h + s*(c*g+s*d[i])
+					// Accumulate transformation.
+					cc, ss := c, s
+					for k := 0; k < n; k++ {
+						hk := v.At(k, i+1)
+						v.Set(k, i+1, ss*v.At(k, i)+cc*hk)
+						v.Set(k, i, cc*v.At(k, i)-ss*hk)
+					}
+				}
+				p = -s * s2 * c3 * el1 * e[l] / dl1
+				e[l] = s * p
+				d[l] = c * p
+				if math.Abs(e[l]) <= eps*tst1 {
+					break
+				}
+			}
+		}
+		d[l] += f
+		e[l] = 0
+	}
+	return nil
+}
+
+// symEigRef is SymEig over the reference routines: symmetrize from the lower
+// triangle, decompose, sort descending, eigenvectors as columns.
+func symEigRef(t *testing.T, a *Matrix) ([]float64, *Matrix) {
+	t.Helper()
+	n := a.Rows
+	v := a.Clone()
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			v.Set(i, j, v.At(j, i))
+		}
+	}
+	d := make([]float64, n)
+	e := make([]float64, n)
+	tred2Ref(v, d, e)
+	if err := tql2Ref(v, d, e); err != nil {
+		t.Fatal(err)
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(p, q int) bool { return d[idx[p]] > d[idx[q]] })
+	vals := make([]float64, n)
+	vecs := NewMatrix(n, n)
+	for c, j := range idx {
+		vals[c] = d[j]
+		for i := 0; i < n; i++ {
+			vecs.Set(i, c, v.At(i, j))
+		}
+	}
+	return vals, vecs
+}
+
+// TestSymEigBitIdenticalToReference holds the transposed-store solver to the
+// column-walking reference on dense, asymmetric-upper, block-diagonal (the
+// scale == 0 branch), diagonal and rank-deficient inputs, and TopEigenInPlace
+// to the matching leading columns.
+func TestSymEigBitIdenticalToReference(t *testing.T) {
+	cases := map[string]*Matrix{
+		"spd-1":   spdMatrix(1, 1),
+		"spd-2":   spdMatrix(2, 2),
+		"spd-37":  spdMatrix(37, 37),
+		"spd-150": spdMatrix(150, 150),
+	}
+	x := randEquivMatrix(5, 90, 60)
+	cases["gram-sprinkled-zeros"] = x.TMul(x)
+	lowRank := randEquivMatrix(6, 70, 9)
+	cases["rank-deficient"] = lowRank.MulT(lowRank)
+	noisyUpper := spdMatrix(40, 9)
+	for i := 0; i < 40; i++ {
+		for j := i + 1; j < 40; j++ {
+			noisyUpper.Set(i, j, noisyUpper.At(i, j)+1e-3) // must be ignored
+		}
+	}
+	cases["asymmetric-upper"] = noisyUpper
+	blocks := NewMatrix(30, 30)
+	for b := 0; b < 3; b++ {
+		blk := spdMatrix(10, uint64(20+b))
+		for i := 0; i < 10; i++ {
+			copy(blocks.Row(10*b + i)[10*b:10*b+10], blk.Row(i))
+		}
+	}
+	cases["block-diagonal"] = blocks
+	diag := NewMatrix(12, 12)
+	for i := 0; i < 12; i++ {
+		diag.Set(i, i, float64((i*7)%5))
+	}
+	cases["diagonal-with-ties"] = diag
+
+	for name, a := range cases {
+		before := a.Clone()
+		wantVals, wantVecs := symEigRef(t, a)
+		got, err := SymEig(a)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		exactEqual(t, name+": SymEig left its input", 0, a, before)
+		for i, v := range got.Values {
+			if v != wantVals[i] && !(math.IsNaN(v) && math.IsNaN(wantVals[i])) {
+				t.Fatalf("%s: eigenvalue %d = %v, reference %v", name, i, v, wantVals[i])
+			}
+		}
+		exactEqual(t, name+": vectors", 0, got.Vectors, wantVecs)
+
+		r := (a.Rows + 2) / 3
+		vals, vecs, err := TopEigenInPlace(a.Clone(), r)
+		if err != nil {
+			t.Fatalf("%s: in place: %v", name, err)
+		}
+		if len(vals) != r {
+			t.Fatalf("%s: in place returned %d values, want %d", name, len(vals), r)
+		}
+		for i, v := range vals {
+			if v != wantVals[i] {
+				t.Fatalf("%s: in-place eigenvalue %d = %v, reference %v", name, i, v, wantVals[i])
+			}
+		}
+		exactEqual(t, name+": in-place vectors", 0, vecs, wantVecs.SliceCols(0, r))
+	}
+}
+
+func TestTopEigenInPlaceEdgeCases(t *testing.T) {
+	if vals, vecs, err := TopEigenInPlace(NewMatrix(0, 0), 3); err != nil || len(vals) != 0 || vecs.Rows != 0 {
+		t.Fatalf("empty: vals %v vecs %v err %v", vals, vecs, err)
+	}
+	if _, _, err := TopEigenInPlace(NewMatrix(2, 3), 1); err == nil {
+		t.Fatal("non-square input accepted")
+	}
+	vals, vecs, err := TopEigenInPlace(spdMatrix(5, 3), 9) // r clamps to n
+	if err != nil || len(vals) != 5 || vecs.Rows != 5 || vecs.Cols != 5 {
+		t.Fatalf("clamp: %d values, %dx%d vectors, err %v", len(vals), vecs.Rows, vecs.Cols, err)
+	}
+}

@@ -9,14 +9,17 @@ import (
 )
 
 // This file implements the top-rank eigensolver used by incremental KCCA
-// retraining: a block subspace iteration with Rayleigh–Ritz extraction (the
-// restarted-Lanczos family — one operator application per outer iteration,
-// full reorthogonalization of a small basis). Unlike SymEig it never
-// tridiagonalizes the full matrix, so computing the leading r eigenpairs of
-// an n×n kernel costs O(iters · n² · b) with b = r + oversample instead of
-// O(n³) — and with a warm start from the previous window's eigenvectors the
-// iteration count collapses to a handful, because a sliding-window retrain
-// changes the kernel by a single row/column.
+// retraining on large windows: a block subspace iteration with
+// Rayleigh–Ritz extraction (the restarted-Lanczos family — one operator
+// application per outer iteration, full reorthogonalization of a small
+// basis). Unlike SymEig it never tridiagonalizes the full matrix, so
+// computing the leading r eigenpairs of an n×n kernel costs
+// O(iters · n² · b) with b = r + oversample instead of O(n³). The iteration
+// contracts at λ_{b+1}/λ_r per step: a warm start from the previous
+// window's eigenvectors saves the first few steps, but reaching 1e-11 on a
+// real workload kernel still takes tens of them (24–37 at rank 80 on this
+// repository's TPC-DS-simulated windows), so the caller weighs
+// iters · n² · b against n³ before choosing it (kcca.chooseSolver).
 
 // ErrNotConverged means the subspace iteration did not reach the requested
 // residual tolerance within the iteration budget; callers fall back to the
@@ -25,13 +28,18 @@ var ErrNotConverged = errors.New("linalg: subspace iteration did not converge")
 
 // DefaultOversample is the default number of extra basis columns carried
 // beyond the requested rank (EigenOptions.Oversample when zero). Exported so
-// callers can size their "is the iteration worthwhile at this N" heuristics
-// consistently with the solver.
+// callers can cost the iteration at the block width the solver will use.
 const DefaultOversample = 8
+
+// eigenIterIters records the outer iterations each TopEigenIterative call
+// ran, converged or not.
+var eigenIterIters = obs.GetHistogram("linalg.eigen_iter.iterations")
 
 // EigenOptions tunes TopEigenIterative. The zero value selects defaults.
 type EigenOptions struct {
-	// MaxIter bounds the outer iterations (default 200).
+	// MaxIter bounds the outer iterations (default 200). Callers with a
+	// dense alternative set it to the count at which that would have been
+	// cheaper.
 	MaxIter int
 	// Tol is the relative residual tolerance: every returned eigenpair
 	// satisfies ‖A·v − λ·v‖ ≤ Tol·max(λ₁, ε). The default is 1e-11 — tight,
@@ -178,12 +186,14 @@ func TopEigenIterative(n, r int, apply func(dst, src []float64), opt EigenOption
 			}
 		}
 		if maxRes <= opt.Tol*scale {
+			eigenIterIters.Observe(float64(iter + 1))
 			return append([]float64(nil), es.Values[:r]...), vs.SliceCols(0, r), nil
 		}
 		if maxRes <= 0.5*bestRes {
 			bestRes = maxRes
 			sinceImproved = 0
 		} else if sinceImproved++; sinceImproved >= stallWindow {
+			eigenIterIters.Observe(float64(iter + 1))
 			return nil, nil, fmt.Errorf("%w: residual stalled at %.3g after %d iterations",
 				ErrNotConverged, maxRes/scale, iter+1)
 		}
@@ -195,18 +205,8 @@ func TopEigenIterative(n, r int, apply func(dst, src []float64), opt EigenOption
 			return nil, nil, err
 		}
 	}
+	eigenIterIters.Observe(float64(opt.MaxIter))
 	return nil, nil, fmt.Errorf("%w after %d iterations", ErrNotConverged, opt.MaxIter)
-}
-
-// TopEigenWarm is TopEigenIterative over an explicit dense symmetric
-// matrix, for callers that already hold A.
-func TopEigenWarm(a *Matrix, r int, opt EigenOptions) ([]float64, *Matrix, error) {
-	if a.Rows != a.Cols {
-		return nil, nil, errors.New("linalg: TopEigenWarm requires a square matrix")
-	}
-	return TopEigenIterative(a.Rows, r, func(dst, src []float64) {
-		a.MulVecInto(dst, src)
-	}, opt)
 }
 
 // orthonormalizeCols makes the columns of v orthonormal in place with

@@ -23,6 +23,12 @@ func spdMatrix(n int, seed uint64) *Matrix {
 	return g.Mul(d).MulT(g)
 }
 
+// topEigenIter runs TopEigenIterative over an explicit dense symmetric
+// matrix.
+func topEigenIter(a *Matrix, r int, opt EigenOptions) ([]float64, *Matrix, error) {
+	return TopEigenIterative(a.Rows, r, func(dst, src []float64) { a.MulVecInto(dst, src) }, opt)
+}
+
 func TestTopEigenIterativeMatchesDense(t *testing.T) {
 	for _, n := range []int{24, 60, 150} {
 		a := spdMatrix(n, uint64(n))
@@ -59,7 +65,7 @@ func TestTopEigenIterativeMatchesDense(t *testing.T) {
 func TestTopEigenIterativeWarmStart(t *testing.T) {
 	n, r := 120, 20
 	a := spdMatrix(n, 7)
-	vals, vecs, err := TopEigenWarm(a, r, EigenOptions{})
+	vals, vecs, err := topEigenIter(a, r, EigenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +78,7 @@ func TestTopEigenIterativeWarmStart(t *testing.T) {
 		b.Set(3, i, b.At(3, i)+d)
 	}
 	b.Set(3, 3, a.At(3, 3)) // keep symmetric exactly
-	wVals, _, err := TopEigenWarm(b, r, EigenOptions{Warm: vecs})
+	wVals, _, err := topEigenIter(b, r, EigenOptions{Warm: vecs})
 	if err != nil {
 		t.Fatalf("warm solve: %v", err)
 	}
@@ -91,11 +97,11 @@ func TestTopEigenIterativeWarmStart(t *testing.T) {
 func TestTopEigenIterativeDeterministic(t *testing.T) {
 	n, r := 80, 12
 	a := spdMatrix(n, 3)
-	v1, m1, err := TopEigenWarm(a, r, EigenOptions{})
+	v1, m1, err := topEigenIter(a, r, EigenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, m2, err := TopEigenWarm(a, r, EigenOptions{})
+	v2, m2, err := topEigenIter(a, r, EigenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +120,7 @@ func TestTopEigenIterativeDeterministic(t *testing.T) {
 func TestTopEigenIterativeEdgeCases(t *testing.T) {
 	// r clamped to n; tiny matrices route through b == n.
 	a := spdMatrix(6, 11)
-	vals, vecs, err := TopEigenWarm(a, 10, EigenOptions{})
+	vals, vecs, err := topEigenIter(a, 10, EigenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -45,19 +46,17 @@ func storePlan() core.PlanFunc {
 	return serve.PlannerFunc(catalog.TPCDS(1), storeDataSeed, exec.Research4())
 }
 
-// observations re-plans the first n pool queries exactly the way the
-// /v1/observe handler does, attaching the measured metrics — the stream
-// both the durable and the mirror predictor consume.
+// observations re-plans the first n pool queries (cycling through the pool
+// when n exceeds it) exactly the way the /v1/observe handler does, attaching
+// the measured metrics — the stream both the durable and the mirror
+// predictor consume.
 func observations(t testing.TB, n int) []*dataset.Query {
 	t.Helper()
 	pool := storeFixture(t)
-	if n > len(pool.Queries) {
-		t.Fatalf("fixture holds %d queries, need %d", len(pool.Queries), n)
-	}
 	plan := storePlan()
 	qs := make([]*dataset.Query, n)
 	for i := 0; i < n; i++ {
-		src := pool.Queries[i]
+		src := pool.Queries[i%len(pool.Queries)]
 		q, err := plan(src.SQL)
 		if err != nil {
 			t.Fatalf("planning %q: %v", src.SQL, err)
@@ -154,62 +153,98 @@ func checkIdentical(t testing.TB, got, want *core.SlidingPredictor) {
 // newest snapshot plus the WAL tail to the exact state of an uninterrupted
 // mirror — and, crucially, continues to evolve identically, because the
 // incremental retrainer's full state (maintained kernels, warm eigenbases)
-// is restored rather than rebuilt.
+// is restored rather than rebuilt. It runs one window shape on each side of
+// kcca's solver rule: the dense side depends on the restored kernels alone,
+// the iterative side on the restored warm eigenbases too.
 func TestRecoverBitIdenticalAfterCrash(t *testing.T) {
-	qs := observations(t, 40)
-	dir := t.TempDir()
+	solverIter := obs.GetCounter("kcca.retrain.solver.iterative")
+	for _, sh := range []struct {
+		name                  string
+		capacity, every, rank int
+		snapEvery             int
+		kill, total           int
+		wantSnapshot          uint64
+		iterative             bool
+	}{
+		// 27 observations (snapshots at 8, 16, 24; retrains at 10, 20), then
+		// killed; observations 28..40 cross retrains at 30 and 40.
+		{name: "dense", capacity: testCapacity, every: testRetrain, snapEvery: 8, kill: 27, total: 40, wantSnapshot: 24},
+		// The 160-query pool cycles through a 400-slot ring (400 is not a
+		// multiple of 160, so the window keeps changing). The window fills
+		// at 400, the first incremental retrain runs at 450, the kill at 487
+		// lands behind the snapshot at 480, and observations 488..600 cross
+		// retrains at 500, 550 and 600.
+		{name: "iterative", capacity: 400, every: 50, rank: 3, snapEvery: 160, kill: 487, total: 600, wantSnapshot: 480, iterative: true},
+	} {
+		t.Run(sh.name, func(t *testing.T) {
+			opt := core.DefaultOptions()
+			opt.KCCA.Rank = sh.rank
+			newSliding := func() *core.SlidingPredictor {
+				s, err := core.NewSliding(sh.capacity, sh.every, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			qs := observations(t, sh.total)
+			dir := t.TempDir()
 
-	// Live process: 27 observations (snapshots at 8, 16, 24; retrains at
-	// 10, 20), then killed — the store is simply abandoned mid-flight.
-	st := openStore(t, dir, 8)
-	live := newSliding(t)
-	var liveGen int64
-	for _, q := range qs[:27] {
-		feed(t, st, live, q, &liveGen)
-	}
+			// Live process: killed — the store is simply abandoned mid-flight.
+			st := openStore(t, dir, sh.snapEvery)
+			live := newSliding()
+			var liveGen int64
+			for _, q := range qs[:sh.kill] {
+				feed(t, st, live, q, &liveGen)
+			}
 
-	// Mirror: the same stream, never interrupted.
-	mirror := newSliding(t)
-	var mirrorGen int64
-	for _, q := range qs[:27] {
-		before := mirror.Retrains()
-		_ = mirror.Observe(q)
-		if mirror.Retrains() != before {
-			mirrorGen++
-		}
-	}
+			// Mirror: the same stream, never interrupted.
+			mirror := newSliding()
+			var mirrorGen int64
+			observeMirror := func(q *dataset.Query) {
+				before := mirror.Retrains()
+				_ = mirror.Observe(q)
+				if mirror.Retrains() != before {
+					mirrorGen++
+				}
+			}
+			for _, q := range qs[:sh.kill] {
+				observeMirror(q)
+			}
 
-	// Restart: recover from disk.
-	st2 := openStore(t, dir, 8)
-	recovered, gen, err := st2.Recover(testCapacity, testRetrain, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkIdentical(t, recovered, mirror)
-	if gen != mirrorGen {
-		t.Fatalf("recovered generation %d, mirror %d", gen, mirrorGen)
-	}
-	info := st2.Info()
-	if !info.Recovered || info.SnapshotSeq != 24 || info.Replayed != 3 {
-		t.Fatalf("recovery info %+v, want snapshot 24 + 3 replayed", info)
-	}
-	if info.TornTail {
-		t.Fatal("clean crash reported a torn tail")
-	}
+			// Restart: recover from disk.
+			st2 := openStore(t, dir, sh.snapEvery)
+			recovered, gen, err := st2.Recover(sh.capacity, sh.every, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkIdentical(t, recovered, mirror)
+			if gen != mirrorGen {
+				t.Fatalf("recovered generation %d, mirror %d", gen, mirrorGen)
+			}
+			info := st2.Info()
+			wantReplayed := int64(sh.kill) - int64(sh.wantSnapshot)
+			if !info.Recovered || info.SnapshotSeq != sh.wantSnapshot || info.Replayed != wantReplayed {
+				t.Fatalf("recovery info %+v, want snapshot %d + %d replayed", info, sh.wantSnapshot, wantReplayed)
+			}
+			if info.TornTail {
+				t.Fatal("clean crash reported a torn tail")
+			}
 
-	// The recovered process keeps evolving bit-identically across further
-	// retrain boundaries (observations 28..40 cross retrains at 30 and 40).
-	for _, q := range qs[27:] {
-		feed(t, st2, recovered, q, &gen)
-		before := mirror.Retrains()
-		_ = mirror.Observe(q)
-		if mirror.Retrains() != before {
-			mirrorGen++
-		}
-	}
-	checkIdentical(t, recovered, mirror)
-	if gen != mirrorGen {
-		t.Fatalf("post-recovery generation %d, mirror %d", gen, mirrorGen)
+			// The recovered process keeps evolving bit-identically across
+			// further retrain boundaries.
+			iterBefore := solverIter.Value()
+			for _, q := range qs[sh.kill:] {
+				feed(t, st2, recovered, q, &gen)
+				observeMirror(q)
+			}
+			checkIdentical(t, recovered, mirror)
+			if gen != mirrorGen {
+				t.Fatalf("post-recovery generation %d, mirror %d", gen, mirrorGen)
+			}
+			if iterated := solverIter.Value() != iterBefore; iterated != sh.iterative {
+				t.Fatalf("post-recovery retrains used the iterative solver: %v, this shape is there to cover: %v", iterated, sh.iterative)
+			}
+		})
 	}
 }
 
