@@ -197,10 +197,12 @@ type RecoveryInfo struct {
 // IndexInfo describes the k-nearest-neighbor index serving predictions for
 // the current model generation. The index is exact — predictions are
 // bit-identical to a flat scan — so this is purely a performance surface.
-// It is rebuilt with every generation and immutable in between; only
-// static per-generation shape is reported here (live counters are on
-// /metrics under knn.index.*). On a multi-shard daemon the counts are
-// totals across shards.
+// It is rebuilt with every generation and immutable in between. Predict
+// and observe responses carry only its static per-generation shape; GET
+// /v1/model adds how well it has pruned since the generation was installed
+// (Searches and the two means; process-wide counters are on /metrics under
+// knn.index.*). On a multi-shard daemon the counts are totals across shards
+// and the means are over all shards' searches.
 type IndexInfo struct {
 	// Kind is "kdtree" when a tree serves searches, "flat" when the
 	// generation fell back to the linear scan (for example a window smaller
@@ -219,6 +221,14 @@ type IndexInfo struct {
 	// MinPoints is the window size below which the generation uses the flat
 	// scan.
 	MinPoints int `json:"min_points"`
+	// Searches counts the tree searches this generation has served. Per
+	// search, MeanScored of the Points were reached by the tree walk and
+	// offered for distance scoring, and MeanAbandoned of those were dropped
+	// part-way through their distance sums because they could no longer
+	// enter the result. Only on GET /v1/model, and only once Searches > 0.
+	Searches      int64   `json:"searches,omitempty"`
+	MeanScored    float64 `json:"mean_scored,omitempty"`
+	MeanAbandoned float64 `json:"mean_abandoned,omitempty"`
 }
 
 // ObserveRequest is the body of POST /v1/observe: executed queries with

@@ -35,11 +35,16 @@ const defaultProjCacheCap = 1024
 // by 64-bit FNV-1a over the feature vector's bit patterns, guarded by an
 // exact vector comparison so a fingerprint collision degrades to a miss
 // rather than a wrong prediction. Bounded LRU, safe for concurrent use.
+//
+// The cache itself counts nothing: Predictor.project, which also finds
+// vectors repeated within one batch, counts one hit or miss per request.
 type projCache struct {
 	mu    sync.Mutex
 	cap   int
 	order *list.List // front = most recently used; values are *projEntry
 	byFP  map[uint64]*list.Element
+	// hash is Fingerprint; a field so a test can make vectors collide.
+	hash func([]float64) uint64
 }
 
 type projEntry struct {
@@ -53,7 +58,7 @@ func newProjCache(capacity int) *projCache {
 	if capacity <= 0 {
 		capacity = defaultProjCacheCap
 	}
-	return &projCache{cap: capacity, order: list.New(), byFP: make(map[uint64]*list.Element)}
+	return &projCache{cap: capacity, order: list.New(), byFP: make(map[uint64]*list.Element), hash: Fingerprint}
 }
 
 // get returns the cached projection for f, if present. Keys are the shared
@@ -65,22 +70,19 @@ func (c *projCache) get(f []float64) (proj []float64, maxK float64, ok bool) {
 	if c == nil {
 		return nil, 0, false
 	}
-	fp := Fingerprint(f)
+	fp := c.hash(f)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, found := c.byFP[fp]
 	if !found {
-		projMisses.Inc()
 		return nil, 0, false
 	}
 	e := el.Value.(*projEntry)
 	if !equalBits(e.key, f) {
 		// Fingerprint collision: never serve another vector's projection.
-		projMisses.Inc()
 		return nil, 0, false
 	}
 	c.order.MoveToFront(el)
-	projHits.Inc()
 	return e.proj, e.maxK, true
 }
 
@@ -91,7 +93,7 @@ func (c *projCache) put(f, proj []float64, maxK float64) {
 	if c == nil {
 		return
 	}
-	fp := Fingerprint(f)
+	fp := c.hash(f)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, found := c.byFP[fp]; found {

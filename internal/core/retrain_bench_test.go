@@ -4,11 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/catalog"
-	"repro/internal/dataset"
-	"repro/internal/exec"
 	"repro/internal/testutil"
-	"repro/internal/workload"
 )
 
 // BenchmarkRetrainStock measures one steady-state retrain interval at the
@@ -23,13 +19,7 @@ import (
 // retrain.
 func BenchmarkRetrainStock(b *testing.B) {
 	const window, every = 500, 100
-	ds, err := dataset.Generate(dataset.GenConfig{
-		Seed: 11, DataSeed: 3, Machine: exec.Research4(),
-		Schema: catalog.TPCDS(1), Templates: workload.TPCDSTemplates(), Count: window + 8*every,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	qs := testutil.StockQueries(b, window+8*every)
 	s, err := NewSliding(window, every, DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
@@ -37,7 +27,7 @@ func BenchmarkRetrainStock(b *testing.B) {
 	next := 0
 	observe := func(count int) {
 		for i := 0; i < count; i++ {
-			if err := s.Observe(ds.Queries[next%len(ds.Queries)]); err != nil {
+			if err := s.Observe(qs[next%len(qs)]); err != nil {
 				b.Fatal(err)
 			}
 			next++

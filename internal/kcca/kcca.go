@@ -88,6 +88,20 @@ type Model struct {
 	lamx []float64
 	// CCA weights in reduced space.
 	ccaModel *cca.Model
+
+	// uxT and wxT are ux and the CCA weights WX transposed: the layout
+	// projection reads (linalg.TMulVecT). Derived by finish wherever a
+	// model is assembled — training, incremental retraining, Load — and
+	// never serialized.
+	uxT, wxT *linalg.Matrix
+}
+
+// finish derives the projection layout from the fitted (or decoded) fields
+// and returns the model.
+func (m *Model) finish() *Model {
+	m.uxT = m.ux.T()
+	m.wxT = m.ccaModel.WX.T()
+	return m
 }
 
 // applyDefaults fills zero-valued options with the paper's defaults.
@@ -212,7 +226,7 @@ func fitModel(xOwned *linalg.Matrix, tauX, tauY float64, rowMeansX []float64, gr
 	queryProj := cm.ProjectAllX(phiX)
 	perfProj := cm.ProjectAllY(phiY)
 	stopProj()
-	return &Model{
+	return (&Model{
 		X:            xOwned,
 		TauX:         tauX,
 		TauY:         tauY,
@@ -224,7 +238,7 @@ func fitModel(xOwned *linalg.Matrix, tauX, tauY float64, rowMeansX []float64, gr
 		ux:           ux,
 		lamx:         lamx,
 		ccaModel:     cm,
-	}, nil
+	}).finish(), nil
 }
 
 // kernelPCA returns Phi = U·Λ^{1/2} for the top-r eigenpairs of the
@@ -273,26 +287,47 @@ func (m *Model) ProjectQuery(q []float64) []float64 {
 // ProjectQueryKernel projects q and also returns its largest raw kernel
 // evaluation against the training set (see MaxKernel), computing the
 // cross-kernel vector exactly once — the prediction hot path needs both and
-// the O(N·d) kernel vector dominates its cost. The vector lives in a pooled
-// scratch buffer, so the only allocations are the two returned coordinate
-// slices.
+// the O(N·d) kernel vector dominates its cost. This is Fig. 7's projection:
+// kernelize against the training set, center, reduce onto the kernel-PCA
+// basis (φ = Λ^{−1/2}·Uᵀ·k), apply the CCA weights. It runs on the calling
+// goroutine; every intermediate lives in one leased scratch buffer, so the
+// only allocation is the returned coordinate slice.
 func (m *Model) ProjectQueryKernel(q []float64) (proj []float64, maxK float64) {
 	defer obs.Span("kcca.project_query")()
-	kq := kernels.GetScratch(m.X.Rows)
-	defer kernels.PutScratch(kq)
-	kernels.CrossVectorInto(*kq, m.X, q, m.TauX)
-	for _, v := range *kq {
+	n, r := m.X.Rows, len(m.lamx)
+	scratch := kernels.GetScratch(n + r)
+	defer kernels.PutScratch(scratch)
+	kq, phi := (*scratch)[:n], (*scratch)[n:]
+
+	kernels.CrossVectorSerialInto(kq, m.X, q, m.TauX)
+	for _, v := range kq {
 		if v > maxK {
 			maxK = v
 		}
 	}
-	kernels.CenterCrossInto(*kq, *kq, m.rowMeansX, m.grandX)
-	// φq = Λ^{−1/2} Uᵀ kq.
-	phi := m.ux.TMulVec(*kq)
+	kernels.CenterCrossInto(kq, kq, m.rowMeansX, m.grandX)
+	m.uxT.TMulVecT(phi, kq)
+	// Scale to φ, then center on the training mean as cca.ProjectX does.
 	for j := range phi {
-		phi[j] /= math.Sqrt(m.lamx[j])
+		phi[j] = phi[j]/math.Sqrt(m.lamx[j]) - m.ccaModel.MeanX[j]
 	}
-	return m.ccaModel.ProjectX(phi), maxK
+	proj = make([]float64, m.wxT.Rows)
+	m.wxT.TMulVecT(proj, phi)
+	return proj, maxK
+}
+
+// ProjectBatch is ProjectQueryKernel for every query of qs, bit for bit,
+// with the queries — not strips of one query's vectors — handed to the
+// worker pool.
+func (m *Model) ProjectBatch(qs [][]float64) (projs [][]float64, maxKs []float64) {
+	projs = make([][]float64, len(qs))
+	maxKs = make([]float64, len(qs))
+	parallel.For(len(qs), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			projs[i], maxKs[i] = m.ProjectQueryKernel(qs[i])
+		}
+	})
+	return projs, maxKs
 }
 
 // MaxKernel returns the largest kernel evaluation between q and any

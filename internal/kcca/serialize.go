@@ -54,13 +54,13 @@ func Load(r io.Reader) (*Model, error) {
 	if err := wire.validate(); err != nil {
 		return nil, err
 	}
-	return &Model{
+	return (&Model{
 		X: wire.X, TauX: wire.TauX, TauY: wire.TauY,
 		QueryProj: wire.QueryProj, PerfProj: wire.PerfProj,
 		Correlations: wire.Correlations,
 		rowMeansX:    wire.RowMeansX, grandX: wire.GrandX,
 		ux: wire.Ux, lamx: wire.Lamx, ccaModel: wire.CCA,
-	}, nil
+	}).finish(), nil
 }
 
 // validate checks every invariant ProjectQuery and the kNN pipeline rely

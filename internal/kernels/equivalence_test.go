@@ -47,24 +47,35 @@ func TestMatrixParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestCrossVectorParallelMatchesSerial also holds both cross-vector forms to
+// Gaussian itself, element by element: they score four rows per pass, and a
+// row count that is not a multiple of four finishes through Gaussian. 3000
+// rows is enough for the pooled form to actually split.
 func TestCrossVectorParallelMatchesSerial(t *testing.T) {
-	x := randMatrix(7, 513, 12)
-	q := randMatrix(8, 1, 12).Row(0)
-	tau := ScaleHeuristic(x, 0.1)
-
 	defer parallel.SetMaxProcs(parallel.SetMaxProcs(1))
-	want := CrossVector(x, q, tau)
-
-	for _, w := range equivWorkerCounts() {
-		parallel.SetMaxProcs(w)
-		got := CrossVector(x, q, tau)
-		for i, v := range got {
-			if v != want[i] {
-				t.Fatalf("workers=%d: out[%d] = %v, serial %v", w, i, v, want[i])
+	for _, n := range []int{1, 2, 3, 4, 5, 513, 3000} {
+		x := randMatrix(7, n, 12)
+		q := randMatrix(8, 1, 12).Row(0)
+		tau := ScaleHeuristic(x, 0.1)
+		want := make([]float64, n)
+		for i := range want {
+			want[i] = Gaussian(x.Row(i), q, tau)
+		}
+		check := func(name string, got []float64) {
+			t.Helper()
+			for i, v := range got {
+				if v != want[i] {
+					t.Fatalf("n=%d %s: out[%d] = %v, Gaussian %v", n, name, i, v, want[i])
+				}
 			}
 		}
+		check("serial form", CrossVectorSerialInto(make([]float64, n), x, q, tau))
+		for _, w := range equivWorkerCounts() {
+			parallel.SetMaxProcs(w)
+			check("pooled form", CrossVector(x, q, tau))
+		}
+		parallel.SetMaxProcs(1)
 	}
-	parallel.SetMaxProcs(0)
 }
 
 func TestCenterParallelMatchesSerial(t *testing.T) {
@@ -92,4 +103,26 @@ func TestCenterParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	parallel.SetMaxProcs(0)
+}
+
+// BenchmarkCrossVector is the cross-kernel at the daemon's shape (800
+// training rows × 24 plan features): one Gaussian per row, as the predict
+// path computed it, against four rows per pass.
+func BenchmarkCrossVector(b *testing.B) {
+	x := randMatrix(11, 800, 24)
+	q := randMatrix(12, 1, 24).Row(0)
+	tau := ScaleHeuristic(x, 0.1)
+	out := make([]float64, x.Rows)
+	b.Run("Gaussian", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for r := range out {
+				out[r] = Gaussian(x.Row(r), q, tau)
+			}
+		}
+	})
+	b.Run("CrossVectorSerialInto", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			CrossVectorSerialInto(out, x, q, tau)
+		}
+	})
 }

@@ -114,21 +114,55 @@ func CrossVector(x *linalg.Matrix, q []float64, tau float64) []float64 {
 }
 
 // CrossVectorInto is CrossVector into a caller-owned buffer of length
-// x.Rows (commonly leased from GetScratch), returning it.
+// x.Rows (commonly leased from GetScratch), returning it. Row blocks go to
+// the worker pool: it serves training-time callers with one long vector to
+// fill. The prediction path, which has many queries instead and fans out
+// over those, uses CrossVectorSerialInto.
 func CrossVectorInto(out []float64, x *linalg.Matrix, q []float64, tau float64) []float64 {
 	defer obs.Span("kernels.cross_vector")()
+	checkCross(out, x, q, tau)
+	parallel.For(x.Rows, parallel.GrainFor(x.Cols, 1<<14), func(lo, hi int) {
+		crossRows(out, x, q, tau, lo, hi)
+	})
+	return out
+}
+
+// CrossVectorSerialInto is CrossVectorInto on the calling goroutine.
+func CrossVectorSerialInto(out []float64, x *linalg.Matrix, q []float64, tau float64) []float64 {
+	defer obs.Span("kernels.cross_vector")()
+	checkCross(out, x, q, tau)
+	crossRows(out, x, q, tau, 0, x.Rows)
+	return out
+}
+
+func checkCross(out []float64, x *linalg.Matrix, q []float64, tau float64) {
+	if tau <= 0 {
+		panic("kernels: nonpositive scale")
+	}
 	if len(q) != x.Cols {
 		panic(fmt.Sprintf("kernels: query has %d features, want %d", len(q), x.Cols))
 	}
 	if len(out) != x.Rows {
 		panic(fmt.Sprintf("kernels: cross-vector buffer has %d entries, want %d", len(out), x.Rows))
 	}
-	parallel.For(x.Rows, parallel.GrainFor(x.Cols, 1<<14), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = Gaussian(x.Row(i), q, tau)
-		}
-	})
-	return out
+}
+
+// crossRows sets out[i] = Gaussian(x.Row(i), q, tau) for i in [lo, hi), bit
+// for bit: Gaussian's one sum per row is latency-bound on its own add
+// chain, so four rows share a pass (linalg.SqDist4 keeps each row's terms
+// in Gaussian's order) and the last few rows go through Gaussian itself.
+func crossRows(out []float64, x *linalg.Matrix, q []float64, tau float64, lo, hi int) {
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		d0, d1, d2, d3, _ := linalg.SqDist4(x.Row(i), x.Row(i+1), x.Row(i+2), x.Row(i+3), q, math.Inf(1))
+		out[i] = math.Exp(-d0 / tau)
+		out[i+1] = math.Exp(-d1 / tau)
+		out[i+2] = math.Exp(-d2 / tau)
+		out[i+3] = math.Exp(-d3 / tau)
+	}
+	for ; i < hi; i++ {
+		out[i] = Gaussian(x.Row(i), q, tau)
+	}
 }
 
 // Center double-centers the kernel matrix in feature space:

@@ -20,7 +20,11 @@ import (
 //
 // The seed corpus under testdata/fuzz/FuzzKDTree pins clouds with NaN
 // rows, infinities, duplicate points, zero vectors (cosine stragglers),
-// and magnitudes beyond the tree's overflow gate.
+// and magnitudes beyond the tree's overflow gate. The top bit of the
+// dimension byte adds 32 dimensions, so the scorer's partial-sum abandon
+// (checked every 16 terms) is reachable; the two wide seeds below pin an
+// equal-distance, smaller-index tie behind far points and squared terms
+// that overflow to +Inf.
 func FuzzKDTree(f *testing.F) {
 	add := func(vals []float64, k, dim uint8, cosine bool) {
 		buf := make([]byte, 8*len(vals))
@@ -32,9 +36,19 @@ func FuzzKDTree(f *testing.F) {
 	add([]float64{0.5, -1, 1, 2, 3, -4, 0.25, 8, 1e-3}, 3, 2, false)
 	add([]float64{1, 1, math.NaN(), 2, 1, 1, math.Inf(1), 0, 1e200, -1e200, 0, 0}, 2, 2, true)
 	add([]float64{0, 0, 0, 0, 1e-300, -1e-300, 5e151, 2, 1, 1, 1, 1}, 4, 2, true)
+	wide := func(lead ...float64) []float64 { return append(lead, make([]float64, 33-len(lead))...) }
+	var tie, overflow []float64
+	for _, row := range [][]float64{wide() /* the query */, wide(9, 9), wide(1, 1, 1), wide(9, 9), wide(9, 9), wide(1, 1, 1), wide(-9, 9)} {
+		tie = append(tie, row...)
+	}
+	for _, row := range [][]float64{wide(), wide(1e200), wide(1), wide(-1e200, 1e200), wide(1e160), wide(2), wide(1e-200)} {
+		overflow = append(overflow, row...)
+	}
+	add(tie, 0, 0x80, false)
+	add(overflow, 1, 0x80, false)
 
 	f.Fuzz(func(t *testing.T, data []byte, kRaw, dimRaw uint8, cosine bool) {
-		dim := 1 + int(dimRaw)%8
+		dim := 1 + int(dimRaw)%8 + int(dimRaw&0x80)/4
 		nFloats := len(data) / 8
 		if nFloats < 2*dim {
 			return // need at least a query and one point

@@ -1,21 +1,27 @@
 // KD-tree index over the projected training points. The paper's Fig. 7
-// prediction step is a kNN lookup in the ≤15-dimensional KCCA query
-// projection; the flat scan in Nearest/Search is O(N·rank) per query, which
-// grows linearly with the training window. An Index is built once per model
-// generation at retrain-install time, is immutable afterwards (so serving
-// reads are lock-free, matching the atomic hot-swap discipline of
+// prediction step is a kNN lookup in the KCCA query projection; the flat
+// scan in Nearest/Search is O(N·rank) per query, which grows linearly with
+// the training window. An Index is built once per model generation at
+// retrain-install time, is immutable afterwards (so serving reads are
+// lock-free, matching the atomic hot-swap discipline of
 // core.SlidingPredictor and the shard slots), and answers the same queries
-// in roughly O(log N) for the low-dimensional projections it is built for.
+// in roughly O(log N) on a low-dimensional cloud (the paper's ≤15
+// dimensions). On the 80-dimensional cloud of a stock daemon the tree still
+// offers about five of every six points to the scorer; there the saving
+// comes from the scorer, which takes candidates four at a time and abandons
+// a group part-way once none of it can enter the result (abandonSlack).
 //
 // The index is EXACT, not approximate: for every supported input it returns
 // bit-identical (distance, index) neighbor sets to the flat scan, including
 // the total (distance, index) tie-break order with NaN-last semantics. That
 // guarantee rests on three design rules:
 //
-//  1. Candidate distances are computed by the same linalg calls on the same
-//     original rows as the flat scan (for Cosine, the unit-normalized copies
-//     steer the tree descent but never produce a reported distance), so every
-//     distance the caller sees is the same float64 the scan would produce.
+//  1. Candidate distances are computed on the same original rows by the flat
+//     scan's operations in the flat scan's order — linalg.SqDist4 then
+//     math.Sqrt is linalg.Dist four candidates at a time; for Cosine, the
+//     unit-normalized copies steer the tree descent but never produce a
+//     reported distance — so every distance the caller sees is the same
+//     float64 the scan would produce.
 //  2. Pruning bounds are slackened by margins (indexSlackRel/indexSlackAbs)
 //     orders of magnitude larger than the worst-case floating-point error of
 //     a distance evaluation at the supported dimensionality, so a subtree is
@@ -31,7 +37,7 @@
 // Fallback conditions (the whole index degrades to the flat scan, still
 // exact): fewer than MinPoints rows, more than maxIndexDims columns, zero
 // columns, or a per-query condition above. knn.index.* obs metrics count
-// builds, searches, fallbacks, and nodes/points visited.
+// builds, searches, fallbacks, nodes/points visited and points abandoned.
 package knn
 
 import (
@@ -56,6 +62,7 @@ var (
 	indexNodes        = obs.GetHistogram("knn.index.nodes")
 	indexNodesVisited = obs.GetHistogram("knn.index.nodes_visited")
 	indexPointsScored = obs.GetHistogram("knn.index.points_visited")
+	indexAbandoned    = obs.GetCounter("knn.index.points_abandoned")
 )
 
 const (
@@ -70,7 +77,7 @@ const (
 	// maxIndexDims bounds the dimensionality the exactness slack margins are
 	// proven for (the floating-point error of a d-dimensional distance grows
 	// with d; the slacks below cover d ≤ 512 with >100× headroom — KCCA
-	// projections are ≤15). Wider point sets fall back to the flat scan.
+	// projections are ≤80). Wider point sets fall back to the flat scan.
 	maxIndexDims = 512
 	// maxIndexCoord gates coordinates admitted into the tree. Within this
 	// magnitude, squared differences and dot products of up to maxIndexDims
@@ -101,6 +108,27 @@ const (
 	// the deflation with 10¹² headroom and is far below any distance a
 	// caller could tell apart from zero.
 	indexSlackUnderflow = 1e-140
+
+	// scoreGroup is how many candidates share one scoring pass
+	// (linalg.SqDist4).
+	scoreGroup = 4
+	// abandonSlack widens the early-abandon limit: a group of candidates is
+	// dropped part-way through its distance sums only when every partial
+	// squared sum exceeds worst²·(1+abandonSlack), worst being the current
+	// kth-best distance. The sums only grow, so each final sum S exceeds it
+	// too, and then the reported distance fl(√S) is strictly greater than
+	// worst: fl(worst²) ≥ worst²·(1−u) and the product by (1+abandonSlack)
+	// loses another (1−u), with u = 2⁻⁵³, so S > worst²·(1+1e-9)·(1−u)² and
+	// √S > worst·(1+4e-10), which rounding to nearest (relative error u)
+	// cannot bring down to worst. A dropped candidate therefore could not
+	// have entered the heap under the (distance, index) order, not even as
+	// an equal-distance, smaller-index tie.
+	abandonSlack = 1e-9
+	// abandonMinWorst is the smallest kth-best distance that arms the
+	// limit: below it worst² leaves the normal float64 range and the bound
+	// above no longer holds. (Above ~1.3e154 worst² overflows to +Inf, which
+	// no partial sum exceeds; a NaN worst fails the comparison.)
+	abandonMinWorst = 1e-150
 )
 
 // IndexConfig tunes index construction. The zero value selects defaults.
@@ -134,9 +162,12 @@ type IndexStats struct {
 	Searches     int64
 	FlatSearches int64
 	// NodesVisited and PointsScored total the tree nodes descended into and
-	// candidate points distance-scored across all tree searches.
-	NodesVisited int64
-	PointsScored int64
+	// candidate points offered for scoring across all tree searches;
+	// PointsAbandoned of those were dropped part-way through their distance
+	// sums (see abandonSlack).
+	NodesVisited    int64
+	PointsScored    int64
+	PointsAbandoned int64
 }
 
 // node is one KD-tree node. Leaves (axis < 0) own order[lo:hi]; internal
@@ -172,6 +203,7 @@ type Index struct {
 	flatSearches atomic.Int64
 	nodesVisited atomic.Int64
 	pointsScored atomic.Int64
+	abandoned    atomic.Int64
 }
 
 // NewIndex builds an exact KD-tree index over the rows of points under the
@@ -330,19 +362,20 @@ func (ix *Index) Stats() IndexStats {
 		reason = "no tree-representable points"
 	}
 	return IndexStats{
-		Flat:         ix.Flat(),
-		FlatReason:   reason,
-		Points:       ix.points.Rows,
-		TreePoints:   len(ix.order),
-		Stragglers:   len(ix.stragglers),
-		Nodes:        len(ix.nodes),
-		Leaves:       ix.leaves,
-		MinPoints:    ix.minPoints,
-		LeafSize:     ix.leafSize,
-		Searches:     ix.searches.Load(),
-		FlatSearches: ix.flatSearches.Load(),
-		NodesVisited: ix.nodesVisited.Load(),
-		PointsScored: ix.pointsScored.Load(),
+		Flat:            ix.Flat(),
+		FlatReason:      reason,
+		Points:          ix.points.Rows,
+		TreePoints:      len(ix.order),
+		Stragglers:      len(ix.stragglers),
+		Nodes:           len(ix.nodes),
+		Leaves:          ix.leaves,
+		MinPoints:       ix.minPoints,
+		LeafSize:        ix.leafSize,
+		Searches:        ix.searches.Load(),
+		FlatSearches:    ix.flatSearches.Load(),
+		NodesVisited:    ix.nodesVisited.Load(),
+		PointsScored:    ix.pointsScored.Load(),
+		PointsAbandoned: ix.abandoned.Load(),
 	}
 }
 
@@ -427,47 +460,38 @@ func (ix *Index) nearestOne(q []float64, k int) []Neighbor {
 	indexSearches.Inc()
 	ix.searches.Add(1)
 
-	s := getTreeSearch()
+	s := getTreeSearch(ix.points, q, qn, k, ix.metric)
 	defer putTreeSearch(s)
-	s.ix, s.q, s.qn, s.k = ix, q, qn, k
-	s.heap = s.heap[:0]
+	s.ix = ix
+	// Descend in the geometry the tree was built over: unit-normalized
+	// under Cosine.
+	s.tq = append(s.tq[:0], q...)
 	if ix.metric == Cosine {
-		// Descend in the unit-normalized geometry the tree was built over.
-		s.tq = append(s.tq[:0], q...)
 		for j := range s.tq {
 			s.tq[j] /= qn
 		}
-	} else {
-		s.tq = append(s.tq[:0], q...)
 	}
-	s.nodes, s.scored = 0, 0
 	s.walk(0)
 	ix.nodesVisited.Add(int64(s.nodes))
 	ix.pointsScored.Add(int64(s.scored))
+	ix.abandoned.Add(int64(s.abandoned))
 	indexNodesVisited.Observe(float64(s.nodes))
 	indexPointsScored.Observe(float64(s.scored))
+	indexAbandoned.Add(int64(s.abandoned))
 	searchCandidates.Observe(float64(s.scored + len(ix.stragglers)))
 
-	// The heap holds the k best tree points; stragglers were never in the
-	// tree, so score them with the flat scan's exact distance calls and
-	// merge under the same total order.
-	out := make([]Neighbor, len(s.heap), len(s.heap)+len(ix.stragglers))
-	copy(out, s.heap)
-	for _, i := range ix.stragglers {
-		out = append(out, Neighbor{Index: i, Distance: pointDistance(ix.points.Row(i), q, qn, ix.metric)})
-	}
-	ns := neighborSlice(out)
-	sort.Sort(&ns)
-	if len(out) > k {
-		out = out[:k:k]
-	}
-	return out
+	// Stragglers were never in the tree: offer them to the same heap, scored
+	// by the same calls.
+	s.score(ix.stragglers)
+	return s.drain()
 }
 
-// pointDistance is the one distance evaluation of the package: the flat
-// scan, the tree's candidate scoring, and the straggler merge all call it,
-// so every reported distance is the identical float64 no matter which path
-// produced it. qn is Norm(q), hoisted once per query (for Cosine).
+// pointDistance is the reference distance evaluation of the package: the
+// flat scan behind the package-level Nearest calls it for every candidate,
+// and the scorer calls it under Cosine. The scorer's Euclidean pass
+// (linalg.SqDist4, then math.Sqrt) performs Dist's operations in Dist's
+// order, so every reported distance is the identical float64 no matter which
+// path produced it. qn is Norm(q), hoisted once per query (for Cosine).
 func pointDistance(p, q []float64, qn float64, metric Distance) float64 {
 	if metric == Cosine {
 		return linalg.CosineDistanceTo(p, q, qn)
@@ -475,39 +499,63 @@ func pointDistance(p, q []float64, qn float64, metric Distance) float64 {
 	return linalg.Dist(p, q)
 }
 
-// scanNearest is the flat scan over all rows: rank every candidate under
-// the total (distance, index) order and return the k best. It is the shared
-// serial kernel behind Nearest, Search, and every Index fallback.
+// scanNearest is the serial flat scan: offer every row to a k-bounded heap
+// under the total (distance, index) order and return the k best. It is the
+// kernel behind Search and every Index fallback.
 func scanNearest(points *linalg.Matrix, q []float64, qn float64, k int, metric Distance) []Neighbor {
-	n := points.Rows
-	scratch := getNeighbors(n)
-	defer putNeighbors(scratch)
-	all := *scratch
-	for i := 0; i < n; i++ {
-		all[i] = Neighbor{Index: i, Distance: pointDistance(points.Row(i), q, qn, metric)}
+	s := getTreeSearch(points, q, qn, k, metric)
+	defer putTreeSearch(s)
+	var rows [scoreGroup]int
+	for i := 0; i < points.Rows; i += scoreGroup {
+		g := rows[:min(scoreGroup, points.Rows-i)]
+		for j := range g {
+			g[j] = i + j
+		}
+		s.score(g)
 	}
-	sort.Sort(scratch)
-	return append(make([]Neighbor, 0, k), all[:k]...)
+	return s.drain()
 }
 
-// treeSearch is the pooled per-query state of one tree descent.
+// treeSearch is the pooled per-query state of one search: the candidate
+// scorer with its bounded heap, and for tree searches the descent state.
 type treeSearch struct {
-	ix *Index
-	q  []float64 // original query (distance evaluation)
-	tq []float64 // tree-space query (normalized under Cosine)
-	qn float64
-	k  int
+	points *linalg.Matrix // original rows: every reported distance comes from these
+	metric Distance
+	q      []float64 // original query (distance evaluation)
+	qn     float64
+	k      int
 	// heap is a max-heap under the (distance, index) total order: heap[0]
 	// is the current kth-best (worst retained) neighbor.
-	heap   []Neighbor
-	nodes  int
-	scored int
+	heap []Neighbor
+	// limit is the early-abandon threshold on partial squared distance sums
+	// (see abandonSlack); +Inf while nothing may be abandoned — heap not yet
+	// full, kth-best not a finite distance of ordinary magnitude, Cosine.
+	limit float64
+
+	ix        *Index    // tree searches only
+	tq        []float64 // tree-space query (normalized under Cosine)
+	nodes     int
+	scored    int
+	abandoned int
 }
 
 var treeSearchPool = sync.Pool{New: func() any { return new(treeSearch) }}
 
-func getTreeSearch() *treeSearch  { return treeSearchPool.Get().(*treeSearch) }
-func putTreeSearch(s *treeSearch) { s.ix, s.q = nil, nil; treeSearchPool.Put(s) }
+// getTreeSearch leases a search over points with an empty heap and nothing
+// to abandon yet.
+func getTreeSearch(points *linalg.Matrix, q []float64, qn float64, k int, metric Distance) *treeSearch {
+	s := treeSearchPool.Get().(*treeSearch)
+	s.points, s.metric, s.q, s.qn, s.k = points, metric, q, qn, k
+	s.heap = s.heap[:0]
+	s.limit = math.Inf(1)
+	s.nodes, s.scored, s.abandoned = 0, 0, 0
+	return s
+}
+
+func putTreeSearch(s *treeSearch) {
+	s.ix, s.points, s.q = nil, nil, nil
+	treeSearchPool.Put(s)
+}
 
 // walk descends the subtree at node ni, nearer child first, pruning the
 // farther child only when the slackened axis gap proves no point beyond it
@@ -516,10 +564,7 @@ func (s *treeSearch) walk(ni int32) {
 	nd := &s.ix.nodes[ni]
 	s.nodes++
 	if nd.axis < 0 {
-		for _, pi := range s.ix.order[nd.lo:nd.hi] {
-			s.scored++
-			s.push(Neighbor{Index: pi, Distance: pointDistance(s.ix.points.Row(pi), s.q, s.qn, s.ix.metric)})
-		}
+		s.score(s.ix.order[nd.lo:nd.hi])
 		return
 	}
 	diff := s.tq[nd.axis] - nd.split
@@ -544,7 +589,7 @@ func (s *treeSearch) prune(gap float64) bool {
 		return false
 	}
 	worst := s.heap[0].Distance
-	if s.ix.metric == Cosine {
+	if s.metric == Cosine {
 		// Unit vectors: cosine distance = ‖â−b̂‖²/2 ≥ gap²/2.
 		g := gap - indexSlackRel
 		return g > 0 && 0.5*g*g > worst*(1+indexSlackRel)+indexSlackAbs
@@ -552,7 +597,37 @@ func (s *treeSearch) prune(gap float64) bool {
 	return gap*(1-indexSlackRel)-indexSlackUnderflow > worst
 }
 
-// push offers one scored candidate to the bounded max-heap.
+// score offers the given rows to the heap. Euclidean candidates are scored
+// scoreGroup at a time (a short last group repeats its last row and offers
+// it once); a group whose partial sums all pass limit is abandoned unscored.
+func (s *treeSearch) score(rows []int) {
+	s.scored += len(rows)
+	if s.metric == Cosine {
+		for _, i := range rows {
+			s.push(Neighbor{Index: i, Distance: linalg.CosineDistanceTo(s.points.Row(i), s.q, s.qn)})
+		}
+		return
+	}
+	for len(rows) > 0 {
+		g := rows[:min(scoreGroup, len(rows))]
+		rows = rows[len(g):]
+		last := len(g) - 1
+		var d [scoreGroup]float64
+		var ok bool
+		d[0], d[1], d[2], d[3], ok = linalg.SqDist4(s.points.Row(g[0]), s.points.Row(g[min(1, last)]),
+			s.points.Row(g[min(2, last)]), s.points.Row(g[last]), s.q, s.limit)
+		if !ok {
+			s.abandoned += len(g)
+			continue
+		}
+		for j, i := range g {
+			s.push(Neighbor{Index: i, Distance: math.Sqrt(d[j])})
+		}
+	}
+}
+
+// push offers one scored candidate to the bounded max-heap and re-arms the
+// abandon limit from the new kth-best.
 func (s *treeSearch) push(nb Neighbor) {
 	h := s.heap
 	if len(h) < s.k {
@@ -567,12 +642,22 @@ func (s *treeSearch) push(nb Neighbor) {
 			i = p
 		}
 		s.heap = h
-		return
+	} else {
+		if !less(nb, h[0]) {
+			return
+		}
+		h[0] = nb
+		siftDown(h)
 	}
-	if !less(nb, h[0]) {
-		return
+	if len(h) == s.k && s.metric == Euclidean {
+		if w := h[0].Distance; w >= abandonMinWorst {
+			s.limit = w * w * (1 + abandonSlack)
+		}
 	}
-	h[0] = nb
+}
+
+// siftDown restores the max-heap order after h[0] was replaced.
+func siftDown(h []Neighbor) {
 	i := 0
 	for {
 		l, r, top := 2*i+1, 2*i+2, i
@@ -583,9 +668,21 @@ func (s *treeSearch) push(nb Neighbor) {
 			top = r
 		}
 		if top == i {
-			break
+			return
 		}
 		h[i], h[top] = h[top], h[i]
 		i = top
 	}
+}
+
+// drain empties the heap into a fresh slice in ascending (distance, index)
+// order: the search result.
+func (s *treeSearch) drain() []Neighbor {
+	out := make([]Neighbor, len(s.heap))
+	for h := s.heap; len(h) > 0; h = h[:len(h)-1] {
+		out[len(h)-1] = h[0]
+		h[0] = h[len(h)-1]
+		siftDown(h[:len(h)-1])
+	}
+	return out
 }

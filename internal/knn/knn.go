@@ -94,12 +94,11 @@ func (s *neighborSlice) Len() int           { return len(*s) }
 func (s *neighborSlice) Less(i, j int) bool { return less((*s)[i], (*s)[j]) }
 func (s *neighborSlice) Swap(i, j int)      { (*s)[i], (*s)[j] = (*s)[j], (*s)[i] }
 
-// neighborPool recycles the n-sized candidate rankings built by
-// Nearest/Search. Ranking n candidates needs an n-entry scratch slice that
-// would otherwise be allocated (and become garbage) on every call — the
-// predict hot path calls Nearest once per query, so at n = 4000 training
-// points that was ~64 KiB of garbage per prediction. Only the k winners are
-// copied out.
+// neighborPool recycles the n-sized candidate rankings built by Nearest.
+// Ranking n candidates by a full sort needs an n-entry scratch slice that
+// would otherwise be allocated (and become garbage) on every call, ~64 KiB
+// at n = 4000. Only the k winners are copied out. (Search and Index keep a
+// k-bounded heap instead and need no such buffer.)
 var neighborPool = sync.Pool{New: func() any { return new(neighborSlice) }}
 
 func getNeighbors(n int) *neighborSlice {
@@ -127,11 +126,13 @@ func DefaultOptions() Options {
 }
 
 // Nearest returns the k nearest rows of points to q under the metric,
-// sorted by ascending (distance, index). The index tie-break is load-
-// bearing: equal-distance neighbors (duplicated training rows are common in
-// template workloads) must order identically no matter how the distance
-// computation was partitioned, or parallel runs could silently reorder
-// predictions under weighted combination.
+// sorted by ascending (distance, index). It is the package's reference
+// implementation — one pointDistance per row, then a full sort — which the
+// oracle suite holds Search and Index to, bit for bit. The index tie-break
+// is load-bearing: equal-distance neighbors (duplicated training rows are
+// common in template workloads) must order identically no matter how the
+// distance computation was partitioned, or parallel runs could silently
+// reorder predictions under weighted combination.
 func Nearest(points *linalg.Matrix, q []float64, k int, metric Distance) ([]Neighbor, error) {
 	defer obs.Span("knn.search")()
 	n := points.Rows

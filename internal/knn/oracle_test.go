@@ -15,7 +15,9 @@ import (
 // metric, point-cloud shape, k, and worker count, Index.Nearest/Search must
 // return bit-identical (distance, index) neighbor sets to the flat scan —
 // same values, same total order, NaN-last. It runs under -race in CI at
-// worker counts {1, 2, 7, NumCPU}.
+// worker counts {1, 2, 7, NumCPU}. The oracle is the package-level Nearest:
+// one linalg.Dist per candidate and a full sort, none of the scorer's
+// grouped passes, early abandoning or heap.
 
 // cloud generates a point cloud of a given pathology. Every generator is
 // deterministic in (seed, n, dim).
@@ -107,6 +109,22 @@ func clouds() []cloud {
 			}
 			return m
 		}},
+		{"magnitudes", func(seed int64, n, dim int) *linalg.Matrix {
+			// Rows at the edges of what the tree admits and the abandon limit
+			// tolerates: coordinates whose squares are subnormal or flush to
+			// zero, coordinates that are subnormal themselves, and 1e150 (the
+			// overflow gate), next to ordinary rows. The kth-best distance
+			// then ranges from 0 through subnormal to ~1e151.
+			rng := statutil.NewRNG(seed, "oracle-magnitudes")
+			m := linalg.NewMatrix(n, dim)
+			for i := 0; i < n; i++ {
+				scale := []float64{1, 1e-160, 1e-320, 1e150}[rng.Intn(4)]
+				for j := 0; j < dim; j++ {
+					m.Row(i)[j] = scale * rng.NormFloat64()
+				}
+			}
+			return m
+		}},
 	}
 }
 
@@ -118,13 +136,13 @@ func oracleQueries(seed int64, points *linalg.Matrix) *linalg.Matrix {
 	dim := points.Cols
 	qs := linalg.NewMatrix(8, dim)
 	for j := 0; j < dim; j++ {
-		qs.Row(0)[j] = rng.NormFloat64()             // ordinary
-		qs.Row(2)[j] = 100 + 10*rng.NormFloat64()    // far outside the cloud
-		qs.Row(3)[j] = 0                             // zero (cosine fallback)
-		qs.Row(4)[j] = rng.NormFloat64()             // NaN-poisoned below
-		qs.Row(5)[j] = 1e-30 * rng.NormFloat64()     // tiny magnitudes
-		qs.Row(6)[j] = rng.NormFloat64() * 1e160     // past the overflow gate
-		qs.Row(7)[j] = math.Abs(rng.NormFloat64())   // positive orthant
+		qs.Row(0)[j] = rng.NormFloat64()           // ordinary
+		qs.Row(2)[j] = 100 + 10*rng.NormFloat64()  // far outside the cloud
+		qs.Row(3)[j] = 0                           // zero (cosine fallback)
+		qs.Row(4)[j] = rng.NormFloat64()           // NaN-poisoned below
+		qs.Row(5)[j] = 1e-30 * rng.NormFloat64()   // tiny magnitudes
+		qs.Row(6)[j] = rng.NormFloat64() * 1e160   // past the overflow gate
+		qs.Row(7)[j] = math.Abs(rng.NormFloat64()) // positive orthant
 	}
 	copy(qs.Row(1), points.Row(points.Rows/2)) // exact duplicate of a point
 	qs.Row(4)[dim-1] = math.NaN()
@@ -149,10 +167,12 @@ func mustEqualNeighbors(t *testing.T, ctx string, got, want []Neighbor) {
 
 // TestIndexOracle is the headline exactness proof: randomized point clouds
 // across sizes, dimensions, pathologies, and both metrics; tree results
-// must be bit-identical to the flat scan for k ∈ {1, 3, 7, N}, at every
-// worker count.
+// must be bit-identical to the flat scan for k ∈ {1, 3, 7, N, N+5}, at every
+// worker count. With LeafSize 3 every leaf is a short group (the scorer's
+// repeated-row tail) and k = 7 exceeds it.
 func TestIndexOracle(t *testing.T) {
-	dims := []int{1, 2, 3, 8, 15}
+	// 17 and 40 cross the scorer's 16-term abandon stride once and twice.
+	dims := []int{1, 2, 3, 8, 15, 17, 40}
 	sizes := []int{1, 5, 63, 64, 257, 600}
 	workers := []int{1, 2, 7, runtime.NumCPU()}
 	defer parallel.SetMaxProcs(parallel.SetMaxProcs(1))
@@ -162,8 +182,8 @@ func TestIndexOracle(t *testing.T) {
 		for _, metric := range []Distance{Euclidean, Cosine} {
 			for _, n := range sizes {
 				for _, dim := range dims {
-					if n > 100 && dim > 8 {
-						continue // keep the grid affordable; big×wide is covered at 8
+					if n > 100 && dim > 8 && !(n == 257 && dim == 40) {
+						continue // keep the grid affordable; big×wide is covered at 8 and once at 40
 					}
 					seed++
 					points := cl.gen(seed, n, dim)
@@ -171,7 +191,7 @@ func TestIndexOracle(t *testing.T) {
 					// Tiny MinPoints/LeafSize force real trees even on small
 					// clouds; the default config path is covered separately.
 					ix := NewIndexWith(points, metric, IndexConfig{MinPoints: 1, LeafSize: 3})
-					for _, k := range []int{1, 3, 7, n} {
+					for _, k := range []int{1, 3, 7, n, n + 5} {
 						for qi := 0; qi < queries.Rows; qi++ {
 							q := queries.Row(qi)
 							want, err := Nearest(points, q, k, metric)
@@ -324,6 +344,101 @@ func TestIndexStats(t *testing.T) {
 	small := NewIndex(clouds()[0].gen(13, 10, 4), Euclidean)
 	if st = small.Stats(); !st.Flat || st.FlatReason == "" || st.Nodes != 0 {
 		t.Fatalf("small index should be flat with a reason: %+v", st)
+	}
+}
+
+// TestAbandonKeepsTies drives the scorer directly, in an order the flat scan
+// never produces: the heap fills with a high-index point first, then a group
+// arrives holding a candidate at exactly the kth-best distance with a smaller
+// index, beside three far points that on their own would abandon. The sum 3
+// is chosen because fl(√3)² < 3: a limit of worst² without the slack would
+// already sit below the tied candidate's sum.
+func TestAbandonKeepsTies(t *testing.T) {
+	const dim = 40
+	row := func(vals ...float64) []float64 { return append(vals, make([]float64, dim-len(vals))...) }
+	far := row(50, 50)
+	points := linalg.FromRows([][]float64{far, row(1, 1, 1), far, far, far, row(0, 1, 1, 1), far, far, far, far})
+	q := make([]float64, dim)
+
+	s := getTreeSearch(points, q, 0, 1, Euclidean)
+	defer putTreeSearch(s)
+	s.score([]int{5})
+	if s.limit >= 3.1 || s.limit <= 3 {
+		t.Fatalf("limit after the first point is %v, want just above 3", s.limit)
+	}
+	s.score([]int{0, 1, 2, 3})
+	if got := s.heap[0]; got.Index != 1 || got.Distance != math.Sqrt(3) {
+		t.Fatalf("kth-best is %+v, want the equal-distance point with the smaller index 1", got)
+	}
+	if s.abandoned != 0 {
+		t.Fatalf("%d candidates abandoned from a group holding a tie", s.abandoned)
+	}
+	// Without the tie the same far points go unscored: a full group and a
+	// short one that repeats its last row.
+	s.score([]int{6, 7, 8, 9})
+	s.score([]int{2, 3})
+	if s.abandoned != 6 || s.scored != 11 {
+		t.Fatalf("abandoned %d of %d offered, want 6 of 11", s.abandoned, s.scored)
+	}
+	if out := s.drain(); len(out) != 1 || out[0].Index != 1 {
+		t.Fatalf("result %+v, want index 1", out)
+	}
+}
+
+// TestAbandonNeverArmsWithoutABound: a heap that is not full, a kth-best
+// that is +Inf or NaN or too small for its square to be a normal float64,
+// and the Cosine metric all leave the limit at +Inf.
+func TestAbandonNeverArmsWithoutABound(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	points := linalg.FromRows([][]float64{{inf, 0}, {nan, 0}, {1e-160, 0}, {3, 4}, {0, 0}})
+	q := []float64{0, 0}
+	for _, c := range []struct {
+		name   string
+		metric Distance
+		k      int
+		rows   []int
+		armed  bool
+	}{
+		{"not full", Euclidean, 3, []int{3, 4}, false},
+		{"worst +Inf", Euclidean, 2, []int{0, 3}, false},
+		{"worst NaN", Euclidean, 2, []int{1, 3}, false},
+		{"worst subnormal-squared", Euclidean, 2, []int{2, 4}, false},
+		{"cosine", Cosine, 1, []int{3}, false},
+		{"ordinary", Euclidean, 2, []int{3, 4}, true},
+	} {
+		s := getTreeSearch(points, q, linalg.Norm(q), c.k, c.metric)
+		s.score(c.rows)
+		if armed := !math.IsInf(s.limit, 1); armed != c.armed {
+			t.Errorf("%s: limit %v, armed=%v want %v", c.name, s.limit, armed, c.armed)
+		}
+		putTreeSearch(s)
+	}
+}
+
+// TestAbandonCounts: on a wide cloud the scorer must actually abandon (or
+// the oracle suite proves nothing about it), and PointsScored keeps counting
+// every candidate offered, abandoned or not.
+func TestAbandonCounts(t *testing.T) {
+	points := clouds()[3].gen(77, 400, 80) // clustered
+	ix := NewIndex(points, Euclidean)
+	queries := oracleQueries(78, points)
+	for qi := 0; qi < 2; qi++ { // ordinary, and coincident with a point
+		want, err := Nearest(points, queries.Row(qi), 3, Euclidean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ix.Nearest(queries.Row(qi), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustEqualNeighbors(t, fmt.Sprintf("query %d", qi), got, want)
+	}
+	st := ix.Stats()
+	if st.PointsAbandoned <= 0 || st.PointsAbandoned >= st.PointsScored {
+		t.Fatalf("abandoned %d of %d offered: want some, not all", st.PointsAbandoned, st.PointsScored)
+	}
+	if st.PointsScored > 2*int64(points.Rows) || st.PointsScored < 2*3 {
+		t.Fatalf("PointsScored=%d over 2 searches of %d points", st.PointsScored, points.Rows)
 	}
 }
 

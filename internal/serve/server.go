@@ -633,8 +633,12 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Recovery status rides only on GET /v1/model (not on every predict
-	// response), and only when the daemon runs with durable state.
+	// response), and only when the daemon runs with durable state; so do the
+	// index's live pruning figures.
 	info.Recovery = s.recoveryInfo()
+	if info.Index != nil {
+		s.indexPruning(info.Index)
+	}
 	writeJSON(w, http.StatusOK, struct {
 		Version string         `json:"version"`
 		Model   *api.ModelInfo `json:"model"`
@@ -831,6 +835,36 @@ func (s *Server) recoveryInfo() *api.RecoveryInfo {
 		return nil
 	}
 	return apiRecovery(s.store.Info())
+}
+
+// indexPruning fills in how the served generation's index (every shard's,
+// on a sharded daemon) has pruned so far: searches, and the mean candidates
+// scored and abandoned per search.
+func (s *Server) indexPruning(ii *api.IndexInfo) {
+	var searches, scored, abandoned int64
+	add := func(p *core.Predictor) {
+		if p == nil {
+			return
+		}
+		st := p.Index().Stats()
+		searches += st.Searches
+		scored += st.PointsScored
+		abandoned += st.PointsAbandoned
+	}
+	if s.router != nil {
+		for i := 0; i < s.router.NumShards(); i++ {
+			if m := s.router.Shard(i).Model(); m != nil {
+				add(m.Pred())
+			}
+		}
+	} else if m := s.slot.get(); m != nil {
+		add(m.pred())
+	}
+	if searches > 0 {
+		ii.Searches = searches
+		ii.MeanScored = float64(scored) / float64(searches)
+		ii.MeanAbandoned = float64(abandoned) / float64(searches)
+	}
 }
 
 // indexInfo reports the static per-generation shape of a predictor's

@@ -401,6 +401,54 @@ func TestColdStartAndReadiness(t *testing.T) {
 	}
 }
 
+// TestModelEndpointIndexPruning: GET /v1/model says how the generation's
+// index has pruned — searches served, mean candidates scored and abandoned
+// per search — and predict responses, which embed the same model object,
+// carry none of it (their bytes must not depend on traffic history).
+func TestModelEndpointIndexPruning(t *testing.T) {
+	pool, pred := fixture(t)
+	s, err := New(baseConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	index := func() *api.IndexInfo {
+		t.Helper()
+		_, raw := getBody(t, ts.URL+"/v1/model")
+		var body struct {
+			Model *api.ModelInfo `json:"model"`
+		}
+		if err := json.Unmarshal(raw, &body); err != nil || body.Model == nil || body.Model.Index == nil {
+			t.Fatalf("model body %s: %v", raw, err)
+		}
+		return body.Model.Index
+	}
+	before := index() // the fixture predictor is shared: other tests searched it too
+	req := api.PredictRequest{}
+	for _, q := range pool.Queries[130:137] {
+		req.Queries = append(req.Queries, api.QueryInput{SQL: q.SQL})
+	}
+	resp, raw := postJSON(t, ts.URL+"/v1/predict", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict %d: %s", resp.StatusCode, raw)
+	}
+	if pr := decodePredict(t, raw); pr.Model.Index == nil || pr.Model.Index.Points != pred.N() ||
+		bytes.Contains(raw, []byte("searches")) || bytes.Contains(raw, []byte("mean_scored")) {
+		t.Fatalf("predict response should carry the index's static shape only: %s", raw)
+	}
+	after := index()
+	if got := after.Searches - before.Searches; got != int64(len(req.Queries)) {
+		t.Fatalf("searches went from %d to %d over %d predictions", before.Searches, after.Searches, len(req.Queries))
+	}
+	if after.MeanScored <= 0 || after.MeanScored > float64(after.Points) ||
+		after.MeanAbandoned < 0 || after.MeanAbandoned > after.MeanScored {
+		t.Fatalf("index pruning %+v: want 0 < mean_scored ≤ points and 0 ≤ mean_abandoned ≤ mean_scored", after)
+	}
+}
+
 func TestModelEndpointAndDrain(t *testing.T) {
 	pool, pred := fixture(t)
 	s, err := New(baseConfig(t))
