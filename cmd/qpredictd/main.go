@@ -72,7 +72,7 @@ func main() {
 	machineName := flag.String("machine", def.Train.Machine, "machine: research4 or prod32:<cpus>")
 	twoStep := flag.Bool("twostep", def.Train.TwoStep, "use two-step (query-type-specific) prediction")
 	loadFrom := flag.String("load", "", "load a previously saved model instead of training")
-	window := flag.Duration("window", def.Serve.Window.Std(), "micro-batch coalescing window (0 batches only what is already queued)")
+	window := flag.Duration("window", def.Serve.Window.Std(), "micro-batch hold window: non-zero holds an idle engine's first arrival this long for more to batch with (0 dispatches at once and batches only what queued behind the previous batch)")
 	maxBatch := flag.Int("max-batch", def.Serve.MaxBatch, "micro-batch size cap")
 	queueCap := flag.Int("queue", def.Serve.QueueCap, "pending-query queue bound (beyond it requests get 429)")
 	timeout := flag.Duration("timeout", def.Serve.Timeout.Std(), "per-request prediction deadline")

@@ -6,7 +6,7 @@
 //	go run ./cmd/qpredictd -addr 127.0.0.1:8080 -train 160 -shards 4
 //	go run ./examples/client -addr http://127.0.0.1:8080
 //
-// With -burst N the example instead fires N concurrent single-query
+// With -burst N the example instead fires N concurrent one- and two-query
 // requests — against a daemon started with a tiny queue (-queue 1) this
 // forces 429 shed-load responses and demonstrates the client's bounded
 // retry with jittered backoff (the CI smoke test uses exactly this).
@@ -182,9 +182,12 @@ func runObserve(ctx context.Context, c *qpredictclient.Client, n, train int, see
 	fmt.Printf("observed %d executed queries, predictions served throughout\n", sent)
 }
 
-// runBurst fires n concurrent single-query predictions. Against a daemon
-// with a tiny queue some will be shed with 429; the client retries them
-// with backoff, so they still succeed — watch the retry counter.
+// runBurst fires n concurrent predictions, every 16th of two queries and
+// the rest of one. Against a daemon with a tiny queue some will be shed
+// with 429; the client retries them with backoff, so they still succeed —
+// watch the retry counter. (A request larger than the whole queue is
+// admitted whenever nothing is pending, so the two-query ones succeed even
+// against -queue 1.)
 func runBurst(ctx context.Context, c *qpredictclient.Client, n int) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -193,7 +196,11 @@ func runBurst(ctx context.Context, c *qpredictclient.Client, n int) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := c.Predict(ctx, queries[i%len(queries)])
+			sqls := []string{queries[i%len(queries)]}
+			if i%16 == 0 {
+				sqls = append(sqls, queries[(i+1)%len(queries)])
+			}
+			_, err := c.Predict(ctx, sqls...)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {

@@ -98,9 +98,11 @@ func (c *PlanCache) Plan(sql string) (*dataset.Query, error) {
 		e := el.Value.(*planEntry)
 		if e.sql == sql {
 			c.order.MoveToFront(el)
+			// Copy under the lock: a concurrent miss on the same SQL
+			// replaces e.proto in put.
+			q := *e.proto
 			c.mu.Unlock()
 			planHits.Inc()
-			q := *e.proto
 			return &q, nil
 		}
 		// Fingerprint collision: never serve another query's plan.

@@ -11,7 +11,7 @@ import (
 // Handler returns the observability HTTP handler:
 //
 //	/metrics        JSON snapshot (the JSON() encoding of Take())
-//	/timings        human-readable stage-timing table
+//	/timings        human-readable stage-timing table and latency histograms
 //	/debug/vars     expvar (includes the "obs" variable publishing Take())
 //	/debug/pprof/*  runtime profiling endpoints
 func Handler() http.Handler {

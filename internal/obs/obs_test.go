@@ -205,10 +205,17 @@ func TestTimingsTable(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		stop()
 	}
+	// Latency histograms follow the stage tree; other histograms do not.
+	GetHistogram("queue_wait.seconds").Observe(0.002)
+	GetHistogram("batch.size").Observe(64)
 	tbl := TimingsTable()
-	for _, want := range []string{"stage", "calls", "total_s", "self_s", "train", "  train.kernel", "  train.eigen", "predict"} {
+	for _, want := range []string{"stage", "calls", "total_s", "self_s", "train", "  train.kernel", "  train.eigen", "predict",
+		"histogram", "p50_ms", "queue_wait.seconds"} {
 		if !strings.Contains(tbl, want) {
 			t.Errorf("timings table missing %q:\n%s", want, tbl)
 		}
+	}
+	if strings.Contains(tbl, "batch.size") {
+		t.Errorf("timings table lists a histogram that is not a latency:\n%s", tbl)
 	}
 }

@@ -119,21 +119,64 @@ func JSON() []byte {
 	return out
 }
 
-// TimingsTable renders the per-stage timing tree as an aligned text table
-// (via the eval package's table renderer). Stages sort by their dotted
-// names, children indented under parents; the self column is a stage's
-// total minus the totals of its direct children, when it has any.
+// TimingsTable renders the timing view served on /timings: the per-stage
+// timing tree as an aligned text table (via the eval package's table
+// renderer), then every latency histogram — one whose name ends in
+// ".seconds" — that has observations. Stages sort by their dotted names,
+// children indented under parents; the self column is a stage's total minus
+// the totals of its direct children, when it has any. Histogram quantiles
+// are bucket upper edges (see Histogram.Quantile).
 func TimingsTable() string {
 	s := Take()
-	if len(s.Stages) == 0 {
+	out := stageTable(s.Stages)
+	if lat := latencyTable(s.Histograms); lat != "" {
+		if out != "" {
+			out += "\n"
+		}
+		out += lat
+	}
+	if out == "" {
 		return "no stage timings recorded (enable with obs.SetEnabled or the -timings flag)\n"
 	}
+	return out
+}
+
+func latencyTable(hists map[string]HistogramSnapshot) string {
+	var names []string
+	for name, h := range hists {
+		if strings.HasSuffix(name, ".seconds") && h.Count > 0 {
+			names = append(names, name)
+		}
+	}
+	if len(names) == 0 {
+		return ""
+	}
+	sort.Strings(names)
+	rows := make([][]string, 0, len(names))
+	for _, name := range names {
+		h := hists[name]
+		rows = append(rows, []string{
+			name,
+			fmt.Sprintf("%d", h.Count),
+			fmt.Sprintf("%.3f", h.Mean*1e3),
+			fmt.Sprintf("%.3f", h.P50*1e3),
+			fmt.Sprintf("%.3f", h.P90*1e3),
+			fmt.Sprintf("%.3f", h.P99*1e3),
+		})
+	}
+	return eval.Table([]string{"histogram", "count", "mean_ms", "p50_ms", "p90_ms", "p99_ms"}, rows)
+}
+
+func stageTable(stages []StageSnapshot) string {
+	if len(stages) == 0 {
+		return ""
+	}
 	totalByName := map[string]float64{}
-	for _, st := range s.Stages {
+	for _, st := range stages {
 		totalByName[st.Name] = st.TotalSec
 	}
 	childSum := map[string]float64{}
-	for _, st := range s.Stages {
+	for _, st := range stages {
 		if i := strings.LastIndex(st.Name, "."); i > 0 {
 			parent := st.Name[:i]
 			if _, ok := totalByName[parent]; ok {
@@ -141,8 +184,8 @@ func TimingsTable() string {
 			}
 		}
 	}
-	rows := make([][]string, 0, len(s.Stages))
-	for _, st := range s.Stages {
+	rows := make([][]string, 0, len(stages))
+	for _, st := range stages {
 		indent := strings.Repeat("  ", strings.Count(st.Name, "."))
 		self := st.TotalSec
 		if cs, ok := childSum[st.Name]; ok {

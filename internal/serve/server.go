@@ -5,11 +5,13 @@
 // around httptest-friendly pieces: New wires a Server from a Config,
 // Handler returns its mux, Close drains it.
 //
-// Request flow: /v1/predict parses and plans each SQL query, submits the
-// planned queries to the coalescer (bounded queue, 429 on overflow), and
-// waits with a per-request deadline. The coalescer gathers concurrent
-// arrivals for up to Window (or MaxBatch) and answers each micro-batch
-// with one atomic read of the model slot and one core Predict call.
+// Request flow: /v1/predict parses and plans each SQL query, admits the
+// planned queries to the coalescer as one group (bounded queue, 429 when
+// the whole request does not fit), and waits once with a per-request
+// deadline. The coalescer (internal/coalesce) dispatches an idle engine's
+// first arrival at once, batches what queued while the previous micro-batch
+// ran, and answers each micro-batch with one atomic read of the model slot
+// and one core Predict call.
 // /v1/observe feeds executed queries into a sliding retraining window
 // owned by a background goroutine; each completed retrain is swapped into
 // the slot without blocking a single read.
@@ -27,6 +29,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/catalog"
+	"repro/internal/coalesce"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
@@ -39,12 +42,12 @@ import (
 	"repro/internal/workload"
 )
 
-// Serving metrics: queue depths, micro-batch sizes, swaps, request
-// outcomes, and handler latency.
+// Serving metrics: the observe queue's depth, swaps, request outcomes, and
+// handler latency. The predict queue's own (serve.queue.depth,
+// serve.batch.size, serve.queue_wait.seconds, serve.batch.seconds) are
+// recorded by internal/coalesce.
 var (
-	queueDepth        = obs.GetGauge("serve.queue.depth")
 	observeQueueDepth = obs.GetGauge("serve.observe.queue_depth")
-	batchSizeHist     = obs.GetHistogram("serve.batch.size")
 	modelSwaps        = obs.GetCounter("serve.model.swaps")
 	retrainErrors     = obs.GetCounter("serve.retrain.errors")
 	rejectedOverload  = obs.GetCounter("serve.rejected.overload")
@@ -89,13 +92,14 @@ type Config struct {
 	PlanCacheEntries int
 
 	// Window is how long the coalescer holds an open micro-batch for more
-	// arrivals. Zero still sweeps already-queued requests into the batch
-	// but never waits.
+	// arrivals. Zero never waits: an idle engine dispatches at once and a
+	// batch is whatever queued while the previous one ran.
 	Window time.Duration
-	// MaxBatch caps a micro-batch (default 64).
+	// MaxBatch caps a micro-batch, in queries (default 64). Only a request
+	// larger than it is split across micro-batches.
 	MaxBatch int
-	// QueueCap bounds the pending-query queue; submissions beyond it are
-	// rejected with 429 (default 1024).
+	// QueueCap bounds the pending queries (default 1024); a request that
+	// does not fit whole is rejected with 429 unless nothing is pending.
 	QueueCap int
 	// Timeout is the per-request deadline for /v1/predict (default 10s).
 	Timeout time.Duration
@@ -138,14 +142,12 @@ type Server struct {
 	// owned by the observe goroutine after New.
 	store *wal.Store
 
-	mu     sync.RWMutex // guards closed + sends on queue/observeCh
+	mu     sync.RWMutex // guards closed + sends on observeCh
 	closed bool
 
-	queue        chan *batchItem
-	coalesceDone chan struct{}
-	// reqScratch is the coalescer's reusable micro-batch request slice,
-	// owned exclusively by the coalesce goroutine (see runBatch).
-	reqScratch []core.Request
+	// queue is the predict path's micro-batching queue and its coalescer
+	// goroutine (see runBatch).
+	queue *coalesce.Queue
 
 	observeCh   chan *dataset.Query
 	observeDone chan struct{}
@@ -201,8 +203,6 @@ func New(cfg Config) (*Server, error) {
 	if s.store != nil && s.sliding == nil {
 		return nil, fmt.Errorf("serve: a durable store needs a sliding predictor")
 	}
-	s.queue = make(chan *batchItem, cfg.QueueCap)
-	s.coalesceDone = make(chan struct{})
 	switch {
 	case cfg.Predictor != nil && cfg.BootGen > 0:
 		s.slot.restore(model.WrapKCCA(cfg.Predictor), cfg.BootGen)
@@ -213,7 +213,9 @@ func New(cfg Config) (*Server, error) {
 	case cfg.Sliding.Ready():
 		s.slot.swap(model.WrapKCCA(cfg.Sliding.Current()))
 	}
-	go s.coalesceLoop()
+	s.queue = coalesce.Start(coalesce.Config{
+		Window: cfg.Window, MaxBatch: cfg.MaxBatch, QueueCap: cfg.QueueCap,
+	}, s.runBatch)
 	if s.sliding != nil {
 		s.observeCh = make(chan *dataset.Query, cfg.QueueCap)
 		s.observeDone = make(chan struct{})
@@ -239,12 +241,11 @@ func (s *Server) Close() {
 		s.router.Close()
 		return
 	}
-	close(s.queue)
 	if s.observeCh != nil {
 		close(s.observeCh)
 	}
 	s.mu.Unlock()
-	<-s.coalesceDone
+	s.queue.Close()
 	if s.observeDone != nil {
 		<-s.observeDone
 	}
@@ -381,9 +382,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The request context, bounded by the per-request deadline, rides into
-	// every batch item: when the handler gives up, the coalescer skips the
-	// abandoned items instead of predicting for nobody.
+	// The request context, bounded by the per-request deadline, rides with
+	// the group: when the handler gives up, the coalescer skips the abandoned
+	// group instead of predicting for nobody.
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
 
@@ -391,11 +392,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// the queue, so a batch mixing good and bad SQL still gets predictions
 	// for the good part.
 	results := make([]api.QueryResult, len(inputs))
-	// One slab for the batch items: the slab is sized up front, so the
-	// pointers handed to the coalescer stay valid for its whole life (items
-	// may outlive this handler when a deadline abandons them).
-	itemBuf := make([]batchItem, len(inputs))
-	items := make([]*batchItem, 0, len(inputs))
+	// The group may outlive this handler when a deadline abandons it, so its
+	// items are heap-owned and sized up front.
+	g := &coalesce.Group{Ctx: ctx, Items: make([]coalesce.Item, 0, len(inputs))}
 	itemIdx := make([]int, 0, len(inputs))
 	for i, in := range inputs {
 		results[i].SQL = in.SQL
@@ -405,67 +404,51 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		results[i].OptimizerCost = cost
-		it := &itemBuf[len(items)]
-		*it = batchItem{ctx: ctx, req: core.Request{Query: q}, done: make(chan struct{})}
-		items = append(items, it)
+		g.Items = append(g.Items, coalesce.Item{Req: core.Request{Query: q}})
 		itemIdx = append(itemIdx, i)
 	}
-	for _, it := range items {
-		if err := s.submit(it); err != nil {
-			// Reject the whole request: already-queued siblings are
-			// abandoned (the coalescer answers them to nobody).
-			e := apiError(err)
-			writeError(w, e.Code, e.Message)
-			return
-		}
+	// Admission is all or nothing and never blocks: a queue with no room
+	// for the whole request sheds it (429) instead of stacking goroutines.
+	if err := legacyText(s.queue.Admit(g)); err != nil {
+		e := apiError(err)
+		writeError(w, e.Code, e.Message)
+		return
 	}
-
-	deadline := time.NewTimer(s.cfg.Timeout)
-	defer deadline.Stop()
-	for k, it := range items {
-		select {
-		case <-it.done:
-			i := itemIdx[k]
-			if it.res.Err != nil {
-				// An item the coalescer skipped because this request's
-				// context expired is the deadline path, just observed from
-				// the other side of the queue — report it identically.
-				if errors.Is(it.res.Err, context.DeadlineExceeded) {
-					requestTimeouts.Inc()
-					writeError(w, api.CodeTimeout,
-						fmt.Sprintf("prediction did not complete within %v", s.cfg.Timeout))
-					return
-				}
-				if errors.Is(it.res.Err, context.Canceled) {
-					requestTimeouts.Inc()
-					writeError(w, api.CodeTimeout, "client went away: "+it.res.Err.Error())
-					return
-				}
-				results[i].Error = apiError(it.res.Err)
-				continue
-			}
-			m := api.MetricsFrom(it.res.Prediction.Metrics)
-			results[i].Metrics = &m
-			results[i].Category = it.res.Prediction.Category.String()
-			results[i].Confidence = it.res.Prediction.Confidence
-			results[i].Generation = it.gen
-			results[i].ModelKind = it.kind
-		case <-deadline.C:
-			requestTimeouts.Inc()
-			writeError(w, api.CodeTimeout,
-				fmt.Sprintf("prediction did not complete within %v", s.cfg.Timeout))
-			return
-		case <-r.Context().Done():
-			requestTimeouts.Inc()
-			writeError(w, api.CodeTimeout, "client went away: "+r.Context().Err().Error())
-			return
+	if g.Wait() != nil {
+		s.writeAbandoned(w, r)
+		return
+	}
+	for k := range g.Items {
+		it, i := &g.Items[k], itemIdx[k]
+		if it.Res.Err != nil {
+			results[i].Error = apiError(it.Res.Err)
+			continue
 		}
+		m := api.MetricsFrom(it.Res.Prediction.Metrics)
+		results[i].Metrics = &m
+		results[i].Category = it.Res.Prediction.Category.String()
+		results[i].Confidence = it.Res.Prediction.Confidence
+		results[i].Generation = it.Gen
+		results[i].ModelKind = it.Kind
 	}
 	writeJSON(w, http.StatusOK, api.PredictResponse{
 		Version: api.Version,
 		Model:   s.modelInfo(),
 		Results: results,
 	})
+}
+
+// writeAbandoned reports a predict whose wait ended with its context rather
+// than an answer: the client went away if the request's own context says so,
+// otherwise the per-request deadline expired.
+func (s *Server) writeAbandoned(w http.ResponseWriter, r *http.Request) {
+	requestTimeouts.Inc()
+	if err := r.Context().Err(); err != nil {
+		writeError(w, api.CodeTimeout, "client went away: "+err.Error())
+		return
+	}
+	writeError(w, api.CodeTimeout,
+		fmt.Sprintf("prediction did not complete within %v", s.cfg.Timeout))
 }
 
 // predictSharded plans the batch, fans it across shards through the
@@ -500,14 +483,8 @@ func (s *Server) predictSharded(w http.ResponseWriter, r *http.Request, inputs [
 			err = out.Res.Err
 		}
 		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			requestTimeouts.Inc()
-			writeError(w, api.CodeTimeout,
-				fmt.Sprintf("prediction did not complete within %v", s.cfg.Timeout))
-			return
-		case errors.Is(err, context.Canceled):
-			requestTimeouts.Inc()
-			writeError(w, api.CodeTimeout, "client went away: "+err.Error())
+		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+			s.writeAbandoned(w, r)
 			return
 		case errors.Is(err, shard.ErrOverloaded), errors.Is(err, shard.ErrDraining):
 			e := apiError(legacyText(err))

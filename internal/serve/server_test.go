@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -13,10 +14,10 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/catalog"
+	"repro/internal/coalesce/coalescetest"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
-	"repro/internal/model"
 	"repro/internal/optimizer"
 	"repro/internal/sqlparse"
 	"repro/internal/workload"
@@ -275,26 +276,24 @@ func readAll(t testing.TB, resp *http.Response) []byte {
 	return buf.Bytes()
 }
 
-// TestOverload drives the bounded-queue 429 path deterministically: the
-// server is assembled by hand with a full queue and no coalescer draining
-// it, so the submit must shed.
+// TestOverload drives the bounded-queue 429 path deterministically: one
+// request is held in flight at a gated model and one is pending behind it,
+// so the one-slot queue is full and the next submit must shed.
 func TestOverload(t *testing.T) {
-	_, pred := fixture(t)
-	s := &Server{
-		cfg: Config{
-			Schema: catalog.TPCDS(1), Machine: exec.Research4(), DataSeed: fixDataSeed,
-			MaxBatch: 8, QueueCap: 1, Timeout: time.Second, MaxQueries: 16, MaxBody: 1 << 20,
-		},
-		plans:        NewPlanner(catalog.TPCDS(1), fixDataSeed, exec.Research4(), 0),
-		queue:        make(chan *batchItem, 1),
-		coalesceDone: make(chan struct{}),
-	}
-	s.slot.swap(model.WrapKCCA(pred))
-	s.queue <- &batchItem{done: make(chan struct{})} // queue now full
+	pool, _ := fixture(t)
+	cfg := baseConfig(t)
+	cfg.MaxBatch, cfg.QueueCap = 8, 1
+	s, _, arrived, _ := gatedServer(t, cfg)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	pool, _ := fixture(t)
+	depth := coalescetest.Depth()
+	body := predictBody(pool.Queries[121:122])
+	go serveBody(s, context.Background(), body)
+	<-arrived
+	go serveBody(s, context.Background(), body)
+	coalescetest.WaitDepth(t, depth+1)
+
 	resp, raw := postJSON(t, ts.URL+"/v1/predict", api.PredictRequest{SQL: pool.Queries[121].SQL})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", resp.StatusCode, raw)
@@ -309,24 +308,16 @@ func TestOverload(t *testing.T) {
 }
 
 // TestPredictTimeout drives the per-request deadline deterministically:
-// the hand-assembled server has queue capacity but nothing answering, so
-// the handler's wait must expire.
+// the model holds the request's micro-batch at a gate, so the handler's
+// wait must expire.
 func TestPredictTimeout(t *testing.T) {
-	_, pred := fixture(t)
-	s := &Server{
-		cfg: Config{
-			Schema: catalog.TPCDS(1), Machine: exec.Research4(), DataSeed: fixDataSeed,
-			MaxBatch: 8, QueueCap: 16, Timeout: 50 * time.Millisecond, MaxQueries: 16, MaxBody: 1 << 20,
-		},
-		plans:        NewPlanner(catalog.TPCDS(1), fixDataSeed, exec.Research4(), 0),
-		queue:        make(chan *batchItem, 16),
-		coalesceDone: make(chan struct{}),
-	}
-	s.slot.swap(model.WrapKCCA(pred))
+	pool, _ := fixture(t)
+	cfg := baseConfig(t)
+	cfg.Timeout = 50 * time.Millisecond
+	s, _, _, _ := gatedServer(t, cfg)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	pool, _ := fixture(t)
 	resp, raw := postJSON(t, ts.URL+"/v1/predict", api.PredictRequest{SQL: pool.Queries[121].SQL})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", resp.StatusCode, raw)
@@ -337,6 +328,9 @@ func TestPredictTimeout(t *testing.T) {
 	}
 	if er.Error.Code != api.CodeTimeout {
 		t.Errorf("code %q, want %q", er.Error.Code, api.CodeTimeout)
+	}
+	if want := "prediction did not complete within 50ms"; er.Error.Message != want {
+		t.Errorf("message %q, want %q", er.Error.Message, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"sync/atomic"
 
+	"repro/internal/coalesce"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/model"
@@ -55,6 +56,22 @@ func (s *slot) swap(m model.Model) int64 {
 func (s *slot) restore(m model.Model, gen int64) {
 	s.gens.Store(gen)
 	s.cur.Store(&servedModel{model: m, gen: gen})
+}
+
+// runBatch answers one micro-batch with one model, on the coalescer's
+// goroutine: the slot is read once, so every item in the batch is served by
+// the same generation even while retrains swap the slot concurrently.
+// Predictions are delegated to the core Request/Result entrypoint, which
+// fans out across the shared worker pool — responses are bit-identical to a
+// direct PredictBatch on the same queries because they are the same code
+// path.
+func (s *Server) runBatch(b *coalesce.Batch) {
+	reqs := b.Live()
+	if len(reqs) == 0 {
+		return
+	}
+	m := s.slot.get()
+	b.Answer(m.model.Predict(reqs...), m.gen, m.model.Kind())
 }
 
 // observeLoop is the single goroutine driving the SlidingPredictor.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/coalesce"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/model"
@@ -179,15 +180,24 @@ type Outcome struct {
 	Err  error
 }
 
-// Predict routes each planned query to its shard, fans the batch out, and
-// merges the results back in input order. Per-request errors are preserved
-// — a query that fails to route, overflows its shard's queue, or misses the
-// context deadline fails alone without voiding its neighbors. The context
-// bounds the whole fan-out: when it expires, still-pending outcomes carry
-// ctx.Err() and their items are abandoned (the owning shard skips them).
+// fan is the share of one Predict call served by one shard: a group, and
+// where each of its items sits in the caller's input order.
+type fan struct {
+	g   coalesce.Group
+	idx []int
+	n   int // the share's size, counted before idx and the items are sized
+}
+
+// Predict routes each planned query to its shard, admits each shard's share
+// as one group, and merges the results back in input order. Per-request
+// errors are preserved — a query that fails to route fails alone, and a
+// shard whose queue has no room for its share refuses that share without
+// voiding the other shards'. The context bounds the whole fan-out: when it
+// expires, still-pending outcomes carry ctx.Err() and their groups are
+// abandoned (the owning shard skips them).
 func (r *Router) Predict(ctx context.Context, qs []*dataset.Query) []Outcome {
 	outs := make([]Outcome, len(qs))
-	items := make([]*Item, len(qs))
+	fans := make([]fan, len(r.shards))
 	for i, q := range qs {
 		sh, owner, err := r.Target(q)
 		outs[i].Shard = owner
@@ -197,24 +207,45 @@ func (r *Router) Predict(ctx context.Context, qs []*dataset.Query) []Outcome {
 			continue
 		}
 		outs[i].Served = sh.ID
-		it := &Item{Ctx: ctx, Req: core.Request{Query: q}, Done: make(chan struct{})}
-		if err := sh.Submit(it); err != nil {
-			outs[i].Err = err
-			continue
-		}
-		items[i] = it
+		fans[sh.ID].n++
 	}
-	for i, it := range items {
-		if it == nil {
+	for i, q := range qs {
+		if outs[i].Err != nil {
 			continue
 		}
-		select {
-		case <-it.Done:
-			outs[i].Res = it.Res
-			outs[i].Gen = it.Gen
-			outs[i].Kind = it.Kind
-		case <-ctx.Done():
-			outs[i].Err = ctx.Err()
+		f := &fans[outs[i].Served]
+		if f.idx == nil {
+			f.g = coalesce.Group{Ctx: ctx, Items: make([]coalesce.Item, 0, f.n)}
+			f.idx = make([]int, 0, f.n)
+		}
+		f.g.Items = append(f.g.Items, coalesce.Item{Req: core.Request{Query: q}})
+		f.idx = append(f.idx, i)
+	}
+	fail := func(f *fan, err error) {
+		for _, i := range f.idx {
+			outs[i].Err = err
+		}
+		f.idx = nil
+	}
+	for id := range fans {
+		if f := &fans[id]; f.idx != nil {
+			if err := r.shards[id].queue.Admit(&f.g); err != nil {
+				fail(f, err)
+			}
+		}
+	}
+	for id := range fans {
+		f := &fans[id]
+		if f.idx == nil {
+			continue
+		}
+		if err := f.g.Wait(); err != nil {
+			fail(f, err)
+			continue
+		}
+		for k, i := range f.idx {
+			it := &f.g.Items[k]
+			outs[i].Res, outs[i].Gen, outs[i].Kind = it.Res, it.Gen, it.Kind
 		}
 	}
 	return outs

@@ -19,13 +19,13 @@
 package shard
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/coalesce"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/model"
@@ -35,9 +35,9 @@ import (
 
 // Tier-wide serving metrics, shared with internal/serve's registry names so
 // dashboards see one continuous series whether the daemon is sharded or
-// not. Per-shard instruments (serve.shard.<id>.*) live on each Shard.
+// not. Per-shard instruments (serve.shard.<id>.*) live on each Shard; the
+// predict queue's own series are recorded by internal/coalesce.
 var (
-	batchSizeHist = obs.GetHistogram("serve.batch.size")
 	modelSwaps    = obs.GetCounter("serve.model.swaps")
 	retrainErrors = obs.GetCounter("serve.retrain.errors")
 	rejectedLoad  = obs.GetCounter("serve.rejected.overload")
@@ -48,43 +48,25 @@ var (
 var (
 	// ErrOverloaded: the target shard's bounded queue is full; shed and
 	// retry (HTTP 429 at the serving layer).
-	ErrOverloaded = errors.New("shard: request queue is full")
+	ErrOverloaded = coalesce.ErrFull
 	// ErrDraining: the tier is shutting down.
-	ErrDraining = errors.New("shard: tier is draining")
+	ErrDraining = coalesce.ErrClosed
 	// ErrNoShards: a router was built with zero shards.
 	ErrNoShards = errors.New("shard: router has no shards")
 )
-
-// Item is one prediction riding through a shard's coalescer. The caller
-// that submitted it waits on Done; the shard's batch loop fills Res and Gen
-// then closes Done (the close is the happens-before edge publishing the
-// result). Ctx is the submitting request's context: an item whose context
-// is already done when its micro-batch runs is answered with the context
-// error and skipped, so abandoned requests never consume predict work and a
-// stalled shard's queue drains in O(queue) once it resumes.
-type Item struct {
-	Ctx context.Context
-	Req core.Request
-	Res core.Result
-	Gen int64
-	Sh  int
-	// Kind is the model kind that answered (filled with Res/Gen), so
-	// responses attribute every prediction — including cold-start fallback
-	// answers — to the model family that produced it.
-	Kind string
-	Done chan struct{}
-}
 
 // Config carries the per-shard serving knobs, shared by every shard of one
 // Router.
 type Config struct {
 	// Window is how long a shard's coalescer holds an open micro-batch for
-	// more arrivals. Zero still sweeps already-queued items but never waits.
+	// more arrivals. Zero never waits: an idle shard dispatches at once and
+	// a batch is whatever queued while the previous one ran.
 	Window time.Duration
-	// MaxBatch caps a micro-batch (default 64).
+	// MaxBatch caps a micro-batch, in queries (default 64).
 	MaxBatch int
-	// QueueCap bounds each shard's pending queue; submissions beyond it are
-	// rejected with ErrOverloaded (default 1024).
+	// QueueCap bounds each shard's pending queries (default 1024); a group
+	// that does not fit whole is rejected with ErrOverloaded unless nothing
+	// is pending.
 	QueueCap int
 }
 
@@ -104,8 +86,7 @@ func (c *Config) fill() {
 type Shard struct {
 	// ID is the shard's index in its router, also the <id> of its
 	// serve.shard.<id>.* metrics.
-	ID  int
-	cfg Config
+	ID int
 
 	slot    Slot
 	sliding *core.SlidingPredictor
@@ -118,14 +99,13 @@ type Shard struct {
 	// goroutine after construction.
 	store *wal.Store
 
-	mu     sync.RWMutex // guards closed + sends on queue/observeCh
+	mu     sync.RWMutex // guards closed + sends on observeCh
 	closed bool
 
-	queue        chan *Item
-	coalesceDone chan struct{}
-	// reqScratch is the coalescer's reusable micro-batch request slice,
-	// owned exclusively by the coalesce goroutine (see runBatch).
-	reqScratch []core.Request
+	// queue is the shard's micro-batching queue and its coalescer goroutine
+	// (see runBatch) — per shard, so a slow shard stalls only its own queue
+	// and requests on other shards proceed within their own deadlines.
+	queue *coalesce.Queue
 
 	observeCh   chan *dataset.Query
 	observeDone chan struct{}
@@ -156,16 +136,13 @@ type Shard struct {
 // restart. sc.Zoo enables champion/challenger operation.
 func newShard(id int, sc ShardConfig, cfg Config) (*Shard, error) {
 	s := &Shard{
-		ID:           id,
-		cfg:          cfg,
-		sliding:      sc.Sliding,
-		store:        sc.Store,
-		queue:        make(chan *Item, cfg.QueueCap),
-		coalesceDone: make(chan struct{}),
-		mWindow:      obs.GetGauge(fmt.Sprintf("serve.shard.%d.window", id)),
-		mSwaps:       obs.GetCounter(fmt.Sprintf("serve.shard.%d.swaps", id)),
-		mPredicts:    obs.GetCounter(fmt.Sprintf("serve.shard.%d.predictions", id)),
-		mObserved:    obs.GetCounter(fmt.Sprintf("serve.shard.%d.observed", id)),
+		ID:        id,
+		sliding:   sc.Sliding,
+		store:     sc.Store,
+		mWindow:   obs.GetGauge(fmt.Sprintf("serve.shard.%d.window", id)),
+		mSwaps:    obs.GetCounter(fmt.Sprintf("serve.shard.%d.swaps", id)),
+		mPredicts: obs.GetCounter(fmt.Sprintf("serve.shard.%d.predictions", id)),
+		mObserved: obs.GetCounter(fmt.Sprintf("serve.shard.%d.observed", id)),
 	}
 	boot := sc.BootModel
 	if boot == nil && sc.Boot != nil {
@@ -197,7 +174,7 @@ func newShard(id int, sc ShardConfig, cfg Config) (*Shard, error) {
 	if s.zoo != nil {
 		s.zoo.sinceGen.Store(s.generation())
 	}
-	go s.coalesceLoop()
+	s.queue = coalesce.Start(coalesce.Config(cfg), s.runBatch)
 	if s.sliding != nil {
 		s.observeCh = make(chan *dataset.Query, cfg.QueueCap)
 		s.observeDone = make(chan struct{})
@@ -231,24 +208,6 @@ func (s *Shard) Recovery() *wal.RecoveryInfo {
 	}
 	info := s.store.Info()
 	return &info
-}
-
-// Submit hands an item to the shard's coalescer without blocking: a full
-// queue sheds load with ErrOverloaded instead of stacking goroutines.
-func (s *Shard) Submit(it *Item) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrDraining
-	}
-	it.Sh = s.ID
-	select {
-	case s.queue <- it:
-		return nil
-	default:
-		rejectedLoad.Inc()
-		return ErrOverloaded
-	}
 }
 
 // Observe hands one executed query to the shard's observe loop without
@@ -370,116 +329,24 @@ func (s *Shard) observeLoop() {
 	}
 }
 
-// coalesceLoop gathers concurrently submitted items into micro-batches,
-// exactly as the unsharded daemon's coalescer does — but per shard, so a
-// slow shard stalls only its own queue and unrelated requests on other
-// shards proceed within their own deadlines.
-func (s *Shard) coalesceLoop() {
-	defer close(s.coalesceDone)
-	// batch and the runBatch request scratch are owned by this goroutine and
-	// reused across micro-batches: the steady-state loop allocates nothing.
-	batch := make([]*Item, 0, s.cfg.MaxBatch)
-	for {
-		first, ok := <-s.queue
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], first)
-		if s.cfg.Window > 0 {
-			timer := time.NewTimer(s.cfg.Window)
-			for len(batch) < s.cfg.MaxBatch {
-				stop := false
-				select {
-				case it, ok := <-s.queue:
-					if !ok {
-						stop = true
-						break
-					}
-					batch = append(batch, it)
-				case <-timer.C:
-					stop = true
-				}
-				if stop {
-					break
-				}
-			}
-			timer.Stop()
-		} else {
-			for len(batch) < s.cfg.MaxBatch {
-				stop := false
-				select {
-				case it, ok := <-s.queue:
-					if !ok {
-						stop = true
-						break
-					}
-					batch = append(batch, it)
-				default:
-					stop = true
-				}
-				if stop {
-					break
-				}
-			}
-		}
-		s.runBatch(batch)
-		// Drop the item pointers so answered items are collectable while the
-		// slice itself is reused for the next batch.
-		for i := range batch {
-			batch[i] = nil
-		}
-	}
-}
-
 // runBatch answers one micro-batch with one model: the slot is read once,
 // so every item in the batch is served by the same generation even while
-// retrains swap the slot concurrently. Items whose submitting context is
+// retrains swap the slot concurrently. Groups whose submitting context is
 // already done are answered with its error and excluded from the predict
 // call — an abandoned request costs nothing past its deadline.
-func (s *Shard) runBatch(batch []*Item) {
+func (s *Shard) runBatch(b *coalesce.Batch) {
 	if s.batchHook != nil {
 		s.batchHook()
 	}
-	live := batch[:0]
-	for _, it := range batch {
-		if it.Ctx != nil {
-			select {
-			case <-it.Ctx.Done():
-				it.Res.Err = it.Ctx.Err()
-				close(it.Done)
-				continue
-			default:
-			}
-		}
-		live = append(live, it)
-	}
-	if len(live) == 0 {
+	reqs := b.Live()
+	if len(reqs) == 0 {
 		return
 	}
-	batchSizeHist.Observe(float64(len(live)))
 	m := s.slot.Get()
-	// reqScratch is reused across batches (runBatch is only ever called from
-	// the coalesce goroutine); entries are cleared after the predict so query
-	// pointers are not pinned past their batch.
-	if cap(s.reqScratch) < len(live) {
-		s.reqScratch = make([]core.Request, len(live))
-	}
-	reqs := s.reqScratch[:len(live)]
-	for i, b := range live {
-		reqs[i] = b.Req
-	}
 	results := m.Model.Predict(reqs...)
-	for i := range reqs {
-		reqs[i] = core.Request{}
-	}
-	s.nPredicts.Add(int64(len(live)))
-	s.mPredicts.Add(int64(len(live)))
-	for i, b := range live {
-		b.Res = results[i]
-		b.Gen = m.Gen
-		b.Kind = m.Model.Kind()
-		close(b.Done)
-	}
+	s.nPredicts.Add(int64(len(reqs)))
+	s.mPredicts.Add(int64(len(reqs)))
+	b.Answer(results, m.Gen, m.Model.Kind())
 }
 
 // close drains the shard: new submissions are refused, in-flight
@@ -492,12 +359,11 @@ func (s *Shard) close() {
 		return
 	}
 	s.closed = true
-	close(s.queue)
 	if s.observeCh != nil {
 		close(s.observeCh)
 	}
 	s.mu.Unlock()
-	<-s.coalesceDone
+	s.queue.Close()
 	if s.observeDone != nil {
 		<-s.observeDone
 	}

@@ -1,7 +1,7 @@
 // Package qpredict is the configuration surface of the qpredict binaries:
 // one Options struct covering the trainer, predictor, serving, sharding,
-// durable-state, and champion/challenger knobs, with defaults matching the
-// flags the binaries have always shipped. A JSON file loaded with LoadFile
+// durable-state, and champion/challenger knobs, and the defaults the
+// binaries' flags start from. A JSON file loaded with LoadFile
 // (qpredictd -config / qpredict -config) populates it; explicitly set
 // flags override individual fields afterwards. The package holds no global
 // state — every call works on the Options value it is given.
@@ -72,10 +72,12 @@ type TrainOptions struct {
 type ServeOptions struct {
 	// Addr is the listen address (":0" for an ephemeral port).
 	Addr string `json:"addr"`
-	// Window is the micro-batch coalescing window (0 batches only what is
-	// already queued).
+	// Window is how long an idle engine holds its first arrival for more
+	// to batch with. The stock 0 never holds: an idle engine dispatches at
+	// once and a batch is whatever queued while the previous one ran.
 	Window Duration `json:"window"`
-	// MaxBatch caps a micro-batch; QueueCap bounds the pending queue.
+	// MaxBatch caps a micro-batch; QueueCap bounds the pending queue (both
+	// in queries).
 	MaxBatch int `json:"max_batch"`
 	QueueCap int `json:"queue"`
 	// Timeout is the per-request prediction deadline.
@@ -165,16 +167,14 @@ type Options struct {
 	Champion ChampionOptions `json:"champion"`
 }
 
-// Default returns the options every binary starts from — identical to the
-// historical flag defaults, with the champion policy mirroring
-// model.DefaultPromotionPolicy.
+// Default returns the options every binary starts from, with the champion
+// policy mirroring model.DefaultPromotionPolicy.
 func Default() Options {
 	pp := model.DefaultPromotionPolicy()
 	return Options{
 		Train: TrainOptions{Count: 800, Seed: 1, DataSeed: 1000, Machine: "research4"},
 		Serve: ServeOptions{
 			Addr:         ":8080",
-			Window:       Duration(2 * time.Millisecond),
 			MaxBatch:     64,
 			QueueCap:     1024,
 			Timeout:      Duration(10 * time.Second),

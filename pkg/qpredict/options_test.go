@@ -31,6 +31,36 @@ func TestDefaultValidates(t *testing.T) {
 	if got, want := opts.Champion.Policy(), model.DefaultPromotionPolicy(); got != want {
 		t.Fatalf("default champion policy %+v != model default %+v", got, want)
 	}
+	if opts.Serve.Window != 0 {
+		t.Fatalf("stock serve.window %v, want 0: an idle engine must not hold its first arrival", opts.Serve.Window)
+	}
+}
+
+// TestWindowStillConfigurable: the hold window left the stock path, not the
+// configuration surface — a file that sets it loads and round-trips, and a
+// negative one is rejected.
+func TestWindowStillConfigurable(t *testing.T) {
+	opts, err := LoadFile(writeConfig(t, `{"serve": {"window": "2ms"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.Serve.Window.Std() != 2*time.Millisecond {
+		t.Fatalf("serve.window %v, want 2ms", opts.Serve.Window)
+	}
+	b, err := json.Marshal(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := LoadFile(writeConfig(t, string(b)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Serve.Window != opts.Serve.Window {
+		t.Fatalf("serve.window %v after a round trip, want %v", again.Serve.Window, opts.Serve.Window)
+	}
+	if _, err := LoadFile(writeConfig(t, `{"serve": {"window": "-1ms"}}`)); err == nil {
+		t.Fatal("negative serve.window accepted")
+	}
 }
 
 func TestLoadFilePartialOverridesDefaults(t *testing.T) {
