@@ -39,6 +39,11 @@ const defaultPlanCacheCap = 4096
 // insert, so every downstream feature extraction — prediction, window
 // retrains, fingerprint routing — skips the plan walk too.
 //
+// A miss costs what the pipeline allocates for the query it returns and
+// nothing for the cache: the prototype is stored by value in its entry, and
+// at capacity the evicted entry and its list element are reused for the
+// newcomer.
+//
 // Lookup is by 64-bit FNV-1a over the SQL text, guarded by an exact string
 // compare so a fingerprint collision degrades to a miss rather than a wrong
 // plan. Plan failures are never cached (errors stay as cheap or expensive as
@@ -61,7 +66,7 @@ type planEntry struct {
 	sql string
 	// proto is the immutable prototype: exactly what the plan pipeline
 	// returned, with PlanFeat memoized. Hits hand out shallow copies.
-	proto *dataset.Query
+	proto dataset.Query
 }
 
 // NewPlanCache wraps a deterministic plan pipeline in a bounded LRU.
@@ -98,9 +103,9 @@ func (c *PlanCache) Plan(sql string) (*dataset.Query, error) {
 		e := el.Value.(*planEntry)
 		if e.sql == sql {
 			c.order.MoveToFront(el)
-			// Copy under the lock: a concurrent miss on the same SQL
-			// replaces e.proto in put.
-			q := *e.proto
+			// Copy under the lock: a concurrent miss on the same SQL, or an
+			// eviction, overwrites e.proto in put.
+			q := e.proto
 			c.mu.Unlock()
 			planHits.Inc()
 			return &q, nil
@@ -116,31 +121,31 @@ func (c *PlanCache) Plan(sql string) (*dataset.Query, error) {
 	if q.PlanFeat == nil && q.Plan != nil {
 		q.PlanFeat = features.PlanVector(q.Plan)
 	}
-	proto := *q
-	c.put(fp, sql, &proto)
+	c.put(fp, sql, q)
 	return q, nil
 }
 
-// put inserts a prototype, evicting the least recently used entry at
-// capacity. At most one SQL string per fingerprint is cached; a colliding
-// insert overwrites (the newer query is the one traffic is sending).
-func (c *PlanCache) put(fp uint64, sql string, proto *dataset.Query) {
+// put inserts a copy of q as the prototype for sql, taking over the least
+// recently used entry at capacity. At most one SQL string per fingerprint is
+// cached; a colliding insert overwrites (the newer query is the one traffic
+// is sending).
+func (c *PlanCache) put(fp uint64, sql string, q *dataset.Query) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, found := c.byFP[fp]; found {
-		e := el.Value.(*planEntry)
-		e.sql = sql
-		e.proto = proto
-		c.order.MoveToFront(el)
-		return
+	el, found := c.byFP[fp]
+	switch {
+	case found:
+	case c.order.Len() >= c.cap:
+		el = c.order.Back()
+		delete(c.byFP, el.Value.(*planEntry).fp)
+		c.byFP[fp] = el
+	default:
+		el = c.order.PushFront(&planEntry{})
+		c.byFP[fp] = el
 	}
-	for c.order.Len() >= c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.byFP, oldest.Value.(*planEntry).fp)
-	}
-	e := &planEntry{fp: fp, sql: sql, proto: proto}
-	c.byFP[fp] = c.order.PushFront(e)
+	e := el.Value.(*planEntry)
+	e.fp, e.sql, e.proto = fp, sql, *q
+	c.order.MoveToFront(el)
 }
 
 // Len reports the current entry count (0 when disabled).

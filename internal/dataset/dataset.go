@@ -70,7 +70,7 @@ func Generate(cfg GenConfig) (*Dataset, error) {
 		return nil, fmt.Errorf("dataset: nil schema")
 	}
 	ds := &Dataset{SchemaName: cfg.Schema.Name, Machine: cfg.Machine}
-	planCfg := optimizer.DefaultConfig(cfg.Machine.Processors)
+	planner := optimizer.NewPlanner(cfg.Schema, cfg.DataSeed, optimizer.DefaultConfig(cfg.Machine.Processors))
 	paramRNG := make([]*statutil.RNG, len(cfg.Templates))
 	for i, tpl := range cfg.Templates {
 		paramRNG[i] = statutil.NewRNG(cfg.Seed, "params:"+tpl.Name)
@@ -80,7 +80,7 @@ func Generate(cfg GenConfig) (*Dataset, error) {
 		ti := i % len(cfg.Templates)
 		tpl := cfg.Templates[ti]
 		ast := tpl.Gen(paramRNG[ti])
-		plan, err := optimizer.BuildPlan(ast, cfg.Schema, cfg.DataSeed, planCfg)
+		plan, err := planner.Plan(ast)
 		if err != nil {
 			return nil, fmt.Errorf("dataset: planning %s instance %d: %w", tpl.Name, i, err)
 		}
@@ -105,10 +105,10 @@ func Generate(cfg GenConfig) (*Dataset, error) {
 // must match the one used at generation time.
 func ReExecute(d *Dataset, schema *catalog.Schema, dataSeed int64, m exec.Machine, noiseSeed int64) (*Dataset, error) {
 	out := &Dataset{SchemaName: d.SchemaName, Machine: m}
-	planCfg := optimizer.DefaultConfig(m.Processors)
+	planner := optimizer.NewPlanner(schema, dataSeed, optimizer.DefaultConfig(m.Processors))
 	noise := statutil.NewRNG(noiseSeed, "execnoise:"+m.Name)
 	for _, q := range d.Queries {
-		plan, err := optimizer.BuildPlan(q.AST, schema, dataSeed, planCfg)
+		plan, err := planner.Plan(q.AST)
 		if err != nil {
 			return nil, fmt.Errorf("dataset: re-planning query %d: %w", q.ID, err)
 		}

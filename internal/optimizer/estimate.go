@@ -1,9 +1,8 @@
 package optimizer
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math"
+	"strconv"
 
 	"repro/internal/catalog"
 	"repro/internal/sqlgen"
@@ -26,10 +25,17 @@ import (
 // The gap between the two is exactly the paper's "sources of uncertainty,
 // such as skewed data distributions and erroneous cardinality estimates".
 type Estimator struct {
-	Schema *catalog.Schema
-	// Seed identifies the data realization; surprises are deterministic
-	// functions of (seed, schema, table, column, value).
-	Seed int64
+	// base is the key hash after the "schema\x00seed" prefix every draw
+	// starts with, computed once. The seed identifies the data realization;
+	// surprises are deterministic functions of (seed, schema, table,
+	// column, value).
+	base keyHash
+}
+
+// NewEstimator returns the estimator for the data realization seed of
+// schema.
+func NewEstimator(schema *catalog.Schema, seed int64) Estimator {
+	return Estimator{base: newKeyHash().str(schema.Name).key("").int(seed)}
 }
 
 // Card is an (estimated, actual) cardinality pair.
@@ -48,35 +54,71 @@ const staleFraction = 0.12
 // less selective than independence predicts.
 const corrExponentBase = 0.82
 
-// hash01 maps the key strings to a deterministic uniform value in [0, 1).
-func (e *Estimator) hash01(keys ...string) float64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s\x00%d", e.Schema.Name, e.Seed)
-	for _, k := range keys {
-		h.Write([]byte{0})
-		h.Write([]byte(k))
+// keyHash is a running 64-bit FNV-1a state over the key of one
+// deterministic draw: the estimator's prefix, then each key part behind a
+// zero byte. A draw used to format its key with fmt and push it through a
+// hash.Hash; streaming the same bytes through this value yields the same
+// digest bit for bit (the fmt version survives in the tests as the oracle)
+// and allocates nothing.
+type keyHash uint64
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func newKeyHash() keyHash { return fnvOffset64 }
+
+// str hashes the bytes of s onto the current key part.
+func (h keyHash) str(s string) keyHash {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ keyHash(s[i])) * fnvPrime64
 	}
-	return float64(h.Sum64()>>11) / float64(1<<53)
+	return h
 }
 
+// key starts a new key part with s.
+func (h keyHash) key(s string) keyHash { return (h * fnvPrime64).str(s) }
+
+func (h keyHash) bytes(b []byte) keyHash {
+	for _, c := range b {
+		h = (h ^ keyHash(c)) * fnvPrime64
+	}
+	return h
+}
+
+// int hashes n's decimal digits, as %d prints them.
+func (h keyHash) int(n int64) keyHash {
+	var buf [20]byte
+	return h.bytes(strconv.AppendInt(buf[:0], n, 10))
+}
+
+// float hashes v's shortest round-trip digits, as %g prints them.
+func (h keyHash) float(v float64) keyHash {
+	var buf [24]byte
+	return h.bytes(strconv.AppendFloat(buf[:0], v, 'g', -1, 64))
+}
+
+// unit maps the digest to a uniform value in [0, 1).
+func (h keyHash) unit() float64 { return float64(uint64(h)>>11) / float64(1<<53) }
+
 // surprise returns a deterministic multiplicative factor exp(s·(2u−1)),
-// i.e. in [e^−s, e^s], keyed by the given strings.
-func (e *Estimator) surprise(s float64, keys ...string) float64 {
+// i.e. in [e^−s, e^s], for the draw keyed by h.
+func surprise(s float64, h keyHash) float64 {
 	if s <= 0 {
 		return 1
 	}
-	u := e.hash01(keys...)
-	return math.Exp(s * (2*u - 1))
+	return math.Exp(s * (2*h.unit() - 1))
 }
 
 // hotness returns the true frequency multiplier of one specific value of a
 // skewed column relative to the uniform frequency: a Pareto draw keyed by
 // the value, capped so the implied selectivity stays below one.
-func (e *Estimator) hotness(col *catalog.Column, keys ...string) float64 {
+func hotness(col *catalog.Column, key keyHash) float64 {
 	if col.Skew <= 0 {
 		return 1
 	}
-	u := e.hash01(keys...)
+	u := key.unit()
 	h := math.Pow(1/(1-u+1e-12), col.Skew)
 	cap := float64(col.NDV) / 2
 	if cap < 1 {
@@ -102,10 +144,11 @@ func (e *Estimator) eqSelectivity(table *catalog.Table, col *catalog.Column, val
 		ndv = 1
 	}
 	uniform := 1 / ndv
-	act := clampSel(uniform * e.hotness(col, table.Name, col.Name, fmt.Sprintf("eq:%g", value)))
+	column := e.base.key(table.Name).key(col.Name)
+	act := clampSel(uniform * hotness(col, column.key("eq:").float(value)))
 	est := uniform
 	if col.NDV <= histogramNDV {
-		est = clampSel(act * e.surprise(0.45, table.Name, col.Name, fmt.Sprintf("histeq:%g", value)))
+		est = clampSel(act * surprise(0.45, column.key("histeq:").float(value)))
 	}
 	return est, act
 }
@@ -140,6 +183,7 @@ func (e *Estimator) rangeSelectivity(table *catalog.Table, col *catalog.Column, 
 	// in ways no single linear model fits (so the paper's regression
 	// baseline collapses).
 	const knots = 8
+	column := e.base.key(table.Name).key(col.Name)
 	pos := ((lo+hi)/2 - domLo) / span
 	if pos < 0 {
 		pos = 0
@@ -154,8 +198,8 @@ func (e *Estimator) rangeSelectivity(table *catalog.Table, col *catalog.Column, 
 			i = knots - 1
 		}
 		t := x - float64(i)
-		a := e.hash01(table.Name, col.Name, kind, fmt.Sprintf("knot:%d", i))
-		b := e.hash01(table.Name, col.Name, kind, fmt.Sprintf("knot:%d", i+1))
+		knot := column.key(kind).key("knot:")
+		a, b := knot.int(int64(i)).unit(), knot.int(int64(i+1)).unit()
 		return a*(1-t) + b*t
 	}
 	gamma := 0.6 + 0.4*lerpKnots("density")
@@ -165,14 +209,13 @@ func (e *Estimator) rangeSelectivity(table *catalog.Table, col *catalog.Column, 
 	}
 	// Skewed columns add a further smoothly varying deviation.
 	act *= math.Exp(0.5 * col.Skew * (2*lerpKnots("rngskew") - 1))
-	regionKey := fmt.Sprintf("region:%d", int(pos*float64(knots)))
 	// A small residual keyed by the exact constants: fine-grained density
 	// structure below histogram resolution. This is the component no
 	// feature vector can capture, bounding every model's accuracy. Known
 	// artifact: because the residual is redrawn when the endpoints move,
 	// the synthetic "actual" is only approximately monotone under range
 	// widening (within the ±10% residual bound), unlike physical data.
-	act *= e.surprise(0.10, table.Name, col.Name, fmt.Sprintf("fine:%g:%g", lo, hi))
+	act *= surprise(0.10, column.key("fine:").float(lo).str(":").float(hi))
 	// The optimizer estimates from the uniform assumption. Its statistics
 	// are additionally stale for date columns: it has not seen the top
 	// staleFraction of the domain, so ranges touching recent data are
@@ -184,7 +227,7 @@ func (e *Estimator) rangeSelectivity(table *catalog.Table, col *catalog.Column, 
 	} else {
 		// Equi-depth histograms blur the uniform estimate by their
 		// resolution error.
-		est = uniformFrac * e.surprise(0.3, table.Name, col.Name, "histrng", regionKey)
+		est = uniformFrac * surprise(0.3, column.key("histrng").key("region:").int(int64(pos*float64(knots))))
 	}
 	return clampSel(est), clampSel(act)
 }
@@ -210,7 +253,7 @@ func (e *Estimator) cmpSelectivity(table *catalog.Table, col *catalog.Column, op
 // predSelectivity returns the (est, act) selectivity of a single predicate.
 // IN-subquery and EXISTS predicates are handled by the planner (as
 // semi-joins and subplan filters) and must not be passed here.
-func (e *Estimator) predSelectivity(table *catalog.Table, p sqlgen.Predicate) (float64, float64) {
+func (e *Estimator) predSelectivity(table *catalog.Table, p *sqlgen.Predicate) (float64, float64) {
 	col := table.Column(p.Col.Column)
 	if col == nil {
 		// Unknown column: both models fall back to a guess.
@@ -232,56 +275,44 @@ func (e *Estimator) predSelectivity(table *catalog.Table, p sqlgen.Predicate) (f
 	}
 }
 
-// ScanCards returns the input (rows scanned) and output (rows surviving the
-// pushed-down predicates) cardinalities for a base-table scan. The
+// scanSel is the combined selectivity of the predicates pushed down to one
+// scan, multiplied up in the order the predicates were written. The
 // estimated output assumes independent predicates; the actual output models
 // positive correlation between predicates on the same table.
-func (e *Estimator) ScanCards(tableName string, preds []sqlgen.Predicate) (in Card, out Card, err error) {
-	table := e.Schema.Table(tableName)
-	if table == nil {
-		return Card{}, Card{}, fmt.Errorf("optimizer: unknown table %q", tableName)
-	}
-	rows := float64(table.RowCount)
-	in = Card{Est: rows, Act: rows}
-	estSel, actSel := 1.0, 1.0
-	k := 0
-	for _, p := range preds {
-		if p.Subquery != nil || p.Exists {
-			continue
-		}
-		es, as := e.predSelectivity(table, p)
-		estSel *= es
-		actSel *= as
-		k++
-	}
-	if k > 1 {
-		actSel = math.Pow(actSel, math.Pow(corrExponentBase, float64(k-1)))
-	}
-	out = Card{Est: rows * clampSel(estSel), Act: rows * clampSel(actSel)}
-	if out.Est < 1 {
-		out.Est = 1
-	}
-	if out.Act < 1 {
-		out.Act = 1
-	}
-	return in, out, nil
+type scanSel struct {
+	est, act float64
+	k        int
 }
 
-// JoinCards returns the output cardinality of a join given the child output
-// cardinalities. For equijoins both models use |L|·|R| / max(ndvL, ndvR)
-// with the base-column distinct counts, which reduces to foreign-key
-// semantics when one side is a key; the actual value additionally carries a
-// skew surprise. For inequality joins the optimizer uses the classic 1/3
-// magic constant while the true selectivity is a keyed draw.
-func (e *Estimator) JoinCards(j sqlgen.JoinPred, leftTable, rightTable string, left, right Card) Card {
-	lt, rt := e.Schema.Table(leftTable), e.Schema.Table(rightTable)
-	var lcol, rcol *catalog.Column
-	if lt != nil {
-		lcol = lt.Column(j.Left.Column)
+var noPredicates = scanSel{est: 1, act: 1}
+
+func (s *scanSel) and(est, act float64) {
+	s.est *= est
+	s.act *= act
+	s.k++
+}
+
+// scanCards returns the input (rows scanned) and output (rows surviving the
+// pushed-down predicates) cardinalities of a scan of table.
+func (s scanSel) scanCards(table *catalog.Table) (in, out Card) {
+	rows := float64(table.RowCount)
+	if s.k > 1 {
+		s.act = math.Pow(s.act, math.Pow(corrExponentBase, float64(s.k-1)))
 	}
-	if rt != nil {
-		rcol = rt.Column(j.Right.Column)
-	}
+	return Card{Est: rows, Act: rows},
+		Card{Est: floorOne(rows * clampSel(s.est)), Act: floorOne(rows * clampSel(s.act))}
+}
+
+// JoinCards returns the output cardinality of a join between a column of
+// lt and a column of rt given the child output cardinalities. For equijoins
+// both models use |L|·|R| / max(ndvL, ndvR) with the base-column distinct
+// counts, which reduces to foreign-key semantics when one side is a key;
+// the actual value additionally carries a skew surprise. For inequality
+// joins the optimizer uses the classic 1/3 magic constant while the true
+// selectivity is a keyed draw.
+func (e *Estimator) JoinCards(j *sqlgen.JoinPred, lt, rt *catalog.Table, left, right Card) Card {
+	lcol, rcol := lt.Column(j.Left.Column), rt.Column(j.Right.Column)
+	pair := e.base.key(lt.Name).key(j.Left.Column).key(rt.Name).key(j.Right.Column)
 	if j.Op == sqlgen.OpEq {
 		ndv := 1.0
 		skew := 0.0
@@ -299,13 +330,13 @@ func (e *Estimator) JoinCards(j sqlgen.JoinPred, leftTable, rightTable string, l
 		}
 		sel := 1 / ndv
 		est := left.Est * right.Est * sel
-		sur := e.surprise(0.6*skew, leftTable, j.Left.Column, rightTable, j.Right.Column, "join")
+		sur := surprise(0.6*skew, pair.key("join"))
 		act := left.Act * right.Act * sel * sur
 		return Card{Est: floorOne(est), Act: floorOne(act)}
 	}
 	// Inequality join.
 	const magic = 1.0 / 3.0
-	u := e.hash01(leftTable, j.Left.Column, rightTable, j.Right.Column, "nejoin")
+	u := pair.key("nejoin").unit()
 	actSel := 0.05 + 0.55*math.Pow(u, 1.5)
 	return Card{
 		Est: floorOne(left.Est * right.Est * magic),
@@ -313,15 +344,21 @@ func (e *Estimator) JoinCards(j sqlgen.JoinPred, leftTable, rightTable string, l
 	}
 }
 
+// SelfCompareCards filters a relation by a comparison between two of its
+// own columns: the optimizer guesses a third; the true fraction is a keyed
+// draw around it.
+func (e *Estimator) SelfCompareCards(table *catalog.Table, column string, in Card) Card {
+	sur := surprise(0.5, e.base.key(table.Name).key(column).key("selfcmp"))
+	return Card{Est: floorOne(in.Est / 3), Act: floorOne(in.Act * sur / 3)}
+}
+
 // SemiJoinCards returns the output cardinality of outer ⋉ sub for an
 // IN-subquery predicate on outerCol: the fraction of outer rows whose value
 // appears in the subquery result.
-func (e *Estimator) SemiJoinCards(outerTable, outerCol string, outer, sub Card) Card {
+func (e *Estimator) SemiJoinCards(outerTable *catalog.Table, outerCol string, outer, sub Card) Card {
 	ndv := 1.0
-	if t := e.Schema.Table(outerTable); t != nil {
-		if c := t.Column(outerCol); c != nil && c.NDV > 0 {
-			ndv = float64(c.NDV)
-		}
+	if c := outerTable.Column(outerCol); c != nil && c.NDV > 0 {
+		ndv = float64(c.NDV)
 	}
 	// Distinct values in the subquery output shrink sublinearly with its
 	// cardinality (duplicates).
@@ -329,7 +366,7 @@ func (e *Estimator) SemiJoinCards(outerTable, outerCol string, outer, sub Card) 
 		d := math.Pow(rows, 0.85)
 		return clampSel(d / ndv)
 	}
-	sur := e.surprise(0.4, outerTable, outerCol, "semijoin")
+	sur := surprise(0.4, e.base.key(outerTable.Name).key(outerCol).key("semijoin"))
 	return Card{
 		Est: floorOne(outer.Est * frac(sub.Est)),
 		Act: floorOne(outer.Act * clampSel(frac(sub.Act)*sur)),
@@ -353,20 +390,16 @@ func (e *Estimator) GroupCards(groupNDV float64, in Card) Card {
 		}
 		return floorOne(d)
 	}
-	sur := e.surprise(0.3, "groupby", fmt.Sprintf("%g", groupNDV))
+	sur := surprise(0.3, e.base.key("groupby").key("").float(groupNDV))
 	return Card{Est: distinct(in.Est), Act: floorOne(distinct(in.Act) * sur)}
 }
 
 // GroupNDV returns the product of distinct counts of the grouping columns,
-// capped to avoid overflow.
-func (e *Estimator) GroupNDV(cols []columnBinding) float64 {
+// capped to avoid overflow. Columns the catalog does not know are nil and
+// count for nothing.
+func GroupNDV(cols []*catalog.Column) float64 {
 	ndv := 1.0
-	for _, cb := range cols {
-		t := e.Schema.Table(cb.table)
-		if t == nil {
-			continue
-		}
-		c := t.Column(cb.column)
+	for _, c := range cols {
 		if c == nil || c.NDV <= 0 {
 			continue
 		}
@@ -376,11 +409,6 @@ func (e *Estimator) GroupNDV(cols []columnBinding) float64 {
 		}
 	}
 	return ndv
-}
-
-// columnBinding pairs a resolved table name with a column name.
-type columnBinding struct {
-	table, column string
 }
 
 func clampSel(s float64) float64 {

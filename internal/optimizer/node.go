@@ -33,6 +33,18 @@ type Node struct {
 	SortCols, GroupCols int
 
 	Children []*Node
+	// kids is where the planner keeps Children (no operator has more than
+	// two), so a node and its child list are one object.
+	kids [2]*Node
+}
+
+// setChildren makes a, and b unless nil, the node's children.
+func (n *Node) setChildren(a, b *Node) {
+	n.kids = [2]*Node{a, b}
+	n.Children = n.kids[:1]
+	if b != nil {
+		n.Children = n.kids[:2]
+	}
 }
 
 // Plan is a complete physical plan for one query.

@@ -1,12 +1,14 @@
 package optimizer
 
 import (
+	"fmt"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/catalog"
+	"repro/internal/sqlgen"
 	"repro/internal/sqlparse"
 )
 
@@ -47,15 +49,6 @@ func TestPlanSimpleScan(t *testing.T) {
 	}
 	if p.Cost <= 0 {
 		t.Errorf("cost = %v, want positive", p.Cost)
-	}
-}
-
-func TestPlanDeterministic(t *testing.T) {
-	sql := "SELECT COUNT(*) FROM store_sales, item WHERE ss_item_sk = i_item_sk AND i_category = 'v3'"
-	p1 := mustPlanSQL(t, sql, 4)
-	p2 := mustPlanSQL(t, sql, 4)
-	if !reflect.DeepEqual(p1, p2) {
-		t.Error("same query and seed must produce identical plans")
 	}
 }
 
@@ -260,24 +253,23 @@ func TestScalarCostGrowsWithWork(t *testing.T) {
 }
 
 func TestEstimatorJoinCardsNonNegative(t *testing.T) {
-	e := &Estimator{Schema: testSchema, Seed: 3}
-	in, out, err := e.ScanCards("store_sales", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in, out := noPredicates.scanCards(testSchema.Table("store_sales"))
 	if in.Est <= 0 || out.Act <= 0 {
 		t.Errorf("scan cards must be positive: %+v %+v", in, out)
 	}
 	if out.Est > in.Est || out.Act > in.Act {
 		t.Errorf("scan output cannot exceed input: in=%+v out=%+v", in, out)
 	}
-	if _, _, err := e.ScanCards("missing", nil); err == nil {
+	if _, err := BuildPlan(&sqlgen.Query{
+		Select: []sqlgen.SelectItem{{Agg: sqlgen.AggCountStar}},
+		From:   []sqlgen.TableRef{{Table: "missing"}},
+	}, testSchema, 3, DefaultConfig(4)); err == nil {
 		t.Error("unknown table should error")
 	}
 }
 
 func TestGroupCards(t *testing.T) {
-	e := &Estimator{Schema: testSchema, Seed: 3}
+	e := NewEstimator(testSchema, 3)
 	// Far more rows than groups: distinct estimate saturates at the NDV.
 	out := e.GroupCards(10, Card{Est: 1e6, Act: 1e6})
 	if out.Est < 5 || out.Est > 10 {
@@ -332,5 +324,65 @@ func TestExplainRendersEveryOperator(t *testing.T) {
 	// Header (2 lines) + one line per operator.
 	if lines := strings.Count(out, "\n"); lines != ops+2 {
 		t.Errorf("Explain lines = %d, want %d", lines, ops+2)
+	}
+}
+
+// TestNodesShareOneSlab: a plan's nodes are consecutive elements of one
+// allocation, each holding its own child list.
+func TestNodesShareOneSlab(t *testing.T) {
+	p := mustPlanSQL(t, "SELECT i_category, COUNT(*) FROM store_sales, item WHERE ss_item_sk = i_item_sk GROUP BY i_category ORDER BY i_category LIMIT 5", 4)
+	var lo, hi uintptr
+	count := 0
+	p.Root.Walk(func(n *Node) {
+		addr := uintptr(unsafe.Pointer(n))
+		if count == 0 || addr < lo {
+			lo = addr
+		}
+		if addr > hi {
+			hi = addr
+		}
+		count++
+		if len(n.Children) > 0 && &n.Children[0] != &n.kids[0] {
+			t.Errorf("%s keeps its children outside the node", n.Op)
+		}
+	})
+	if span := (hi-lo)/unsafe.Sizeof(Node{}) + 1; int(span) != count {
+		t.Errorf("%d nodes spread over %d slab slots", count, span)
+	}
+}
+
+// TestFromListLimit: relation sets are 64-bit masks, so a SELECT lists at
+// most maxFromEntries tables — and plans that many.
+func TestFromListLimit(t *testing.T) {
+	build := func(n int) *sqlgen.Query {
+		q := &sqlgen.Query{Select: []sqlgen.SelectItem{{Agg: sqlgen.AggCountStar}}}
+		for i := 0; i < n; i++ {
+			q.From = append(q.From, sqlgen.TableRef{Table: "store", Alias: fmt.Sprintf("s%d", i)})
+			if i > 0 {
+				q.Joins = append(q.Joins, sqlgen.JoinPred{
+					Left:  sqlgen.ColumnRef{Table: fmt.Sprintf("s%d", i-1), Column: "s_store_sk"},
+					Right: sqlgen.ColumnRef{Table: fmt.Sprintf("s%d", i), Column: "s_store_sk"},
+				})
+			}
+		}
+		return q
+	}
+	for _, ordering := range []JoinOrdering{OrderGreedy, OrderDP} {
+		cfg := DefaultConfig(4)
+		cfg.JoinOrdering = ordering
+		p, err := BuildPlan(build(maxFromEntries), testSchema, 3, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(p.Root.Scans()); got != maxFromEntries || len(p.Tables) != maxFromEntries {
+			t.Errorf("%d scans, %d tables, want %d", got, len(p.Tables), maxFromEntries)
+		}
+		_, err = BuildPlan(build(maxFromEntries+1), testSchema, 3, cfg)
+		if want := "optimizer: 65 FROM entries, at most 64 are supported"; err == nil || err.Error() != want {
+			t.Errorf("65 FROM entries: %v, want %s", err, want)
+		}
 	}
 }

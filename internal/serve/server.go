@@ -310,7 +310,7 @@ func (s *Server) ready() bool {
 // functions of (SQL, schema, data seed, planner config), so re-planning
 // persisted SQL through this reproduces the live observation exactly.
 func PlannerFunc(schema *catalog.Schema, dataSeed int64, machine exec.Machine) core.PlanFunc {
-	planCfg := optimizer.DefaultConfig(machine.Processors)
+	planner := optimizer.NewPlanner(schema, dataSeed, optimizer.DefaultConfig(machine.Processors))
 	return func(sql string) (*dataset.Query, error) {
 		ast, err := sqlparse.Parse(sql)
 		if err != nil {
@@ -319,7 +319,7 @@ func PlannerFunc(schema *catalog.Schema, dataSeed int64, machine exec.Machine) c
 			// replay diagnostics byte-identical.
 			return nil, &planStageError{code: api.CodeParse, err: err}
 		}
-		plan, err := optimizer.BuildPlan(ast, schema, dataSeed, planCfg)
+		plan, err := planner.Plan(ast)
 		if err != nil {
 			return nil, &planStageError{code: api.CodePlan, err: err}
 		}
@@ -391,7 +391,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// Parse + plan first: malformed queries fail in place without entering
 	// the queue, so a batch mixing good and bad SQL still gets predictions
 	// for the good part.
-	results := make([]api.QueryResult, len(inputs))
+	results, metrics := make([]api.QueryResult, len(inputs)), make([]api.Metrics, len(inputs))
 	// The group may outlive this handler when a deadline abandons it, so its
 	// items are heap-owned and sized up front.
 	g := &coalesce.Group{Ctx: ctx, Items: make([]coalesce.Item, 0, len(inputs))}
@@ -424,8 +424,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			results[i].Error = apiError(it.Res.Err)
 			continue
 		}
-		m := api.MetricsFrom(it.Res.Prediction.Metrics)
-		results[i].Metrics = &m
+		metrics[i] = api.MetricsFrom(it.Res.Prediction.Metrics)
+		results[i].Metrics = &metrics[i]
 		results[i].Category = it.Res.Prediction.Category.String()
 		results[i].Confidence = it.Res.Prediction.Confidence
 		results[i].Generation = it.Gen
@@ -458,7 +458,7 @@ func (s *Server) writeAbandoned(w http.ResponseWriter, r *http.Request) {
 // queue, draining, the request deadline) reject the whole request with the
 // same code and message.
 func (s *Server) predictSharded(w http.ResponseWriter, r *http.Request, inputs []api.QueryInput) {
-	results := make([]api.QueryResult, len(inputs))
+	results, metrics := make([]api.QueryResult, len(inputs)), make([]api.Metrics, len(inputs))
 	qs := make([]*dataset.Query, 0, len(inputs))
 	qIdx := make([]int, 0, len(inputs))
 	for i, in := range inputs {
@@ -493,8 +493,8 @@ func (s *Server) predictSharded(w http.ResponseWriter, r *http.Request, inputs [
 		case err != nil:
 			results[i].Error = apiError(err)
 		default:
-			m := api.MetricsFrom(out.Res.Prediction.Metrics)
-			results[i].Metrics = &m
+			metrics[i] = api.MetricsFrom(out.Res.Prediction.Metrics)
+			results[i].Metrics = &metrics[i]
 			results[i].Category = out.Res.Prediction.Category.String()
 			results[i].Confidence = out.Res.Prediction.Confidence
 			results[i].Generation = out.Gen

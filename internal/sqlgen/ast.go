@@ -299,15 +299,15 @@ func (q *Query) Validate() error {
 	if len(q.From) == 0 {
 		return fmt.Errorf("sqlgen: query has no FROM tables")
 	}
-	names := map[string]bool{}
-	for _, t := range q.From {
-		if names[t.Name()] {
+	// FROM lists are a handful of entries: scanning them beats building a
+	// set, and planning validates every query it sees.
+	for i, t := range q.From {
+		if q.hasFromName(t.Name(), i) {
 			return fmt.Errorf("sqlgen: duplicate FROM name %q", t.Name())
 		}
-		names[t.Name()] = true
 	}
 	check := func(c ColumnRef) error {
-		if c.Table != "" && !names[c.Table] {
+		if c.Table != "" && !q.hasFromName(c.Table, len(q.From)) {
 			return fmt.Errorf("sqlgen: column %s references unknown table %q", c, c.Table)
 		}
 		return nil
@@ -320,7 +320,8 @@ func (q *Query) Validate() error {
 			return err
 		}
 	}
-	for _, p := range q.Where {
+	for i := range q.Where {
+		p := &q.Where[i]
 		if !p.Exists {
 			if err := check(p.Col); err != nil {
 				return err
@@ -333,17 +334,67 @@ func (q *Query) Validate() error {
 		}
 	}
 	if q.HasAggregate() {
-		grouped := map[string]bool{}
-		for _, g := range q.GroupBy {
-			grouped[g.String()] = true
-		}
 		for _, s := range q.Select {
-			if s.Agg == AggNone && !grouped[s.Col.String()] {
+			if s.Agg == AggNone && !q.grouped(s.Col) {
 				return fmt.Errorf("sqlgen: non-aggregated column %s missing from GROUP BY", s.Col)
 			}
 		}
 	}
 	return nil
+}
+
+// hasFromName reports whether one of the first n FROM entries goes by name.
+func (q *Query) hasFromName(name string, n int) bool {
+	for _, t := range q.From[:n] {
+		if t.Name() == name {
+			return true
+		}
+	}
+	return false
+}
+
+// grouped reports whether c is spelled the same as a GROUP BY column.
+func (q *Query) grouped(c ColumnRef) bool {
+	for _, g := range q.GroupBy {
+		if g == c || sameText(g, c) {
+			return true
+		}
+	}
+	return false
+}
+
+// sameText reports whether a.String() == b.String() without building
+// either string.
+func sameText(a, b ColumnRef) bool {
+	n := a.textLen()
+	if n != b.textLen() {
+		return false
+	}
+	for i := 0; i < n; i++ {
+		if a.textAt(i) != b.textAt(i) {
+			return false
+		}
+	}
+	return true
+}
+
+func (c ColumnRef) textLen() int {
+	if c.Table == "" {
+		return len(c.Column)
+	}
+	return len(c.Table) + 1 + len(c.Column)
+}
+
+func (c ColumnRef) textAt(i int) byte {
+	switch {
+	case c.Table == "":
+		return c.Column[i]
+	case i < len(c.Table):
+		return c.Table[i]
+	case i == len(c.Table):
+		return '.'
+	}
+	return c.Column[i-len(c.Table)-1]
 }
 
 // Render produces the SQL text for the query.

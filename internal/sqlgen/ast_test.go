@@ -1,6 +1,7 @@
 package sqlgen
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -141,6 +142,49 @@ func TestValidate(t *testing.T) {
 	dup.From[1].Alias = "ss"
 	if err := dup.Validate(); err == nil {
 		t.Error("duplicate alias accepted")
+	}
+}
+
+// TestValidateMessagesAndAllocs pins the error text (callers and the wire
+// see it) and that validating — which planning does for every query — does
+// not allocate.
+func TestValidateMessagesAndAllocs(t *testing.T) {
+	col := func(tab, c string) ColumnRef { return ColumnRef{Table: tab, Column: c} }
+	base := func() *Query {
+		return &Query{
+			Select:  []SelectItem{{Col: col("a", "x")}, {Agg: AggCountStar}},
+			From:    []TableRef{{Table: "t", Alias: "a"}, {Table: "u"}},
+			Joins:   []JoinPred{{Left: col("a", "k"), Right: col("u", "k")}},
+			Where:   []Predicate{{Col: col("u", "v"), Op: OpGt, Value: Literal{Value: 1}}},
+			GroupBy: []ColumnRef{col("u", "y"), col("a", "x")},
+		}
+	}
+	for _, tc := range []struct {
+		edit func(q *Query)
+		want string
+	}{
+		{func(q *Query) {}, ""},
+		{func(q *Query) { q.From[1] = TableRef{Table: "a"} }, `sqlgen: duplicate FROM name "a"`},
+		{func(q *Query) { q.Joins[0].Right.Table = "zz" }, `sqlgen: column zz.k references unknown table "zz"`},
+		{func(q *Query) { q.Where[0].Col.Table = "t" }, `sqlgen: column t.v references unknown table "t"`},
+		{func(q *Query) { q.GroupBy = q.GroupBy[:1] }, `sqlgen: non-aggregated column a.x missing from GROUP BY`},
+		// Grouping is by spelling: "a.x" is "a.x" however it is split.
+		{func(q *Query) { q.GroupBy[1] = col("", "a.x") }, ""},
+		{func(q *Query) { q.GroupBy[1] = col("a", "xx") }, `sqlgen: non-aggregated column a.x missing from GROUP BY`},
+		{func(q *Query) {
+			q.Where = append(q.Where, Predicate{Exists: true, Subquery: &Query{Select: q.Select}})
+		}, `sqlgen: query has no FROM tables`},
+	} {
+		q := base()
+		tc.edit(q)
+		err := q.Validate()
+		if got := fmt.Sprint(err); (tc.want == "") != (err == nil) || (err != nil && got != tc.want) {
+			t.Errorf("Validate = %v, want %q", err, tc.want)
+		}
+	}
+	q := base()
+	if n := testing.AllocsPerRun(100, func() { _ = q.Validate() }); n != 0 {
+		t.Errorf("Validate allocates %.0f objects per call", n)
 	}
 }
 

@@ -30,6 +30,12 @@ func FuzzParseSQL(f *testing.F) {
 	f.Add("SELECT ( FROM WHERE")
 	f.Add("select a from t where a = 'v12'")
 	f.Add("SELECT a FROM t WHERE a = -1.5e3")
+	// Bytes outside ASCII: Latin-1 letters as bare bytes, a UTF-8 letter,
+	// and the same inside a string literal (the only place they are legal).
+	f.Add("SELECT \xaa FROM t")
+	f.Add("SELECT a\xb5 FROM t")
+	f.Add("SELECT caf\xc3\xa9 FROM t")
+	f.Add("SELECT a FROM t WHERE a = 'caf\xc3\xa9'")
 
 	f.Fuzz(func(t *testing.T, sql string) {
 		q, err := Parse(sql) // must never panic

@@ -4,24 +4,32 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
 	"repro/internal/sqlgen"
 )
 
 // Parse parses a SELECT statement in the sqlgen dialect and returns its AST.
+// The AST — a node per (sub)query and one slice per clause — is all it
+// allocates; the names in it are slices of src.
 func Parse(src string) (*sqlgen.Query, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := parser{lx: lexer{src: src}}
+	p.tok, p.peek = p.lex(), p.lex()
 	q, err := p.parseQuery()
+	if err == nil && p.tok.kind != tokEOF {
+		err = fmt.Errorf("sqlparse: trailing input at %q", p.tok)
+	}
+	// A lexical error anywhere in the statement outranks a syntax error
+	// before it, as when the whole statement was lexed up front.
+	if err != nil {
+		for p.lexErr == nil && p.peek.kind != tokEOF {
+			p.advance()
+		}
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
 	if err != nil {
 		return nil, err
-	}
-	if p.peek().kind != tokEOF {
-		return nil, fmt.Errorf("sqlparse: trailing input at %q", p.peek())
 	}
 	return q, nil
 }
@@ -36,146 +44,201 @@ func TextStats(src string) (sqlgen.TextStats, error) {
 	return q.Stats(), nil
 }
 
+// parser pulls tokens from the lexer as it needs them, holding the current
+// token and one of lookahead.
 type parser struct {
-	toks []token
-	i    int
+	lx        lexer
+	tok, peek token
+	// lexErr is the first lexical error met; the tokens from there on read
+	// as end of input.
+	lexErr error
+
+	// Clause items still being collected. A subquery pushes above its
+	// parent's items and takes back down to where it started.
+	sel   stack[sqlgen.SelectItem]
+	from  stack[sqlgen.TableRef]
+	joins stack[sqlgen.JoinPred]
+	where stack[sqlgen.Predicate]
+	cols  stack[sqlgen.ColumnRef]
+	order stack[sqlgen.OrderItem]
+	lits  stack[sqlgen.Literal]
 }
 
-func (p *parser) peek() token { return p.toks[p.i] }
-func (p *parser) peek2() token {
-	if p.i+1 < len(p.toks) {
-		return p.toks[p.i+1]
-	}
-	return token{kind: tokEOF}
+// stack collects the items of a clause whose length is not known until it
+// ends. The first few live inside the stack itself — so inside the parser,
+// which stays in Parse's frame — and only a longer list spills to the heap.
+type stack[T any] struct {
+	n      int
+	inline [8]T
+	spill  []T
 }
-func (p *parser) advance() token {
-	t := p.toks[p.i]
-	if p.i < len(p.toks)-1 {
-		p.i++
+
+func (s *stack[T]) push(v T) {
+	if s.n < len(s.inline) {
+		s.inline[s.n] = v
+	} else {
+		s.spill = append(s.spill[:s.n-len(s.inline)], v)
+	}
+	s.n++
+}
+
+// take pops the items pushed since the stack held mark of them into a slice
+// of exactly their number (nil for none).
+func (s *stack[T]) take(mark int) []T {
+	if s.n == mark {
+		return nil
+	}
+	out := make([]T, 0, s.n-mark)
+	if mark < len(s.inline) {
+		out = append(out, s.inline[mark:min(s.n, len(s.inline))]...)
+	}
+	if s.n > len(s.inline) {
+		out = append(out, s.spill[max(mark, len(s.inline))-len(s.inline):s.n-len(s.inline)]...)
+	}
+	s.n = mark
+	return out
+}
+
+// lex scans one more token; after a lexical error the source reads as
+// ended.
+func (p *parser) lex() token {
+	t, err := p.lx.next()
+	if err != nil {
+		p.lexErr = err
+		p.lx.pos = len(p.lx.src)
 	}
 	return t
 }
 
-func (p *parser) isKeyword(kw string) bool {
-	t := p.peek()
-	return t.kind == tokIdent && strings.EqualFold(t.text, kw)
+// advance consumes the current token and returns it.
+func (p *parser) advance() token {
+	t := p.tok
+	p.tok, p.peek = p.peek, p.lex()
+	return t
 }
 
-func (p *parser) acceptKeyword(kw string) bool {
-	if p.isKeyword(kw) {
+func (p *parser) acceptKeyword(kw keyword) bool {
+	if p.tok.kw == kw {
 		p.advance()
 		return true
 	}
 	return false
 }
 
-func (p *parser) expectKeyword(kw string) error {
+func (p *parser) expectKeyword(kw keyword) error {
 	if !p.acceptKeyword(kw) {
-		return fmt.Errorf("sqlparse: expected %s, found %q", kw, p.peek())
+		return fmt.Errorf("sqlparse: expected %s, found %q", keywordText[kw], p.tok)
 	}
 	return nil
 }
 
 func (p *parser) expect(kind tokenKind, what string) (token, error) {
-	if p.peek().kind != kind {
-		return token{}, fmt.Errorf("sqlparse: expected %s, found %q", what, p.peek())
+	if p.tok.kind != kind {
+		return token{}, fmt.Errorf("sqlparse: expected %s, found %q", what, p.tok)
 	}
 	return p.advance(), nil
 }
 
-var aggNames = map[string]sqlgen.AggFunc{
-	"COUNT": sqlgen.AggCount,
-	"SUM":   sqlgen.AggSum,
-	"AVG":   sqlgen.AggAvg,
-	"MIN":   sqlgen.AggMin,
-	"MAX":   sqlgen.AggMax,
-}
-
-var reservedWords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "AND": true,
-	"GROUP": true, "ORDER": true, "BY": true, "LIMIT": true,
-	"AS": true, "IN": true, "BETWEEN": true, "EXISTS": true, "DESC": true,
+// aggOf maps an aggregate-name keyword to its function.
+func aggOf(kw keyword) (sqlgen.AggFunc, bool) {
+	switch kw {
+	case kwCount:
+		return sqlgen.AggCount, true
+	case kwSum:
+		return sqlgen.AggSum, true
+	case kwAvg:
+		return sqlgen.AggAvg, true
+	case kwMin:
+		return sqlgen.AggMin, true
+	case kwMax:
+		return sqlgen.AggMax, true
+	}
+	return sqlgen.AggNone, false
 }
 
 func (p *parser) parseQuery() (*sqlgen.Query, error) {
-	if err := p.expectKeyword("SELECT"); err != nil {
+	if err := p.expectKeyword(kwSelect); err != nil {
 		return nil, err
 	}
 	q := &sqlgen.Query{}
+	mark := p.sel.n
 	for {
 		item, err := p.parseSelectItem()
 		if err != nil {
 			return nil, err
 		}
-		q.Select = append(q.Select, item)
-		if p.peek().kind != tokComma {
+		p.sel.push(item)
+		if p.tok.kind != tokComma {
 			break
 		}
 		p.advance()
 	}
-	if err := p.expectKeyword("FROM"); err != nil {
+	q.Select = p.sel.take(mark)
+	if err := p.expectKeyword(kwFrom); err != nil {
 		return nil, err
 	}
+	mark = p.from.n
 	for {
 		tref, err := p.parseTableRef()
 		if err != nil {
 			return nil, err
 		}
-		q.From = append(q.From, tref)
-		if p.peek().kind != tokComma {
+		p.from.push(tref)
+		if p.tok.kind != tokComma {
 			break
 		}
 		p.advance()
 	}
-	if p.acceptKeyword("WHERE") {
+	q.From = p.from.take(mark)
+	if p.acceptKeyword(kwWhere) {
+		whereMark, joinMark := p.where.n, p.joins.n
 		for {
-			if err := p.parseCondition(q); err != nil {
+			if err := p.parseCondition(); err != nil {
 				return nil, err
 			}
-			if !p.acceptKeyword("AND") {
+			if !p.acceptKeyword(kwAnd) {
 				break
 			}
 		}
+		q.Where, q.Joins = p.where.take(whereMark), p.joins.take(joinMark)
 	}
-	if p.isKeyword("GROUP") {
-		p.advance()
-		if err := p.expectKeyword("BY"); err != nil {
+	if p.acceptKeyword(kwGroup) {
+		if err := p.expectKeyword(kwBy); err != nil {
 			return nil, err
 		}
+		mark = p.cols.n
 		for {
 			col, err := p.parseColumnRef()
 			if err != nil {
 				return nil, err
 			}
-			q.GroupBy = append(q.GroupBy, col)
-			if p.peek().kind != tokComma {
+			p.cols.push(col)
+			if p.tok.kind != tokComma {
 				break
 			}
 			p.advance()
 		}
+		q.GroupBy = p.cols.take(mark)
 	}
-	if p.isKeyword("ORDER") {
-		p.advance()
-		if err := p.expectKeyword("BY"); err != nil {
+	if p.acceptKeyword(kwOrder) {
+		if err := p.expectKeyword(kwBy); err != nil {
 			return nil, err
 		}
+		mark = p.order.n
 		for {
 			col, err := p.parseColumnRef()
 			if err != nil {
 				return nil, err
 			}
-			item := sqlgen.OrderItem{Col: col}
-			if p.acceptKeyword("DESC") {
-				item.Desc = true
-			}
-			q.OrderBy = append(q.OrderBy, item)
-			if p.peek().kind != tokComma {
+			p.order.push(sqlgen.OrderItem{Col: col, Desc: p.acceptKeyword(kwDesc)})
+			if p.tok.kind != tokComma {
 				break
 			}
 			p.advance()
 		}
+		q.OrderBy = p.order.take(mark)
 	}
-	if p.acceptKeyword("LIMIT") {
+	if p.acceptKeyword(kwLimit) {
 		t, err := p.expect(tokNumber, "LIMIT count")
 		if err != nil {
 			return nil, err
@@ -186,27 +249,24 @@ func (p *parser) parseQuery() (*sqlgen.Query, error) {
 }
 
 func (p *parser) parseSelectItem() (sqlgen.SelectItem, error) {
-	t := p.peek()
-	if t.kind == tokIdent {
-		if agg, ok := aggNames[strings.ToUpper(t.text)]; ok && p.peek2().kind == tokLParen {
-			p.advance() // agg name
-			p.advance() // (
-			if agg == sqlgen.AggCount && p.peek().kind == tokStar {
-				p.advance()
-				if _, err := p.expect(tokRParen, ")"); err != nil {
-					return sqlgen.SelectItem{}, err
-				}
-				return sqlgen.SelectItem{Agg: sqlgen.AggCountStar}, nil
-			}
-			col, err := p.parseColumnRef()
-			if err != nil {
-				return sqlgen.SelectItem{}, err
-			}
+	if agg, ok := aggOf(p.tok.kw); ok && p.peek.kind == tokLParen {
+		p.advance() // agg name
+		p.advance() // (
+		if agg == sqlgen.AggCount && p.tok.kind == tokStar {
+			p.advance()
 			if _, err := p.expect(tokRParen, ")"); err != nil {
 				return sqlgen.SelectItem{}, err
 			}
-			return sqlgen.SelectItem{Agg: agg, Col: col}, nil
+			return sqlgen.SelectItem{Agg: sqlgen.AggCountStar}, nil
 		}
+		col, err := p.parseColumnRef()
+		if err != nil {
+			return sqlgen.SelectItem{}, err
+		}
+		if _, err := p.expect(tokRParen, ")"); err != nil {
+			return sqlgen.SelectItem{}, err
+		}
+		return sqlgen.SelectItem{Agg: agg, Col: col}, nil
 	}
 	col, err := p.parseColumnRef()
 	if err != nil {
@@ -221,13 +281,13 @@ func (p *parser) parseTableRef() (sqlgen.TableRef, error) {
 		return sqlgen.TableRef{}, err
 	}
 	ref := sqlgen.TableRef{Table: t.text}
-	if p.acceptKeyword("AS") {
+	if p.acceptKeyword(kwAs) {
 		a, err := p.expect(tokIdent, "alias")
 		if err != nil {
 			return sqlgen.TableRef{}, err
 		}
 		ref.Alias = a.text
-	} else if p.peek().kind == tokIdent && !reservedWords[strings.ToUpper(p.peek().text)] {
+	} else if p.tok.kind == tokIdent && !p.tok.kw.reserved() {
 		ref.Alias = p.advance().text
 	}
 	return ref, nil
@@ -238,10 +298,10 @@ func (p *parser) parseColumnRef() (sqlgen.ColumnRef, error) {
 	if err != nil {
 		return sqlgen.ColumnRef{}, err
 	}
-	if reservedWords[strings.ToUpper(t.text)] {
+	if t.kw.reserved() {
 		return sqlgen.ColumnRef{}, fmt.Errorf("sqlparse: reserved word %q used as identifier", t.text)
 	}
-	if p.peek().kind == tokDot {
+	if p.tok.kind == tokDot {
 		p.advance()
 		c, err := p.expect(tokIdent, "column name after '.'")
 		if err != nil {
@@ -253,18 +313,14 @@ func (p *parser) parseColumnRef() (sqlgen.ColumnRef, error) {
 }
 
 func (p *parser) parseLiteral() (sqlgen.Literal, error) {
-	t := p.peek()
+	t := p.tok
 	switch t.kind {
 	case tokNumber:
 		p.advance()
 		return sqlgen.Literal{Value: t.num}, nil
 	case tokString:
 		p.advance()
-		v, err := parseCharCode(t.text)
-		if err != nil {
-			return sqlgen.Literal{}, err
-		}
-		return sqlgen.Literal{Value: v, IsChar: true}, nil
+		return sqlgen.Literal{Value: parseCharCode(t.text), IsChar: true}, nil
 	default:
 		return sqlgen.Literal{}, fmt.Errorf("sqlparse: expected literal, found %q", t)
 	}
@@ -273,10 +329,10 @@ func (p *parser) parseLiteral() (sqlgen.Literal, error) {
 // parseCharCode decodes the dictionary-code string form "vNNN" used by the
 // synthetic dialect; any other string hashes to a stable code so that
 // hand-written SQL still parses.
-func parseCharCode(s string) (float64, error) {
+func parseCharCode(s string) float64 {
 	if len(s) >= 2 && s[0] == 'v' {
 		if n, err := strconv.ParseInt(s[1:], 10, 64); err == nil {
-			return float64(n), nil
+			return float64(n)
 		}
 	}
 	var h uint32 = 2166136261
@@ -284,70 +340,76 @@ func parseCharCode(s string) (float64, error) {
 		h ^= uint32(s[i])
 		h *= 16777619
 	}
-	return math.Abs(float64(h % 100000)), nil
+	return math.Abs(float64(h % 100000))
 }
 
-func (p *parser) parseCondition(q *sqlgen.Query) error {
-	if p.isKeyword("EXISTS") {
-		p.advance()
+// parseSubquery parses "SELECT ... )", the opening parenthesis consumed.
+func (p *parser) parseSubquery() (*sqlgen.Query, error) {
+	sub, err := p.parseQuery()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(tokRParen, ")"); err != nil {
+		return nil, err
+	}
+	return sub, nil
+}
+
+// parseCondition parses one AND-ed condition onto the where or joins stack.
+func (p *parser) parseCondition() error {
+	if p.acceptKeyword(kwExists) {
 		if _, err := p.expect(tokLParen, "("); err != nil {
 			return err
 		}
-		sub, err := p.parseQuery()
+		sub, err := p.parseSubquery()
 		if err != nil {
 			return err
 		}
-		if _, err := p.expect(tokRParen, ")"); err != nil {
-			return err
-		}
-		q.Where = append(q.Where, sqlgen.Predicate{Op: sqlgen.OpIn, Exists: true, Subquery: sub})
+		p.where.push(sqlgen.Predicate{Op: sqlgen.OpIn, Exists: true, Subquery: sub})
 		return nil
 	}
 	col, err := p.parseColumnRef()
 	if err != nil {
 		return err
 	}
-	t := p.peek()
-	switch {
-	case t.kind == tokIdent && strings.EqualFold(t.text, "BETWEEN"):
+	t := p.tok
+	switch t.kw {
+	case kwBetween:
 		p.advance()
 		lo, err := p.parseLiteral()
 		if err != nil {
 			return err
 		}
-		if err := p.expectKeyword("AND"); err != nil {
+		if err := p.expectKeyword(kwAnd); err != nil {
 			return err
 		}
 		hi, err := p.parseLiteral()
 		if err != nil {
 			return err
 		}
-		q.Where = append(q.Where, sqlgen.Predicate{Col: col, Op: sqlgen.OpBetween, Lo: lo, Hi: hi})
+		p.where.push(sqlgen.Predicate{Col: col, Op: sqlgen.OpBetween, Lo: lo, Hi: hi})
 		return nil
-	case t.kind == tokIdent && strings.EqualFold(t.text, "IN"):
+	case kwIn:
 		p.advance()
 		if _, err := p.expect(tokLParen, "("); err != nil {
 			return err
 		}
-		if p.isKeyword("SELECT") {
-			sub, err := p.parseQuery()
+		if p.tok.kw == kwSelect {
+			sub, err := p.parseSubquery()
 			if err != nil {
 				return err
 			}
-			if _, err := p.expect(tokRParen, ")"); err != nil {
-				return err
-			}
-			q.Where = append(q.Where, sqlgen.Predicate{Col: col, Op: sqlgen.OpIn, Subquery: sub})
+			p.where.push(sqlgen.Predicate{Col: col, Op: sqlgen.OpIn, Subquery: sub})
 			return nil
 		}
-		var vals []sqlgen.Literal
+		mark := p.lits.n
 		for {
 			v, err := p.parseLiteral()
 			if err != nil {
 				return err
 			}
-			vals = append(vals, v)
-			if p.peek().kind != tokComma {
+			p.lits.push(v)
+			if p.tok.kind != tokComma {
 				break
 			}
 			p.advance()
@@ -355,7 +417,7 @@ func (p *parser) parseCondition(q *sqlgen.Query) error {
 		if _, err := p.expect(tokRParen, ")"); err != nil {
 			return err
 		}
-		q.Where = append(q.Where, sqlgen.Predicate{Col: col, Op: sqlgen.OpIn, Values: vals})
+		p.where.push(sqlgen.Predicate{Col: col, Op: sqlgen.OpIn, Values: p.lits.take(mark)})
 		return nil
 	}
 	var op sqlgen.CmpOp
@@ -378,18 +440,18 @@ func (p *parser) parseCondition(q *sqlgen.Query) error {
 	p.advance()
 	// Identifier on the right-hand side means a join predicate; a literal
 	// means a selection predicate.
-	if p.peek().kind == tokIdent && !reservedWords[strings.ToUpper(p.peek().text)] {
+	if p.tok.kind == tokIdent && !p.tok.kw.reserved() {
 		right, err := p.parseColumnRef()
 		if err != nil {
 			return err
 		}
-		q.Joins = append(q.Joins, sqlgen.JoinPred{Left: col, Right: right, Op: op})
+		p.joins.push(sqlgen.JoinPred{Left: col, Right: right, Op: op})
 		return nil
 	}
 	lit, err := p.parseLiteral()
 	if err != nil {
 		return err
 	}
-	q.Where = append(q.Where, sqlgen.Predicate{Col: col, Op: op, Value: lit})
+	p.where.push(sqlgen.Predicate{Col: col, Op: op, Value: lit})
 	return nil
 }

@@ -255,3 +255,119 @@ func TestTextStatsFromText(t *testing.T) {
 		t.Error("sanity")
 	}
 }
+
+// TestLongClauseLists drives every clause past the number of items the
+// parser collects in its own frame, with a subquery that does the same in
+// the middle of its parent's WHERE, so the spill and the mark/take nesting
+// are both exercised.
+func TestLongClauseLists(t *testing.T) {
+	build := func(n int, sub *sqlgen.Query) *sqlgen.Query {
+		q := &sqlgen.Query{}
+		for i := 0; i < n; i++ {
+			tab := "t" + string(rune('a'+i%26)) + string(rune('a'+i/26))
+			c := sqlgen.ColumnRef{Table: tab, Column: "c"}
+			q.Select = append(q.Select, sqlgen.SelectItem{Col: c})
+			q.From = append(q.From, sqlgen.TableRef{Table: tab})
+			q.GroupBy = append(q.GroupBy, c)
+			q.OrderBy = append(q.OrderBy, sqlgen.OrderItem{Col: c, Desc: i%2 == 0})
+			q.Joins = append(q.Joins, sqlgen.JoinPred{Left: c, Right: sqlgen.ColumnRef{Table: tab, Column: "d"}, Op: sqlgen.OpLe})
+			var vals []sqlgen.Literal
+			for k := 0; k <= i; k++ {
+				vals = append(vals, sqlgen.Literal{Value: float64(k)})
+			}
+			q.Where = append(q.Where, sqlgen.Predicate{Col: c, Op: sqlgen.OpIn, Values: vals})
+			if sub != nil && i == n/2 {
+				q.Where = append(q.Where, sqlgen.Predicate{Col: c, Op: sqlgen.OpIn, Subquery: sub})
+			}
+		}
+		q.Select = append(q.Select, sqlgen.SelectItem{Agg: sqlgen.AggCountStar})
+		return q
+	}
+	for _, n := range []int{7, 8, 9, 23} {
+		q := build(n, build(n+2, nil))
+		sql := q.Render()
+		parsed, err := Parse(sql)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if !reflect.DeepEqual(q, parsed) {
+			t.Errorf("n=%d: AST round trip mismatch\nSQL: %s", n, sql)
+		}
+	}
+}
+
+// TestLexerByteClasses pins the identifier alphabet: [A-Za-z_][A-Za-z0-9_]*.
+// A byte outside ASCII — whether it is a Latin-1 letter (0xAA, 0xB5, 0xC3),
+// a UTF-8 lead byte or a continuation byte — is rejected where it stands,
+// and is still free text inside a string literal.
+func TestLexerByteClasses(t *testing.T) {
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT a FROM t WHERE caf\xc3\xa9 = 1", `sqlparse: unexpected character 'Ã' at offset 25`},
+		{"SELECT \xaa FROM t", `sqlparse: unexpected character 'ª' at offset 7`},
+		{"SELECT a\xb5 FROM t", `sqlparse: unexpected character 'µ' at offset 8`},
+		{"SELECT a FROM t\xa9", `sqlparse: unexpected character '©' at offset 15`},
+		{"SELECT a FROM \xe2\x84\xaa", `sqlparse: unexpected character 'â' at offset 14`},
+		{"SELECT a$ FROM t", `sqlparse: unexpected character '$' at offset 8`},
+		// A lexical error outranks the syntax error in front of it.
+		{"SELECT ( FROM WHERE \xc3\xa9", `sqlparse: unexpected character 'Ã' at offset 20`},
+		{"SELECT FROM 'open", `sqlparse: unterminated string at offset 12`},
+	} {
+		_, err := Parse(tc.sql)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Parse(%q) = %v, want %s", tc.sql, err, tc.want)
+		}
+	}
+	q, err := Parse("SELECT _a1, B_2 FROM t WHERE c = 'caf\xc3\xa9 \xaa'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Select[0].Col.Column != "_a1" || q.Select[1].Col.Column != "B_2" || !q.Where[0].Value.IsChar {
+		t.Errorf("parsed %+v", q)
+	}
+}
+
+// TestKeywordClassification: keywords and aggregate names are recognised in
+// any ASCII case, near misses are plain identifiers, and an aggregate name
+// is only an aggregate in front of a parenthesis.
+func TestKeywordClassification(t *testing.T) {
+	for k := kwSelect; k <= kwMax; k++ {
+		up := keywordText[k]
+		for _, s := range []string{up, strings.ToLower(up), strings.ToLower(up[:1]) + up[1:]} {
+			if got := classify(s); got != k {
+				t.Errorf("classify(%q) = %d, want %d", s, got, k)
+			}
+		}
+		for _, s := range []string{up + "S", up[1:], "_" + up[1:], "0" + up[1:], up[:len(up)-1] + "\x10"} {
+			if got := classify(s); got != kwNone && keywordText[got] != strings.ToUpper(s) {
+				t.Errorf("classify(%q) = %s", s, keywordText[got])
+			}
+		}
+	}
+	q, err := Parse("select Min, COUNT from Max where Sum = avg and count(x) in (select count from t)")
+	if err == nil {
+		t.Fatalf("count(x) on the left of IN parsed: %+v", q)
+	}
+	q, err = Parse("sElEcT min(Min), count FROM Max wHeRe Sum = avg gRoUp bY count")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Select[0].Agg != sqlgen.AggMin || q.Select[0].Col.Column != "Min" || q.Select[1].Col.Column != "count" ||
+		q.From[0].Table != "Max" || len(q.Joins) != 1 || q.GroupBy[0].Column != "count" {
+		t.Errorf("parsed %+v", q)
+	}
+}
+
+// TestParseAllocs: the parser allocates the AST and nothing else — the
+// query node plus one exactly sized slice per clause present.
+func TestParseAllocs(t *testing.T) {
+	sql := "SELECT i_category, SUM(ss_ext_sales_price), COUNT(*) FROM store_sales, item WHERE ss_item_sk = i_item_sk AND ss_sold_date_sk BETWEEN 2451000 AND 2451100 AND i_category IN ('v3', 'v4') GROUP BY i_category ORDER BY i_category LIMIT 100"
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := Parse(sql); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Query, Select, From, Joins, Where, IN list, GroupBy, OrderBy.
+	if got > 8 {
+		t.Errorf("Parse allocates %.0f objects, want 8", got)
+	}
+}
