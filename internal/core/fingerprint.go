@@ -12,7 +12,7 @@ import (
 // recurring-template case) fingerprint identically, which is exactly what
 // both consumers want:
 //
-//   - the per-generation projection cache keys cached projections by it
+//   - the per-generation prediction cache keys cached predictions by it
 //     (guarded by an exact vector compare, so a collision degrades to a
 //     cache miss, never a wrong prediction);
 //   - the consistent-hash shard partitioner keys ring lookups by it, so a

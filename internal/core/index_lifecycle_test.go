@@ -49,7 +49,7 @@ func TestIndexGenerationLifecycle(t *testing.T) {
 
 	// mirror recomputes a prediction against one pinned generation with the
 	// package-level flat scan — no index anywhere on the path.
-	mirror := func(p *Predictor, f []float64) *Prediction {
+	mirror := func(p *Predictor, f []float64) Prediction {
 		proj, maxK := p.model.ProjectQueryKernel(f)
 		nbs, err := knn.Nearest(p.model.QueryProj, proj, p.opt.KNN.K, p.opt.KNN.Distance)
 		if err != nil {

@@ -27,7 +27,7 @@ const defaultPlanCacheCap = 4096
 // most expensive per-request work left on the serving hot path now that
 // prediction itself is microseconds. Parsing and planning a query is pure in
 // (SQL, schema, data seed, planner config), so the cache needs no
-// invalidation: unlike the per-generation projection cache, it survives hot
+// invalidation: unlike the per-generation prediction cache, it survives hot
 // swaps untouched (plans don't change when the model does) and one cache
 // serves the predict path, the observe path, WAL replay, and the shadow
 // scorer alike.

@@ -92,7 +92,9 @@ type Prediction struct {
 	// Confidence in (0, 1]: low values flag anomalous queries whose
 	// neighbors are far away (Sec. VII-C.3).
 	Confidence float64
-	// Neighbors are the training-set indexes used.
+	// Neighbors are the training-set indexes used. Read-only: predictions
+	// of the same feature vector by one Predictor share the backing array
+	// (see Predict).
 	Neighbors []knn.Neighbor
 }
 
@@ -113,14 +115,14 @@ type Predictor struct {
 	// global model).
 	sub map[workload.Category]*Predictor
 
-	// cache memoizes feature vector → (projection, max kernel) for this
-	// model generation; it dies with the Predictor, so a hot-swap to a new
-	// generation implicitly invalidates every cached projection.
+	// cache memoizes feature vector → Prediction for this model generation
+	// and these k-NN options; it dies with the Predictor, so a hot-swap to a
+	// new generation implicitly invalidates every cached prediction.
 	cache *projCache
 
 	// index is the exact KD-tree over this generation's projected training
 	// points (knn.Index): built once alongside the model, immutable, and
-	// retired with the Predictor on hot swap exactly like the projection
+	// retired with the Predictor on hot swap exactly like the prediction
 	// cache. It degrades to the flat scan for small windows, so predictions
 	// are bit-identical either way.
 	index *knn.Index
@@ -192,7 +194,7 @@ func extractFeatures(train []*dataset.Query, kind FeatureKind) (x, y *linalg.Mat
 
 // newPredictor assembles a Predictor around an already-trained KCCA model:
 // the raw metric matrix and categories (row-aligned with the model),
-// calibrated confidence scales, and a fresh projection cache for this model
+// calibrated confidence scales, and a fresh prediction cache for this model
 // generation. Shared by one-shot Train and both sliding retrain paths.
 func newPredictor(model *kcca.Model, rawRows [][]float64, cats []workload.Category, opt Options) *Predictor {
 	p := &Predictor{
@@ -350,20 +352,22 @@ func (p *Predictor) PredictVector(f []float64) (*Prediction, error) {
 	return r.Prediction, r.Err
 }
 
-// predictVector is the Fig. 7 pipeline on a validated feature vector:
-// project into the canonical space, find neighbors, combine. It is the
-// batch path at size one, for the two-step type-specific sub-models.
-func (p *Predictor) predictVector(f []float64) (*Prediction, error) {
-	items := [1]projected{{f: f}}
-	p.project(items[:])
-	return p.predictProjected(f, items[0].proj, items[0].maxK)
+// predictVector is the Fig. 7 pipeline on a validated feature vector. It is
+// predictVectors at size one, for the two-step type-specific sub-models —
+// which therefore memoize in their own caches like any other Predictor.
+func (p *Predictor) predictVector(f []float64) (Prediction, error) {
+	var out [1]Result
+	p.predictVectors([]batchItem{{f: f}}, out[:])
+	if out[0].Err != nil {
+		return Prediction{}, out[0].Err
+	}
+	return *out[0].Prediction, nil
 }
 
 // predictProjected finishes a prediction from the query's projection:
 // find neighbors and combine them (directly or via the two-step
 // type-specific model, which projects f again in its own space).
-func (p *Predictor) predictProjected(f, proj []float64, maxK float64) (*Prediction, error) {
-	predictCount.Inc()
+func (p *Predictor) predictProjected(f, proj []float64, maxK float64) (Prediction, error) {
 	// Neighbor search goes through this generation's KD-tree index — exact,
 	// so bit-identical to knn.Nearest on the projection matrix. At the
 	// daemon's 80 projection dimensions the tree prunes little (about five
@@ -371,7 +375,7 @@ func (p *Predictor) predictProjected(f, proj []float64, maxK float64) (*Predicti
 	// a search cheap is the scorer abandoning most candidates part-way.
 	nbs, err := p.index.Nearest(proj, p.opt.KNN.K)
 	if err != nil {
-		return nil, err
+		return Prediction{}, err
 	}
 
 	if p.opt.TwoStep {
@@ -396,8 +400,8 @@ func (p *Predictor) predictProjected(f, proj []float64, maxK float64) (*Predicti
 
 // combine merges the neighbors' raw metrics and scores confidence. maxK is
 // the query's largest raw kernel similarity against the training set,
-// already computed by the projection step (or served from the cache).
-func (p *Predictor) combine(maxK float64, nbs []knn.Neighbor) *Prediction {
+// computed by the projection step.
+func (p *Predictor) combine(maxK float64, nbs []knn.Neighbor) Prediction {
 	vals := knn.Combine(p.perfRaw, nbs, p.opt.KNN.Weighting)
 	// Confidence combines projection-space neighbor distance with the raw
 	// kernel similarity: a query far outside the training distribution has
@@ -410,7 +414,7 @@ func (p *Predictor) combine(maxK float64, nbs []knn.Neighbor) *Prediction {
 		kfac = 1
 	}
 	conf := knn.Confidence(nbs, p.confScale) * kfac
-	return &Prediction{
+	return Prediction{
 		Metrics:    exec.MetricsFromVector(vals),
 		Confidence: conf,
 		Neighbors:  nbs,
@@ -469,6 +473,10 @@ func (p *Predictor) WithKNN(opt knn.Options) *Predictor {
 	if opt.K <= 0 {
 		clone.opt.KNN = knn.DefaultOptions()
 	}
+	// Cached predictions are a function of the k-NN options, so the clone
+	// starts its own cache. Two-step sub-models keep their options and so,
+	// rightly, their caches.
+	clone.cache = newProjCache(0)
 	// The index depends only on the point set and the metric: a changed
 	// metric needs a rebuild (cheap — 2–3 ms at the stock 800 × 80), while k
 	// and weighting changes reuse the shared tree.
@@ -489,5 +497,5 @@ func (p *Predictor) Model() *kcca.Model { return p.model }
 
 // Index exposes this generation's k-nearest-neighbor index (for serving
 // metadata and tests). It is immutable and scoped to this Predictor: a hot
-// swap to a new generation retires it together with the projection cache.
+// swap to a new generation retires it together with the prediction cache.
 func (p *Predictor) Index() *knn.Index { return p.index }

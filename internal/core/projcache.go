@@ -8,7 +8,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Projection-cache metrics: hit rate is the headline number for template
+// Prediction-cache metrics: hit rate is the headline number for template
 // workloads, where the same plan feature vector recurs across queries that
 // differ only in constants the plan vector does not encode.
 var (
@@ -16,28 +16,32 @@ var (
 	projMisses = obs.GetCounter("core.projcache.misses")
 )
 
-// defaultProjCacheCap bounds the projection cache. Entries are one feature
-// vector plus one coordinate vector (a few hundred bytes); template
-// workloads have at most a few hundred distinct plan shapes, so this
-// comfortably covers them while bounding adversarial churn.
+// defaultProjCacheCap bounds the prediction cache. Entries are one feature
+// vector plus one Prediction with its k neighbors (a few hundred bytes);
+// template workloads have at most a few hundred distinct plan shapes, so
+// this comfortably covers them while bounding adversarial churn.
 const defaultProjCacheCap = 1024
 
-// projCache memoizes the expensive front half of prediction: feature vector
-// → (canonical projection, max raw kernel similarity). Projecting a query is
-// O(N·d) in the training-set size (the kernel cross vector dominates), while
-// a cache hit is a hash of the feature vector — so repeated plans skip the
-// kernel work entirely.
+// projCache memoizes prediction whole: feature vector → finished Prediction.
+// Within one model generation a prediction is a pure function of the feature
+// vector — kernel cross vector, projection, neighbor search and combination
+// all read only the vector and the immutable model — so a repeated plan is
+// answered by a hash of its vector and a struct copy, and none of that work
+// runs. (It keeps the name of the projection cache it replaced, and that
+// cache's counter names, which the benchmark reads.)
 //
-// Each cache belongs to exactly one model generation: it is created with its
-// Predictor and never survives a retrain, because the projection space
-// itself changes when the model does (generation swap = cache invalidation;
-// the serving layer's generation counter documents this contract). Lookup is
-// by 64-bit FNV-1a over the feature vector's bit patterns, guarded by an
+// Each cache belongs to exactly one Predictor: it is created with it and
+// never survives a retrain, because every cached answer is a function of
+// the model (generation swap = cache invalidation; the serving layer's
+// generation counter documents this contract), and a WithKNN clone gets its
+// own because the answer is a function of the neighbor options too. Lookup
+// is by 64-bit FNV-1a over the feature vector's bit patterns, guarded by an
 // exact vector comparison so a fingerprint collision degrades to a miss
 // rather than a wrong prediction. Bounded LRU, safe for concurrent use.
 //
-// The cache itself counts nothing: Predictor.project, which also finds
-// vectors repeated within one batch, counts one hit or miss per request.
+// The cache itself counts nothing: Predictor.predictVectors, which also
+// finds vectors repeated within one batch, counts one hit or miss per
+// request.
 type projCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -49,9 +53,8 @@ type projCache struct {
 
 type projEntry struct {
 	fp   uint64
-	key  []float64 // the feature vector, copied at insert
-	proj []float64 // cached canonical coordinates (read-only once cached)
-	maxK float64
+	key  []float64  // the feature vector, copied at insert
+	pred Prediction // pred.Neighbors is shared with every caller served: read-only
 }
 
 func newProjCache(capacity int) *projCache {
@@ -61,39 +64,37 @@ func newProjCache(capacity int) *projCache {
 	return &projCache{cap: capacity, order: list.New(), byFP: make(map[uint64]*list.Element), hash: Fingerprint}
 }
 
-// get returns the cached projection for f, if present. Keys are the shared
-// template Fingerprint (bit patterns, not values — so 0.0 and −0.0 hash
-// apart; the exact compare below uses the same equality, keeping hit/miss
-// decisions consistent). The returned slices are shared and must be treated
-// as read-only by callers.
-func (c *projCache) get(f []float64) (proj []float64, maxK float64, ok bool) {
+// get returns the cached prediction for f, whose fingerprint (c.hash(f)) the
+// caller supplies. Keys are the shared template Fingerprint (bit patterns,
+// not values — so 0.0 and −0.0 hash apart; the exact compare below uses the
+// same equality, keeping hit/miss decisions consistent). The Prediction is
+// returned by value, so the caller owns every field but the Neighbors
+// backing array.
+func (c *projCache) get(fp uint64, f []float64) (Prediction, bool) {
 	if c == nil {
-		return nil, 0, false
+		return Prediction{}, false
 	}
-	fp := c.hash(f)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, found := c.byFP[fp]
 	if !found {
-		return nil, 0, false
+		return Prediction{}, false
 	}
 	e := el.Value.(*projEntry)
 	if !equalBits(e.key, f) {
-		// Fingerprint collision: never serve another vector's projection.
-		return nil, 0, false
+		// Fingerprint collision: never serve another vector's prediction.
+		return Prediction{}, false
 	}
 	c.order.MoveToFront(el)
-	return e.proj, e.maxK, true
+	return e.pred, true
 }
 
-// put inserts the projection of f, evicting the least recently used entry
-// at capacity. proj is stored as given (the caller hands over ownership);
-// f is copied.
-func (c *projCache) put(f, proj []float64, maxK float64) {
+// put inserts the prediction of f (fingerprint fp), evicting the least
+// recently used entry at capacity. f is copied.
+func (c *projCache) put(fp uint64, f []float64, pred Prediction) {
 	if c == nil {
 		return
 	}
-	fp := c.hash(f)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, found := c.byFP[fp]; found {
@@ -101,8 +102,7 @@ func (c *projCache) put(f, proj []float64, maxK float64) {
 		// way; at most one vector per fingerprint is cached).
 		e := el.Value.(*projEntry)
 		e.key = append(e.key[:0], f...)
-		e.proj = proj
-		e.maxK = maxK
+		e.pred = pred
 		c.order.MoveToFront(el)
 		return
 	}
@@ -111,7 +111,7 @@ func (c *projCache) put(f, proj []float64, maxK float64) {
 		c.order.Remove(oldest)
 		delete(c.byFP, oldest.Value.(*projEntry).fp)
 	}
-	e := &projEntry{fp: fp, key: append([]float64(nil), f...), proj: proj, maxK: maxK}
+	e := &projEntry{fp: fp, key: append([]float64(nil), f...), pred: pred}
 	c.byFP[fp] = c.order.PushFront(e)
 }
 

@@ -2,44 +2,61 @@ package core
 
 import (
 	"testing"
+
+	"repro/internal/knn"
 )
+
+// testPred is a distinguishable Prediction for the cache's own unit tests.
+func testPred(x float64) Prediction {
+	return Prediction{Confidence: x, Neighbors: []knn.Neighbor{{Index: int(x)}}}
+}
 
 func TestProjCacheBasic(t *testing.T) {
 	c := newProjCache(4)
 	f := []float64{1, 2, 3}
-	if _, _, ok := c.get(f); ok {
+	if _, ok := c.get(c.hash(f), f); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.put(f, []float64{9, 8}, 0.5)
-	proj, maxK, ok := c.get(f)
-	if !ok || maxK != 0.5 || len(proj) != 2 || proj[0] != 9 {
-		t.Fatalf("get = %v, %v, %v", proj, maxK, ok)
+	c.put(c.hash(f), f, testPred(9))
+	pred, ok := c.get(c.hash(f), f)
+	if !ok || pred.Confidence != 9 || len(pred.Neighbors) != 1 || pred.Neighbors[0].Index != 9 {
+		t.Fatalf("get = %+v, %v", pred, ok)
 	}
 	// A different vector of the same length must miss.
-	if _, _, ok := c.get([]float64{1, 2, 4}); ok {
+	g := []float64{1, 2, 4}
+	if _, ok := c.get(c.hash(g), g); ok {
 		t.Fatal("hit for a vector that was never cached")
+	}
+	// The key is a copy: the caller may reuse its vector.
+	f[0] = 7
+	if _, ok := c.get(c.hash(f), f); ok {
+		t.Fatal("hit after the caller changed the vector it inserted")
 	}
 }
 
 func TestProjCacheLRUEviction(t *testing.T) {
 	c := newProjCache(3)
 	vecs := [][]float64{{1}, {2}, {3}, {4}}
+	hit := func(f []float64) bool {
+		_, ok := c.get(c.hash(f), f)
+		return ok
+	}
 	for i, f := range vecs[:3] {
-		c.put(f, []float64{float64(i)}, 1)
+		c.put(c.hash(f), f, testPred(float64(i)))
 	}
 	// Touch {1} so {2} becomes the eviction victim.
-	if _, _, ok := c.get(vecs[0]); !ok {
+	if !hit(vecs[0]) {
 		t.Fatal("expected hit for {1}")
 	}
-	c.put(vecs[3], []float64{3}, 1)
+	c.put(c.hash(vecs[3]), vecs[3], testPred(3))
 	if c.len() != 3 {
 		t.Fatalf("len = %d, want 3", c.len())
 	}
-	if _, _, ok := c.get(vecs[1]); ok {
+	if hit(vecs[1]) {
 		t.Fatal("{2} should have been evicted as least recently used")
 	}
 	for _, f := range [][]float64{vecs[0], vecs[2], vecs[3]} {
-		if _, _, ok := c.get(f); !ok {
+		if !hit(f) {
 			t.Fatalf("expected %v to survive eviction", f)
 		}
 	}
@@ -47,8 +64,8 @@ func TestProjCacheLRUEviction(t *testing.T) {
 
 func TestProjCacheNilSafe(t *testing.T) {
 	var c *projCache
-	c.put([]float64{1}, []float64{2}, 3) // must not panic
-	if _, _, ok := c.get([]float64{1}); ok {
+	c.put(1, []float64{1}, testPred(2)) // must not panic
+	if _, ok := c.get(1, []float64{1}); ok {
 		t.Fatal("nil cache cannot hit")
 	}
 }
@@ -73,7 +90,7 @@ func TestPredictCacheEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if projHits.Value() == hitsBefore {
-		t.Error("repeated prediction did not hit the projection cache")
+		t.Error("repeated prediction did not hit the prediction cache")
 	}
 	if first.Metrics != second.Metrics || first.Confidence != second.Confidence ||
 		first.Category != second.Category {
@@ -90,8 +107,8 @@ func TestPredictCacheEquivalence(t *testing.T) {
 }
 
 // TestRetrainSwapsCacheGeneration checks that a retrain publishes a new
-// predictor with its own (empty) cache — stale projections from the old
-// model generation can never serve against the new one.
+// predictor with its own (empty) cache — stale predictions from the old
+// model generation can never be served by the new one.
 func TestRetrainSwapsCacheGeneration(t *testing.T) {
 	ds := pool(t)
 	s, err := NewSliding(60, 30, DefaultOptions())
@@ -120,16 +137,47 @@ func TestRetrainSwapsCacheGeneration(t *testing.T) {
 		t.Fatal("retrain did not publish a new predictor generation")
 	}
 	if gen2.cache == gen1.cache {
-		t.Fatal("new generation shares the old generation's projection cache")
+		t.Fatal("new generation shares the old generation's prediction cache")
 	}
 	if gen2.cache.len() != 0 {
 		t.Errorf("new generation's cache should start empty, has %d entries", gen2.cache.len())
 	}
 }
 
+// TestWithKNNDoesNotShareCache: a cached Prediction is a function of the
+// k-NN options, so a WithKNN clone must not read (or feed) its parent's
+// cache. The same vectors go through the parent, a K=1 clone, a K=7
+// distance-weighted clone and a cosine clone, then the parent again; each
+// answer equals an uncached predictor's with those options, bit for bit.
+func TestWithKNNDoesNotShareCache(t *testing.T) {
+	parent, reqs := batchFixture(t, false)
+	parent = withCache(parent, newProjCache(0))
+	reqs = reqs[:40]
+	check := func(name string, p *Predictor) {
+		t.Helper()
+		want := alone(p, reqs)
+		mustMatchAlone(t, name+" cold", p.Predict(reqs...), want)
+		mustMatchAlone(t, name+" warm", p.Predict(reqs...), want)
+	}
+	check("parent", parent)
+	for name, opt := range map[string]knn.Options{
+		"k=1":           {K: 1, Distance: knn.Euclidean, Weighting: knn.EqualWeight},
+		"k=7 weighted":  {K: 7, Distance: knn.Euclidean, Weighting: knn.DistanceWeight},
+		"k=3 by cosine": {K: 3, Distance: knn.Cosine, Weighting: knn.EqualWeight},
+	} {
+		clone := parent.WithKNN(opt)
+		if clone.cache == nil || clone.cache == parent.cache || clone.cache.len() != 0 {
+			t.Fatalf("%s: clone must start with an empty cache of its own", name)
+		}
+		check(name, clone)
+	}
+	check("parent again", parent)
+}
+
 // BenchmarkPredictVector measures single-query prediction with the
-// projection cache hitting (repeated plan) versus disabled (every call pays
-// the O(N·d) kernel cross vector). Feeds BENCH_retrain.json.
+// prediction cache hitting (repeated plan) versus disabled (every call pays
+// the O(N·d) kernel cross vector and the neighbor search). Feeds
+// BENCH_retrain.json.
 func BenchmarkPredictVector(b *testing.B) {
 	train, test := trainTest(b)
 	p, err := Train(train, DefaultOptions())

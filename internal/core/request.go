@@ -36,29 +36,23 @@ type Result struct {
 
 // Predict evaluates every request and returns one Result per request, in
 // order; results are positionally bit-identical to evaluating each request
-// alone. It runs in three stages: resolve each request's feature vector;
-// project the batch (cache lookups, then every distinct uncached vector
-// through kcca.Model.ProjectBatch together); fan the neighbor search and
-// combination out across the shared worker pool, one request per task (a
-// trained Predictor is immutable, so concurrent predictions are safe). A
-// single request is the same path at batch size one, with no pool traffic.
+// alone on a predictor with no cache. It resolves each request's feature
+// vector and hands the batch to predictVectors; a single request is the
+// same path at batch size one.
+//
+// Each Result owns its Prediction, except that Neighbors may share its
+// backing array with this generation's prediction cache and with other
+// results for the same feature vector: treat the elements as read-only.
 func (p *Predictor) Predict(reqs ...Request) []Result {
 	defer obs.Span("core.predict_batch")()
 	defer predictSeconds.Time()()
 	batchSize.Observe(float64(len(reqs)))
 	out := make([]Result, len(reqs))
-	items := make([]projected, len(reqs))
+	items := make([]batchItem, len(reqs))
 	for i, r := range reqs {
 		items[i].f, out[i].Err = p.featureVector(r)
 	}
-	p.project(items)
-	parallel.For(len(reqs), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if it := &items[i]; it.f != nil {
-				out[i].Prediction, out[i].Err = p.predictProjected(it.f, it.proj, it.maxK)
-			}
-		}
-	})
+	p.predictVectors(items, out)
 	return out
 }
 
@@ -81,66 +75,93 @@ func (p *Predictor) featureVector(r Request) ([]float64, error) {
 	return f, nil
 }
 
-// projected is one request on its way through the batch stage: its feature
-// vector (nil when the request already failed), then its canonical
-// projection and largest raw kernel similarity.
-type projected struct {
+// batchItem is one request on its way through predictVectors: its feature
+// vector (nil when the request already failed), the vector's fingerprint,
+// and whether an earlier item of the batch carries the same vector.
+type batchItem struct {
 	f     []float64
-	proj  []float64
-	maxK  float64
+	fp    uint64
 	dupOf int // 1 + the index of an earlier item with the same vector, else 0
 }
 
-// project fills in proj and maxK for every item with a feature vector. Both
-// come from the same O(N·d) kernel cross vector, skipped entirely when this
-// generation's cache has seen the vector before (repeated plans in template
-// workloads). Each vector is looked up once; the distinct uncached ones are
-// projected together and cached, and a vector repeated within the batch
-// shares the first occurrence's projection. Counters read as if the requests
-// had arrived one by one: a projected vector is one miss, a cached or
-// repeated one a hit.
-func (p *Predictor) project(items []projected) {
+// predictVectors fills out[i] for every item with a feature vector. A
+// prediction is a pure function of (feature vector, this Predictor), so a
+// vector this generation's cache has seen (repeated plans in template
+// workloads) is answered by copying the cached Prediction: one fingerprint,
+// one exact compare, no kernel, projection or neighbor search. Only the
+// distinct vectors the cache does not know are computed — projected together
+// through kcca.Model.ProjectBatch, then searched and combined across the
+// shared worker pool, one vector per task (a trained Predictor is immutable,
+// so concurrent predictions are safe) — and cached unless they failed; a
+// vector repeated within the batch copies its first occurrence's outcome.
+// The fingerprint is taken once per item and serves the lookup, the
+// in-batch repeat detection and the insert. Every prediction of a call is
+// carved from one slab. Counters read as if the requests had arrived one by
+// one: a computed vector is one miss, a cached or repeated one a hit.
+func (p *Predictor) predictVectors(items []batchItem, out []Result) {
+	preds := make([]Prediction, len(items))
 	var miss []int
-	hits := 0
+	valid := 0
 next:
 	for i := range items {
 		it := &items[i]
 		if it.f == nil {
 			continue
 		}
+		valid++
 		if p.cache != nil {
-			if proj, maxK, ok := p.cache.get(it.f); ok {
-				it.proj, it.maxK = proj, maxK
-				hits++
+			it.fp = p.cache.hash(it.f)
+			var ok bool
+			if preds[i], ok = p.cache.get(it.fp, it.f); ok {
 				continue
 			}
 			for _, j := range miss {
-				if equalBits(items[j].f, it.f) {
+				if items[j].fp == it.fp && equalBits(items[j].f, it.f) {
 					it.dupOf = j + 1
-					hits++
 					continue next
 				}
 			}
 		}
 		miss = append(miss, i)
 	}
-	projHits.Add(int64(hits))
-	if len(miss) == 0 {
-		return
+	predictCount.Add(int64(valid))
+	projHits.Add(int64(valid - len(miss)))
+	if len(miss) > 0 {
+		projMisses.Add(int64(len(miss)))
+		p.compute(items, miss, preds, out)
 	}
-	projMisses.Add(int64(len(miss)))
+	for i := range items {
+		if items[i].f == nil {
+			continue
+		}
+		if j := items[i].dupOf; j > 0 {
+			preds[i], out[i].Err = preds[j-1], out[j-1].Err
+		}
+		if out[i].Err == nil {
+			out[i].Prediction = &preds[i]
+		}
+	}
+}
+
+// compute predicts the vectors of items[miss] — none of them cached, no two
+// alike — into preds and out[·].Err, and caches the ones that succeeded.
+func (p *Predictor) compute(items []batchItem, miss []int, preds []Prediction, out []Result) {
 	qs := make([][]float64, len(miss))
 	for k, i := range miss {
 		qs[k] = items[i].f
 	}
 	projs, maxKs := p.model.ProjectBatch(qs)
-	for k, i := range miss {
-		items[i].proj, items[i].maxK = projs[k], maxKs[k]
-		p.cache.put(qs[k], projs[k], maxKs[k])
-	}
-	for i := range items {
-		if j := items[i].dupOf; j > 0 {
-			items[i].proj, items[i].maxK = items[j-1].proj, items[j-1].maxK
+	parallel.For(len(miss), 1, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			i := miss[k]
+			preds[i], out[i].Err = p.predictProjected(qs[k], projs[k], maxKs[k])
+		}
+	})
+	// Inserted in request order, not completion order, so what an LRU at
+	// capacity evicts does not depend on scheduling. Errors are never cached.
+	for _, i := range miss {
+		if out[i].Err == nil {
+			p.cache.put(items[i].fp, items[i].f, preds[i])
 		}
 	}
 }

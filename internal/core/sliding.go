@@ -221,7 +221,7 @@ func (s *SlidingPredictor) Retrain() error {
 
 // finishLocked publishes a freshly trained predictor (mu held). Publishing
 // swaps the model generation, which retires the previous generation's
-// projection cache wholesale.
+// prediction cache wholesale.
 func (s *SlidingPredictor) finishLocked(p *Predictor) {
 	s.current.Store(p)
 	s.sinceTrain = 0

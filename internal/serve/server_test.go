@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/sqlparse"
 	"repro/internal/workload"
@@ -398,10 +399,17 @@ func TestColdStartAndReadiness(t *testing.T) {
 // TestModelEndpointIndexPruning: GET /v1/model says how the generation's
 // index has pruned — searches served, mean candidates scored and abandoned
 // per search — and predict responses, which embed the same model object,
-// carry none of it (their bytes must not depend on traffic history).
+// carry none of it (their bytes must not depend on traffic history). A
+// search is run once per distinct feature vector a generation sees: the
+// same request again is answered from the prediction cache and searches
+// nothing, while the prediction and cache-hit counters still count it.
 func TestModelEndpointIndexPruning(t *testing.T) {
 	pool, pred := fixture(t)
-	s, err := New(baseConfig(t))
+	cfg := baseConfig(t)
+	// A same-options clone: the fixture's model and index behind an empty
+	// prediction cache, whatever other tests have asked the fixture.
+	cfg.Predictor = pred.WithKNN(pred.Options().KNN)
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,11 +428,21 @@ func TestModelEndpointIndexPruning(t *testing.T) {
 		}
 		return body.Model.Index
 	}
-	before := index() // the fixture predictor is shared: other tests searched it too
 	req := api.PredictRequest{}
+	distinct := map[uint64]bool{}
 	for _, q := range pool.Queries[130:137] {
 		req.Queries = append(req.Queries, api.QueryInput{SQL: q.SQL})
+		fp, err := core.QueryFingerprint(planLocal(t, q.SQL), core.PlanFeatures)
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct[fp] = true
 	}
+	n := int64(len(req.Queries))
+	cacheHits := obs.GetCounter("core.projcache.hits")
+
+	before := index() // the index is the fixture's: other tests searched it too
+	predicted, hits := corePredictCount.Value(), cacheHits.Value()
 	resp, raw := postJSON(t, ts.URL+"/v1/predict", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("predict %d: %s", resp.StatusCode, raw)
@@ -434,12 +452,30 @@ func TestModelEndpointIndexPruning(t *testing.T) {
 		t.Fatalf("predict response should carry the index's static shape only: %s", raw)
 	}
 	after := index()
-	if got := after.Searches - before.Searches; got != int64(len(req.Queries)) {
-		t.Fatalf("searches went from %d to %d over %d predictions", before.Searches, after.Searches, len(req.Queries))
+	if got := after.Searches - before.Searches; got != int64(len(distinct)) {
+		t.Fatalf("searches went from %d to %d over %d unseen vectors", before.Searches, after.Searches, len(distinct))
+	}
+	if got := cacheHits.Value() - hits; got != n-int64(len(distinct)) {
+		t.Fatalf("%d cache hits on a cold cache, want %d (vectors repeated within the request)", got, n-int64(len(distinct)))
 	}
 	if after.MeanScored <= 0 || after.MeanScored > float64(after.Points) ||
 		after.MeanAbandoned < 0 || after.MeanAbandoned > after.MeanScored {
 		t.Fatalf("index pruning %+v: want 0 < mean_scored ≤ points and 0 ≤ mean_abandoned ≤ mean_scored", after)
+	}
+
+	hits = cacheHits.Value()
+	resp, again := postJSON(t, ts.URL+"/v1/predict", req)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(again, raw) {
+		t.Fatalf("the same request again: %d %s, first answer %s", resp.StatusCode, again, raw)
+	}
+	if got := index().Searches; got != after.Searches {
+		t.Fatalf("searches went from %d to %d answering cached vectors", after.Searches, got)
+	}
+	if got := cacheHits.Value() - hits; got != n {
+		t.Fatalf("%d cache hits for %d cached queries", got, n)
+	}
+	if got := corePredictCount.Value() - predicted; got != 2*n {
+		t.Fatalf("core.predict.count advanced by %d over two requests of %d", got, n)
 	}
 }
 

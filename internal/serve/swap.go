@@ -13,8 +13,8 @@ import (
 // Model is never mutated after training returns, so readers may use it
 // lock-free for as long as they hold the pointer; a hot swap only replaces
 // which pointer new readers pick up. For the KCCA kind the generation also
-// scopes the predictor's internal projection cache: each Predictor carries
-// its own, so swapping generations retires every cached projection of the
+// scopes the predictor's internal prediction cache: each Predictor carries
+// its own, so swapping generations retires every cached prediction of the
 // previous model wholesale — results tagged with one generation were
 // computed against exactly that model and its cache, never a stale one.
 type servedModel struct {

@@ -56,11 +56,11 @@ type ringPoint struct {
 }
 
 // HashPartitioner routes by consistent hashing of the template fingerprint
-// — the same core.Fingerprint the projection cache keys cached projections
+// — the same core.Fingerprint the prediction cache keys cached predictions
 // by, computed over the query's feature vector. Two properties follow:
 //
 //   - a recurring template always lands on the same shard, so that shard's
-//     window (and therefore its model and its projection cache) specializes
+//     window (and therefore its model and its prediction cache) specializes
 //     on the templates it owns;
 //   - the mapping is consistent: changing the shard count moves only the
 //     keys whose ring arc changed ownership, not a full reshuffle — the

@@ -270,7 +270,7 @@ func TestSlowShardIsolation(t *testing.T) {
 
 // TestFingerprintDeterminism is the cross-package determinism check: the
 // consistent-hash partitioner must key its ring lookups by exactly the
-// fingerprint the projection cache uses — core.Fingerprint of the query's
+// fingerprint the prediction cache uses — core.Fingerprint of the query's
 // feature vector — and that fingerprint must be stable across calls and
 // processes (FNV-1a is a fixed function of the bits).
 func TestFingerprintDeterminism(t *testing.T) {
@@ -306,7 +306,7 @@ func TestFingerprintDeterminism(t *testing.T) {
 	}
 	// The function itself is a fixture: FNV-1a over IEEE-754 bit patterns,
 	// pinned so an accidental algorithm change cannot silently remap every
-	// projection-cache key and shard assignment.
+	// prediction-cache key and shard assignment.
 	if got := core.Fingerprint([]float64{1, 2, 3}); got != 0xe2d5ae79fc4e9a70 {
 		t.Fatalf("core.Fingerprint([1 2 3]) = %#x, want the pinned FNV-1a value", got)
 	}

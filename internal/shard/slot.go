@@ -12,8 +12,8 @@ import (
 // after training returns, so readers may use it lock-free for as long as
 // they hold the pointer; a hot swap only replaces which pointer new readers
 // pick up. For KCCA the generation also scopes the predictor's internal
-// projection cache: each Predictor carries its own, so swapping generations
-// retires every cached projection of the previous model wholesale.
+// prediction cache: each Predictor carries its own, so swapping generations
+// retires every cached prediction of the previous model wholesale.
 type Served struct {
 	Model model.Model
 	Gen   int64
