@@ -53,6 +53,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
+	"repro/internal/linalg"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -178,6 +179,13 @@ func main() {
 	machine, err := exec.ParseMachine(opts.Train.Machine)
 	if err != nil {
 		cli.Fatalf("%v", err)
+	}
+	// Which arithmetic path serves decides cpu_ms_per_query more than any
+	// option does; say it once so two hosts' numbers can be told apart.
+	if linalg.VectorKernels() {
+		fmt.Fprintln(os.Stderr, "linalg kernels: AVX2")
+	} else {
+		fmt.Fprintln(os.Stderr, "linalg kernels: portable (no AVX2 on this host)")
 	}
 	schema := catalog.TPCDS(1)
 	opt := core.DefaultOptions()

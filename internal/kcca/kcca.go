@@ -89,18 +89,17 @@ type Model struct {
 	// CCA weights in reduced space.
 	ccaModel *cca.Model
 
-	// uxT and wxT are ux and the CCA weights WX transposed: the layout
-	// projection reads (linalg.TMulVecT). Derived by finish wherever a
-	// model is assembled — training, incremental retraining, Load — and
-	// never serialized.
-	uxT, wxT *linalg.Matrix
+	// xT is X feature-major (one row per feature): the layout the
+	// cross-kernel reads (kernels.CrossVectorColsInto). Derived by finish
+	// wherever a model is assembled — training, incremental retraining,
+	// Load — and never serialized.
+	xT *linalg.Matrix
 }
 
 // finish derives the projection layout from the fitted (or decoded) fields
 // and returns the model.
 func (m *Model) finish() *Model {
-	m.uxT = m.ux.T()
-	m.wxT = m.ccaModel.WX.T()
+	m.xT = m.X.T()
 	return m
 }
 
@@ -285,8 +284,11 @@ func (m *Model) ProjectQuery(q []float64) []float64 {
 }
 
 // ProjectQueryKernel projects q and also returns its largest raw kernel
-// evaluation against the training set (see MaxKernel), computing the
-// cross-kernel vector exactly once — the prediction hot path needs both and
+// evaluation against the training set — an in-distribution score in (0, 1]:
+// near zero, the query is far from everything the model has seen, its
+// projection coordinates are meaningless (the kernel vector is numerically
+// zero) and downstream confidence should collapse. Both come from one
+// cross-kernel vector — the prediction hot path needs both and
 // the O(N·d) kernel vector dominates its cost. This is Fig. 7's projection:
 // kernelize against the training set, center, reduce onto the kernel-PCA
 // basis (φ = Λ^{−1/2}·Uᵀ·k), apply the CCA weights. It runs on the calling
@@ -299,20 +301,20 @@ func (m *Model) ProjectQueryKernel(q []float64) (proj []float64, maxK float64) {
 	defer kernels.PutScratch(scratch)
 	kq, phi := (*scratch)[:n], (*scratch)[n:]
 
-	kernels.CrossVectorSerialInto(kq, m.X, q, m.TauX)
+	kernels.CrossVectorColsInto(kq, m.xT, q, m.TauX)
 	for _, v := range kq {
 		if v > maxK {
 			maxK = v
 		}
 	}
 	kernels.CenterCrossInto(kq, kq, m.rowMeansX, m.grandX)
-	m.uxT.TMulVecT(phi, kq)
+	m.ux.TMulVecInto(phi, kq)
 	// Scale to φ, then center on the training mean as cca.ProjectX does.
 	for j := range phi {
 		phi[j] = phi[j]/math.Sqrt(m.lamx[j]) - m.ccaModel.MeanX[j]
 	}
-	proj = make([]float64, m.wxT.Rows)
-	m.wxT.TMulVecT(proj, phi)
+	proj = make([]float64, m.ccaModel.WX.Cols)
+	m.ccaModel.WX.TMulVecInto(proj, phi)
 	return proj, maxK
 }
 
@@ -328,22 +330,6 @@ func (m *Model) ProjectBatch(qs [][]float64) (projs [][]float64, maxKs []float64
 		}
 	})
 	return projs, maxKs
-}
-
-// MaxKernel returns the largest kernel evaluation between q and any
-// training point — a raw in-distribution score in (0, 1]. Values near zero
-// mean the query is far from everything the model has seen, in which case
-// its projection coordinates are meaningless (the kernel vector is
-// numerically zero) and downstream confidence should collapse.
-func (m *Model) MaxKernel(q []float64) float64 {
-	kq := kernels.CrossVector(m.X, q, m.TauX)
-	best := 0.0
-	for _, v := range kq {
-		if v > best {
-			best = v
-		}
-	}
-	return best
 }
 
 // Dims returns the dimensionality of the canonical projections.

@@ -197,7 +197,7 @@ func TestMaxKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A training point's max kernel is 1 (itself).
-	if k := m.MaxKernel(x.Row(0)); math.Abs(k-1) > 1e-12 {
+	if _, k := m.ProjectQueryKernel(x.Row(0)); math.Abs(k-1) > 1e-12 {
 		t.Errorf("training point max kernel = %v, want 1", k)
 	}
 	// A far-away point has near-zero similarity.
@@ -205,7 +205,7 @@ func TestMaxKernel(t *testing.T) {
 	for i := range far {
 		far[i] = 1e6
 	}
-	if k := m.MaxKernel(far); k > 1e-6 {
+	if _, k := m.ProjectQueryKernel(far); k > 1e-6 {
 		t.Errorf("far point max kernel = %v, want ~0", k)
 	}
 }

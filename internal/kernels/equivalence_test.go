@@ -48,9 +48,10 @@ func TestMatrixParallelMatchesSerial(t *testing.T) {
 }
 
 // TestCrossVectorParallelMatchesSerial also holds both cross-vector forms to
-// Gaussian itself, element by element: they score four rows per pass, and a
-// row count that is not a multiple of four finishes through Gaussian. 3000
-// rows is enough for the pooled form to actually split.
+// Gaussian itself, element by element: they score four (or, feature-major on
+// AVX2, sixteen) rows per pass, and a row count that is not a multiple of
+// that finishes through a one-row loop. 3000 rows is enough for the pooled
+// form to actually split.
 func TestCrossVectorParallelMatchesSerial(t *testing.T) {
 	defer parallel.SetMaxProcs(parallel.SetMaxProcs(1))
 	for _, n := range []int{1, 2, 3, 4, 5, 513, 3000} {
@@ -69,7 +70,7 @@ func TestCrossVectorParallelMatchesSerial(t *testing.T) {
 				}
 			}
 		}
-		check("serial form", CrossVectorSerialInto(make([]float64, n), x, q, tau))
+		check("feature-major form", CrossVectorColsInto(make([]float64, n), x.T(), q, tau))
 		for _, w := range equivWorkerCounts() {
 			parallel.SetMaxProcs(w)
 			check("pooled form", CrossVector(x, q, tau))
@@ -106,8 +107,9 @@ func TestCenterParallelMatchesSerial(t *testing.T) {
 }
 
 // BenchmarkCrossVector is the cross-kernel at the daemon's shape (800
-// training rows × 24 plan features): one Gaussian per row, as the predict
-// path computed it, against four rows per pass.
+// training rows × 24 plan features): one Gaussian per row, four rows per
+// pass over the row-major points, and the predict path's feature-major form
+// on the AVX2 kernels (where the host has them) and on the portable loops.
 func BenchmarkCrossVector(b *testing.B) {
 	x := randMatrix(11, 800, 24)
 	q := randMatrix(12, 1, 24).Row(0)
@@ -120,9 +122,18 @@ func BenchmarkCrossVector(b *testing.B) {
 			}
 		}
 	})
-	b.Run("CrossVectorSerialInto", func(b *testing.B) {
+	b.Run("CrossVectorInto", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			CrossVectorSerialInto(out, x, q, tau)
+			CrossVectorInto(out, x, q, tau)
 		}
 	})
+	xT := x.T()
+	cols := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			CrossVectorColsInto(out, xT, q, tau)
+		}
+	}
+	b.Run("CrossVectorColsInto", cols)
+	defer linalg.SetVectorKernels(linalg.SetVectorKernels(false))
+	b.Run("CrossVectorColsIntoPortable", cols)
 }

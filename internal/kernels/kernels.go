@@ -117,33 +117,43 @@ func CrossVector(x *linalg.Matrix, q []float64, tau float64) []float64 {
 // x.Rows (commonly leased from GetScratch), returning it. Row blocks go to
 // the worker pool: it serves training-time callers with one long vector to
 // fill. The prediction path, which has many queries instead and fans out
-// over those, uses CrossVectorSerialInto.
+// over those, uses CrossVectorColsInto.
 func CrossVectorInto(out []float64, x *linalg.Matrix, q []float64, tau float64) []float64 {
 	defer obs.Span("kernels.cross_vector")()
-	checkCross(out, x, q, tau)
+	checkCross(out, x.Rows, x.Cols, q, tau)
 	parallel.For(x.Rows, parallel.GrainFor(x.Cols, 1<<14), func(lo, hi int) {
 		crossRows(out, x, q, tau, lo, hi)
 	})
 	return out
 }
 
-// CrossVectorSerialInto is CrossVectorInto on the calling goroutine.
-func CrossVectorSerialInto(out []float64, x *linalg.Matrix, q []float64, tau float64) []float64 {
+// CrossVectorColsInto is CrossVectorInto, bit for bit, on the calling
+// goroutine and from the feature-major copy xT = x.T() (one row per feature,
+// one column per training point): in that layout neighbouring points are
+// neighbours in memory, which is what lets linalg.SqDistCols carry sixteen
+// points' sums through one pass over q. The exponential is applied per point
+// afterwards, in place.
+func CrossVectorColsInto(out []float64, xT *linalg.Matrix, q []float64, tau float64) []float64 {
 	defer obs.Span("kernels.cross_vector")()
-	checkCross(out, x, q, tau)
-	crossRows(out, x, q, tau, 0, x.Rows)
+	checkCross(out, xT.Cols, xT.Rows, q, tau)
+	linalg.SqDistCols(out, xT, q)
+	for i, d := range out {
+		out[i] = math.Exp(-d / tau)
+	}
 	return out
 }
 
-func checkCross(out []float64, x *linalg.Matrix, q []float64, tau float64) {
+// checkCross validates a cross-vector call against a point set of the given
+// size and feature count.
+func checkCross(out []float64, points, features int, q []float64, tau float64) {
 	if tau <= 0 {
 		panic("kernels: nonpositive scale")
 	}
-	if len(q) != x.Cols {
-		panic(fmt.Sprintf("kernels: query has %d features, want %d", len(q), x.Cols))
+	if len(q) != features {
+		panic(fmt.Sprintf("kernels: query has %d features, want %d", len(q), features))
 	}
-	if len(out) != x.Rows {
-		panic(fmt.Sprintf("kernels: cross-vector buffer has %d entries, want %d", len(out), x.Rows))
+	if len(out) != points {
+		panic(fmt.Sprintf("kernels: cross-vector buffer has %d entries, want %d", len(out), points))
 	}
 }
 

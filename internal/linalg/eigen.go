@@ -186,13 +186,7 @@ func tred2(t *Matrix, d, e []float64) {
 			// worker.
 			parallel.For(i, parallel.GrainFor(i/2+1, 1<<14), func(lo, hi int) {
 				for j := lo; j < hi; j++ {
-					fj := d[j]
-					gj := e[j]
-					tj := t.Row(j)[j:i]
-					dk, ek := d[j:i], e[j:i]
-					for k, x := range tj {
-						tj[k] = x - (fj*ek[k] + gj*dk[k])
-					}
+					subRank2(t.Row(j)[j:i], e[j:i], d[j:i], d[j], e[j])
 				}
 			})
 			for j := 0; j < i; j++ {
@@ -226,9 +220,7 @@ func tred2(t *Matrix, d, e []float64) {
 					for k, x := range ti1 {
 						g += x * tj[k]
 					}
-					for k, x := range tj {
-						tj[k] = x - g*dk[k]
-					}
+					subScaled(tj, dk, g)
 				}
 			})
 		}
@@ -248,10 +240,11 @@ func tred2(t *Matrix, d, e []float64) {
 // columns of V at once. Each column's dot product is still summed in index
 // order, so its result is the one-column loop's bit for bit; running four
 // independent sums side by side is what hides the floating-point add latency
-// that a single running sum serializes on.
+// that a single running sum serializes on. The update half has no sum to
+// wait on and goes column by column through the elementwise kernel.
 func reflect4(u, d, t0, t1, t2, t3 []float64) {
 	n := len(u)
-	d, t0, t1, t2, t3 = d[:n], t0[:n], t1[:n], t2[:n], t3[:n]
+	t0, t1, t2, t3 = t0[:n], t1[:n], t2[:n], t3[:n]
 	var g0, g1, g2, g3 float64
 	for k, x := range u {
 		g0 += x * t0[k]
@@ -259,29 +252,16 @@ func reflect4(u, d, t0, t1, t2, t3 []float64) {
 		g2 += x * t2[k]
 		g3 += x * t3[k]
 	}
-	for k, dk := range d {
-		t0[k] -= g0 * dk
-		t1[k] -= g1 * dk
-		t2[k] -= g2 * dk
-		t3[k] -= g3 * dk
-	}
+	subScaled(t0, d, g0)
+	subScaled(t1, d, g1)
+	subScaled(t2, d, g2)
+	subScaled(t3, d, g3)
 }
 
 // rotGrain is the parallel grain of one tql2 Givens rotation (six flops per
 // element): below it — every matrix under 2730 rows — the rotation runs
 // inline, without a closure or a pool call per rotation.
 var rotGrain = parallel.GrainFor(6, 1<<14)
-
-// rotate applies the Givens rotation (c, s) to the vector pair (lo, hi):
-// lo ← c·lo − s·hi, hi ← s·lo + c·hi.
-func rotate(lo, hi []float64, c, s float64) {
-	hi = hi[:len(lo)]
-	for k, x := range lo {
-		hk := hi[k]
-		hi[k] = s*x + c*hk
-		lo[k] = c*x - s*hk
-	}
-}
 
 // tql2 computes the eigendecomposition of the symmetric tridiagonal matrix
 // (d, e) using the implicit QL algorithm, updating the transformations

@@ -1,0 +1,172 @@
+package linalg
+
+import (
+	"fmt"
+
+	"repro/internal/obs"
+)
+
+// The kernels in this file are the loops that dominate predict (the basis
+// product and the cross-kernel distances) and retrain (the eigensolver's
+// elementwise updates). Each has one portable loop, below, and on amd64 one
+// AVX2 routine (kernels_amd64.s) that the exported wrapper hands the full
+// blocks of its operands to; the portable loop finishes the tail, and does
+// all of it where the assembly does not serve.
+//
+// The two forms agree bit for bit because a vector lane is one of the
+// independent sums (or elements) the portable loop already keeps apart: a sum
+// never spans lanes, and multiply and add stay separate instructions (no
+// FMA), so each sum sees the same terms in the same order whichever form
+// computed it. DESIGN.md §5 has the argument in full.
+
+// useAVX2 says whether the assembly serves. It is decided once, at init,
+// from CPUID and XGETBV (haveAVX2); only SetVectorKernels changes it.
+var useAVX2 bool
+
+var avx2Gauge = obs.GetGauge("linalg.kernels.avx2")
+
+func init() { SetVectorKernels(true) }
+
+// VectorKernels reports whether the AVX2 kernels serve in this process.
+func VectorKernels() bool { return useAVX2 }
+
+// SetVectorKernels turns the AVX2 kernels on (where the processor has them)
+// or off and returns the previous setting. It exists so that the suites of
+// the packages built on these kernels can run on both paths; it must not be
+// called while a kernel runs.
+func SetVectorKernels(on bool) (was bool) {
+	was, useAVX2 = useAVX2, on && haveAVX2
+	if useAVX2 {
+		avx2Gauge.Set(1)
+	} else {
+		avx2Gauge.Set(0)
+	}
+	return was
+}
+
+// TMulVecInto computes mᵀ·v into the caller-owned out (length m.Cols) from
+// the natural row-major store, bit for bit what TMulVec returns: out[j] is
+// Σᵢ v[i]·m[i][j] added for i ascending from zero, and a term whose v[i] is
+// exactly zero is skipped as TMulVec skips it (adding 0·m[i][j] would turn
+// an infinite entry into NaN).
+//
+// Where TMulVec loads and stores out[j] on every term, the sums here stay in
+// registers, each on its own add chain. It runs on the calling goroutine and
+// allocates nothing: the form for callers that apply one operator to many
+// vectors and fan out over the vectors themselves.
+func (m *Matrix) TMulVecInto(out, v []float64) {
+	if len(v) != m.Rows || len(out) != m.Cols || len(m.Data) != m.Rows*m.Cols {
+		panic(fmt.Sprintf("linalg: TMulVecInto dimension mismatch %dx%d (%d stored) ᵀ* %d -> %d", m.Rows, m.Cols, len(m.Data), len(v), len(out)))
+	}
+	tmulvecGo(out, m, v, tmulvecBlocks(out, m, v))
+}
+
+// tmulvecGo is TMulVecInto for columns lo and up: four columns — four sums —
+// per pass over v.
+func tmulvecGo(out []float64, m *Matrix, v []float64, lo int) {
+	data, cols := m.Data, m.Cols
+	j := lo
+	for ; j+4 <= cols; j += 4 {
+		var s0, s1, s2, s3 float64
+		at := j
+		for _, x := range v {
+			if x != 0 {
+				r := data[at : at+4 : at+4]
+				s0 += x * r[0]
+				s1 += x * r[1]
+				s2 += x * r[2]
+				s3 += x * r[3]
+			}
+			at += cols
+		}
+		out[j], out[j+1], out[j+2], out[j+3] = s0, s1, s2, s3
+	}
+	for ; j < cols; j++ {
+		s := 0.0
+		for i, x := range v {
+			if x != 0 {
+				s += x * data[i*cols+j]
+			}
+		}
+		out[j] = s
+	}
+}
+
+// SqDistCols sets out[i] to the squared Euclidean distance between q and
+// column i of t: Σⱼ (t[j][i]−q[j])² added for j ascending. With t = x.T(),
+// the feature-major copy of a point set, that is each point's SqDist4 sum
+// (and math.Sqrt of it its Dist) bit for bit — the terms and their order are
+// the same; what changes is that neighbouring points sit side by side in
+// memory, so one pass over q carries as many sums as there are registers for.
+func SqDistCols(out []float64, t *Matrix, q []float64) {
+	if len(q) != t.Rows || len(out) != t.Cols || len(t.Data) != t.Rows*t.Cols {
+		panic(fmt.Sprintf("linalg: SqDistCols dimension mismatch %dx%d (%d stored) vs %d -> %d", t.Rows, t.Cols, len(t.Data), len(q), len(out)))
+	}
+	sqDistColsGo(out, t, q, sqDistColsBlocks(out, t, q))
+}
+
+// sqDistColsGo is SqDistCols for columns lo and up, four columns per pass.
+func sqDistColsGo(out []float64, t *Matrix, q []float64, lo int) {
+	data, n := t.Data, t.Cols
+	i := lo
+	for ; i+4 <= n; i += 4 {
+		var s0, s1, s2, s3 float64
+		at := i
+		for _, x := range q {
+			r := data[at : at+4 : at+4]
+			d0 := r[0] - x
+			s0 += d0 * d0
+			d1 := r[1] - x
+			s1 += d1 * d1
+			d2 := r[2] - x
+			s2 += d2 * d2
+			d3 := r[3] - x
+			s3 += d3 * d3
+			at += n
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
+	}
+	for ; i < n; i++ {
+		s := 0.0
+		for j, x := range q {
+			d := data[j*n+i] - x
+			s += d * d
+		}
+		out[i] = s
+	}
+}
+
+// rotate applies the Givens rotation (c, s) to the vector pair (lo, hi):
+// lo ← c·lo − s·hi, hi ← s·lo + c·hi.
+func rotate(lo, hi []float64, c, s float64) {
+	hi = hi[:len(lo)]
+	k := rotateBlocks(lo, hi, c, s)
+	lo, hi = lo[k:], hi[k:]
+	for k, x := range lo {
+		hk := hi[k]
+		hi[k] = s*x + c*hk
+		lo[k] = c*x - s*hk
+	}
+}
+
+// subScaled computes t ← t − g·d, the update half of a Householder
+// reflection once its dot product g is known.
+func subScaled(t, d []float64, g float64) {
+	d = d[:len(t)]
+	k := subScaledBlocks(t, d, g)
+	t, d = t[k:], d[k:]
+	for k, x := range d {
+		t[k] -= g * x
+	}
+}
+
+// subRank2 computes t ← t − (f·e + g·d), one column of tred2's symmetric
+// rank-2 update.
+func subRank2(t, e, d []float64, f, g float64) {
+	e, d = e[:len(t)], d[:len(t)]
+	k := subRank2Blocks(t, e, d, f, g)
+	t, e, d = t[k:], e[k:], d[k:]
+	for k, x := range t {
+		t[k] = x - (f*e[k] + g*d[k])
+	}
+}

@@ -1,0 +1,14 @@
+//go:build !amd64
+
+package linalg
+
+// Without the amd64 assembly the portable loops in kernels.go do all the
+// work: no block is ever covered.
+
+const haveAVX2 = false
+
+func tmulvecBlocks(out []float64, m *Matrix, v []float64) int    { return 0 }
+func sqDistColsBlocks(out []float64, t *Matrix, q []float64) int { return 0 }
+func rotateBlocks(lo, hi []float64, c, s float64) int            { return 0 }
+func subScaledBlocks(t, d []float64, g float64) int              { return 0 }
+func subRank2Blocks(t, e, d []float64, f, g float64) int         { return 0 }

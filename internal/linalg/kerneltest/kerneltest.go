@@ -1,0 +1,25 @@
+// Package kerneltest lets the suites of linalg and of the packages built on
+// its kernels hold on both kernel paths without a build tag.
+package kerneltest
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"testing"
+
+	"repro/internal/linalg"
+)
+
+// Main is a TestMain body: it runs the suite as the process came up, and —
+// if that passed on the AVX2 kernels — once more on the portable loops, the
+// path a host without AVX2 or another architecture takes. Benchmark runs are
+// not repeated.
+func Main(m *testing.M) {
+	code := m.Run()
+	if code == 0 && flag.Lookup("test.bench").Value.String() == "" && linalg.SetVectorKernels(false) {
+		fmt.Println("=== AVX2 kernels off: running the suite again on the portable loops")
+		code = m.Run()
+	}
+	os.Exit(code)
+}

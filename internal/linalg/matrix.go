@@ -195,41 +195,6 @@ func (m *Matrix) TMulVec(v []float64) []float64 {
 	return out
 }
 
-// TMulVecT computes m.TMulVec(v) into the caller-owned out from the
-// transposed store t = m.T(), bit for bit: out[j] is Σᵢ v[i]·t[j][i] added
-// for i ascending from zero, and a term whose v[i] is exactly zero is
-// skipped as TMulVec skips it (adding 0·t[j][i] would turn an infinite
-// entry into NaN).
-//
-// Where TMulVec loads and stores out[j] on every term, each pass here keeps
-// four sums — four rows of t against v — in registers, on four independent
-// add chains. It runs on the calling goroutine and allocates nothing: the
-// form for callers that apply one operator to many vectors and fan out over
-// the vectors themselves.
-func (t *Matrix) TMulVecT(out, v []float64) {
-	if len(v) != t.Cols || len(out) != t.Rows {
-		panic(fmt.Sprintf("linalg: TMulVecT dimension mismatch %dx%d * %d -> %d", t.Rows, t.Cols, len(v), len(out)))
-	}
-	last := t.Rows - 1
-	for j := 0; j < t.Rows; j += 4 {
-		// Rows past the last are the last row again, stored once. Reslicing
-		// to len(v) lets the compiler drop the bounds checks in the loop.
-		j1, j2, j3 := min(j+1, last), min(j+2, last), min(j+3, last)
-		r0, r1, r2, r3 := t.Row(j)[:len(v)], t.Row(j1)[:len(v)], t.Row(j2)[:len(v)], t.Row(j3)[:len(v)]
-		var s0, s1, s2, s3 float64
-		for i, x := range v {
-			if x == 0 {
-				continue
-			}
-			s0 += x * r0[i]
-			s1 += x * r1[i]
-			s2 += x * r2[i]
-			s3 += x * r3[i]
-		}
-		out[j], out[j1], out[j2], out[j3] = s0, s1, s2, s3
-	}
-}
-
 // TMul returns mᵀ * b without forming the transpose.
 func (m *Matrix) TMul(b *Matrix) *Matrix {
 	if m.Rows != b.Rows {

@@ -8,8 +8,9 @@ import (
 )
 
 // The predict-path kernels are licensed by bit identity with the loops they
-// replace: SqDist4 with Dist, TMulVecT with TMulVec. These tests compare bit
-// patterns, so −0 ≠ +0 and NaN = NaN.
+// replace: SqDist4 with Dist here, TMulVecInto with TMulVec and SqDistCols
+// with Dist in kernels_test.go. These tests compare bit patterns, so −0 ≠ +0
+// and NaN = NaN.
 
 func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
@@ -102,91 +103,4 @@ func TestSqDist4Limit(t *testing.T) {
 	if _, _, _, _, ok := SqDist4(huge, huge, huge, huge, q, math.Inf(1)); !ok {
 		t.Fatal("nothing exceeds an infinite limit")
 	}
-}
-
-func TestTMulVecTMatchesTMulVec(t *testing.T) {
-	rng := statutil.NewRNG(32, "tmulvect")
-	// m is rows×cols as TMulVec takes it; cols (the output length) crosses
-	// the four-row pass's edges, rows is the input length.
-	for _, shape := range [][2]int{{1, 1}, {5, 1}, {7, 2}, {9, 3}, {33, 4}, {20, 5}, {50, 7}, {64, 8}, {41, 9}, {800, 80}} {
-		rows, cols := shape[0], shape[1]
-		m := NewMatrix(rows, cols)
-		for i := range m.Data {
-			m.Data[i] = rng.NormFloat64()
-		}
-		v := make([]float64, rows)
-		for i := range v {
-			v[i] = rng.NormFloat64()
-		}
-		check := func(name string) {
-			t.Helper()
-			out := make([]float64, cols)
-			for j := range out {
-				out[j] = math.NaN() // every element must be overwritten
-			}
-			m.T().TMulVecT(out, v)
-			for j, want := range m.TMulVec(v) {
-				if !sameBits(out[j], want) {
-					t.Fatalf("%s %dx%d: out[%d] = %v, TMulVec %v", name, rows, cols, j, out[j], want)
-				}
-			}
-		}
-		check("dense")
-		// Exact zeros of both signs must skip their terms as TMulVec does.
-		// With an infinite or NaN matrix entry on a skipped row the
-		// difference is NaN versus a number; on a kept row it must propagate
-		// identically.
-		zr := rng.Intn(rows)
-		v[zr] = 0
-		v[rng.Intn(rows)] = math.Copysign(0, -1)
-		check("zeros")
-		m.Data[zr*cols+rng.Intn(cols)] = math.Inf(1)
-		m.Data[zr*cols+rng.Intn(cols)] = math.NaN()
-		check("inf under a zero")
-		m.Data[rng.Intn(len(m.Data))] = math.Inf(-1)
-		check("inf")
-	}
-}
-
-func TestTMulVecTRejectsBadShapes(t *testing.T) {
-	tm := NewMatrix(3, 5)
-	for name, call := range map[string]func(){
-		"input":  func() { tm.TMulVecT(make([]float64, 3), make([]float64, 4)) },
-		"output": func() { tm.TMulVecT(make([]float64, 2), make([]float64, 5)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s mismatch did not panic", name)
-				}
-			}()
-			call()
-		}()
-	}
-}
-
-// BenchmarkTMulVecT is the basis product at the daemon's shape (800 training
-// rows onto 80 kernel-PCA components): TMulVec's axpy against the
-// register-held sums over the transposed store.
-func BenchmarkTMulVecT(b *testing.B) {
-	rng := statutil.NewRNG(33, "tmulvect-bench")
-	m := NewMatrix(800, 80)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
-	}
-	tm := m.T()
-	v, out := make([]float64, m.Rows), make([]float64, m.Cols)
-	for j := range v {
-		v[j] = rng.NormFloat64()
-	}
-	b.Run("TMulVec", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.TMulVec(v)
-		}
-	})
-	b.Run("TMulVecT", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tm.TMulVecT(out, v)
-		}
-	})
 }
