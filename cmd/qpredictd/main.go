@@ -47,6 +47,7 @@ import (
 	"path/filepath"
 	"strings"
 	"syscall"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/cli"
@@ -464,7 +465,7 @@ func main() {
 	if err != nil {
 		cli.Fatalf("listening on %s: %v", opts.Serve.Addr, err)
 	}
-	httpSrv := &http.Server{Handler: mux}
+	httpSrv := newHTTPServer(mux, readHeaderTimeout)
 	modelDesc := "model: recovered from state"
 	if predictor != nil {
 		modelDesc = fmt.Sprintf("model: %d queries", predictor.N())
@@ -488,4 +489,21 @@ func main() {
 	case err := <-errc:
 		cli.Fatalf("server: %v", err)
 	}
+}
+
+// Connection timeouts of the daemon's listener. A client gets
+// readHeaderTimeout to deliver a request's header once its first byte has
+// arrived, and a kept-alive connection may sit idle between requests for
+// idleTimeout; a connection that trickles or goes quiet is closed instead of
+// holding a goroutine and a descriptor for good. Bodies are bounded in size
+// (Serve.MaxBody) and handlers by the per-request deadline.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer builds the daemon's http.Server around its handler. The
+// header timeout is a parameter only so that a test can shorten it.
+func newHTTPServer(h http.Handler, headerTimeout time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout, IdleTimeout: idleTimeout}
 }

@@ -16,6 +16,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/exec"
@@ -96,7 +97,22 @@ type Prediction struct {
 	// of the same feature vector by one Predictor share the backing array
 	// (see Predict).
 	Neighbors []knn.Neighbor
+	// Memo is non-nil on a prediction that is, field for field, an entry of
+	// a Predictor's prediction cache — just inserted or copied out: that
+	// entry's one Memo (see Memo). Whoever changes another field of such a
+	// copy must set Memo to nil.
+	Memo *Memo
 }
+
+// Memo is a slot for bytes derived from a cached Prediction by whoever
+// serves it — the HTTP layer keeps the prediction's encoded wire form
+// there, so a repeated plan is not formatted twice. core allocates one per
+// prediction-cache entry (projCache.put, and nothing else, attaches it) and
+// never reads it; it dies with the entry, at the latest when a swap retires
+// the Predictor. Within one generation everything but Memo in the
+// Prediction beside it is the same for every holder, so racing writers
+// store equal bytes.
+type Memo = atomic.Pointer[[]byte]
 
 // Predictor predicts query performance metrics before execution.
 type Predictor struct {
@@ -383,7 +399,8 @@ func (p *Predictor) predictProjected(f, proj []float64, maxK float64) (Predictio
 		if sub, ok := p.sub[cat]; ok {
 			pred, err := sub.predictVector(f)
 			if err == nil {
-				pred.Category = cat
+				// No longer what the sub-model's cache entry holds.
+				pred.Category, pred.Memo = cat, nil
 				return pred, nil
 			}
 		}

@@ -69,7 +69,7 @@ func newProjCache(capacity int) *projCache {
 // not values — so 0.0 and −0.0 hash apart; the exact compare below uses the
 // same equality, keeping hit/miss decisions consistent). The Prediction is
 // returned by value, so the caller owns every field but the Neighbors
-// backing array.
+// backing array and the entry's Memo.
 func (c *projCache) get(fp uint64, f []float64) (Prediction, bool) {
 	if c == nil {
 		return Prediction{}, false
@@ -90,11 +90,14 @@ func (c *projCache) get(fp uint64, f []float64) (Prediction, bool) {
 }
 
 // put inserts the prediction of f (fingerprint fp), evicting the least
-// recently used entry at capacity. f is copied.
-func (c *projCache) put(fp uint64, f []float64, pred Prediction) {
+// recently used entry at capacity. f is copied. The entry gets a fresh Memo
+// — the only place one is made — which put returns, so that the caller's
+// own copy of pred is the twin of what get will hand out.
+func (c *projCache) put(fp uint64, f []float64, pred Prediction) *Memo {
 	if c == nil {
-		return
+		return nil
 	}
+	pred.Memo = new(Memo)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, found := c.byFP[fp]; found {
@@ -104,7 +107,7 @@ func (c *projCache) put(fp uint64, f []float64, pred Prediction) {
 		e.key = append(e.key[:0], f...)
 		e.pred = pred
 		c.order.MoveToFront(el)
-		return
+		return pred.Memo
 	}
 	for c.order.Len() >= c.cap {
 		oldest := c.order.Back()
@@ -113,6 +116,7 @@ func (c *projCache) put(fp uint64, f []float64, pred Prediction) {
 	}
 	e := &projEntry{fp: fp, key: append([]float64(nil), f...), pred: pred}
 	c.byFP[fp] = c.order.PushFront(e)
+	return pred.Memo
 }
 
 // len reports the current entry count (for tests).

@@ -174,6 +174,83 @@ func TestWithKNNDoesNotShareCache(t *testing.T) {
 	check("parent again", parent)
 }
 
+// TestMemoFollowsTheCacheEntry pins the Memo contract the serving layer's
+// fragment cache rests on: a prediction carries the memo of the cache entry
+// it equals — from the insert on, batched, repeated within a batch or alone
+// — and different vectors different ones; no cache, no memo; an overwritten
+// entry gets a new one; and a two-step answer, whose Category is the
+// parent's vote written over a sub-model's cached prediction, carries the
+// parent's entry's memo, never the sub-model's.
+func TestMemoFollowsTheCacheEntry(t *testing.T) {
+	for _, twoStep := range []bool{false, true} {
+		p, reqs := batchFixture(t, twoStep)
+		p = withCache(p, newProjCache(0))
+		for _, sub := range p.sub { // fresh sub-model caches too
+			sub.cache = newProjCache(0)
+		}
+		reqs = reqs[:12]
+		twice := append(reqs[:12:12], reqs...)
+		entryMemo := func(c *Predictor, r Request) *Memo {
+			f, _ := c.featureVector(r)
+			entry, _ := c.cache.get(c.cache.hash(f), f)
+			return entry.Memo
+		}
+		memos := map[*Memo]bool{}
+		check := func(pass string, c *Predictor, reqs ...Request) {
+			t.Helper()
+			for i, r := range c.Predict(reqs...) {
+				m := r.Prediction.Memo
+				if m == nil || m != entryMemo(c, reqs[i]) {
+					t.Fatalf("twoStep=%v %s request %d: memo %p, the cache entry's %p", twoStep, pass, i, m, entryMemo(c, reqs[i]))
+				}
+				for _, sub := range c.sub {
+					if m == entryMemo(sub, reqs[i]) {
+						t.Fatalf("twoStep=%v %s request %d: parent and sub-model share a memo", twoStep, pass, i)
+					}
+				}
+				memos[m] = true
+			}
+		}
+		check("computed", p, twice...)
+		check("cached", p, twice...)
+		for _, r := range reqs {
+			check("alone", p, r)
+		}
+		distinct := map[uint64]bool{}
+		for _, r := range reqs {
+			f, _ := p.featureVector(r)
+			distinct[Fingerprint(f)] = true
+		}
+		if len(memos) != len(distinct) {
+			t.Fatalf("twoStep=%v: %d memos for %d distinct vectors", twoStep, len(memos), len(distinct))
+		}
+
+		// With the parent's cache emptied and the sub-models' still warm, a
+		// two-step answer is a sub-model's cached prediction with its
+		// Category overwritten: it must leave with the parent's new entry's
+		// memo, not the sub-model's.
+		check("sub-models warm", withCache(p, newProjCache(0)), twice...)
+		for i, r := range withCache(p, nil).Predict(twice...) {
+			if r.Prediction.Memo != nil {
+				t.Fatalf("twoStep=%v request %d: a memo without a cache", twoStep, i)
+			}
+		}
+
+		// Overwriting an entry replaces its memo: bytes filled from the old
+		// prediction must not outlive it.
+		old := entryMemo(p, reqs[0])
+		f, _ := p.featureVector(reqs[0])
+		if m := p.cache.put(p.cache.hash(f), f, testPred(1)); m == nil || m == old || m != entryMemo(p, reqs[0]) {
+			t.Fatalf("twoStep=%v: an overwritten entry kept its memo", twoStep)
+		}
+		// A clone with other neighbor options answers from its own entries.
+		clone := p.WithKNN(knn.Options{K: 1, Distance: knn.Euclidean, Weighting: knn.EqualWeight})
+		if m := clone.Predict(reqs[1])[0].Prediction.Memo; m == nil || memos[m] {
+			t.Fatalf("twoStep=%v: a WithKNN clone hands out its parent's memo", twoStep)
+		}
+	}
+}
+
 // BenchmarkPredictVector measures single-query prediction with the
 // prediction cache hitting (repeated plan) versus disabled (every call pays
 // the O(N·d) kernel cross vector and the neighbor search). Feeds

@@ -159,9 +159,11 @@ func (p *Predictor) compute(items []batchItem, miss []int, preds []Prediction, o
 	})
 	// Inserted in request order, not completion order, so what an LRU at
 	// capacity evicts does not depend on scheduling. Errors are never cached.
+	// The computed prediction leaves with its new entry's memo, like every
+	// later copy of that entry (and every repeat of the vector in this batch).
 	for _, i := range miss {
 		if out[i].Err == nil {
-			p.cache.put(items[i].fp, items[i].f, preds[i])
+			preds[i].Memo = p.cache.put(items[i].fp, items[i].f, preds[i])
 		}
 	}
 }

@@ -129,36 +129,44 @@ var encPool = sync.Pool{New: func() any {
 	return e
 }}
 
-// readPool holds request-body scratch buffers for readJSON.
+// readPool holds request-body scratch buffers for readBody.
 var readPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// readJSON slurps the size-capped request body into a pooled buffer and
-// unmarshals it. json.Unmarshal copies what it keeps (strings, slices), so
-// returning the buffer to the pool is safe.
-func readJSON(w http.ResponseWriter, r *http.Request, maxBody int64, into any) error {
+// readBody slurps the size-capped request body into a pooled buffer and
+// hands it to decode, which must copy what it keeps (json.Unmarshal and
+// api.DecodePredictRequest do): the buffer goes back to the pool.
+func readBody(w http.ResponseWriter, r *http.Request, maxBody int64, decode func([]byte) error) error {
 	buf := readPool.Get().(*bytes.Buffer)
 	defer readPool.Put(buf)
 	buf.Reset()
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
 		return err
 	}
-	return json.Unmarshal(buf.Bytes(), into)
+	return decode(buf.Bytes())
 }
 
-// writeJSON emits any response body with the right headers, encoding into a
-// pooled buffer so the hot path does not allocate per response. Bytes on the
-// wire are identical to encoding straight into the ResponseWriter.
+// writeBody emits an encoded response body with the right headers.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(body)
+}
+
+// writeJSON emits any response body but a predict result (writePredict's),
+// encoding into a pooled buffer so the path does not allocate per response.
+// Bytes on the wire are identical to encoding straight into the
+// ResponseWriter.
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	e := encPool.Get().(*encBuf)
 	defer encPool.Put(e)
 	e.buf.Reset()
 	if err := e.enc.Encode(body); err != nil {
-		// Encoding failures are programming errors (our own wire types);
-		// surface them as a bare 500 rather than half a body.
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		// encoding/json refused a NaN or ±Inf in one of our own wire types.
+		// The report is the envelope of every other failure (it holds only
+		// strings, so this cannot recurse further), never half a body or a
+		// bare text/plain 500.
+		writeError(w, api.CodeInternal, "encoding response: "+err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(e.buf.Bytes())
+	writeBody(w, status, e.buf.Bytes())
 }

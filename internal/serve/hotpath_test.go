@@ -76,13 +76,13 @@ func TestServePlanCacheEquivalence(t *testing.T) {
 
 // TestPredictHandlerAllocs is the AllocsPerOp regression guard for the
 // serving hot path. With the plan cache and the prediction cache warm a
-// single-query predict allocates 43 objects (net/http, encoding/json and
-// the request's own slices; the plan-cache hit is one of them, Predict's
-// three slabs three more); re-planning the query adds a plan-cache miss, at
-// most planMissAllocBound more; and each further query of a batch costs 2.1
-// (the plan-cache hit's copy and the decoded SQL string) — it was 5.1 while
-// every query ran its own neighbor search and took its own Prediction. The
-// numeric bounds are waived under -race.
+// single-query predict allocates 38 objects (net/http, the model block's
+// json.Marshal and the request's own slices; the plan-cache hit is one of
+// them, Predict's three slabs three more); re-planning the query adds a
+// plan-cache miss, at most planMissAllocBound more; and each further query
+// of a batch costs 2.0 (the plan-cache hit's copy and the decoded SQL
+// string) — the api codec decodes a string in one allocation and encodes a
+// result in none. The numeric bounds are waived under -race.
 func TestPredictHandlerAllocs(t *testing.T) {
 	pool, _ := fixture(t)
 	cached, uncached := newServerPair(t)

@@ -19,6 +19,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -55,7 +56,13 @@ var (
 	predictRequests   = obs.GetCounter("serve.requests.predict")
 	observeRequests   = obs.GetCounter("serve.requests.observe")
 	predictSeconds    = obs.GetHistogram("serve.predict.seconds")
-	walSnapshotFails  = obs.GetCounter("wal.snapshot.errors")
+	// Which codec path served (internal/api): predict bodies outside the
+	// decoder's fast path, and results whose metrics/category/confidence run
+	// was copied from, or stored into, a prediction-cache entry's memo.
+	decodeFallbacks  = obs.GetCounter("serve.decode.fallbacks")
+	encodeMemoHits   = obs.GetCounter("serve.encode.memo_hits")
+	encodeMemoFills  = obs.GetCounter("serve.encode.memo_fills")
+	walSnapshotFails = obs.GetCounter("wal.snapshot.errors")
 )
 
 // Config wires a Server.
@@ -359,7 +366,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer predictSeconds.Time()()
 
 	var req api.PredictRequest
-	if err := readJSON(w, r, s.cfg.MaxBody, &req); err != nil {
+	err := readBody(w, r, s.cfg.MaxBody, func(body []byte) error {
+		fallback, err := api.DecodePredictRequest(body, &req)
+		if fallback {
+			decodeFallbacks.Inc()
+		}
+		return err
+	})
+	if err != nil {
 		writeError(w, api.CodeBadRequest, "decoding body: "+err.Error())
 		return
 	}
@@ -391,21 +405,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// Parse + plan first: malformed queries fail in place without entering
 	// the queue, so a batch mixing good and bad SQL still gets predictions
 	// for the good part.
-	results, metrics := make([]api.QueryResult, len(inputs)), make([]api.Metrics, len(inputs))
+	reply := newPredictReply(len(inputs))
+	qs, idx := s.planInputs(inputs, reply)
 	// The group may outlive this handler when a deadline abandons it, so its
 	// items are heap-owned and sized up front.
-	g := &coalesce.Group{Ctx: ctx, Items: make([]coalesce.Item, 0, len(inputs))}
-	itemIdx := make([]int, 0, len(inputs))
-	for i, in := range inputs {
-		results[i].SQL = in.SQL
-		q, cost, apiErr := s.planQuery(in.SQL)
-		if apiErr != nil {
-			results[i].Error = apiErr
-			continue
-		}
-		results[i].OptimizerCost = cost
-		g.Items = append(g.Items, coalesce.Item{Req: core.Request{Query: q}})
-		itemIdx = append(itemIdx, i)
+	g := &coalesce.Group{Ctx: ctx, Items: make([]coalesce.Item, len(qs))}
+	for k, q := range qs {
+		g.Items[k].Req = core.Request{Query: q}
 	}
 	// Admission is all or nothing and never blocks: a queue with no room
 	// for the whole request sheds it (429) instead of stacking goroutines.
@@ -419,23 +425,83 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for k := range g.Items {
-		it, i := &g.Items[k], itemIdx[k]
+		it, i := &g.Items[k], idx[k]
 		if it.Res.Err != nil {
-			results[i].Error = apiError(it.Res.Err)
+			reply.results[i].Error = apiError(it.Res.Err)
 			continue
 		}
-		metrics[i] = api.MetricsFrom(it.Res.Prediction.Metrics)
-		results[i].Metrics = &metrics[i]
-		results[i].Category = it.Res.Prediction.Category.String()
-		results[i].Confidence = it.Res.Prediction.Confidence
-		results[i].Generation = it.Gen
-		results[i].ModelKind = it.Kind
+		reply.served(i, it.Res.Prediction, it.Gen, it.Kind)
 	}
-	writeJSON(w, http.StatusOK, api.PredictResponse{
-		Version: api.Version,
-		Model:   s.modelInfo(),
-		Results: results,
-	})
+	writePredict(w, s.modelInfo(), reply)
+}
+
+// predictReply is a predict response under construction: one result per
+// input and, parallel to the results, the storage their Metrics point into
+// and the fragment (api.AppendPredictResponse) each served result may be
+// encoded through.
+type predictReply struct {
+	results []api.QueryResult
+	metrics []api.Metrics
+	frags   []*api.Fragment
+}
+
+func newPredictReply(n int) *predictReply {
+	return &predictReply{make([]api.QueryResult, n), make([]api.Metrics, n), make([]*api.Fragment, n)}
+}
+
+// planInputs parses and plans every input through the plan cache. A query
+// that fails has its error in its result slot and goes no further; the rest
+// come back in input order, with the result index of each.
+func (s *Server) planInputs(inputs []api.QueryInput, reply *predictReply) (qs []*dataset.Query, idx []int) {
+	qs, idx = make([]*dataset.Query, 0, len(inputs)), make([]int, 0, len(inputs))
+	for i, in := range inputs {
+		reply.results[i].SQL = in.SQL
+		q, cost, apiErr := s.planQuery(in.SQL)
+		if apiErr != nil {
+			reply.results[i].Error = apiErr
+			continue
+		}
+		reply.results[i].OptimizerCost = cost
+		qs = append(qs, q)
+		idx = append(idx, i)
+	}
+	return qs, idx
+}
+
+// served fills result i from the prediction a model of the given generation
+// and kind answered with. A prediction that came out of a generation's
+// prediction cache brings that entry's memo: metrics, category and
+// confidence are then the same for every request the entry serves, which is
+// what an api.Fragment needs, so the memo is the result's fragment.
+func (p *predictReply) served(i int, pred *core.Prediction, gen int64, kind string) {
+	res := &p.results[i]
+	p.metrics[i] = api.MetricsFrom(pred.Metrics)
+	res.Metrics = &p.metrics[i]
+	res.Category = pred.Category.String()
+	res.Confidence = pred.Confidence
+	res.Generation = gen
+	res.ModelKind = kind
+	p.frags[i] = pred.Memo
+}
+
+// respPool holds predict-response buffers.
+var respPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writePredict encodes a finished reply with the api codec — on either
+// engine the only thing that encodes predict results — and sends it.
+func writePredict(w http.ResponseWriter, model *api.ModelInfo, reply *predictReply) {
+	buf := respPool.Get().(*[]byte)
+	defer respPool.Put(buf)
+	resp := api.PredictResponse{Version: api.Version, Model: model, Results: reply.results}
+	body, use, err := api.AppendPredictResponse((*buf)[:0], &resp, reply.frags)
+	if err != nil {
+		writeError(w, api.CodeInternal, "encoding response: "+err.Error())
+		return
+	}
+	*buf = body
+	encodeMemoHits.Add(int64(use.Hits))
+	encodeMemoFills.Add(int64(use.Fills))
+	writeBody(w, http.StatusOK, body)
 }
 
 // writeAbandoned reports a predict whose wait ended with its context rather
@@ -458,26 +524,14 @@ func (s *Server) writeAbandoned(w http.ResponseWriter, r *http.Request) {
 // queue, draining, the request deadline) reject the whole request with the
 // same code and message.
 func (s *Server) predictSharded(w http.ResponseWriter, r *http.Request, inputs []api.QueryInput) {
-	results, metrics := make([]api.QueryResult, len(inputs)), make([]api.Metrics, len(inputs))
-	qs := make([]*dataset.Query, 0, len(inputs))
-	qIdx := make([]int, 0, len(inputs))
-	for i, in := range inputs {
-		results[i].SQL = in.SQL
-		q, cost, apiErr := s.planQuery(in.SQL)
-		if apiErr != nil {
-			results[i].Error = apiErr
-			continue
-		}
-		results[i].OptimizerCost = cost
-		qs = append(qs, q)
-		qIdx = append(qIdx, i)
-	}
+	reply := newPredictReply(len(inputs))
+	qs, idx := s.planInputs(inputs, reply)
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
 	outs := s.router.Predict(ctx, qs)
 	sharded := s.router.Sharded()
 	for k, out := range outs {
-		i := qIdx[k]
+		res := &reply.results[idx[k]]
 		err := out.Err
 		if err == nil {
 			err = out.Res.Err
@@ -491,30 +545,21 @@ func (s *Server) predictSharded(w http.ResponseWriter, r *http.Request, inputs [
 			writeError(w, e.Code, e.Message)
 			return
 		case err != nil:
-			results[i].Error = apiError(err)
+			res.Error = apiError(err)
 		default:
-			metrics[i] = api.MetricsFrom(out.Res.Prediction.Metrics)
-			results[i].Metrics = &metrics[i]
-			results[i].Category = out.Res.Prediction.Category.String()
-			results[i].Confidence = out.Res.Prediction.Confidence
-			results[i].Generation = out.Gen
-			// Attribute the answer to the model that actually produced it —
-			// under the cold-start fallback that is the fallback shard's
-			// kind, not the cold owner's.
-			results[i].ModelKind = out.Kind
+			// The answer is attributed to the model that actually produced
+			// it — under the cold-start fallback that is the fallback
+			// shard's generation and kind, not the cold owner's.
+			reply.served(idx[k], out.Res.Prediction, out.Gen, out.Kind)
 		}
 		if sharded {
-			results[i].Shard = strconv.Itoa(out.Shard)
+			res.Shard = strconv.Itoa(out.Shard)
 			if err == nil && out.Served != out.Shard {
-				results[i].FallbackShard = strconv.Itoa(out.Served)
+				res.FallbackShard = strconv.Itoa(out.Served)
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, api.PredictResponse{
-		Version: api.Version,
-		Model:   s.modelInfo(),
-		Results: results,
-	})
+	writePredict(w, s.modelInfo(), reply)
 }
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
@@ -533,7 +578,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.ObserveRequest
-	if err := readJSON(w, r, s.cfg.MaxBody, &req); err != nil {
+	if err := readBody(w, r, s.cfg.MaxBody, func(body []byte) error { return json.Unmarshal(body, &req) }); err != nil {
 		writeError(w, api.CodeBadRequest, "decoding body: "+err.Error())
 		return
 	}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"unicode/utf8"
 
+	"repro/internal/api"
 	"repro/internal/exec"
 )
 
@@ -29,97 +29,19 @@ func appendObservation(dst []byte, sql string, m exec.Metrics) ([]byte, error) {
 		}
 	}
 	dst = append(dst, `{"sql":`...)
-	dst = appendJSONString(dst, sql)
+	dst = api.AppendJSONString(dst, sql)
 	dst = append(dst, `,"metrics":{"ElapsedSec":`...)
-	dst = appendJSONFloat(dst, m.ElapsedSec)
+	dst = api.AppendJSONFloat(dst, m.ElapsedSec)
 	dst = append(dst, `,"RecordsAccessed":`...)
-	dst = appendJSONFloat(dst, m.RecordsAccessed)
+	dst = api.AppendJSONFloat(dst, m.RecordsAccessed)
 	dst = append(dst, `,"RecordsUsed":`...)
-	dst = appendJSONFloat(dst, m.RecordsUsed)
+	dst = api.AppendJSONFloat(dst, m.RecordsUsed)
 	dst = append(dst, `,"DiskIOs":`...)
-	dst = appendJSONFloat(dst, m.DiskIOs)
+	dst = api.AppendJSONFloat(dst, m.DiskIOs)
 	dst = append(dst, `,"MessageCount":`...)
-	dst = appendJSONFloat(dst, m.MessageCount)
+	dst = api.AppendJSONFloat(dst, m.MessageCount)
 	dst = append(dst, `,"MessageBytes":`...)
-	dst = appendJSONFloat(dst, m.MessageBytes)
+	dst = api.AppendJSONFloat(dst, m.MessageBytes)
 	dst = append(dst, `}}`...)
 	return dst, nil
-}
-
-// appendJSONFloat appends a float64 exactly as encoding/json does: shortest
-// round-trip form, 'f' format in [1e-6, 1e21), 'e' outside it with the
-// exponent's leading zero stripped (e-09 → e-9).
-func appendJSONFloat(dst []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends a JSON string literal exactly as encoding/json's
-// default (HTML-escaping) encoder does: ", backslash and control characters
-// escaped (\n \r \t \b \f named; the rest as \u00xx), the HTML characters
-// <, > and & as \u003c / \u003e / \u0026, invalid UTF-8 bytes as the
-// \ufffd escape, and U+2028/U+2029 (legal JSON, illegal JavaScript) as
-// \u2028 / \u2029.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		if c == utf8.RuneError && size == 1 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-			i += size
-			start = i
-			continue
-		}
-		if c == ' ' || c == ' ' {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
 }
