@@ -12,12 +12,14 @@ import (
 	"repro/internal/exec"
 )
 
-// The hand-written codec of the predict hot path. Both halves are held to
-// encoding/json byte for byte: DecodePredictRequest yields the value (and,
-// by delegation, the error text) json.Unmarshal yields, AppendPredictResponse
-// the bytes json.Encoder.Encode writes. encoding/json stays in use as the
-// decoder's fallback, for the model block, and as the oracle of the fuzzers
-// in codec_test.go.
+// The hand-written codec of the predict hot path, both directions of both
+// ends of the wire, held to encoding/json byte for byte: the decoders
+// (DecodePredictRequest at the daemon, DecodePredictResponse at the client)
+// yield the value and, by delegation, the error text json.Unmarshal yields;
+// the encoders (AppendPredictRequest, AppendPredictResponse) the bytes
+// json.Encoder.Encode writes. encoding/json stays in use as the decoders'
+// fallback, for the model block, and as the oracle of the fuzzers in
+// codec_test.go.
 
 // DecodePredictRequest decodes the body of POST /v1/predict into req, which
 // must be zero, exactly as json.Unmarshal(data, req) does. The canonical
@@ -37,7 +39,7 @@ import (
 // encoding/json's by construction. Which path runs depends on data alone;
 // fallback reports that it was encoding/json.
 func DecodePredictRequest(data []byte, req *PredictRequest) (fallback bool, err error) {
-	s := reqScanner{data: data}
+	s := scanner{data: data}
 	if fast, ok := s.request(); ok {
 		*req = fast
 		return false, nil
@@ -45,47 +47,101 @@ func DecodePredictRequest(data []byte, req *PredictRequest) (fallback bool, err 
 	return true, json.Unmarshal(data, req)
 }
 
-// reqScanner is the fast path's cursor over one request body. Every method
-// that returns ok=false leaves the verdict to encoding/json; none reports an
-// error of its own.
-type reqScanner struct {
+// scanner is the fast paths' cursor over one body. Every method that returns
+// ok=false leaves the verdict to encoding/json; none reports an error of its
+// own.
+type scanner struct {
 	data []byte
 	i    int
+	// rawUTF8 admits valid UTF-8 in string values beside ASCII: the response
+	// side, where the daemon echoes a query's non-ASCII text as it came.
+	rawUTF8 bool
+	// scratch holds what the last string literal text unescaped stands for.
+	scratch []byte
 }
 
-// maxQueriesHint caps the capacity guessed for the queries slice from the
-// first element's length, so a body that lies about its shape costs at most
-// 16 KiB before append takes over.
+// maxQueriesHint caps the capacity guessed for the queries slice (and for a
+// response's results) from the first element's length, so a body that lies
+// about its shape costs at most 16 KiB (120 KiB of results and 48 of
+// metrics) before append takes over.
 const maxQueriesHint = 1024
 
-func (s *reqScanner) request() (req PredictRequest, ok bool) {
-	if !s.token('{') {
-		return req, false
-	}
-	var haveSQL, haveQueries bool
-	for first := true; !s.token('}'); first = false {
-		if !first && !s.token(',') {
-			return req, false
+// object is the cursor over the members of one JSON object.
+type object struct {
+	names []string // the keys it may hold, quotes included, in wire order
+	seen  uint     // bit k: names[k] has been found
+	next  int      // where the search for a key starts: after the last one found
+	open  bool
+}
+
+// What member returns in place of an index into names.
+const (
+	endObject = -1 - iota
+	declined
+)
+
+// member moves to the object's next member and returns the index of its key
+// in o.names, leaving the cursor on the value; endObject once the closing
+// brace is consumed; declined for what the fast path does not take — a key
+// that is not in names, is spelled otherwise or was seen before, or a syntax
+// error.
+func (s *scanner) member(o *object) int {
+	switch {
+	case !o.open:
+		if !s.token('{') {
+			return declined
 		}
-		s.space()
-		switch {
-		case !haveSQL && s.literal(`"sql"`):
-			haveSQL = true
-			if !s.token(':') {
-				return req, false
+		o.open = true
+		if s.token('}') {
+			return endObject
+		}
+	case s.token('}'):
+		return endObject
+	case !s.token(','):
+		return declined
+	}
+	s.space()
+	for n := range o.names {
+		k := o.next + n
+		if k >= len(o.names) {
+			k -= len(o.names)
+		}
+		if s.literal(o.names[k]) {
+			if o.seen&(1<<k) != 0 || !s.token(':') {
+				return declined
 			}
-			if req.SQL, ok = s.str(); !ok {
-				return req, false
-			}
-		case !haveQueries && s.literal(`"queries"`):
-			haveQueries = true
-			if !s.token(':') {
-				return req, false
-			}
-			if req.Queries, ok = s.queries(); !ok {
-				return req, false
-			}
+			o.seen |= 1 << k
+			o.next = k + 1
+			return k
+		}
+	}
+	return declined
+}
+
+// The keys of the request's objects, in wire order (the order of the struct
+// fields, asserted by TestCodecKeysMatchStructTags), and their indices.
+var (
+	requestKeys = []string{`"sql"`, `"queries"`}
+	queryKeys   = []string{`"sql"`}
+)
+
+const (
+	keyRequestSQL = iota
+	keyRequestQueries
+)
+
+func (s *scanner) request() (req PredictRequest, ok bool) {
+	o := object{names: requestKeys}
+	for k := s.member(&o); k != endObject; k = s.member(&o) {
+		switch k {
+		case keyRequestSQL:
+			req.SQL, ok = s.str()
+		case keyRequestQueries:
+			req.Queries, ok = s.queries()
 		default:
+			ok = false
+		}
+		if !ok {
 			return req, false
 		}
 	}
@@ -95,7 +151,7 @@ func (s *reqScanner) request() (req PredictRequest, ok bool) {
 
 // queries scans [{"sql":s},…]. An empty array is a non-nil empty slice, as
 // encoding/json makes it.
-func (s *reqScanner) queries() (qs []QueryInput, ok bool) {
+func (s *scanner) queries() (qs []QueryInput, ok bool) {
 	if !s.token('[') {
 		return nil, false
 	}
@@ -106,17 +162,12 @@ func (s *reqScanner) queries() (qs []QueryInput, ok bool) {
 		s.space()
 		start := s.i
 		var q QueryInput
-		if !s.token('{') {
-			return nil, false
-		}
-		if !s.token('}') {
-			if !s.literal(`"sql"`) || !s.token(':') {
+		o := object{names: queryKeys}
+		for k := s.member(&o); k != endObject; k = s.member(&o) {
+			if k == declined {
 				return nil, false
 			}
 			if q.SQL, ok = s.str(); !ok {
-				return nil, false
-			}
-			if !s.token('}') {
 				return nil, false
 			}
 		}
@@ -136,7 +187,7 @@ func (s *reqScanner) queries() (qs []QueryInput, ok bool) {
 }
 
 // space skips JSON whitespace.
-func (s *reqScanner) space() {
+func (s *scanner) space() {
 	for s.i < len(s.data) {
 		switch s.data[s.i] {
 		case ' ', '\t', '\n', '\r':
@@ -149,7 +200,7 @@ func (s *reqScanner) space() {
 
 // token consumes optional whitespace and then c, or consumes only the
 // whitespace and reports false.
-func (s *reqScanner) token(c byte) bool {
+func (s *scanner) token(c byte) bool {
 	s.space()
 	if s.i < len(s.data) && s.data[s.i] == c {
 		s.i++
@@ -159,7 +210,7 @@ func (s *reqScanner) token(c byte) bool {
 }
 
 // literal consumes lit if the input continues with exactly those bytes.
-func (s *reqScanner) literal(lit string) bool {
+func (s *scanner) literal(lit string) bool {
 	if len(s.data)-s.i >= len(lit) && string(s.data[s.i:s.i+len(lit)]) == lit {
 		s.i += len(lit)
 		return true
@@ -177,40 +228,49 @@ var unquoted = func() (t [256]bool) {
 	return t
 }()
 
-// str scans one string value (after optional whitespace).
-func (s *reqScanner) str() (string, bool) {
+// quoted scans one string value (after optional whitespace) and returns the
+// inside of its literal and whether that holds escapes.
+func (s *scanner) quoted() (raw []byte, escapes, ok bool) {
 	if !s.token('"') {
-		return "", false
+		return nil, false, false
 	}
-	data, i, escapes := s.data, s.i, false
+	data, i := s.data, s.i
 	for {
 		for i < len(data) && unquoted[data[i]] {
 			i++
 		}
 		switch {
 		case i == len(data):
-			return "", false
+			return nil, false, false
 		case data[i] == '"':
-			raw := data[s.i:i]
+			raw = data[s.i:i]
 			s.i = i + 1
-			if escapes {
-				return unescape(raw)
-			}
-			return string(raw), true
+			return raw, escapes, true
 		case data[i] == '\\' && i+1 < len(data):
 			escapes = true
 			i += 2 // whatever is escaped, a quote included, does not end the string
+		case data[i] >= utf8.RuneSelf && s.rawUTF8:
+			// encoding/json copies a valid sequence as it is; what it puts
+			// in place of a byte that starts none is its business.
+			r, size := utf8.DecodeRune(data[i:])
+			if r == utf8.RuneError && size == 1 {
+				return nil, false, false
+			}
+			i += size
 		default: // a control or non-ASCII byte, or a backslash that ends the input
-			return "", false
+			return nil, false, false
 		}
 	}
 }
 
-// unescape decodes the inside of a string literal that holds escapes; str
-// has seen that a byte follows every backslash. An escape is never shorter
-// than what it stands for, so the literal's length bounds the one
-// allocation.
-func unescape(raw []byte) (string, bool) {
+// str scans one string value into a string of its own: one allocation, the
+// literal's length bounding it where there are escapes (an escape is never
+// shorter than what it stands for).
+func (s *scanner) str() (string, bool) {
+	raw, escapes, ok := s.quoted()
+	if !escapes {
+		return string(raw), ok
+	}
 	var sb strings.Builder
 	sb.Grow(len(raw))
 	for {
@@ -220,34 +280,68 @@ func unescape(raw []byte) (string, bool) {
 			return sb.String(), true
 		}
 		sb.Write(raw[:k])
-		c := raw[k+1]
-		raw = raw[k+2:]
-		switch c {
-		case '"', '\\', '/':
-			sb.WriteByte(c)
-		case 'b':
-			sb.WriteByte('\b')
-		case 'f':
-			sb.WriteByte('\f')
-		case 'n':
-			sb.WriteByte('\n')
-		case 'r':
-			sb.WriteByte('\r')
-		case 't':
-			sb.WriteByte('\t')
-		case 'u':
-			r, ok := hex4(raw)
-			// A surrogate half pairs with (or is replaced because of) what
-			// follows it: encoding/json's business.
-			if !ok || (r >= 0xD800 && r < 0xE000) {
-				return "", false
-			}
-			sb.WriteRune(r)
-			raw = raw[4:]
-		default:
+		r, n, ok := escape(raw[k+1:])
+		if !ok {
 			return "", false
 		}
+		sb.WriteRune(r)
+		raw = raw[k+1+n:]
 	}
+}
+
+// text scans one string value and returns the bytes it stands for without
+// allocating a string: the inside of the literal where it holds no escape,
+// the scanner's scratch where it does. They are good until the next call.
+func (s *scanner) text() ([]byte, bool) {
+	raw, escapes, ok := s.quoted()
+	if !escapes {
+		return raw, ok
+	}
+	if cap(s.scratch) < len(raw) {
+		// With room to spare for the strings that follow.
+		s.scratch = make([]byte, 0, 2*len(raw))
+	}
+	out := s.scratch[:0]
+	for {
+		k := bytes.IndexByte(raw, '\\')
+		if k < 0 {
+			return append(out, raw...), true
+		}
+		out = append(out, raw[:k]...)
+		r, n, ok := escape(raw[k+1:])
+		if !ok {
+			return nil, false
+		}
+		out = utf8.AppendRune(out, r)
+		raw = raw[k+1+n:]
+	}
+}
+
+// escape decodes one escape sequence past its backslash — quoted has seen
+// that a byte follows every backslash — into the rune it stands for and the
+// number of bytes of b that spell it.
+func escape(b []byte) (r rune, n int, ok bool) {
+	switch b[0] {
+	case '"', '\\', '/':
+		return rune(b[0]), 1, true
+	case 'b':
+		return '\b', 1, true
+	case 'f':
+		return '\f', 1, true
+	case 'n':
+		return '\n', 1, true
+	case 'r':
+		return '\r', 1, true
+	case 't':
+		return '\t', 1, true
+	case 'u':
+		// A surrogate half pairs with (or is replaced because of) what
+		// follows it: encoding/json's business.
+		if r, ok := hex4(b[1:]); ok && (r < 0xD800 || r >= 0xE000) {
+			return r, 5, true
+		}
+	}
+	return 0, 0, false
 }
 
 // hex4 reads the four hex digits of a \u escape.
@@ -270,6 +364,368 @@ func hex4(b []byte) (rune, bool) {
 		r = r<<4 | rune(c)
 	}
 	return r, true
+}
+
+// AppendPredictRequest appends to dst the bytes
+// json.Encoder.Encode(PredictRequest{Queries: …}) writes for one query per
+// element of sqls — the batch form, HTML-escaped strings, trailing newline —
+// which is a body DecodePredictRequest takes on its fast path whenever the
+// SQL is ASCII.
+func AppendPredictRequest(dst []byte, sqls []string) []byte {
+	if len(sqls) == 0 {
+		return append(dst, "{}\n"...) // omitempty
+	}
+	dst = append(dst, `{"queries":[`...)
+	for i, sql := range sqls {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"sql":`...)
+		dst = AppendJSONString(dst, sql)
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}\n"...)
+}
+
+// DecodePredictResponse decodes the body of a successful POST /v1/predict
+// into resp, which must be zero, exactly as json.Unmarshal(data, resp) does.
+// The shape AppendPredictResponse writes — {"version":s,"model":{…},
+// "results":[{…},…]} — is scanned in one pass under the request decoder's
+// rules: exact lower-case unescaped keys, each at most once per object (in
+// any order, any of them absent); strings with the simple escapes and
+// non-surrogate \uXXXX, and here also with valid UTF-8 as it stands (the
+// daemon echoes a query's text unescaped, and encoding/json copies it
+// verbatim); whitespace anywhere. Numbers are checked against the
+// JSON grammar and converted by the calls encoding/json makes for these
+// fields, strconv.ParseFloat(…, 64) and, for generation, ParseInt(…, 10, 64).
+// The model block is cold and full of optional fields: its extent is found
+// by matching braces outside strings and the sub-slice is json.Unmarshal's,
+// as the block is json.Marshal's in the encoder.
+//
+// Any other input — null anywhere, an unknown, case-variant or repeated key,
+// a value of the wrong type, a number out of range or a fraction for
+// generation, a control byte or a byte that starts no UTF-8 sequence outside
+// the model block, a surrogate escape, trailing data, a syntax error, a model
+// block encoding/json finds fault with — is handed unchanged to json.Unmarshal, so
+// what those inputs decode to, and the text of their errors, is
+// encoding/json's by construction. Which path runs depends on data alone.
+//
+// The fast path allocates the results, one slab for all their Metrics, the
+// model block, and a string per value that is not one of the few a daemon
+// nearly always sends (intern). echo is the SQL the response answers, query
+// by query: a result whose sql equals echo[i] — the daemon echoes it — gets
+// that string instead of a copy of its own.
+func DecodePredictResponse(data []byte, resp *PredictResponse, echo ...string) (fallback bool, err error) {
+	s := scanner{data: data, rawUTF8: true}
+	if fast, ok := s.response(echo); ok {
+		*resp = fast
+		return false, nil
+	}
+	return true, json.Unmarshal(data, resp)
+}
+
+// The keys of the response's objects, in wire order (the order of the struct
+// fields, asserted by TestCodecKeysMatchStructTags), and their indices.
+var (
+	responseKeys = []string{`"version"`, `"model"`, `"results"`}
+	resultKeys   = []string{`"sql"`, `"metrics"`, `"category"`, `"confidence"`, `"optimizer_cost"`,
+		`"generation"`, `"shard"`, `"fallback_shard"`, `"model_kind"`, `"error"`}
+	errorKeys = []string{`"code"`, `"message"`}
+)
+
+// metricNames are the keys of the metrics object as the decoder looks for
+// them; metricKeys the same between the separators the encoder writes
+// (asserted against encoding/json by TestMetricKeysMatchNames).
+var metricNames, metricKeys = func() (names, keys [exec.NumMetrics]string) {
+	for i, name := range exec.MetricNames {
+		names[i] = `"` + name + `"`
+		keys[i] = "," + names[i] + ":"
+	}
+	keys[0] = "{" + names[0] + ":"
+	return names, keys
+}()
+
+const (
+	keyVersion = iota
+	keyModel
+	keyResults
+)
+
+const (
+	keySQL = iota
+	keyMetrics
+	keyCategory
+	keyConfidence
+	keyOptimizerCost
+	keyGeneration
+	keyShard
+	keyFallbackShard
+	keyModelKind
+	keyError
+)
+
+const (
+	keyCode = iota
+	keyMessage
+)
+
+func (s *scanner) response(echo []string) (resp PredictResponse, ok bool) {
+	o := object{names: responseKeys}
+	for k := s.member(&o); k != endObject; k = s.member(&o) {
+		switch k {
+		case keyVersion:
+			resp.Version, ok = s.interned()
+		case keyModel:
+			resp.Model, ok = s.model()
+		case keyResults:
+			resp.Results, ok = s.results(echo)
+		default:
+			ok = false
+		}
+		if !ok {
+			return resp, false
+		}
+	}
+	s.space()
+	return resp, s.i == len(s.data)
+}
+
+// model hands the model object to encoding/json.
+func (s *scanner) model() (*ModelInfo, bool) {
+	s.space()
+	start := s.i
+	if !s.skipObject() {
+		return nil, false
+	}
+	m := new(ModelInfo)
+	if json.Unmarshal(s.data[start:s.i], m) != nil {
+		return nil, false
+	}
+	return m, true
+}
+
+// skipObject moves past the brace that closes the one at the cursor, not
+// counting braces inside strings. Whether what lies between is JSON is for
+// whoever decodes it to say; if it is, it is exactly one object.
+func (s *scanner) skipObject() bool {
+	data, depth := s.data, 0
+	if s.i == len(data) || data[s.i] != '{' {
+		return false
+	}
+	for i := s.i; i < len(data); i++ {
+		switch data[i] {
+		case '{':
+			depth++
+		case '}':
+			if depth--; depth == 0 {
+				s.i = i + 1
+				return true
+			}
+		case '"':
+			for i++; i < len(data) && data[i] != '"'; i++ {
+				if data[i] == '\\' {
+					i++
+				}
+			}
+		}
+	}
+	return false
+}
+
+// results scans [{…},…]. An empty array is a non-nil empty slice, as
+// encoding/json makes it.
+func (s *scanner) results(echo []string) (rs []QueryResult, ok bool) {
+	if !s.token('[') {
+		return nil, false
+	}
+	if s.token(']') {
+		return []QueryResult{}, true
+	}
+	var slab []Metrics // Metrics of the results to come; never grown, so pointers into it hold
+	for {
+		s.space()
+		start := s.i
+		var sql string
+		if len(rs) < len(echo) {
+			sql = echo[len(rs)]
+		}
+		var m Metrics
+		r, hasMetrics, ok := s.result(sql, &m)
+		if !ok {
+			return nil, false
+		}
+		if rs == nil {
+			// Sized once from the first element, as the request's queries are.
+			rs = make([]QueryResult, 0, min(1+(len(s.data)-s.i)/(s.i-start+1), maxQueriesHint))
+		}
+		if hasMetrics {
+			if len(slab) == cap(slab) {
+				slab = make([]Metrics, 0, max(cap(rs)-len(rs), 1))
+			}
+			slab = append(slab, m)
+			r.Metrics = &slab[len(slab)-1]
+		}
+		rs = append(rs, r)
+		if s.token(']') {
+			return rs, true
+		}
+		if !s.token(',') {
+			return nil, false
+		}
+	}
+}
+
+// result scans one element of results. Its metrics, if it has any, go to *m
+// for the caller to place.
+func (s *scanner) result(echo string, m *Metrics) (r QueryResult, hasMetrics, ok bool) {
+	o := object{names: resultKeys}
+	for k := s.member(&o); k != endObject; k = s.member(&o) {
+		switch k {
+		case keySQL:
+			var b []byte
+			if b, ok = s.text(); string(b) == echo {
+				r.SQL = echo
+			} else {
+				r.SQL = string(b)
+			}
+		case keyMetrics:
+			hasMetrics = true
+			ok = s.metrics(m)
+		case keyCategory:
+			r.Category, ok = s.interned()
+		case keyConfidence:
+			r.Confidence, ok = s.float()
+		case keyOptimizerCost:
+			r.OptimizerCost, ok = s.float()
+		case keyGeneration:
+			r.Generation, ok = s.int()
+		case keyShard:
+			r.Shard, ok = s.str()
+		case keyFallbackShard:
+			r.FallbackShard, ok = s.str()
+		case keyModelKind:
+			r.ModelKind, ok = s.interned()
+		case keyError:
+			r.Error, ok = s.failure()
+		default:
+			ok = false
+		}
+		if !ok {
+			return r, false, false
+		}
+	}
+	return r, hasMetrics, true
+}
+
+func (s *scanner) metrics(m *Metrics) bool {
+	dst := [exec.NumMetrics]*float64{&m.ElapsedSec, &m.RecordsAccessed, &m.RecordsUsed, &m.DiskIOs, &m.MessageCount, &m.MessageBytes}
+	o := object{names: metricNames[:]}
+	for k := s.member(&o); k != endObject; k = s.member(&o) {
+		if k == declined {
+			return false
+		}
+		var ok bool
+		if *dst[k], ok = s.float(); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+func (s *scanner) failure() (*Error, bool) {
+	e := new(Error)
+	o := object{names: errorKeys}
+	for k := s.member(&o); k != endObject; k = s.member(&o) {
+		var ok bool
+		switch k {
+		case keyCode:
+			e.Code, ok = s.str()
+		case keyMessage:
+			e.Message, ok = s.str()
+		}
+		if !ok {
+			return nil, false
+		}
+	}
+	return e, true
+}
+
+// internTable holds what version, category and model_kind nearly always
+// spell (Version, workload.Category's names, model.Kind*); a wrong or missing
+// entry costs an allocation, never a value.
+var internTable = [...]string{Version, "feather", "golf_ball", "bowling_ball", "wrecking_ball", "kcca", "planstruct", "optcost"}
+
+// interned scans one string value, without allocating when it is in
+// internTable.
+func (s *scanner) interned() (string, bool) {
+	b, ok := s.text()
+	for _, known := range internTable {
+		if string(b) == known {
+			return known, ok
+		}
+	}
+	return string(b), ok
+}
+
+// number scans one number literal of the JSON grammar (after optional
+// whitespace): -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. What follows
+// it is the caller's to judge.
+func (s *scanner) number() ([]byte, bool) {
+	s.space()
+	data, i := s.data, s.i
+	digits := func() bool {
+		start := i
+		for i < len(data) && '0' <= data[i] && data[i] <= '9' {
+			i++
+		}
+		return i > start
+	}
+	if i < len(data) && data[i] == '-' {
+		i++
+	}
+	if i < len(data) && data[i] == '0' {
+		i++
+	} else if !digits() {
+		return nil, false
+	}
+	if i < len(data) && data[i] == '.' {
+		if i++; !digits() {
+			return nil, false
+		}
+	}
+	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		if i++; i < len(data) && (data[i] == '+' || data[i] == '-') {
+			i++
+		}
+		if !digits() {
+			return nil, false
+		}
+	}
+	lit := data[s.i:i]
+	s.i = i
+	return lit, true
+}
+
+// float scans a number into a float64 field as encoding/json does; a literal
+// out of float64's range is its error to word.
+func (s *scanner) float() (float64, bool) {
+	lit, ok := s.number()
+	if !ok {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(string(lit), 64)
+	return f, err == nil
+}
+
+// int scans a number into an int64 field as encoding/json does; a fraction,
+// an exponent or a literal out of range is its error to word.
+func (s *scanner) int() (int64, bool) {
+	lit, ok := s.number()
+	if !ok {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(string(lit), 10, 64)
+	return n, err == nil
 }
 
 // Fragment holds the encoded "metrics":{…},"category":…,"confidence":… run
@@ -335,13 +791,6 @@ func AppendPredictResponse(dst []byte, resp *PredictResponse, frags []*Fragment)
 		out = append(out, ']')
 	}
 	return append(out, '}', '\n'), use, nil
-}
-
-// metricKeys are the keys of the metrics object with their separators, in
-// wire order (exec.MetricNames, asserted by TestMetricKeysMatchNames).
-var metricKeys = [exec.NumMetrics]string{
-	`{"elapsed_time":`, `,"records_accessed":`, `,"records_used":`,
-	`,"disk_ios":`, `,"message_count":`, `,"message_bytes":`,
 }
 
 func (m *Metrics) vector() [exec.NumMetrics]float64 {

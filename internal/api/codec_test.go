@@ -125,8 +125,8 @@ func stockSQL(i int) string {
 		i%7, 1998+i%5, 10+i)
 }
 
-// canonicalBatch is an n-query predict body as encoding/json clients
-// (pkg/qpredictclient, bench/) send it.
+// canonicalBatch is an n-query predict body as encoding/json clients send
+// it, and pkg/qpredictclient through AppendPredictRequest.
 func canonicalBatch(n int) []byte {
 	req := PredictRequest{Queries: make([]QueryInput, n)}
 	for i := range req.Queries {
@@ -139,15 +139,23 @@ func canonicalBatch(n int) []byte {
 	return body
 }
 
-// TestCanonicalBatchNeverFallsBack: what the repository's own clients send
-// is served by the fast path, at one allocation per query plus the slice and
-// the escape scratch.
+// TestCanonicalBatchNeverFallsBack: what the repository's own clients send —
+// encoding/json's bytes, which AppendPredictRequest's are — is served by the
+// fast path, at one allocation per query plus the request and the slice.
 func TestCanonicalBatchNeverFallsBack(t *testing.T) {
 	single, err := json.Marshal(PredictRequest{SQL: stockSQL(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, body := range [][]byte{canonicalBatch(64), canonicalBatch(1), single} {
+	var sqls []string
+	for i := 0; i < 64; i++ {
+		sqls = append(sqls, stockSQL(i))
+	}
+	sent := AppendPredictRequest(nil, sqls)
+	if string(sent) != string(canonicalBatch(64))+"\n" {
+		t.Errorf("AppendPredictRequest is not the canonical batch: %.80s…", sent)
+	}
+	for _, body := range [][]byte{canonicalBatch(64), canonicalBatch(1), single, sent, AppendPredictRequest(nil, sqls[:1])} {
 		if !checkDecode(t, body) {
 			t.Errorf("fallback on a canonical body: %.80s…", body)
 		}

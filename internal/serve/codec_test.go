@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -27,7 +28,10 @@ import (
 // the values must be the ones the generation named in each result predicts.
 
 // mustReencode fails unless raw is exactly json.Encoder's encoding of what
-// it decodes to, and returns the decoded response.
+// it decodes to, and returns the decoded response. It also reads the body as
+// the daemon's own client does: api.DecodePredictResponse must give the same
+// value, and in one pass — the stock daemon never sends pkg/qpredictclient
+// down the slow path.
 func mustReencode(t testing.TB, ctx string, raw []byte) api.PredictResponse {
 	t.Helper()
 	var pr api.PredictResponse
@@ -42,6 +46,14 @@ func mustReencode(t testing.TB, ctx string, raw []byte) api.PredictResponse {
 	}
 	if !bytes.Equal(raw, again.Bytes()) {
 		t.Fatalf("%s: body is not encoding/json's\n wire: %s\nagain: %s", ctx, raw, again.Bytes())
+	}
+	var client api.PredictResponse
+	fallback, err := api.DecodePredictResponse(raw, &client)
+	if err != nil || !reflect.DeepEqual(client, pr) {
+		t.Fatalf("%s: the client's decoder (err %v) made %+v of %s", ctx, err, client, raw)
+	}
+	if fallback {
+		t.Fatalf("%s: the client's decoder fell back to encoding/json on %s", ctx, raw)
 	}
 	return pr
 }

@@ -1,7 +1,8 @@
 // Package qpredictclient is the Go client for the qpredictd prediction
-// service (internal/serve, docs/API.md): a thin, dependency-free wrapper
-// over the JSON wire API with connection reuse, request batching, and
-// bounded retries.
+// service (internal/serve, docs/API.md): dependency-free, with connection
+// reuse, request batching, and bounded retries. Predict bodies go through
+// the daemon's own wire codec (internal/api: one pass, same values and bytes
+// as encoding/json); everything else is encoding/json.
 //
 //	c := qpredictclient.New("http://localhost:8080", nil)
 //	res, err := c.PredictOne(ctx, "SELECT COUNT(*) FROM store_sales")
@@ -125,12 +126,18 @@ func (c *Client) Predict(ctx context.Context, sqls ...string) (*api.PredictRespo
 	if len(sqls) == 0 {
 		return nil, errors.New("qpredictclient: no queries")
 	}
-	req := api.PredictRequest{Queries: make([]api.QueryInput, len(sqls))}
-	for i, s := range sqls {
-		req.Queries[i] = api.QueryInput{SQL: s}
-	}
+	bb := bodyPool.Get().(*bodyBuf)
+	defer bodyPool.Put(bb)
+	bb.buf.Reset()
+	bb.buf.Write(api.AppendPredictRequest(bb.buf.AvailableBuffer(), sqls))
 	var resp api.PredictResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/predict", req, &resp); err != nil {
+	err := c.do(ctx, http.MethodPost, "/v1/predict", bb.buf.Bytes(), func(data []byte) error {
+		// Results echo their query: where one does, it shares the caller's
+		// string rather than holding a copy.
+		_, err := api.DecodePredictResponse(data, &resp, sqls...)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -162,8 +169,14 @@ func (c *Client) Observe(ctx context.Context, obs ...api.Observation) (*api.Obse
 	if len(obs) == 0 {
 		return nil, errors.New("qpredictclient: no observations")
 	}
+	bb := bodyPool.Get().(*bodyBuf)
+	defer bodyPool.Put(bb)
+	bb.buf.Reset()
+	if err := bb.enc.Encode(api.ObserveRequest{Observations: obs}); err != nil {
+		return nil, fmt.Errorf("qpredictclient: encoding request: %w", err)
+	}
 	var resp api.ObserveResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/observe", api.ObserveRequest{Observations: obs}, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/observe", bb.buf.Bytes(), into(&resp)); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -174,7 +187,7 @@ func (c *Client) Model(ctx context.Context) (*api.ModelInfo, error) {
 	var resp struct {
 		Model *api.ModelInfo `json:"model"`
 	}
-	if err := c.do(ctx, http.MethodGet, "/v1/model", nil, &resp); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/model", nil, into(&resp)); err != nil {
 		return nil, err
 	}
 	return resp.Model, nil
@@ -184,7 +197,7 @@ func (c *Client) Model(ctx context.Context) (*api.ModelInfo, error) {
 // unsharded daemon answers with an *APIError (code bad_request).
 func (c *Client) Shards(ctx context.Context) (*api.ShardsResponse, error) {
 	var resp api.ShardsResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/shards", nil, &resp); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/shards", nil, into(&resp)); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -206,9 +219,16 @@ func (c *Client) Ready(ctx context.Context) (bool, error) {
 	return resp.StatusCode == http.StatusOK, nil
 }
 
+// into is the decode step of every body but a predict response's:
+// encoding/json.
+func into(v any) func([]byte) error {
+	return func(data []byte) error { return json.Unmarshal(data, v) }
+}
+
 // bodyBuf pairs a reusable request-encode buffer with a json.Encoder bound
 // to it once, so steady-state calls reuse both the encoder state and the
-// underlying bytes.
+// underlying bytes. Predict bodies are appended by the codec; the encoder
+// writes the rest.
 type bodyBuf struct {
 	buf bytes.Buffer
 	enc *json.Encoder
@@ -220,9 +240,16 @@ var bodyPool = sync.Pool{New: func() any {
 	return b
 }}
 
-// readPool recycles response-read buffers; json.Unmarshal copies everything
-// it decodes, so the bytes are safe to reuse as soon as decoding finishes.
+// readPool recycles response-read buffers; both decoders copy everything
+// they keep, so the bytes are safe to reuse as soon as decoding finishes.
 var readPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxResponse bounds a response body. The daemon accepts 4 MiB of request
+// and echoes every query, so a legal response can be larger than this; it
+// is refused, not truncated.
+const maxResponse = 4 << 20
+
+var errResponseTooLarge = errors.New("qpredictclient: response exceeds 4 MiB")
 
 // retryable reports whether a status merits another attempt: 429 (shed
 // load) and 5xx (transient server trouble). 4xx caller mistakes never
@@ -270,22 +297,11 @@ func (c *Client) backoff(attempt int, hint time.Duration) time.Duration {
 	return d
 }
 
-// do runs one JSON round-trip with bounded retries. The request body is
-// encoded once into a pooled buffer and replayed on each attempt (the
-// buffer returns to the pool only when do exits, after the last replay);
-// backoff sleeps abort on context cancellation.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body []byte
-	if in != nil {
-		bb := bodyPool.Get().(*bodyBuf)
-		bb.buf.Reset()
-		if err := bb.enc.Encode(in); err != nil {
-			bodyPool.Put(bb)
-			return fmt.Errorf("qpredictclient: encoding request: %w", err)
-		}
-		body = bb.buf.Bytes()
-		defer bodyPool.Put(bb)
-	}
+// do runs one round-trip with bounded retries: body, if not nil, is sent as
+// JSON and replayed on each attempt (the caller keeps it intact until do
+// returns), and decode is handed the body of a 2xx response — the mirror of
+// the server's readBody. Backoff sleeps abort on context cancellation.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, decode func([]byte) error) error {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		var rd io.Reader
@@ -310,44 +326,15 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 			}
 			lastErr = err
 		} else {
-			rb := readPool.Get().(*bytes.Buffer)
-			rb.Reset()
-			_, rerr := rb.ReadFrom(io.LimitReader(resp.Body, 4<<20))
-			resp.Body.Close()
-			data := rb.Bytes()
-			if resp.StatusCode/100 == 2 {
-				if rerr != nil {
-					readPool.Put(rb)
-					return fmt.Errorf("qpredictclient: reading response: %w", rerr)
-				}
-				if out == nil {
-					readPool.Put(rb)
-					return nil
-				}
-				err := json.Unmarshal(data, out)
-				readPool.Put(rb)
-				return err
-			}
-			apiErr := &APIError{Code: api.CodeInternal, Status: resp.StatusCode}
-			var wire api.ErrorResponse
-			if json.Unmarshal(data, &wire) == nil && wire.Error.Code != "" {
-				apiErr.Code = wire.Error.Code
-				apiErr.Message = wire.Error.Message
-			} else {
-				apiErr.Message = http.StatusText(resp.StatusCode)
-			}
-			readPool.Put(rb)
-			if !retryable(resp.StatusCode) {
-				return apiErr
-			}
+			err := c.receive(resp, decode)
+			apiErr, failed := err.(*APIError)
 			// A draining server reports shutting_down until the listener
 			// stops: the condition is terminal for that process, so retrying
 			// against it only delays the caller's failover.
-			if apiErr.Code == api.CodeShuttingDown {
-				return apiErr
+			if !failed || !retryable(apiErr.Status) || apiErr.Code == api.CodeShuttingDown {
+				return err
 			}
-			lastErr = apiErr
-			hint = retryAfter(resp.Header)
+			lastErr, hint = apiErr, retryAfter(resp.Header)
 		}
 		if attempt >= c.opts.MaxRetries {
 			return lastErr
@@ -361,4 +348,39 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 			return ctx.Err()
 		}
 	}
+}
+
+// receive reads one response into a pooled buffer and closes it. A 2xx body
+// goes to decode; any other status comes back as the *APIError it carries.
+func (c *Client) receive(resp *http.Response, decode func([]byte) error) error {
+	rb := readPool.Get().(*bytes.Buffer)
+	defer readPool.Put(rb)
+	rb.Reset()
+	_, rerr := rb.ReadFrom(io.LimitReader(resp.Body, maxResponse+1))
+	tooLarge := rb.Len() > maxResponse
+	if tooLarge {
+		// Read on to the end, within reason, so that the connection can
+		// carry the next request.
+		io.Copy(io.Discard, io.LimitReader(resp.Body, maxResponse))
+	}
+	resp.Body.Close()
+	data := rb.Bytes()
+	if resp.StatusCode/100 == 2 {
+		switch {
+		case rerr != nil:
+			return fmt.Errorf("qpredictclient: reading response: %w", rerr)
+		case tooLarge:
+			return errResponseTooLarge
+		}
+		return decode(data)
+	}
+	apiErr := &APIError{Code: api.CodeInternal, Status: resp.StatusCode}
+	var wire api.ErrorResponse
+	if json.Unmarshal(data, &wire) == nil && wire.Error.Code != "" {
+		apiErr.Code = wire.Error.Code
+		apiErr.Message = wire.Error.Message
+	} else {
+		apiErr.Message = http.StatusText(resp.StatusCode)
+	}
+	return apiErr
 }
