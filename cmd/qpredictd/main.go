@@ -21,12 +21,12 @@
 // kind against the champion, and a challenger that dominates on windowed
 // relative error is promoted through the ordinary generation hot-swap.
 //
-// With -shards N the daemon runs the sharded multi-model tier instead of a
-// single model: traffic is partitioned across N per-shard sliding
+// Every daemon serves through one engine, a router over -shards N shards
+// (internal/shard). The stock daemon runs one shard, which everything routes
+// to; with N > 1 traffic is partitioned across N per-shard sliding
 // predictors (-partitioner picks the policy, hash or category), each with
-// its own coalescer, generation, and background retrain loop, and GET
-// /v1/shards exposes the per-shard state. -shards 1 is byte-identical to
-// the unsharded daemon on the wire.
+// its own coalescer, generation, and background retrain loop. GET /v1/shards
+// exposes the per-shard state either way.
 //
 // Endpoints: /v1/predict, /v1/observe, /v1/model, /v1/shards, /healthz,
 // /readyz, plus the observability surface (/metrics, /timings,
@@ -40,6 +40,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -65,390 +66,17 @@ import (
 )
 
 func main() {
-	def := qpredict.Default()
-	cfgPath := flag.String("config", "", "JSON options file (pkg/qpredict Options; explicitly set flags override it)")
-	addr := flag.String("addr", def.Serve.Addr, "listen address (use :0 for an ephemeral port)")
-	trainCount := flag.Int("train", def.Train.Count, "training workload size (ignored with -load)")
-	seed := flag.Int64("seed", def.Train.Seed, "workload seed")
-	dataSeed := flag.Int64("dataseed", def.Train.DataSeed, "data realization seed")
-	machineName := flag.String("machine", def.Train.Machine, "machine: research4 or prod32:<cpus>")
-	twoStep := flag.Bool("twostep", def.Train.TwoStep, "use two-step (query-type-specific) prediction")
-	loadFrom := flag.String("load", "", "load a previously saved model instead of training")
-	window := flag.Duration("window", def.Serve.Window.Std(), "micro-batch hold window: non-zero holds an idle engine's first arrival this long for more to batch with (0 dispatches at once and batches only what queued behind the previous batch)")
-	maxBatch := flag.Int("max-batch", def.Serve.MaxBatch, "micro-batch size cap")
-	queueCap := flag.Int("queue", def.Serve.QueueCap, "pending-query queue bound (beyond it requests get 429)")
-	timeout := flag.Duration("timeout", def.Serve.Timeout.Std(), "per-request prediction deadline")
-	capacity := flag.Int("capacity", def.Sliding.Capacity, "sliding retraining window capacity")
-	retrainEvery := flag.Int("retrain-every", def.Sliding.RetrainEvery, "observations between background retrains")
-	drainTimeout := flag.Duration("drain-timeout", def.Serve.DrainTimeout.Std(), "graceful shutdown deadline")
-	timings := flag.Bool("timings", false, "print the per-stage timing table on exit")
-	shards := flag.Int("shards", def.Shards.Count, "run the sharded multi-model tier with N shards (0 = single model)")
-	partitioner := flag.String("partitioner", def.Shards.Partitioner, "shard routing policy: hash or category (with -shards)")
-	stateDir := flag.String("state-dir", def.State.Dir, "durable state directory (observation WAL + model snapshots, one subdirectory per shard); a restart recovers the serving state from it")
-	fsyncPolicy := flag.String("fsync", def.State.Fsync, "WAL fsync policy with -state-dir: always, batch, or none")
-	fsyncEvery := flag.Int("fsync-every", def.State.FsyncEvery, "appends between fsyncs with -fsync batch")
-	snapshotEvery := flag.Int("snapshot-every", def.State.SnapshotEvery, "applied observations between state snapshots with -state-dir")
-	planCache := flag.Int("plan-cache", def.Serve.PlanCache, "plan/feature cache entries (0 = built-in default, negative disables caching)")
-	champion := flag.String("champion", def.Champion.Kind, "initial champion model kind (kcca, planstruct, optcost)")
-	challengers := flag.String("challengers", "", "comma-separated challenger model kinds to shadow-score (enables the model zoo)")
-	flag.Parse()
-
-	opts := def
-	if *cfgPath != "" {
-		var err error
-		opts, err = qpredict.LoadFile(*cfgPath)
-		if err != nil {
-			cli.Fatalf("%v", err)
-		}
-	}
-	// Explicitly set flags override the config file; each override is
-	// reported once so a drifting wrapper script is visible.
-	var overridden []string
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "addr":
-			opts.Serve.Addr = *addr
-		case "train":
-			opts.Train.Count = *trainCount
-		case "seed":
-			opts.Train.Seed = *seed
-		case "dataseed":
-			opts.Train.DataSeed = *dataSeed
-		case "machine":
-			opts.Train.Machine = *machineName
-		case "twostep":
-			opts.Train.TwoStep = *twoStep
-		case "load":
-			opts.Train.Load = *loadFrom
-		case "window":
-			opts.Serve.Window = qpredict.Duration(*window)
-		case "max-batch":
-			opts.Serve.MaxBatch = *maxBatch
-		case "queue":
-			opts.Serve.QueueCap = *queueCap
-		case "timeout":
-			opts.Serve.Timeout = qpredict.Duration(*timeout)
-		case "capacity":
-			opts.Sliding.Capacity = *capacity
-		case "retrain-every":
-			opts.Sliding.RetrainEvery = *retrainEvery
-		case "drain-timeout":
-			opts.Serve.DrainTimeout = qpredict.Duration(*drainTimeout)
-		case "shards":
-			opts.Shards.Count = *shards
-		case "partitioner":
-			opts.Shards.Partitioner = *partitioner
-		case "state-dir":
-			opts.State.Dir = *stateDir
-		case "fsync":
-			opts.State.Fsync = *fsyncPolicy
-		case "fsync-every":
-			opts.State.FsyncEvery = *fsyncEvery
-		case "snapshot-every":
-			opts.State.SnapshotEvery = *snapshotEvery
-		case "plan-cache":
-			opts.Serve.PlanCache = *planCache
-		case "champion":
-			opts.Champion.Kind = *champion
-		case "challengers":
-			opts.Champion.Challengers = nil
-			for _, k := range strings.Split(*challengers, ",") {
-				if k = strings.TrimSpace(k); k != "" {
-					opts.Champion.Challengers = append(opts.Champion.Challengers, k)
-				}
-			}
-		default:
-			return
-		}
-		if *cfgPath != "" {
-			overridden = append(overridden, "-"+f.Name)
-		}
-	})
-	if len(overridden) > 0 {
-		fmt.Fprintf(os.Stderr, "note: %s override %s (flags beat config; move them into the file to silence this)\n",
-			strings.Join(overridden, " "), *cfgPath)
-	}
-	if err := opts.Validate(); err != nil {
+	opts, timings, err := loadOptions(flag.CommandLine, os.Args[1:], os.Stderr)
+	if err != nil {
 		cli.Fatalf("%v", err)
 	}
-
-	if *timings {
+	if timings {
 		obs.SetEnabled(true)
 		cli.AtExit(func() { fmt.Fprint(os.Stderr, "\n"+obs.TimingsTable()) })
 	}
-
-	machine, err := exec.ParseMachine(opts.Train.Machine)
+	svc, modelDesc, err := boot(opts, os.Stderr)
 	if err != nil {
 		cli.Fatalf("%v", err)
-	}
-	// Which arithmetic path serves decides cpu_ms_per_query more than any
-	// option does; say it once so two hosts' numbers can be told apart.
-	if linalg.VectorKernels() {
-		fmt.Fprintln(os.Stderr, "linalg kernels: AVX2")
-	} else {
-		fmt.Fprintln(os.Stderr, "linalg kernels: portable (no AVX2 on this host)")
-	}
-	schema := catalog.TPCDS(1)
-	opt := core.DefaultOptions()
-	opt.TwoStep = opts.Train.TwoStep
-
-	// One plan/feature cache serves every SQL-planning consumer in the
-	// process — the predict handlers, the observe path, and WAL replay —
-	// so a query seen on any of them is planned once. Generation-free
-	// keying (plans depend only on schema, data seed, and machine, all
-	// fixed for the process) means hot swaps never invalidate it.
-	planner := serve.NewPlanner(schema, opts.Train.DataSeed, machine, opts.Serve.PlanCache)
-	if planner.Enabled() {
-		fmt.Fprintf(os.Stderr, "plan cache: %d entries\n", planner.Cap())
-	} else {
-		fmt.Fprintln(os.Stderr, "plan cache: disabled")
-	}
-
-	// Champion/challenger operation rides on the shard tier (the zoo hangs
-	// off each shard's observe loop), so a zoo-enabled unsharded daemon
-	// quietly runs the single-shard router — byte-identical on the wire.
-	nShards := opts.Shards.Count
-	zooOn := opts.Champion.Enabled()
-	if zooOn && nShards == 0 {
-		nShards = 1
-	}
-
-	// Partition layout first (it decides the per-partition window knobs
-	// durable state must be recovered under). Per-shard knobs divide the
-	// single-model budget so the fleet-wide totals match: with one shard
-	// this reduces exactly to the unsharded values, keeping the
-	// single-shard daemon byte-identical.
-	nPart := 1
-	partCap, partEvery := opts.Sliding.Capacity, opts.Sliding.RetrainEvery
-	var part shard.Partitioner
-	if nShards > 0 {
-		nPart = nShards
-		partCap = max(5, opts.Sliding.Capacity/nShards)
-		partEvery = max(1, opts.Sliding.RetrainEvery/nShards)
-		if partEvery > partCap {
-			partEvery = partCap
-		}
-		part, err = shard.NewPartitioner(opts.Shards.Partitioner, nShards, opt.Features)
-		if err != nil {
-			cli.Fatalf("%v", err)
-		}
-	}
-
-	// Durable state: open (and repair) each partition's WAL, install the
-	// newest snapshot, and replay the tail before serving starts. A
-	// partition that recovers a model skips boot training entirely.
-	var stores []*wal.Store
-	var slidings []*core.SlidingPredictor
-	var bootGens []int64
-	allWarm := false
-	if opts.State.Dir != "" {
-		policy, err := wal.ParseSyncPolicy(opts.State.Fsync)
-		if err != nil {
-			cli.Fatalf("%v", err)
-		}
-		partName := "none"
-		if part != nil {
-			partName = part.Name()
-		}
-		if err := wal.CheckManifest(opts.State.Dir, wal.Manifest{
-			Shards:       nPart,
-			Partitioner:  partName,
-			Capacity:     opts.Sliding.Capacity,
-			RetrainEvery: opts.Sliding.RetrainEvery,
-		}); err != nil {
-			cli.Fatalf("%v", err)
-		}
-		plan := planner.Plan
-		allWarm = true
-		for i := 0; i < nPart; i++ {
-			st, err := wal.OpenStore(wal.StoreOptions{
-				Dir:           filepath.Join(opts.State.Dir, fmt.Sprintf("shard-%d", i)),
-				Policy:        policy,
-				SyncEvery:     opts.State.FsyncEvery,
-				SnapshotEvery: opts.State.SnapshotEvery,
-				Plan:          plan,
-			})
-			if err != nil {
-				cli.Fatalf("opening state for shard %d: %v", i, err)
-			}
-			sl, gen, err := st.Recover(partCap, partEvery, opt)
-			if err != nil {
-				cli.Fatalf("recovering state for shard %d: %v", i, err)
-			}
-			if info := st.Info(); info.Recovered {
-				fmt.Fprintf(os.Stderr, "shard %d: recovered snapshot seq %d, replayed %d records in %.3fs (generation %d)\n",
-					i, info.SnapshotSeq, info.Replayed, info.ReplaySeconds, gen)
-				if info.TornTail {
-					fmt.Fprintf(os.Stderr, "shard %d: torn WAL tail repaired, %d bytes truncated\n", i, info.TruncatedBytes)
-				}
-			}
-			stores = append(stores, st)
-			slidings = append(slidings, sl)
-			bootGens = append(bootGens, gen)
-			if gen == 0 {
-				allWarm = false
-			}
-		}
-	}
-
-	var predictor *core.Predictor
-	var pool *dataset.Dataset
-	if allWarm {
-		fmt.Fprintf(os.Stderr, "recovered %d warm partition(s) from %s; skipping boot training\n", nPart, opts.State.Dir)
-	} else if opts.Train.Load != "" {
-		f, err := os.Open(opts.Train.Load)
-		if err != nil {
-			cli.Fatalf("opening model: %v", err)
-		}
-		predictor, err = core.Load(f)
-		f.Close()
-		if err != nil {
-			cli.Fatalf("loading model: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "loaded model trained on %d queries\n", predictor.N())
-	} else {
-		fmt.Fprintf(os.Stderr, "generating %d training queries on %s...\n", opts.Train.Count, machine)
-		pool, err = dataset.Generate(dataset.GenConfig{
-			Seed:      opts.Train.Seed,
-			DataSeed:  opts.Train.DataSeed,
-			Machine:   machine,
-			Schema:    schema,
-			Templates: workload.TPCDSTemplates(),
-			Count:     opts.Train.Count,
-		})
-		if err != nil {
-			cli.Fatalf("generating training workload: %v", err)
-		}
-		fmt.Fprintln(os.Stderr, "training KCCA model...")
-		predictor, err = core.Train(pool.Queries, opt)
-		if err != nil {
-			cli.Fatalf("training: %v", err)
-		}
-	}
-
-	// With the zoo on, every configured kind gets a seed model trained on
-	// the same boot pool, so challengers shadow-score from the first
-	// observation instead of waiting for their first window retrain. A
-	// kind whose boot training fails just starts cold.
-	var seeds map[string]model.Model
-	if zooOn {
-		seeds = map[string]model.Model{}
-		if predictor != nil {
-			seeds[model.KindKCCA] = model.WrapKCCA(predictor)
-		}
-		if pool != nil {
-			for _, kind := range append([]string{opts.Champion.Kind}, opts.Champion.Challengers...) {
-				if seeds[kind] != nil {
-					continue
-				}
-				tr, err := model.NewTrainer(kind, opt)
-				if err != nil {
-					cli.Fatalf("%v", err)
-				}
-				m, err := tr.Train(pool.Queries)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "boot training %s model: %v (kind starts cold)\n", kind, err)
-					continue
-				}
-				seeds[kind] = m
-			}
-		}
-	}
-
-	svcCfg := serve.Config{
-		Schema:   schema,
-		Machine:  machine,
-		DataSeed: opts.Train.DataSeed,
-		Plans:    planner,
-		Window:   opts.Serve.Window.Std(),
-		MaxBatch: opts.Serve.MaxBatch,
-		QueueCap: opts.Serve.QueueCap,
-		Timeout:  opts.Serve.Timeout.Std(),
-	}
-	if nShards > 0 {
-		cfgs := make([]shard.ShardConfig, nShards)
-		for i := range cfgs {
-			sl := (*core.SlidingPredictor)(nil)
-			if slidings != nil {
-				sl = slidings[i]
-			} else {
-				var err error
-				sl, err = core.NewSliding(partCap, partEvery, opt)
-				if err != nil {
-					cli.Fatalf("sliding window: %v", err)
-				}
-			}
-			sc := shard.ShardConfig{Sliding: sl}
-			if stores != nil {
-				sc.Store = stores[i]
-				sc.BootGen = bootGens[i]
-			}
-			// A shard that did not recover a model boots from the shared
-			// trained model, then diverges as its own observations arrive;
-			// a recovered shard keeps serving its own model at the
-			// generation it held before the restart.
-			if sc.BootGen == 0 {
-				sc.Boot = predictor
-			}
-			if zooOn {
-				zc := &shard.ZooConfig{
-					Champion:    opts.Champion.Kind,
-					Challengers: opts.Champion.Challengers,
-					Seeds:       seeds,
-					Policy:      opts.Champion.Policy(),
-					Opt:         opt,
-				}
-				// A durably recorded promotion outlives the process: the
-				// shard restarts under the champion it had promoted to.
-				if stores != nil {
-					if k := stores[i].ChampionKind(); k != "" {
-						zc.Champion = k
-					}
-				}
-				sc.Zoo = zc
-			}
-			cfgs[i] = sc
-		}
-		router, err := shard.NewRouter(cfgs, part, shard.Config{
-			Window:   opts.Serve.Window.Std(),
-			MaxBatch: opts.Serve.MaxBatch,
-			QueueCap: opts.Serve.QueueCap,
-		}, true)
-		if err != nil {
-			cli.Fatalf("shard router: %v", err)
-		}
-		svcCfg.Router = router
-		if nShards > 1 {
-			fmt.Fprintf(os.Stderr, "sharded tier: %d shards, %s partitioner, per-shard window %d\n",
-				nShards, part.Name(), partCap)
-		}
-		if zooOn {
-			fmt.Fprintf(os.Stderr, "model zoo: champion %s, challengers %v (margin %.0f%%, hysteresis %d)\n",
-				opts.Champion.Kind, opts.Champion.Challengers, opts.Champion.Margin*100, opts.Champion.Hysteresis)
-		}
-	} else {
-		sliding := (*core.SlidingPredictor)(nil)
-		if slidings != nil {
-			sliding = slidings[0]
-		} else {
-			var err error
-			sliding, err = core.NewSliding(opts.Sliding.Capacity, opts.Sliding.RetrainEvery, opt)
-			if err != nil {
-				cli.Fatalf("sliding window: %v", err)
-			}
-		}
-		svcCfg.Sliding = sliding
-		if stores != nil {
-			svcCfg.Store = stores[0]
-			svcCfg.BootGen = bootGens[0]
-		}
-		if svcCfg.BootGen == 0 {
-			svcCfg.Predictor = predictor
-		}
-	}
-	svc, err := serve.New(svcCfg)
-	if err != nil {
-		cli.Fatalf("starting service: %v", err)
 	}
 	// The drain is an exit hook, so every exit route — signal, Fatalf, or
 	// normal return — finishes in-flight work before the process dies.
@@ -466,10 +94,6 @@ func main() {
 		cli.Fatalf("listening on %s: %v", opts.Serve.Addr, err)
 	}
 	httpSrv := newHTTPServer(mux, readHeaderTimeout)
-	modelDesc := "model: recovered from state"
-	if predictor != nil {
-		modelDesc = fmt.Sprintf("model: %d queries", predictor.N())
-	}
 	fmt.Printf("qpredictd serving on http://%s (%s)\n", ln.Addr(), modelDesc)
 
 	errc := make(chan error, 1)
@@ -489,6 +113,306 @@ func main() {
 	case err := <-errc:
 		cli.Fatalf("server: %v", err)
 	}
+}
+
+// bindFlags declares the daemon's flags on fs, each bound to the field of o
+// it sets and defaulting to the value o holds, so parsing a command line
+// writes the options themselves. -config and -timings are not options of the
+// service and come back as their own values.
+func bindFlags(fs *flag.FlagSet, o *qpredict.Options) (cfgPath *string, timings *bool) {
+	cfgPath = fs.String("config", "", "JSON options file (pkg/qpredict Options; explicitly set flags override it)")
+	timings = fs.Bool("timings", false, "print the per-stage timing table on exit")
+	fs.StringVar(&o.Serve.Addr, "addr", o.Serve.Addr, "listen address (use :0 for an ephemeral port)")
+	fs.IntVar(&o.Train.Count, "train", o.Train.Count, "training workload size (ignored with -load)")
+	fs.Int64Var(&o.Train.Seed, "seed", o.Train.Seed, "workload seed")
+	fs.Int64Var(&o.Train.DataSeed, "dataseed", o.Train.DataSeed, "data realization seed")
+	fs.StringVar(&o.Train.Machine, "machine", o.Train.Machine, "machine: research4 or prod32:<cpus>")
+	fs.BoolVar(&o.Train.TwoStep, "twostep", o.Train.TwoStep, "use two-step (query-type-specific) prediction")
+	fs.StringVar(&o.Train.Load, "load", o.Train.Load, "load a previously saved model instead of training")
+	fs.DurationVar((*time.Duration)(&o.Serve.Window), "window", o.Serve.Window.Std(), "micro-batch hold window: non-zero holds an idle engine's first arrival this long for more to batch with (0 dispatches at once and batches only what queued behind the previous batch)")
+	fs.IntVar(&o.Serve.MaxBatch, "max-batch", o.Serve.MaxBatch, "micro-batch size cap")
+	fs.IntVar(&o.Serve.QueueCap, "queue", o.Serve.QueueCap, "pending-query queue bound per shard (beyond it requests get 429)")
+	fs.DurationVar((*time.Duration)(&o.Serve.Timeout), "timeout", o.Serve.Timeout.Std(), "per-request prediction deadline")
+	fs.IntVar(&o.Sliding.Capacity, "capacity", o.Sliding.Capacity, "sliding retraining window capacity")
+	fs.IntVar(&o.Sliding.RetrainEvery, "retrain-every", o.Sliding.RetrainEvery, "observations between background retrains (at most -capacity)")
+	fs.DurationVar((*time.Duration)(&o.Serve.DrainTimeout), "drain-timeout", o.Serve.DrainTimeout.Std(), "graceful shutdown deadline")
+	fs.IntVar(&o.Shards.Count, "shards", o.Shards.Count, "shards the serving tier runs, each with its own model, queue and retrain loop (0 and 1 both run one)")
+	fs.StringVar(&o.Shards.Partitioner, "partitioner", o.Shards.Partitioner, "routing policy across more than one shard: hash or category")
+	fs.StringVar(&o.State.Dir, "state-dir", o.State.Dir, "durable state directory (observation WAL + model snapshots, one subdirectory per shard); a restart recovers the serving state from it")
+	fs.StringVar(&o.State.Fsync, "fsync", o.State.Fsync, "WAL fsync policy with -state-dir: always, batch, or none")
+	fs.IntVar(&o.State.FsyncEvery, "fsync-every", o.State.FsyncEvery, "appends between fsyncs with -fsync batch")
+	fs.IntVar(&o.State.SnapshotEvery, "snapshot-every", o.State.SnapshotEvery, "applied observations between state snapshots with -state-dir")
+	fs.IntVar(&o.Serve.PlanCache, "plan-cache", o.Serve.PlanCache, "plan/feature cache entries (0 = built-in default, negative disables caching)")
+	fs.StringVar(&o.Champion.Kind, "champion", o.Champion.Kind, "initial champion model kind (kcca, planstruct, optcost)")
+	fs.Func("challengers", "comma-separated challenger model kinds to shadow-score (enables the model zoo)", func(v string) error {
+		o.Champion.Challengers = nil
+		for _, k := range strings.Split(v, ",") {
+			if k = strings.TrimSpace(k); k != "" {
+				o.Champion.Challengers = append(o.Champion.Challengers, k)
+			}
+		}
+		return nil
+	})
+	return cfgPath, timings
+}
+
+// loadOptions resolves the daemon's options from a command line: the
+// defaults, the -config file over them, and the explicitly set flags over
+// that. Each override of the file is reported once on stderr so a drifting
+// wrapper script is visible.
+func loadOptions(fs *flag.FlagSet, args []string, stderr io.Writer) (opts qpredict.Options, timings bool, err error) {
+	opts = qpredict.Default()
+	cfgPath, timingsFlag := bindFlags(fs, &opts)
+	if err = fs.Parse(args); err != nil {
+		return opts, false, err
+	}
+	if *cfgPath != "" {
+		// The file replaces what the first parse wrote into opts; parsing the
+		// same arguments again puts the flags that were given back on top.
+		if opts, err = qpredict.LoadFile(*cfgPath); err != nil {
+			return opts, false, err
+		}
+		if err = fs.Parse(args); err != nil {
+			return opts, false, err
+		}
+		var overridden []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name != "config" && f.Name != "timings" {
+				overridden = append(overridden, "-"+f.Name)
+			}
+		})
+		if len(overridden) > 0 {
+			fmt.Fprintf(stderr, "note: %s override %s (flags beat config; move them into the file to silence this)\n",
+				strings.Join(overridden, " "), *cfgPath)
+		}
+	}
+	return opts, *timingsFlag, opts.Validate()
+}
+
+// boot turns validated options into a running service: recover or train the
+// model, build the router, wrap it in the HTTP adapter. Progress goes to
+// logw; modelDesc says where the served model came from. On an error
+// whatever was opened so far is left to the exiting process.
+func boot(opts qpredict.Options, logw io.Writer) (svc *serve.Server, modelDesc string, err error) {
+	machine, err := exec.ParseMachine(opts.Train.Machine)
+	if err != nil {
+		return nil, "", err
+	}
+	// Which arithmetic path serves decides cpu_ms_per_query more than any
+	// option does; say it once so two hosts' numbers can be told apart.
+	if linalg.VectorKernels() {
+		fmt.Fprintln(logw, "linalg kernels: AVX2")
+	} else {
+		fmt.Fprintln(logw, "linalg kernels: portable (no AVX2 on this host)")
+	}
+	schema := catalog.TPCDS(1)
+	opt := core.DefaultOptions()
+	opt.TwoStep = opts.Train.TwoStep
+
+	// One plan/feature cache serves every SQL-planning consumer in the
+	// process — the predict handlers, the observe path, and WAL replay —
+	// so a query seen on any of them is planned once. Generation-free
+	// keying (plans depend only on schema, data seed, and machine, all
+	// fixed for the process) means hot swaps never invalidate it.
+	planner := serve.NewPlanner(schema, opts.Train.DataSeed, machine, opts.Serve.PlanCache)
+	if planner.Enabled() {
+		fmt.Fprintf(logw, "plan cache: %d entries\n", planner.Cap())
+	} else {
+		fmt.Fprintln(logw, "plan cache: disabled")
+	}
+
+	// Partition layout first: it decides the per-shard window knobs durable
+	// state must be recovered under. They divide the daemon's budget so the
+	// fleet-wide totals hold (Validate keeps retrain_every within capacity,
+	// and the division keeps it there); one shard gets the budget as it is.
+	// One shard is also where every partitioner agrees, so it gets the one
+	// that computes nothing, and its manifest names none.
+	nShards := max(1, opts.Shards.Count)
+	partCap := max(5, opts.Sliding.Capacity/nShards)
+	partEvery := max(1, opts.Sliding.RetrainEvery/nShards)
+	var part shard.Partitioner = shard.Passthrough{}
+	manifestPart := "none"
+	if nShards > 1 {
+		if part, err = shard.NewPartitioner(opts.Shards.Partitioner, nShards, opt.Features); err != nil {
+			return nil, "", err
+		}
+		manifestPart = part.Name()
+	}
+
+	// Each shard's window: fresh, or — with durable state — its WAL opened
+	// (and repaired), the newest snapshot installed and the tail replayed
+	// before serving starts. A shard that recovers a model skips boot
+	// training; when all do, nothing is trained.
+	cfgs := make([]shard.ShardConfig, nShards)
+	durable := opts.State.Dir != ""
+	allWarm := durable
+	var policy wal.SyncPolicy
+	if durable {
+		if policy, err = wal.ParseSyncPolicy(opts.State.Fsync); err != nil {
+			return nil, "", err
+		}
+		if err = wal.CheckManifest(opts.State.Dir, wal.Manifest{
+			Shards:       nShards,
+			Partitioner:  manifestPart,
+			Capacity:     opts.Sliding.Capacity,
+			RetrainEvery: opts.Sliding.RetrainEvery,
+		}); err != nil {
+			return nil, "", err
+		}
+	}
+	for i := range cfgs {
+		sc := &cfgs[i]
+		if !durable {
+			if sc.Sliding, err = core.NewSliding(partCap, partEvery, opt); err != nil {
+				return nil, "", fmt.Errorf("sliding window: %w", err)
+			}
+			continue
+		}
+		sc.Store, err = wal.OpenStore(wal.StoreOptions{
+			Dir:           filepath.Join(opts.State.Dir, fmt.Sprintf("shard-%d", i)),
+			Policy:        policy,
+			SyncEvery:     opts.State.FsyncEvery,
+			SnapshotEvery: opts.State.SnapshotEvery,
+			Plan:          planner.Plan,
+		})
+		if err != nil {
+			return nil, "", fmt.Errorf("opening state for shard %d: %w", i, err)
+		}
+		if sc.Sliding, sc.BootGen, err = sc.Store.Recover(partCap, partEvery, opt); err != nil {
+			return nil, "", fmt.Errorf("recovering state for shard %d: %w", i, err)
+		}
+		if info := sc.Store.Info(); info.Recovered {
+			fmt.Fprintf(logw, "shard %d: recovered snapshot seq %d, replayed %d records in %.3fs (generation %d)\n",
+				i, info.SnapshotSeq, info.Replayed, info.ReplaySeconds, sc.BootGen)
+			if info.TornTail {
+				fmt.Fprintf(logw, "shard %d: torn WAL tail repaired, %d bytes truncated\n", i, info.TruncatedBytes)
+			}
+		}
+		allWarm = allWarm && sc.BootGen > 0
+	}
+
+	var predictor *core.Predictor
+	var pool *dataset.Dataset
+	if allWarm {
+		fmt.Fprintf(logw, "recovered %d warm partition(s) from %s; skipping boot training\n", nShards, opts.State.Dir)
+	} else if opts.Train.Load != "" {
+		f, err := os.Open(opts.Train.Load)
+		if err != nil {
+			return nil, "", fmt.Errorf("opening model: %w", err)
+		}
+		predictor, err = core.Load(f)
+		f.Close()
+		if err != nil {
+			return nil, "", fmt.Errorf("loading model: %w", err)
+		}
+		fmt.Fprintf(logw, "loaded model trained on %d queries\n", predictor.N())
+	} else {
+		fmt.Fprintf(logw, "generating %d training queries on %s...\n", opts.Train.Count, machine)
+		pool, err = dataset.Generate(dataset.GenConfig{
+			Seed:      opts.Train.Seed,
+			DataSeed:  opts.Train.DataSeed,
+			Machine:   machine,
+			Schema:    schema,
+			Templates: workload.TPCDSTemplates(),
+			Count:     opts.Train.Count,
+		})
+		if err != nil {
+			return nil, "", fmt.Errorf("generating training workload: %w", err)
+		}
+		fmt.Fprintln(logw, "training KCCA model...")
+		if predictor, err = core.Train(pool.Queries, opt); err != nil {
+			return nil, "", fmt.Errorf("training: %w", err)
+		}
+	}
+	modelDesc = "model: recovered from state"
+	if predictor != nil {
+		modelDesc = fmt.Sprintf("model: %d queries", predictor.N())
+	}
+
+	// With the zoo on, every configured kind gets a seed model trained on
+	// the same boot pool, so challengers shadow-score from the first
+	// observation instead of waiting for their first window retrain. A
+	// kind whose boot training fails just starts cold.
+	zooOn := opts.Champion.Enabled()
+	var seeds map[string]model.Model
+	if zooOn {
+		seeds = map[string]model.Model{}
+		if predictor != nil {
+			seeds[model.KindKCCA] = model.WrapKCCA(predictor)
+		}
+		if pool != nil {
+			for _, kind := range append([]string{opts.Champion.Kind}, opts.Champion.Challengers...) {
+				if seeds[kind] != nil {
+					continue
+				}
+				tr, err := model.NewTrainer(kind, opt)
+				if err != nil {
+					return nil, "", err
+				}
+				m, err := tr.Train(pool.Queries)
+				if err != nil {
+					fmt.Fprintf(logw, "boot training %s model: %v (kind starts cold)\n", kind, err)
+					continue
+				}
+				seeds[kind] = m
+			}
+		}
+	}
+
+	for i := range cfgs {
+		sc := &cfgs[i]
+		// A shard that did not recover a model boots from the shared trained
+		// model, then diverges as its own observations arrive; a recovered
+		// shard keeps serving its own model at the generation it held before
+		// the restart.
+		if sc.BootGen == 0 {
+			sc.Boot = predictor
+		}
+		if zooOn {
+			sc.Zoo = &shard.ZooConfig{
+				Champion:    opts.Champion.Kind,
+				Challengers: opts.Champion.Challengers,
+				Seeds:       seeds,
+				Policy:      opts.Champion.Policy(),
+				Opt:         opt,
+			}
+			// A durably recorded promotion outlives the process: the shard
+			// restarts under the champion it had promoted to.
+			if sc.Store != nil {
+				if k := sc.Store.ChampionKind(); k != "" {
+					sc.Zoo.Champion = k
+				}
+			}
+		}
+	}
+	router, err := shard.NewRouter(cfgs, part, shard.Config{
+		Window:   opts.Serve.Window.Std(),
+		MaxBatch: opts.Serve.MaxBatch,
+		QueueCap: opts.Serve.QueueCap,
+	}, true)
+	if err != nil {
+		return nil, "", fmt.Errorf("shard router: %w", err)
+	}
+	if nShards > 1 {
+		fmt.Fprintf(logw, "sharded tier: %d shards, %s partitioner, per-shard window %d\n",
+			nShards, part.Name(), partCap)
+	}
+	if zooOn {
+		fmt.Fprintf(logw, "model zoo: champion %s, challengers %v (margin %.0f%%, hysteresis %d)\n",
+			opts.Champion.Kind, opts.Champion.Challengers, opts.Champion.Margin*100, opts.Champion.Hysteresis)
+	}
+	svc, err = serve.New(serve.Config{
+		Router:   router,
+		Schema:   schema,
+		Machine:  machine,
+		DataSeed: opts.Train.DataSeed,
+		Plans:    planner,
+		Timeout:  opts.Serve.Timeout.Std(),
+	})
+	if err != nil {
+		return nil, "", fmt.Errorf("starting service: %w", err)
+	}
+	return svc, modelDesc, nil
 }
 
 // Connection timeouts of the daemon's listener. A client gets

@@ -103,8 +103,8 @@ type QueryResult struct {
 	// On a sharded daemon, generations are per shard.
 	Generation int64 `json:"generation,omitempty"`
 	// Shard is the owning shard of this query per the partitioner, present
-	// only when the daemon runs more than one shard (a single-shard daemon
-	// keeps the unsharded wire format byte-identical). It names the shard
+	// only when the daemon runs more than one shard (one shard partitions
+	// nothing, and its wire format predates the field). It names the shard
 	// that owns the query even when a cold-start fallback served it; the
 	// serving shard is then reported in FallbackShard.
 	Shard string `json:"shard,omitempty"`

@@ -1,7 +1,6 @@
-// Package coalesce is the micro-batching queue behind both serving engines
-// (internal/serve's single-model daemon and each internal/shard shard): the
-// admission rule, the gather loop that forms micro-batches, and the
-// bookkeeping that answers them, written once.
+// Package coalesce is the micro-batching queue of each internal/shard shard:
+// the admission rule, the gather loop that forms micro-batches, and the
+// bookkeeping that answers them.
 //
 // The unit that travels through the queue is the request, not the query: a
 // handler admits its planned queries as one Group — one queue entry, one
@@ -26,9 +25,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Queue metrics. The names are the serving tier's: every engine in the
-// process feeds the same series, so dashboards read one queue depth and one
-// batch-size histogram whether the daemon is sharded or not.
+// Queue metrics. The names are the serving tier's: every shard's queue feeds
+// the same series, so dashboards read one queue depth and one batch-size
+// histogram however many shards the daemon runs.
 var (
 	queueDepth    = obs.GetGauge("serve.queue.depth")
 	batchSizeHist = obs.GetHistogram("serve.batch.size")

@@ -206,7 +206,7 @@ func TestPredictBodyAcrossHotSwap(t *testing.T) {
 		var s *Server
 		s, m := recordingServer(t, cfg, func(call, _ int) {
 			if call == 0 {
-				s.slot.swap(model.WrapKCCA(next))
+				s.router.Shard(0).Publish(model.WrapKCCA(next))
 			}
 		})
 		defer s.Close()
@@ -234,10 +234,10 @@ func TestPredictBodyAcrossHotSwap(t *testing.T) {
 	}
 }
 
-// TestShardedPredictBodies: the sharded engine writes through the same
-// writePredict. One shard is byte-identical to the unsharded daemon serving
-// the same predictor (they share its memos); two shards add the shard field
-// under the same oracle.
+// TestShardedPredictBodies: a caller's router writes through the same
+// writePredict as the one-shard shorthand. One passthrough shard is
+// byte-identical to the shorthand server over the same predictor (they share
+// its memos); two shards add the shard field under the same oracle.
 func TestShardedPredictBodies(t *testing.T) {
 	pool, pred := fixture(t)
 	plain, err := New(baseConfig(t))
@@ -258,7 +258,7 @@ func TestShardedPredictBodies(t *testing.T) {
 		want := serveBody(plain, context.Background(), body)
 		got := serveBody(one, context.Background(), body)
 		if want.Code != http.StatusOK || got.Code != http.StatusOK || !bytes.Equal(want.Body.Bytes(), got.Body.Bytes()) {
-			t.Fatalf("pass %d: -shards 1 diverged from unsharded\nunsharded %d: %s\n sharded %d: %s", pass, want.Code, want.Body, got.Code, got.Body)
+			t.Fatalf("pass %d: a one-shard router diverged from the shorthand\nshorthand %d: %s\n   router %d: %s", pass, want.Code, want.Body, got.Code, got.Body)
 		}
 		mustPredictWith(t, "one shard", mustReencode(t, "one shard", got.Body.Bytes()), byGen)
 

@@ -15,14 +15,6 @@ import (
 	"repro/internal/shard"
 )
 
-// Serving-layer sentinels for conditions that arise in the daemon itself
-// rather than in the model.
-var (
-	errOverloaded   = errors.New("serve: request queue is full")
-	errShuttingDown = errors.New("serve: daemon is draining")
-	errNoFeedback   = errors.New("serve: daemon runs a static model (no observation feedback)")
-)
-
 // planStageError tags which stage of the SQL → plan pipeline failed, so
 // handlers report parse_error vs plan_error even when the failure surfaces
 // through the plan cache or WAL replay. Error() is the underlying message,
@@ -36,26 +28,19 @@ type planStageError struct {
 func (e *planStageError) Error() string { return e.err.Error() }
 func (e *planStageError) Unwrap() error { return e.err }
 
-// legacyText rewrites the shard tier's sentinel messages to the unsharded
-// daemon's wording, keeping the single-shard wire format byte-identical to
-// today's responses.
-func legacyText(err error) error {
-	switch {
-	case errors.Is(err, shard.ErrOverloaded):
-		return errOverloaded
-	case errors.Is(err, shard.ErrDraining):
-		return errShuttingDown
-	}
-	return err
-}
-
 // apiError maps any error from the prediction stack to a stable wire code,
-// using the sentinel errors exported by core/kcca/knn. Unknown errors
-// become CodeInternal so new failure modes fail loudly rather than being
-// misclassified as caller mistakes.
+// using the sentinel errors exported by core/kcca/knn and the shard tier.
+// Unknown errors become CodeInternal so new failure modes fail loudly rather
+// than being misclassified as caller mistakes. The message is the error's
+// own, except for the two admission sentinels, whose wire wording predates
+// internal/coalesce and is the API's.
 func apiError(err error) *api.Error {
 	code := api.CodeInternal
 	switch {
+	case errors.Is(err, shard.ErrOverloaded):
+		return &api.Error{Code: api.CodeOverloaded, Message: "serve: request queue is full"}
+	case errors.Is(err, shard.ErrDraining):
+		return &api.Error{Code: api.CodeShuttingDown, Message: "serve: daemon is draining"}
 	case errors.Is(err, core.ErrNotTrained):
 		code = api.CodeNotTrained
 	case errors.Is(err, core.ErrDimension), errors.Is(err, knn.ErrDimension):
@@ -67,10 +52,6 @@ func apiError(err error) *api.Error {
 		errors.Is(err, kcca.ErrTooFew),
 		errors.Is(err, kcca.ErrRowMismatch):
 		code = api.CodeBadRequest
-	case errors.Is(err, errOverloaded), errors.Is(err, shard.ErrOverloaded):
-		code = api.CodeOverloaded
-	case errors.Is(err, errShuttingDown), errors.Is(err, shard.ErrDraining):
-		code = api.CodeShuttingDown
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		code = api.CodeTimeout
 	}

@@ -3,41 +3,51 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/coalesce/coalescetest"
-	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/shard"
 	"repro/internal/testutil"
 	"repro/pkg/qpredict"
 )
 
+// What the queue does with requests — whole-or-nothing admission per shard,
+// batches cut from whole requests, an oversized request cut in order across
+// a hot swap — is internal/shard's to test (TestRouterAdmissionAllOrNothing,
+// TestRouterBatchComposition, TestRouterOversizedGroupAcrossSwap): there is
+// one queue now, and it is not in this package. What is tested here is what
+// the handler adds: which status and body each outcome becomes.
+
 var corePredictCount = obs.GetCounter("core.predict.count")
 
-// recordingServer boots a server around the fixture predictor wrapped in a
-// coalescetest.Model, so a test sees every micro-batch's size and can hook
-// the coalescer's goroutine.
+// recordingServer boots a server whose one shard serves cfg's predictor
+// wrapped in a coalescetest.Model, so a test sees every micro-batch's size
+// and can hook the coalescer's goroutine.
 func recordingServer(t testing.TB, cfg Config, hook func(call, size int)) (*Server, *coalescetest.Model) {
 	t.Helper()
+	m := &coalescetest.Model{Model: model.WrapKCCA(cfg.Predictor), Hook: hook}
+	router, err := shard.NewRouter([]shard.ShardConfig{{BootModel: m}}, shard.Passthrough{},
+		shard.Config{Window: cfg.Window, MaxBatch: cfg.MaxBatch, QueueCap: cfg.QueueCap}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Predictor, cfg.Router = nil, router
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &coalescetest.Model{Model: s.slot.get().model, Hook: hook}
-	s.slot.restore(m, 1)
 	return s, m
 }
 
@@ -73,177 +83,6 @@ func serveBody(s *Server, ctx context.Context, body string) *httptest.ResponseRe
 	req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(body)).WithContext(ctx)
 	s.Handler().ServeHTTP(rec, req)
 	return rec
-}
-
-// TestAdmissionAllOrNothing pins the admission rule: a request is admitted
-// whole or refused whole, counted in queries; a refusal leaves nothing in
-// the queue; an empty queue admits even a request larger than QueueCap.
-func TestAdmissionAllOrNothing(t *testing.T) {
-	pool, _ := fixture(t)
-	cfg := baseConfig(t)
-	cfg.MaxBatch, cfg.QueueCap = 8, 8
-	s, m, arrived, release := gatedServer(t, cfg)
-	depth := coalescetest.Depth()
-
-	answers := make(chan *httptest.ResponseRecorder, 2)
-	go func() { answers <- serveBody(s, context.Background(), predictBody(pool.Queries[120:121])) }()
-	<-arrived
-	go func() { answers <- serveBody(s, context.Background(), predictBody(pool.Queries[121:127])) }()
-	coalescetest.WaitDepth(t, depth+6)
-
-	// 6 of 8 pending: a 4-query request does not fit and is refused whole.
-	four := predictBody(pool.Queries[127:131])
-	rec := serveBody(s, context.Background(), four)
-	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") != "1" {
-		t.Fatalf("status %d Retry-After %q, want 429 and 1: %s", rec.Code, rec.Header().Get("Retry-After"), rec.Body)
-	}
-	if got := coalescetest.Depth(); got != depth+6 {
-		t.Fatalf("serve.queue.depth %d after the refusal, want %d: the refused request left queries behind", got, depth+6)
-	}
-	release()
-	for i := 0; i < 2; i++ {
-		if rec := <-answers; rec.Code != http.StatusOK {
-			t.Fatalf("admitted request answered %d: %s", rec.Code, rec.Body)
-		}
-	}
-	if got, want := m.Sizes(), []int{1, 6}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("micro-batches %v, want %v: only the admitted queries are predicted", got, want)
-	}
-
-	// The retry of the refused request is served, exactly once.
-	if rec := serveBody(s, context.Background(), four); rec.Code != http.StatusOK {
-		t.Fatalf("retry answered %d: %s", rec.Code, rec.Body)
-	}
-	if got, want := m.Sizes(), []int{1, 6, 4}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("micro-batches %v, want %v", got, want)
-	}
-
-	// Nothing pending: 16 queries are admitted past a QueueCap of 8 and
-	// served in MaxBatch-sized runs.
-	rec = serveBody(s, context.Background(), predictBody(pool.Queries[120:136]))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("oversized request on an idle queue answered %d: %s", rec.Code, rec.Body)
-	}
-	if pr := decodePredict(t, rec.Body.Bytes()); len(pr.Results) != 16 {
-		t.Fatalf("%d results, want 16", len(pr.Results))
-	}
-	if got, want := m.Sizes(), []int{1, 6, 4, 8, 8}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("micro-batches %v, want %v", got, want)
-	}
-	if got := coalescetest.Depth(); got != depth {
-		t.Fatalf("serve.queue.depth %d once idle, want %d", got, depth)
-	}
-}
-
-// TestBatchComposition: at Window 0 a micro-batch is made of whole requests
-// whatever the scheduler does — every batch size is a multiple of the
-// request size and at most MaxBatch.
-func TestBatchComposition(t *testing.T) {
-	pool, _ := fixture(t)
-	const clients, perClient, maxBatch = 8, 200, 64
-	procsList := []int{1, 2}
-	if n := runtime.NumCPU(); n > 2 {
-		procsList = append(procsList, n)
-	}
-	for _, procs := range procsList {
-		for _, size := range []int{16, 64} {
-			t.Run(fmt.Sprintf("procs=%d/size=%d", procs, size), func(t *testing.T) {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				cfg := baseConfig(t)
-				cfg.MaxBatch = maxBatch
-				s, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-				// What is predicted does not matter here, only how it is cut.
-				m := &coalescetest.Model{Model: coalescetest.Stub{}}
-				s.slot.restore(m, 1)
-
-				var qs []*dataset.Query
-				for len(qs) < size {
-					qs = append(qs, pool.Queries[120:160]...)
-				}
-				body := predictBody(qs[:size])
-				var wg sync.WaitGroup
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for i := 0; i < perClient; i++ {
-							if rec := serveBody(s, context.Background(), body); rec.Code != http.StatusOK {
-								t.Errorf("status %d: %s", rec.Code, rec.Body)
-								return
-							}
-						}
-					}()
-				}
-				wg.Wait()
-				total := 0
-				for _, n := range m.Sizes() {
-					if n%size != 0 || n > maxBatch {
-						t.Fatalf("micro-batch of %d queries from %d-query requests at MaxBatch %d", n, size, maxBatch)
-					}
-					total += n
-				}
-				if want := clients * perClient * size; total != want {
-					t.Fatalf("%d queries predicted, want %d", total, want)
-				}
-			})
-		}
-	}
-}
-
-// TestOversizedRequestAcrossSwap: a request larger than MaxBatch is cut
-// into MaxBatch-sized runs in input order, each served by one generation,
-// and a hot swap between two runs changes nothing but the generation tag.
-func TestOversizedRequestAcrossSwap(t *testing.T) {
-	pool, pred := fixture(t)
-	cfg := baseConfig(t)
-	cfg.MaxBatch = 64
-	var s *Server
-	s, m := recordingServer(t, cfg, func(call, _ int) {
-		if call == 0 {
-			// On the coalescer's goroutine: the first run has read the slot,
-			// the second has not.
-			s.slot.swap(s.slot.get().model)
-		}
-	})
-	defer s.Close()
-
-	var qs []*dataset.Query
-	for len(qs) < 256 {
-		qs = append(qs, pool.Queries[120:160]...)
-	}
-	qs = qs[:256]
-	rec := serveBody(s, context.Background(), predictBody(qs))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body)
-	}
-	if got, want := m.Sizes(), []int{64, 64, 64, 64}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("micro-batches %v, want %v", got, want)
-	}
-	reqs := make([]core.Request, len(qs))
-	for i, q := range qs {
-		reqs[i] = core.Request{Query: planLocal(t, q.SQL)}
-	}
-	direct := pred.Predict(reqs...)
-	pr := decodePredict(t, rec.Body.Bytes())
-	for i, r := range pr.Results {
-		if r.SQL != qs[i].SQL {
-			t.Fatalf("result %d out of input order", i)
-		}
-		if want := api.MetricsFrom(direct[i].Prediction.Metrics); !reflect.DeepEqual(*r.Metrics, want) {
-			t.Fatalf("result %d: metrics %+v, direct predict %+v", i, *r.Metrics, want)
-		}
-		wantGen := int64(1)
-		if i >= 64 {
-			wantGen = 2
-		}
-		if r.Generation != wantGen {
-			t.Fatalf("result %d served by generation %d, want %d", i, r.Generation, wantGen)
-		}
-	}
 }
 
 // TestAbandonedGroupSkipped: a request whose context ends while it is

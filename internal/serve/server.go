@@ -1,20 +1,19 @@
-// Package serve is the network-facing layer of the predictor: the handler,
-// micro-batching coalescer, and hot-swappable model slot behind the
-// qpredictd daemon — the paper's Fig. 1 vendor-trains / customer-predicts
-// workflow turned into an online service. It is stdlib-only and built
-// around httptest-friendly pieces: New wires a Server from a Config,
-// Handler returns its mux, Close drains it.
+// Package serve is the network-facing layer of the predictor: the HTTP
+// adapter of the qpredictd daemon — the paper's Fig. 1 vendor-trains /
+// customer-predicts workflow turned into an online service. It is
+// stdlib-only and built around httptest-friendly pieces: New wires a Server
+// from a Config, Handler returns its mux, Close drains it.
 //
-// Request flow: /v1/predict parses and plans each SQL query, admits the
-// planned queries to the coalescer as one group (bounded queue, 429 when
-// the whole request does not fit), and waits once with a per-request
-// deadline. The coalescer (internal/coalesce) dispatches an idle engine's
-// first arrival at once, batches what queued while the previous micro-batch
-// ran, and answers each micro-batch with one atomic read of the model slot
-// and one core Predict call.
-// /v1/observe feeds executed queries into a sliding retraining window
-// owned by a background goroutine; each completed retrain is swapped into
-// the slot without blocking a single read.
+// The Server owns no model. Every Server serves through a shard.Router
+// (internal/shard) of one or more shards, each with its own model slot,
+// micro-batching queue and retrain loop; this package turns HTTP into calls
+// on it. /v1/predict decodes the body, parses and plans each SQL query
+// through the plan cache, hands the planned queries to Router.Predict under
+// the per-request deadline (429 when a shard's bounded queue has no room for
+// its share) and encodes the outcomes in input order. /v1/observe plans each
+// executed query and hands it to Router.Observe, whose owning shard retrains
+// in the background and swaps each new generation in without blocking a
+// read. /v1/model and /v1/shards report what the router's shards serve.
 package serve
 
 import (
@@ -30,11 +29,9 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/catalog"
-	"repro/internal/coalesce"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/shard"
@@ -43,45 +40,43 @@ import (
 	"repro/internal/workload"
 )
 
-// Serving metrics: the observe queue's depth, swaps, request outcomes, and
-// handler latency. The predict queue's own (serve.queue.depth,
-// serve.batch.size, serve.queue_wait.seconds, serve.batch.seconds) are
-// recorded by internal/coalesce.
+// Handler metrics: request outcomes and latency. The predict queue's
+// (serve.queue.depth, serve.batch.size, serve.queue_wait.seconds,
+// serve.batch.seconds) are recorded by internal/coalesce; swaps, retrain
+// errors, the observe queue's depth and the per-shard series by
+// internal/shard.
 var (
-	observeQueueDepth = obs.GetGauge("serve.observe.queue_depth")
-	modelSwaps        = obs.GetCounter("serve.model.swaps")
-	retrainErrors     = obs.GetCounter("serve.retrain.errors")
-	rejectedOverload  = obs.GetCounter("serve.rejected.overload")
-	requestTimeouts   = obs.GetCounter("serve.request.timeouts")
-	predictRequests   = obs.GetCounter("serve.requests.predict")
-	observeRequests   = obs.GetCounter("serve.requests.observe")
-	predictSeconds    = obs.GetHistogram("serve.predict.seconds")
+	requestTimeouts = obs.GetCounter("serve.request.timeouts")
+	predictRequests = obs.GetCounter("serve.requests.predict")
+	observeRequests = obs.GetCounter("serve.requests.observe")
+	predictSeconds  = obs.GetHistogram("serve.predict.seconds")
 	// Which codec path served (internal/api): predict bodies outside the
 	// decoder's fast path, and results whose metrics/category/confidence run
 	// was copied from, or stored into, a prediction-cache entry's memo.
-	decodeFallbacks  = obs.GetCounter("serve.decode.fallbacks")
-	encodeMemoHits   = obs.GetCounter("serve.encode.memo_hits")
-	encodeMemoFills  = obs.GetCounter("serve.encode.memo_fills")
-	walSnapshotFails = obs.GetCounter("wal.snapshot.errors")
+	decodeFallbacks = obs.GetCounter("serve.decode.fallbacks")
+	encodeMemoHits  = obs.GetCounter("serve.encode.memo_hits")
+	encodeMemoFills = obs.GetCounter("serve.encode.memo_fills")
 )
 
 // Config wires a Server.
 type Config struct {
-	// Predictor is the boot model. It may be nil when Sliding is set — the
-	// daemon then starts cold and becomes ready after the first retrain.
+	// Router is the serving tier: predict and observe traffic is partitioned
+	// across its shards, each with its own coalescer, generation, and
+	// background retrain loop. The Server takes ownership and closes the
+	// router on Close. When nil, New builds a one-shard passthrough router
+	// from the shorthand fields Predictor, Sliding, Store, BootGen, Window,
+	// MaxBatch and QueueCap (as shard.ShardConfig.Boot is shorthand for
+	// BootModel); with a Router set, Predictor, Sliding and Store must be
+	// nil and the queue knobs are the router's own.
+	Router *shard.Router
+	// Predictor is the one shard's boot model. It may be nil when Sliding is
+	// set — the daemon then starts cold and becomes ready after the first
+	// retrain.
 	Predictor *core.Predictor
 	// Sliding, when set, enables /v1/observe feedback and background
-	// hot-swap retraining. The Server's observe goroutine takes sole
+	// hot-swap retraining. The shard's observe goroutine takes sole
 	// ownership of it.
 	Sliding *core.SlidingPredictor
-	// Router, when set, replaces the single Predictor/Sliding pair with the
-	// sharded multi-model tier: predict and observe traffic is partitioned
-	// across per-shard sliding predictors, each with its own coalescer,
-	// generation, and background retrain loop. Predictor and Sliding must
-	// be nil. The Server takes ownership and closes the router on Close.
-	// With one shard the wire behavior is byte-identical to the unsharded
-	// configuration (asserted by TestShardedSingleEquivalence).
-	Router *shard.Router
 	// Schema and Machine configure the planner that turns incoming SQL
 	// into the plan feature vectors the model consumes.
 	Schema   *catalog.Schema
@@ -98,15 +93,13 @@ type Config struct {
 	// the full parse + optimize pipeline — the benchmark baseline).
 	PlanCacheEntries int
 
-	// Window is how long the coalescer holds an open micro-batch for more
-	// arrivals. Zero never waits: an idle engine dispatches at once and a
-	// batch is whatever queued while the previous one ran.
-	Window time.Duration
-	// MaxBatch caps a micro-batch, in queries (default 64). Only a request
-	// larger than it is split across micro-batches.
+	// Window, MaxBatch and QueueCap are the one shard's shard.Config: how
+	// long its coalescer holds an open micro-batch for more arrivals (zero
+	// never waits), the micro-batch cap in queries (default 64), and the
+	// bound on pending queries (default 1024) beyond which a request that
+	// does not fit whole is rejected with 429.
+	Window   time.Duration
 	MaxBatch int
-	// QueueCap bounds the pending queries (default 1024); a request that
-	// does not fit whole is rejected with 429 unless nothing is pending.
 	QueueCap int
 	// Timeout is the per-request deadline for /v1/predict (default 10s).
 	Timeout time.Duration
@@ -116,11 +109,10 @@ type Config struct {
 	// MaxBody caps the request body size in bytes (default 4 MiB).
 	MaxBody int64
 
-	// Store, when set with Sliding, makes the daemon's serving state
-	// durable: the observe loop WAL-logs every observation before applying
-	// it and snapshots the sliding state periodically and at drain. The
-	// Server takes ownership and closes it on Close. Sharded daemons
-	// instead hang one store per shard off shard.ShardConfig.
+	// Store, when set with Sliding, makes the one shard's serving state
+	// durable (shard.ShardConfig.Store): every observation is WAL-logged
+	// before it is applied, and the sliding state is snapshotted
+	// periodically and at drain.
 	Store *wal.Store
 	// BootGen, with Store, is the model generation recovered from durable
 	// state; when positive (and Predictor is nil) the recovered Sliding
@@ -128,8 +120,8 @@ type Config struct {
 	BootGen int64
 }
 
-// Server is the prediction service. Create with New, mount with Handler,
-// stop with Close.
+// Server is the prediction service: the HTTP face of a shard.Router. Create
+// with New, mount with Handler, stop with Close.
 type Server struct {
 	cfg Config
 	// plans is the fingerprint-keyed plan/feature cache (core.PlanCache):
@@ -138,52 +130,33 @@ type Server struct {
 	// predict path, the observe path, and (through the planned queries it
 	// returns) the shard tier's shadow scorer.
 	plans *core.PlanCache
-
-	// router is non-nil in sharded mode; slot/sliding/queue are then unused
-	// (each shard owns its own).
+	// router holds every model, queue and retrain loop the Server serves from.
 	router *shard.Router
-
-	slot    slot
-	sliding *core.SlidingPredictor
-	// store, when non-nil, is the daemon's durable state (see Config.Store);
-	// owned by the observe goroutine after New.
-	store *wal.Store
-
-	mu     sync.RWMutex // guards closed + sends on observeCh
-	closed bool
-
-	// queue is the predict path's micro-batching queue and its coalescer
-	// goroutine (see runBatch).
-	queue *coalesce.Queue
-
-	observeCh   chan *dataset.Query
-	observeDone chan struct{}
-	// windowSize mirrors the sliding window's occupancy so handlers can
-	// report it without touching the goroutine-owned SlidingPredictor.
-	windowSize atomic.Int64
+	// closed is set once the drain begins; /readyz reports it.
+	closed atomic.Bool
 }
 
-// New validates the config, publishes the boot model (if any), and starts
-// the coalescer and observe goroutines.
+// New validates the config and, unless it brings a router, builds the
+// one-shard router its shorthand fields describe, which publishes the boot
+// model (if any) and starts the shard's coalescer and observe goroutines.
 func New(cfg Config) (*Server, error) {
 	if cfg.Schema == nil {
 		return nil, fmt.Errorf("serve: config needs a schema")
 	}
-	if cfg.Router != nil {
-		if cfg.Predictor != nil || cfg.Sliding != nil {
-			return nil, fmt.Errorf("serve: config sets both a shard router and a single-model predictor")
+	switch {
+	case cfg.Router == nil:
+		if cfg.Predictor == nil && cfg.Sliding == nil {
+			return nil, fmt.Errorf("serve: config needs a boot predictor, a sliding predictor, or a shard router")
 		}
-		if cfg.Store != nil {
-			return nil, fmt.Errorf("serve: sharded daemons carry stores per shard (shard.ShardConfig), not on serve.Config")
+		router, err := shard.NewRouter([]shard.ShardConfig{{
+			Boot: cfg.Predictor, Sliding: cfg.Sliding, Store: cfg.Store, BootGen: cfg.BootGen,
+		}}, shard.Passthrough{}, shard.Config{Window: cfg.Window, MaxBatch: cfg.MaxBatch, QueueCap: cfg.QueueCap}, false)
+		if err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
 		}
-	} else if cfg.Predictor == nil && cfg.Sliding == nil {
-		return nil, fmt.Errorf("serve: config needs a boot predictor, a sliding predictor, or a shard router")
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
-	}
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 1024
+		cfg.Router = router
+	case cfg.Predictor != nil || cfg.Sliding != nil || cfg.Store != nil:
+		return nil, fmt.Errorf("serve: config sets both a shard router and the one-shard shorthand (predictor, sliding, store)")
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 10 * time.Second
@@ -197,71 +170,16 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Plans == nil {
 		cfg.Plans = NewPlanner(cfg.Schema, cfg.DataSeed, cfg.Machine, cfg.PlanCacheEntries)
 	}
-	s := &Server{
-		cfg:    cfg,
-		plans:  cfg.Plans,
-		router: cfg.Router,
-	}
-	if s.router != nil {
-		return s, nil
-	}
-	s.sliding = cfg.Sliding
-	s.store = cfg.Store
-	if s.store != nil && s.sliding == nil {
-		return nil, fmt.Errorf("serve: a durable store needs a sliding predictor")
-	}
-	switch {
-	case cfg.Predictor != nil && cfg.BootGen > 0:
-		s.slot.restore(model.WrapKCCA(cfg.Predictor), cfg.BootGen)
-	case cfg.Predictor != nil:
-		s.slot.swap(model.WrapKCCA(cfg.Predictor))
-	case cfg.Sliding.Ready() && cfg.BootGen > 0:
-		s.slot.restore(model.WrapKCCA(cfg.Sliding.Current()), cfg.BootGen)
-	case cfg.Sliding.Ready():
-		s.slot.swap(model.WrapKCCA(cfg.Sliding.Current()))
-	}
-	s.queue = coalesce.Start(coalesce.Config{
-		Window: cfg.Window, MaxBatch: cfg.MaxBatch, QueueCap: cfg.QueueCap,
-	}, s.runBatch)
-	if s.sliding != nil {
-		s.observeCh = make(chan *dataset.Query, cfg.QueueCap)
-		s.observeDone = make(chan struct{})
-		s.windowSize.Store(int64(s.sliding.WindowSize()))
-		go s.observeLoop()
-	}
-	return s, nil
+	return &Server{cfg: cfg, plans: cfg.Plans, router: cfg.Router}, nil
 }
 
 // Close drains the server: new submissions are refused (503), in-flight
-// micro-batches and queued observations finish, and both background
+// micro-batches and queued observations finish, and every shard's background
 // goroutines exit before Close returns. It is the shutdown hook qpredictd
 // runs on SIGTERM, and it is idempotent.
 func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	if s.router != nil {
-		s.mu.Unlock()
+	if !s.closed.Swap(true) {
 		s.router.Close()
-		return
-	}
-	if s.observeCh != nil {
-		close(s.observeCh)
-	}
-	s.mu.Unlock()
-	s.queue.Close()
-	if s.observeDone != nil {
-		<-s.observeDone
-	}
-	if s.store != nil {
-		// Final snapshot at drain: the next boot restores it directly
-		// instead of replaying the tail.
-		if err := s.store.Close(s.sliding, s.generation()); err != nil {
-			walSnapshotFails.Inc()
-		}
 	}
 }
 
@@ -270,7 +188,7 @@ func (s *Server) Close() {
 //	POST /v1/predict   predict one or many queries
 //	POST /v1/observe   feed executed queries to the retraining window
 //	GET  /v1/model     current model metadata
-//	GET  /v1/shards    per-shard model state (sharded daemon only)
+//	GET  /v1/shards    routing policy and per-shard model state
 //	GET  /healthz      process liveness
 //	GET  /readyz       readiness (a model is being served and not draining)
 func (s *Server) Handler() http.Handler {
@@ -286,29 +204,19 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// handleReady reports whether a model is being served — whether any shard
+// serves one (cold shards are rescued by the warm fallback or fail
+// per-request) — and the drain.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	draining := s.closed
-	s.mu.RUnlock()
-	if draining {
+	if s.closed.Load() {
 		writeError(w, api.CodeShuttingDown, "draining")
 		return
 	}
-	if !s.ready() {
+	if !s.router.AnyReady() {
 		writeError(w, api.CodeNotTrained, "no model trained yet")
 		return
 	}
 	w.Write([]byte("ready\n"))
-}
-
-// ready reports whether a model is being served — in sharded mode, whether
-// any shard is (cold shards are rescued by the warm fallback or fail
-// per-request).
-func (s *Server) ready() bool {
-	if s.router != nil {
-		return s.router.AnyReady()
-	}
-	return s.slot.get() != nil
 }
 
 // PlannerFunc returns the deterministic SQL → planned-query pipeline the
@@ -387,50 +295,53 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("%d queries exceeds the per-request limit of %d", len(inputs), s.cfg.MaxQueries))
 		return
 	}
-	if !s.ready() {
+	if !s.router.AnyReady() {
 		writeError(w, api.CodeNotTrained, "no model trained yet")
 		return
 	}
-	if s.router != nil {
-		s.predictSharded(w, r, inputs)
-		return
-	}
-
-	// The request context, bounded by the per-request deadline, rides with
-	// the group: when the handler gives up, the coalescer skips the abandoned
-	// group instead of predicting for nobody.
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
 
 	// Parse + plan first: malformed queries fail in place without entering
-	// the queue, so a batch mixing good and bad SQL still gets predictions
+	// a queue, so a batch mixing good and bad SQL still gets predictions
 	// for the good part.
 	reply := newPredictReply(len(inputs))
 	qs, idx := s.planInputs(inputs, reply)
-	// The group may outlive this handler when a deadline abandons it, so its
-	// items are heap-owned and sized up front.
-	g := &coalesce.Group{Ctx: ctx, Items: make([]coalesce.Item, len(qs))}
-	for k, q := range qs {
-		g.Items[k].Req = core.Request{Query: q}
-	}
-	// Admission is all or nothing and never blocks: a queue with no room
-	// for the whole request sheds it (429) instead of stacking goroutines.
-	if err := legacyText(s.queue.Admit(g)); err != nil {
-		e := apiError(err)
-		writeError(w, e.Code, e.Message)
-		return
-	}
-	if g.Wait() != nil {
-		s.writeAbandoned(w, r)
-		return
-	}
-	for k := range g.Items {
-		it, i := &g.Items[k], idx[k]
-		if it.Res.Err != nil {
-			reply.results[i].Error = apiError(it.Res.Err)
-			continue
+	// The request context, bounded by the per-request deadline, rides with
+	// each shard's group: when the handler gives up, the coalescer skips the
+	// abandoned group instead of predicting for nobody.
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
+	defer cancel()
+	// Per-query failures (routing, a cold shard without rescue, model
+	// errors) land in their own result slot; a shed queue, the drain and the
+	// request deadline reject the whole request.
+	sharded := s.router.Sharded()
+	for k, out := range s.router.Predict(ctx, qs) {
+		res := &reply.results[idx[k]]
+		err := out.Err
+		if err == nil {
+			err = out.Res.Err
 		}
-		reply.served(i, it.Res.Prediction, it.Gen, it.Kind)
+		switch {
+		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+			s.writeAbandoned(w, r)
+			return
+		case errors.Is(err, shard.ErrOverloaded), errors.Is(err, shard.ErrDraining):
+			e := apiError(err)
+			writeError(w, e.Code, e.Message)
+			return
+		case err != nil:
+			res.Error = apiError(err)
+		default:
+			// The answer is attributed to the model that actually produced
+			// it — under the cold-start fallback that is the fallback
+			// shard's generation and kind, not the cold owner's.
+			reply.served(idx[k], out.Res.Prediction, out.Gen, out.Kind)
+		}
+		if sharded {
+			res.Shard = strconv.Itoa(out.Shard)
+			if err == nil && out.Served != out.Shard {
+				res.FallbackShard = strconv.Itoa(out.Served)
+			}
+		}
 	}
 	writePredict(w, s.modelInfo(), reply)
 }
@@ -487,8 +398,8 @@ func (p *predictReply) served(i int, pred *core.Prediction, gen int64, kind stri
 // respPool holds predict-response buffers.
 var respPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// writePredict encodes a finished reply with the api codec — on either
-// engine the only thing that encodes predict results — and sends it.
+// writePredict encodes a finished reply with the api codec — the only thing
+// that encodes predict results — and sends it.
 func writePredict(w http.ResponseWriter, model *api.ModelInfo, reply *predictReply) {
 	buf := respPool.Get().(*[]byte)
 	defer respPool.Put(buf)
@@ -517,64 +428,14 @@ func (s *Server) writeAbandoned(w http.ResponseWriter, r *http.Request) {
 		fmt.Sprintf("prediction did not complete within %v", s.cfg.Timeout))
 }
 
-// predictSharded plans the batch, fans it across shards through the
-// router, and merges the outcomes back in input order. Per-query failures
-// (routing, cold shard without rescue, model errors) land in their own
-// result slot; conditions the unsharded daemon rejects wholesale (a shed
-// queue, draining, the request deadline) reject the whole request with the
-// same code and message.
-func (s *Server) predictSharded(w http.ResponseWriter, r *http.Request, inputs []api.QueryInput) {
-	reply := newPredictReply(len(inputs))
-	qs, idx := s.planInputs(inputs, reply)
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-	outs := s.router.Predict(ctx, qs)
-	sharded := s.router.Sharded()
-	for k, out := range outs {
-		res := &reply.results[idx[k]]
-		err := out.Err
-		if err == nil {
-			err = out.Res.Err
-		}
-		switch {
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			s.writeAbandoned(w, r)
-			return
-		case errors.Is(err, shard.ErrOverloaded), errors.Is(err, shard.ErrDraining):
-			e := apiError(legacyText(err))
-			writeError(w, e.Code, e.Message)
-			return
-		case err != nil:
-			res.Error = apiError(err)
-		default:
-			// The answer is attributed to the model that actually produced
-			// it — under the cold-start fallback that is the fallback
-			// shard's generation and kind, not the cold owner's.
-			reply.served(idx[k], out.Res.Prediction, out.Gen, out.Kind)
-		}
-		if sharded {
-			res.Shard = strconv.Itoa(out.Shard)
-			if err == nil && out.Served != out.Shard {
-				res.FallbackShard = strconv.Itoa(out.Served)
-			}
-		}
-	}
-	writePredict(w, s.modelInfo(), reply)
-}
-
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, api.CodeMethod, "use POST")
 		return
 	}
 	observeRequests.Inc()
-	if s.router != nil {
-		if !s.router.HasFeedback() {
-			writeError(w, api.CodeBadRequest, errNoFeedback.Error())
-			return
-		}
-	} else if s.sliding == nil {
-		writeError(w, api.CodeBadRequest, errNoFeedback.Error())
+	if !s.router.HasFeedback() {
+		writeError(w, api.CodeBadRequest, "serve: daemon runs a static model (no observation feedback)")
 		return
 	}
 	var req api.ObserveRequest
@@ -586,7 +447,6 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.CodeBadRequest, "no observations")
 		return
 	}
-	accepted := 0
 	owner, sameOwner := -1, true // single-owner tracking for the shard field
 	for i, o := range req.Observations {
 		q, _, apiErr := s.planQuery(o.SQL)
@@ -596,52 +456,31 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		}
 		q.Metrics = o.Metrics.Exec()
 		q.Category = workload.Categorize(q.Metrics.ElapsedSec)
-		var err error
-		if s.router != nil {
-			var sh int
-			if sh, err = s.router.Observe(q); err == nil {
-				if owner == -1 {
-					owner = sh
-				} else if owner != sh {
-					sameOwner = false
-				}
-			}
-			err = legacyText(err)
-		} else {
-			err = s.enqueueObservation(q)
-		}
+		sh, err := s.router.Observe(q)
 		if err != nil {
 			e := apiError(err)
 			writeError(w, e.Code, fmt.Sprintf("observation %d: %s", i, e.Message))
 			return
 		}
-		accepted++
-	}
-	if s.router != nil {
-		resp := api.ObserveResponse{
-			Version:    api.Version,
-			Accepted:   accepted,
-			Generation: s.router.MaxGeneration(),
+		if owner == -1 {
+			owner = sh
+		} else if owner != sh {
+			sameOwner = false
 		}
-		if s.router.Sharded() && sameOwner && owner >= 0 {
-			resp.Shard = strconv.Itoa(owner)
-			resp.WindowSize = s.router.Shard(owner).WindowSize()
-		} else {
-			resp.WindowSize = s.router.TotalWindow()
-		}
-		writeJSON(w, http.StatusAccepted, resp)
-		return
 	}
-	gen := int64(0)
-	if m := s.slot.get(); m != nil {
-		gen = m.gen
-	}
-	writeJSON(w, http.StatusAccepted, api.ObserveResponse{
+	// An observation that is not accepted ends the request above.
+	resp := api.ObserveResponse{
 		Version:    api.Version,
-		Accepted:   accepted,
-		WindowSize: int(s.windowSize.Load()),
-		Generation: gen,
-	})
+		Accepted:   len(req.Observations),
+		Generation: s.router.MaxGeneration(),
+	}
+	if s.router.Sharded() && sameOwner {
+		resp.Shard = strconv.Itoa(owner)
+		resp.WindowSize = s.router.Shard(owner).WindowSize()
+	} else {
+		resp.WindowSize = s.router.TotalWindow()
+	}
+	writeJSON(w, http.StatusAccepted, resp)
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
@@ -667,95 +506,74 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	}{api.Version, info})
 }
 
-// modelInfo snapshots the served model's metadata, or nil before boot. On a
-// sharded daemon it aggregates: Generation is the highest per-shard
-// generation, TrainedOn/Swaps/WindowSize are totals, and the Shards and
-// Partitioner fields appear only when more than one shard runs (so the
-// single-shard wire format stays byte-identical to the unsharded daemon).
+// modelInfo snapshots the served models' metadata, or nil before boot. It
+// aggregates across shards: Generation is the highest per-shard generation,
+// TrainedOn/Swaps/WindowSize are totals, and the Shards and Partitioner
+// fields appear only when more than one shard runs (the single-shard wire
+// format predates the router and is held byte for byte by
+// TestShardedSingleEquivalence).
 func (s *Server) modelInfo() *api.ModelInfo {
-	if s.router != nil {
-		var info *api.ModelInfo
-		trained := 0
-		var swaps, maxGen int64
-		kind, mixed := "", false
-		for i := 0; i < s.router.NumShards(); i++ {
-			m := s.router.Shard(i).Model()
-			if m == nil {
-				continue
-			}
-			if info == nil {
-				info = &api.ModelInfo{}
-			}
-			switch k := m.Model.Kind(); {
-			case kind == "":
-				kind = k
-			case kind != k:
-				mixed = true
-			}
-			// KCCA-specific introspection (feature space, neighbor index)
-			// reports only the shards serving that kind; other kinds have no
-			// neighbor index. Index shape aggregates across shards
-			// (single-shard daemons report exactly the unsharded form,
-			// keeping the wire formats byte-identical).
-			if pred := m.Pred(); pred != nil {
-				if info.Features == "" {
-					opt := pred.Options()
-					info.Features = opt.Features.String()
-					info.TwoStep = opt.TwoStep
-				}
-				if ii := indexInfo(pred); info.Index == nil {
-					info.Index = ii
-				} else {
-					info.Index.Points += ii.Points
-					info.Index.Nodes += ii.Nodes
-					info.Index.Stragglers += ii.Stragglers
-					if ii.Kind == "kdtree" {
-						info.Index.Kind = "kdtree"
-					}
-				}
-			}
-			trained += m.Model.N()
-			swaps += m.Gen - 1
-			if m.Gen > maxGen {
-				maxGen = m.Gen
-			}
+	var info *api.ModelInfo
+	trained := 0
+	var swaps, maxGen int64
+	kind, mixed := "", false
+	for i := 0; i < s.router.NumShards(); i++ {
+		m := s.router.Shard(i).Model()
+		if m == nil {
+			continue
 		}
 		if info == nil {
-			return nil
+			info = &api.ModelInfo{}
 		}
-		info.ModelKind = kind
-		if mixed {
-			info.ModelKind = "mixed"
+		switch k := m.Model.Kind(); {
+		case kind == "":
+			kind = k
+		case kind != k:
+			mixed = true
 		}
-		info.Generation = maxGen
-		info.TrainedOn = trained
-		info.Swaps = swaps
-		info.WindowSize = s.router.TotalWindow()
-		if s.router.Sharded() {
-			info.Shards = s.router.NumShards()
-			info.Partitioner = s.router.Partitioner().Name()
+		// KCCA-specific introspection (feature space, neighbor index)
+		// reports only the shards serving that kind; other kinds have no
+		// neighbor index. Index shape aggregates across shards.
+		if pred := m.Pred(); pred != nil {
+			if info.Features == "" {
+				opt := pred.Options()
+				info.Features = opt.Features.String()
+				info.TwoStep = opt.TwoStep
+			}
+			if ii := indexInfo(pred); info.Index == nil {
+				info.Index = ii
+			} else {
+				info.Index.Points += ii.Points
+				info.Index.Nodes += ii.Nodes
+				info.Index.Stragglers += ii.Stragglers
+				if ii.Kind == "kdtree" {
+					info.Index.Kind = "kdtree"
+				}
+			}
 		}
-		info.Champion, info.Challengers = s.zooInfo()
-		return info
+		trained += m.Model.N()
+		// Generation 1 is the boot model; every later generation was a swap.
+		swaps += m.Gen - 1
+		if m.Gen > maxGen {
+			maxGen = m.Gen
+		}
 	}
-	m := s.slot.get()
-	if m == nil {
+	if info == nil {
 		return nil
 	}
-	info := &api.ModelInfo{
-		Generation: m.gen,
-		TrainedOn:  m.model.N(),
-		ModelKind:  m.model.Kind(),
-		// Generation 1 is the boot model; every later generation was a swap.
-		Swaps:      m.gen - 1,
-		WindowSize: int(s.windowSize.Load()),
+	info.ModelKind = kind
+	if mixed {
+		info.ModelKind = "mixed"
 	}
-	if pred := m.pred(); pred != nil {
-		opt := pred.Options()
-		info.Features = opt.Features.String()
-		info.TwoStep = opt.TwoStep
-		info.Index = indexInfo(pred)
+	info.Generation = maxGen
+	info.TrainedOn = trained
+	info.Swaps = swaps
+	info.WindowSize = s.router.TotalWindow()
+	if s.router.Sharded() {
+		info.Shards = s.router.NumShards()
+		info.Partitioner = s.router.Partitioner().Name()
 	}
+	info.Champion, info.Challengers = s.zooInfo()
 	return info
 }
 
@@ -825,62 +643,47 @@ func apiRecovery(info wal.RecoveryInfo) *api.RecoveryInfo {
 }
 
 // recoveryInfo reports what boot-time recovery did, or nil when the daemon
-// runs without durable state. On a sharded daemon it aggregates: Recovered
-// and TornTail are ORs, Replayed and TruncatedBytes are totals,
-// SnapshotSeq and ReplaySeconds are maxima (per-shard detail is on GET
-// /v1/shards).
+// runs without durable state. It aggregates across shards: Recovered and
+// TornTail are ORs, Replayed and TruncatedBytes are totals, SnapshotSeq and
+// ReplaySeconds are maxima (per-shard detail is on GET /v1/shards).
 func (s *Server) recoveryInfo() *api.RecoveryInfo {
-	if s.router != nil {
-		var agg *api.RecoveryInfo
-		for i := 0; i < s.router.NumShards(); i++ {
-			ri := s.router.Shard(i).Recovery()
-			if ri == nil {
-				continue
-			}
-			if agg == nil {
-				agg = &api.RecoveryInfo{}
-			}
-			agg.Recovered = agg.Recovered || ri.Recovered
-			agg.TornTail = agg.TornTail || ri.TornTail
-			agg.Replayed += ri.Replayed
-			agg.TruncatedBytes += ri.TruncatedBytes
-			if ri.SnapshotSeq > agg.SnapshotSeq {
-				agg.SnapshotSeq = ri.SnapshotSeq
-			}
-			if ri.ReplaySeconds > agg.ReplaySeconds {
-				agg.ReplaySeconds = ri.ReplaySeconds
-			}
+	var agg *api.RecoveryInfo
+	for i := 0; i < s.router.NumShards(); i++ {
+		ri := s.router.Shard(i).Recovery()
+		if ri == nil {
+			continue
 		}
-		return agg
+		if agg == nil {
+			agg = &api.RecoveryInfo{}
+		}
+		agg.Recovered = agg.Recovered || ri.Recovered
+		agg.TornTail = agg.TornTail || ri.TornTail
+		agg.Replayed += ri.Replayed
+		agg.TruncatedBytes += ri.TruncatedBytes
+		if ri.SnapshotSeq > agg.SnapshotSeq {
+			agg.SnapshotSeq = ri.SnapshotSeq
+		}
+		if ri.ReplaySeconds > agg.ReplaySeconds {
+			agg.ReplaySeconds = ri.ReplaySeconds
+		}
 	}
-	if s.store == nil {
-		return nil
-	}
-	return apiRecovery(s.store.Info())
+	return agg
 }
 
-// indexPruning fills in how the served generation's index (every shard's,
-// on a sharded daemon) has pruned so far: searches, and the mean candidates
-// scored and abandoned per search.
+// indexPruning fills in how every shard's served generation's index has
+// pruned so far: searches, and the mean candidates scored and abandoned per
+// search.
 func (s *Server) indexPruning(ii *api.IndexInfo) {
 	var searches, scored, abandoned int64
-	add := func(p *core.Predictor) {
-		if p == nil {
-			return
+	for i := 0; i < s.router.NumShards(); i++ {
+		m := s.router.Shard(i).Model()
+		if m == nil || m.Pred() == nil {
+			continue
 		}
-		st := p.Index().Stats()
+		st := m.Pred().Index().Stats()
 		searches += st.Searches
 		scored += st.PointsScored
 		abandoned += st.PointsAbandoned
-	}
-	if s.router != nil {
-		for i := 0; i < s.router.NumShards(); i++ {
-			if m := s.router.Shard(i).Model(); m != nil {
-				add(m.Pred())
-			}
-		}
-	} else if m := s.slot.get(); m != nil {
-		add(m.pred())
 	}
 	if searches > 0 {
 		ii.Searches = searches
@@ -890,8 +693,7 @@ func (s *Server) indexPruning(ii *api.IndexInfo) {
 }
 
 // indexInfo reports the static per-generation shape of a predictor's
-// neighbor index: deterministic for a given training window, so sharded
-// and unsharded daemons serving the same window report identical bytes.
+// neighbor index: deterministic for a given training window.
 func indexInfo(p *core.Predictor) *api.IndexInfo {
 	st := p.Index().Stats()
 	kind := "kdtree"
@@ -909,14 +711,10 @@ func indexInfo(p *core.Predictor) *api.IndexInfo {
 }
 
 // handleShards serves GET /v1/shards: the routing policy and per-shard
-// model state of a sharded daemon.
+// model state.
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, api.CodeMethod, "use GET")
-		return
-	}
-	if s.router == nil {
-		writeError(w, api.CodeBadRequest, "daemon is not sharded (start qpredictd with -shards)")
 		return
 	}
 	resp := api.ShardsResponse{Version: api.Version, Partitioner: s.router.Partitioner().Name()}

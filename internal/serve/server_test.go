@@ -299,6 +299,9 @@ func TestOverload(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", resp.StatusCode, raw)
 	}
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After %q on a 429, want 1", got)
+	}
 	var er api.ErrorResponse
 	if err := json.Unmarshal(raw, &er); err != nil {
 		t.Fatal(err)

@@ -6,12 +6,16 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/shard"
 )
 
@@ -73,122 +77,127 @@ func settleModel(t testing.TB, url string, window int, gen int64) []byte {
 	}
 }
 
-// TestShardedSingleEquivalence is the tier's compatibility contract: a
-// one-shard sharded daemon must be byte-identical on the wire to the
-// unsharded daemon — same success bodies, same error bodies, same headers
-// that clients branch on — across predicts, observes, a background retrain
-// and the resulting hot swap. The only deliberate difference is
-// /v1/shards, which exists only on the sharded daemon.
-func TestShardedSingleEquivalence(t *testing.T) {
+// legacyEngineDir holds what the single-model engine this package had until
+// PR 23 (swap.go: its own model slot, coalescer and observe loop) answered
+// to engineScript, written by that engine at the last commit that had it.
+// The files are the reference, not a snapshot of current behaviour: a change
+// that makes the comparison fail is wrong, and the files are never
+// regenerated to make it pass.
+const legacyEngineDir = "testdata/legacy-engine"
+
+// engineScript drives one server through boot state, predictions, error
+// paths, a background retrain with its hot swap, and the drain, handing
+// step every response whose bytes are deterministic. It is the function that
+// recorded legacyEngineDir, verbatim, with a step that wrote files. The
+// served predictor is trained for the script alone, so no other test's
+// traffic shows in /v1/model's pruning figures.
+func engineScript(t *testing.T, url string, drain func(), step func(label string, resp *http.Response, raw []byte)) {
+	t.Helper()
 	pool, _ := fixture(t)
-	const capacity, every = 30, 10
-
-	legacySliding, err := core.NewSliding(capacity, every, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyCfg := baseConfig(t)
-	legacyCfg.Sliding = legacySliding
-	legacy, err := New(legacyCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-
-	sharded := newShardedServer(t, 1, shard.Passthrough{}, capacity, every)
-	defer sharded.Close()
-
-	lts := httptest.NewServer(legacy.Handler())
-	defer lts.Close()
-	sts := httptest.NewServer(sharded.Handler())
-	defer sts.Close()
-
-	// both drives one request against both servers and asserts the status,
-	// the body, and the Retry-After header are byte-identical.
-	both := func(label string, do func(base string) (*http.Response, []byte)) []byte {
+	get := func(label, path string) {
 		t.Helper()
-		lresp, lraw := do(lts.URL)
-		sresp, sraw := do(sts.URL)
-		if lresp.StatusCode != sresp.StatusCode {
-			t.Fatalf("%s: status %d (legacy) vs %d (sharded)", label, lresp.StatusCode, sresp.StatusCode)
+		resp, err := http.Get(url + path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(lraw, sraw) {
-			t.Fatalf("%s: bodies differ\nlegacy:  %s\nsharded: %s", label, lraw, sraw)
-		}
-		if la, sa := lresp.Header.Get("Retry-After"), sresp.Header.Get("Retry-After"); la != sa {
-			t.Fatalf("%s: Retry-After %q (legacy) vs %q (sharded)", label, la, sa)
-		}
-		return lraw
+		step(label, resp, readAll(t, resp))
 	}
-	get := func(path string) func(string) (*http.Response, []byte) {
-		return func(base string) (*http.Response, []byte) {
-			resp, err := http.Get(base + path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return resp, readAll(t, resp)
-		}
-	}
-	post := func(path string, body any) func(string) (*http.Response, []byte) {
-		return func(base string) (*http.Response, []byte) {
-			resp, raw := postJSON(t, base+path, body)
-			return resp, raw
-		}
+	post := func(label, path string, body any) {
+		t.Helper()
+		resp, raw := postJSON(t, url+path, body)
+		step(label, resp, raw)
 	}
 
 	// Boot state: readiness, model metadata.
-	both("readyz", get("/readyz"))
-	both("model", get("/v1/model"))
+	get("readyz", "/readyz")
+	get("model", "/v1/model")
 
 	// Predictions: single, batch, mixed good/bad SQL.
-	both("predict single", post("/v1/predict", api.PredictRequest{SQL: pool.Queries[130].SQL}))
-	both("predict batch", post("/v1/predict", api.PredictRequest{Queries: []api.QueryInput{
+	post("predict-single", "/v1/predict", api.PredictRequest{SQL: pool.Queries[130].SQL})
+	post("predict-batch", "/v1/predict", api.PredictRequest{Queries: []api.QueryInput{
 		{SQL: pool.Queries[121].SQL},
 		{SQL: "SELEC nonsense FROM ("},
 		{SQL: "SELECT COUNT(*) FROM no_such_table"},
 		{SQL: pool.Queries[122].SQL},
-	}}))
+	}})
 
 	// Error paths: empty body, wrong method.
-	both("predict empty", post("/v1/predict", api.PredictRequest{}))
-	both("predict method", get("/v1/predict"))
-	both("observe empty", post("/v1/observe", api.ObserveRequest{}))
+	post("predict-empty", "/v1/predict", api.PredictRequest{})
+	get("predict-method", "/v1/predict")
+	post("observe-empty", "/v1/observe", api.ObserveRequest{})
 
-	// Observe enough to cross the retrain threshold: both daemons train on
-	// the identical stream, and training is deterministic, so both swap in
-	// generation 2 models that answer identically. Observe responses report
-	// an asynchronously-updated window mirror, racy in *both*
-	// implementations — settle via /v1/model, whose body is then compared
-	// byte-for-byte, before comparing post-swap predictions.
+	// Observe enough to cross the retrain threshold. Training is
+	// deterministic, so the generation 2 model is the one the legacy engine
+	// swapped in. The observe response reports an asynchronously updated
+	// window mirror and is not compared; /v1/model, once settled, is.
 	var obs []api.Observation
-	for _, q := range pool.Queries[:every] {
+	for _, q := range pool.Queries[:engineEvery] {
 		obs = append(obs, api.Observation{SQL: q.SQL, Metrics: api.MetricsFrom(q.Metrics)})
 	}
-	lresp, lraw := postJSON(t, lts.URL+"/v1/observe", api.ObserveRequest{Observations: obs})
-	sresp, sraw := postJSON(t, sts.URL+"/v1/observe", api.ObserveRequest{Observations: obs})
-	if lresp.StatusCode != http.StatusAccepted || sresp.StatusCode != http.StatusAccepted {
-		t.Fatalf("observe status %d / %d: %s / %s", lresp.StatusCode, sresp.StatusCode, lraw, sraw)
-	}
-	var lor, sor api.ObserveResponse
-	if err := json.Unmarshal(lraw, &lor); err != nil {
+	resp, raw := postJSON(t, url+"/v1/observe", api.ObserveRequest{Observations: obs})
+	var or api.ObserveResponse
+	if err := json.Unmarshal(raw, &or); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(sraw, &sor); err != nil {
-		t.Fatal(err)
+	if resp.StatusCode != http.StatusAccepted || or.Accepted != engineEvery || or.Shard != "" {
+		t.Fatalf("observe status %d: %s", resp.StatusCode, raw)
 	}
-	if lor.Accepted != sor.Accepted || sor.Shard != "" {
-		t.Fatalf("observe responses diverge: legacy %+v, sharded %+v", lor, sor)
-	}
-
-	lsettled := settleModel(t, lts.URL, every, 2)
-	ssettled := settleModel(t, sts.URL, every, 2)
-	if !bytes.Equal(lsettled, ssettled) {
-		t.Fatalf("settled model bodies differ\nlegacy:  %s\nsharded: %s", lsettled, ssettled)
-	}
-
-	raw := both("predict after swap", post("/v1/predict", api.PredictRequest{Queries: []api.QueryInput{
+	step("model-settled", &http.Response{StatusCode: http.StatusOK}, settleModel(t, url, engineEvery, 2))
+	post("predict-after-swap", "/v1/predict", api.PredictRequest{Queries: []api.QueryInput{
 		{SQL: pool.Queries[140].SQL}, {SQL: pool.Queries[141].SQL},
-	}}))
+	}})
+
+	drain()
+	post("draining-predict", "/v1/predict", api.PredictRequest{SQL: pool.Queries[130].SQL})
+	get("draining-readyz", "/readyz")
+}
+
+// The script's sliding window: ten observations complete the first retrain.
+const engineCapacity, engineEvery = 30, 10
+
+// TestShardedSingleEquivalence is the licence under which the single-model
+// engine was deleted, kept after it: a Server built from the one-shard
+// shorthand (Config{Predictor, Sliding}) must be byte-identical on the wire
+// to that engine — same success bodies, same error bodies, same headers
+// that clients branch on — across predicts, observes, a background retrain
+// and the resulting hot swap. The one deliberate difference is /v1/shards,
+// which the legacy engine refused with 400 and every daemon now answers.
+func TestShardedSingleEquivalence(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// The reference bytes include floats computed on amd64; another
+		// architecture may fuse multiply-adds and round differently. The
+		// comparison is exact or it is nothing, so it is not loosened.
+		t.Skipf("reference bodies were written on amd64, this is %s", runtime.GOARCH)
+	}
+	sliding, err := core.NewSliding(engineCapacity, engineEvery, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := baseConfig(t)
+	cfg.Predictor, cfg.Sliding = freshPredictor(t, 0, 120, false), sliding
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	bodies := map[string][]byte{}
+	engineScript(t, ts.URL, s.Close, func(label string, resp *http.Response, raw []byte) {
+		t.Helper()
+		want, err := os.ReadFile(filepath.Join(legacyEngineDir, label+".http"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("%d Retry-After=%q\n%s", resp.StatusCode, resp.Header.Get("Retry-After"), raw)
+		if got != string(want) {
+			t.Fatalf("%s differs from the legacy engine\nlegacy: %s\n   now: %s", label, want, got)
+		}
+		bodies[label] = raw
+	})
+
+	raw := bodies["predict-after-swap"]
 	pr := decodePredict(t, raw)
 	if pr.Model.Generation != 2 || pr.Model.Swaps != 1 {
 		t.Fatalf("post-swap model %+v, want generation 2", pr.Model)
@@ -202,30 +211,99 @@ func TestShardedSingleEquivalence(t *testing.T) {
 		t.Fatalf("single-shard response leaks shard fields: %s", raw)
 	}
 
-	// Drain: identical shutdown bodies.
-	legacy.Close()
-	sharded.Close()
-	both("draining predict", post("/v1/predict", api.PredictRequest{SQL: pool.Queries[130].SQL}))
-	both("draining readyz", get("/readyz"))
-
 	// The one deliberate difference: /v1/shards.
-	lst, _ := getBody(t, lts.URL+"/v1/shards")
-	if lst != http.StatusBadRequest {
-		t.Fatalf("unsharded /v1/shards status %d, want 400", lst)
-	}
-	sst, sbody := getBody(t, sts.URL+"/v1/shards")
-	if sst != http.StatusOK {
-		t.Fatalf("sharded /v1/shards status %d: %s", sst, sbody)
+	st, body := getBody(t, ts.URL+"/v1/shards")
+	if st != http.StatusOK {
+		t.Fatalf("/v1/shards status %d: %s", st, body)
 	}
 	var sh api.ShardsResponse
-	if err := json.Unmarshal(sbody, &sh); err != nil {
+	if err := json.Unmarshal(body, &sh); err != nil {
 		t.Fatal(err)
 	}
 	if len(sh.Shards) != 1 || sh.Partitioner != "passthrough" || !sh.Shards[0].Ready {
-		t.Fatalf("shards body %s", sbody)
+		t.Fatalf("shards body %s", body)
 	}
-	if sh.Shards[0].Generation != 2 || sh.Shards[0].TrainedOn != every {
-		t.Fatalf("shard 0 state %+v, want generation 2 trained on %d", sh.Shards[0], every)
+	if sh.Shards[0].Generation != 2 || sh.Shards[0].TrainedOn != engineEvery {
+		t.Fatalf("shard 0 state %+v, want generation 2 trained on %d", sh.Shards[0], engineEvery)
+	}
+}
+
+// TestOneShardShorthand: a server built from Config{Predictor} is a router
+// of one shard like any other. /v1/shards answers with that shard, its
+// per-shard metrics advance with traffic, and — one shard partitions
+// nothing — no predict or observe response names a shard.
+func TestOneShardShorthand(t *testing.T) {
+	pool, pred := fixture(t)
+	sliding, err := core.NewSliding(30, 10, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := baseConfig(t)
+	cfg.Sliding = sliding
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	mux := http.NewServeMux()
+	mux.Handle("/", s.Handler())
+	mux.Handle("/metrics", obs.Handler())
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	shardPredictions := func() int64 {
+		t.Helper()
+		_, raw := getBody(t, ts.URL+"/metrics")
+		var snap struct {
+			Counters map[string]int64 `json:"counters"`
+		}
+		if err := json.Unmarshal(raw, &snap); err != nil {
+			t.Fatal(err)
+		}
+		n, ok := snap.Counters["serve.shard.0.predictions"]
+		if !ok {
+			t.Fatalf("/metrics has no serve.shard.0.predictions: %s", raw)
+		}
+		return n
+	}
+	before := shardPredictions()
+	resp, praw := postJSON(t, ts.URL+"/v1/predict", api.PredictRequest{Queries: []api.QueryInput{
+		{SQL: pool.Queries[130].SQL}, {SQL: pool.Queries[131].SQL}, {SQL: pool.Queries[132].SQL},
+	}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict %d: %s", resp.StatusCode, praw)
+	}
+	if got := shardPredictions() - before; got != 3 {
+		t.Fatalf("serve.shard.0.predictions advanced by %d over 3 predictions", got)
+	}
+	q := pool.Queries[0]
+	resp, oraw := postJSON(t, ts.URL+"/v1/observe", api.ObserveRequest{Observations: []api.Observation{
+		{SQL: q.SQL, Metrics: api.MetricsFrom(q.Metrics)},
+	}})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("observe %d: %s", resp.StatusCode, oraw)
+	}
+	for _, raw := range [][]byte{praw, oraw} {
+		for _, field := range []string{`"shard"`, `"fallback_shard"`, `"shards"`, `"partitioner"`} {
+			if bytes.Contains(raw, []byte(field)) {
+				t.Fatalf("one-shard response carries %s: %s", field, raw)
+			}
+		}
+	}
+
+	st, body := getBody(t, ts.URL+"/v1/shards")
+	if st != http.StatusOK {
+		t.Fatalf("/v1/shards status %d: %s", st, body)
+	}
+	var sh api.ShardsResponse
+	if err := json.Unmarshal(body, &sh); err != nil {
+		t.Fatal(err)
+	}
+	if sh.Partitioner != "passthrough" || len(sh.Shards) != 1 {
+		t.Fatalf("shards body %s", body)
+	}
+	if s0 := sh.Shards[0]; s0.ID != 0 || !s0.Ready || s0.Generation != 1 || s0.TrainedOn != pred.N() || s0.Predictions != 3 {
+		t.Fatalf("shard 0 %+v, want id 0, ready, generation 1, trained on %d, 3 predictions", s0, pred.N())
 	}
 }
 

@@ -160,8 +160,9 @@ func (p *CategoryPartitioner) RouteObserve(q *dataset.Query) (int, error) {
 	return int(q.Category) % p.n, nil
 }
 
-// Passthrough routes everything to shard 0 — the single-shard degenerate
-// case, where the tier must be byte-identical to the unsharded daemon.
+// Passthrough routes everything to shard 0: the partitioner of a one-shard
+// router, where every policy would choose the same and this one computes
+// nothing. It is what the stock daemon runs.
 type Passthrough struct{}
 
 func (Passthrough) Name() string                             { return "passthrough" }

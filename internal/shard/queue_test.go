@@ -192,7 +192,7 @@ func TestRouterOversizedGroupAcrossSwap(t *testing.T) {
 		if call == 0 {
 			// On the coalescer's goroutine: the first run has read the slot,
 			// the second has not.
-			r.Shard(0).slot.Swap(r.Shard(0).Model().Model)
+			r.Shard(0).Publish(r.Shard(0).Model().Model)
 		}
 	})
 	defer r.Close()
@@ -295,5 +295,84 @@ func TestRouterCloseAnswersBacklog(t *testing.T) {
 	<-closed
 	if out := r.Predict(context.Background(), pool.Queries[120:121])[0]; !errors.Is(out.Err, ErrDraining) {
 		t.Fatalf("predict after Close: err %v, want ErrDraining", out.Err)
+	}
+}
+
+// gatedTrainer holds its first Train until release is closed, and closes
+// arrived once that call is in.
+type gatedTrainer struct {
+	model.Trainer
+	once             *sync.Once
+	arrived, release chan struct{}
+}
+
+func (g gatedTrainer) Train(qs []*dataset.Query) (model.Model, error) {
+	g.once.Do(func() {
+		close(g.arrived)
+		<-g.release
+	})
+	return g.Trainer.Train(qs)
+}
+
+// TestObserveQueueDepth: serve.observe.queue_depth counts the observations
+// accepted and not yet taken by an observe loop, summed over the shards.
+// Each of two shards parks its observe loop inside a retrain (the
+// challenger's refit, held at a gate) with observations queued behind it;
+// the gauge reads their sum, and returns to where it was once the gates
+// open and the loops catch up.
+func TestObserveQueueDepth(t *testing.T) {
+	pool, pred := fixture(t)
+	const shards, every, parked = 2, 5, 3
+	cfgs := make([]ShardConfig, shards)
+	for i := range cfgs {
+		cfgs[i] = ShardConfig{Boot: pred, Sliding: newSliding(t, 20, every), Zoo: &ZooConfig{
+			Challengers: []string{model.KindOptCost}, Policy: zooTestPolicy(), Opt: core.DefaultOptions(),
+		}}
+	}
+	byID := funcPartitioner{n: "by-id", f: func(q *dataset.Query) (int, error) { return q.ID % shards, nil }}
+	r, err := NewRouter(cfgs, byID, Config{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	var openGates sync.Once
+	open := func() { openGates.Do(func() { close(release) }) }
+	defer r.Close()
+	defer open()
+	// Each loop is idle in its channel receive until the first Observe, whose
+	// send orders this write before the loop's read.
+	arrived := make([]chan struct{}, shards)
+	for i := range arrived {
+		arrived[i] = make(chan struct{})
+		z := r.Shard(i).zoo
+		z.trainers[model.KindOptCost] = gatedTrainer{z.trainers[model.KindOptCost], new(sync.Once), arrived[i], release}
+	}
+
+	base := observeDepth.Value()
+	for i := 0; i < shards; i++ {
+		for _, q := range ownedBy(pool, i, shards)[:every+parked] {
+			if _, err := r.Observe(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, in := range arrived {
+		<-in
+	}
+	// Both loops took their first five and are inside the retrain the fifth
+	// set off; what each was sent after that is queued.
+	if got := observeDepth.Value() - base; got != shards*parked {
+		t.Fatalf("serve.observe.queue_depth rose by %d with %d observations parked on each of %d shards", got, parked, shards)
+	}
+	open()
+	deadline := time.Now().Add(30 * time.Second)
+	for r.Shard(0).Observed()+r.Shard(1).Observed() != shards*(every+parked) {
+		if time.Now().After(deadline) {
+			t.Fatalf("observe loops never caught up: %d + %d applied", r.Shard(0).Observed(), r.Shard(1).Observed())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := observeDepth.Value() - base; got != 0 {
+		t.Fatalf("serve.observe.queue_depth is %d above where it started once the queues drained", got)
 	}
 }

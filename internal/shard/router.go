@@ -12,10 +12,10 @@ import (
 	"repro/internal/wal"
 )
 
-// Router-level metrics: where traffic lands, how often the warm fallback
-// rescues a cold shard, and how often routing itself fails.
+// Router-level metrics: how often the warm fallback rescues a cold shard,
+// and how often routing itself fails. Where traffic lands is each shard's
+// serve.shard.<id>.predictions.
 var (
-	routeHist      = obs.GetHistogram("serve.router.route")
 	routeFallbacks = obs.GetCounter("serve.router.fallbacks")
 	routeCold      = obs.GetCounter("serve.router.cold")
 	routeErrors    = obs.GetCounter("serve.router.errors")
@@ -78,6 +78,9 @@ func NewRouter(shards []ShardConfig, part Partitioner, cfg Config, warmFallback 
 		if sc.Boot == nil && sc.BootModel == nil && sc.Sliding == nil && sc.Zoo == nil {
 			return nil, fmt.Errorf("shard: shard %d needs a boot model or a sliding window", i)
 		}
+		if sc.Store != nil && sc.Sliding == nil {
+			return nil, fmt.Errorf("shard: shard %d has a durable store and no sliding window to persist", i)
+		}
 		s, err := newShard(i, sc, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
@@ -98,7 +101,7 @@ func (r *Router) Close() {
 func (r *Router) NumShards() int { return len(r.shards) }
 
 // Sharded reports whether the tier has more than one shard (when false the
-// serving layer keeps the unsharded wire format byte-identical).
+// serving layer leaves the shard fields off the wire).
 func (r *Router) Sharded() bool { return len(r.shards) > 1 }
 
 // Partitioner returns the router's partitioner.
@@ -145,7 +148,6 @@ func (r *Router) Target(q *dataset.Query) (sh *Shard, owner int, err error) {
 		routeErrors.Inc()
 		return nil, 0, fmt.Errorf("shard: partitioner %s routed to %d of %d shards", r.part.Name(), owner, len(r.shards))
 	}
-	routeHist.Observe(float64(owner))
 	if s := r.shards[owner]; s.Ready() {
 		return s, owner, nil
 	}

@@ -1,21 +1,24 @@
-// Package shard is the multi-model serving tier: it partitions observe and
-// predict traffic across per-shard core.SlidingPredictors, each with its
-// own window, model generation, micro-batch coalescer, and background
-// retrain loop — the LinkedIn production finding (per-workload models beat
-// one global model) turned into infrastructure. A Router owns N Shards and
-// a pluggable Partitioner; predict requests are routed to the owning shard
+// Package shard is the serving engine — the only one: every qpredictd and
+// every serve.Server predicts and retrains through a Router of N ≥ 1 shards.
+// It partitions observe and predict traffic across per-shard
+// core.SlidingPredictors, each with its own window, model generation,
+// micro-batch coalescer, and background retrain loop — the LinkedIn
+// production finding (per-workload models beat one global model) turned
+// into infrastructure. A Router owns N Shards and a pluggable Partitioner;
+// predict requests are routed to the owning shard
 // (falling back to a warm shard while the owner is cold), multi-request
 // batches fan out and merge back in input order with per-request errors
 // preserved, and each shard retrains from only its own observations — so
 // retrain cost scales with per-shard window size instead of fleet size,
 // compounding the incremental-retrain machinery of internal/kcca.
 //
-// The hot-swap discipline is the one internal/serve established for the
-// single-model daemon, factored into Slot: predictions read an atomic
-// pointer, completed retrains swap a new generation in without blocking a
-// read, and generations only move forward. With one shard and the
-// passthrough partitioner the tier is behaviorally identical to the
-// unsharded daemon (equivalence-tested in internal/serve).
+// The hot-swap discipline lives in Slot: predictions read an atomic pointer,
+// completed retrains and promotions swap a new generation in (Shard.Publish)
+// without blocking a read, and generations only move forward. One shard
+// behind the Passthrough partitioner is the stock daemon; on the wire it is
+// byte-identical to the single-model engine internal/serve carried before
+// it (internal/serve's TestShardedSingleEquivalence holds that engine's
+// recorded responses against it).
 package shard
 
 import (
@@ -33,15 +36,17 @@ import (
 	"repro/internal/wal"
 )
 
-// Tier-wide serving metrics, shared with internal/serve's registry names so
-// dashboards see one continuous series whether the daemon is sharded or
-// not. Per-shard instruments (serve.shard.<id>.*) live on each Shard; the
-// predict queue's own series are recorded by internal/coalesce.
+// Tier-wide serving metrics: one series each, summed over the shards.
+// Per-shard instruments (serve.shard.<id>.*) live on each Shard; the predict
+// queue's own series are recorded by internal/coalesce.
 var (
 	modelSwaps    = obs.GetCounter("serve.model.swaps")
 	retrainErrors = obs.GetCounter("serve.retrain.errors")
 	rejectedLoad  = obs.GetCounter("serve.rejected.overload")
 	snapshotFails = obs.GetCounter("wal.snapshot.errors")
+	// observeDepth counts observations accepted by Observe and not yet taken
+	// by an observe loop, over every shard.
+	observeDepth = obs.GetGauge("serve.observe.queue_depth")
 )
 
 // Sentinel errors of the shard tier.
@@ -81,8 +86,8 @@ func (c *Config) fill() {
 
 // Shard is one model partition: a sliding retraining window, a
 // hot-swappable model slot, a micro-batch coalescer, and an observe loop —
-// the full serving spine of the unsharded daemon, owned per partition so
-// shards never contend. Create via NewRouter.
+// the full serving spine, owned per partition so shards never contend.
+// Create via NewRouter.
 type Shard struct {
 	// ID is the shard's index in its router, also the <id> of its
 	// serve.shard.<id>.* metrics.
@@ -225,6 +230,7 @@ func (s *Shard) Observe(q *dataset.Query) error {
 	}
 	select {
 	case s.observeCh <- q:
+		observeDepth.Add(1)
 		return nil
 	default:
 		rejectedLoad.Inc()
@@ -304,10 +310,18 @@ func (s *Shard) afterObserve(retrainsBefore int, err error) {
 		if m == nil {
 			m = model.WrapKCCA(cur)
 		}
-		s.slot.Swap(m)
-		s.mSwaps.Inc()
-		modelSwaps.Inc()
+		s.Publish(m)
 	}
+}
+
+// Publish hot-swaps m in as the shard's next generation, without blocking a
+// read, and returns that generation. Completed retrains and promotions
+// publish through it; so may an embedder that trained a model elsewhere.
+func (s *Shard) Publish(m model.Model) int64 {
+	gen := s.slot.Swap(m)
+	s.mSwaps.Inc()
+	modelSwaps.Inc()
+	return gen
 }
 
 // observeLoop is the single goroutine driving this shard's
@@ -317,6 +331,7 @@ func (s *Shard) afterObserve(retrainsBefore int, err error) {
 func (s *Shard) observeLoop() {
 	defer close(s.observeDone)
 	for q := range s.observeCh {
+		observeDepth.Add(-1)
 		seq := s.logObservation(q)
 		// Shadow-score before the window sees the query: every model is
 		// evaluated on data it has never trained on.

@@ -29,13 +29,11 @@ func (s *Served) Pred() *core.Predictor {
 	return nil
 }
 
-// Slot is the atomically hot-swappable model holder — the same discipline
-// internal/serve established for the single-model daemon, factored out so
-// every shard carries its own: reads are a single atomic pointer load on
-// the predict path, swaps publish a freshly trained model without blocking
-// a single in-flight prediction, and generations only ever move forward.
-// Promotions reuse the exact same path: a challenger taking over is just
-// one more Swap.
+// Slot is the atomically hot-swappable model holder every shard carries:
+// reads are a single atomic pointer load on the predict path, swaps publish
+// a freshly trained model without blocking a single in-flight prediction,
+// and generations only ever move forward. Promotions reuse the exact same
+// path: a challenger taking over is just one more Swap.
 type Slot struct {
 	cur  atomic.Pointer[Served]
 	gens atomic.Int64

@@ -254,10 +254,7 @@ func (s *Shard) maybePromote() {
 		return
 	}
 	z.setChampion(kind)
-	gen := s.slot.Swap(m)
-	z.sinceGen.Store(gen)
-	s.mSwaps.Inc()
-	modelSwaps.Inc()
+	z.sinceGen.Store(s.Publish(m))
 	championPromoted.Inc()
 	if s.store != nil {
 		if err := s.store.SetChampion(kind); err != nil {

@@ -275,7 +275,10 @@ func (st *Store) Close(s *core.SlidingPredictor, gen int64) error {
 // written under. Shard count and routing policy change which observations
 // land in which partition's WAL, so restarting with different values would
 // silently replay history into the wrong models; the manifest turns that
-// into a boot-time error.
+// into a boot-time error. With one shard there is one partition and every
+// routing policy fills it alike, so the partitioner then pins nothing:
+// one-shard manifests match whatever theirs say ("none" from a daemon
+// started without -shards, "hash" or "category" with -shards 1).
 type Manifest struct {
 	Shards       int    `json:"shards"`
 	Partitioner  string `json:"partitioner"`
@@ -304,6 +307,9 @@ func CheckManifest(dir string, want Manifest) error {
 	var have Manifest
 	if err := json.Unmarshal(data, &have); err != nil {
 		return fmt.Errorf("wal: decoding manifest %s: %w", path, err)
+	}
+	if have.Shards == 1 && want.Shards == 1 {
+		have.Partitioner = want.Partitioner
 	}
 	if have != want {
 		return fmt.Errorf("wal: state dir %s was written under %+v, daemon configured %+v — "+

@@ -449,3 +449,40 @@ func TestCheckManifest(t *testing.T) {
 		t.Fatal("shard-count change accepted against an existing state dir")
 	}
 }
+
+// TestCheckManifestOneShard: one shard is one partition (shard-0/) whatever
+// routes to it, so a one-shard directory opens under every partitioner name
+// a daemon has written for it — and is still refused a change of anything
+// that does decide what is on disk.
+func TestCheckManifestOneShard(t *testing.T) {
+	names := []string{"none", "hash", "category"}
+	for _, wrote := range names {
+		dir := t.TempDir()
+		if err := wal.CheckManifest(dir, wal.Manifest{Shards: 1, Partitioner: wrote, Capacity: 500, RetrainEvery: 100}); err != nil {
+			t.Fatalf("fresh dir under %q: %v", wrote, err)
+		}
+		for _, opens := range names {
+			if err := wal.CheckManifest(dir, wal.Manifest{Shards: 1, Partitioner: opens, Capacity: 500, RetrainEvery: 100}); err != nil {
+				t.Errorf("one shard written under %q, opened under %q: %v", wrote, opens, err)
+			}
+		}
+		for what, bad := range map[string]wal.Manifest{
+			"shard count":      {Shards: 2, Partitioner: wrote, Capacity: 500, RetrainEvery: 100},
+			"capacity":         {Shards: 1, Partitioner: wrote, Capacity: 400, RetrainEvery: 100},
+			"retrain interval": {Shards: 1, Partitioner: wrote, Capacity: 500, RetrainEvery: 50},
+		} {
+			if err := wal.CheckManifest(dir, bad); err == nil {
+				t.Errorf("one shard written under %q: a changed %s was accepted", wrote, what)
+			}
+		}
+	}
+	// At more than one shard the partitioner decides which WAL an observation
+	// is in.
+	dir := t.TempDir()
+	if err := wal.CheckManifest(dir, wal.Manifest{Shards: 2, Partitioner: "hash", Capacity: 500, RetrainEvery: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.CheckManifest(dir, wal.Manifest{Shards: 2, Partitioner: "category", Capacity: 500, RetrainEvery: 100}); err == nil {
+		t.Error("a partitioner change at two shards was accepted")
+	}
+}

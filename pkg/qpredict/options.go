@@ -93,17 +93,19 @@ type ServeOptions struct {
 // SlidingOptions configures the sliding retraining window.
 type SlidingOptions struct {
 	// Capacity is the window size; RetrainEvery the observations between
-	// background retrains. Sharded daemons divide both across shards.
+	// background retrains, at most Capacity. A daemon of N shards divides
+	// both across them.
 	Capacity     int `json:"capacity"`
 	RetrainEvery int `json:"retrain_every"`
 }
 
-// ShardOptions configures the sharded multi-model tier.
+// ShardOptions configures how many shards the serving tier runs.
 type ShardOptions struct {
-	// Count is the shard count (0 = single model). Champion/challenger
-	// operation forces at least 1.
+	// Count is the shard count; 0 and 1 both run one shard, which
+	// everything routes to.
 	Count int `json:"count"`
-	// Partitioner is the routing policy: "hash" or "category".
+	// Partitioner is the routing policy across more than one shard: "hash"
+	// or "category".
 	Partitioner string `json:"partitioner"`
 }
 
@@ -250,6 +252,11 @@ func (o *Options) Validate() error {
 	}
 	if o.Sliding.RetrainEvery <= 0 {
 		return fmt.Errorf("sliding.retrain_every must be positive")
+	}
+	if o.Sliding.RetrainEvery > o.Sliding.Capacity {
+		// A window that slides past an observation before the retrain it was
+		// waiting for never trains on it.
+		return fmt.Errorf("sliding.retrain_every %d exceeds sliding.capacity %d", o.Sliding.RetrainEvery, o.Sliding.Capacity)
 	}
 	if o.Shards.Count < 0 {
 		return fmt.Errorf("shards.count must be non-negative")

@@ -95,6 +95,7 @@ func TestLoadFileRejectsInvalid(t *testing.T) {
 	cases := map[string]string{
 		"zero max_batch":      `{"serve": {"max_batch": -1}}`,
 		"tiny window":         `{"sliding": {"capacity": 3}}`,
+		"retrain past window": `{"sliding": {"capacity": 50}}`,
 		"bad partitioner":     `{"shards": {"partitioner": "roundrobin"}}`,
 		"bad fsync":           `{"state": {"fsync": "sometimes"}}`,
 		"unknown champion":    `{"champion": {"kind": "xgboost"}}`,
@@ -107,6 +108,24 @@ func TestLoadFileRejectsInvalid(t *testing.T) {
 				t.Fatalf("invalid config accepted: %s", body)
 			}
 		})
+	}
+}
+
+// TestRetrainEveryWithinCapacity: one rule for every shard count, before
+// anything is opened — a retrain interval longer than the window is refused,
+// one equal to it is the longest allowed.
+func TestRetrainEveryWithinCapacity(t *testing.T) {
+	for _, shards := range []int{0, 1, 4} {
+		opts := Default()
+		opts.Shards.Count = shards
+		opts.Sliding.Capacity, opts.Sliding.RetrainEvery = 50, 100
+		if err := opts.Validate(); err == nil || !strings.Contains(err.Error(), "retrain_every 100 exceeds sliding.capacity 50") {
+			t.Errorf("shards %d: retrain_every 100 over capacity 50: %v", shards, err)
+		}
+		opts.Sliding.RetrainEvery = 50
+		if err := opts.Validate(); err != nil {
+			t.Errorf("shards %d: retrain_every equal to capacity refused: %v", shards, err)
+		}
 	}
 }
 

@@ -193,8 +193,8 @@ func (c *Client) Model(ctx context.Context) (*api.ModelInfo, error) {
 	return resp.Model, nil
 }
 
-// Shards fetches the per-shard model state of a sharded daemon. An
-// unsharded daemon answers with an *APIError (code bad_request).
+// Shards fetches the daemon's routing policy and per-shard model state; a
+// daemon of one shard answers with that shard.
 func (c *Client) Shards(ctx context.Context) (*api.ShardsResponse, error) {
 	var resp api.ShardsResponse
 	if err := c.do(ctx, http.MethodGet, "/v1/shards", nil, into(&resp)); err != nil {
