@@ -290,24 +290,27 @@ func (p *Predictor) referenceScales() (distScale, kernelScale float64) {
 	if k < 1 {
 		k = 3
 	}
+	// The distance scale is Euclidean whatever metric predictions search by.
+	ix := p.index
+	if ix.Metric() != knn.Euclidean {
+		ix = knn.NewIndex(p.model.QueryProj, knn.Euclidean)
+	}
+	var near []float64
 	for _, i := range idx {
-		row := p.model.QueryProj.Row(i)
 		// Mean distance to the k nearest other training points — the same
-		// statistic Confidence computes for a prediction.
-		var all []float64
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			all = append(all, linalg.Dist(row, p.model.QueryProj.Row(j)))
+		// statistic Confidence computes for a prediction. The index, built
+		// one line before this call, answers it with the float64s a scan of
+		// linalg.Dist over every other row and a sort would: (a−b)² is
+		// (b−a)², the terms are added in the same order, and the k smallest
+		// come back ascending — so the mean adds the same values in the same
+		// order too (TestReferenceScalesMatchScan keeps the scan). Nor does
+		// the question count as a search this generation served.
+		near = near[:0]
+		for _, nb := range ix.LeaveOneOut(i, k) {
+			near = append(near, nb.Distance)
 		}
-		sort.Float64s(all)
-		kk := k
-		if kk > len(all) {
-			kk = len(all)
-		}
-		if kk > 0 {
-			dists = append(dists, linalg.Mean(all[:kk]))
+		if len(near) > 0 {
+			dists = append(dists, linalg.Mean(near))
 		}
 		bestK := 0.0
 		xi := p.model.X.Row(i)
@@ -388,7 +391,14 @@ func (p *Predictor) predictProjected(f, proj []float64, maxK float64) (Predictio
 	// so bit-identical to knn.Nearest on the projection matrix. At the
 	// daemon's 80 projection dimensions the tree prunes little (about five
 	// sixths of an 800-point window is still offered per search); what keeps
-	// a search cheap is the scorer abandoning most candidates part-way.
+	// a search cheap is the scorer abandoning most candidates part-way, and
+	// (where the AVX2 kernels serve) reading them from the index's own
+	// leaf-ordered, feature-major copy of the projection: one vector-kernel
+	// pass over 16 rows of a 16-point block settles most of a leaf, and a
+	// block it does not settle is summed whole. Which candidates are
+	// abandoned is a function of their final sums either way, so
+	// model.index's mean_scored and mean_abandoned read as they did when
+	// every candidate was gathered from the row-major matrix.
 	nbs, err := p.index.Nearest(proj, p.opt.KNN.K)
 	if err != nil {
 		return Prediction{}, err

@@ -1,0 +1,82 @@
+package core
+
+import (
+	"math"
+	"sort"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/knn"
+	"repro/internal/linalg"
+	"repro/internal/statutil"
+)
+
+// scanDistScale is the distance half of referenceScales as it was before the
+// index answered it: for each sampled training point, linalg.Dist to every
+// other row, a full sort, the mean of the k smallest. It is the reference
+// the index-backed version must match to the bit.
+func scanDistScale(p *Predictor) float64 {
+	n := p.model.N()
+	idx := statutil.NewRNG(17, "confscale").SampleInts(n, min(n, 60))
+	k := p.opt.KNN.K
+	if k < 1 {
+		k = 3
+	}
+	var dists []float64
+	for _, i := range idx {
+		row := p.model.QueryProj.Row(i)
+		var all []float64
+		for j := 0; j < n; j++ {
+			if j != i {
+				all = append(all, linalg.Dist(row, p.model.QueryProj.Row(j)))
+			}
+		}
+		sort.Float64s(all)
+		if kk := min(k, len(all)); kk > 0 {
+			dists = append(dists, linalg.Mean(all[:kk]))
+		}
+	}
+	scale := 3 * statutil.Quantile(dists, 0.9)
+	if !(scale > 0) {
+		scale = 1
+	}
+	return scale
+}
+
+// TestReferenceScalesMatchScan holds confScale, now read off the generation's
+// k-NN index, to the scan it replaced — bit for bit, on a window where many
+// rows are duplicated (so sampled points sit at distance 0 from rows of
+// smaller and larger index, and whole neighbour sets tie), for k below, at
+// and above the number of copies, under both metrics, and on a window too
+// small for a tree. The calibration must also leave the index's served-search
+// counters at zero: /v1/model reports them per generation.
+func TestReferenceScalesMatchScan(t *testing.T) {
+	train, _ := trainTest(t)
+	dup := append([]*dataset.Query{}, train[:150]...)
+	for c := 0; c < 4; c++ {
+		dup = append(dup, train[:30]...) // five copies of the first 30
+	}
+	windows := map[string][]*dataset.Query{"duplicated": dup, "plain": train[:200], "flat": train[:40]}
+	for name, window := range windows {
+		for _, kopt := range []knn.Options{
+			{K: 1}, {K: 3}, {K: 4}, {K: 7}, {K: 3, Distance: knn.Cosine},
+		} {
+			opt := DefaultOptions()
+			opt.KNN = kopt
+			p, err := Train(window, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name != "flat" && p.index.Flat() {
+				t.Fatalf("%s: a %d-point window should be served from a tree", name, len(window))
+			}
+			want := scanDistScale(p)
+			if got, _ := p.referenceScales(); math.Float64bits(got) != math.Float64bits(want) || got != p.confScale {
+				t.Errorf("%s %+v: confScale %v (trained with %v), the scan gives %v", name, kopt, got, p.confScale, want)
+			}
+			if st := p.index.Stats(); st.Searches != 0 || st.FlatSearches != 0 || st.PointsScored != 0 {
+				t.Errorf("%s %+v: calibration counted as served searches: %+v", name, kopt, st)
+			}
+		}
+	}
+}

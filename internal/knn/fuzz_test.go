@@ -24,7 +24,10 @@ import (
 // dimension byte adds 32 dimensions, so the scorer's partial-sum abandon
 // (checked every 16 terms) is reachable; the two wide seeds below pin an
 // equal-distance, smaller-index tie behind far points and squared terms
-// that overflow to +Inf.
+// that overflow to +Inf. Bit 4 adds 16 dimensions (17 is one stride and one
+// more row: the blocked scorer's first look falls short of the whole sum) and
+// bit 3 builds leaves of 5 instead of 2 (a full group and a short one in one
+// padded block); the last two seeds pin one of each.
 func FuzzKDTree(f *testing.F) {
 	add := func(vals []float64, k, dim uint8, cosine bool) {
 		buf := make([]byte, 8*len(vals))
@@ -46,9 +49,21 @@ func FuzzKDTree(f *testing.F) {
 	}
 	add(tie, 0, 0x80, false)
 	add(overflow, 1, 0x80, false)
+	// Leaves of 5 over 3-dimensional points, most of them far from the query
+	// at the origin, two at it (a tie), one of those in a short group.
+	add([]float64{0, 0, 0 /* the query */, 7, 7, 7, 0, 0, 0, 7, 8, 7, -7, 7, 7, 8, 8, 8, 7, -7, 7, 0, 0, 0, 9, 9, 9, 1, 1, 1, -9, 9, 9, 6, 6, 6}, 1, 0x0a, false)
+	// 17 dimensions: points that differ from their neighbours only in the
+	// last coordinate, the one the first stride does not see.
+	var last []float64
+	for _, tail := range []float64{0 /* the query */, 5, 1, 5, 5, 1, -5, 3} {
+		row := make([]float64, 17)
+		row[0], row[16] = 2, tail
+		last = append(last, row...)
+	}
+	add(last, 2, 0x10, false)
 
 	f.Fuzz(func(t *testing.T, data []byte, kRaw, dimRaw uint8, cosine bool) {
-		dim := 1 + int(dimRaw)%8 + int(dimRaw&0x80)/4
+		dim := 1 + int(dimRaw)%8 + int(dimRaw&0x10) + int(dimRaw&0x80)/4
 		nFloats := len(data) / 8
 		if nFloats < 2*dim {
 			return // need at least a query and one point
@@ -67,7 +82,11 @@ func FuzzKDTree(f *testing.F) {
 			metric = Cosine
 		}
 		// Tiny thresholds force a real tree on even the smallest inputs.
-		ix := NewIndexWith(points, metric, IndexConfig{MinPoints: 1, LeafSize: 2})
+		leaf := 2
+		if dimRaw&0x08 != 0 {
+			leaf = 5
+		}
+		ix := NewIndexWith(points, metric, IndexConfig{MinPoints: 1, LeafSize: leaf})
 		got, err := ix.Nearest(q, k)
 		if err != nil {
 			t.Fatalf("index search failed on valid input: %v", err)

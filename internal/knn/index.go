@@ -9,7 +9,21 @@
 // dimensions). On the 80-dimensional cloud of a stock daemon the tree still
 // offers about five of every six points to the scorer; there the saving
 // comes from the scorer, which takes candidates four at a time and abandons
-// a group part-way once none of it can enter the result (abandonSlack).
+// a group part-way once none of it can enter the result (abandonSlack), and
+// from what memory it reads to do so. Where linalg's vector kernels serve, a
+// Euclidean tree keeps a second copy of its points, packed once per
+// generation: leaf by leaf in tree order, feature-major, in blocks of
+// blockCols points (Index.blocks). Scoring a leaf (scoreLeaf) is then one
+// linalg.SqDistCols call over the first linalg.SqDistStride rows of each
+// block — the first look SqDist4 would take at every group of the block,
+// from one contiguous 2 KB read instead of four gathered rows per group —
+// and, only for a block some group of which outlives that look, a second
+// call over all of its rows. The sums are the gather scorer's bit for bit and
+// a group is dropped exactly when the gather scorer would drop it (see
+// scoreLeaf), so neighbours, distances and the points_visited /
+// points_abandoned counters do not depend on which scorer ran. The gather
+// scorer (score) still serves stragglers, Cosine, every flat scan, and whole
+// trees on hosts without the vector kernels (see build).
 //
 // The index is EXACT, not approximate: for every supported input it returns
 // bit-identical (distance, index) neighbor sets to the flat scan, including
@@ -37,7 +51,8 @@
 // Fallback conditions (the whole index degrades to the flat scan, still
 // exact): fewer than MinPoints rows, more than maxIndexDims columns, zero
 // columns, or a per-query condition above. knn.index.* obs metrics count
-// builds, searches, fallbacks, nodes/points visited and points abandoned.
+// builds, searches, fallbacks, nodes/points visited, points abandoned and
+// blocks rescored.
 package knn
 
 import (
@@ -63,6 +78,10 @@ var (
 	indexNodesVisited = obs.GetHistogram("knn.index.nodes_visited")
 	indexPointsScored = obs.GetHistogram("knn.index.points_visited")
 	indexAbandoned    = obs.GetCounter("knn.index.points_abandoned")
+	// indexRescored counts leaf blocks whose first stride did not decide
+	// every group, so that all their rows were summed (see scoreLeaf). Beside
+	// points_visited/16 it says whether the first look still does the work.
+	indexRescored = obs.GetCounter("knn.index.blocks_rescored")
 )
 
 const (
@@ -112,6 +131,11 @@ const (
 	// scoreGroup is how many candidates share one scoring pass
 	// (linalg.SqDist4).
 	scoreGroup = 4
+	// blockCols is how many points one block of the feature-major store
+	// holds side by side: the width linalg.SqDistCols' AVX2 routine covers in
+	// one pass (four accumulators of four lanes), and a whole number of
+	// score groups, so a leaf splits into groups the same way in both scorers.
+	blockCols = 16
 	// abandonSlack widens the early-abandon limit: a group of candidates is
 	// dropped part-way through its distance sums only when every partial
 	// squared sum exceeds worst²·(1+abandonSlack), worst being the current
@@ -172,12 +196,14 @@ type IndexStats struct {
 
 // node is one KD-tree node. Leaves (axis < 0) own order[lo:hi]; internal
 // nodes split on axis at value split, with the left child holding
-// coordinates ≤ split and the right child ≥ split.
+// coordinates ≤ split and the right child ≥ split. A leaf of a Euclidean
+// tree also owns the ⌈(hi−lo)/blockCols⌉ blocks of Index.blocks from block on.
 type node struct {
 	split       float64
 	axis        int32
 	left, right int32
 	lo, hi      int32
+	block       int32
 }
 
 // Index is an immutable exact k-nearest-neighbor index over one point set
@@ -194,6 +220,16 @@ type Index struct {
 	nodes      []node
 	order      []int // permutation of in-tree row indices; leaves own ranges
 	stragglers []int // rows excluded from the tree, scanned linearly
+	// blocks is the Euclidean tree's points again, in the order and shape the
+	// scorer reads them: for each leaf in node order, its rows order[lo:hi]
+	// in blocks of blockCols, each block feature-major (entry j·blockCols+c
+	// is coordinate j of the block's c-th point). A short block repeats the
+	// leaf's last point in its spare columns — score's rule for a short
+	// group. It costs blockCols/(mean leaf fill) times the point matrix
+	// (0.66 MB beside 0.51 MB at the stock 800 × 80) and is retired with the
+	// generation. Nil under Cosine, whose distances are not sums of squares,
+	// and where the vector kernels do not serve (see build).
+	blocks     []float64
 	leaves     int
 	flatReason string // non-empty → whole-index flat fallback
 	minPoints  int
@@ -204,6 +240,7 @@ type Index struct {
 	nodesVisited atomic.Int64
 	pointsScored atomic.Int64
 	abandoned    atomic.Int64
+	rescored     atomic.Int64 // blocks summed in full; not in IndexStats
 }
 
 // NewIndex builds an exact KD-tree index over the rows of points under the
@@ -300,6 +337,42 @@ func (ix *Index) build() {
 	}
 	ix.nodes = make([]node, 0, 2*len(ix.order)/ix.leafSize+1)
 	ix.buildNode(0, len(ix.order))
+	// The blocked store pays where SqDistCols has its vector routine. Through
+	// the portable loops it is a loss — a stock search measured 12.5 µs with
+	// the gather scorer and 16.5 µs with scoreLeaf, which sums every block its
+	// first look leaves open over all rows and so does twice the gather
+	// scorer's arithmetic — so there the tree keeps one layout and one scorer.
+	if ix.metric == Euclidean && linalg.VectorKernels() {
+		ix.packLeaves()
+	}
+}
+
+// packLeaves lays the tree's points out as Index.blocks describes.
+func (ix *Index) packLeaves() {
+	dims, nblocks := ix.points.Cols, 0
+	for i := range ix.nodes {
+		if nd := &ix.nodes[i]; nd.axis < 0 {
+			nd.block = int32(nblocks)
+			nblocks += (int(nd.hi-nd.lo) + blockCols - 1) / blockCols
+		}
+	}
+	ix.blocks = make([]float64, nblocks*dims*blockCols)
+	for i := range ix.nodes {
+		nd := &ix.nodes[i]
+		if nd.axis >= 0 {
+			continue
+		}
+		rows := ix.order[nd.lo:nd.hi]
+		blk := ix.blocks[int(nd.block)*dims*blockCols:]
+		for at := 0; at < len(rows); at += blockCols {
+			for c := 0; c < blockCols; c++ {
+				for j, x := range ix.points.Row(rows[min(at+c, len(rows)-1)]) {
+					blk[j*blockCols+c] = x
+				}
+			}
+			blk = blk[dims*blockCols:]
+		}
+	}
 }
 
 // buildNode builds the subtree over order[lo:hi] and returns its node
@@ -441,8 +514,62 @@ func (ix *Index) queryUsable(q []float64, qn float64) bool {
 }
 
 // nearestOne answers one validated query (k already known positive, dims
-// matching). It clamps k, picks tree or fallback, and merges stragglers.
+// matching) and counts it: in the index's own figures, which /v1/model
+// reports per generation, and in the process-wide knn.index.* metrics.
 func (ix *Index) nearestOne(q []float64, k int) []Neighbor {
+	nbs, t := ix.search(q, k)
+	if t.flat {
+		indexFallbacks.Inc()
+		ix.flatSearches.Add(1)
+		searchCandidates.Observe(float64(ix.points.Rows))
+		return nbs
+	}
+	indexSearches.Inc()
+	ix.searches.Add(1)
+	ix.nodesVisited.Add(int64(t.nodes))
+	ix.pointsScored.Add(int64(t.scored))
+	ix.abandoned.Add(int64(t.abandoned))
+	ix.rescored.Add(int64(t.rescored))
+	indexNodesVisited.Observe(float64(t.nodes))
+	indexPointsScored.Observe(float64(t.scored))
+	indexAbandoned.Add(int64(t.abandoned))
+	indexRescored.Add(int64(t.rescored))
+	searchCandidates.Observe(float64(t.scored + len(ix.stragglers)))
+	return nbs
+}
+
+// LeaveOneOut returns the k nearest indexed rows to row i other than row i
+// itself, ascending — what Nearest(points.Row(i), k) would return had row i
+// not been indexed (up to which of several equal-distance rows fill the last
+// places; the distances are the same). It is a question about the point set,
+// asked while a generation is being calibrated, not a served query: it moves
+// no counter, here or in obs.
+func (ix *Index) LeaveOneOut(i, k int) []Neighbor {
+	if k <= 0 || ix.points.Rows < 2 {
+		return nil
+	}
+	nbs, _ := ix.search(ix.points.Row(i), k+1)
+	// Row i is at distance 0 from itself. Unless k+1 rows of smaller index
+	// are too — then the last of them goes, and k at distance 0 remain.
+	self := len(nbs) - 1
+	for j, nb := range nbs {
+		if nb.Index == i {
+			self = j
+			break
+		}
+	}
+	return append(nbs[:self], nbs[self+1:]...)
+}
+
+// searchTally is what one search touched, for the caller to count or not.
+type searchTally struct {
+	flat                               bool // answered by the flat scan
+	nodes, scored, abandoned, rescored int
+}
+
+// search answers one validated query without counting it. It clamps k, picks
+// tree or fallback, and merges stragglers.
+func (ix *Index) search(q []float64, k int) ([]Neighbor, searchTally) {
 	n := ix.points.Rows
 	if k > n {
 		k = n
@@ -452,13 +579,8 @@ func (ix *Index) nearestOne(q []float64, k int) []Neighbor {
 		qn = linalg.Norm(q)
 	}
 	if ix.nodes == nil || !ix.queryUsable(q, qn) {
-		indexFallbacks.Inc()
-		ix.flatSearches.Add(1)
-		searchCandidates.Observe(float64(n))
-		return scanNearest(ix.points, q, qn, k, ix.metric)
+		return scanNearest(ix.points, q, qn, k, ix.metric), searchTally{flat: true}
 	}
-	indexSearches.Inc()
-	ix.searches.Add(1)
 
 	s := getTreeSearch(ix.points, q, qn, k, ix.metric)
 	defer putTreeSearch(s)
@@ -472,18 +594,12 @@ func (ix *Index) nearestOne(q []float64, k int) []Neighbor {
 		}
 	}
 	s.walk(0)
-	ix.nodesVisited.Add(int64(s.nodes))
-	ix.pointsScored.Add(int64(s.scored))
-	ix.abandoned.Add(int64(s.abandoned))
-	indexNodesVisited.Observe(float64(s.nodes))
-	indexPointsScored.Observe(float64(s.scored))
-	indexAbandoned.Add(int64(s.abandoned))
-	searchCandidates.Observe(float64(s.scored + len(ix.stragglers)))
+	t := s.searchTally // what the tree offered; the stragglers below are no part of it
 
 	// Stragglers were never in the tree: offer them to the same heap, scored
 	// by the same calls.
 	s.score(ix.stragglers)
-	return s.drain()
+	return s.drain(), t
 }
 
 // pointDistance is the reference distance evaluation of the package: the
@@ -532,11 +648,9 @@ type treeSearch struct {
 	// full, kth-best not a finite distance of ordinary magnitude, Cosine.
 	limit float64
 
-	ix        *Index    // tree searches only
-	tq        []float64 // tree-space query (normalized under Cosine)
-	nodes     int
-	scored    int
-	abandoned int
+	ix          *Index    // tree searches only
+	tq          []float64 // tree-space query (normalized under Cosine)
+	searchTally           // what walk has touched so far
 }
 
 var treeSearchPool = sync.Pool{New: func() any { return new(treeSearch) }}
@@ -548,7 +662,7 @@ func getTreeSearch(points *linalg.Matrix, q []float64, qn float64, k int, metric
 	s.points, s.metric, s.q, s.qn, s.k = points, metric, q, qn, k
 	s.heap = s.heap[:0]
 	s.limit = math.Inf(1)
-	s.nodes, s.scored, s.abandoned = 0, 0, 0
+	s.searchTally = searchTally{}
 	return s
 }
 
@@ -564,7 +678,11 @@ func (s *treeSearch) walk(ni int32) {
 	nd := &s.ix.nodes[ni]
 	s.nodes++
 	if nd.axis < 0 {
-		s.score(s.ix.order[nd.lo:nd.hi])
+		if s.ix.blocks != nil {
+			s.scoreLeaf(nd)
+		} else {
+			s.score(s.ix.order[nd.lo:nd.hi])
+		}
 		return
 	}
 	diff := s.tq[nd.axis] - nd.split
@@ -624,6 +742,56 @@ func (s *treeSearch) score(rows []int) {
 			s.push(Neighbor{Index: i, Distance: math.Sqrt(d[j])})
 		}
 	}
+}
+
+// scoreLeaf is score(order[nd.lo:nd.hi]) for a leaf of a Euclidean tree, read
+// from the leaf's feature-major blocks: the same groups, judged in the same
+// order against the same limit, offered the same distances — so the heap,
+// scored and abandoned end up as score leaves them.
+//
+// SqDist4 drops a group at the first stride boundary where all four partial
+// sums pass limit (the end of the row is one such boundary). The partial sums
+// of in-tree points are finite and never decrease, so that is to say: it
+// drops the group if and only if all four final sums pass limit. Here the
+// first look covers a whole block at once — column c of sums is the sum over
+// the first stride for the block's c-th point, added from zero in SqDist4's
+// order — and a group it does not settle is judged on its final sums, which
+// the first such group of a block fetches for the whole block in one more
+// call; the groups after it are judged on those too (sums that pass limit
+// after one stride pass it at the end). A short group's spare columns repeat
+// the leaf's last point, as score's g[min(j, last)] does, so "all four" reads
+// the same.
+func (s *treeSearch) scoreLeaf(nd *node) {
+	rows := s.ix.order[nd.lo:nd.hi]
+	s.scored += len(rows)
+	dims := len(s.q)
+	head := min(dims, linalg.SqDistStride)
+	blk := s.ix.blocks[int(nd.block)*dims*blockCols:]
+	for ; len(rows) > 0; rows, blk = rows[min(blockCols, len(rows)):], blk[dims*blockCols:] {
+		var sums [blockCols]float64
+		linalg.SqDistCols(sums[:], &linalg.Matrix{Rows: head, Cols: blockCols, Data: blk[:head*blockCols]}, s.q[:head])
+		final := head == dims // whether sums cover every row yet
+		for at := 0; at < min(blockCols, len(rows)); at += scoreGroup {
+			g := rows[at:min(at+scoreGroup, len(rows))]
+			if !final && !allOver(sums[at:at+scoreGroup], s.limit) {
+				linalg.SqDistCols(sums[:], &linalg.Matrix{Rows: dims, Cols: blockCols, Data: blk[:dims*blockCols]}, s.q)
+				final = true
+				s.rescored++
+			}
+			if allOver(sums[at:at+scoreGroup], s.limit) {
+				s.abandoned += len(g)
+				continue
+			}
+			for j, i := range g {
+				s.push(Neighbor{Index: i, Distance: math.Sqrt(sums[at+j])})
+			}
+		}
+	}
+}
+
+// allOver is SqDist4's stopping test on one group's four sums.
+func allOver(sums []float64, limit float64) bool {
+	return sums[0] > limit && sums[1] > limit && sums[2] > limit && sums[3] > limit
 }
 
 // push offers one scored candidate to the bounded max-heap and re-arms the

@@ -103,20 +103,30 @@ func BenchmarkPredictIndexed(b *testing.B) {
 }
 
 // BenchmarkIndexBuild prices the once-per-generation construction cost the
-// retrain-install path pays for sub-linear serving.
+// retrain-install path pays for sub-linear serving — packing the leaf blocks
+// included. The stock case is the daemon's: the 800 × 80 query projection.
 func BenchmarkIndexBuild(b *testing.B) {
+	build := func(b *testing.B, points *linalg.Matrix) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ix := NewIndex(points, Euclidean)
+			if ix.Flat() {
+				b.Fatal("flat")
+			}
+		}
+	}
 	for _, n := range benchSizes() {
 		points := benchCloud(31, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ix := NewIndex(points, Euclidean)
-				if ix.Flat() {
-					b.Fatal("flat")
-				}
-			}
-		})
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { build(b, points) })
 	}
+	var stock *kcca.Model // trained only if the case runs, and then once
+	b.Run("stock", func(b *testing.B) {
+		if stock == nil {
+			stock, _ = stockProjection(b, 0)
+		}
+		build(b, stock.QueryProj)
+	})
 }
 
 // BenchmarkNearestCosine is the regression guard for the hoisted query
@@ -139,18 +149,13 @@ func BenchmarkNearestCosine(b *testing.B) {
 // searched with the projections of held-out queries from the same workload.
 // scored/op and abandoned/op say how well the index prunes there: how many
 // of the 800 points a search offers to the scorer, and how many of those the
-// scorer drops part-way through their distance sums.
+// scorer drops part-way through their distance sums. rescored_blocks/op is
+// how many 16-point leaf blocks a search sums in full because the first
+// stride of sums did not settle every group in them (0 on a host without the
+// vector kernels, where the index keeps no blocks).
 func BenchmarkNearestStock(b *testing.B) {
 	const held = 256
-	x, y := testutil.StockFeatures(testutil.StockQueries(b, testutil.StockTrain+held))
-	m, err := kcca.Train(x.SliceRows(0, testutil.StockTrain), y.SliceRows(0, testutil.StockTrain), kcca.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := make([][]float64, held)
-	for i := range queries {
-		queries[i] = m.ProjectQuery(x.Row(testutil.StockTrain + i))
-	}
+	m, queries := stockProjection(b, held)
 	ix := NewIndex(m.QueryProj, Euclidean)
 	if ix.Flat() {
 		b.Fatal("benchmark index unexpectedly flat")
@@ -165,4 +170,20 @@ func BenchmarkNearestStock(b *testing.B) {
 	st := ix.Stats()
 	b.ReportMetric(float64(st.PointsScored)/float64(st.Searches), "scored/op")
 	b.ReportMetric(float64(st.PointsAbandoned)/float64(st.Searches), "abandoned/op")
+	b.ReportMetric(float64(ix.rescored.Load())/float64(st.Searches), "rescored_blocks/op")
+}
+
+// stockProjection trains the daemon's KCCA model on a dataset.Generate
+// workload and projects held further queries of the same workload.
+func stockProjection(tb testing.TB, held int) (*kcca.Model, [][]float64) {
+	x, y := testutil.StockFeatures(testutil.StockQueries(tb, testutil.StockTrain+held))
+	m, err := kcca.Train(x.SliceRows(0, testutil.StockTrain), y.SliceRows(0, testutil.StockTrain), kcca.DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	queries := make([][]float64, held)
+	for i := range queries {
+		queries[i] = m.ProjectQuery(x.Row(testutil.StockTrain + i))
+	}
+	return m, queries
 }

@@ -50,10 +50,12 @@ func Dist(a, b []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// sqDistStride is how many terms SqDist4 accumulates between looks at its
+// SqDistStride is how many terms SqDist4 accumulates between looks at its
 // limit: often enough that a hopeless group stops early, rarely enough that
-// the compare is free beside the sixteen multiply-adds per candidate.
-const sqDistStride = 16
+// the compare is free beside the sixteen multiply-adds per candidate. It is
+// exported for knn's blocked scorer, which takes the same first look from one
+// SqDistCols call over the first SqDistStride rows of a feature-major block.
+const SqDistStride = 16
 
 // SqDist4 returns the squared Euclidean distances from p0..p3 to q, all of
 // length len(q). Each sum adds (pₖ[j]−q[j])² for j ascending — exactly the
@@ -62,14 +64,14 @@ const sqDistStride = 16
 // the loop, which gives the processor four independent add chains where
 // Dist has one.
 //
-// Every sqDistStride terms, if all four partial sums exceed limit, the
+// Every SqDistStride terms, if all four partial sums exceed limit, the
 // remaining terms are skipped and ok is false (the sums are then partial).
 // A sum of squares never decreases as terms are added, so each final sum
 // would exceed limit too. Pass +Inf to always finish; a NaN partial sum
 // never compares greater, so it never stops the group either.
 func SqDist4(p0, p1, p2, p3, q []float64, limit float64) (s0, s1, s2, s3 float64, ok bool) {
-	for lo := 0; lo < len(q); lo += sqDistStride {
-		hi := min(lo+sqDistStride, len(q))
+	for lo := 0; lo < len(q); lo += SqDistStride {
+		hi := min(lo+SqDistStride, len(q))
 		qb := q[lo:hi]
 		a, b, c, d := p0[lo:hi], p1[lo:hi], p2[lo:hi], p3[lo:hi]
 		for j, x := range qb {
