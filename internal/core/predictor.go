@@ -63,8 +63,9 @@ type Options struct {
 	MinTypeModel int
 	// Incremental enables maintained-kernel incremental retraining in the
 	// sliding predictor: steady-state window slides patch the kernel
-	// matrices in O(N·d) and recompute only the top-rank eigenpairs with
-	// warm starts, instead of the full O(N²·d) rebuild + O(N³) dense solve.
+	// matrices in O(N·d) and a retrain re-solves them at their frozen
+	// scales, instead of rebuilding them in O(N²·d) before the O(N³) dense
+	// solve.
 	// DefaultOptions turns it on; it is ignored (always full) when TwoStep
 	// is set, since type-specific sub-models need full per-type trainings
 	// anyway. One-shot Train is unaffected.

@@ -253,8 +253,8 @@ func TestMemoFollowsTheCacheEntry(t *testing.T) {
 
 // BenchmarkPredictVector measures single-query prediction with the
 // prediction cache hitting (repeated plan) versus disabled (every call pays
-// the O(N·d) kernel cross vector and the neighbor search). Feeds
-// BENCH_retrain.json.
+// the O(N·d) kernel cross vector and the neighbor search). CI's bench-smoke
+// job runs it at 100 iterations.
 func BenchmarkPredictVector(b *testing.B) {
 	train, test := trainTest(b)
 	p, err := Train(train, DefaultOptions())

@@ -10,10 +10,10 @@ import (
 // BenchmarkRetrainStock measures one steady-state retrain interval at the
 // daemon's stock shape — window 500, retrain every 100, automatic rank (80)
 // — on a TPC-DS-simulated stream from dataset.Generate, the data the daemon
-// sees (kcca's BenchmarkRetrain* use a synthetic low-rank matrix and one-row
-// slides, which flatter the iterative solver). One op is one retrain
-// interval: 100 observations, the last of which retrains inline and accounts
-// for ~97% of the op's time and bytes. It fails if a steady-state interval
+// sees, through the whole observe path (kcca's BenchmarkRetrainIncremental
+// times the retrainer alone on the same stream, up to n = 4000). One op is
+// one retrain interval: 100 observations, the last of which retrains inline
+// and accounts for ~97% of the op's time and bytes. It fails if a steady-state interval
 // allocates any object as large as an n×n float64 block: the dense solve
 // must run in the retrainer's retained scratch, not in a fresh matrix per
 // retrain.

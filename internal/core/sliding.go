@@ -32,11 +32,10 @@ var (
 // Two retrain paths exist. The incremental path (Options.Incremental, on by
 // default) keeps maintained kernel matrices keyed to the window's ring
 // slots: each observation patches one kernel row/column in O(N·d), and a
-// retrain never rebuilds a kernel at a frozen scale — it runs the cheaper
-// eigensolver for the window's shape on the maintained matrices
-// (kcca.Incremental: the dense solve in a retained scratch buffer, or the
-// warm-started top-rank iteration on large windows at small rank). The full
-// path trains from scratch on a window snapshot taken under the lock, with
+// retrain never rebuilds a kernel at a frozen scale — it centers and solves
+// the maintained matrices in retained scratch buffers (kcca.Incremental),
+// bit for bit what a full training on the same window at those scales
+// computes. The full path trains from scratch on a window snapshot taken under the lock, with
 // the actual training running OUTSIDE the lock so concurrent
 // PredictQuery/Observe calls never stall behind an O(N³) solve. The
 // incremental path falls back to the full path whenever kcca's τ-drift guard

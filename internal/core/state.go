@@ -46,9 +46,9 @@ type slidingWire struct {
 	// before the first training.
 	ModelBytes []byte
 	// IncState is the incremental retrainer's full state (maintained
-	// kernels, warm eigenbases), nil when incremental retraining is off or
-	// nothing has been observed. Restoring it — instead of forcing the
-	// next retrain down the full path — is what keeps post-recovery
+	// kernels and their frozen scales), nil when incremental retraining is
+	// off or nothing has been observed. Restoring it — instead of forcing
+	// the next retrain down the full path — is what keeps post-recovery
 	// retrains, and therefore predictions, bit-identical to an
 	// uninterrupted process.
 	IncState *kcca.IncrementalState

@@ -175,9 +175,21 @@ func Train(x, y *linalg.Matrix, opt Options) (*Model, error) {
 		func() { kyC, _, _ = kernels.Center(kernels.Matrix(y, tauY)) },
 	)
 	stopKernel()
+	return fitModel(x.Clone(), tauX, tauY, kxC, kyC, rowMeansX, grandX, opt)
+}
 
-	rank := resolveRank(n, opt)
+// keepFrac is the kernel-PCA significance threshold: components with
+// eigenvalues below keepFrac·max(λ₁, 1) are dropped.
+const keepFrac = 1e-10
 
+// fitModel finishes training from the two centered kernel matrices — the
+// tail Train, TrainFull and the incremental Retrain share: kernel PCA of
+// each view (one task per view; each destroys its kernel), the CCA fit in
+// reduced space, both training projections, and model assembly. xOwned must
+// be caller-owned (it is stored in the model uncopied).
+func fitModel(xOwned *linalg.Matrix, tauX, tauY float64, kxC, kyC *linalg.Matrix,
+	rowMeansX []float64, grandX float64, opt Options) (*Model, error) {
+	rank := resolveRank(xOwned.Rows, opt)
 	var phiX, phiY, ux *linalg.Matrix
 	var lamx []float64
 	var errX, errY error
@@ -194,19 +206,6 @@ func Train(x, y *linalg.Matrix, opt Options) (*Model, error) {
 		return nil, errY
 	}
 
-	return fitModel(x.Clone(), tauX, tauY, rowMeansX, grandX, phiX, ux, lamx, phiY, opt)
-}
-
-// keepFrac is the kernel-PCA significance threshold: components with
-// eigenvalues below keepFrac·max(λ₁, 1) are dropped (phiFromEigen), and the
-// iterative solver is told not to chase residuals on them (DropBelow).
-const keepFrac = 1e-10
-
-// fitModel finishes training from the per-view kernel-PCA outputs: the CCA
-// fit in reduced space, both training projections, and model assembly.
-// xOwned must be caller-owned (it is stored in the model uncopied).
-func fitModel(xOwned *linalg.Matrix, tauX, tauY float64, rowMeansX []float64, grandX float64,
-	phiX, ux *linalg.Matrix, lamx []float64, phiY *linalg.Matrix, opt Options) (*Model, error) {
 	dims := opt.Dims
 	if dims <= 0 || dims > phiX.Cols || dims > phiY.Cols {
 		dims = phiX.Cols
@@ -241,21 +240,14 @@ func fitModel(xOwned *linalg.Matrix, tauX, tauY float64, rowMeansX []float64, gr
 }
 
 // kernelPCA returns Phi = U·Λ^{1/2} for the top-r eigenpairs of the
-// centered kernel matrix, dropping components with negligible eigenvalues.
-// The dense solve runs in k's own storage: k is destroyed.
+// centered kernel matrix, dropping components with negligible eigenvalues
+// (keepFrac). The dense solve runs in k's own storage: k is destroyed.
 func kernelPCA(k *linalg.Matrix, r int) (phi, u *linalg.Matrix, lam []float64, err error) {
 	vals, vecs, err := linalg.TopEigenInPlace(k, r)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return phiFromEigen(k.Rows, vals, vecs)
-}
-
-// phiFromEigen builds Phi = U·Λ^{1/2} from eigenpairs (descending order),
-// applying the keep threshold that drops numerically insignificant
-// components. Shared by the dense and iterative solver paths so both apply
-// an identical significance rule.
-func phiFromEigen(n int, vals []float64, vecs *linalg.Matrix) (phi, u *linalg.Matrix, lam []float64, err error) {
+	n := k.Rows
 	keep := 0
 	tol := keepFrac * math.Max(vals[0], 1)
 	for keep < len(vals) && vals[keep] > tol {

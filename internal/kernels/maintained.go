@@ -7,26 +7,20 @@ import (
 	"repro/internal/obs"
 )
 
-// Maintained kernel-state metrics: row replacements applied in O(N·d),
-// full O(N²·d) rebuilds, and exact row-sum refreshes.
+// Maintained kernel-state metrics: row replacements applied in O(N·d) and
+// full O(N²·d) rebuilds.
 var (
 	maintainedReplaces = obs.GetCounter("kernels.maintained.replaces")
 	maintainedRebuilds = obs.GetCounter("kernels.maintained.rebuilds")
-	maintainedRefresh  = obs.GetCounter("kernels.maintained.refreshes")
 )
-
-// sumRefreshEvery bounds floating-point drift in the incrementally
-// maintained row sums: after this many row replacements they are recomputed
-// exactly from the kernel matrix (an O(N²) sweep, amortized to O(N²/64) per
-// replacement — far below the O(N·d) kernel-row cost it rides along with).
-const sumRefreshEvery = 64
 
 // Maintained is a Gaussian kernel matrix kept keyed to a mutating row set —
 // the sliding retraining window's ring buffer. Steady-state window slides
 // replace one row, so the kernel matrix changes in exactly one row/column:
 // Replace recomputes that row in O(N·d) instead of the O(N²·d) full
-// rebuild, and keeps the per-row sums (centering state) and per-row norms
-// (scale-heuristic state) current along the way.
+// rebuild, and keeps the per-row norms (scale-heuristic state) current
+// along the way. Centering is not maintained: the retrain centers K itself
+// (CenterInto), exactly as a from-scratch train centers its fresh kernel.
 //
 // The kernel scale τ is frozen at the last rebuild. Each replacement moves
 // the scale the heuristic *would* choose; Drifted reports when it has moved
@@ -47,10 +41,8 @@ type Maintained struct {
 	frac        float64 // heuristic fraction (ScaleHeuristic)
 	tauOverride float64 // >0 pins τ and disables the drift guard
 
-	norms    []float64 // ‖xᵢ‖ per row, for the scale heuristic
-	rowSums  []float64 // Σⱼ K[i][j] per row, for centering
-	replaces int       // replacements since the last exact row-sum refresh
-	synced   bool      // K/Tau reflect X (false after Append until Rebuild)
+	norms  []float64 // ‖xᵢ‖ per row, for the scale heuristic
+	synced bool      // K/Tau reflect X (false after Append until Rebuild)
 }
 
 // NewMaintained returns an empty maintained state for rows of dimension d,
@@ -90,9 +82,7 @@ func (m *Maintained) Append(row []float64) {
 }
 
 // Replace swaps the row at slot for a new one and, when synced, patches the
-// kernel matrix in O(N·d): one fresh kernel row mirrored to its column,
-// with the row sums updated incrementally (and refreshed exactly every
-// sumRefreshEvery replacements to bound floating-point drift).
+// kernel matrix in O(N·d): one fresh kernel row mirrored to its column.
 func (m *Maintained) Replace(slot int, row []float64) {
 	if slot < 0 || slot >= m.X.Rows {
 		panic(fmt.Sprintf("kernels: replace slot %d out of range [0,%d)", slot, m.X.Rows))
@@ -112,22 +102,14 @@ func (m *Maintained) Replace(slot int, row []float64) {
 	defer PutScratch(kq)
 	CrossVectorInto(*kq, m.X, row, m.Tau)
 	(*kq)[slot] = 1 // k(x, x) exactly, matching Matrix's diagonal
-	slotSum := 0.0
 	for i, v := range *kq {
-		m.rowSums[i] += v - m.K.At(i, slot)
 		m.K.Set(i, slot, v)
 		m.K.Set(slot, i, v)
-		slotSum += v
-	}
-	m.rowSums[slot] = slotSum // exact: the whole row is fresh
-	m.replaces++
-	if m.replaces >= sumRefreshEvery {
-		m.refreshSums()
 	}
 }
 
 // Rebuild recomputes τ from the heuristic (unless pinned) and the full
-// kernel matrix and row sums from the current rows — the O(N²·d) path taken
+// kernel matrix from the current rows — the O(N²·d) path taken
 // at first training, after window growth, and when the τ-drift guard fires.
 // The N×N buffer is reused across rebuilds of the same size.
 func (m *Maintained) Rebuild() {
@@ -140,23 +122,9 @@ func (m *Maintained) Rebuild() {
 	}
 	if m.K == nil || m.K.Rows != n {
 		m.K = linalg.NewMatrix(n, n)
-		m.rowSums = make([]float64, n)
 	}
 	MatrixInto(m.K, m.X, m.Tau)
-	m.refreshSums()
 	m.synced = true
-}
-
-// refreshSums recomputes the row sums exactly from K.
-func (m *Maintained) refreshSums() {
-	maintainedRefresh.Inc()
-	for i := range m.rowSums {
-		m.rowSums[i] = 0
-		for _, v := range m.K.Row(i) {
-			m.rowSums[i] += v
-		}
-	}
-	m.replaces = 0
 }
 
 // TauCandidate returns the scale the heuristic would choose for the current
@@ -184,42 +152,6 @@ func (m *Maintained) Drifted(tol float64) bool {
 		d = -d
 	}
 	return d > tol*m.Tau
-}
-
-// RowMeans copies the per-row kernel means (centering state) into a fresh
-// slice, with the grand mean — exactly what Center returns for K.
-func (m *Maintained) RowMeans() (rowMeans []float64, grandMean float64) {
-	n := m.X.Rows
-	rowMeans = make([]float64, n)
-	inv := 1.0 / float64(n)
-	total := 0.0
-	for i, s := range m.rowSums {
-		rowMeans[i] = s * inv
-		total += rowMeans[i]
-	}
-	return rowMeans, total * inv
-}
-
-// ApplyCentered writes (I−1/n)·K·(I−1/n)·src into dst — the centered-kernel
-// operator applied implicitly, so the iterative eigensolver never needs the
-// centered matrix materialized. dst and src must have length N and must not
-// alias.
-func (m *Maintained) ApplyCentered(dst, src []float64) {
-	n := m.X.Rows
-	if len(dst) != n || len(src) != n {
-		panic(fmt.Sprintf("kernels: ApplyCentered buffers have %d/%d entries, want %d", len(dst), len(src), n))
-	}
-	t := GetScratch(n)
-	defer PutScratch(t)
-	mean := linalg.Mean(src)
-	for i, v := range src {
-		(*t)[i] = v - mean
-	}
-	m.K.MulVecInto(dst, *t)
-	uMean := linalg.Mean(dst)
-	for i := range dst {
-		dst[i] -= uMean
-	}
 }
 
 // XClone returns a deep copy of the current rows (for embedding in an

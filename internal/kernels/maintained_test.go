@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/linalg"
@@ -18,8 +17,8 @@ func randRow(r *statutil.RNG, d int, scale float64) []float64 {
 
 // TestMaintainedMatchesFullRebuild drives a Maintained state through the
 // sliding-window life cycle — grow, rebuild, a long run of replacements —
-// and checks the kernel matrix, row means, and τ candidate against a
-// from-scratch computation at every step.
+// and checks the kernel matrix and τ candidate against a from-scratch
+// computation.
 func TestMaintainedMatchesFullRebuild(t *testing.T) {
 	const d, capacity = 7, 40
 	r := statutil.NewRNG(3, "maintained")
@@ -40,7 +39,7 @@ func TestMaintainedMatchesFullRebuild(t *testing.T) {
 	}
 
 	slot := 0
-	for step := 0; step < 3*sumRefreshEvery; step++ {
+	for step := 0; step < 200; step++ {
 		m.Replace(slot, randRow(r, d, 1))
 		slot = (slot + 1) % capacity
 	}
@@ -53,39 +52,44 @@ func TestMaintainedMatchesFullRebuild(t *testing.T) {
 			t.Fatalf("kernel entry %d: maintained %v, fresh %v", i, m.K.Data[i], want.Data[i])
 		}
 	}
-	// Row means track the exact centering state within refresh drift.
-	_, rowMeans, grand := Center(want)
-	gotMeans, gotGrand := m.RowMeans()
-	for i := range rowMeans {
-		if math.Abs(gotMeans[i]-rowMeans[i]) > 1e-12 {
-			t.Fatalf("row mean %d: maintained %v, fresh %v", i, gotMeans[i], rowMeans[i])
-		}
-	}
-	if math.Abs(gotGrand-grand) > 1e-12 {
-		t.Fatalf("grand mean: maintained %v, fresh %v", gotGrand, grand)
-	}
 	// τ candidate is the exact heuristic value.
 	if want := ScaleHeuristic(m.X, 0.1); m.TauCandidate() != want {
 		t.Fatalf("tau candidate %v, want %v", m.TauCandidate(), want)
 	}
 }
 
-func TestMaintainedApplyCentered(t *testing.T) {
+// TestMaintainedCenteredMatchesFresh checks the centering a retrain does on
+// the maintained kernel: CenterInto one retained scratch after each burst of
+// replacements yields the centered matrix, row means and grand mean of a
+// from-scratch kernel at the frozen τ, bit for bit — the scratch carries
+// nothing from one retrain to the next.
+func TestMaintainedCenteredMatchesFresh(t *testing.T) {
 	const d, n = 5, 30
-	r := statutil.NewRNG(9, "applycentered")
+	r := statutil.NewRNG(9, "centered")
 	m := NewMaintained(d, n, 0.1, 0)
 	for i := 0; i < n; i++ {
 		m.Append(randRow(r, d, 1))
 	}
 	m.Rebuild()
-	centered, _, _ := Center(m.K)
-	v := randRow(r, n, 1)
-	got := make([]float64, n)
-	m.ApplyCentered(got, v)
-	want := centered.MulVec(v)
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-10*float64(n) {
-			t.Fatalf("ApplyCentered[%d] = %v, dense %v", i, got[i], want[i])
+	scratch := linalg.NewMatrix(n, n)
+	for burst := 0; burst < 4; burst++ {
+		for step := 0; step < 7; step++ {
+			m.Replace((burst*7+step)%n, randRow(r, d, 1))
+		}
+		gotMeans, gotGrand := CenterInto(scratch, m.K)
+		want, wantMeans, wantGrand := Center(Matrix(m.X, m.Tau))
+		for i := range want.Data {
+			if scratch.Data[i] != want.Data[i] {
+				t.Fatalf("burst %d: centered entry %d: maintained %v, fresh %v", burst, i, scratch.Data[i], want.Data[i])
+			}
+		}
+		for i := range wantMeans {
+			if gotMeans[i] != wantMeans[i] {
+				t.Fatalf("burst %d: row mean %d: maintained %v, fresh %v", burst, i, gotMeans[i], wantMeans[i])
+			}
+		}
+		if gotGrand != wantGrand {
+			t.Fatalf("burst %d: grand mean: maintained %v, fresh %v", burst, gotGrand, wantGrand)
 		}
 	}
 }

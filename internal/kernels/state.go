@@ -7,10 +7,10 @@ import (
 )
 
 // MaintainedState is the exported wire form of Maintained, for the durable
-// serving state snapshots (internal/wal). It captures the complete state —
-// including the replacement counter, whose value gates when the next exact
-// row-sum refresh happens, so a restored instance produces bit-identical
-// row sums to one that never restarted.
+// serving state snapshots (internal/wal). It captures the complete state.
+// Older snapshots also carry incremental row sums and their refresh counter;
+// gob skips fields the type lacks, so they decode unchanged as long as no new
+// field reuses one of those names with another type.
 type MaintainedState struct {
 	X           *linalg.Matrix
 	K           *linalg.Matrix
@@ -18,8 +18,6 @@ type MaintainedState struct {
 	Frac        float64
 	TauOverride float64
 	Norms       []float64
-	RowSums     []float64
-	Replaces    int
 	Synced      bool
 }
 
@@ -34,14 +32,12 @@ func (m *Maintained) State() *MaintainedState {
 		Frac:        m.frac,
 		TauOverride: m.tauOverride,
 		Norms:       m.norms,
-		RowSums:     m.rowSums,
-		Replaces:    m.replaces,
 		Synced:      m.synced,
 	}
 }
 
 // MaintainedFromState reconstructs a Maintained from a decoded state,
-// validating every shape invariant Replace/Rebuild/ApplyCentered rely on so
+// validating every shape invariant Replace/Rebuild and the retrain rely on so
 // a corrupt or hand-edited snapshot fails here instead of panicking later.
 func MaintainedFromState(st *MaintainedState) (*Maintained, error) {
 	if st == nil {
@@ -61,9 +57,6 @@ func MaintainedFromState(st *MaintainedState) (*Maintained, error) {
 		if st.K.Rows != n || st.K.Cols != n {
 			return nil, fmt.Errorf("kernels: restored state kernel is %dx%d for %d rows", st.K.Rows, st.K.Cols, n)
 		}
-		if len(st.RowSums) != n {
-			return nil, fmt.Errorf("kernels: restored state has %d row sums for %d rows", len(st.RowSums), n)
-		}
 		if !(st.Tau > 0) {
 			return nil, fmt.Errorf("kernels: restored state kernel scale is %v, want positive", st.Tau)
 		}
@@ -75,8 +68,6 @@ func MaintainedFromState(st *MaintainedState) (*Maintained, error) {
 		frac:        st.Frac,
 		tauOverride: st.TauOverride,
 		norms:       st.Norms,
-		rowSums:     st.RowSums,
-		replaces:    st.Replaces,
 		synced:      st.Synced,
 	}, nil
 }

@@ -229,6 +229,24 @@ func symEigRef(t *testing.T, a *Matrix) ([]float64, *Matrix) {
 	return vals, vecs
 }
 
+// spdMatrix builds a deterministic symmetric PSD matrix with a decaying
+// spectrum, the shape of a centered Gaussian kernel: A = G·D·Gᵀ with G's
+// entries drawn by splitmix64 from seed and D = diag(0.9^i).
+func spdMatrix(n int, seed uint64) *Matrix {
+	g := NewMatrix(n, n)
+	for i := range g.Data {
+		seed += 0x9E3779B97F4A7C15
+		z := (seed ^ (seed >> 30)) * 0xBF58476D1CE4E5B9
+		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+		g.Data[i] = float64((z^(z>>31))>>11)/(1<<53) - 0.5
+	}
+	d := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		d.Set(i, i, math.Pow(0.9, float64(i)))
+	}
+	return g.Mul(d).MulT(g)
+}
+
 // TestSymEigBitIdenticalToReference holds the transposed-store solver to the
 // column-walking reference on dense, asymmetric-upper, block-diagonal (the
 // scale == 0 branch), diagonal and rank-deficient inputs, and TopEigenInPlace
@@ -266,34 +284,36 @@ func TestSymEigBitIdenticalToReference(t *testing.T) {
 	cases["diagonal-with-ties"] = diag
 
 	for name, a := range cases {
-		before := a.Clone()
-		wantVals, wantVecs := symEigRef(t, a)
-		got, err := SymEig(a)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		exactEqual(t, name+": SymEig left its input", 0, a, before)
-		for i, v := range got.Values {
-			if v != wantVals[i] && !(math.IsNaN(v) && math.IsNaN(wantVals[i])) {
-				t.Fatalf("%s: eigenvalue %d = %v, reference %v", name, i, v, wantVals[i])
+		t.Run(name, func(t *testing.T) {
+			before := a.Clone()
+			wantVals, wantVecs := symEigRef(t, a)
+			got, err := SymEig(a)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-		}
-		exactEqual(t, name+": vectors", 0, got.Vectors, wantVecs)
+			exactEqual(t, name+": SymEig left its input", 0, a, before)
+			for i, v := range got.Values {
+				if v != wantVals[i] && !(math.IsNaN(v) && math.IsNaN(wantVals[i])) {
+					t.Fatalf("%s: eigenvalue %d = %v, reference %v", name, i, v, wantVals[i])
+				}
+			}
+			exactEqual(t, name+": vectors", 0, got.Vectors, wantVecs)
 
-		r := (a.Rows + 2) / 3
-		vals, vecs, err := TopEigenInPlace(a.Clone(), r)
-		if err != nil {
-			t.Fatalf("%s: in place: %v", name, err)
-		}
-		if len(vals) != r {
-			t.Fatalf("%s: in place returned %d values, want %d", name, len(vals), r)
-		}
-		for i, v := range vals {
-			if v != wantVals[i] {
-				t.Fatalf("%s: in-place eigenvalue %d = %v, reference %v", name, i, v, wantVals[i])
+			r := (a.Rows + 2) / 3
+			vals, vecs, err := TopEigenInPlace(a.Clone(), r)
+			if err != nil {
+				t.Fatalf("%s: in place: %v", name, err)
 			}
-		}
-		exactEqual(t, name+": in-place vectors", 0, vecs, wantVecs.SliceCols(0, r))
+			if len(vals) != r {
+				t.Fatalf("%s: in place returned %d values, want %d", name, len(vals), r)
+			}
+			for i, v := range vals {
+				if v != wantVals[i] {
+					t.Fatalf("%s: in-place eigenvalue %d = %v, reference %v", name, i, v, wantVals[i])
+				}
+			}
+			exactEqual(t, name+": in-place vectors", 0, vecs, wantVecs.SliceCols(0, r))
+		})
 	}
 }
 

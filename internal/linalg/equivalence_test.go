@@ -107,6 +107,37 @@ func TestSymEigParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestTopEigenInPlaceParallelMatchesSerial covers the retrain's eigensolve:
+// the leading eigenpairs of a kernel-shaped matrix, decomposed in its own
+// storage, are the one-worker result at every worker count.
+func TestTopEigenInPlaceParallelMatchesSerial(t *testing.T) {
+	for _, n := range []int{6, 40, 150} {
+		a := spdMatrix(n, uint64(n))
+		r := n/4 + 1
+
+		defer parallel.SetMaxProcs(parallel.SetMaxProcs(1))
+		wantVals, wantVecs, err := TopEigenInPlace(a.Clone(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		for _, w := range equivWorkerCounts() {
+			parallel.SetMaxProcs(w)
+			vals, vecs, err := TopEigenInPlace(a.Clone(), r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range wantVals {
+				if vals[i] != wantVals[i] {
+					t.Fatalf("n=%d workers=%d: eigenvalue %d = %v, serial %v", n, w, i, vals[i], wantVals[i])
+				}
+			}
+			exactEqual(t, "TopEigenInPlace vectors", w, vecs, wantVecs)
+		}
+		parallel.SetMaxProcs(0)
+	}
+}
+
 func TestSVDParallelMatchesSerial(t *testing.T) {
 	shapes := [][2]int{{30, 8}, {90, 60}, {40, 70}}
 	for _, s := range shapes {

@@ -147,19 +147,10 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 
 // MulVec returns the matrix-vector product m * v.
 func (m *Matrix) MulVec(v []float64) []float64 {
-	return m.MulVecInto(make([]float64, m.Rows), v)
-}
-
-// MulVecInto computes m * v into the caller-owned out (length m.Rows) and
-// returns it — the alloc-free variant for hot loops that apply the same
-// operator repeatedly (the iterative eigensolver, centered kernel matvecs).
-func (m *Matrix) MulVecInto(out, v []float64) []float64 {
 	if m.Cols != len(v) {
 		panic(fmt.Sprintf("linalg: MulVec dimension mismatch %dx%d * %d", m.Rows, m.Cols, len(v)))
 	}
-	if len(out) != m.Rows {
-		panic(fmt.Sprintf("linalg: MulVec output has %d entries, want %d", len(out), m.Rows))
-	}
+	out := make([]float64, m.Rows)
 	parallel.For(m.Rows, parallel.GrainFor(m.Cols, 1<<14), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = Dot(m.Row(i), v)

@@ -13,5 +13,6 @@ func TestEquivalenceWithObsEnabled(t *testing.T) {
 	defer obs.SetEnabled(obs.SetEnabled(true))
 	t.Run("MatMul", TestMatMulParallelMatchesSerial)
 	t.Run("SymEig", TestSymEigParallelMatchesSerial)
+	t.Run("TopEigenInPlace", TestTopEigenInPlaceParallelMatchesSerial)
 	t.Run("SVD", TestSVDParallelMatchesSerial)
 }

@@ -8,16 +8,17 @@ import (
 // LargeAllocSites runs fn and returns one description per call stack that,
 // during fn, allocated an object of at least minBytes — testing.AllocsPerRun
 // counts allocations, this finds the big ones by size. It reads the runtime's
-// allocation profile, which records every allocation of at least
-// runtime.MemProfileRate bytes (512 KiB unless overridden) exactly; minBytes
-// must therefore not be below that rate. Allocations made concurrently by
-// other goroutines are included.
+// allocation profile, which at the default runtime.MemProfileRate samples
+// allocations at random intervals and so can miss even a large one; the rate
+// is therefore 1 (every allocation recorded) while fn runs, and restored
+// after. Allocations made concurrently by other goroutines are included.
 func LargeAllocSites(minBytes int64, fn func()) []string {
-	if rate := int64(runtime.MemProfileRate); rate <= 0 || minBytes < rate {
-		panic(fmt.Sprintf("testutil: allocations of %d B are sampled, not recorded, at MemProfileRate %d", minBytes, rate))
-	}
 	before := allocProfile()
-	fn()
+	func() {
+		defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+		runtime.MemProfileRate = 1
+		fn()
+	}()
 	var sites []string
 	for stack, after := range allocProfile() {
 		objs := after.AllocObjects - before[stack].AllocObjects

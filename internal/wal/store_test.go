@@ -152,33 +152,33 @@ func checkIdentical(t testing.TB, got, want *core.SlidingPredictor) {
 // SyncNone survives process death, just not power loss) recovers from its
 // newest snapshot plus the WAL tail to the exact state of an uninterrupted
 // mirror — and, crucially, continues to evolve identically, because the
-// incremental retrainer's full state (maintained kernels, warm eigenbases)
-// is restored rather than rebuilt. It runs one window shape on each side of
-// kcca's solver rule: the dense side depends on the restored kernels alone,
-// the iterative side on the restored warm eigenbases too.
+// incremental retrainer's full state (the maintained kernels at their
+// frozen scales) is restored rather than rebuilt. The "growing" shape
+// crashes and recovers while the window still grows (every retrain full);
+// the "sliding" one crashes with the window full and must continue with
+// incremental retrains on the restored kernels.
 func TestRecoverBitIdenticalAfterCrash(t *testing.T) {
-	solverIter := obs.GetCounter("kcca.retrain.solver.iterative")
+	incremental := obs.GetCounter("kcca.retrain.incremental")
 	for _, sh := range []struct {
-		name                  string
-		capacity, every, rank int
-		snapEvery             int
-		kill, total           int
-		wantSnapshot          uint64
-		iterative             bool
+		name            string
+		capacity, every int
+		snapEvery       int
+		kill, total     int
+		wantSnapshot    uint64
+		incremental     bool
 	}{
 		// 27 observations (snapshots at 8, 16, 24; retrains at 10, 20), then
 		// killed; observations 28..40 cross retrains at 30 and 40.
-		{name: "dense", capacity: testCapacity, every: testRetrain, snapEvery: 8, kill: 27, total: 40, wantSnapshot: 24},
+		{name: "growing", capacity: testCapacity, every: testRetrain, snapEvery: 8, kill: 27, total: 40, wantSnapshot: 24},
 		// The 160-query pool cycles through a 400-slot ring (400 is not a
 		// multiple of 160, so the window keeps changing). The window fills
 		// at 400, the first incremental retrain runs at 450, the kill at 487
 		// lands behind the snapshot at 480, and observations 488..600 cross
 		// retrains at 500, 550 and 600.
-		{name: "iterative", capacity: 400, every: 50, rank: 3, snapEvery: 160, kill: 487, total: 600, wantSnapshot: 480, iterative: true},
+		{name: "sliding", capacity: 400, every: 50, snapEvery: 160, kill: 487, total: 600, wantSnapshot: 480, incremental: true},
 	} {
 		t.Run(sh.name, func(t *testing.T) {
 			opt := core.DefaultOptions()
-			opt.KCCA.Rank = sh.rank
 			newSliding := func() *core.SlidingPredictor {
 				s, err := core.NewSliding(sh.capacity, sh.every, opt)
 				if err != nil {
@@ -232,7 +232,7 @@ func TestRecoverBitIdenticalAfterCrash(t *testing.T) {
 
 			// The recovered process keeps evolving bit-identically across
 			// further retrain boundaries.
-			iterBefore := solverIter.Value()
+			incBefore := incremental.Value()
 			for _, q := range qs[sh.kill:] {
 				feed(t, st2, recovered, q, &gen)
 				observeMirror(q)
@@ -241,8 +241,8 @@ func TestRecoverBitIdenticalAfterCrash(t *testing.T) {
 			if gen != mirrorGen {
 				t.Fatalf("post-recovery generation %d, mirror %d", gen, mirrorGen)
 			}
-			if iterated := solverIter.Value() != iterBefore; iterated != sh.iterative {
-				t.Fatalf("post-recovery retrains used the iterative solver: %v, this shape is there to cover: %v", iterated, sh.iterative)
+			if served := incremental.Value() != incBefore; served != sh.incremental {
+				t.Fatalf("post-recovery retrains served from the restored kernels: %v, this shape is there to cover: %v", served, sh.incremental)
 			}
 		})
 	}
