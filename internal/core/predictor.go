@@ -61,15 +61,6 @@ type Options struct {
 	// type-specific model is built (smaller types fall back to the global
 	// model). Zero selects a default.
 	MinTypeModel int
-	// Incremental enables maintained-kernel incremental retraining in the
-	// sliding predictor: steady-state window slides patch the kernel
-	// matrices in O(N·d) and a retrain re-solves them at their frozen
-	// scales, instead of rebuilding them in O(N²·d) before the O(N³) dense
-	// solve.
-	// DefaultOptions turns it on; it is ignored (always full) when TwoStep
-	// is set, since type-specific sub-models need full per-type trainings
-	// anyway. One-shot Train is unaffected.
-	Incremental bool
 }
 
 // DefaultOptions returns the paper's final configuration: plan features,
@@ -77,10 +68,9 @@ type Options struct {
 // neighbors with equal weighting, one-model prediction.
 func DefaultOptions() Options {
 	return Options{
-		Features:    PlanFeatures,
-		KCCA:        kcca.DefaultOptions(),
-		KNN:         knn.DefaultOptions(),
-		Incremental: true,
+		Features: PlanFeatures,
+		KCCA:     kcca.DefaultOptions(),
+		KNN:      knn.DefaultOptions(),
 	}
 }
 
@@ -212,7 +202,7 @@ func extractFeatures(train []*dataset.Query, kind FeatureKind) (x, y *linalg.Mat
 // newPredictor assembles a Predictor around an already-trained KCCA model:
 // the raw metric matrix and categories (row-aligned with the model),
 // calibrated confidence scales, and a fresh prediction cache for this model
-// generation. Shared by one-shot Train and both sliding retrain paths.
+// generation. Shared by one-shot Train and the sliding retrain.
 func newPredictor(model *kcca.Model, rawRows [][]float64, cats []workload.Category, opt Options) *Predictor {
 	p := &Predictor{
 		opt:     opt,

@@ -1,26 +1,30 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/testutil"
 )
 
+// The daemon's stock sliding shape: window 500, retrain every 100,
+// automatic rank (80).
+const stockWindow, stockEvery = 500, 100
+
 // BenchmarkRetrainStock measures one steady-state retrain interval at the
-// daemon's stock shape — window 500, retrain every 100, automatic rank (80)
-// — on a TPC-DS-simulated stream from dataset.Generate, the data the daemon
-// sees, through the whole observe path (kcca's BenchmarkRetrainIncremental
-// times the retrainer alone on the same stream, up to n = 4000). One op is
-// one retrain interval: 100 observations, the last of which retrains inline
-// and accounts for ~97% of the op's time and bytes. It fails if a steady-state interval
-// allocates any object as large as an n×n float64 block: the dense solve
-// must run in the retrainer's retained scratch, not in a fresh matrix per
-// retrain.
+// daemon's stock shape on a TPC-DS-simulated stream from dataset.Generate,
+// the data the daemon sees, through the whole observe path. One op is one
+// retrain interval: 100 observations (ring writes), the last of which
+// retrains inline and accounts for nearly all of the op's time and bytes.
+// Every timed retrain must keep the frozen scales. It fails if a
+// steady-state interval allocates an object as large as an n×n float64
+// block anywhere but the one kernel matrix per view that kcca.Train builds,
+// centers and decomposes in place.
 func BenchmarkRetrainStock(b *testing.B) {
-	const window, every = 500, 100
-	qs := testutil.StockQueries(b, window+8*every)
-	s, err := NewSliding(window, every, DefaultOptions())
+	qs := testutil.StockQueries(b, stockWindow+8*stockEvery)
+	s, err := NewSliding(stockWindow, stockEvery, DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -33,26 +37,70 @@ func BenchmarkRetrainStock(b *testing.B) {
 			next++
 		}
 	}
-	// Fill the window (full trainings while it grows), then one untimed
-	// interval so the timed ones start from an incremental retrain's state.
-	observe(window + every)
+	// Fill the window (fresh scales while it grows), then one untimed
+	// interval so the timed ones start from a steady-state retrain.
+	observe(stockWindow + stockEvery)
 
-	incBefore, rebuildsBefore := kccaInc.Value(), kccaFull.Value()
+	incBefore, fullBefore := kccaInc.Value(), kccaFull.Value()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		observe(every)
+		observe(stockEvery)
 	}
 	b.StopTimer()
 	if got := kccaInc.Value() - incBefore; got != int64(b.N) {
-		b.Fatalf("%d of %d retrains were served from the maintained kernels (%d rebuilt them)",
-			got, b.N, kccaFull.Value()-rebuildsBefore)
+		b.Fatalf("%d of %d retrains kept the frozen scales (%d recomputed them)",
+			got, b.N, kccaFull.Value()-fullBefore)
 	}
 
-	// One more interval under the allocation profile: whatever a retrain
-	// allocates (n×rank eigenvectors, the CCA fit, the k-NN index), no single
-	// object may be as large as an n×n float64 block.
-	if sites := testutil.LargeAllocSites(window*window*8, func() { observe(every) }); len(sites) > 0 {
-		b.Fatalf("a steady-state retrain allocated %dx%d-sized blocks:\n%s", window, window, strings.Join(sites, "\n"))
+	// One more interval under the allocation profile: whatever else a
+	// retrain allocates (n×rank eigenvectors, the CCA fit, the k-NN index),
+	// the only n×n-sized objects are the two kernel matrices.
+	sites := testutil.LargeAllocSites(stockWindow*stockWindow*8, func() { observe(stockEvery) })
+	objs := 0
+	for _, site := range sites {
+		var n int
+		if _, err := fmt.Sscanf(site, "%d ×", &n); err != nil {
+			b.Fatal(err)
+		}
+		objs += n
+		if !strings.Contains(site, "repro/internal/kernels.Matrix:") {
+			b.Fatalf("a steady-state retrain allocated a %dx%d-sized block outside kernels.Matrix:\n%s",
+				stockWindow, stockWindow, strings.Join(sites, "\n"))
+		}
+	}
+	if objs != 2 {
+		b.Fatalf("a steady-state retrain allocated %d %dx%d-sized blocks, want one kernel matrix per view:\n%s",
+			objs, stockWindow, stockWindow, strings.Join(sites, "\n"))
+	}
+}
+
+// TestStockSnapshotSize: a snapshot at the stock shape carries the window's
+// SQL and metrics, the published model and the frozen scales — no kernel
+// matrices. The model alone is about 1.3 MB; with the 500×500 matrices of
+// both views the snapshot was about 6 MB.
+func TestStockSnapshotSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains seven 500-row windows")
+	}
+	qs := testutil.StockQueries(t, stockWindow+2*stockEvery)
+	s, err := NewSliding(stockWindow, stockEvery, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range qs {
+		if err := s.Observe(q); err != nil {
+			t.Fatalf("observe %d: %v", i, err)
+		}
+	}
+	var snap bytes.Buffer
+	if err := s.SaveState(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if s.frozen == nil {
+		t.Fatal("no scales frozen at the stock shape")
+	}
+	if n := snap.Len(); n >= 2<<20 {
+		t.Fatalf("stock snapshot is %d bytes, want under 2 MB", n)
 	}
 }

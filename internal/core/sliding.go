@@ -3,23 +3,27 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/dataset"
-	"repro/internal/features"
 	"repro/internal/kcca"
 	"repro/internal/obs"
 )
 
 // Sliding-window metrics (visible in obs snapshots next to the predict
 // latency histograms, so retrain cadence and window churn can be watched
-// in production). The full-vs-incremental split of retrains is counted by
-// the kcca layer (kcca.retrain.full / kcca.retrain.incremental).
+// in production). The retrain counters keep the names they had when a
+// retrain at frozen scales was served from incrementally maintained kernels.
 var (
 	slidingObserved = obs.GetCounter("core.sliding.observed")
 	slidingEvicted  = obs.GetCounter("core.sliding.evicted")
 	slidingRetrains = obs.GetCounter("core.sliding.retrains")
+	// retrainFrozen counts retrains at frozen kernel scales, retrainFresh
+	// those that computed them anew (window growth, τ-drift, TwoStep).
+	retrainFrozen = obs.GetCounter("kcca.retrain.incremental")
+	retrainFresh  = obs.GetCounter("kcca.retrain.full")
 )
 
 // SlidingPredictor maintains a bounded window of the most recently
@@ -29,18 +33,12 @@ var (
 // the model adapt to workload drift without the cubic cost of retraining
 // after every query.
 //
-// Two retrain paths exist. The incremental path (Options.Incremental, on by
-// default) keeps maintained kernel matrices keyed to the window's ring
-// slots: each observation patches one kernel row/column in O(N·d), and a
-// retrain never rebuilds a kernel at a frozen scale — it centers and solves
-// the maintained matrices in retained scratch buffers (kcca.Incremental),
-// bit for bit what a full training on the same window at those scales
-// computes. The full path trains from scratch on a window snapshot taken under the lock, with
-// the actual training running OUTSIDE the lock so concurrent
-// PredictQuery/Observe calls never stall behind an O(N³) solve. The
-// incremental path falls back to the full path whenever kcca's τ-drift guard
-// fires or the window is still growing — so correctness never depends on
-// the incremental machinery.
+// A retrain is kcca.Train on a snapshot of the window, taken under the lock
+// and trained outside it, so concurrent PredictQuery/Observe calls never
+// stall behind the O(N³) solve. Only the kernel scales carry state from one
+// retrain to the next: once the window is full they stay frozen until the
+// scale heuristic drifts (see train), so a steady stream of similar
+// queries does not move the kernel under the model.
 //
 // SlidingPredictor is safe for concurrent use: Observe/Retrain serialize on
 // an internal mutex, while PredictQuery/Current read the published model
@@ -58,26 +56,30 @@ type SlidingPredictor struct {
 	mu sync.Mutex
 	// The window is a ring buffer: once full, each observation overwrites
 	// the oldest entry in place. buf[head] is the oldest retained query;
-	// the newest is size-1 positions after it, modulo capacity. Ring slot i
-	// is also row i of the incremental trainer's maintained kernel state
-	// (both training paths train in slot order, so model rows, metric rows,
-	// and kernel rows all share one indexing).
+	// the newest is size-1 positions after it, modulo capacity. Retrains
+	// train in slot order (see slotWindow).
 	buf        []*dataset.Query
 	head, size int
 
 	sinceTrain int
-	// version counts window mutations; a full train snapshotted at version
-	// v only installs its maintained kernel seed if the window is still at
-	// v when it finishes (the model itself is still published either way —
-	// it is the freshest completed training).
+	// version counts window mutations; a retrain that computed fresh scales
+	// on a snapshot taken at version v only freezes them if the window is
+	// still at v when it finishes (the model itself is published either
+	// way — it is the freshest completed training).
 	version uint64
-	// inc is the incremental KCCA retrainer, nil when Options.Incremental
-	// is off or TwoStep forces full trainings.
-	inc *kcca.Incremental
+	// frozen is the τ policy's state, nil until a retrain freezes scales.
+	frozen *frozenTau
 	// retrains counts completed trainings (visible for tests/metrics).
 	retrains int
 
 	current atomic.Pointer[Predictor]
+}
+
+// frozenTau is the kernel-scale pair a retrain froze and the window size it
+// froze them at. It is also the snapshot wire form (exported fields).
+type frozenTau struct {
+	X, Y float64
+	N    int
 }
 
 // NewSliding returns a sliding predictor that keeps up to capacity recent
@@ -94,40 +96,29 @@ func NewSliding(capacity, retrainEvery int, opt Options) (*SlidingPredictor, err
 	if retrainEvery > capacity {
 		return nil, fmt.Errorf("core: retrain interval %d exceeds capacity %d", retrainEvery, capacity)
 	}
-	opt = normalizeOptions(opt)
-	s := &SlidingPredictor{
-		opt:          opt,
+	return &SlidingPredictor{
+		opt:          normalizeOptions(opt),
 		capacity:     capacity,
 		retrainEvery: retrainEvery,
 		buf:          make([]*dataset.Query, capacity),
-	}
-	if opt.Incremental && !opt.TwoStep {
-		s.inc = kcca.NewIncremental(opt.KCCA, capacity)
-	}
-	return s, nil
+	}, nil
 }
 
 // Observe records one executed query (with measured metrics) into the
 // window, evicting the oldest entry when full, and retrains when due.
-// Eviction is O(1); with incremental retraining on, the observation also
-// patches the maintained kernel matrices in O(N·d).
 func (s *SlidingPredictor) Observe(q *dataset.Query) error {
 	slidingObserved.Inc()
 	s.mu.Lock()
-	var slot int
 	if s.size == s.capacity {
 		// Overwrite the oldest entry; the next-oldest becomes the head.
-		slot = s.head
 		s.buf[s.head] = q
 		s.head = (s.head + 1) % s.capacity
 		slidingEvicted.Inc()
 	} else {
-		slot = (s.head + s.size) % s.capacity
-		s.buf[slot] = q
+		s.buf[(s.head+s.size)%s.capacity] = q
 		s.size++
 	}
 	s.version++
-	s.syncIncremental(slot, q)
 	s.sinceTrain++
 	due := s.sinceTrain >= s.retrainEvery && s.size >= 5
 	s.mu.Unlock()
@@ -137,122 +128,101 @@ func (s *SlidingPredictor) Observe(q *dataset.Query) error {
 	return nil
 }
 
-// syncIncremental mirrors the window mutation at slot into the maintained
-// kernel state (mu held). A query whose features cannot be extracted poisons
-// the maintained state; the next retrain then takes the full path, which
-// reports the error through the usual training channel.
-func (s *SlidingPredictor) syncIncremental(slot int, q *dataset.Query) {
-	if s.inc == nil {
-		return
-	}
-	f, err := queryFeature(q, s.opt.Features)
-	if err != nil {
-		s.inc.Invalidate()
-		return
-	}
-	y := features.PerfKernelVector(q.Metrics)
-	if slot < s.inc.N() {
-		s.inc.Replace(slot, f, y)
-	} else {
-		s.inc.Append(f, y)
-	}
-}
-
-// Retrain rebuilds the predictor from the current window: incrementally
-// when the maintained kernel state can serve (steady-state slides at frozen
-// τ), otherwise with a full training on a window snapshot, run outside the
-// lock so serving and observing continue during the kernel rebuild and
-// solve.
+// Retrain rebuilds the predictor from the current window: a snapshot taken
+// under the lock, trained outside it, published under it.
 func (s *SlidingPredictor) Retrain() error {
-	s.mu.Lock()
-	if s.size < 5 {
-		n := s.size
-		s.mu.Unlock()
-		return fmt.Errorf("%w: have %d, need at least 5", ErrEmptyWindow, n)
-	}
-
-	if s.inc != nil && !s.inc.NeedsFull() {
-		// Incremental retrain: runs under the lock (an eigensolve on the
-		// maintained kernels; predictions don't block — they read the atomic
-		// pointer).
-		model, err := s.inc.Retrain()
-		if err == nil {
-			_, _, rawRows, cats, ferr := extractFeatures(s.slotWindow(), s.opt.Features)
-			if ferr != nil {
-				s.mu.Unlock()
-				return ferr
-			}
-			s.finishLocked(newPredictor(model, rawRows, cats, s.opt))
-			s.mu.Unlock()
-			return nil
-		}
-		if !errors.Is(err, kcca.ErrNeedFull) {
-			s.mu.Unlock()
-			return err
-		}
-	}
-
-	// Full path: snapshot the window under the lock, train outside it.
-	qs := s.slotWindow()
-	version := s.version
-	s.mu.Unlock()
-
-	p, seed, err := s.trainFull(qs)
+	qs, version, frozen, err := s.snapshot()
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	if s.inc != nil && seed != nil {
-		if s.version == version {
-			s.inc.Install(seed)
-		} else {
-			// The window moved while training ran: the seed's kernel state
-			// no longer matches the live window, so the next retrain must
-			// go full again. The model below is still the freshest
-			// completed training and is published regardless.
-			s.inc.Invalidate()
-		}
+	p, fresh, err := s.train(qs, frozen)
+	if err != nil {
+		return err
 	}
-	s.finishLocked(p)
-	s.mu.Unlock()
+	s.publish(p, fresh, version)
 	return nil
 }
 
-// finishLocked publishes a freshly trained predictor (mu held). Publishing
-// swaps the model generation, which retires the previous generation's
-// prediction cache wholesale.
-func (s *SlidingPredictor) finishLocked(p *Predictor) {
+// snapshot returns the slot-order window, its version and the frozen
+// scales, or ErrEmptyWindow below five queries.
+func (s *SlidingPredictor) snapshot() ([]*dataset.Query, uint64, *frozenTau, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.size < 5 {
+		return nil, 0, nil, fmt.Errorf("%w: have %d, need at least 5", ErrEmptyWindow, s.size)
+	}
+	return s.slotWindow(), s.version, s.frozen, nil
+}
+
+// train is kcca.Train on the slot-order window qs at the scales the τ policy
+// picks: the frozen ones while the window has the size they were frozen at
+// and neither view's heuristic has drifted from them by more than
+// TauDriftTol (pinned TauX/TauY never drift), fresh ones otherwise. It
+// returns the fresh scales, nil when it reused the frozen ones. TwoStep is
+// core.Train: its per-type sub-models take fresh scales every time, and
+// none are frozen.
+func (s *SlidingPredictor) train(qs []*dataset.Query, frozen *frozenTau) (*Predictor, *frozenTau, error) {
+	if s.opt.TwoStep {
+		p, err := Train(qs, s.opt)
+		if err != nil {
+			return nil, nil, err
+		}
+		retrainFresh.Inc()
+		return p, nil, nil
+	}
+	x, y, rawRows, cats, err := extractFeatures(qs, s.opt.Features)
+	if err != nil {
+		return nil, nil, err
+	}
+	kopt := s.opt.KCCA
+	tau := frozenTau{N: len(qs)}
+	tau.X, tau.Y = kcca.Scales(x, y, kopt)
+	tol := kopt.TauDriftTol
+	if tol <= 0 {
+		tol = 0.1
+	}
+	drifted := func(frozen, fresh float64) bool { return math.Abs(fresh-frozen) > tol*frozen }
+	reuse := frozen != nil && frozen.N == tau.N && !drifted(frozen.X, tau.X) && !drifted(frozen.Y, tau.Y)
+	if reuse {
+		tau = *frozen
+	}
+	kopt.TauX, kopt.TauY = tau.X, tau.Y
+	model, err := kcca.Train(x, y, kopt)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: KCCA training: %w", err)
+	}
+	p := newPredictor(model, rawRows, cats, s.opt)
+	if reuse {
+		retrainFrozen.Inc()
+		return p, nil, nil
+	}
+	retrainFresh.Inc()
+	return p, &tau, nil
+}
+
+// publish swaps p in as the next model generation, which retires the
+// previous generation's prediction cache wholesale. Fresh scales are frozen
+// only if they describe the live window: if it moved from version while
+// they were computed, none are, and the next retrain computes anew.
+func (s *SlidingPredictor) publish(p *Predictor, fresh *frozenTau, version uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if fresh != nil {
+		s.frozen = nil
+		if s.version == version {
+			s.frozen = fresh
+		}
+	}
 	s.current.Store(p)
 	s.sinceTrain = 0
 	s.retrains++
 	slidingRetrains.Inc()
 }
 
-// trainFull trains from scratch on a window snapshot. With incremental
-// retraining enabled it routes through kcca's TrainFull — bit-identical to
-// kcca.Train, plus a maintained-kernel seed for subsequent incremental
-// retrains; otherwise (or for TwoStep) it is exactly core.Train.
-func (s *SlidingPredictor) trainFull(qs []*dataset.Query) (*Predictor, *kcca.Seed, error) {
-	if s.inc == nil {
-		p, err := Train(qs, s.opt)
-		return p, nil, err
-	}
-	x, y, rawRows, cats, err := extractFeatures(qs, s.opt.Features)
-	if err != nil {
-		return nil, nil, err
-	}
-	model, seed, err := s.inc.TrainFull(x, y)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: KCCA training: %w", err)
-	}
-	return newPredictor(model, rawRows, cats, s.opt), seed, nil
-}
-
 // slotWindow returns the retained queries in ring-slot order (mu held):
 // buf[0..size-1]. During the grow phase this equals observation order; once
-// the ring wraps it is a rotation of it. Both training paths consume this
-// order so model rows stay aligned with the maintained kernel rows. The
-// order is part of the model: a row permutation leaves KCCA's projections
+// the ring wraps it is a rotation of it. Retrains train in this order,
+// which is part of the model: a row permutation leaves KCCA's projections
 // unchanged up to rounding, but k-NN breaks distance ties (duplicate-feature
 // rows) by row index, so a reference trained in another order — observation
 // order, say — can predict differently on such ties.

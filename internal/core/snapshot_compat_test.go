@@ -160,7 +160,6 @@ func TestLegacySlidingSnapshotRestores(t *testing.T) {
 		checked = true
 		got := restored.Current().Model()
 		refOpt := opt
-		refOpt.Incremental = false
 		refOpt.KCCA.TauX, refOpt.KCCA.TauY = got.TauX, got.TauY
 		restored.mu.Lock()
 		window := restored.slotWindow()

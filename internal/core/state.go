@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/exec"
-	"repro/internal/kcca"
 	"repro/internal/workload"
 )
 
@@ -26,8 +25,8 @@ type PlanFunc func(sql string) (*dataset.Query, error)
 var ErrStateMismatch = errors.New("core: saved sliding state does not match configuration")
 
 // observationWire is one retained window entry: the SQL (re-planned on
-// restore) and the measured metrics. Stored in ring-slot order — slot
-// alignment with the maintained kernel rows is load-bearing.
+// restore) and the measured metrics. Stored in ring-slot order, the order
+// retrains train in.
 type observationWire struct {
 	SQL     string
 	Metrics exec.Metrics
@@ -45,18 +44,39 @@ type slidingWire struct {
 	// ModelBytes is the published predictor in Save's framed format, nil
 	// before the first training.
 	ModelBytes []byte
-	// IncState is the incremental retrainer's full state (maintained
-	// kernels and their frozen scales), nil when incremental retraining is
-	// off or nothing has been observed. Restoring it — instead of forcing
-	// the next retrain down the full path — is what keeps post-recovery
-	// retrains, and therefore predictions, bit-identical to an
-	// uninterrupted process.
-	IncState *kcca.IncrementalState
+	// Frozen is the τ policy's state: the frozen kernel scales and the
+	// window size they were frozen at, nil while none are frozen.
+	Frozen *frozenTau
+	// IncState is read from snapshots that carried maintained kernel
+	// matrices, never written: gob decodes only the frozen scales and
+	// whether they were current, and skips the matrices.
+	IncState *legacyIncState
+}
+
+// legacyIncState is the part of the incremental retrainer's old wire form
+// that still means something: per view, the frozen scale and whether the
+// kernel was built at it for the current window size (Synced), and whether
+// the window moved under the train that froze them (Stale).
+type legacyIncState struct {
+	MX, MY *struct {
+		Tau    float64
+		Synced bool
+	}
+	Stale bool
+}
+
+// frozen returns the scales an old snapshot's next retrain would have kept,
+// or nil where it would have computed them anew.
+func (st *legacyIncState) frozen(n int) *frozenTau {
+	if st == nil || st.Stale || st.MX == nil || st.MY == nil || !st.MX.Synced || !st.MY.Synced {
+		return nil
+	}
+	return &frozenTau{X: st.MX.Tau, Y: st.MY.Tau, N: n}
 }
 
 // SaveState serializes the complete sliding-predictor state — window
-// contents, retrain bookkeeping, published model, and incremental kernel
-// state — in the framed, checksummed container Load uses for models. It
+// contents, retrain bookkeeping, published model, and frozen kernel scales
+// — in the framed, checksummed container Load uses for models. It
 // locks out Observe/Retrain for the duration (predictions are unaffected;
 // they read an atomic pointer).
 func (s *SlidingPredictor) SaveState(w io.Writer) error {
@@ -69,6 +89,7 @@ func (s *SlidingPredictor) SaveState(w io.Writer) error {
 		Head:         s.head,
 		SinceTrain:   s.sinceTrain,
 		Retrains:     s.retrains,
+		Frozen:       s.frozen,
 	}
 	wire.Slots = make([]observationWire, s.size)
 	for i := 0; i < s.size; i++ {
@@ -80,9 +101,6 @@ func (s *SlidingPredictor) SaveState(w io.Writer) error {
 			return err
 		}
 		wire.ModelBytes = buf.Bytes()
-	}
-	if s.inc != nil {
-		wire.IncState = s.inc.State()
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&wire); err != nil {
@@ -138,10 +156,13 @@ func RestoreSliding(r io.Reader, capacity, retrainEvery int, opt Options, plan P
 	s.head = wire.Head
 	s.sinceTrain = wire.SinceTrain
 	s.retrains = wire.Retrains
-	if s.inc != nil {
-		if err := s.inc.RestoreState(wire.IncState); err != nil {
-			return nil, err
-		}
+	s.frozen = wire.Frozen
+	if wire.IncState != nil {
+		s.frozen = wire.IncState.frozen(s.size)
+	}
+	if f := s.frozen; f != nil && !(f.X > 0 && f.Y > 0 && f.N >= 5 && f.N <= s.size) {
+		return nil, fmt.Errorf("%w: snapshot froze scales (%v, %v) at %d of %d rows",
+			ErrBadModelFile, f.X, f.Y, f.N, s.size)
 	}
 	if wire.ModelBytes != nil {
 		p, err := Load(bytes.NewReader(wire.ModelBytes))

@@ -40,10 +40,10 @@ type Options struct {
 	Dims int
 	// Reg is the CCA ridge regularization; 0 selects a default.
 	Reg float64
-	// TauDriftTol is the τ-drift guard's relative tolerance for
-	// incremental retraining: a retrain whose scale heuristic has moved
-	// more than this fraction from the frozen kernel scale triggers a full
-	// rebuild. 0 selects 0.1.
+	// TauDriftTol is the τ-drift guard's relative tolerance for the
+	// sliding predictor (internal/core): a retrain keeps the kernel scales
+	// it froze until the heuristic moves more than this fraction away from
+	// them. Train itself ignores it. 0 selects 0.1.
 	TauDriftTol float64
 }
 
@@ -91,8 +91,7 @@ type Model struct {
 
 	// xT is X feature-major (one row per feature): the layout the
 	// cross-kernel reads (kernels.CrossVectorColsInto). Derived by finish
-	// wherever a model is assembled — training, incremental retraining,
-	// Load — and never serialized.
+	// wherever a model is assembled — Train and Load — and never serialized.
 	xT *linalg.Matrix
 }
 
@@ -113,9 +112,6 @@ func applyDefaults(opt Options) Options {
 	}
 	if opt.Reg <= 0 {
 		opt.Reg = 1e-3
-	}
-	if opt.TauDriftTol <= 0 {
-		opt.TauDriftTol = 0.1
 	}
 	return opt
 }
@@ -140,6 +136,24 @@ func resolveRank(n int, opt Options) int {
 	return rank
 }
 
+// Scales returns the kernel scales Train uses for x and y: TauX/TauY where
+// pinned, otherwise the scale heuristic at TauFracX/TauFracY.
+func Scales(x, y *linalg.Matrix, opt Options) (tauX, tauY float64) {
+	opt = applyDefaults(opt)
+	tauX, tauY = opt.TauX, opt.TauY
+	if tauX <= 0 {
+		tauX = kernels.ScaleHeuristic(x, opt.TauFracX)
+	}
+	if tauY <= 0 {
+		tauY = kernels.ScaleHeuristic(y, opt.TauFracY)
+	}
+	return tauX, tauY
+}
+
+// keepFrac is the kernel-PCA significance threshold: components with
+// eigenvalues below keepFrac·max(λ₁, 1) are dropped.
+const keepFrac = 1e-10
+
 // Train fits KCCA on the query features x and performance features y (one
 // row per training query in both, same order).
 func Train(x, y *linalg.Matrix, opt Options) (*Model, error) {
@@ -152,51 +166,31 @@ func Train(x, y *linalg.Matrix, opt Options) (*Model, error) {
 		return nil, ErrTooFew
 	}
 	opt = applyDefaults(opt)
-
-	tauX := opt.TauX
-	if tauX <= 0 {
-		tauX = kernels.ScaleHeuristic(x, opt.TauFracX)
-	}
-	tauY := opt.TauY
-	if tauY <= 0 {
-		tauY = kernels.ScaleHeuristic(y, opt.TauFracY)
-	}
+	tauX, tauY := Scales(x, y, opt)
 
 	// The query-side and performance-side views are independent until the
 	// CCA fit, so each view's kernel matrix and centering run as one task on
 	// the shared worker pool (each task's internals parallelize further when
-	// the pool has idle workers).
-	var kxC, kyC *linalg.Matrix
+	// the pool has idle workers). Each view has one n×n block: the kernel is
+	// centered in place, and kernel PCA then decomposes it in place.
+	var kx, ky *linalg.Matrix
 	var rowMeansX []float64
 	var grandX float64
 	stopKernel := obs.Span("kcca.train.kernel")
 	parallel.Do(
-		func() { kxC, rowMeansX, grandX = kernels.Center(kernels.Matrix(x, tauX)) },
-		func() { kyC, _, _ = kernels.Center(kernels.Matrix(y, tauY)) },
+		func() { kx = kernels.Matrix(x, tauX); rowMeansX, grandX = kernels.Center(kx) },
+		func() { ky = kernels.Matrix(y, tauY); kernels.Center(ky) },
 	)
 	stopKernel()
-	return fitModel(x.Clone(), tauX, tauY, kxC, kyC, rowMeansX, grandX, opt)
-}
 
-// keepFrac is the kernel-PCA significance threshold: components with
-// eigenvalues below keepFrac·max(λ₁, 1) are dropped.
-const keepFrac = 1e-10
-
-// fitModel finishes training from the two centered kernel matrices — the
-// tail Train, TrainFull and the incremental Retrain share: kernel PCA of
-// each view (one task per view; each destroys its kernel), the CCA fit in
-// reduced space, both training projections, and model assembly. xOwned must
-// be caller-owned (it is stored in the model uncopied).
-func fitModel(xOwned *linalg.Matrix, tauX, tauY float64, kxC, kyC *linalg.Matrix,
-	rowMeansX []float64, grandX float64, opt Options) (*Model, error) {
-	rank := resolveRank(xOwned.Rows, opt)
+	rank := resolveRank(n, opt)
 	var phiX, phiY, ux *linalg.Matrix
 	var lamx []float64
 	var errX, errY error
 	stopEigen := obs.Span("kcca.train.eigen")
 	parallel.Do(
-		func() { phiX, ux, lamx, errX = kernelPCA(kxC, rank) },
-		func() { phiY, _, _, errY = kernelPCA(kyC, rank) },
+		func() { phiX, ux, lamx, errX = kernelPCA(kx, rank) },
+		func() { phiY, _, _, errY = kernelPCA(ky, rank) },
 	)
 	stopEigen()
 	if errX != nil {
@@ -225,7 +219,7 @@ func fitModel(xOwned *linalg.Matrix, tauX, tauY float64, kxC, kyC *linalg.Matrix
 	perfProj := cm.ProjectAllY(phiY)
 	stopProj()
 	return (&Model{
-		X:            xOwned,
+		X:            x.Clone(),
 		TauX:         tauX,
 		TauY:         tauY,
 		QueryProj:    queryProj,

@@ -1,46 +1,87 @@
 package kcca
 
 import (
-	"errors"
 	"fmt"
+	"math"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/statutil"
-	"repro/internal/testutil"
 )
 
-// Retraining-cost benchmarks: a full dense kcca.Train, and one steady-state
-// retrain interval of the incremental retrainer. CI's bench-smoke job runs
-// BenchmarkRetrainFull/n=200 and BenchmarkRetrainIncremental/n=500 only.
+// BenchmarkRetrainFull times a dense kcca.Train — what every sliding-window
+// retrain runs. CI's bench-smoke job runs n=200 only; the daemon-shaped
+// retrain, through the whole observe path, is core's BenchmarkRetrainStock.
 //
 // Asymptotics per retrain with window N, feature dim d, reduced rank r ≤ 80:
-//
-//	full:        O(N²·d) kernel build + ≈ 9N³ dense eigensolve (per view)
-//	incremental: O(N·d) kernel row patch per slid row + the same dense
-//	             eigensolve on the maintained kernels (per view)
-//
-// plus the shared O(N·r²)-ish CCA/projection tail.
+// an O(N²·d) kernel build + ≈ 9N³ dense eigensolve per view, plus the shared
+// O(N·r²)-ish CCA/projection tail.
 
 const benchD, benchE, benchTemplates = 12, 6, 24
 
-// benchRows draws n rows of a synthetic low-rank workload (24 templates,
-// jitter 1e-6) for BenchmarkRetrainFull.
-func benchRows(n int) ([][]float64, [][]float64) {
-	g := newTmplGen(statutil.NewRNG(int64(n), "retrain-bench"), benchD, benchE, benchTemplates, 1e-6)
-	xs := make([][]float64, 0, n)
-	ys := make([][]float64, 0, n)
-	for i := 0; i < n; i++ {
-		x, y := g.pair(1)
-		xs, ys = append(xs, x), append(ys, y)
+// tmplGen generates template-clustered workload rows, the regime the paper
+// trains on: queries instantiate a modest number of templates, so feature
+// vectors cluster around per-template centers (with per-instance jitter from
+// differing constants), and template magnitudes spread over orders of
+// magnitude like cardinality features. The resulting kernel spectrum has one
+// dominant eigenvalue per template and then decays.
+type tmplGen struct {
+	r       *statutil.RNG
+	centers [][]float64
+	d, e    int
+	jitter  float64
+}
+
+// newTmplGen builds a generator with the given per-instance jitter.
+func newTmplGen(r *statutil.RNG, d, e, templates int, jitter float64) *tmplGen {
+	g := &tmplGen{r: r, d: d, e: e, jitter: jitter}
+	for k := 0; k < templates; k++ {
+		mag := 2 * math.Exp(0.6*r.NormFloat64())
+		mu := make([]float64, d)
+		for i := range mu {
+			mu[i] = mag * r.NormFloat64()
+		}
+		g.centers = append(g.centers, mu)
 	}
-	return xs, ys
+	return g
+}
+
+// pair draws one correlated (x, y) row pair: x jitters around a template
+// center, y is a noisy linear image of x so CCA has real structure to find.
+func (g *tmplGen) pair() ([]float64, []float64) {
+	mu := g.centers[g.r.Intn(len(g.centers))]
+	x := make([]float64, g.d)
+	for i := range x {
+		x[i] = mu[i] + g.jitter*g.r.NormFloat64()
+	}
+	y := make([]float64, g.e)
+	for k := range y {
+		s := 0.0
+		for i := k; i < g.d; i += g.e {
+			s += x[i]
+		}
+		y[k] = s + g.jitter*g.r.NormFloat64()
+	}
+	return x, y
+}
+
+// benchViews draws n rows of a synthetic low-rank workload (24 templates,
+// jitter 1e-6).
+func benchViews(n int) (x, y *linalg.Matrix) {
+	g := newTmplGen(statutil.NewRNG(int64(n), "retrain-bench"), benchD, benchE, benchTemplates, 1e-6)
+	x, y = linalg.NewMatrix(n, benchD), linalg.NewMatrix(n, benchE)
+	for i := 0; i < n; i++ {
+		xr, yr := g.pair()
+		copy(x.Row(i), xr)
+		copy(y.Row(i), yr)
+	}
+	return x, y
 }
 
 func BenchmarkRetrainFull(b *testing.B) {
 	for _, n := range []int{200, 1000, 4000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			xs, ys := benchRows(n)
-			x, y := denseOf(xs), denseOf(ys)
+			x, y := benchViews(n)
 			opt := DefaultOptions()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -48,66 +89,6 @@ func BenchmarkRetrainFull(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkRetrainIncremental times the incremental retrainer on the
-// daemon's stream (testutil.StockQueries: TPC-DS-simulated plan features and
-// performance vectors) at automatic rank (80). One op is one steady-state
-// retrain interval: a 100-row slide through Replace, then Retrain. The
-// TrainFull + Install that seeds the maintained kernels is untimed. n = 500
-// is the stock window; 2600 and 4000 are where a window would have to grow
-// before the retrain's cubic solve dominates a deployment.
-//
-//	go test -run '^$' -bench 'BenchmarkRetrainIncremental/n=(2600|4000)$' -benchtime 1x -timeout 60m ./internal/kcca
-func BenchmarkRetrainIncremental(b *testing.B) {
-	const slide = 100
-	for _, n := range []int{500, 2600, 4000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			x, y := testutil.StockFeatures(testutil.StockQueries(b, n+8*slide))
-			inc := NewIncremental(DefaultOptions(), n)
-			for i := 0; i < n; i++ {
-				inc.Append(x.Row(i), y.Row(i))
-			}
-			_, seed, err := inc.TrainFull(x.SliceRows(0, n), y.SliceRows(0, n))
-			if err != nil {
-				b.Fatal(err)
-			}
-			inc.Install(seed)
-			// The window's rows in slot order, kept for the full retrain a
-			// τ-drift would force.
-			window := make([]int, n)
-			for i := range window {
-				window[i] = i
-			}
-			next, slot, fallbacks := n, 0, 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < slide; j++ {
-					row := next % x.Rows
-					inc.Replace(slot, x.Row(row), y.Row(row))
-					window[slot] = row
-					next++
-					slot = (slot + 1) % n
-				}
-				_, err := inc.Retrain()
-				if errors.Is(err, ErrNeedFull) {
-					// τ drifted: the production loop pays a full rebuild here.
-					// Count it and keep the cost in the measurement — hiding it
-					// would overstate the incremental path.
-					fallbacks++
-					_, seed, ferr := inc.TrainFull(x.SelectRows(window), y.SelectRows(window))
-					if ferr != nil {
-						b.Fatal(ferr)
-					}
-					inc.Install(seed)
-				} else if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(fallbacks)/float64(b.N), "full-fallbacks/op")
 		})
 	}
 }

@@ -79,16 +79,30 @@ func TestCrossVectorParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestCenterParallelMatchesSerial holds the in-place centering at every
+// worker count to the out-of-place formula, element for element.
 func TestCenterParallelMatchesSerial(t *testing.T) {
 	x := randMatrix(9, 201, 7)
 	k := Matrix(x, ScaleHeuristic(x, 0.1))
 
-	defer parallel.SetMaxProcs(parallel.SetMaxProcs(1))
-	wantC, wantRM, wantGM := Center(k)
+	n := k.Rows
+	wantRM := make([]float64, n)
+	for i := range wantRM {
+		wantRM[i] = linalg.Mean(k.Row(i))
+	}
+	wantGM := linalg.Mean(wantRM)
+	wantC := linalg.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			wantC.Set(i, j, k.At(i, j)-wantRM[i]-wantRM[j]+wantGM)
+		}
+	}
 
+	defer parallel.SetMaxProcs(parallel.SetMaxProcs(1))
 	for _, w := range equivWorkerCounts() {
 		parallel.SetMaxProcs(w)
-		gotC, gotRM, gotGM := Center(k)
+		gotC := k.Clone()
+		gotRM, gotGM := Center(gotC)
 		if gotGM != wantGM {
 			t.Fatalf("workers=%d: grand mean %v, serial %v", w, gotGM, wantGM)
 		}

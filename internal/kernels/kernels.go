@@ -37,14 +37,6 @@ func ScaleHeuristic(rows *linalg.Matrix, frac float64) float64 {
 	for i := 0; i < rows.Rows; i++ {
 		norms[i] = linalg.Norm(rows.Row(i))
 	}
-	return scaleFromNorms(norms, frac)
-}
-
-// scaleFromNorms is the heuristic on precomputed data-point norms. The
-// Maintained kernel state keeps per-row norms incrementally and re-derives
-// its τ-drift candidate through this exact function, so a drift-triggered
-// full rebuild lands on bit-identical scales to a from-scratch train.
-func scaleFromNorms(norms []float64, frac float64) float64 {
 	tau := frac * linalg.Variance(norms)
 	if tau <= 1e-12 {
 		// All norms (nearly) identical: fall back to the mean squared norm
@@ -61,18 +53,9 @@ func scaleFromNorms(norms []float64, frac float64) float64 {
 // (j, i)), so the result is identical to the serial loop at every worker
 // count.
 func Matrix(x *linalg.Matrix, tau float64) *linalg.Matrix {
-	return MatrixInto(linalg.NewMatrix(x.Rows, x.Rows), x, tau)
-}
-
-// MatrixInto computes the kernel matrix of x into the caller-owned k (which
-// must be x.Rows square) and returns it. Rebuild paths that already hold an
-// N×N buffer (the Maintained state) reuse it instead of reallocating.
-func MatrixInto(k *linalg.Matrix, x *linalg.Matrix, tau float64) *linalg.Matrix {
 	defer obs.Span("kernels.matrix")()
 	n := x.Rows
-	if k.Rows != n || k.Cols != n {
-		panic(fmt.Sprintf("kernels: MatrixInto target is %dx%d, want %dx%d", k.Rows, k.Cols, n, n))
-	}
+	k := linalg.NewMatrix(n, n)
 	parallel.For(n, parallel.GrainFor(n*x.Cols/2+1, 1<<15), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			k.Set(i, i, 1)
@@ -93,8 +76,7 @@ var crossScratch = sync.Pool{New: func() any { s := make([]float64, 0, 512); ret
 
 // GetScratch leases a float64 buffer of length n from the package pool;
 // pair with PutScratch. Hot paths that consume a kernel vector and discard
-// it (projection, maintained row updates) use it to keep per-prediction
-// allocations flat.
+// it (the query projection) use it to keep per-prediction allocations flat.
 func GetScratch(n int) *[]float64 {
 	p := crossScratch.Get().(*[]float64)
 	if cap(*p) < n {
@@ -175,24 +157,16 @@ func crossRows(out []float64, x *linalg.Matrix, q []float64, tau float64, lo, hi
 	}
 }
 
-// Center double-centers the kernel matrix in feature space:
-// K' = (I − 1/n) K (I − 1/n). It returns the centered matrix together with
-// the row means and grand mean needed to center out-of-sample kernel
-// vectors consistently.
-func Center(k *linalg.Matrix) (centered *linalg.Matrix, rowMeans []float64, grandMean float64) {
-	centered = linalg.NewMatrix(k.Rows, k.Rows)
-	rowMeans, grandMean = CenterInto(centered, k)
-	return centered, rowMeans, grandMean
-}
-
-// CenterInto is Center into the caller-owned dst (k.Rows square, not
-// aliasing k), for retrain paths that keep an N×N scratch buffer across
-// calls.
-func CenterInto(dst, k *linalg.Matrix) (rowMeans []float64, grandMean float64) {
+// Center double-centers the kernel matrix in feature space, in place:
+// K ← (I − 1/n) K (I − 1/n). It returns the row means and grand mean needed
+// to center out-of-sample kernel vectors consistently. Centering in place is
+// exact: once the row means exist, each element is read only to overwrite
+// itself.
+func Center(k *linalg.Matrix) (rowMeans []float64, grandMean float64) {
 	defer obs.Span("kernels.center")()
 	n := k.Rows
-	if dst.Rows != n || dst.Cols != n {
-		panic(fmt.Sprintf("kernels: CenterInto target is %dx%d, want %dx%d", dst.Rows, dst.Cols, n, n))
+	if k.Cols != n {
+		panic(fmt.Sprintf("kernels: centering a %dx%d matrix, want square", k.Rows, k.Cols))
 	}
 	rowMeans = make([]float64, n)
 	grain := parallel.GrainFor(n, 1<<15)
@@ -205,7 +179,7 @@ func CenterInto(dst, k *linalg.Matrix) (rowMeans []float64, grandMean float64) {
 	parallel.For(n, grain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for j := 0; j < n; j++ {
-				dst.Set(i, j, k.At(i, j)-rowMeans[i]-rowMeans[j]+grandMean)
+				k.Set(i, j, k.At(i, j)-rowMeans[i]-rowMeans[j]+grandMean)
 			}
 		}
 	})

@@ -114,9 +114,9 @@ func TestCrossVectorMatchesMatrix(t *testing.T) {
 
 func TestCenterZeroesMeans(t *testing.T) {
 	x := randMat(5, 12, 3)
-	k := Matrix(x, 1.0)
-	c, rowMeans, grand := Center(k)
-	if len(rowMeans) != k.Rows || math.IsNaN(grand) {
+	c := Matrix(x, 1.0)
+	rowMeans, grand := Center(c)
+	if len(rowMeans) != c.Rows || math.IsNaN(grand) {
 		t.Fatal("centering metadata broken")
 	}
 	// Every row (and column) of the centered matrix sums to ~0.
@@ -132,8 +132,8 @@ func TestCenterCrossConsistent(t *testing.T) {
 	// corresponding row of the centered kernel matrix — this is what makes
 	// out-of-sample projection consistent with training.
 	x := randMat(6, 9, 4)
-	k := Matrix(x, 2.0)
-	c, rowMeans, grand := Center(k)
+	c := Matrix(x, 2.0)
+	rowMeans, grand := Center(c)
 	for i := 0; i < x.Rows; i++ {
 		kv := CrossVector(x, x.Row(i), 2.0)
 		cv := CenterCross(kv, rowMeans, grand)

@@ -62,32 +62,33 @@ func TestKCCAAdapterEquivalence(t *testing.T) {
 // retrainShapes are the window shapes of the sliding-window suites below:
 // the 150-query fixture cycles through the ring (400 is not a multiple of
 // 150, so the large window keeps changing), and every shape must see a
-// retrain served from the maintained kernels.
+// retrain at frozen kernel scales.
 var retrainShapes = []struct {
 	name                  string
 	capacity, every, rank int
 	observes              int
 }{
 	// At 60 rows this fixture trips the τ-drift guard on most retrains; the
-	// one at 130 is served from the maintained kernels.
+	// one at 130 keeps the frozen scales.
 	{name: "auto-rank", capacity: 60, every: 10, observes: 150},
 	{name: "fixed-rank", capacity: 400, every: 50, rank: 2, observes: 470},
 }
 
-// incrementalRetrains reads kcca's count of retrains served from the
-// maintained kernels.
+// incrementalRetrains reads the sliding predictor's count of retrains at
+// frozen kernel scales.
 func incrementalRetrains() int64 { return obs.GetCounter("kcca.retrain.incremental").Value() }
 
-// requireIncremental fails unless an incremental retrain ran since before.
+// requireIncremental fails unless a retrain at frozen scales ran since
+// before.
 func requireIncremental(t *testing.T, before int64) {
 	t.Helper()
 	if incrementalRetrains() == before {
-		t.Fatal("no retrain was served from the maintained kernels")
+		t.Fatal("no retrain kept the frozen kernel scales")
 	}
 }
 
 // TestKCCAIncrementalRetrainEquivalence: after a sliding window's
-// incremental retrains, wrapping the current predictor and round-tripping
+// retrains at frozen scales, wrapping the current predictor and round-tripping
 // it through the zoo container still predicts bit-identically to the live
 // predictor — the invariant the observe loop's hot swap depends on.
 func TestKCCAIncrementalRetrainEquivalence(t *testing.T) {

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -447,7 +448,9 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.CodeBadRequest, "no observations")
 		return
 	}
-	owner, sameOwner := -1, true // single-owner tracking for the shard field
+	// Plan and check the whole batch before applying any of it: a bad
+	// observation refuses the request with nothing from it applied.
+	qs := make([]*dataset.Query, len(req.Observations))
 	for i, o := range req.Observations {
 		q, _, apiErr := s.planQuery(o.SQL)
 		if apiErr != nil {
@@ -455,7 +458,18 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		q.Metrics = o.Metrics.Exec()
+		for j, v := range q.Metrics.Vector() {
+			if !(v >= 0) || math.IsInf(v, 1) {
+				writeError(w, api.CodeBadRequest, fmt.Sprintf("observation %d: metric %s is %v, want finite and >= 0",
+					i, exec.MetricNames[j], v))
+				return
+			}
+		}
 		q.Category = workload.Categorize(q.Metrics.ElapsedSec)
+		qs[i] = q
+	}
+	owner, sameOwner := -1, true // single-owner tracking for the shard field
+	for i, q := range qs {
 		sh, err := s.router.Observe(q)
 		if err != nil {
 			e := apiError(err)

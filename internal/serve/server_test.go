@@ -399,6 +399,84 @@ func TestColdStartAndReadiness(t *testing.T) {
 	}
 }
 
+// TestObserveBatchAllOrNothing: an observation that fails validation —
+// here a negative metric at index 3 of 5 — refuses the whole batch with a
+// 400 naming it, and nothing from the batch reaches the window: after the
+// observe queue drains, window_size and generation are what they were.
+func TestObserveBatchAllOrNothing(t *testing.T) {
+	pool, _ := fixture(t)
+	sliding, err := core.NewSliding(30, 10, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := baseConfig(t)
+	cfg.Predictor = nil
+	cfg.Sliding = sliding
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	observations := func(qs []*dataset.Query) []api.Observation {
+		var obs []api.Observation
+		for _, q := range qs {
+			obs = append(obs, api.Observation{SQL: q.SQL, Metrics: api.MetricsFrom(q.Metrics)})
+		}
+		return obs
+	}
+	model := func() api.ModelInfo {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/model")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct{ Model api.ModelInfo }
+		if resp.StatusCode == http.StatusOK {
+			if err := json.Unmarshal(readAll(t, resp), &body); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			resp.Body.Close()
+		}
+		return body.Model
+	}
+
+	if resp, raw := postJSON(t, ts.URL+"/v1/observe", api.ObserveRequest{Observations: observations(pool.Queries[:10])}); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("observe %d, want 202: %s", resp.StatusCode, raw)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for m := model(); m.Generation != 1 || m.WindowSize != 10; m = model() {
+		if time.Now().After(deadline) {
+			t.Fatalf("model %+v never reached generation 1 over 10 observations", m)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	// Were observations 0..2 applied, the window would hold 13; were all
+	// but the bad one, 14.
+	bad := observations(pool.Queries[10:15])
+	bad[3].Metrics.DiskIOs = -1
+	resp, raw := postJSON(t, ts.URL+"/v1/observe", api.ObserveRequest{Observations: bad})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad batch %d, want 400: %s", resp.StatusCode, raw)
+	}
+	var er api.ErrorResponse
+	if err := json.Unmarshal(raw, &er); err != nil {
+		t.Fatal(err)
+	}
+	if want := "observation 3: metric disk_ios is -1, want finite and >= 0"; er.Error.Code != api.CodeBadRequest || er.Error.Message != want {
+		t.Fatalf("error %+v, want %s %q", er.Error, api.CodeBadRequest, want)
+	}
+
+	s.Close() // drains the observe queue
+	if m := model(); m.Generation != 1 || m.WindowSize != 10 {
+		t.Fatalf("after the refused batch: generation %d, window_size %d; want 1 and 10", m.Generation, m.WindowSize)
+	}
+}
+
 // TestModelEndpointIndexPruning: GET /v1/model says how the generation's
 // index has pruned — searches served, mean candidates scored and abandoned
 // per search — and predict responses, which embed the same model object,

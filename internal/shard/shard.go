@@ -9,8 +9,7 @@
 // (falling back to a warm shard while the owner is cold), multi-request
 // batches fan out and merge back in input order with per-request errors
 // preserved, and each shard retrains from only its own observations — so
-// retrain cost scales with per-shard window size instead of fleet size,
-// compounding the incremental-retrain machinery of internal/kcca.
+// retrain cost scales with per-shard window size instead of fleet size.
 //
 // The hot-swap discipline lives in Slot: predictions read an atomic pointer,
 // completed retrains and promotions swap a new generation in (Shard.Publish)

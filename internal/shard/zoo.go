@@ -172,8 +172,8 @@ func (z *zoo) histFor(kind string, isChampion bool) *obs.Histogram {
 }
 
 // onRetrain refreshes every kind's model after a sliding retrain: the KCCA
-// kind reuses the incrementally retrained predictor (never retrained from
-// scratch here), every other kind refits from the window. A kind whose
+// kind reuses the predictor that retrain published (never trained again
+// here), every other kind refits from the window. A kind whose
 // refit fails keeps its previous model serving shadow traffic.
 func (z *zoo) onRetrain(cur *core.Predictor, window []*dataset.Query) {
 	for _, kind := range z.kinds() {

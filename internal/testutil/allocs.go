@@ -54,9 +54,16 @@ func allocProfile() map[[32]uintptr]runtime.MemProfileRecord {
 		}
 		recs = make([]runtime.MemProfileRecord, 2*n)
 	}
+	// The runtime keeps one record per stack and object size: sum them, or
+	// a stack that once allocated another size hides the one it allocates
+	// now.
 	out := make(map[[32]uintptr]runtime.MemProfileRecord, len(recs))
 	for _, r := range recs {
-		out[r.Stack0] = r
+		sum := out[r.Stack0]
+		sum.Stack0 = r.Stack0
+		sum.AllocObjects += r.AllocObjects
+		sum.AllocBytes += r.AllocBytes
+		out[r.Stack0] = sum
 	}
 	return out
 }

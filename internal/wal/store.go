@@ -119,8 +119,8 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 
 // Recover rebuilds the partition's sliding predictor: install the newest
 // valid snapshot (falling back to older ones if corrupt), then replay the
-// WAL tail through the ordinary Observe path — including its incremental
-// retrains — so the recovered state is bit-identical to a process that
+// WAL tail through the ordinary Observe path — including its retrains —
+// so the recovered state is bit-identical to a process that
 // observed the same prefix without interruption. It returns the predictor
 // and the model generation to seed the serving slot with (0 when cold).
 //

@@ -152,11 +152,10 @@ func checkIdentical(t testing.TB, got, want *core.SlidingPredictor) {
 // SyncNone survives process death, just not power loss) recovers from its
 // newest snapshot plus the WAL tail to the exact state of an uninterrupted
 // mirror — and, crucially, continues to evolve identically, because the
-// incremental retrainer's full state (the maintained kernels at their
-// frozen scales) is restored rather than rebuilt. The "growing" shape
-// crashes and recovers while the window still grows (every retrain full);
-// the "sliding" one crashes with the window full and must continue with
-// incremental retrains on the restored kernels.
+// sliding predictor's frozen kernel scales are restored rather than
+// recomputed. The "growing" shape crashes and recovers while the window
+// still grows (every retrain at fresh scales); the "sliding" one crashes with the window full and must continue with
+// retrains at the restored scales.
 func TestRecoverBitIdenticalAfterCrash(t *testing.T) {
 	incremental := obs.GetCounter("kcca.retrain.incremental")
 	for _, sh := range []struct {
@@ -172,7 +171,7 @@ func TestRecoverBitIdenticalAfterCrash(t *testing.T) {
 		{name: "growing", capacity: testCapacity, every: testRetrain, snapEvery: 8, kill: 27, total: 40, wantSnapshot: 24},
 		// The 160-query pool cycles through a 400-slot ring (400 is not a
 		// multiple of 160, so the window keeps changing). The window fills
-		// at 400, the first incremental retrain runs at 450, the kill at 487
+		// at 400, the first retrain at frozen scales runs at 450, the kill at 487
 		// lands behind the snapshot at 480, and observations 488..600 cross
 		// retrains at 500, 550 and 600.
 		{name: "sliding", capacity: 400, every: 50, snapEvery: 160, kill: 487, total: 600, wantSnapshot: 480, incremental: true},
@@ -242,7 +241,7 @@ func TestRecoverBitIdenticalAfterCrash(t *testing.T) {
 				t.Fatalf("post-recovery generation %d, mirror %d", gen, mirrorGen)
 			}
 			if served := incremental.Value() != incBefore; served != sh.incremental {
-				t.Fatalf("post-recovery retrains served from the restored kernels: %v, this shape is there to cover: %v", served, sh.incremental)
+				t.Fatalf("post-recovery retrains kept the restored scales: %v, this shape is there to cover: %v", served, sh.incremental)
 			}
 		})
 	}
