@@ -40,10 +40,21 @@ func TopEigen(a *Matrix, r int) (vals []float64, vecs *Matrix, err error) {
 }
 
 // TopEigenInPlace is TopEigen for callers that no longer need a: the
-// decomposition runs in a's own storage (a is destroyed), so the only
-// matrix allocated is the n×r result. Only the lower triangle of a is read.
-// Every eigenpair is bit-identical to the matching pair of SymEig(a).
+// decomposition runs in a's own storage (a is destroyed), so no second n×n
+// array is allocated — only the n×r result and O(n²/2) scratch. Only the
+// lower triangle of a is read. Every eigenpair is bit-identical to the
+// matching pair of SymEig(a).
 func TopEigenInPlace(a *Matrix, r int) (vals []float64, vecs *Matrix, err error) {
+	return topEigen(a, r, rotLogLen)
+}
+
+// rotLogLen bounds the rotations tql2 logs between passes over V: 64 Ki
+// (c, s) pairs, 1 MiB (fewer where the n(n−1)/2 scratch is smaller).
+const rotLogLen = 1 << 16
+
+// topEigen is TopEigenInPlace with the rotation log bounded at logLen
+// rotations (at least one).
+func topEigen(a *Matrix, r, logLen int) (vals []float64, vecs *Matrix, err error) {
 	defer obs.Span("linalg.eigen")()
 	if a.Rows != a.Cols {
 		return nil, nil, errors.New("linalg: TopEigenInPlace requires a square matrix")
@@ -71,8 +82,22 @@ func TopEigenInPlace(a *Matrix, r int) (vals []float64, vecs *Matrix, err error)
 	}
 	d := make([]float64, n)
 	e := make([]float64, n)
+	// One scratch array serves the accumulation's triangle of scaled
+	// Householder vectors and, once that is spent, tql2's rotation log.
+	tri := n * (n - 1) / 2
+	scratch := make([]float64, max(tri, 2))
+	logCap := min(2*logLen, len(scratch)&^1)
+
+	stop := obs.Span("linalg.eigen.reduce")
 	tred2(a, d, e)
-	if err := tql2(a, d, e); err != nil {
+	stop()
+	stop = obs.Span("linalg.eigen.accumulate")
+	accumulate(a, d, scratch[:tri])
+	stop()
+	stop = obs.Span("linalg.eigen.ql")
+	err = tql2(a, d, e, scratch[:0:logCap])
+	stop()
+	if err != nil {
 		return nil, nil, err
 	}
 	// Sort by descending eigenvalue; eigenvector j is row j of the store.
@@ -93,13 +118,14 @@ func TopEigenInPlace(a *Matrix, r int) (vals []float64, vecs *Matrix, err error)
 }
 
 // tred2 reduces a symmetric matrix to tridiagonal form using Householder
-// similarity transformations, accumulating the transformations. On return d
-// holds the diagonal and e the subdiagonal. This is the EISPACK routine with
-// its working matrix V held transposed — t.Row(j) is column j of V — because
-// every inner loop of the original walks down a column: on the row-major
-// Matrix those become contiguous slice loops. Each element sees the same
-// operations in the same order as in the column-walking form, so the results
-// are bit-identical to it.
+// similarity transformations; accumulate then forms the transformations.
+// On return e holds the subdiagonal, d[i] the h of the reflection that
+// zeroed row i, and row i of t its Householder vector. This is the EISPACK
+// routine with its working matrix V held transposed — t.Row(j) is column j
+// of V — because every inner loop of the original walks down a column: on
+// the row-major Matrix those become contiguous slice loops. Each element
+// sees the same operations in the same order as in the column-walking form,
+// so the results are bit-identical to it.
 func tred2(t *Matrix, d, e []float64) {
 	n := t.Rows
 	for j := 0; j < n; j++ {
@@ -196,36 +222,71 @@ func tred2(t *Matrix, d, e []float64) {
 		}
 		d[i] = h
 	}
-	// Accumulate transformations.
+	e[0] = 0
+}
+
+// accStrip is the number of columns of V that accumulate carries through
+// the Householder steps together: one lane per column, four AVX2 vectors.
+const accStrip = 16
+
+// accumulate is the second half of EISPACK's tred2: it turns the Householder
+// vectors tred2 left in t into the orthogonal V, and d into the diagonal of
+// the tridiagonal matrix. tri (length n(n−1)/2) is scratch.
+//
+// Step i of the original updates every column j ≤ i of V by the reflection
+// in row i+1 of the store: t[j][:i+1] −= (u·t[j][:i+1])·u/h, u = t[i+1][:i+1],
+// h = d[i+1]. Once u and u/h are fixed, each column evolves on its own,
+// starting as the unit vector e_j at step j. So the columns go through all
+// steps accStrip at a time, in a column-interleaved block that stays in
+// cache: the dots are one lane-per-column pass (TMulVecInto) and the update
+// one rank-1 pass (subOuter), every column seeing its own terms in the
+// original order. Blocks run in ascending order and each is written back
+// only when done, so the Householder vectors later blocks read — rows past
+// the block — are still intact. TMulVecInto skips terms whose u[k] is an
+// exact zero, which the original adds; on finite operands that is invisible,
+// because a sum started at +0 never becomes −0.
+func accumulate(t *Matrix, d, tri []float64) {
+	n := t.Rows
+	// Step i's first act is to stash column i's diagonal in row n−1 of V,
+	// where the last loop reads the eigenvalue diagonal from; no update
+	// touches either entry before that, so all are stashed here.
 	for i := 0; i < n-1; i++ {
 		t.Data[i*n+n-1] = t.Data[i*n+i]
-		t.Data[i*n+i] = 1
-		h := d[i+1]
-		ti1 := t.Row(i + 1)[:i+1]
-		if h != 0 {
-			for k, x := range ti1 {
-				d[k] = x / h
+	}
+	// u/h for every step, divided once: tri[i(i+1)/2:][:i+1] is step i's.
+	for i := 0; i < n-1; i++ {
+		if h := d[i+1]; h != 0 {
+			dk := tri[i*(i+1)/2:][:i+1]
+			for k, x := range t.Row(i + 1)[:i+1] {
+				dk[k] = x / h
 			}
-			dk := d[:i+1]
-			// Independent per column j of V: reads column i+1 and d (both
-			// fixed), writes only column j. Exact at every worker count.
-			parallel.For(i+1, parallel.GrainFor(i+1, 1<<14), func(lo, hi int) {
-				j := lo
-				for ; j+4 <= hi; j += 4 {
-					reflect4(ti1, dk, t.Row(j)[:i+1], t.Row(j + 1)[:i+1], t.Row(j + 2)[:i+1], t.Row(j + 3)[:i+1])
-				}
-				for ; j < hi; j++ {
-					tj := t.Row(j)[:i+1]
-					g := 0.0
-					for k, x := range ti1 {
-						g += x * tj[k]
-					}
-					subScaled(tj, dk, g)
-				}
-			})
 		}
-		for k := range ti1 {
-			ti1[k] = 0
+	}
+	blk := make([]float64, accStrip*n) // blk[k·accStrip+c] = V[k][j0+c]
+	g := make([]float64, accStrip)
+	view := Matrix{Cols: accStrip}
+	for j0 := 0; j0 < n; j0 += accStrip {
+		clear(blk)
+		for i := j0; i < n; i++ {
+			// Column i joins as e_i. Until then its lane went through the
+			// steps on whatever it held, and only rows above i were touched.
+			if c := i - j0; c < accStrip {
+				for k := 0; k < i; k++ {
+					blk[k*accStrip+c] = 0
+				}
+				blk[i*accStrip+c] = 1
+			}
+			if i == n-1 || d[i+1] == 0 {
+				continue
+			}
+			view.Rows, view.Data = i+1, blk[:(i+1)*accStrip]
+			view.TMulVecInto(g, t.Row(i + 1)[:i+1])
+			subOuter(view.Data, g, tri[i*(i+1)/2:][:i+1])
+		}
+		for k := 0; k < n-1; k++ {
+			for c, x := range blk[k*accStrip : k*accStrip+min(accStrip, n-j0)] {
+				t.Data[(j0+c)*n+k] = x
+			}
 		}
 	}
 	for j := 0; j < n; j++ {
@@ -233,42 +294,15 @@ func tred2(t *Matrix, d, e []float64) {
 		t.Data[j*n+n-1] = 0
 	}
 	t.Data[n*n-1] = 1
-	e[0] = 0
 }
-
-// reflect4 applies tred2's accumulation step — t ← t − (u·t)·d — to four
-// columns of V at once. Each column's dot product is still summed in index
-// order, so its result is the one-column loop's bit for bit; running four
-// independent sums side by side is what hides the floating-point add latency
-// that a single running sum serializes on. The update half has no sum to
-// wait on and goes column by column through the elementwise kernel.
-func reflect4(u, d, t0, t1, t2, t3 []float64) {
-	n := len(u)
-	t0, t1, t2, t3 = t0[:n], t1[:n], t2[:n], t3[:n]
-	var g0, g1, g2, g3 float64
-	for k, x := range u {
-		g0 += x * t0[k]
-		g1 += x * t1[k]
-		g2 += x * t2[k]
-		g3 += x * t3[k]
-	}
-	subScaled(t0, d, g0)
-	subScaled(t1, d, g1)
-	subScaled(t2, d, g2)
-	subScaled(t3, d, g3)
-}
-
-// rotGrain is the parallel grain of one tql2 Givens rotation (six flops per
-// element): below it — every matrix under 2730 rows — the rotation runs
-// inline, without a closure or a pool call per rotation.
-var rotGrain = parallel.GrainFor(6, 1<<14)
 
 // tql2 computes the eigendecomposition of the symmetric tridiagonal matrix
 // (d, e) using the implicit QL algorithm, updating the transformations
 // tred2 accumulated: the EISPACK routine on tred2's transposed store, so
 // eigenvector j ends up in t.Row(j).
-func tql2(t *Matrix, d, e []float64) error {
+func tql2(t *Matrix, d, e, log []float64) error {
 	n := t.Rows
+	rl := rotLog{t: t, cs: log}
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
 	}
@@ -327,16 +361,8 @@ func tql2(t *Matrix, d, e []float64) error {
 					p = c*d[i] - s*g
 					d[i+1] = h + s*(c*g+s*d[i])
 					// Accumulate transformation: a Givens rotation of V's
-					// columns (i, i+1), independent per element.
-					ri, ri1 := t.Row(i), t.Row(i+1)
-					if n <= rotGrain {
-						rotate(ri, ri1, c, s)
-					} else {
-						cc, ss := c, s
-						parallel.For(n, rotGrain, func(lo, hi int) {
-							rotate(ri[lo:hi], ri1[lo:hi], cc, ss)
-						})
-					}
+					// columns (i, i+1), applied when the log is flushed.
+					rl.add(i, c, s)
 				}
 				p = -s * s2 * c3 * el1 * e[l] / dl1
 				e[l] = s * p
@@ -349,5 +375,51 @@ func tql2(t *Matrix, d, e []float64) error {
 		d[l] += f
 		e[l] = 0
 	}
+	rl.flush()
 	return nil
+}
+
+// rotLog holds tql2's rotations until they are applied to V. A QL sweep's
+// (c, s) depend only on d and e — V is never read — so applying them later
+// changes nothing as long as every element of V sees them in order. flush
+// does that one strip of sweepStrip columns at a time: the strip stays in
+// cache through every logged rotation, where rotating whole rows streams
+// all of V through memory once per rotation.
+type rotLog struct {
+	t    *Matrix
+	cs   []float64 // (c, s) pairs in the order tql2 made them; flush at cap
+	runs []rotRun
+}
+
+// rotRun is a run of rotations each one row below the last: rotation r of
+// the run turns rows (lo+rots−r−1, lo+rots−r) of the store.
+type rotRun struct{ lo, rots int }
+
+// sweepStrip is the strip width flush hands to sweep.
+const sweepStrip = 16
+
+// add logs the rotation of rows (i, i+1).
+func (rl *rotLog) add(i int, c, s float64) {
+	if len(rl.cs) == cap(rl.cs) {
+		rl.flush()
+	}
+	if k := len(rl.runs) - 1; k >= 0 && rl.runs[k].lo == i+1 {
+		rl.runs[k].lo, rl.runs[k].rots = i, rl.runs[k].rots+1
+	} else {
+		rl.runs = append(rl.runs, rotRun{lo: i, rots: 1})
+	}
+	rl.cs = append(rl.cs, c, s)
+}
+
+// flush applies the logged rotations and empties the log.
+func (rl *rotLog) flush() {
+	n := rl.t.Cols
+	for k0 := 0; k0 < n; k0 += sweepStrip {
+		w, at := min(sweepStrip, n-k0), 0
+		for _, run := range rl.runs {
+			sweep(rl.t.Data[run.lo*n+k0:], n, w, rl.cs[at:at+2*run.rots])
+			at += 2 * run.rots
+		}
+	}
+	rl.cs, rl.runs = rl.cs[:0], rl.runs[:0]
 }

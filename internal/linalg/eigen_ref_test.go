@@ -2,9 +2,12 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
+
+	"repro/internal/statutil"
 )
 
 // The reference below is the EISPACK tred2/tql2 pair as this package ran it
@@ -247,16 +250,73 @@ func spdMatrix(n int, seed uint64) *Matrix {
 	return g.Mul(d).MulT(g)
 }
 
+// templateKernel builds the matrix kcca.Train decomposes, at n rows: a
+// centered Gaussian kernel over rows that cluster around 24 templates whose
+// magnitudes spread over orders of magnitude, as plan features do. Its
+// spectrum has one large eigenvalue per template and then decays, so tql2
+// deflates at uneven depths.
+func templateKernel(n int) *Matrix {
+	const dim, templates = 12, 24
+	rng := statutil.NewRNG(int64(n), "template-kernel")
+	centers := NewMatrix(templates, dim)
+	for c := 0; c < templates; c++ {
+		mag := 2 * math.Exp(0.6*rng.NormFloat64())
+		for j := range centers.Row(c) {
+			centers.Row(c)[j] = mag * rng.NormFloat64()
+		}
+	}
+	x := NewMatrix(n, dim)
+	for i := 0; i < n; i++ {
+		mu := centers.Row(rng.Intn(templates))
+		for j := range x.Row(i) {
+			x.Row(i)[j] = mu[j] + 0.05*rng.NormFloat64()
+		}
+	}
+	k := NewMatrix(n, n)
+	mean := 0.0
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			d := Dist(x.Row(i), x.Row(j))
+			d *= d
+			k.Set(i, j, d)
+			mean += d / float64(n*n)
+		}
+	}
+	rowMean := make([]float64, n)
+	grand := 0.0
+	for i := range k.Data {
+		k.Data[i] = math.Exp(-k.Data[i] / (0.1 * mean))
+		rowMean[i/n] += k.Data[i] / float64(n)
+		grand += k.Data[i] / float64(n*n)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			k.Set(i, j, k.At(i, j)-rowMean[i]-rowMean[j]+grand)
+		}
+	}
+	return k
+}
+
 // TestSymEigBitIdenticalToReference holds the transposed-store solver to the
 // column-walking reference on dense, asymmetric-upper, block-diagonal (the
 // scale == 0 branch), diagonal and rank-deficient inputs, and TopEigenInPlace
-// to the matching leading columns.
+// to the matching leading columns. The sizes around 16 cross the strip
+// width of accumulate's column blocks and of tql2's rotation sweeps from both
+// sides (and 15 is less than one block); the template kernel is the stock
+// sliding window's shape. The small cases run again with tql2's rotation log
+// bounded at one and at seven rotations, so that it is flushed over and over,
+// mid-sweep included.
 func TestSymEigBitIdenticalToReference(t *testing.T) {
 	cases := map[string]*Matrix{
-		"spd-1":   spdMatrix(1, 1),
-		"spd-2":   spdMatrix(2, 2),
-		"spd-37":  spdMatrix(37, 37),
-		"spd-150": spdMatrix(150, 150),
+		"spd-1":           spdMatrix(1, 1),
+		"spd-2":           spdMatrix(2, 2),
+		"spd-15":          spdMatrix(15, 15),
+		"spd-16":          spdMatrix(16, 16),
+		"spd-17":          spdMatrix(17, 17),
+		"spd-33":          spdMatrix(33, 33),
+		"spd-37":          spdMatrix(37, 37),
+		"spd-150":         spdMatrix(150, 150),
+		"template-kernel": templateKernel(500),
 	}
 	x := randEquivMatrix(5, 90, 60)
 	cases["gram-sprinkled-zeros"] = x.TMul(x)
@@ -313,6 +373,22 @@ func TestSymEigBitIdenticalToReference(t *testing.T) {
 				}
 			}
 			exactEqual(t, name+": in-place vectors", 0, vecs, wantVecs.SliceCols(0, r))
+
+			if a.Rows > 150 {
+				return
+			}
+			for _, logLen := range []int{1, 7} {
+				vals, vecs, err := topEigen(a.Clone(), a.Rows, logLen)
+				if err != nil {
+					t.Fatalf("%s: log of %d: %v", name, logLen, err)
+				}
+				for i, v := range vals {
+					if v != wantVals[i] {
+						t.Fatalf("%s: log of %d: eigenvalue %d = %v, reference %v", name, logLen, i, v, wantVals[i])
+					}
+				}
+				exactEqual(t, fmt.Sprintf("%s: log of %d: vectors", name, logLen), 0, vecs, wantVecs)
+			}
 		})
 	}
 }

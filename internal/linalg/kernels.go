@@ -8,7 +8,7 @@ import (
 
 // The kernels in this file are the loops that dominate predict (the basis
 // product and the cross-kernel distances) and retrain (the eigensolver's
-// elementwise updates). Each has one portable loop, below, and on amd64 one
+// updates and TMul's). Each has one portable loop, below, and on amd64 one
 // AVX2 routine (kernels_amd64.s) that the exported wrapper hands the full
 // blocks of its operands to; the portable loop finishes the tail, and does
 // all of it where the assembly does not serve.
@@ -149,6 +149,30 @@ func rotate(lo, hi []float64, c, s float64) {
 	}
 }
 
+// sweep applies a run of m = len(cs)/2 Givens rotations to the w columns of
+// the rows 0..m of a strip (row p is v[p·stride:][:w]): rotation r, with
+// (c, s) = (cs[2r], cs[2r+1]), is rotate on rows (m−r−1, m−r) — tql2's
+// bottom-up order within a QL sweep. Each element sees exactly the
+// operations rotate would apply to it, in the same order; the AVX2 form
+// takes 16 columns at a time and carries row m−r−1 in registers into the
+// next rotation, so each rotation loads and stores one row instead of two.
+func sweep(v []float64, stride, w int, cs []float64) {
+	m := len(cs) / 2
+	if m == 0 || w == 0 {
+		return
+	}
+	_ = v[m*stride+w-1]
+	k := sweepBlocks(v, stride, w, cs)
+	if k == w {
+		return
+	}
+	for r := 0; r < m; r++ {
+		hi := (m-r)*stride + k
+		lo := hi - stride
+		rotate(v[lo:lo+w-k], v[hi:hi+w-k], cs[2*r], cs[2*r+1])
+	}
+}
+
 // subScaled computes t ← t − g·d, the update half of a Householder
 // reflection once its dot product g is known.
 func subScaled(t, d []float64, g float64) {
@@ -157,6 +181,27 @@ func subScaled(t, d []float64, g float64) {
 	t, d = t[k:], d[k:]
 	for k, x := range d {
 		t[k] -= g * x
+	}
+}
+
+// subOuter computes b ← b − d·gᵀ on the len(d) × len(g) row-major block b:
+// row k is subScaled(b[k], g, d[k]). It is the update half of tred2's
+// accumulation for a block of columns of V, one lane per column.
+func subOuter(b, g, d []float64) {
+	w := len(g)
+	b = b[:len(d)*w]
+	for k := subOuterBlocks(b, g, d); k < len(d); k++ {
+		subScaled(b[k*w:(k+1)*w], g, d[k])
+	}
+}
+
+// addScaled computes y ← y + a·x, one row update of TMul.
+func addScaled(y, x []float64, a float64) {
+	x = x[:len(y)]
+	k := addScaledBlocks(y, x, a)
+	y, x = y[k:], x[k:]
+	for k, v := range x {
+		y[k] += a * v
 	}
 }
 

@@ -52,6 +52,22 @@ func subScaledAVX2(t, d *float64, n int, a float64)
 //go:noescape
 func subRank2AVX2(t, e, d *float64, n int, a, b float64)
 
+// sweepAVX2 is sweep on 16 columns: rots rotations over rows 0..rots of the
+// strip at v, stride elements apart.
+//
+//go:noescape
+func sweepAVX2(v *float64, stride int, cs *float64, rots int)
+
+// subOuterAVX2 is subOuter on a rows × 16 block.
+//
+//go:noescape
+func subOuterAVX2(b, gv, d *float64, rows int)
+
+// addScaledAVX2 is addScaled on n elements, n a multiple of 4.
+//
+//go:noescape
+func addScaledAVX2(y, x *float64, n int, a float64)
+
 // The …Blocks functions run the assembly over the leading whole blocks of
 // their operands and return how many columns or elements that covered (zero
 // when the portable loops serve).
@@ -98,5 +114,35 @@ func subRank2Blocks(t, e, d []float64, f, g float64) int {
 		return 0
 	}
 	subRank2AVX2(&t[0], &e[0], &d[0], n, f, g)
+	return n
+}
+
+func sweepBlocks(v []float64, stride, w int, cs []float64) int {
+	if !useAVX2 {
+		return 0
+	}
+	k := 0
+	for ; k+16 <= w; k += 16 {
+		sweepAVX2(&v[k], stride, &cs[0], len(cs)/2)
+	}
+	return k
+}
+
+// subOuterBlocks returns the rows it covered: all of them for a 16-column
+// block, none otherwise.
+func subOuterBlocks(b, g, d []float64) int {
+	if !useAVX2 || len(g) != 16 || len(d) == 0 {
+		return 0
+	}
+	subOuterAVX2(&b[0], &g[0], &d[0], len(d))
+	return len(d)
+}
+
+func addScaledBlocks(y, x []float64, a float64) int {
+	n := len(y) &^ 3
+	if !useAVX2 || n == 0 {
+		return 0
+	}
+	addScaledAVX2(&y[0], &x[0], n, a)
 	return n
 }

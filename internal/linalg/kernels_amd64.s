@@ -267,3 +267,130 @@ subr4:
 	JNZ     subr4
 	VZEROUPPER
 	RET
+
+// func sweepAVX2(v *float64, stride int, cs *float64, rots int)
+//
+// Row rots of the 16-column strip starts in Y0–Y3. Each rotation loads the
+// row below it (x), stores the rotated upper row, s·x + c·h, and keeps the
+// rotated lower row, c·x − s·h, in Y0–Y3 as the next rotation's upper row h;
+// the last one is stored into row 0. The four vectors of a row alternate
+// between two sets of temporaries.
+TEXT ·sweepAVX2(SB), NOSPLIT, $0-32
+	MOVQ    v+0(FP), DI
+	MOVQ    stride+8(FP), R9
+	MOVQ    cs+16(FP), SI
+	MOVQ    rots+24(FP), CX
+	SHLQ    $3, R9        // row stride in bytes
+	MOVQ    CX, AX
+	IMULQ   R9, AX
+	ADDQ    AX, DI        // &row rots
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+
+sweeprot:
+	VBROADCASTSD (SI), Y4  // c
+	VBROADCASTSD 8(SI), Y5 // s
+	MOVQ         DI, DX    // upper row
+	SUBQ         R9, DI    // lower row
+	VMOVUPD      (DI), Y6  // x
+	VMULPD       Y6, Y5, Y7
+	VMULPD       Y0, Y4, Y8
+	VADDPD       Y8, Y7, Y7
+	VMOVUPD      Y7, (DX)
+	VMULPD       Y6, Y4, Y9
+	VMULPD       Y0, Y5, Y10
+	VSUBPD       Y10, Y9, Y0
+	VMOVUPD      32(DI), Y11
+	VMULPD       Y11, Y5, Y12
+	VMULPD       Y1, Y4, Y13
+	VADDPD       Y13, Y12, Y12
+	VMOVUPD      Y12, 32(DX)
+	VMULPD       Y11, Y4, Y14
+	VMULPD       Y1, Y5, Y15
+	VSUBPD       Y15, Y14, Y1
+	VMOVUPD      64(DI), Y6
+	VMULPD       Y6, Y5, Y7
+	VMULPD       Y2, Y4, Y8
+	VADDPD       Y8, Y7, Y7
+	VMOVUPD      Y7, 64(DX)
+	VMULPD       Y6, Y4, Y9
+	VMULPD       Y2, Y5, Y10
+	VSUBPD       Y10, Y9, Y2
+	VMOVUPD      96(DI), Y11
+	VMULPD       Y11, Y5, Y12
+	VMULPD       Y3, Y4, Y13
+	VADDPD       Y13, Y12, Y12
+	VMOVUPD      Y12, 96(DX)
+	VMULPD       Y11, Y4, Y14
+	VMULPD       Y3, Y5, Y15
+	VSUBPD       Y15, Y14, Y3
+	ADDQ         $16, SI
+	DECQ         CX
+	JNZ          sweeprot
+	VMOVUPD      Y0, (DI)
+	VMOVUPD      Y1, 32(DI)
+	VMOVUPD      Y2, 64(DI)
+	VMOVUPD      Y3, 96(DI)
+	VZEROUPPER
+	RET
+
+// func subOuterAVX2(b, gv, d *float64, rows int)
+//
+// gv's 16 entries stay in Y0–Y3; row k of b loses d[k]·gv.
+TEXT ·subOuterAVX2(SB), NOSPLIT, $0-32
+	MOVQ    b+0(FP), DI
+	MOVQ    gv+8(FP), SI
+	MOVQ    d+16(FP), DX
+	MOVQ    rows+24(FP), CX
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD 96(SI), Y3
+
+outer16:
+	VBROADCASTSD (DX), Y4
+	VMULPD       Y0, Y4, Y5
+	VMOVUPD      (DI), Y6
+	VSUBPD       Y5, Y6, Y6
+	VMOVUPD      Y6, (DI)
+	VMULPD       Y1, Y4, Y7
+	VMOVUPD      32(DI), Y8
+	VSUBPD       Y7, Y8, Y8
+	VMOVUPD      Y8, 32(DI)
+	VMULPD       Y2, Y4, Y9
+	VMOVUPD      64(DI), Y10
+	VSUBPD       Y9, Y10, Y10
+	VMOVUPD      Y10, 64(DI)
+	VMULPD       Y3, Y4, Y11
+	VMOVUPD      96(DI), Y12
+	VSUBPD       Y11, Y12, Y12
+	VMOVUPD      Y12, 96(DI)
+	ADDQ         $128, DI
+	ADDQ         $8, DX
+	DECQ         CX
+	JNZ          outer16
+	VZEROUPPER
+	RET
+
+// func addScaledAVX2(y, x *float64, n int, a float64)
+//
+// y ← y + a·x.
+TEXT ·addScaledAVX2(SB), NOSPLIT, $0-32
+	MOVQ         y+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD a+24(FP), Y7
+
+adds4:
+	VMULPD  (SI), Y7, Y1 // a·x
+	VMOVUPD (DI), Y0
+	VADDPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	SUBQ    $4, CX
+	JNZ     adds4
+	VZEROUPPER
+	RET

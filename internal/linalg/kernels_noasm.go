@@ -12,3 +12,6 @@ func sqDistColsBlocks(out []float64, t *Matrix, q []float64) int { return 0 }
 func rotateBlocks(lo, hi []float64, c, s float64) int            { return 0 }
 func subScaledBlocks(t, d []float64, g float64) int              { return 0 }
 func subRank2Blocks(t, e, d []float64, f, g float64) int         { return 0 }
+func sweepBlocks(v []float64, stride, w int, cs []float64) int   { return 0 }
+func subOuterBlocks(b, g, d []float64) int                       { return 0 }
+func addScaledBlocks(y, x []float64, a float64) int              { return 0 }

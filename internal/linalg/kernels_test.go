@@ -196,6 +196,13 @@ func subRank2Ref(t, e, d []float64, f, g float64) {
 	}
 }
 
+// addScaledRef is TMul's inner loop as it was before addScaled.
+func addScaledRef(y, x []float64, a float64) {
+	for k, v := range x {
+		y[k] += a * v
+	}
+}
+
 func TestElementwiseKernelsMatchReference(t *testing.T) {
 	onBothPaths(t, func(t *testing.T) {
 		rng := statutil.NewRNG(43, "elementwise")
@@ -227,6 +234,12 @@ func TestElementwiseKernelsMatchReference(t *testing.T) {
 					copy(got, a)
 					subRank2(got, b, c, f, g)
 					mustSameBits(t, ctx+" subRank2", got, want)
+
+					want = CloneVec(a)
+					addScaledRef(want, b, g)
+					copy(got, a)
+					addScaled(got, b, g)
+					mustSameBits(t, ctx+" addScaled", got, want)
 				}
 			}
 		}
@@ -248,6 +261,108 @@ func TestRotateAdjacentRows(t *testing.T) {
 			rotateRef(want.Row(1), want.Row(2), 0.6, -0.8)
 			rotate(m.Row(1), m.Row(2), 0.6, -0.8)
 			mustSameBits(t, fmt.Sprintf("n=%d", n), m.Data, want.Data)
+		}
+	})
+}
+
+// TestSweepMatchesRotate holds sweep to rotateRef applied rotation by
+// rotation, bottom row pair first, on strips of a wider matrix: widths
+// across the 16-column block from both sides, runs of one rotation to a
+// whole column, and nothing outside the strip may change.
+func TestSweepMatchesRotate(t *testing.T) {
+	onBothPaths(t, func(t *testing.T) {
+		rng := statutil.NewRNG(45, "sweep")
+		for _, w := range []int{1, 3, 4, 15, 16, 17, 32, 35} {
+			for _, rots := range []int{1, 2, 7, 40} {
+				for variant, draw := range map[string]func() float64{
+					"normal":  rng.NormFloat64,
+					"special": func() float64 { return special(rng) },
+				} {
+					ctx := fmt.Sprintf("width %d, %d rotations, %s", w, rots, variant)
+					stride := w + 1 + rng.Intn(5)
+					m := NewMatrix(rots+3, stride)
+					for i := range m.Data {
+						m.Data[i] = draw()
+					}
+					cs := offsetSlice(2*rots, 1, draw)
+					col, row := rng.Intn(stride-w+1), 1
+					want := m.Clone()
+					for r := 0; r < rots; r++ {
+						hi := want.Row(row + rots - r)[col : col+w]
+						lo := want.Row(row + rots - r - 1)[col : col+w]
+						rotateRef(lo, hi, cs[2*r], cs[2*r+1])
+					}
+					sweep(m.Data[row*stride+col:], stride, w, cs)
+					mustSameBits(t, ctx, m.Data, want.Data)
+				}
+			}
+		}
+	})
+}
+
+// TestSubOuterMatchesReference holds subOuter to subScaledRef row by row on
+// blocks of the width accumulate uses (16) and of others, which take the
+// row-by-row path.
+func TestSubOuterMatchesReference(t *testing.T) {
+	onBothPaths(t, func(t *testing.T) {
+		rng := statutil.NewRNG(46, "subouter")
+		for _, w := range []int{0, 1, 4, 15, 16, 17} {
+			for _, rows := range []int{0, 1, 5, 83} {
+				for variant, draw := range map[string]func() float64{
+					"normal":  rng.NormFloat64,
+					"special": func() float64 { return special(rng) },
+				} {
+					ctx := fmt.Sprintf("%d×%d %s", rows, w, variant)
+					b := offsetSlice(rows*w, 1, draw)
+					g, d := offsetSlice(w, 3, draw), offsetSlice(rows, 1, draw)
+					want := CloneVec(b)
+					for k := 0; k < rows; k++ {
+						subScaledRef(want[k*w:(k+1)*w], g, d[k])
+					}
+					subOuter(b, g, d)
+					mustSameBits(t, ctx, b, want)
+				}
+			}
+		}
+	})
+}
+
+// tmulRef is TMul as it was before addScaled: each output element sums its
+// terms for k ascending from +0, skipping exact-zero m[k][i].
+func tmulRef(m, b *Matrix) *Matrix {
+	out := NewMatrix(m.Cols, b.Cols)
+	for k := 0; k < m.Rows; k++ {
+		for i, a := range m.Row(k) {
+			if a == 0 {
+				continue
+			}
+			for j, x := range b.Row(k) {
+				out.Data[i*b.Cols+j] += a * x
+			}
+		}
+	}
+	return out
+}
+
+// TestTMulMatchesReference: TMul is tmulRef bit for bit, exact zeros (of both
+// signs) over infinite entries and the daemon's 800×80 shape included.
+func TestTMulMatchesReference(t *testing.T) {
+	onBothPaths(t, func(t *testing.T) {
+		rng := statutil.NewRNG(47, "tmul")
+		for _, shape := range [][3]int{{0, 3, 4}, {5, 0, 3}, {7, 3, 0}, {9, 5, 17}, {40, 17, 35}, {800, 80, 80}} {
+			for variant, draw := range map[string]func() float64{
+				"normal":  rng.NormFloat64,
+				"special": func() float64 { return special(rng) },
+			} {
+				m := NewMatrixFrom(shape[0], shape[1], offsetSlice(shape[0]*shape[1], 1, draw))
+				b := NewMatrixFrom(shape[0], shape[2], offsetSlice(shape[0]*shape[2], 3, draw))
+				if len(m.Data) > 0 && len(b.Data) > 0 {
+					m.Data[0], m.Data[len(m.Data)-1] = 0, math.Copysign(0, -1)
+					b.Data[0], b.Data[len(b.Data)-1] = math.Inf(1), math.NaN()
+				}
+				ctx := fmt.Sprintf("%dx%d ᵀ* %dx%d %s", shape[0], shape[1], shape[0], shape[2], variant)
+				mustSameBits(t, ctx, m.TMul(b).Data, tmulRef(m, b).Data)
+			}
 		}
 	})
 }
@@ -295,6 +410,10 @@ func TestKernelsEmptyOperands(t *testing.T) {
 		rotate(nil, nil, 1, 0)
 		subScaled(nil, nil, 1)
 		subRank2(nil, nil, nil, 1, 1)
+		addScaled(nil, nil, 1)
+		subOuter(nil, make([]float64, 16), nil)
+		sweep(nil, 16, 16, nil)
+		sweep(make([]float64, 16), 16, 0, []float64{1, 0})
 	})
 }
 
@@ -364,7 +483,30 @@ func BenchmarkCrossDistances(b *testing.B) {
 	})
 }
 
-// BenchmarkRotate is one tql2 Givens rotation of two 800-element rows.
+// BenchmarkSweep is one QL sweep over the whole 800-row column of a
+// 16-column strip — the unit of work tql2's flush hands to sweep — per
+// rotation (ns/rot): the AVX2 form carries a row in registers, the portable
+// one is rotate per rotation.
+func BenchmarkSweep(b *testing.B) {
+	rng := statutil.NewRNG(36, "sweep-bench")
+	const n = 800
+	m := NewMatrix(n, n)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat64()
+	}
+	cs := make([]float64, 2*(n-1))
+	for r := 0; r < n-1; r++ {
+		cs[2*r], cs[2*r+1] = 0.6, 0.8
+	}
+	onBothPaths(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sweep(m.Data, n, 16, cs)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(n-1)), "ns/rot")
+	})
+}
+
+// BenchmarkRotate is one Givens rotation of two 800-element rows.
 func BenchmarkRotate(b *testing.B) {
 	rng := statutil.NewRNG(35, "rotate-bench")
 	lo, hi := make([]float64, 800), make([]float64, 800)

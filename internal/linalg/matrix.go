@@ -186,34 +186,23 @@ func (m *Matrix) TMulVec(v []float64) []float64 {
 	return out
 }
 
-// TMul returns mᵀ * b without forming the transpose.
+// TMul returns mᵀ * b without forming the transpose: row i of the result
+// gains m[k][i]·b[k] for k ascending, one addScaled per term, and a term
+// whose m[k][i] is exactly zero is skipped (adding 0·b[k] would turn an
+// infinite entry of b into NaN).
 func (m *Matrix) TMul(b *Matrix) *Matrix {
 	if m.Rows != b.Rows {
 		panic(fmt.Sprintf("linalg: TMul dimension mismatch %dx%d ᵀ* %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
 	}
 	out := NewMatrix(m.Cols, b.Cols)
-	// Parallel over disjoint column blocks of the output: each worker walks
-	// the shared k rows but touches only its own columns of out, keeping the
-	// serial k-ascending summation order per element (exact results).
-	g := parallel.GrainFor(m.Rows*m.Cols, 1<<16)
-	if g < 16 {
-		g = 16
-	}
-	parallel.For(b.Cols, g, func(lo, hi int) {
-		for k := 0; k < m.Rows; k++ {
-			arow := m.Row(k)
-			brow := b.Row(k)[lo:hi]
-			for i, aki := range arow {
-				if aki == 0 {
-					continue
-				}
-				orow := out.Data[i*b.Cols+lo : i*b.Cols+hi]
-				for j, bkj := range brow {
-					orow[j] += aki * bkj
-				}
+	for k := 0; k < m.Rows; k++ {
+		bk := b.Row(k)
+		for i, a := range m.Row(k) {
+			if a != 0 {
+				addScaled(out.Row(i), bk, a)
 			}
 		}
-	})
+	}
 	return out
 }
 

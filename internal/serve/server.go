@@ -10,10 +10,11 @@
 // on it. /v1/predict decodes the body, parses and plans each SQL query
 // through the plan cache, hands the planned queries to Router.Predict under
 // the per-request deadline (429 when a shard's bounded queue has no room for
-// its share) and encodes the outcomes in input order. /v1/observe plans each
-// executed query and hands it to Router.Observe, whose owning shard retrains
-// in the background and swaps each new generation in without blocking a
-// read. /v1/model and /v1/shards report what the router's shards serve.
+// its share) and encodes the outcomes in input order. /v1/observe plans and
+// checks every executed query of a batch and hands the batch to
+// Router.ObserveBatch, which queues it whole or not at all; each owning
+// shard retrains in the background and swaps each new generation in
+// without blocking a read. /v1/model and /v1/shards report what the router's shards serve.
 package serve
 
 import (
@@ -468,21 +469,18 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		q.Category = workload.Categorize(q.Metrics.ElapsedSec)
 		qs[i] = q
 	}
-	owner, sameOwner := -1, true // single-owner tracking for the shard field
-	for i, q := range qs {
-		sh, err := s.router.Observe(q)
-		if err != nil {
-			e := apiError(err)
-			writeError(w, e.Code, fmt.Sprintf("observation %d: %s", i, e.Message))
-			return
-		}
-		if owner == -1 {
-			owner = sh
-		} else if owner != sh {
-			sameOwner = false
-		}
+	// Admission is all-or-nothing too: a batch some owning shard has no
+	// queue room for is refused whole (429), with nothing from it queued.
+	owners, err := s.router.ObserveBatch(qs)
+	if err != nil {
+		e := apiError(err)
+		writeError(w, e.Code, e.Message)
+		return
 	}
-	// An observation that is not accepted ends the request above.
+	owner, sameOwner := owners[0], true // single-owner tracking for the shard field
+	for _, sh := range owners {
+		sameOwner = sameOwner && sh == owner
+	}
 	resp := api.ObserveResponse{
 		Version:    api.Version,
 		Accepted:   len(req.Observations),

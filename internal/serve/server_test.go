@@ -399,19 +399,39 @@ func TestColdStartAndReadiness(t *testing.T) {
 	}
 }
 
+// gateWriter blocks its first Write until release is closed, after closing
+// arrived. Handed to SlidingPredictor.SaveState, which holds the window's
+// lock while it writes, it parks the observe loop at its next observation.
+type gateWriter struct {
+	once             sync.Once
+	arrived, release chan struct{}
+}
+
+func (g *gateWriter) Write(p []byte) (int, error) {
+	g.once.Do(func() {
+		close(g.arrived)
+		<-g.release
+	})
+	return len(p), nil
+}
+
 // TestObserveBatchAllOrNothing: an observation that fails validation —
 // here a negative metric at index 3 of 5 — refuses the whole batch with a
-// 400 naming it, and nothing from the batch reaches the window: after the
-// observe queue drains, window_size and generation are what they were.
+// 400 naming it, and a batch the observe queue has no room for is refused
+// whole with a 429; nothing from either reaches the window: after the
+// observe queue drains, window_size, generation and core.sliding.observed
+// count only the accepted batches.
 func TestObserveBatchAllOrNothing(t *testing.T) {
 	pool, _ := fixture(t)
 	sliding, err := core.NewSliding(30, 10, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	const queue = 8
 	cfg := baseConfig(t)
 	cfg.Predictor = nil
 	cfg.Sliding = sliding
+	cfg.QueueCap = queue
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -471,9 +491,49 @@ func TestObserveBatchAllOrNothing(t *testing.T) {
 		t.Fatalf("error %+v, want %s %q", er.Error, api.CodeBadRequest, want)
 	}
 
+	// Park the observe loop: it takes the first of five observations and
+	// waits on the window's lock, leaving four of the queue's eight slots
+	// taken. Five more do not fit and are refused whole; four do.
+	observed := obs.GetCounter("core.sliding.observed")
+	before := observed.Value()
+	gate := &gateWriter{arrived: make(chan struct{}), release: make(chan struct{})}
+	saved := make(chan error, 1)
+	go func() { saved <- sliding.SaveState(gate) }()
+	<-gate.arrived
+	depth := obs.GetGauge("serve.observe.queue_depth")
+	base := depth.Value()
+	if resp, raw := postJSON(t, ts.URL+"/v1/observe", api.ObserveRequest{Observations: observations(pool.Queries[15:20])}); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("observe into an idle queue: %d, want 202: %s", resp.StatusCode, raw)
+	}
+	for deadline := time.Now().Add(30 * time.Second); depth.Value() != base+4; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d, want %d with the loop parked on the first of five", depth.Value(), base+4)
+		}
+	}
+	resp, raw = postJSON(t, ts.URL+"/v1/observe", api.ObserveRequest{Observations: observations(pool.Queries[20:25])})
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("batch overflowing a nearly full queue: %d (Retry-After %q), want 429: %s", resp.StatusCode, resp.Header.Get("Retry-After"), raw)
+	}
+	if err := json.Unmarshal(raw, &er); err != nil || er.Error.Code != api.CodeOverloaded {
+		t.Fatalf("429 body %s (%v), want code %s", raw, err, api.CodeOverloaded)
+	}
+	if depth.Value() != base+4 {
+		t.Fatalf("queue depth %d after the refused batch, want %d", depth.Value(), base+4)
+	}
+	if resp, raw := postJSON(t, ts.URL+"/v1/observe", api.ObserveRequest{Observations: observations(pool.Queries[25:29])}); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("batch that fits: %d, want 202: %s", resp.StatusCode, raw)
+	}
+	close(gate.release)
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+
 	s.Close() // drains the observe queue
-	if m := model(); m.Generation != 1 || m.WindowSize != 10 {
-		t.Fatalf("after the refused batch: generation %d, window_size %d; want 1 and 10", m.Generation, m.WindowSize)
+	if m := model(); m.Generation != 1 || m.WindowSize != 19 {
+		t.Fatalf("after the refused batches: generation %d, window_size %d; want 1 and 19", m.Generation, m.WindowSize)
+	}
+	if got := observed.Value() - before; got != 9 {
+		t.Fatalf("core.sliding.observed rose by %d, want 9: a refused batch was partly applied", got)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -284,9 +285,9 @@ func TestRouterCloseAnswersBacklog(t *testing.T) {
 	// The drain has begun before the gate opens.
 	for draining := false; !draining; time.Sleep(100 * time.Microsecond) {
 		sh := r.Shard(0)
-		sh.mu.RLock()
+		sh.mu.Lock()
 		draining = sh.closed
-		sh.mu.RUnlock()
+		sh.mu.Unlock()
 	}
 	release()
 	for i := 0; i < backlog+1; i++ {
@@ -351,7 +352,7 @@ func TestObserveQueueDepth(t *testing.T) {
 	base := observeDepth.Value()
 	for i := 0; i < shards; i++ {
 		for _, q := range ownedBy(pool, i, shards)[:every+parked] {
-			if _, err := r.Observe(q); err != nil {
+			if _, err := r.ObserveBatch([]*dataset.Query{q}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -374,5 +375,114 @@ func TestObserveQueueDepth(t *testing.T) {
 	}
 	if got := observeDepth.Value() - base; got != 0 {
 		t.Fatalf("serve.observe.queue_depth is %d above where it started once the queues drained", got)
+	}
+}
+
+// TestRouterObserveAllOrNothing pins observe admission across shards: a
+// batch is queued whole or not at all. Both observe loops are held inside a
+// retrain with observations parked behind it; a batch whose share for shard
+// 0 does not fit beside what is parked there is refused with ErrOverloaded
+// even though shard 1 has room for its share, and once the loops drain
+// neither shard has applied any of it. A batch that fits on both is
+// admitted, and an idle shard takes a share larger than its whole queue.
+func TestRouterObserveAllOrNothing(t *testing.T) {
+	pool, pred := fixture(t)
+	const shards, every, parked, queue = 2, 5, 3, 4
+	cfgs := make([]ShardConfig, shards)
+	for i := range cfgs {
+		cfgs[i] = ShardConfig{Boot: pred, Sliding: newSliding(t, 40, every), Zoo: &ZooConfig{
+			Challengers: []string{model.KindOptCost}, Policy: zooTestPolicy(), Opt: core.DefaultOptions(),
+		}}
+	}
+	byID := funcPartitioner{n: "by-id", f: func(q *dataset.Query) (int, error) { return q.ID % shards, nil }}
+	r, err := NewRouter(cfgs, byID, Config{QueueCap: queue}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	var openGates sync.Once
+	open := func() { openGates.Do(func() { close(release) }) }
+	defer r.Close()
+	defer open()
+	arrived := make([]chan struct{}, shards)
+	for i := range arrived {
+		arrived[i] = make(chan struct{})
+		z := r.Shard(i).zoo
+		z.trainers[model.KindOptCost] = gatedTrainer{z.trainers[model.KindOptCost], new(sync.Once), arrived[i], release}
+	}
+
+	own := [shards][]*dataset.Query{ownedBy(pool, 0, shards), ownedBy(pool, 1, shards)}
+	// Each shard's first batch meets an empty queue and is admitted whole,
+	// larger than the queue as it is; the loop takes all of it and parks in
+	// the retrain the fifth observation sets off.
+	for i := 0; i < shards; i++ {
+		if _, err := r.ObserveBatch(own[i][:every]); err != nil {
+			t.Fatalf("shard %d: first batch: %v", i, err)
+		}
+		<-arrived[i]
+	}
+	if _, err := r.ObserveBatch(own[0][every : every+parked]); err != nil {
+		t.Fatalf("parking %d on shard 0: %v", parked, err)
+	}
+	mixed := []*dataset.Query{own[1][every], own[0][every+parked], own[0][every+parked+1]}
+	if owners, err := r.ObserveBatch(mixed); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("batch overflowing shard 0: owners %v, err %v; want ErrOverloaded", owners, err)
+	}
+	fits := []*dataset.Query{own[1][every], own[0][every+parked]}
+	if owners, err := r.ObserveBatch(fits); err != nil || owners[0] != 1 || owners[1] != 0 {
+		t.Fatalf("batch that fits: owners %v, err %v", owners, err)
+	}
+	open()
+	want := [shards]int64{every + parked + 1, every + 1}
+	deadline := time.Now().Add(30 * time.Second)
+	for r.Shard(0).Observed() != want[0] || r.Shard(1).Observed() != want[1] {
+		if time.Now().After(deadline) {
+			t.Fatalf("applied %d and %d observations, want %v", r.Shard(0).Observed(), r.Shard(1).Observed(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // a wrongly queued share would land now
+	if got := [shards]int64{r.Shard(0).Observed(), r.Shard(1).Observed()}; got != want {
+		t.Fatalf("applied %v observations, want %v: the refused batch was partly queued", got, want)
+	}
+}
+
+// TestRouterObserveBatchesConcurrent: batches spanning both shards, sent
+// from several goroutines at once into small queues, are each applied whole
+// or not at all — once every loop drains, the shards have applied exactly
+// the observations of the batches that were accepted.
+func TestRouterObserveBatchesConcurrent(t *testing.T) {
+	pool, pred := fixture(t)
+	const shards, senders, batches = 2, 8, 10
+	cfgs := make([]ShardConfig, shards)
+	for i := range cfgs {
+		cfgs[i] = ShardConfig{Boot: pred, Sliding: newSliding(t, 40, 20)}
+	}
+	byID := funcPartitioner{n: "by-id", f: func(q *dataset.Query) (int, error) { return q.ID % shards, nil }}
+	r, err := NewRouter(cfgs, byID, Config{QueueCap: 4}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				at := (g*batches + b) * 3 % (len(pool.Queries) - 3)
+				switch _, err := r.ObserveBatch(pool.Queries[at : at+3]); {
+				case err == nil:
+					accepted.Add(3)
+				case !errors.Is(err, ErrOverloaded):
+					t.Errorf("sender %d batch %d: %v", g, b, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	r.Close()
+	if got := r.Shard(0).Observed() + r.Shard(1).Observed(); got != accepted.Load() {
+		t.Fatalf("shards applied %d observations, %d were accepted in whole batches", got, accepted.Load())
 	}
 }

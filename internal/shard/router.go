@@ -253,20 +253,48 @@ func (r *Router) Predict(ctx context.Context, qs []*dataset.Query) []Outcome {
 	return outs
 }
 
-// Observe routes one executed query (Metrics and Category populated) to its
-// owning shard's feedback queue. Observations never fall back: they must
-// warm the owner. Returns the owning shard index.
-func (r *Router) Observe(q *dataset.Query) (int, error) {
-	owner, err := r.part.RouteObserve(q)
-	if err != nil {
-		routeErrors.Inc()
-		return 0, err
+// ObserveBatch routes every executed query (Metrics and Category populated)
+// to its owning shard's feedback queue and returns the owners in input
+// order. Observations never fall back: they must warm the owner. The batch
+// is admitted whole or not at all: every query is routed first (a routing
+// failure names the observation), then each owning shard's admission lock
+// is taken, in shard order, and only when every owner's queue has room for
+// its share (see admitObserve) are the shares sent. Otherwise the error is
+// the first refusing shard's — ErrOverloaded, ErrDraining or a static model
+// — and nothing from the batch was queued, so a client's retry feeds no
+// observation twice.
+func (r *Router) ObserveBatch(qs []*dataset.Query) ([]int, error) {
+	owners := make([]int, len(qs))
+	shares := make([][]*dataset.Query, len(r.shards))
+	for i, q := range qs {
+		owner, err := r.part.RouteObserve(q)
+		if err == nil && (owner < 0 || owner >= len(r.shards)) {
+			err = fmt.Errorf("shard: partitioner %s routed to %d of %d shards", r.part.Name(), owner, len(r.shards))
+		}
+		if err != nil {
+			routeErrors.Inc()
+			return nil, fmt.Errorf("observation %d: %w", i, err)
+		}
+		owners[i] = owner
+		shares[owner] = append(shares[owner], q)
 	}
-	if owner < 0 || owner >= len(r.shards) {
-		routeErrors.Inc()
-		return 0, fmt.Errorf("shard: partitioner %s routed to %d of %d shards", r.part.Name(), owner, len(r.shards))
+	for id, share := range shares {
+		if share == nil {
+			continue
+		}
+		s := r.shards[id]
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if err := s.admitObserve(len(share)); err != nil {
+			return nil, err
+		}
 	}
-	return owner, r.shards[owner].Observe(q)
+	for id, share := range shares {
+		if share != nil {
+			r.shards[id].enqueueObserve(share)
+		}
+	}
+	return owners, nil
 }
 
 // ObserveSync applies one observation synchronously on the caller's

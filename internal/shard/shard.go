@@ -43,8 +43,8 @@ var (
 	retrainErrors = obs.GetCounter("serve.retrain.errors")
 	rejectedLoad  = obs.GetCounter("serve.rejected.overload")
 	snapshotFails = obs.GetCounter("wal.snapshot.errors")
-	// observeDepth counts observations accepted by Observe and not yet taken
-	// by an observe loop, over every shard.
+	// observeDepth counts observations admitted by Router.ObserveBatch and
+	// not yet taken by an observe loop, over every shard.
 	observeDepth = obs.GetGauge("serve.observe.queue_depth")
 )
 
@@ -103,7 +103,9 @@ type Shard struct {
 	// goroutine after construction.
 	store *wal.Store
 
-	mu     sync.RWMutex // guards closed + sends on observeCh
+	// mu is the shard's admission lock: it guards closed, and every
+	// check-then-send on observeCh happens under it.
+	mu     sync.Mutex
 	closed bool
 
 	// queue is the shard's micro-batching queue and its coalescer goroutine
@@ -111,8 +113,12 @@ type Shard struct {
 	// and requests on other shards proceed within their own deadlines.
 	queue *coalesce.Queue
 
-	observeCh   chan *dataset.Query
-	observeDone chan struct{}
+	// observeCh carries admitted shares of observe batches to the observe
+	// loop; observePending counts their queries not yet taken, and is what
+	// admission holds against the queue bound, the channel's capacity.
+	observeCh      chan []*dataset.Query
+	observePending atomic.Int64
+	observeDone    chan struct{}
 	// windowSize mirrors the sliding window's occupancy so callers can
 	// report it without touching the goroutine-owned SlidingPredictor.
 	windowSize atomic.Int64
@@ -180,7 +186,10 @@ func newShard(id int, sc ShardConfig, cfg Config) (*Shard, error) {
 	}
 	s.queue = coalesce.Start(coalesce.Config(cfg), s.runBatch)
 	if s.sliding != nil {
-		s.observeCh = make(chan *dataset.Query, cfg.QueueCap)
+		// Every queued share holds at least one pending query and admission
+		// keeps those at most QueueCap unless the queue is empty, so a send
+		// under the admission lock never blocks.
+		s.observeCh = make(chan []*dataset.Query, cfg.QueueCap)
 		s.observeDone = make(chan struct{})
 		s.windowSize.Store(int64(s.sliding.WindowSize()))
 		s.mWindow.Set(s.windowSize.Load())
@@ -214,27 +223,31 @@ func (s *Shard) Recovery() *wal.RecoveryInfo {
 	return &info
 }
 
-// Observe hands one executed query to the shard's observe loop without
-// blocking: a full feedback queue sheds load rather than stalling the
-// write path. The retrain (and any resulting hot swap) happens in the
-// background.
-func (s *Shard) Observe(q *dataset.Query) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
+// admitObserve reports whether the shard's observe queue takes a share of n
+// queries now: nil when it does, the reason when it does not. The rule is
+// predict admission's: a share fits whole beside what is pending, or the
+// queue is empty. The caller holds s.mu and, on nil, sends the share before
+// releasing it.
+func (s *Shard) admitObserve(n int) error {
+	switch {
+	case s.closed:
 		return ErrDraining
-	}
-	if s.observeCh == nil {
+	case s.observeCh == nil:
 		return fmt.Errorf("shard %d: no sliding window (static model)", s.ID)
 	}
-	select {
-	case s.observeCh <- q:
-		observeDepth.Add(1)
-		return nil
-	default:
+	if p := s.observePending.Load(); p > 0 && p+int64(n) > int64(cap(s.observeCh)) {
 		rejectedLoad.Inc()
 		return ErrOverloaded
 	}
+	return nil
+}
+
+// enqueueObserve sends an admitted share to the observe loop. The caller
+// holds s.mu.
+func (s *Shard) enqueueObserve(share []*dataset.Query) {
+	s.observePending.Add(int64(len(share)))
+	observeDepth.Add(int64(len(share)))
+	s.observeCh <- share
 }
 
 // observeSync applies one observation synchronously on the caller's
@@ -329,17 +342,20 @@ func (s *Shard) Publish(m model.Model) int64 {
 // completed retrain is atomically swapped into the shard's slot.
 func (s *Shard) observeLoop() {
 	defer close(s.observeDone)
-	for q := range s.observeCh {
-		observeDepth.Add(-1)
-		seq := s.logObservation(q)
-		// Shadow-score before the window sees the query: every model is
-		// evaluated on data it has never trained on.
-		s.shadowScore(q)
-		before := s.sliding.Retrains()
-		err := s.sliding.Observe(q)
-		s.afterObserve(before, err)
-		s.maybePromote()
-		s.persistApplied(seq)
+	for share := range s.observeCh {
+		for _, q := range share {
+			s.observePending.Add(-1)
+			observeDepth.Add(-1)
+			seq := s.logObservation(q)
+			// Shadow-score before the window sees the query: every model is
+			// evaluated on data it has never trained on.
+			s.shadowScore(q)
+			before := s.sliding.Retrains()
+			err := s.sliding.Observe(q)
+			s.afterObserve(before, err)
+			s.maybePromote()
+			s.persistApplied(seq)
+		}
 	}
 }
 

@@ -104,7 +104,7 @@ func TestRouterFanoutOrder(t *testing.T) {
 			}
 			q := pool.Queries[i%120]
 			if q.ID%7 != 0 {
-				r.Observe(q)
+				r.ObserveBatch([]*dataset.Query{q})
 			}
 			i++
 		}
@@ -400,12 +400,12 @@ func TestRouterObserveWarmsOwner(t *testing.T) {
 	}
 	defer r.Close()
 	for i := 0; i < 7; i++ {
-		sh, err := r.Observe(pool.Queries[i])
+		owners, err := r.ObserveBatch(pool.Queries[i : i+1])
 		if err != nil {
 			t.Fatalf("observe %d: %v", i, err)
 		}
-		if sh != 1 {
-			t.Fatalf("observation routed to shard %d, want owner 1", sh)
+		if owners[0] != 1 {
+			t.Fatalf("observation routed to shard %d, want owner 1", owners[0])
 		}
 	}
 	deadline := time.Now().Add(30 * time.Second)
