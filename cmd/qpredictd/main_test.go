@@ -219,12 +219,14 @@ func TestSlowHeaderIsCutOff(t *testing.T) {
 		}
 	}()
 
+	// Timed from before the dial: the server may accept, and start its
+	// header timer, before Dial returns here.
+	start := time.Now()
 	slow, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer slow.Close()
-	start := time.Now()
 	if _, err := io.WriteString(slow, "POST /v1/pred"); err != nil {
 		t.Fatal(err)
 	}

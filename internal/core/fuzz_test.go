@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 // FuzzLoad feeds arbitrary (and mutated-valid) byte streams to Load. The
@@ -25,9 +27,11 @@ func FuzzLoad(f *testing.F) {
 	f.Add(valid.Bytes()[:16])
 	f.Add([]byte{})
 	f.Add([]byte("not a gob stream"))
-	// Framed-format seeds: a bare header, a CRC-corrupted frame, and the
-	// pre-v2 raw-gob layout (must be rejected, not mis-decoded).
-	f.Add(valid.Bytes()[:frameHeaderLen])
+	// Framed-format seeds: a bare header, one that declares a gigabyte it
+	// does not carry, a CRC-corrupted frame, and the pre-v2 raw-gob layout
+	// (must be rejected, not mis-decoded).
+	f.Add(valid.Bytes()[:frame.HeaderLen])
+	f.Add(hugeFrame(modelMagic))
 	flipped := append([]byte(nil), valid.Bytes()...)
 	flipped[len(flipped)-1] ^= 0x01
 	f.Add(flipped)

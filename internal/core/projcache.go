@@ -1,9 +1,7 @@
 package core
 
 import (
-	"container/list"
 	"math"
-	"sync"
 
 	"repro/internal/obs"
 )
@@ -37,22 +35,20 @@ const defaultProjCacheCap = 1024
 // own because the answer is a function of the neighbor options too. Lookup
 // is by 64-bit FNV-1a over the feature vector's bit patterns, guarded by an
 // exact vector comparison so a fingerprint collision degrades to a miss
-// rather than a wrong prediction. Bounded LRU, safe for concurrent use.
+// rather than a wrong prediction. Bounded LRU (lru), safe for concurrent use.
 //
 // The cache itself counts nothing: Predictor.predictVectors, which also
 // finds vectors repeated within one batch, counts one hit or miss per
 // request.
 type projCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used; values are *projEntry
-	byFP  map[uint64]*list.Element
+	entries *lru[uint64, *projEntry]
 	// hash is Fingerprint; a field so a test can make vectors collide.
 	hash func([]float64) uint64
 }
 
+// projEntry is immutable once stored: get reads it outside the lock, and put
+// replaces an entry rather than writing into it.
 type projEntry struct {
-	fp   uint64
 	key  []float64  // the feature vector, copied at insert
 	pred Prediction // pred.Neighbors is shared with every caller served: read-only
 }
@@ -61,7 +57,7 @@ func newProjCache(capacity int) *projCache {
 	if capacity <= 0 {
 		capacity = defaultProjCacheCap
 	}
-	return &projCache{cap: capacity, order: list.New(), byFP: make(map[uint64]*list.Element), hash: Fingerprint}
+	return &projCache{entries: newLRU[uint64, *projEntry](capacity), hash: Fingerprint}
 }
 
 // get returns the cached prediction for f, whose fingerprint (c.hash(f)) the
@@ -74,57 +70,30 @@ func (c *projCache) get(fp uint64, f []float64) (Prediction, bool) {
 	if c == nil {
 		return Prediction{}, false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, found := c.byFP[fp]
-	if !found {
+	e, found := c.entries.get(fp)
+	if !found || !equalBits(e.key, f) {
+		// A fingerprint collision never serves another vector's prediction.
 		return Prediction{}, false
 	}
-	e := el.Value.(*projEntry)
-	if !equalBits(e.key, f) {
-		// Fingerprint collision: never serve another vector's prediction.
-		return Prediction{}, false
-	}
-	c.order.MoveToFront(el)
 	return e.pred, true
 }
 
 // put inserts the prediction of f (fingerprint fp), evicting the least
-// recently used entry at capacity. f is copied. The entry gets a fresh Memo
-// — the only place one is made — which put returns, so that the caller's
-// own copy of pred is the twin of what get will hand out.
+// recently used entry at capacity. f is copied. At most one vector per
+// fingerprint is cached: a colliding insert overwrites. The entry gets a
+// fresh Memo — the only place one is made — which put returns, so that the
+// caller's own copy of pred is the twin of what get will hand out.
 func (c *projCache) put(fp uint64, f []float64, pred Prediction) *Memo {
 	if c == nil {
 		return nil
 	}
 	pred.Memo = new(Memo)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, found := c.byFP[fp]; found {
-		// Already present (or a colliding fingerprint — overwrite either
-		// way; at most one vector per fingerprint is cached).
-		e := el.Value.(*projEntry)
-		e.key = append(e.key[:0], f...)
-		e.pred = pred
-		c.order.MoveToFront(el)
-		return pred.Memo
-	}
-	for c.order.Len() >= c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.byFP, oldest.Value.(*projEntry).fp)
-	}
-	e := &projEntry{fp: fp, key: append([]float64(nil), f...), pred: pred}
-	c.byFP[fp] = c.order.PushFront(e)
+	c.entries.put(fp, &projEntry{key: append([]float64(nil), f...), pred: pred})
 	return pred.Memo
 }
 
 // len reports the current entry count (for tests).
-func (c *projCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
+func (c *projCache) len() int { return c.entries.len() }
 
 func equalBits(a, b []float64) bool {
 	if len(a) != len(b) {

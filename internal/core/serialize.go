@@ -2,41 +2,33 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
 	"repro/internal/exec"
+	"repro/internal/frame"
 	"repro/internal/kcca"
 	"repro/internal/knn"
 	"repro/internal/linalg"
 	"repro/internal/workload"
 )
 
-// Model files carry a self-describing container so a truncated,
-// bit-flipped, or different-format file fails fast with ErrBadModelFile
-// instead of erroring opaquely deep inside gob decode (or decoding
-// plausibly): an 8-byte magic, a format version, the payload length, and a
-// CRC-32C of the payload, followed by the gob payload itself. Version 2 is
-// the first framed format; version-1 files (raw gob, pre-header) are
-// rejected with a migration hint.
+// Model files are frames (internal/frame) so a truncated, bit-flipped, or
+// different-format file fails fast with ErrBadModelFile instead of erroring
+// opaquely deep inside gob decode (or decoding plausibly). Version 2 is the
+// first framed format; version-1 files (raw gob, pre-header) are rejected
+// with a migration hint.
 const (
 	modelMagic = "QPREDMDL"
 	// ModelFormatVersion is the current model-file format. Bump on any
 	// incompatible wire change.
 	ModelFormatVersion = 2
 	// stateMagic frames sliding-predictor state payloads (snapshots) in
-	// the same container discipline, distinguished by magic.
+	// the same container, distinguished by magic.
 	stateMagic = "QPREDST1"
-	// frameHeaderLen: magic + uint32 version + uint64 length + uint32 CRC.
-	frameHeaderLen = 8 + 4 + 8 + 4
-	// maxFramePayload bounds a frame's declared payload length; anything
-	// larger is treated as corruption rather than an allocation request.
-	maxFramePayload = 1 << 30
 )
 
 // ErrBadModelFile marks a model or state file that failed container
@@ -45,51 +37,15 @@ const (
 // errors.Is.
 var ErrBadModelFile = errors.New("core: invalid model file")
 
-var frameCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-// writeFrame writes one header-framed payload.
-func writeFrame(w io.Writer, magic string, payload []byte) error {
-	hdr := make([]byte, frameHeaderLen)
-	copy(hdr, magic)
-	binary.LittleEndian.PutUint32(hdr[8:], ModelFormatVersion)
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[20:], crc32.Checksum(payload, frameCRCTable))
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("core: writing model header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("core: writing model payload: %w", err)
-	}
-	return nil
-}
-
-// readFrame reads and validates one header-framed payload.
+// readFrame reads one frame of the current format with the given magic,
+// reporting every container violation as ErrBadModelFile.
 func readFrame(r io.Reader, magic string) ([]byte, error) {
-	hdr := make([]byte, frameHeaderLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("%w: short header: %v", ErrBadModelFile, err)
-	}
-	if string(hdr[:8]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q (pre-v2 raw-gob files must be re-saved with this build)",
-			ErrBadModelFile, hdr[:8])
-	}
-	version := binary.LittleEndian.Uint32(hdr[8:])
-	if version != ModelFormatVersion {
-		return nil, fmt.Errorf("%w: format version %d, this build reads %d",
-			ErrBadModelFile, version, ModelFormatVersion)
-	}
-	length := binary.LittleEndian.Uint64(hdr[12:])
-	if length > maxFramePayload {
-		return nil, fmt.Errorf("%w: declared payload of %d bytes exceeds the %d limit",
-			ErrBadModelFile, length, maxFramePayload)
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: short payload: %v", ErrBadModelFile, err)
-	}
-	crc := binary.LittleEndian.Uint32(hdr[20:])
-	if crc32.Checksum(payload, frameCRCTable) != crc {
-		return nil, fmt.Errorf("%w: payload checksum mismatch", ErrBadModelFile)
+	payload, err := frame.Read(r, magic, ModelFormatVersion)
+	switch {
+	case errors.Is(err, frame.ErrMagic):
+		return nil, fmt.Errorf("%w: %v (pre-v2 raw-gob files must be re-saved with this build)", ErrBadModelFile, err)
+	case err != nil:
+		return nil, fmt.Errorf("%w: %v", ErrBadModelFile, err)
 	}
 	return payload, nil
 }
@@ -122,7 +78,7 @@ func (p *Predictor) Save(w io.Writer) error {
 	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
 		return fmt.Errorf("core: encoding predictor: %w", err)
 	}
-	return writeFrame(w, modelMagic, buf.Bytes())
+	return frame.Write(w, modelMagic, ModelFormatVersion, buf.Bytes())
 }
 
 func (p *Predictor) toWire() (*predictorWire, error) {

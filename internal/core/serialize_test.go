@@ -6,8 +6,11 @@ import (
 	"encoding/gob"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -101,7 +104,7 @@ func TestLoadRejectsCorruptWire(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, modelMagic, payload.Bytes()); err != nil {
+		if err := frame.Write(&buf, modelMagic, ModelFormatVersion, payload.Bytes()); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -181,7 +184,7 @@ func TestLoadRejectsCorruptFrame(t *testing.T) {
 		data []byte
 	}{
 		{"empty", nil},
-		{"short header", valid[:frameHeaderLen-1]},
+		{"short header", valid[:frame.HeaderLen-1]},
 		{"pre-v2 raw gob", legacy},
 		{"bad magic", func() []byte { b := clone(); b[0] ^= 0xff; return b }()},
 		{"future version", func() []byte {
@@ -191,18 +194,18 @@ func TestLoadRejectsCorruptFrame(t *testing.T) {
 		}()},
 		{"oversized length", func() []byte {
 			b := clone()
-			binary.LittleEndian.PutUint64(b[12:20], maxFramePayload+1)
+			binary.LittleEndian.PutUint64(b[12:20], frame.MaxPayload+1)
 			return b
 		}()},
 		{"truncated payload", valid[:len(valid)-1]},
 		{"payload bit flip", func() []byte {
 			b := clone()
-			b[frameHeaderLen+len(b)/2] ^= 0x01
+			b[frame.HeaderLen+len(b)/2] ^= 0x01
 			return b
 		}()},
 		{"crc bit flip", func() []byte {
 			b := clone()
-			b[frameHeaderLen-1] ^= 0x01
+			b[frame.HeaderLen-1] ^= 0x01
 			return b
 		}()},
 		{"wrong magic kind", func() []byte {
@@ -224,5 +227,49 @@ func TestLoadRejectsCorruptFrame(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(valid)); err != nil {
 		t.Fatalf("pristine model rejected: %v", err)
+	}
+}
+
+// hugeFrame is a bare frame header of the current format that declares
+// 2^30 − 1 payload bytes — just inside the limit — and carries none.
+func hugeFrame(magic string) []byte {
+	hdr := make([]byte, frame.HeaderLen)
+	copy(hdr, magic)
+	binary.LittleEndian.PutUint32(hdr[8:], ModelFormatVersion)
+	binary.LittleEndian.PutUint64(hdr[12:], frame.MaxPayload-1)
+	return hdr
+}
+
+// allocated reports how many heap bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLoadBoundsDeclaredLength: what a frame's header declares does not
+// decide what reading it allocates. A 24-byte model file or sliding-state
+// frame (the inner frame a snapshot carries on recovery) that claims a
+// gigabyte fails as a short payload having allocated about what it holds.
+func TestLoadBoundsDeclaredLength(t *testing.T) {
+	for name, load := range map[string]func() error{
+		"model file": func() error {
+			_, err := Load(bytes.NewReader(hugeFrame(modelMagic)))
+			return err
+		},
+		"sliding state": func() error {
+			_, err := RestoreSliding(bytes.NewReader(hugeFrame(stateMagic)), 60, 30, DefaultOptions(), nil)
+			return err
+		},
+	} {
+		var err error
+		if n := allocated(func() { err = load() }); n >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes for a 24-byte file", name, n)
+		}
+		if !errors.Is(err, ErrBadModelFile) || !strings.Contains(err.Error(), "short payload") {
+			t.Errorf("%s: error %v, want ErrBadModelFile for a short payload", name, err)
+		}
 	}
 }

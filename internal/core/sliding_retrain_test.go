@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/frame"
 	"repro/internal/kcca"
 	"repro/internal/obs"
 )
@@ -85,7 +86,7 @@ func withLegacyIncState(t *testing.T, s *SlidingPredictor, stale bool) *SlidingP
 		t.Fatal(err)
 	}
 	var framed bytes.Buffer
-	if err := writeFrame(&framed, stateMagic, enc.Bytes()); err != nil {
+	if err := frame.Write(&framed, stateMagic, ModelFormatVersion, enc.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := RestoreSliding(&framed, s.capacity, s.retrainEvery, s.opt, legacyPlan())

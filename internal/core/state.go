@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/exec"
+	"repro/internal/frame"
 	"repro/internal/workload"
 )
 
@@ -106,7 +107,7 @@ func (s *SlidingPredictor) SaveState(w io.Writer) error {
 	if err := gob.NewEncoder(&buf).Encode(&wire); err != nil {
 		return fmt.Errorf("core: encoding sliding state: %w", err)
 	}
-	return writeFrame(w, stateMagic, buf.Bytes())
+	return frame.Write(w, stateMagic, ModelFormatVersion, buf.Bytes())
 }
 
 // RestoreSliding rebuilds a SlidingPredictor from a SaveState snapshot.

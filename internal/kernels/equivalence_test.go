@@ -47,35 +47,21 @@ func TestMatrixParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestCrossVectorParallelMatchesSerial also holds both cross-vector forms to
-// Gaussian itself, element by element: they score four (or, feature-major on
-// AVX2, sixteen) rows per pass, and a row count that is not a multiple of
-// that finishes through a one-row loop. 3000 rows is enough for the pooled
-// form to actually split.
+// TestCrossVectorParallelMatchesSerial holds the cross vector to Gaussian
+// itself, element by element: it scores sixteen points per pass on AVX2 (the
+// suite runs again with the kernels off), and a point count that is not a
+// multiple of that finishes through a one-point loop.
 func TestCrossVectorParallelMatchesSerial(t *testing.T) {
-	defer parallel.SetMaxProcs(parallel.SetMaxProcs(1))
-	for _, n := range []int{1, 2, 3, 4, 5, 513, 3000} {
+	for _, n := range []int{1, 2, 3, 4, 5, 17, 513, 3000} {
 		x := randMatrix(7, n, 12)
 		q := randMatrix(8, 1, 12).Row(0)
 		tau := ScaleHeuristic(x, 0.1)
-		want := make([]float64, n)
-		for i := range want {
-			want[i] = Gaussian(x.Row(i), q, tau)
-		}
-		check := func(name string, got []float64) {
-			t.Helper()
-			for i, v := range got {
-				if v != want[i] {
-					t.Fatalf("n=%d %s: out[%d] = %v, Gaussian %v", n, name, i, v, want[i])
-				}
+		got := CrossVectorColsInto(make([]float64, n), x.T(), q, tau)
+		for i, v := range got {
+			if want := Gaussian(x.Row(i), q, tau); v != want {
+				t.Fatalf("n=%d: out[%d] = %v, Gaussian %v", n, i, v, want)
 			}
 		}
-		check("feature-major form", CrossVectorColsInto(make([]float64, n), x.T(), q, tau))
-		for _, w := range equivWorkerCounts() {
-			parallel.SetMaxProcs(w)
-			check("pooled form", CrossVector(x, q, tau))
-		}
-		parallel.SetMaxProcs(1)
 	}
 }
 
@@ -121,9 +107,9 @@ func TestCenterParallelMatchesSerial(t *testing.T) {
 }
 
 // BenchmarkCrossVector is the cross-kernel at the daemon's shape (800
-// training rows × 24 plan features): one Gaussian per row, four rows per
-// pass over the row-major points, and the predict path's feature-major form
-// on the AVX2 kernels (where the host has them) and on the portable loops.
+// training rows × 24 plan features): one Gaussian per row, and the predict
+// path's feature-major form on the AVX2 kernels (where the host has them) and
+// on the portable loops.
 func BenchmarkCrossVector(b *testing.B) {
 	x := randMatrix(11, 800, 24)
 	q := randMatrix(12, 1, 24).Row(0)
@@ -134,11 +120,6 @@ func BenchmarkCrossVector(b *testing.B) {
 			for r := range out {
 				out[r] = Gaussian(x.Row(r), q, tau)
 			}
-		}
-	})
-	b.Run("CrossVectorInto", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			CrossVectorInto(out, x, q, tau)
 		}
 	})
 	xT := x.T()

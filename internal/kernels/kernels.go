@@ -71,7 +71,7 @@ func Matrix(x *linalg.Matrix, tau float64) *linalg.Matrix {
 }
 
 // crossScratch pools the per-call kernel vectors of the prediction hot path
-// (one float64 slice per in-flight CrossVector-using caller).
+// (one float64 slice per in-flight cross-vector caller).
 var crossScratch = sync.Pool{New: func() any { s := make([]float64, 0, 512); return &s }}
 
 // GetScratch leases a float64 buffer of length n from the package pool;
@@ -89,32 +89,13 @@ func GetScratch(n int) *[]float64 {
 // PutScratch returns a leased buffer to the pool.
 func PutScratch(p *[]float64) { crossScratch.Put(p) }
 
-// CrossVector computes the kernel evaluations k(q, xᵢ) of one query point
-// against every row of x.
-func CrossVector(x *linalg.Matrix, q []float64, tau float64) []float64 {
-	return CrossVectorInto(make([]float64, x.Rows), x, q, tau)
-}
-
-// CrossVectorInto is CrossVector into a caller-owned buffer of length
-// x.Rows (commonly leased from GetScratch), returning it. Row blocks go to
-// the worker pool: it serves training-time callers with one long vector to
-// fill. The prediction path, which has many queries instead and fans out
-// over those, uses CrossVectorColsInto.
-func CrossVectorInto(out []float64, x *linalg.Matrix, q []float64, tau float64) []float64 {
-	defer obs.Span("kernels.cross_vector")()
-	checkCross(out, x.Rows, x.Cols, q, tau)
-	parallel.For(x.Rows, parallel.GrainFor(x.Cols, 1<<14), func(lo, hi int) {
-		crossRows(out, x, q, tau, lo, hi)
-	})
-	return out
-}
-
-// CrossVectorColsInto is CrossVectorInto, bit for bit, on the calling
-// goroutine and from the feature-major copy xT = x.T() (one row per feature,
-// one column per training point): in that layout neighbouring points are
-// neighbours in memory, which is what lets linalg.SqDistCols carry sixteen
-// points' sums through one pass over q. The exponential is applied per point
-// afterwards, in place.
+// CrossVectorColsInto computes the kernel evaluations k(q, xᵢ) of one query
+// point against every training point xᵢ — Gaussian(xᵢ, q, tau), bit for bit —
+// into out (length: the number of points), from the feature-major copy
+// xT = x.T() (one row per feature, one column per training point): in that
+// layout neighbouring points are neighbours in memory, which is what lets
+// linalg.SqDistCols carry sixteen points' sums through one pass over q. The
+// exponential is applied per point afterwards, in place.
 func CrossVectorColsInto(out []float64, xT *linalg.Matrix, q []float64, tau float64) []float64 {
 	defer obs.Span("kernels.cross_vector")()
 	checkCross(out, xT.Cols, xT.Rows, q, tau)
@@ -136,24 +117,6 @@ func checkCross(out []float64, points, features int, q []float64, tau float64) {
 	}
 	if len(out) != points {
 		panic(fmt.Sprintf("kernels: cross-vector buffer has %d entries, want %d", len(out), points))
-	}
-}
-
-// crossRows sets out[i] = Gaussian(x.Row(i), q, tau) for i in [lo, hi), bit
-// for bit: Gaussian's one sum per row is latency-bound on its own add
-// chain, so four rows share a pass (linalg.SqDist4 keeps each row's terms
-// in Gaussian's order) and the last few rows go through Gaussian itself.
-func crossRows(out []float64, x *linalg.Matrix, q []float64, tau float64, lo, hi int) {
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		d0, d1, d2, d3, _ := linalg.SqDist4(x.Row(i), x.Row(i+1), x.Row(i+2), x.Row(i+3), q, math.Inf(1))
-		out[i] = math.Exp(-d0 / tau)
-		out[i+1] = math.Exp(-d1 / tau)
-		out[i+2] = math.Exp(-d2 / tau)
-		out[i+3] = math.Exp(-d3 / tau)
-	}
-	for ; i < hi; i++ {
-		out[i] = Gaussian(x.Row(i), q, tau)
 	}
 }
 

@@ -103,9 +103,9 @@ func TestCrossVectorMatchesMatrix(t *testing.T) {
 	x := randMat(4, 10, 3)
 	k := Matrix(x, 1.3)
 	for i := 0; i < x.Rows; i++ {
-		kv := CrossVector(x, x.Row(i), 1.3)
+		kv := CrossVectorColsInto(make([]float64, x.Rows), x.T(), x.Row(i), 1.3)
 		for j := range kv {
-			if math.Abs(kv[j]-k.At(i, j)) > 1e-12 {
+			if kv[j] != Gaussian(x.Row(i), x.Row(j), 1.3) || math.Abs(kv[j]-k.At(i, j)) > 1e-12 {
 				t.Fatalf("cross vector mismatch at (%d,%d)", i, j)
 			}
 		}
@@ -135,7 +135,7 @@ func TestCenterCrossConsistent(t *testing.T) {
 	c := Matrix(x, 2.0)
 	rowMeans, grand := Center(c)
 	for i := 0; i < x.Rows; i++ {
-		kv := CrossVector(x, x.Row(i), 2.0)
+		kv := CrossVectorColsInto(make([]float64, x.Rows), x.T(), x.Row(i), 2.0)
 		cv := CenterCross(kv, rowMeans, grand)
 		for j := range cv {
 			if math.Abs(cv[j]-c.At(i, j)) > 1e-10 {

@@ -10,19 +10,19 @@
 //   - "optcost"    — calibrated optimizer-cost regression in the style of
 //     Kleerekoper et al.: each metric regressed on the scalar plan cost
 //
-// Saved models share one self-describing container (magic "QPREDZOO",
-// versioned, CRC-checked) that records the kind, so Load dispatches to the
+// Saved models share one self-describing container (an internal/frame with
+// magic "QPREDZOO") whose payload records the kind, so Load dispatches to the
 // right decoder without the caller knowing what was saved. Pre-zoo KCCA
 // model files (magic "QPREDMDL") load transparently as the "kcca" kind.
 package model
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"math"
@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/frame"
 )
 
 // Model is a trained predictor of any kind. Implementations are immutable
@@ -96,25 +97,18 @@ func Kinds() []string {
 	return out
 }
 
-// Zoo model files use the same container discipline as core model files
-// (magic, version, length, CRC-32C, then payload) with their own magic, and
-// the payload is a kind-tagged envelope so Load can dispatch.
+// Zoo model files are frames (internal/frame) with their own magic, and the
+// payload is a kind-tagged envelope so Load can dispatch.
 const (
 	zooMagic = "QPREDZOO"
 	// FormatVersion is the zoo container format. Bump on any incompatible
 	// wire change.
 	FormatVersion = 1
-	// frameHeaderLen: magic + uint32 version + uint64 length + uint32 CRC —
-	// deliberately identical layout to core's model frame.
-	frameHeaderLen = 8 + 4 + 8 + 4
-	maxPayload     = 1 << 30
 )
 
 // ErrBadModelFile marks a zoo model file that failed container validation.
 // Matched with errors.Is.
 var ErrBadModelFile = errors.New("model: invalid model file")
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // envelope is the kind-tagged payload inside the zoo frame.
 type envelope struct {
@@ -128,54 +122,26 @@ func saveEnvelope(w io.Writer, kind string, payload []byte) error {
 	if err := gob.NewEncoder(&buf).Encode(&envelope{Kind: kind, Payload: payload}); err != nil {
 		return fmt.Errorf("model: encoding %s envelope: %w", kind, err)
 	}
-	body := buf.Bytes()
-	hdr := make([]byte, frameHeaderLen)
-	copy(hdr, zooMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], FormatVersion)
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(len(body)))
-	binary.LittleEndian.PutUint32(hdr[20:], crc32.Checksum(body, crcTable))
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("model: writing header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("model: writing payload: %w", err)
-	}
-	return nil
+	return frame.Write(w, zooMagic, FormatVersion, buf.Bytes())
 }
 
 // Load reads any saved model — zoo-framed files of every kind, plus legacy
 // core KCCA files ("QPREDMDL"), which load as the "kcca" kind so model
 // files written before the zoo keep working.
 func Load(r io.Reader) (Model, error) {
-	hdr := make([]byte, frameHeaderLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("%w: short header: %v", ErrBadModelFile, err)
-	}
-	if string(hdr[:8]) != zooMagic {
-		// Not a zoo file: hand the bytes (header included) to the core
-		// loader, which validates its own magic and reports its own errors.
-		p, err := core.Load(io.MultiReader(bytes.NewReader(hdr), r))
+	br := bufio.NewReader(r)
+	if magic, _ := br.Peek(len(zooMagic)); string(magic) != zooMagic {
+		// Not a zoo file: the core loader validates its own magic and
+		// reports its own errors.
+		p, err := core.Load(br)
 		if err != nil {
 			return nil, err
 		}
 		return WrapKCCA(p), nil
 	}
-	version := binary.LittleEndian.Uint32(hdr[8:])
-	if version != FormatVersion {
-		return nil, fmt.Errorf("%w: format version %d, this build reads %d",
-			ErrBadModelFile, version, FormatVersion)
-	}
-	length := binary.LittleEndian.Uint64(hdr[12:])
-	if length > maxPayload {
-		return nil, fmt.Errorf("%w: declared payload of %d bytes exceeds the %d limit",
-			ErrBadModelFile, length, maxPayload)
-	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("%w: short payload: %v", ErrBadModelFile, err)
-	}
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(hdr[20:]) {
-		return nil, fmt.Errorf("%w: payload checksum mismatch", ErrBadModelFile)
+	body, err := frame.Read(br, zooMagic, FormatVersion)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadModelFile, err)
 	}
 	var env envelope
 	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&env); err != nil {

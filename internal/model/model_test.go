@@ -2,8 +2,12 @@ package model
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"os"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
+	"repro/internal/frame"
 	"repro/internal/workload"
 )
 
@@ -250,6 +255,43 @@ func TestLoadLegacyFile(t *testing.T) {
 	}
 	reqs := requests(test)
 	samePredictions(t, m.Predict(reqs...), p.Predict(reqs...))
+}
+
+// TestZooFrameGolden: a zoo file written by the commit before internal/frame
+// (an optcost envelope around the frame goldens' payload) reads back: Load
+// takes it through the frame and the envelope to the optcost decoder, which
+// rejects a payload that is not an optcost model. That the zoo frame is
+// written byte for byte is internal/frame's TestGoldenFrames; the envelope's
+// own bytes depend on the order gob met its types in the process.
+func TestZooFrameGolden(t *testing.T) {
+	golden, err := os.ReadFile("../frame/testdata/zoo.frame")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(golden)); !errors.Is(err, ErrBadModelFile) || !strings.Contains(err.Error(), "decoding optcost") {
+		t.Fatalf("Load: %v, want the optcost decoder's error", err)
+	}
+}
+
+// TestLoadBoundsDeclaredLength: a 24-byte zoo file that claims 2^30 − 1
+// payload bytes fails as a short payload having allocated about what it
+// holds, not the gigabyte it declares.
+func TestLoadBoundsDeclaredLength(t *testing.T) {
+	var hdr bytes.Buffer
+	if err := frame.Write(&hdr, zooMagic, FormatVersion, nil); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(hdr.Bytes()[12:], frame.MaxPayload-1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(bytes.NewReader(hdr.Bytes()))
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("allocated %d bytes for a 24-byte file", n)
+	}
+	if !errors.Is(err, ErrBadModelFile) || !strings.Contains(err.Error(), "short payload") {
+		t.Errorf("error %v, want ErrBadModelFile for a short payload", err)
+	}
 }
 
 func TestUnknownKind(t *testing.T) {

@@ -126,7 +126,7 @@ type Config struct {
 // with New, mount with Handler, stop with Close.
 type Server struct {
 	cfg Config
-	// plans is the fingerprint-keyed plan/feature cache (core.PlanCache):
+	// plans is the SQL-keyed plan/feature cache (core.PlanCache):
 	// generation-independent — plans are pure in (SQL, schema, data seed,
 	// planner config), so hot swaps never invalidate it — and shared by the
 	// predict path, the observe path, and (through the planned queries it

@@ -314,7 +314,7 @@ func (r *Router) ObserveSync(q *dataset.Query) (int, error) {
 	if s.sliding == nil {
 		return owner, fmt.Errorf("shard %d: no sliding window (static model)", owner)
 	}
-	return owner, s.observeSync(q)
+	return owner, s.apply(q)
 }
 
 // TotalWindow sums the mirrored window occupancy across shards.

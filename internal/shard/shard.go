@@ -250,14 +250,17 @@ func (s *Shard) enqueueObserve(share []*dataset.Query) {
 	s.observeCh <- share
 }
 
-// observeSync applies one observation synchronously on the caller's
-// goroutine — the embedding/benchmark path, bypassing the observe queue.
-// SlidingPredictor is internally synchronized, so this is safe alongside
-// the background loop, but the two paths share the same swap bookkeeping.
-// Do not mix with a background observe loop on a durable shard: the store
-// is single-owner.
-func (s *Shard) observeSync(q *dataset.Query) error {
+// apply is the one per-observation path: WAL-log, shadow-score, slide the
+// window (retraining when due), publish a completed retrain, promote, and
+// persist. The observe loop runs it for every queued observation;
+// Router.ObserveSync runs it on the caller's goroutine — the
+// embedding/benchmark path, bypassing the observe queue. SlidingPredictor is
+// internally synchronized, so the two may run side by side, but do not mix
+// them on a durable shard: the store is single-owner.
+func (s *Shard) apply(q *dataset.Query) error {
 	seq := s.logObservation(q)
+	// Shadow-score before the window sees the query: every model is
+	// evaluated on data it has never trained on.
 	s.shadowScore(q)
 	before := s.sliding.Retrains()
 	err := s.sliding.Observe(q)
@@ -346,15 +349,7 @@ func (s *Shard) observeLoop() {
 		for _, q := range share {
 			s.observePending.Add(-1)
 			observeDepth.Add(-1)
-			seq := s.logObservation(q)
-			// Shadow-score before the window sees the query: every model is
-			// evaluated on data it has never trained on.
-			s.shadowScore(q)
-			before := s.sliding.Retrains()
-			err := s.sliding.Observe(q)
-			s.afterObserve(before, err)
-			s.maybePromote()
-			s.persistApplied(seq)
+			s.apply(q) // a failed retrain is counted; the previous model keeps serving
 		}
 	}
 }

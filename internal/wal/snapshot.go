@@ -4,11 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 
+	"repro/internal/frame"
 	"repro/internal/obs"
 )
 
@@ -57,7 +57,7 @@ func WriteSnapshot(dir string, seq, gen uint64, payload []byte) (string, error) 
 	off := len(snapMagic)
 	binary.LittleEndian.PutUint64(buf[off:], seq)
 	binary.LittleEndian.PutUint64(buf[off+8:], gen)
-	binary.LittleEndian.PutUint32(buf[off+16:], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(buf[off+16:], frame.Checksum(payload))
 	copy(buf[snapHeaderLen:], payload)
 	path := snapshotPath(dir, seq)
 	if err := WriteFileAtomic(path, buf, 0o644); err != nil {
@@ -85,7 +85,7 @@ func ReadSnapshot(path string) (*Snapshot, error) {
 	gen := binary.LittleEndian.Uint64(data[off+8:])
 	crc := binary.LittleEndian.Uint32(data[off+16:])
 	payload := data[snapHeaderLen:]
-	if crc32.Checksum(payload, castagnoli) != crc {
+	if frame.Checksum(payload) != crc {
 		return nil, fmt.Errorf("%w: %s: checksum mismatch", ErrBadSnapshot, path)
 	}
 	return &Snapshot{Path: path, Seq: seq, Gen: gen, Payload: payload}, nil

@@ -15,23 +15,24 @@
 //     applied to the sliding retraining window and snapshotting installed
 //     model generations via internal/core/serialize.
 //
-// The format discipline matches the model files: every container carries a
-// magic string, a format version, and a CRC, so a truncated, bit-flipped,
-// or different-build file fails fast with a clear error instead of
-// decoding plausibly.
+// Like the model files (internal/frame), every file carries a magic string
+// that names its format version and a CRC-32C (frame.Checksum), so a
+// truncated, bit-flipped, or different-build file fails fast with a clear
+// error instead of decoding plausibly. Segment, record and snapshot headers
+// carry other fields than a frame's, so they keep their own layouts.
 package wal
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
+	"repro/internal/frame"
 	"repro/internal/obs"
 )
 
@@ -74,9 +75,6 @@ const (
 	// DefaultSyncEvery is the SyncBatch fsync cadence in appends.
 	DefaultSyncEvery = 64
 )
-
-// castagnoli is the CRC-32C table used for record and snapshot checksums.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // SyncPolicy selects when appends reach stable storage.
 type SyncPolicy int
@@ -246,40 +244,17 @@ func (l *Log) scanSegment(path string, wantFirst uint64) (seg segment, truncated
 		return segment{}, false, false, nil
 	}
 
-	r := &countingReader{r: f, n: int64(segHeaderLen)}
-	goodEnd := r.n
+	rr := recordReader{r: f, off: int64(segHeaderLen)}
 	var count uint64
-	recHdr := make([]byte, recHeaderLen)
-	var payload []byte
-	bad := false
+	var rerr error
 	for {
-		if _, err := io.ReadFull(r, recHdr); err != nil {
-			bad = err != io.EOF
-			break
-		}
-		length := binary.LittleEndian.Uint32(recHdr[:4])
-		crc := binary.LittleEndian.Uint32(recHdr[4:])
-		if length == 0 || length > MaxRecordBytes {
-			bad = true
-			break
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			bad = true
-			break
-		}
-		if crc32.Checksum(payload, castagnoli) != crc {
-			bad = true
+		if _, rerr = rr.next(); rerr != nil {
 			break
 		}
 		count++
-		goodEnd = r.n
 	}
 	seg = segment{path: path, firstSeq: firstSeq, count: count}
-	if !bad {
+	if rerr == io.EOF {
 		return seg, false, true, nil
 	}
 	// Torn or corrupt record: cut the file back to the last valid byte.
@@ -287,8 +262,8 @@ func (l *Log) scanSegment(path string, wantFirst uint64) (seg segment, truncated
 	if err != nil {
 		return segment{}, false, false, fmt.Errorf("wal: stat %s: %w", path, err)
 	}
-	l.noteRepair(info.Size() - goodEnd)
-	if err := os.Truncate(path, goodEnd); err != nil {
+	l.noteRepair(info.Size() - rr.off)
+	if err := os.Truncate(path, rr.off); err != nil {
 		return segment{}, false, false, fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
 	}
 	return seg, true, true, nil
@@ -384,19 +359,19 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	} else {
 		l.frame = l.frame[:need]
 	}
-	frame := l.frame
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[recHeaderLen:], payload)
-	if _, err := l.f.Write(frame); err != nil {
+	rec := l.frame
+	binary.LittleEndian.PutUint32(rec[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:8], frame.Checksum(payload))
+	copy(rec[recHeaderLen:], payload)
+	if _, err := l.f.Write(rec); err != nil {
 		return 0, fmt.Errorf("wal: appending record %d: %w", l.nextSeq, err)
 	}
 	seq := l.nextSeq
 	l.nextSeq++
-	l.size += int64(len(frame))
+	l.size += int64(len(rec))
 	l.segs[len(l.segs)-1].count++
 	walAppends.Inc()
-	walAppendBytes.Observe(float64(len(frame)))
+	walAppendBytes.Observe(float64(len(rec)))
 
 	switch l.opts.Policy {
 	case SyncAlways:
@@ -498,26 +473,11 @@ func replaySegment(seg segment, fromSeq uint64, fn func(seq uint64, payload []by
 	if _, err := f.Seek(int64(segHeaderLen), io.SeekStart); err != nil {
 		return fmt.Errorf("wal: seeking %s: %w", seg.path, err)
 	}
-	recHdr := make([]byte, recHeaderLen)
-	var payload []byte
+	rr := recordReader{r: f, off: int64(segHeaderLen)}
 	for i := uint64(0); i < seg.count; i++ {
-		if _, err := io.ReadFull(f, recHdr); err != nil {
+		payload, err := rr.next()
+		if err != nil {
 			return fmt.Errorf("wal: replaying %s record %d: %w", seg.path, i, err)
-		}
-		length := binary.LittleEndian.Uint32(recHdr[:4])
-		crc := binary.LittleEndian.Uint32(recHdr[4:])
-		if length == 0 || length > MaxRecordBytes {
-			return fmt.Errorf("wal: replaying %s record %d: invalid length %d", seg.path, i, length)
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return fmt.Errorf("wal: replaying %s record %d: %w", seg.path, i, err)
-		}
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return fmt.Errorf("wal: replaying %s record %d: checksum mismatch", seg.path, i)
 		}
 		seq := seg.firstSeq + i
 		if seq < fromSeq {
@@ -559,14 +519,38 @@ func (l *Log) TruncateBefore(seq uint64) error {
 	return nil
 }
 
-// countingReader tracks the byte offset of a sequential read.
-type countingReader struct {
-	r io.Reader
-	n int64
+// recordReader reads a segment's records in order, from just past its
+// header, tracking the byte offset of the end of the last record read.
+type recordReader struct {
+	r       io.Reader
+	off     int64
+	hdr     [recHeaderLen]byte
+	payload []byte // reused: each payload is valid until the next call
 }
 
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
+// next returns the next record's payload. io.EOF means the segment ended
+// cleanly on a record boundary; any other error is a torn or corrupt record.
+func (rr *recordReader) next() ([]byte, error) {
+	if _, err := io.ReadFull(rr.r, rr.hdr[:]); err != nil {
+		return nil, err
+	}
+	length := binary.LittleEndian.Uint32(rr.hdr[:4])
+	if length == 0 || length > MaxRecordBytes {
+		return nil, fmt.Errorf("invalid length %d", length)
+	}
+	if cap(rr.payload) < int(length) {
+		rr.payload = make([]byte, length)
+	}
+	payload := rr.payload[:length]
+	if _, err := io.ReadFull(rr.r, payload); err != nil {
+		if err == io.EOF { // the header promised a payload
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	if frame.Checksum(payload) != binary.LittleEndian.Uint32(rr.hdr[4:]) {
+		return nil, errors.New("checksum mismatch")
+	}
+	rr.off += recHeaderLen + int64(length)
+	return payload, nil
 }

@@ -84,7 +84,7 @@ type ServeOptions struct {
 	Timeout Duration `json:"timeout"`
 	// DrainTimeout bounds graceful shutdown.
 	DrainTimeout Duration `json:"drain_timeout"`
-	// PlanCache sizes the fingerprint-keyed plan/feature cache shared by
+	// PlanCache sizes the SQL-keyed plan/feature cache shared by
 	// the predict, observe, and WAL-replay paths (0 = the built-in
 	// default, negative disables caching — every request re-plans).
 	PlanCache int `json:"plan_cache,omitempty"`
