@@ -214,7 +214,7 @@ func boot(opts qpredict.Options, logw io.Writer) (svc *serve.Server, modelDesc s
 	// so a query seen on any of them is planned once. Generation-free
 	// keying (plans depend only on schema, data seed, and machine, all
 	// fixed for the process) means hot swaps never invalidate it.
-	planner := serve.NewPlanner(schema, opts.Train.DataSeed, machine, opts.Serve.PlanCache)
+	planner := newPlanner(opts, schema, machine)
 	if planner.Enabled() {
 		fmt.Fprintf(logw, "plan cache: %d entries\n", planner.Cap())
 	} else {
@@ -413,6 +413,19 @@ func boot(opts qpredict.Options, logw io.Writer) (svc *serve.Server, modelDesc s
 		return nil, "", fmt.Errorf("starting service: %w", err)
 	}
 	return svc, modelDesc, nil
+}
+
+// newPlanner builds the daemon's plan/feature cache. An entry is a feature
+// vector and a cost-only plan, except under the model zoo: there the cache
+// keeps plan trees, because the zoo may run the planstruct model, the one
+// reader of plan trees — as a configured kind, or as the champion a state
+// directory recorded from an earlier run.
+func newPlanner(opts qpredict.Options, schema *catalog.Schema, machine exec.Machine) *core.PlanCache {
+	planner := serve.NewPlanner(schema, opts.Train.DataSeed, machine, opts.Serve.PlanCache)
+	if opts.Champion.Enabled() {
+		planner.KeepTrees()
+	}
+	return planner
 }
 
 // Connection timeouts of the daemon's listener. A client gets

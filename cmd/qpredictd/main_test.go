@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -18,7 +20,10 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/dataset"
 	"repro/internal/exec"
+	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/wal"
 	"repro/internal/workload"
 	"repro/pkg/qpredict"
 )
@@ -149,6 +154,140 @@ func TestOneShardStateDirAcrossBoots(t *testing.T) {
 	if _, _, err := bootArgs(t, append(base[:len(base):len(base)], "-shards", "2")...); err == nil || !strings.Contains(err.Error(), "was written under") {
 		t.Fatalf("-shards 2 on a one-shard state dir: %v", err)
 	}
+}
+
+// TestPlanTreesKeptOnlyUnderZoo: the stock daemon's plan cache hands out
+// cost-only plans — no AST, no plan tree — at the cost the uncached pipeline
+// computes, bit for bit, on a miss and on a hit. Under the model zoo, which
+// may run the planstruct model (the one reader of plan trees), it keeps the
+// trees, whichever kinds the command line names.
+func TestPlanTreesKeptOnlyUnderZoo(t *testing.T) {
+	schema, machine := catalog.TPCDS(1), exec.Research4()
+	const sql = "SELECT COUNT(*) FROM store_sales, item WHERE ss_item_sk = i_item_sk AND i_category = 'v3'"
+	want, err := serve.PlannerFunc(schema, qpredict.Default().Train.DataSeed, machine)(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := obs.GetCounter("core.plancache.hits")
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		trees bool
+	}{
+		{"stock", nil, false},
+		{"planstruct challenger", []string{"-challengers", "planstruct"}, true},
+		{"optcost challenger", []string{"-challengers", "optcost"}, true},
+	} {
+		opts, _, err := loadOptions(flag.NewFlagSet("qpredictd", flag.ContinueOnError), tc.args, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans := newPlanner(opts, schema, machine)
+		before := hits.Value()
+		for _, lookup := range []string{"miss", "hit"} {
+			q, err := plans.Plan(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if q.AST != nil {
+				t.Errorf("%s: the %s kept the AST", tc.name, lookup)
+			}
+			if got := q.Plan.Root != nil; got != tc.trees {
+				t.Errorf("%s: the %s carries a plan tree: %v, want %v", tc.name, lookup, got, tc.trees)
+			}
+			if math.Float64bits(q.Plan.Cost) != math.Float64bits(want.Plan.Cost) {
+				t.Errorf("%s: the %s costs %v, the uncached pipeline %v", tc.name, lookup, q.Plan.Cost, want.Plan.Cost)
+			}
+		}
+		if n := hits.Value() - before; n != 1 {
+			t.Errorf("%s: %d plan-cache hits, want 1", tc.name, n)
+		}
+	}
+}
+
+// TestRecordedPlanStructChampionRetrains: a state directory that recorded
+// planstruct as its champion keeps serving planstruct when the daemon
+// restarts with a zoo that does not name it. The champion trains from the
+// window the restarted daemon plans, so that window must carry plan trees;
+// without them every planstruct training fails and KCCA answers under a
+// planstruct champion.
+func TestRecordedPlanStructChampionRetrains(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-train", "60", "-capacity", "20", "-retrain-every", "5", "-snapshot-every", "4", "-state-dir", dir}
+	def := qpredict.Default()
+	pool, err := dataset.Generate(dataset.GenConfig{
+		Seed: def.Train.Seed, DataSeed: def.Train.DataSeed, Machine: exec.Research4(),
+		Schema: catalog.TPCDS(1), Templates: workload.TPCDSTemplates(), Count: 60,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	observe := func(svc *serve.Server, qs []*dataset.Query) {
+		t.Helper()
+		var req api.ObserveRequest
+		for _, q := range qs {
+			req.Observations = append(req.Observations, api.Observation{SQL: q.SQL, Metrics: api.MetricsFrom(q.Metrics)})
+		}
+		if code, raw := call(t, svc, http.MethodPost, "/v1/observe", req); code != http.StatusAccepted {
+			t.Fatalf("observe: %d %s", code, raw)
+		}
+	}
+
+	// First life: a zoo with planstruct fills the window and drains; then
+	// the shard's state records planstruct as champion, as a promotion does.
+	svc, log, err := bootArgs(t, append(base, "-challengers", "planstruct")...)
+	if err != nil {
+		t.Fatalf("first boot: %v\n%s", err, log)
+	}
+	observe(svc, pool.Queries[:12])
+	for deadline := time.Now().Add(60 * time.Second); generationOf(t, svc) != 3; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("generation %d after two retrains' worth of observations, want 3", generationOf(t, svc))
+		}
+	}
+	svc.Close()
+	st, err := wal.OpenStore(wal.StoreOptions{
+		Dir:  filepath.Join(dir, "shard-0"),
+		Plan: serve.PlannerFunc(catalog.TPCDS(1), def.Train.DataSeed, exec.Research4()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SetChampion(model.KindPlanStruct); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(nil, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	// Second life, under a zoo that names optcost and kcca but not
+	// planstruct: the champion trains from the recovered window at boot,
+	// and again at the retrain five more observations bring.
+	svc, log, err = bootArgs(t, append(base, "-champion", "optcost", "-challengers", "kcca")...)
+	if err != nil {
+		t.Fatalf("second boot: %v\n%s", err, log)
+	}
+	defer svc.Close()
+	answeredBy := func(when string) {
+		t.Helper()
+		code, raw := call(t, svc, http.MethodPost, "/v1/predict", api.PredictRequest{SQL: pool.Queries[0].SQL})
+		var resp api.PredictResponse
+		if err := json.Unmarshal(raw, &resp); code != http.StatusOK || err != nil || len(resp.Results) != 1 {
+			t.Fatalf("predict %s: %d %s (%v)", when, code, raw, err)
+		}
+		if got := resp.Results[0].ModelKind; got != model.KindPlanStruct {
+			t.Errorf("%s, %q answered under the recorded planstruct champion", when, got)
+		}
+	}
+	answeredBy("after boot")
+	gen := generationOf(t, svc)
+	observe(svc, pool.Queries[12:17])
+	for deadline := time.Now().Add(60 * time.Second); generationOf(t, svc) == gen; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("still generation %d after a retrain's worth of observations\n%s", gen, log)
+		}
+	}
+	answeredBy("after a retrain")
 }
 
 // TestFlagsOverConfigOverDefaults: the three layers of loadOptions. A field

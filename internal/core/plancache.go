@@ -4,6 +4,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/features"
 	"repro/internal/obs"
+	"repro/internal/optimizer"
 )
 
 // Plan-cache metrics: hit rate is the headline number for template
@@ -14,10 +15,12 @@ var (
 	planMisses = obs.GetCounter("core.plancache.misses")
 )
 
-// defaultPlanCacheCap bounds the plan cache. Entries are one parsed AST plus
-// one plan tree plus one feature vector (a few KiB); template workloads
-// cycle through a bounded set of rendered SQL strings, so this comfortably
-// covers them while bounding adversarial churn.
+// defaultPlanCacheCap bounds the plan cache. An entry is its SQL key, the
+// feature vector and a cost-only plan: about 520 bytes beside the key for a
+// stock statement, and under 1 KiB beside it for any statement the planner
+// accepts, however deep. Template workloads cycle through a bounded set of
+// rendered SQL strings, so this comfortably covers them while bounding
+// adversarial churn; the key itself is bounded only by the caller.
 const defaultPlanCacheCap = 4096
 
 // PlanCache memoizes the deterministic SQL → planned-query pipeline — the
@@ -29,26 +32,36 @@ const defaultPlanCacheCap = 4096
 // serves the predict path, the observe path, WAL replay, and the shadow
 // scorer alike.
 //
-// A hit returns a shallow copy of the cached prototype: SQL, AST, Plan, and
-// the memoized PlanFeat vector are shared read-only, while the struct itself
-// is fresh so callers can set Metrics and Category (the observe path does)
-// without touching the cache. The prototype's PlanFeat is extracted once at
-// insert, so every downstream feature extraction — prediction, window
-// retrains, fingerprint routing — skips the plan walk too.
+// An entry keeps only what serving reads: the SQL, the memoized PlanFeat
+// vector and the optimizer cost, as a cost-only plan (Plan.Root nil). The
+// AST and the plan tree are dropped at insert — nothing after planning
+// reads the AST, and only a plan-structured model (model.KindPlanStruct)
+// reads the tree; a process that serves one asks for trees with KeepTrees.
 //
-// A miss costs what the pipeline allocates for the query it returns and
-// nothing for the cache: the prototype is stored by value in its entry, and
-// at capacity the evicted entry is taken over for the newcomer.
+// A hit and a miss return the same prototype: a shallow copy whose SQL,
+// Plan and PlanFeat are shared read-only, while the struct itself is fresh
+// so callers can set Metrics and Category (the observe path does) without
+// touching the cache. So the sliding window, WAL replay and snapshot
+// restore, which all plan through the cache, hold no trees either. PlanFeat
+// is extracted once at insert, so every downstream feature extraction —
+// prediction, window retrains, fingerprint routing — skips the plan walk.
+//
+// A miss costs what the pipeline allocates plus the cost-only plan: the
+// prototype is stored by value in its entry, and at capacity the evicted
+// entry is taken over for the newcomer.
 //
 // The key is the SQL text itself. Plan failures are never cached (errors
 // stay as cheap or expensive as the pipeline makes them, and the bounded LRU
 // is not churned by garbage). Safe for concurrent use.
 type PlanCache struct {
 	plan PlanFunc
-	// protos holds the immutable prototypes: exactly what the plan pipeline
-	// returned, with PlanFeat memoized. Hits hand out shallow copies. It is
-	// nil for the capacity<0 passthrough, where every Plan call runs the
-	// pipeline and nothing is memoized (the honest no-cache baseline).
+	// keepTrees keeps each entry's plan tree for a plan-structured model.
+	keepTrees bool
+	// protos holds the immutable prototypes: what the plan pipeline
+	// returned, with PlanFeat memoized and the trees dropped. Hits hand out
+	// shallow copies. It is nil for the capacity<0 passthrough, where every
+	// Plan call runs the pipeline and nothing is memoized (the honest
+	// no-cache baseline).
 	protos *lru[string, dataset.Query]
 }
 
@@ -70,6 +83,11 @@ func NewPlanCache(capacity int, plan PlanFunc) *PlanCache {
 	return c
 }
 
+// KeepTrees makes the cache keep each entry's plan tree, for a process that
+// serves a model reading plan structure (model.KindPlanStruct). Call it
+// before the first Plan.
+func (c *PlanCache) KeepTrees() { c.keepTrees = true }
+
 // Plan returns the planned query for sql, from cache when possible. It is
 // itself a PlanFunc, so a cache drops into every seam that takes one (WAL
 // replay, snapshot restore, the serving handlers).
@@ -89,8 +107,14 @@ func (c *PlanCache) Plan(sql string) (*dataset.Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	if q.PlanFeat == nil && q.Plan != nil {
-		q.PlanFeat = features.PlanVector(q.Plan)
+	q.AST = nil
+	if q.Plan != nil {
+		if q.PlanFeat == nil {
+			q.PlanFeat = features.PlanVector(q.Plan)
+		}
+		if !c.keepTrees {
+			q.Plan = &optimizer.Plan{Cost: q.Plan.Cost}
+		}
 	}
 	c.protos.put(sql, *q)
 	return q, nil

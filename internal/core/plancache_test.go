@@ -57,8 +57,20 @@ func TestPlanCacheBasic(t *testing.T) {
 	if q2 == q1 {
 		t.Fatal("hit returned the same *Query — callers would share Metrics/Category")
 	}
-	if q2.Plan != q1.Plan || q2.AST != q1.AST {
-		t.Error("hit did not share the immutable plan/AST")
+	// Hit and miss return the same prototype: the cost-only plan is shared,
+	// and neither carries the AST or the plan tree.
+	if q2.Plan != q1.Plan {
+		t.Error("hit did not share the miss's cost-only plan")
+	}
+	if q1.AST != nil || q2.AST != nil || q1.Plan.Root != nil || q2.Plan.Root != nil {
+		t.Error("the cache kept the AST or the plan tree")
+	}
+	fresh, err := testPlanFunc()(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(q2.Plan.Cost) != math.Float64bits(fresh.Plan.Cost) {
+		t.Errorf("cached cost %v, pipeline's %v", q2.Plan.Cost, fresh.Plan.Cost)
 	}
 	if !equalBits(q1.PlanFeat, q2.PlanFeat) {
 		t.Errorf("feature vectors differ across hit: %v vs %v", q1.PlanFeat, q2.PlanFeat)

@@ -22,15 +22,21 @@ type Query struct {
 	Template string
 	Class    string
 	SQL      string
-	AST      *sqlgen.Query
+	// AST is the parsed statement. A query from the serving plan cache
+	// (core.PlanCache) carries none: nothing after planning reads it.
+	AST *sqlgen.Query
+	// Plan is the optimizer's plan. A query from the serving plan cache
+	// carries a cost-only plan (Root nil) unless the cache keeps trees for
+	// a plan-structured model; Cost is always set.
 	Plan     *optimizer.Plan
 	Metrics  exec.Metrics
 	Category workload.Category
-	// PlanFeat, when non-nil, memoizes features.PlanVector(Plan) — the plan
-	// feature vector is a pure function of the plan, so it can be computed
-	// once and shared. The slice is read-only: consumers must copy before
-	// mutating, and shallow Query copies (the plan cache's hit path) share
-	// it safely. Nil means "not yet extracted", never "no features".
+	// PlanFeat, when non-nil, memoizes features.PlanVector of the planned
+	// tree — the plan feature vector is a pure function of the plan, so it
+	// can be computed once and shared (and outlives a dropped tree). The
+	// slice is read-only: consumers must copy before mutating, and shallow
+	// Query copies (the plan cache's hit path) share it safely. Nil means
+	// "not yet extracted", never "no features".
 	PlanFeat []float64
 }
 

@@ -25,9 +25,10 @@ func stockSQL(tb testing.TB, n int) []string {
 
 // planMissAllocBound is what one plan-cache miss may allocate, averaged over
 // the stock queries: the AST (query node plus a slice per clause), the plan
-// (Plan, table list, one node slab), the feature vector and the
-// dataset.Query — 11 on average, a few more for a template with a subquery.
-// The pipeline this replaced made 99.
+// (Plan, table list, one node slab), the feature vector, the dataset.Query
+// and the cost-only plan the cache keeps in place of the tree — 12 on
+// average, a few more for a template with a subquery. The pipeline this
+// replaced made 99.
 const planMissAllocBound = 35
 
 // TestPlanMissAllocs is the guard on the cold path's allocations: stock SQL
