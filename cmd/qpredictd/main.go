@@ -200,9 +200,12 @@ func boot(opts qpredict.Options, logw io.Writer) (svc *serve.Server, modelDesc s
 	}
 	// Which arithmetic path serves decides cpu_ms_per_query more than any
 	// option does; say it once so two hosts' numbers can be told apart.
-	if linalg.VectorKernels() {
-		fmt.Fprintln(logw, "linalg kernels: AVX2")
-	} else {
+	switch {
+	case linalg.VectorExp():
+		fmt.Fprintln(logw, "linalg kernels: AVX2, exp four lanes (FMA)")
+	case linalg.VectorKernels():
+		fmt.Fprintln(logw, "linalg kernels: AVX2, exp per element (math.Exp not on its FMA branch here)")
+	default:
 		fmt.Fprintln(logw, "linalg kernels: portable (no AVX2 on this host)")
 	}
 	schema := catalog.TPCDS(1)

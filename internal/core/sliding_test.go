@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -204,5 +205,36 @@ func TestCrossValidateTauFracErrors(t *testing.T) {
 	}
 	if _, _, err := CrossValidateTauFrac(train, []float64{-1}, 3, DefaultOptions()); err == nil {
 		t.Error("negative fraction accepted")
+	}
+}
+
+// TestSlidingHugeObservedMetric: /v1/observe admits any finite metric, so a
+// window can hold one SQL observed twice at elapsed_sec 1e308. Predicting that
+// SQL combines the two copies, whose equal-weight sum overflows; the
+// prediction must still be the finite mean.
+func TestSlidingHugeObservedMetric(t *testing.T) {
+	ds := pool(t)
+	s, err := NewSliding(10, 6, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := *ds.Queries[4]
+	huge.Metrics.ElapsedSec = 1e308
+	for _, q := range []*dataset.Query{ds.Queries[0], ds.Queries[1], ds.Queries[2], ds.Queries[3], &huge, &huge} {
+		if err := s.Observe(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pred, err := s.PredictQuery(&huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := pred.Metrics.ElapsedSec; math.IsInf(e, 0) || math.IsNaN(e) || e < 1e307 {
+		t.Fatalf("predicted elapsed_sec %v from two neighbours at 1e308, want their finite mean", e)
+	}
+	for _, v := range pred.Metrics.Vector() {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			t.Fatalf("prediction %+v is not finite", pred.Metrics)
+		}
 	}
 }

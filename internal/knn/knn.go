@@ -233,7 +233,13 @@ func Search(points, queries *linalg.Matrix, k int, metric Distance) ([][]Neighbo
 
 // Combine merges the value vectors of the neighbors (rows of values
 // indexed by Neighbor.Index) into one prediction under the weighting
-// scheme.
+// scheme: Σ wtᵢ·vᵢ over the neighbors in rank order, times 1/Σ wtᵢ.
+//
+// That weighted sum can overflow where the mean does not (two finite values
+// of 1e308 under equal weights). A component that comes out non-finite from
+// neighbor values that are all finite is recomputed as Σ (wtᵢ/Σ wt)·vᵢ in
+// rank order, whose terms are no larger than the values themselves; every
+// component that is finite the first way keeps its bits.
 func Combine(values *linalg.Matrix, neighbors []Neighbor, w Weighting) []float64 {
 	out := make([]float64, values.Cols)
 	if len(neighbors) == 0 {
@@ -241,21 +247,47 @@ func Combine(values *linalg.Matrix, neighbors []Neighbor, w Weighting) []float64
 	}
 	total := 0.0
 	for rank, nb := range neighbors {
-		var wt float64
-		switch w {
-		case RankWeight:
-			wt = float64(len(neighbors) - rank)
-		case DistanceWeight:
-			wt = 1 / (nb.Distance + 1e-9)
-		default:
-			wt = 1
-		}
+		wt := w.weight(rank, len(neighbors), nb)
 		linalg.Axpy(wt, values.Row(nb.Index), out)
 		total += wt
 	}
 	linalg.ScaleVec(1/total, out)
+	for j, v := range out {
+		if !isFinite(v) {
+			out[j] = combineNormalized(values, neighbors, w, total, j, v)
+		}
+	}
 	return out
 }
+
+// weight is the weight of the neighbor at the given rank among k.
+func (w Weighting) weight(rank, k int, nb Neighbor) float64 {
+	switch w {
+	case RankWeight:
+		return float64(k - rank)
+	case DistanceWeight:
+		return 1 / (nb.Distance + 1e-9)
+	default:
+		return 1
+	}
+}
+
+// combineNormalized is component j of Combine with normalized weights, or
+// the weighted-sum result v unchanged when a neighbor's value is itself
+// non-finite.
+func combineNormalized(values *linalg.Matrix, neighbors []Neighbor, w Weighting, total float64, j int, v float64) float64 {
+	s := 0.0
+	for rank, nb := range neighbors {
+		x := values.At(nb.Index, j)
+		if !isFinite(x) {
+			return v
+		}
+		s += w.weight(rank, len(neighbors), nb) / total * x
+	}
+	return s
+}
+
+func isFinite(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
 
 // Predict is Nearest followed by Combine.
 func Predict(points, values *linalg.Matrix, q []float64, opt Options) ([]float64, []Neighbor, error) {

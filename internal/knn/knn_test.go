@@ -219,3 +219,59 @@ func TestCombineRankWeightNormalizes(t *testing.T) {
 		}
 	}
 }
+
+// TestCombineLargeFiniteValues: neighbor values whose weighted sum overflows
+// although their weighted mean does not still combine to that mean, under
+// every weighting, and a component that overflows only because a neighbor's
+// value is itself infinite stays infinite. Components whose weighted sum is
+// finite keep the bits of Σ wtᵢ·vᵢ · (1/Σ wtᵢ).
+func TestCombineLargeFiniteValues(t *testing.T) {
+	big := linalg.FromRows([][]float64{
+		{1e308, 3, 1e308},
+		{1e308, 5, math.Inf(1)},
+		{6e307, 7, 2},
+		{1e300, 11, 1e300},
+	})
+	for _, tc := range []struct {
+		w   Weighting
+		nbs []Neighbor
+	}{
+		{EqualWeight, []Neighbor{{Index: 0, Distance: 0.5}, {Index: 1, Distance: 1}}},
+		{EqualWeight, []Neighbor{{Index: 0, Distance: 0.5}, {Index: 1, Distance: 1}, {Index: 2, Distance: 2}}},
+		{RankWeight, []Neighbor{{Index: 2, Distance: 0.5}, {Index: 3, Distance: 1}, {Index: 3, Distance: 2}}},
+		{RankWeight, []Neighbor{{Index: 0, Distance: 0.5}, {Index: 1, Distance: 1}, {Index: 2, Distance: 2}}},
+		{DistanceWeight, []Neighbor{{Index: 3, Distance: 0}, {Index: 3, Distance: 0}}},
+		{DistanceWeight, []Neighbor{{Index: 0, Distance: 0}, {Index: 1, Distance: 1e-9}, {Index: 2, Distance: 3}}},
+	} {
+		got := Combine(big, tc.nbs, tc.w)
+		recomputed := false
+		total := 0.0
+		for rank, nb := range tc.nbs {
+			total += tc.w.weight(rank, len(tc.nbs), nb)
+		}
+		for j := range got {
+			sum, mean, finite := 0.0, 0.0, true
+			for rank, nb := range tc.nbs {
+				wt, v := tc.w.weight(rank, len(tc.nbs), nb), big.At(nb.Index, j)
+				sum += wt * v
+				mean += wt / total * v
+				finite = finite && !math.IsInf(v, 0)
+			}
+			want := sum * (1 / total)
+			switch {
+			case !math.IsInf(want, 0):
+			case finite:
+				want, recomputed = mean, true
+				if math.IsInf(want, 0) {
+					t.Fatalf("%v %v: column %d: reference mean %v is not finite", tc.w, tc.nbs, j, want)
+				}
+			}
+			if math.Float64bits(got[j]) != math.Float64bits(want) {
+				t.Errorf("%v %v: column %d = %v, want %v", tc.w, tc.nbs, j, got[j], want)
+			}
+		}
+		if !recomputed {
+			t.Errorf("%v %v: no column's weighted sum overflowed", tc.w, tc.nbs)
+		}
+	}
+}

@@ -15,7 +15,8 @@ import (
 //
 // raw is read eight bytes per value, cycling; n and m are the lengths (n
 // the vectors' and columns', m the rows' and rotations'); off is the
-// element offset of every operand.
+// element offset of every operand. The exponential reads raw from its start
+// again, τ first and then d, and is held to math.Exp itself on both paths.
 func FuzzKernels(f *testing.F) {
 	add := func(vals []float64, n, m, off uint8) {
 		raw := make([]byte, 8*len(vals))
@@ -28,6 +29,13 @@ func FuzzKernels(f *testing.F) {
 	add([]float64{1, -2, 0.5, 3, 0.6, 0.8, -7, 1e-3}, 16, 6, 1)
 	add([]float64{0, math.Copysign(0, -1), 5e-324, -2.5e-310, math.Inf(1), 0.6, math.Inf(-1), math.NaN(), 1e308, -1e-300, 0.8}, 33, 17, 3)
 	add([]float64{1e200, -1e-160, 2, math.NaN(), 0, 3e-320, -0.25}, 70, 70, 2)
+	// ExpNegScaledInto: τ, then d; −d/τ on the edges of math.Exp's branches.
+	add([]float64{1, 708.39, 708.3964185322641, 708.4, 708.74, 708.75, 745.13, 745.1332191019411, 745.14, 700}, 37, 0, 1)
+	add([]float64{1, -709.43, -709.436, -709.5, -709.78, -709.782712893384, -709.79, -709}, 29, 0, 0)
+	add([]float64{1, 745.4828, 745.48, 745.49, 745.5, 746, 1e10, -1e10, 1e300}, 35, 0, 2)
+	add([]float64{1, 0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -5e-324, -2.5e-310, -3.5}, 41, 0, 3)
+	add([]float64{1e-300, 1e-303, 5e-301, 1e-310, 2e-300, 7.08e-298, 7.4513e-298}, 22, 0, 2)
+	add([]float64{1e300, 1e302, 7e302, 1e308, 5e300, -7.0943e302, 7.451e302}, 23, 0, 1)
 
 	f.Fuzz(func(t *testing.T, raw []byte, n8, m8, off8 uint8) {
 		n, m, off := int(n8)%71, int(m8)%71, int(off8)%4
@@ -109,6 +117,23 @@ func FuzzKernels(f *testing.F) {
 		both("SqDistCols", func() []float64 {
 			out := offsetSlice(n, off, math.NaN)
 			SqDistCols(out, mat, v)
+			return out
+		})
+
+		at = 0
+		tau := draw()
+		d := vec(n)
+		both("ExpNegScaledInto", func() []float64 {
+			out := offsetSlice(n, off, math.NaN)
+			ExpNegScaledInto(out, d, tau)
+			for i, x := range d {
+				if want := math.Exp(-x / tau); !sameBits(out[i], want) {
+					t.Fatalf("ExpNegScaledInto: element %d = %v (%#x), math.Exp(−%v/%v) = %v (%#x)", i, out[i], math.Float64bits(out[i]), x, tau, want, math.Float64bits(want))
+				}
+			}
+			inPlace := cp(d)
+			ExpNegScaledInto(inPlace, inPlace, tau)
+			mustSameBits(t, "ExpNegScaledInto in place", inPlace, out)
 			return out
 		})
 	})

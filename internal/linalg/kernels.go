@@ -2,33 +2,46 @@ package linalg
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/obs"
 )
 
 // The kernels in this file are the loops that dominate predict (the basis
-// product and the cross-kernel distances) and retrain (the eigensolver's
-// updates and TMul's). Each has one portable loop, below, and on amd64 one
-// AVX2 routine (kernels_amd64.s) that the exported wrapper hands the full
-// blocks of its operands to; the portable loop finishes the tail, and does
-// all of it where the assembly does not serve.
+// product, the cross-kernel distances and their exponentials) and retrain
+// (the eigensolver's updates and TMul's). Each has one portable loop, below,
+// and on amd64 one AVX2 routine (kernels_amd64.s) that the exported wrapper
+// hands the full blocks of its operands to; the portable loop finishes the
+// tail, and does all of it where the assembly does not serve.
 //
 // The two forms agree bit for bit because a vector lane is one of the
 // independent sums (or elements) the portable loop already keeps apart: a sum
 // never spans lanes, and multiply and add stay separate instructions (no
 // FMA), so each sum sees the same terms in the same order whichever form
-// computed it. DESIGN.md §5 has the argument in full.
+// computed it. The one exception is the exponential, whose portable loop is
+// math.Exp: its assembly runs the FMA branch of math.Exp's own assembly, the
+// same instructions on the same constants, one lane per element, and serves
+// only where math.Exp takes that branch. DESIGN.md §5 has the argument in
+// full.
 
 // useAVX2 says whether the assembly serves. It is decided once, at init,
 // from CPUID and XGETBV (haveAVX2); only SetVectorKernels changes it.
 var useAVX2 bool
 
-var avx2Gauge = obs.GetGauge("linalg.kernels.avx2")
+var (
+	avx2Gauge = obs.GetGauge("linalg.kernels.avx2")
+	expGauge  = obs.GetGauge("linalg.kernels.exp")
+)
 
 func init() { SetVectorKernels(true) }
 
 // VectorKernels reports whether the AVX2 kernels serve in this process.
 func VectorKernels() bool { return useAVX2 }
+
+// VectorExp reports whether ExpNegScaledInto runs four lanes at a time: the
+// AVX2 kernels serve, the processor has FMA, and math.Exp takes the branch
+// of its assembly that the kernel mirrors.
+func VectorExp() bool { return useAVX2 && haveVectorExp }
 
 // SetVectorKernels turns the AVX2 kernels on (where the processor has them)
 // or off and returns the previous setting. It exists so that the suites of
@@ -36,12 +49,34 @@ func VectorKernels() bool { return useAVX2 }
 // called while a kernel runs.
 func SetVectorKernels(on bool) (was bool) {
 	was, useAVX2 = useAVX2, on && haveAVX2
-	if useAVX2 {
-		avx2Gauge.Set(1)
-	} else {
-		avx2Gauge.Set(0)
-	}
+	avx2Gauge.Set(gaugeValue(useAVX2))
+	expGauge.Set(gaugeValue(VectorExp()))
 	return was
+}
+
+func gaugeValue(on bool) int64 {
+	if on {
+		return 1
+	}
+	return 0
+}
+
+// ExpNegScaledInto sets out[i] to math.Exp(-d[i]/tau), bit for bit, for
+// every i; out may be d itself. Where VectorExp holds, whole groups of four
+// go through the assembly, which also gives the +0 of math.Exp's underflow;
+// a group with an element math.Exp answers on another branch (a NaN, +Inf or
+// overflowing argument, a result at the subnormal edge) and the tail go
+// through math.Exp itself.
+func ExpNegScaledInto(out, d []float64, tau float64) {
+	if len(d) != len(out) {
+		panic(fmt.Sprintf("linalg: ExpNegScaledInto length mismatch %d -> %d", len(d), len(out)))
+	}
+	for i := 0; i < len(out); {
+		i += expNegScaledBlocks(out[i:], d[i:], tau)
+		for end := min(i+4, len(out)); i < end; i++ {
+			out[i] = math.Exp(-d[i] / tau)
+		}
+	}
 }
 
 // TMulVecInto computes mᵀ·v into the caller-owned out (length m.Cols) from

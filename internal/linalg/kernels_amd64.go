@@ -1,5 +1,7 @@
 package linalg
 
+import "math"
+
 // haveAVX2 is the processor and operating-system check, made once: the AVX
 // and AVX2 feature bits, and — because the 256-bit registers are only usable
 // if the kernel saves them across context switches — OSXSAVE with the XMM
@@ -20,6 +22,38 @@ var haveAVX2 = func() bool {
 	_, b, _, _ := cpuid(7, 0)
 	return b&avx2 != 0
 }()
+
+// haveVectorExp says whether expNegScaledAVX2 may serve: the AVX2 kernels
+// can, the processor has FMA — with AVX, the test under which math.Exp takes
+// the FMA branch of its assembly, the one the kernel runs four lanes wide —
+// and the kernel agrees with math.Exp on expProbe. The last part keeps the
+// kernel off where math.Exp takes its other branch after all
+// (GODEBUG=cpu.fma=off or cpu.avx=off) or is no longer the routine the
+// kernel mirrors (another toolchain's math.Exp).
+var haveVectorExp = haveAVX2 && fmaBit() && expMatchesProbe()
+
+// expProbe holds d values whose math.Exp(−d) the FMA and SSE branches of
+// math.Exp's assembly round differently (TestExpProbeSeparatesBranches).
+var expProbe = [...]float64{13.5, 17, 20.5, 23.5, 29.5, 31, 37.5, 46}
+
+func fmaBit() bool {
+	const fma = 1 << 12
+	_, _, c, _ := cpuid(1, 0)
+	return c&fma != 0
+}
+
+func expMatchesProbe() bool {
+	var out [len(expProbe)]float64
+	if expNegScaledAVX2(&out[0], &expProbe[0], len(expProbe), 1) != len(expProbe) {
+		return false
+	}
+	for i, d := range expProbe {
+		if out[i] != math.Exp(-d) {
+			return false
+		}
+	}
+	return true
+}
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
@@ -67,6 +101,13 @@ func subOuterAVX2(b, gv, d *float64, rows int)
 //
 //go:noescape
 func addScaledAVX2(y, x *float64, n int, a float64)
+
+// expNegScaledAVX2 is ExpNegScaledInto on n elements, n a multiple of 4, up
+// to the first group of four that math.Exp does not take through its main
+// path or its underflow to +0; it returns how many elements it wrote.
+//
+//go:noescape
+func expNegScaledAVX2(out, d *float64, n int, tau float64) (done int)
 
 // The …Blocks functions run the assembly over the leading whole blocks of
 // their operands and return how many columns or elements that covered (zero
@@ -145,4 +186,14 @@ func addScaledBlocks(y, x []float64, a float64) int {
 	}
 	addScaledAVX2(&y[0], &x[0], n, a)
 	return n
+}
+
+// expNegScaledBlocks stops short of len(out)&^3 at a group the assembly
+// leaves to math.Exp.
+func expNegScaledBlocks(out, d []float64, tau float64) int {
+	n := len(out) &^ 3
+	if !useAVX2 || !haveVectorExp || n == 0 {
+		return 0
+	}
+	return expNegScaledAVX2(&out[0], &d[0], n, tau)
 }

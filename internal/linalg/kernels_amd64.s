@@ -4,7 +4,8 @@
 // one of the sums (or elements) the portable loops keep apart; no instruction
 // here adds across lanes, and every multiply-add is a VMULPD followed by a
 // VADDPD/VSUBPD — never an FMA — so each lane rounds twice, exactly where the
-// portable loop does. Loads and stores are unaligned (VMOVUPD): operands are
+// portable loop does. The exception is expNegScaledAVX2, whose portable loop
+// is math.Exp: it fuses exactly where math.Exp's own assembly does. Loads and stores are unaligned (VMOVUPD): operands are
 // slices of larger matrices and start wherever the caller's indices fall.
 // Every routine ends in VZEROUPPER, so the SSE code the Go compiler emits
 // around the call pays no state-transition penalty.
@@ -392,5 +393,107 @@ adds4:
 	ADDQ    $32, SI
 	SUBQ    $4, CX
 	JNZ     adds4
+	VZEROUPPER
+	RET
+
+// The constants of expNegScaledAVX2, four lanes wide so that every
+// instruction can take them from memory: the values math.archExp
+// (src/math/exp_amd64.s) uses, written the same way.
+#define FOUR(off, v) \
+	DATA expconst<>+(off)(SB)/8, v; \
+	DATA expconst<>+(off+8)(SB)/8, v; \
+	DATA expconst<>+(off+16)(SB)/8, v; \
+	DATA expconst<>+(off+24)(SB)/8, v
+
+FOUR(0, $0x8000000000000000)                                     // sign bit
+FOUR(32, $1.4426950408889634073599246810018920)                  // log2(e)
+FOUR(64, $0.69314718055966295651160180568695068359375)           // upper half of ln 2
+FOUR(96, $0.28235290563031577122588448175013436025525412068e-12) // lower half of ln 2
+FOUR(128, $0.0625)
+FOUR(160, $2.4801587301587301587e-5) // 1/8!
+FOUR(192, $1.9841269841269841270e-4) // 1/7!
+FOUR(224, $1.3888888888888888889e-3) // 1/6!
+FOUR(256, $8.3333333333333333333e-3) // 1/5!
+FOUR(288, $4.1666666666666666667e-2) // 1/4!
+FOUR(320, $1.6666666666666666667e-1) // 1/3!
+FOUR(352, $0.5)
+FOUR(384, $1.0)
+FOUR(416, $2.0)
+DATA expconst<>+448(SB)/8, $0x000003ff000003ff // 1023, four int32 lanes
+DATA expconst<>+456(SB)/8, $0x000003ff000003ff
+DATA expconst<>+464(SB)/8, $0x000007ff000007ff // 2047
+DATA expconst<>+472(SB)/8, $0x000007ff000007ff
+FOUR(480, $-1075.5) // x·log2(e) at or below it: k + 1023 < −52, archExp's +0
+GLOBL expconst<>(SB), RODATA|NOPTR, $512
+
+// func expNegScaledAVX2(out, d *float64, n int, tau float64) (done int)
+//
+// out[i] = math.Exp(−d[i]/τ) for four i at a time: the FMA branch of
+// math.archExp, instruction for instruction, one lane per element. Each
+// group's k + 1023 (the biased exponent of the 2^k scale) is checked before
+// anything is stored. A lane archExp answers +0 from its underflow branch
+// (x·log2(e) ≤ −1075.5, so k + 1023 < −52; −Inf too) is set to +0. Any other
+// lane outside [1, 2046] — the ones archExp sends to its NaN, +Inf, overflow
+// and denormal branches — stops the loop before its group, and done says how
+// many elements were written.
+TEXT ·expNegScaledAVX2(SB), NOSPLIT, $0-40
+	MOVQ         out+0(FP), DI
+	MOVQ         d+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD tau+24(FP), Y15
+	VMOVDQU      expconst<>+448(SB), X13 // 1023
+	VMOVDQU      expconst<>+464(SB), X12 // 2047
+	VPXOR        X11, X11, X11
+	XORQ         AX, AX
+
+exp4:
+	CMPQ         AX, CX
+	JEQ          expdone
+	VMOVUPD      (SI)(AX*8), Y0
+	VXORPD       expconst<>+0(SB), Y0, Y0     // −d
+	VDIVPD       Y15, Y0, Y0                  // x = −d/τ
+	VMULPD       expconst<>+32(SB), Y0, Y1    // x·log2(e)
+	VCMPPD       $0x12, expconst<>+480(SB), Y1, Y5 // lanes that underflow to +0
+	VCVTPD2DQY   Y1, X2                       // k, rounded to nearest
+	VCVTDQ2PD    X2, Y1
+	VPADDD       X13, X2, X2                  // k + 1023
+	VPCMPGTD     X11, X2, X3                  // k + 1023 ≥ 1
+	VPCMPGTD     X2, X12, X4                  // k + 1023 ≤ 2046
+	VPAND        X4, X3, X3
+	VMOVMSKPS    X3, BX
+	VMOVMSKPD    Y5, DX
+	ORL          DX, BX
+	CMPL         BX, $15
+	JNE          expdone
+	VFNMADD231PD expconst<>+64(SB), Y1, Y0    // x − k·ln2 (upper)
+	VFNMADD231PD expconst<>+96(SB), Y1, Y0    // − k·ln2 (lower)
+	VMULPD       expconst<>+128(SB), Y0, Y0   // r = (x − k·ln2)/16
+	VMOVUPD      expconst<>+160(SB), Y1       // Taylor series in r, Horner
+	VFMADD213PD  expconst<>+192(SB), Y0, Y1
+	VFMADD213PD  expconst<>+224(SB), Y0, Y1
+	VFMADD213PD  expconst<>+256(SB), Y0, Y1
+	VFMADD213PD  expconst<>+288(SB), Y0, Y1
+	VFMADD213PD  expconst<>+320(SB), Y0, Y1
+	VFMADD213PD  expconst<>+352(SB), Y0, Y1
+	VFMADD213PD  expconst<>+384(SB), Y0, Y1
+	VMULPD       Y1, Y0, Y0                   // e^r − 1
+	VADDPD       expconst<>+416(SB), Y0, Y1   // four doublings of r: y ← y·(y + 2)
+	VMULPD       Y1, Y0, Y0
+	VADDPD       expconst<>+416(SB), Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       expconst<>+416(SB), Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       expconst<>+416(SB), Y0, Y1
+	VFMADD213PD  expconst<>+384(SB), Y1, Y0   // the last one fused with the + 1
+	VPMOVZXDQ    X2, Y2
+	VPSLLQ       $52, Y2, Y2                  // 2^k
+	VMULPD       Y2, Y0, Y0
+	VANDNPD      Y0, Y5, Y0                   // +0 in the underflowing lanes
+	VMOVUPD      Y0, (DI)(AX*8)
+	ADDQ         $4, AX
+	JMP          exp4
+
+expdone:
+	MOVQ       AX, done+32(FP)
 	VZEROUPPER
 	RET

@@ -5,7 +5,7 @@ package linalg
 // Without the amd64 assembly the portable loops in kernels.go do all the
 // work: no block is ever covered.
 
-const haveAVX2 = false
+const haveAVX2, haveVectorExp = false, false
 
 func tmulvecBlocks(out []float64, m *Matrix, v []float64) int    { return 0 }
 func sqDistColsBlocks(out []float64, t *Matrix, q []float64) int { return 0 }
@@ -15,3 +15,4 @@ func subRank2Blocks(t, e, d []float64, f, g float64) int         { return 0 }
 func sweepBlocks(v []float64, stride, w int, cs []float64) int   { return 0 }
 func subOuterBlocks(b, g, d []float64) int                       { return 0 }
 func addScaledBlocks(y, x []float64, a float64) int              { return 0 }
+func expNegScaledBlocks(out, d []float64, tau float64) int       { return 0 }

@@ -173,6 +173,93 @@ func TestSqDistColsMatchesPortable(t *testing.T) {
 	})
 }
 
+// expEdges are the arguments x = −d/τ around which math.Exp changes branch
+// or its result changes kind: the largest finite results and the arguments
+// archExp rounds to k = 1024 and answers +Inf (709.43 … 709.79), the first
+// subnormal result (−708.40) and the k + 1023 = 0 edge of the denormal branch
+// (−708.74), the last nonzero result (−745.13), the edge below which archExp
+// answers +0 from its underflow branch (x·log₂e = −1075.5, x ≈ −745.48), the
+// arguments too large for k's int32, and the zeros.
+var expEdges = []float64{
+	709.0, 709.43, 709.436, 709.5, 709.78, 709.782712893384, 709.79, 1e10,
+	-708.0, -708.39, -708.3964185322641, -708.4, -708.74, -708.75,
+	-745.13, -745.1332191019411, -745.14, -745.4828, -745.5, -746, -1000,
+	-1e10, -1e300, 0, -1, 1,
+}
+
+// expArgs returns d values that put −d/τ on and around every edge, a few
+// ulps either side, and the specials: ±0, NaN, ±Inf, subnormal and negative
+// d.
+func expArgs(tau float64) []float64 {
+	d := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -5e-324, 2.5e-310, -1e-300, -3.5}
+	for _, x := range expEdges {
+		c := -x * tau
+		lo, hi := c, c
+		for k := 0; k < 6; k++ {
+			d = append(d, lo, hi)
+			lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+		}
+	}
+	return d
+}
+
+// TestExpNegScaledMatchesExp holds ExpNegScaledInto to math.Exp(−d/τ) for
+// every element, bit for bit: on the edges of every branch of math.Exp at
+// scales from 1e-300 to 1e300, with each edge value at every position within
+// a group of four, in place and out of place; and over a dense sweep of the
+// arguments that take the main path or underflow to +0. Where the
+// lane-wise form serves, those sweeps must be answered by the assembly alone.
+func TestExpNegScaledMatchesExp(t *testing.T) {
+	onBothPaths(t, func(t *testing.T) {
+		check := func(ctx string, d []float64, tau float64) {
+			t.Helper()
+			want := make([]float64, len(d))
+			for i, x := range d {
+				want[i] = math.Exp(-x / tau)
+			}
+			for _, off := range []int{0, 1, 3} {
+				got := offsetSlice(len(d), off, math.NaN)
+				ExpNegScaledInto(got, d, tau)
+				mustSameBits(t, fmt.Sprintf("%s offset %d", ctx, off), got, want)
+				got = offsetCopy(d, off)
+				ExpNegScaledInto(got, got, tau)
+				mustSameBits(t, fmt.Sprintf("%s offset %d in place", ctx, off), got, want)
+			}
+		}
+		for _, tau := range []float64{1, 9.595855258721093, 0.37, 1e-300, 1e300, -2} {
+			d := expArgs(tau)
+			for shift := 0; shift < 4; shift++ {
+				check(fmt.Sprintf("τ=%g edges shifted %d", tau, shift), append(make([]float64, shift), d...), tau)
+			}
+		}
+		for _, n := range blockEdges {
+			d := make([]float64, n)
+			for i := range d {
+				d[i] = float64(i) * 3.7
+			}
+			check(fmt.Sprintf("n=%d", n), d, 2)
+		}
+
+		rng := statutil.NewRNG(45, "exp")
+		for name, span := range map[string][2]float64{
+			"main path": {-0.5, 708}, // −d/τ ∈ (−707.5, 0.5]
+			"underflow": {746, 1e4},  // −d/τ ∈ (−10746, −746]
+		} {
+			sweep := make([]float64, 1<<16)
+			for i := range sweep {
+				sweep[i] = span[0] + span[1]*rng.Float64()
+			}
+			check(name+" sweep", sweep, 1)
+			if useAVX2 && haveVectorExp {
+				out := make([]float64, len(sweep))
+				if k := expNegScaledBlocks(out, sweep, 1); k != len(sweep) {
+					t.Fatalf("the assembly stopped at element %d of the %s sweep", k, name)
+				}
+			}
+		}
+	})
+}
+
 // The references below are the eigensolver's loops as eigen.go had them
 // inline before the kernels.
 
@@ -380,6 +467,7 @@ func TestKernelsRejectBadShapes(t *testing.T) {
 			"SqDistCols query":    func() { SqDistCols(make([]float64, 32), m, make([]float64, 4)) },
 			"SqDistCols output":   func() { SqDistCols(make([]float64, 33), m, make([]float64, 5)) },
 			"SqDistCols storage":  func() { SqDistCols(make([]float64, 32), short, make([]float64, 5)) },
+			"ExpNegScaledInto":    func() { ExpNegScaledInto(make([]float64, 8), make([]float64, 9), 1) },
 		} {
 			func() {
 				defer func() {
@@ -406,6 +494,7 @@ func TestKernelsEmptyOperands(t *testing.T) {
 		SqDistCols(out, NewMatrix(0, 40), nil)
 		mustSameBits(t, "SqDistCols over no features", out, make([]float64, 40))
 		SqDistCols(nil, NewMatrix(40, 0), make([]float64, 40))
+		ExpNegScaledInto(nil, nil, 1)
 
 		rotate(nil, nil, 1, 0)
 		subScaled(nil, nil, 1)
@@ -417,16 +506,19 @@ func TestKernelsEmptyOperands(t *testing.T) {
 	})
 }
 
-// TestVectorKernelsGauge: the gauge an operator reads follows the switch, and
+// TestVectorKernelsGauge: the gauges an operator reads follow the switch, and
 // the switch cannot turn on what the processor lacks.
 func TestVectorKernelsGauge(t *testing.T) {
 	defer SetVectorKernels(SetVectorKernels(false))
-	if VectorKernels() || avx2Gauge.Value() != 0 {
-		t.Fatalf("switched off: VectorKernels %v, gauge %d", VectorKernels(), avx2Gauge.Value())
+	if VectorKernels() || avx2Gauge.Value() != 0 || VectorExp() || expGauge.Value() != 0 {
+		t.Fatalf("switched off: VectorKernels %v, gauge %d; VectorExp %v, gauge %d", VectorKernels(), avx2Gauge.Value(), VectorExp(), expGauge.Value())
 	}
 	SetVectorKernels(true)
 	if VectorKernels() != haveAVX2 || (avx2Gauge.Value() == 1) != haveAVX2 {
 		t.Fatalf("switched on with haveAVX2 = %v: VectorKernels %v, gauge %d", haveAVX2, VectorKernels(), avx2Gauge.Value())
+	}
+	if exp := haveAVX2 && haveVectorExp; VectorExp() != exp || (expGauge.Value() == 1) != exp {
+		t.Fatalf("switched on with haveAVX2 = %v, haveVectorExp = %v: VectorExp %v, gauge %d", haveAVX2, haveVectorExp, VectorExp(), expGauge.Value())
 	}
 }
 
@@ -479,6 +571,24 @@ func BenchmarkCrossDistances(b *testing.B) {
 	onBothPaths(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			SqDistCols(out, xT, q)
+		}
+	})
+}
+
+// BenchmarkExpNegScaled is the cross-kernel's exponential half at the
+// daemon's shape: 800 squared distances over the stock τ (ScaleHeuristic's
+// τ for the stock 800 training plans), spread over the arguments
+// −d/τ ∈ (−200, 0] the stock queries produce.
+func BenchmarkExpNegScaled(b *testing.B) {
+	const tau = 9.595855258721093
+	rng := statutil.NewRNG(37, "exp-bench")
+	d, out := make([]float64, 800), make([]float64, 800)
+	for i := range d {
+		d[i] = 200 * tau * rng.Float64()
+	}
+	onBothPaths(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ExpNegScaledInto(out, d, tau)
 		}
 	})
 }
