@@ -22,7 +22,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/kcca"
 	"repro/internal/kernels"
-	"repro/internal/knn"
 	"repro/internal/linalg"
 	"repro/internal/optimizer"
 	"repro/internal/parallel"
@@ -501,30 +500,6 @@ func BenchmarkKernelMatrix(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					kernels.Matrix(x, tau)
-				}
-			})
-		})
-	}
-}
-
-func BenchmarkKNNSearch(b *testing.B) {
-	for _, n := range []int{200, 1000, 4000} {
-		r := statutil.NewRNG(5, "knnsearch")
-		points := linalg.NewMatrix(n, 16)
-		for i := range points.Data {
-			points.Data[i] = r.NormFloat64()
-		}
-		queries := linalg.NewMatrix(256, 16)
-		for i := range queries.Data {
-			queries.Data[i] = r.NormFloat64()
-		}
-		b.Run(benchName("n", n), func(b *testing.B) {
-			serialParallel(b, func(b *testing.B) {
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := knn.Search(points, queries, 3, knn.Euclidean); err != nil {
-						b.Fatal(err)
-					}
 				}
 			})
 		})

@@ -159,18 +159,6 @@ func (s *Schema) ForeignKeyFor(table, column string) (ForeignKey, bool) {
 	return fk, ok
 }
 
-// JoinKeyed reports whether the equijoin between a.ca and b.cb follows a
-// declared foreign key (in either direction).
-func (s *Schema) JoinKeyed(a, ca, b, cb string) bool {
-	if fk, ok := s.ForeignKeyFor(a, ca); ok && fk.RefTable == b && fk.RefColumn == cb {
-		return true
-	}
-	if fk, ok := s.ForeignKeyFor(b, cb); ok && fk.RefTable == a && fk.RefColumn == ca {
-		return true
-	}
-	return false
-}
-
 // TableNames returns the schema's table names sorted alphabetically.
 func (s *Schema) TableNames() []string {
 	names := make([]string, 0, len(s.Tables))
@@ -179,13 +167,4 @@ func (s *Schema) TableNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// TotalRows returns the total row count across all tables.
-func (s *Schema) TotalRows() int64 {
-	var n int64
-	for _, t := range s.Tables {
-		n += t.RowCount
-	}
-	return n
 }

@@ -119,19 +119,6 @@ func MeanRelativeError(pred, act []float64) float64 {
 	return s / float64(len(act))
 }
 
-// CountNegative returns how many predictions are negative — the paper
-// highlights regression predicting negative elapsed times (Fig. 3) and
-// negative record counts (Fig. 4).
-func CountNegative(pred []float64) int {
-	n := 0
-	for _, p := range pred {
-		if p < 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // OrdersOfMagnitudeOff returns how many predictions are off by at least
 // the given factor (e.g. 10 for "an order of magnitude").
 func OrdersOfMagnitudeOff(pred, act []float64, factor float64) int {
@@ -150,32 +137,6 @@ func OrdersOfMagnitudeOff(pred, act []float64, factor float64) int {
 		}
 	}
 	return n
-}
-
-// Correlation returns the Pearson correlation of two series (used for the
-// optimizer-cost best-fit analysis of Fig. 17).
-func Correlation(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) < 2 {
-		return math.NaN()
-	}
-	var ma, mb float64
-	for i := range a {
-		ma += a[i]
-		mb += b[i]
-	}
-	ma /= float64(len(a))
-	mb /= float64(len(b))
-	var sab, sa, sb float64
-	for i := range a {
-		da, db := a[i]-ma, b[i]-mb
-		sab += da * db
-		sa += da * da
-		sb += db * db
-	}
-	if sa == 0 || sb == 0 {
-		return math.NaN()
-	}
-	return sab / math.Sqrt(sa*sb)
 }
 
 // LogBestFit fits log(b) = slope·log(a) + intercept over positive pairs —

@@ -82,33 +82,12 @@ func TestWithinFactor(t *testing.T) {
 	}
 }
 
-func TestCountNegative(t *testing.T) {
-	if n := CountNegative([]float64{-82, 3, -1.8e6, 0}); n != 2 {
-		t.Errorf("negatives = %d, want 2", n)
-	}
-}
-
 func TestOrdersOfMagnitudeOff(t *testing.T) {
 	pred := []float64{1, 10, 100, -5}
 	act := []float64{1, 1, 1, 1}
 	// 10/1 = 10x (counted), 100/1 (counted), -5 vs 1 (counted).
 	if n := OrdersOfMagnitudeOff(pred, act, 10); n != 3 {
 		t.Errorf("oom = %d, want 3", n)
-	}
-}
-
-func TestCorrelation(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	b := []float64{2, 4, 6, 8}
-	if c := Correlation(a, b); math.Abs(c-1) > 1e-12 {
-		t.Errorf("correlation = %v, want 1", c)
-	}
-	c := Correlation(a, []float64{4, 3, 2, 1})
-	if math.Abs(c+1) > 1e-12 {
-		t.Errorf("anticorrelation = %v, want -1", c)
-	}
-	if !math.IsNaN(Correlation(a, []float64{1, 1, 1, 1})) {
-		t.Error("zero-variance correlation should be NaN")
 	}
 }
 

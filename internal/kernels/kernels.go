@@ -7,7 +7,6 @@ package kernels
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/linalg"
@@ -164,46 +163,4 @@ func CenterCrossInto(dst, kq, rowMeans []float64, grandMean float64) []float64 {
 		dst[i] = v - m - rowMeans[i] + grandMean
 	}
 	return dst
-}
-
-// MedianSqDist returns the median squared Euclidean distance between rows
-// of x (subsampled for large inputs) — the standard "median heuristic" for
-// choosing a Gaussian kernel scale when the norm-variance heuristic
-// degenerates (e.g. compact feature spaces where norms barely vary).
-func MedianSqDist(x *linalg.Matrix) float64 {
-	n := x.Rows
-	if n < 2 {
-		return 1
-	}
-	// Deterministic subsample: stride through the rows.
-	maxPairs := 2000
-	var dists []float64
-	stride := 1
-	if n*(n-1)/2 > maxPairs {
-		stride = n * (n - 1) / 2 / maxPairs
-		if stride < 1 {
-			stride = 1
-		}
-	}
-	count := 0
-	for i := 0; i < n && len(dists) < maxPairs; i++ {
-		for j := i + 1; j < n && len(dists) < maxPairs; j++ {
-			if count%stride == 0 {
-				d := 0.0
-				ri, rj := x.Row(i), x.Row(j)
-				for k := range ri {
-					v := ri[k] - rj[k]
-					d += v * v
-				}
-				dists = append(dists, d)
-			}
-			count++
-		}
-	}
-	sort.Float64s(dists)
-	m := dists[len(dists)/2]
-	if m <= 0 {
-		return 1
-	}
-	return m
 }

@@ -144,29 +144,3 @@ func TestCenterCrossConsistent(t *testing.T) {
 		}
 	}
 }
-
-func TestMedianSqDist(t *testing.T) {
-	// Two clusters at distance 10: the median pairwise squared distance
-	// should be on the order of the between-cluster distance (most pairs
-	// cross clusters for balanced sizes) or at least strictly positive.
-	x := linalg.FromRows([][]float64{
-		{0, 0}, {0.1, 0}, {0, 0.1},
-		{10, 0}, {10.1, 0}, {10, 0.1},
-	})
-	m := MedianSqDist(x)
-	if m < 50 || m > 150 {
-		t.Errorf("median sq dist = %v, want near 100", m)
-	}
-	// Degenerate inputs stay usable.
-	if MedianSqDist(linalg.NewMatrix(1, 3)) != 1 {
-		t.Error("single row should fall back to 1")
-	}
-	if MedianSqDist(linalg.NewMatrix(5, 3)) != 1 {
-		t.Error("identical rows should fall back to 1")
-	}
-	// Subsampling path: large input still returns a sane value.
-	big := randMat(9, 200, 4)
-	if m := MedianSqDist(big); m <= 0 {
-		t.Errorf("large-input median = %v", m)
-	}
-}

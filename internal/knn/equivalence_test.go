@@ -1,6 +1,8 @@
 package knn
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -50,10 +52,14 @@ func TestNearestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestSearchMatchesNearestLoop(t *testing.T) {
+// TestConcurrentNearestMatchesSerial: goroutines that search one shared
+// index and point set at once, at every worker count, get the serial
+// Nearest's neighbors bit for bit from both Index.Nearest and Nearest.
+func TestConcurrentNearestMatchesSerial(t *testing.T) {
 	points := randPoints(5, 301, 8)
 	queries := randPoints(6, 37, 8)
 	const k = 4
+	ix := NewIndex(points, Euclidean)
 
 	// Serial oracle: Nearest per query at one worker.
 	defer parallel.SetMaxProcs(parallel.SetMaxProcs(1))
@@ -67,36 +73,52 @@ func TestSearchMatchesNearestLoop(t *testing.T) {
 	}
 
 	for _, w := range equivWorkerCounts() {
-		parallel.SetMaxProcs(w)
-		got, err := Search(points, queries, k, Euclidean)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for qi := range got {
-			if len(got[qi]) != len(want[qi]) {
-				t.Fatalf("workers=%d query %d: %d neighbors, want %d", w, qi, len(got[qi]), len(want[qi]))
-			}
-			for i := range got[qi] {
-				if got[qi][i] != want[qi][i] {
-					t.Fatalf("workers=%d query %d neighbor %d = %+v, serial %+v", w, qi, i, got[qi][i], want[qi][i])
-				}
-			}
-		}
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			parallel.SetMaxProcs(w)
+			concurrentNearest(t, fmt.Sprintf("workers=%d", w), ix, points, queries, k, w, want)
+		})
 	}
 	parallel.SetMaxProcs(0)
 }
 
-func TestSearchRejectsBadInput(t *testing.T) {
+// TestNearestRejectsBadInput: the flat scan and the index return the same
+// sentinel error for each bad input.
+func TestNearestRejectsBadInput(t *testing.T) {
 	points := randPoints(7, 10, 3)
-	queries := randPoints(8, 2, 4)
-	if _, err := Search(points, queries, 3, Euclidean); err == nil {
-		t.Fatal("dimension mismatch not rejected")
+	empty := linalg.NewMatrix(0, 3)
+	q := randPoints(9, 1, 3).Row(0)
+	cases := []struct {
+		name   string
+		points *linalg.Matrix
+		q      []float64
+		k      int
+		want   error
+	}{
+		{"dimension", points, randPoints(8, 1, 4).Row(0), 3, ErrDimension},
+		{"k=0", points, q, 0, ErrBadK},
+		{"empty", empty, q, 3, ErrNoPoints},
 	}
-	if _, err := Search(points, randPoints(9, 2, 3), 0, Euclidean); err == nil {
-		t.Fatal("k=0 not rejected")
+	searches := []struct {
+		name    string
+		nearest func(points *linalg.Matrix, q []float64, k int) ([]Neighbor, error)
+	}{
+		{"flat", func(points *linalg.Matrix, q []float64, k int) ([]Neighbor, error) {
+			return Nearest(points, q, k, Euclidean)
+		}},
+		{"index", func(points *linalg.Matrix, q []float64, k int) ([]Neighbor, error) {
+			return NewIndex(points, Euclidean).Nearest(q, k)
+		}},
 	}
-	if _, err := Search(linalg.NewMatrix(0, 3), randPoints(10, 2, 3), 3, Euclidean); err == nil {
-		t.Fatal("empty point set not rejected")
+	for _, s := range searches {
+		t.Run(s.name, func(t *testing.T) {
+			for _, c := range cases {
+				t.Run(c.name, func(t *testing.T) {
+					if _, err := s.nearest(c.points, c.q, c.k); !errors.Is(err, c.want) {
+						t.Fatalf("err = %v, want %v", err, c.want)
+					}
+				})
+			}
+		})
 	}
 }
 
@@ -137,14 +159,17 @@ func TestTieBreakByIndexWithDuplicateRows(t *testing.T) {
 				t.Fatalf("workers=%d: neighbor %d has index %d, want %d (ties must break by index)", w, i, nb.Index, wantIdx[i])
 			}
 		}
-		// The batch path must agree with the single-query path.
-		res, err := Search(points, linalg.FromRows([][]float64{q}), 6, Euclidean)
+		// The tree must agree with the flat scan.
+		tree, err := NewIndexWith(points, Euclidean, IndexConfig{MinPoints: 1, LeafSize: 3}).Nearest(q, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, nb := range res[0] {
+		if len(tree) != len(wantIdx) {
+			t.Fatalf("workers=%d: Index.Nearest returned %d neighbors, want %d", w, len(tree), len(wantIdx))
+		}
+		for i, nb := range tree {
 			if nb.Index != wantIdx[i] {
-				t.Fatalf("workers=%d: Search neighbor %d has index %d, want %d", w, i, nb.Index, wantIdx[i])
+				t.Fatalf("workers=%d: Index.Nearest neighbor %d has index %d, want %d", w, i, nb.Index, wantIdx[i])
 			}
 		}
 		parallel.SetMaxProcs(0)

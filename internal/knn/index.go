@@ -1,6 +1,6 @@
 // KD-tree index over the projected training points. The paper's Fig. 7
 // prediction step is a kNN lookup in the KCCA query projection; the flat
-// scan in Nearest/Search is O(N·rank) per query, which grows linearly with
+// scan in Nearest is O(N·rank) per query, which grows linearly with
 // the training window. An Index is built once per model generation at
 // retrain-install time, is immutable afterwards (so serving reads are
 // lock-free, matching the atomic hot-swap discipline of
@@ -64,7 +64,6 @@ import (
 
 	"repro/internal/linalg"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 // Index metrics: builds and their node counts, tree searches versus
@@ -464,28 +463,6 @@ func (ix *Index) Nearest(q []float64, k int) ([]Neighbor, error) {
 	return ix.nearestOne(q, k), nil
 }
 
-// Search answers a batch of queries, row i of the result holding the k
-// nearest neighbors of queries.Row(i) — positionally and bit-identical to
-// Search(points, queries, k, metric). Queries fan out across the worker
-// pool like the flat batch path.
-func (ix *Index) Search(queries *linalg.Matrix, k int) ([][]Neighbor, error) {
-	defer obs.Span("knn.search")()
-	if queries.Cols != ix.points.Cols {
-		return nil, fmt.Errorf("%w: queries have %d dims, points have %d", ErrDimension, queries.Cols, ix.points.Cols)
-	}
-	if err := ix.validate(queries.Cols, k); err != nil {
-		return nil, err
-	}
-	searchQueries.Add(int64(queries.Rows))
-	out := make([][]Neighbor, queries.Rows)
-	parallel.For(queries.Rows, 1, func(lo, hi int) {
-		for qi := lo; qi < hi; qi++ {
-			out[qi] = ix.nearestOne(queries.Row(qi), k)
-		}
-	})
-	return out, nil
-}
-
 // validate mirrors the flat scan's error contract exactly.
 func (ix *Index) validate(qDims, k int) error {
 	if ix.points.Rows == 0 {
@@ -617,7 +594,7 @@ func pointDistance(p, q []float64, qn float64, metric Distance) float64 {
 
 // scanNearest is the serial flat scan: offer every row to a k-bounded heap
 // under the total (distance, index) order and return the k best. It is the
-// kernel behind Search and every Index fallback.
+// kernel behind every Index fallback.
 func scanNearest(points *linalg.Matrix, q []float64, qn float64, k int, metric Distance) []Neighbor {
 	s := getTreeSearch(points, q, qn, k, metric)
 	defer putTreeSearch(s)

@@ -18,7 +18,7 @@ import (
 	"repro/internal/parallel"
 )
 
-// Search metrics: every Nearest/Search call counts its queries and observes
+// Search metrics: every Nearest call counts its queries and observes
 // how many candidate points each query was ranked against.
 var (
 	searchQueries    = obs.GetCounter("knn.search.queries")
@@ -97,8 +97,8 @@ func (s *neighborSlice) Swap(i, j int)      { (*s)[i], (*s)[j] = (*s)[j], (*s)[i
 // neighborPool recycles the n-sized candidate rankings built by Nearest.
 // Ranking n candidates by a full sort needs an n-entry scratch slice that
 // would otherwise be allocated (and become garbage) on every call, ~64 KiB
-// at n = 4000. Only the k winners are copied out. (Search and Index keep a
-// k-bounded heap instead and need no such buffer.)
+// at n = 4000. Only the k winners are copied out. (Index keeps a
+// k-bounded heap instead and needs no such buffer.)
 var neighborPool = sync.Pool{New: func() any { return new(neighborSlice) }}
 
 func getNeighbors(n int) *neighborSlice {
@@ -128,7 +128,7 @@ func DefaultOptions() Options {
 // Nearest returns the k nearest rows of points to q under the metric,
 // sorted by ascending (distance, index). It is the package's reference
 // implementation — one pointDistance per row, then a full sort — which the
-// oracle suite holds Search and Index to, bit for bit. The index tie-break
+// oracle suite holds Index to, bit for bit. The index tie-break
 // is load-bearing: equal-distance neighbors (duplicated training rows are
 // common in template workloads) must order identically no matter how the
 // distance computation was partitioned, or parallel runs could silently
@@ -189,46 +189,6 @@ func less(a, b Neighbor) bool {
 		return a.Distance < b.Distance
 	}
 	return a.Index < b.Index
-}
-
-// Search answers a batch of queries at once: result row i holds the k
-// nearest neighbors of queries.Row(i), each sorted by ascending
-// (distance, index) exactly as Nearest returns them. Queries fan out across
-// the worker pool (each query's own distance pass stays serial to avoid
-// oversubscribing it); results are positionally identical to calling
-// Nearest in a loop.
-func Search(points, queries *linalg.Matrix, k int, metric Distance) ([][]Neighbor, error) {
-	defer obs.Span("knn.search")()
-	if queries.Cols != points.Cols {
-		return nil, fmt.Errorf("%w: queries have %d dims, points have %d", ErrDimension, queries.Cols, points.Cols)
-	}
-	n := points.Rows
-	if n == 0 {
-		return nil, ErrNoPoints
-	}
-	if k <= 0 {
-		return nil, ErrBadK
-	}
-	if k > n {
-		k = n
-	}
-	searchQueries.Add(int64(queries.Rows))
-	out := make([][]Neighbor, queries.Rows)
-	parallel.For(queries.Rows, 1, func(lo, hi int) {
-		for qi := lo; qi < hi; qi++ {
-			searchCandidates.Observe(float64(n))
-			q := queries.Row(qi)
-			// The query norm is hoisted once per query (see Nearest); the
-			// shared scan kernel uses pooled ranking buffers and copies only
-			// the k winners out.
-			var qn float64
-			if metric == Cosine {
-				qn = linalg.Norm(q)
-			}
-			out[qi] = scanNearest(points, q, qn, k, metric)
-		}
-	})
-	return out, nil
 }
 
 // Combine merges the value vectors of the neighbors (rows of values

@@ -12,5 +12,5 @@ import (
 func TestEquivalenceWithObsEnabled(t *testing.T) {
 	defer obs.SetEnabled(obs.SetEnabled(true))
 	t.Run("Nearest", TestNearestParallelMatchesSerial)
-	t.Run("Search", TestSearchMatchesNearestLoop)
+	t.Run("Concurrent", TestConcurrentNearestMatchesSerial)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/linalg"
@@ -12,7 +13,7 @@ import (
 )
 
 // The oracle suite proves the KD-tree index EXACT: for every supported
-// metric, point-cloud shape, k, and worker count, Index.Nearest/Search must
+// metric, point-cloud shape, k, and worker count, Index.Nearest must
 // return bit-identical (distance, index) neighbor sets to the flat scan —
 // same values, same total order, NaN-last. It runs under -race in CI at
 // worker counts {1, 2, 7, NumCPU}. The oracle is the package-level Nearest:
@@ -165,6 +166,44 @@ func mustEqualNeighbors(t *testing.T, ctx string, got, want []Neighbor) {
 	}
 }
 
+// concurrentNearest has g goroutines search one shared index and its point
+// set at once, each asking every query (from its own starting query) of both
+// ix.Nearest and the flat Nearest, then checks every answer bit for bit
+// against want, the serial flat scan's answer per query.
+func concurrentNearest(t *testing.T, ctx string, ix *Index, points, queries *linalg.Matrix, k, g int, want [][]Neighbor) {
+	t.Helper()
+	type answer struct {
+		tree, flat []Neighbor
+		err        error
+	}
+	got := make([][]answer, g)
+	var wg sync.WaitGroup
+	for w := range got {
+		got[w] = make([]answer, queries.Rows)
+		wg.Add(1)
+		go func(out []answer, start int) {
+			defer wg.Done()
+			for i := range out {
+				qi := (start + i) % len(out)
+				a := &out[qi]
+				if a.tree, a.err = ix.Nearest(queries.Row(qi), k); a.err == nil {
+					a.flat, a.err = Nearest(points, queries.Row(qi), k, ix.metric)
+				}
+			}
+		}(got[w], w)
+	}
+	wg.Wait()
+	for w := range got {
+		for qi, a := range got[w] {
+			if a.err != nil {
+				t.Fatalf("%s goroutine=%d query=%d: %v", ctx, w, qi, a.err)
+			}
+			mustEqualNeighbors(t, fmt.Sprintf("%s goroutine=%d query=%d index", ctx, w, qi), a.tree, want[qi])
+			mustEqualNeighbors(t, fmt.Sprintf("%s goroutine=%d query=%d flat", ctx, w, qi), a.flat, want[qi])
+		}
+	}
+}
+
 // TestIndexOracle is the headline exactness proof: randomized point clouds
 // across sizes, dimensions, pathologies, and both metrics; tree results
 // must be bit-identical to the flat scan for k ∈ {1, 3, 7, N, N+5}, at every
@@ -206,21 +245,19 @@ func TestIndexOracle(t *testing.T) {
 							mustEqualNeighbors(t, ctx, got, want)
 						}
 					}
-					// Batch path at every worker count, k = 3.
-					want, err := Search(points, queries, 3, metric)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, w := range workers {
-						parallel.SetMaxProcs(w)
-						got, err := ix.Search(queries, 3)
+					// Shared index at every goroutine and worker count, k = 3.
+					want := make([][]Neighbor, queries.Rows)
+					for qi := range want {
+						nbs, err := Nearest(points, queries.Row(qi), 3, metric)
 						if err != nil {
 							t.Fatal(err)
 						}
-						for qi := range got {
-							ctx := fmt.Sprintf("cloud=%s metric=%v n=%d dim=%d workers=%d query=%d", cl.name, metric, n, dim, w, qi)
-							mustEqualNeighbors(t, ctx, got[qi], want[qi])
-						}
+						want[qi] = nbs
+					}
+					for _, w := range workers {
+						parallel.SetMaxProcs(w)
+						ctx := fmt.Sprintf("cloud=%s metric=%v n=%d dim=%d workers=%d", cl.name, metric, n, dim, w)
+						concurrentNearest(t, ctx, ix, points, queries, 3, w, want)
 					}
 					parallel.SetMaxProcs(1)
 				}
@@ -303,9 +340,6 @@ func TestIndexErrorParity(t *testing.T) {
 	empty := NewIndex(linalg.NewMatrix(0, 3), Euclidean)
 	if _, err := empty.Nearest([]float64{1, 2, 3}, 3); err == nil {
 		t.Fatal("empty point set not rejected")
-	}
-	if _, err := ix.Search(linalg.NewMatrix(2, 4), 3); err == nil {
-		t.Fatal("batch dimension mismatch not rejected")
 	}
 }
 

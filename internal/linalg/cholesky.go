@@ -109,12 +109,3 @@ func (c *CholeskyFactor) InvLower() *Matrix {
 	}
 	return inv
 }
-
-// LogDet returns log(det A) = 2·Σ log L[i][i].
-func (c *CholeskyFactor) LogDet() float64 {
-	s := 0.0
-	for i := 0; i < c.L.Rows; i++ {
-		s += math.Log(c.L.At(i, i))
-	}
-	return 2 * s
-}

@@ -287,24 +287,6 @@ func (m *Matrix) SliceCols(lo, hi int) *Matrix {
 	return out
 }
 
-// SelectRows returns a copy of the given rows in order.
-func (m *Matrix) SelectRows(idx []int) *Matrix {
-	out := NewMatrix(len(idx), m.Cols)
-	for k, i := range idx {
-		copy(out.Row(k), m.Row(i))
-	}
-	return out
-}
-
-// Frob returns the Frobenius norm of the matrix.
-func (m *Matrix) Frob() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // MaxAbs returns the largest absolute element value.
 func (m *Matrix) MaxAbs() float64 {
 	mx := 0.0

@@ -82,10 +82,6 @@ func TestMatrixSlicing(t *testing.T) {
 	if c.Cols != 1 || c.At(2, 0) != 8 {
 		t.Errorf("SliceCols wrong: %v", c)
 	}
-	s := a.SelectRows([]int{2, 0})
-	if s.At(0, 0) != 7 || s.At(1, 0) != 1 {
-		t.Errorf("SelectRows wrong: %v", s)
-	}
 }
 
 func TestCenterColumns(t *testing.T) {

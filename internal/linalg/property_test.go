@@ -107,7 +107,7 @@ func TestSVDNormProperty(t *testing.T) {
 		for i := 0; i < p; i++ {
 			ss += f.S[i] * f.S[i]
 		}
-		if math.Abs(math.Sqrt(ss)-a.Frob()) > 1e-8*(1+a.Frob()) {
+		if fro := Norm(a.Data); math.Abs(math.Sqrt(ss)-fro) > 1e-8*(1+fro) {
 			return false
 		}
 		// Spectral bound.

@@ -2,8 +2,8 @@
 // paths (kernel matrices, dense linear algebra, nearest-neighbor search,
 // batch prediction). It is deliberately small: a lazily started,
 // adaptively sized pool of goroutines (grown on demand to the effective
-// worker cap, never shrunk), a chunked parallel For loop, a typed Map, and
-// a Do for heterogeneous fan-out.
+// worker cap, never shrunk), a chunked parallel For loop and a Do for
+// heterogeneous fan-out.
 //
 // Determinism contract: For partitions [0, n) into fixed contiguous chunks
 // and every index is processed by exactly one worker, so callers that write
@@ -37,13 +37,13 @@ var (
 	queueGauge    = obs.GetGauge("parallel.pool.queue_depth")
 )
 
-// maxProcs, when positive, caps the number of workers a single For/Map/Do
+// maxProcs, when positive, caps the number of workers a single For/Do
 // call may use. Zero (the default) means "use GOMAXPROCS workers".
 var maxProcs atomic.Int64
 
 // SetMaxProcs overrides the per-call worker cap and returns the previous
 // override (0 if none was set). Passing 0 restores the GOMAXPROCS default;
-// passing 1 forces every subsequent For/Map/Do onto the serial path. Tests
+// passing 1 forces every subsequent For/Do onto the serial path. Tests
 // use it to sweep worker counts:
 //
 //	defer parallel.SetMaxProcs(parallel.SetMaxProcs(7))
@@ -178,18 +178,6 @@ func For(n, grain int, fn func(lo, hi int)) {
 	// each claimant is a running goroutine that will finish its chunk.
 	drain()
 	<-finished
-}
-
-// Map computes out[i] = fn(i) for i in [0, n) on the pool and returns the
-// results in index order. The grain semantics match For.
-func Map[T any](n, grain int, fn func(i int) T) []T {
-	out := make([]T, n)
-	For(n, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = fn(i)
-		}
-	})
-	return out
 }
 
 // Do runs the functions concurrently on the pool and waits for all of them.

@@ -52,28 +52,3 @@ func (m *Model) Project(x []float64) []float64 {
 	}
 	return m.Components.TMulVec(centered)
 }
-
-// ProjectAll maps every row of x into component space.
-func (m *Model) ProjectAll(x *linalg.Matrix) *linalg.Matrix {
-	out := linalg.NewMatrix(x.Rows, m.Components.Cols)
-	for i := 0; i < x.Rows; i++ {
-		copy(out.Row(i), m.Project(x.Row(i)))
-	}
-	return out
-}
-
-// ExplainedVarianceRatio returns each component's share of total variance.
-func (m *Model) ExplainedVarianceRatio() []float64 {
-	total := 0.0
-	for _, v := range m.Variances {
-		total += v
-	}
-	out := make([]float64, len(m.Variances))
-	if total == 0 {
-		return out
-	}
-	for i, v := range m.Variances {
-		out[i] = v / total
-	}
-	return out
-}

@@ -45,18 +45,24 @@ func TestProjectionCentersData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj := m.ProjectAll(x)
-	for j := 0; j < proj.Cols; j++ {
-		if mean := linalg.Mean(proj.Col(j)); math.Abs(mean) > 1e-8 {
+	sum := make([]float64, 2)
+	for i := 0; i < n; i++ {
+		p := m.Project(x.Row(i))
+		if len(p) != 2 {
+			t.Fatalf("projection dims = %d, want 2", len(p))
+		}
+		linalg.Axpy(1, p, sum)
+	}
+	for j, s := range sum {
+		if mean := s / float64(n); math.Abs(mean) > 1e-8 {
 			t.Errorf("projected column %d mean = %v, want 0", j, mean)
 		}
 	}
-	if proj.Cols != 2 {
-		t.Errorf("projection dims = %d, want 2", proj.Cols)
-	}
 }
 
-func TestExplainedVarianceRatioSumsToOne(t *testing.T) {
+// TestFitAllComponentsKeepsTotalVariance: r = 0 keeps every component, the
+// variances descend, and they sum to the trace of the sample covariance.
+func TestFitAllComponentsKeepsTotalVariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := linalg.NewMatrix(40, 4)
 	for i := range x.Data {
@@ -66,22 +72,26 @@ func TestExplainedVarianceRatioSumsToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratios := m.ExplainedVarianceRatio()
+	if len(m.Variances) != 4 {
+		t.Fatalf("%d components, want 4", len(m.Variances))
+	}
 	sum := 0.0
-	for _, r := range ratios {
-		if r < 0 {
-			t.Errorf("negative ratio %v", r)
+	for i, v := range m.Variances {
+		if v < 0 || (i > 0 && v > m.Variances[i-1]+1e-12) {
+			t.Errorf("variances not non-negative and descending: %v", m.Variances)
 		}
-		sum += r
+		sum += v
 	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("ratios sum to %v, want 1", sum)
-	}
-	// Ratios descend with component index.
-	for i := 1; i < len(ratios); i++ {
-		if ratios[i] > ratios[i-1]+1e-12 {
-			t.Errorf("ratios not sorted: %v", ratios)
+	trace := 0.0
+	for j := 0; j < x.Cols; j++ {
+		col := x.Col(j)
+		mu := linalg.Mean(col)
+		for _, v := range col {
+			trace += (v - mu) * (v - mu) / float64(x.Rows-1)
 		}
+	}
+	if math.Abs(sum-trace) > 1e-9*trace {
+		t.Errorf("variances sum to %v, covariance trace %v", sum, trace)
 	}
 }
 

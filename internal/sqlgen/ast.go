@@ -218,21 +218,6 @@ func (ts TextStats) Vector() []float64 {
 	}
 }
 
-// TextStatNames returns the feature names matching TextStats.Vector order.
-func TextStatNames() []string {
-	return []string{
-		"nested_subqueries",
-		"selection_preds",
-		"equality_selections",
-		"nonequality_selections",
-		"join_preds",
-		"equijoin_preds",
-		"nonequijoin_preds",
-		"sort_columns",
-		"aggregation_columns",
-	}
-}
-
 // Stats computes the SQL-text statistics for the query, recursing into
 // subqueries.
 func (q *Query) Stats() TextStats {

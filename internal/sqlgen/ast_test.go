@@ -81,7 +81,7 @@ func TestStatsNestedSubquery(t *testing.T) {
 		t.Errorf("selections = %d, want 4", ts.SelectionPreds)
 	}
 	vec := ts.Vector()
-	if len(vec) != 9 || len(TextStatNames()) != 9 {
+	if len(vec) != 9 {
 		t.Errorf("vector length = %d", len(vec))
 	}
 	if vec[0] != 1 {

@@ -26,17 +26,6 @@ func NewRNG(seed int64, purpose string) *RNG {
 	return &RNG{Rand: rand.New(rand.NewSource(int64(h.Sum64())))}
 }
 
-// Derive returns a child stream keyed additionally by sub.
-func (r *RNG) Derive(sub string) *RNG {
-	return NewRNG(r.Int63(), sub)
-}
-
-// LogNormal draws from a lognormal distribution with the given log-space
-// mean and standard deviation.
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
-}
-
 // NoiseFactor returns a multiplicative noise factor centered on 1 with
 // log-space standard deviation sigma.
 func (r *RNG) NoiseFactor(sigma float64) float64 {
@@ -55,75 +44,6 @@ func (r *RNG) IntBetween(lo, hi int) int {
 	}
 	return lo + r.Intn(hi-lo+1)
 }
-
-// Choice returns a uniformly random index in [0, n).
-func (r *RNG) Choice(n int) int { return r.Intn(n) }
-
-// Zipf draws a rank in [1, n] from a Zipf distribution with exponent s >= 0
-// using inverse transform sampling over the truncated harmonic sum.
-// Exponent 0 degenerates to the uniform distribution.
-func (r *RNG) Zipf(n int, s float64) int {
-	if n <= 1 {
-		return 1
-	}
-	if s <= 0 {
-		return 1 + r.Intn(n)
-	}
-	// Rejection-free inverse CDF by bisection over the generalized harmonic
-	// numbers would need precomputation; for the sizes used here a direct
-	// approximation via the continuous inverse is adequate and O(1).
-	// For s != 1 the CDF of the continuous analogue is
-	// F(x) = (x^(1-s) - 1) / (n^(1-s) - 1).
-	u := r.Float64()
-	if math.Abs(s-1) < 1e-9 {
-		x := math.Exp(u * math.Log(float64(n)))
-		k := int(x)
-		if k < 1 {
-			k = 1
-		}
-		if k > n {
-			k = n
-		}
-		return k
-	}
-	p := 1 - s
-	x := math.Pow(u*(math.Pow(float64(n), p)-1)+1, 1/p)
-	k := int(x)
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	return k
-}
-
-// ZipfSkewFactor returns the expected ratio between the heaviest value
-// frequency and the uniform frequency for a Zipf(s) distribution over n
-// values. It quantifies data skew for the execution simulator: 1 means no
-// skew.
-func ZipfSkewFactor(n int, s float64) float64 {
-	if n <= 1 || s <= 0 {
-		return 1
-	}
-	// The heaviest value has probability 1/H(n,s); uniform is 1/n.
-	h := 0.0
-	steps := n
-	if steps > 10000 {
-		steps = 10000 // harmonic tail contributes little; cap the work
-	}
-	for i := 1; i <= steps; i++ {
-		h += math.Pow(float64(i), -s)
-	}
-	f := float64(n) / h
-	if f < 1 {
-		f = 1
-	}
-	return f
-}
-
-// Shuffle permutes idx in place.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.Rand.Shuffle(n, swap) }
 
 // SampleInts returns k distinct integers drawn without replacement from
 // [0, n). It panics if k > n.
@@ -200,20 +120,4 @@ func Summarize(values []float64) Summary {
 	s.P5 = Quantile(values, 0.05)
 	s.P95 = Quantile(values, 0.95)
 	return s
-}
-
-// GeometricMean returns the geometric mean of positive values; zero or
-// negative entries are clamped to tiny to keep the result finite.
-func GeometricMean(values []float64) float64 {
-	if len(values) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, v := range values {
-		if v < 1e-300 {
-			v = 1e-300
-		}
-		s += math.Log(v)
-	}
-	return math.Exp(s / float64(len(values)))
 }

@@ -30,57 +30,6 @@ func TestRNGStreamsIndependent(t *testing.T) {
 	}
 }
 
-func TestDeriveDeterministic(t *testing.T) {
-	a := NewRNG(7, "root").Derive("child")
-	b := NewRNG(7, "root").Derive("child")
-	if a.Int63() != b.Int63() {
-		t.Error("Derive must be deterministic")
-	}
-}
-
-func TestZipfBounds(t *testing.T) {
-	r := NewRNG(1, "zipf")
-	for _, s := range []float64{0, 0.5, 1.0, 1.5, 2.0} {
-		for i := 0; i < 1000; i++ {
-			k := r.Zipf(100, s)
-			if k < 1 || k > 100 {
-				t.Fatalf("Zipf(100, %v) = %d out of bounds", s, k)
-			}
-		}
-	}
-	if k := r.Zipf(1, 1.0); k != 1 {
-		t.Errorf("Zipf(1) = %d, want 1", k)
-	}
-}
-
-func TestZipfSkewsLow(t *testing.T) {
-	r := NewRNG(2, "zipf")
-	countLow := 0
-	n := 10000
-	for i := 0; i < n; i++ {
-		if r.Zipf(1000, 1.2) <= 10 {
-			countLow++
-		}
-	}
-	// With exponent 1.2 over 1000 ranks, the first 10 ranks should receive
-	// far more than the uniform 1% of the mass.
-	if frac := float64(countLow) / float64(n); frac < 0.25 {
-		t.Errorf("Zipf(1.2) put only %.1f%% of mass in top 1%% of ranks", frac*100)
-	}
-}
-
-func TestZipfSkewFactor(t *testing.T) {
-	if f := ZipfSkewFactor(100, 0); f != 1 {
-		t.Errorf("no-skew factor = %v, want 1", f)
-	}
-	if f := ZipfSkewFactor(100, 1.0); f <= 1 {
-		t.Errorf("skew factor = %v, want > 1", f)
-	}
-	if f := ZipfSkewFactor(1, 2.0); f != 1 {
-		t.Errorf("single-value factor = %v, want 1", f)
-	}
-}
-
 func TestUniformAndIntBetween(t *testing.T) {
 	r := NewRNG(3, "u")
 	for i := 0; i < 1000; i++ {
@@ -95,15 +44,6 @@ func TestUniformAndIntBetween(t *testing.T) {
 	}
 	if k := r.IntBetween(4, 4); k != 4 {
 		t.Errorf("degenerate IntBetween = %d", k)
-	}
-}
-
-func TestLogNormalPositive(t *testing.T) {
-	r := NewRNG(4, "ln")
-	for i := 0; i < 1000; i++ {
-		if v := r.LogNormal(0, 1); v <= 0 {
-			t.Fatalf("LogNormal must be positive, got %v", v)
-		}
 	}
 }
 
@@ -189,14 +129,5 @@ func TestSummarize(t *testing.T) {
 	empty := Summarize(nil)
 	if empty.N != 0 || !math.IsNaN(empty.Min) {
 		t.Errorf("empty summary wrong: %+v", empty)
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	if g := GeometricMean([]float64{1, 100}); math.Abs(g-10) > 1e-9 {
-		t.Errorf("geomean = %v, want 10", g)
-	}
-	if g := GeometricMean([]float64{0, 0}); math.IsInf(g, 0) || math.IsNaN(g) {
-		t.Errorf("geomean of zeros must be finite, got %v", g)
 	}
 }

@@ -244,8 +244,13 @@ func (st *Store) MaybeSnapshot(s *core.SlidingPredictor, gen int64) error {
 }
 
 // Snapshot persists the sliding predictor's full state (atomically), then
-// truncates WAL segments the snapshot covers.
+// truncates WAL segments the snapshot covers. A failed attempt counts toward
+// the cadence like a successful one: the next attempt comes SnapshotEvery
+// observations later, not on every observation (each attempt encodes the
+// whole window and model), and the WAL keeps every record until a snapshot
+// covering it is written.
 func (st *Store) Snapshot(s *core.SlidingPredictor, gen int64) error {
+	st.sinceSnap = 0
 	var buf bytes.Buffer
 	if err := s.SaveState(&buf); err != nil {
 		return err
@@ -253,7 +258,6 @@ func (st *Store) Snapshot(s *core.SlidingPredictor, gen int64) error {
 	if _, err := WriteSnapshot(st.opts.Dir, st.appliedSeq, uint64(gen), buf.Bytes()); err != nil {
 		return err
 	}
-	st.sinceSnap = 0
 	return st.log.TruncateBefore(st.appliedSeq + 1)
 }
 

@@ -411,6 +411,39 @@ func TestCleanShutdownSnapshot(t *testing.T) {
 	}
 }
 
+// TestFailedSnapshotCountsTowardCadence: once snapshots start failing (the
+// state directory is gone; the open WAL segment stays writable), the store
+// retries one per SnapshotEvery observations rather than on every one.
+func TestFailedSnapshotCountsTowardCadence(t *testing.T) {
+	const every = 5
+	qs := observations(t, every+20)
+	dir := t.TempDir()
+	st := openStore(t, dir, every)
+	live := newSliding(t)
+	var gen int64
+	for _, q := range qs[:every] {
+		feed(t, st, live, q, &gen)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for _, q := range qs[every:] {
+		seq, err := st.Append(q.SQL, q.Metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = live.Observe(q)
+		st.Applied(seq)
+		if st.MaybeSnapshot(live, gen) != nil {
+			failed++
+		}
+	}
+	if failed != 20/every {
+		t.Fatalf("%d failed snapshot attempts over 20 observations, want %d", failed, 20/every)
+	}
+}
+
 // TestRecoverConfigMismatch: a snapshot taken under one window
 // configuration must refuse to restore under another.
 func TestRecoverConfigMismatch(t *testing.T) {
