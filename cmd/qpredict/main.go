@@ -32,7 +32,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/exec"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/sqlparse"
@@ -60,7 +59,7 @@ func main() {
 	defer cli.RunHooks()
 
 	// -config loads the shared qpredict.Options file; the CLI consumes its
-	// train block (the serve/shard/champion blocks belong to qpredictd).
+	// train block (the serve/shard/state blocks belong to qpredictd).
 	// Explicitly set flags override the file, reported once.
 	if *cfgPath != "" {
 		opts, err := qpredict.LoadFile(*cfgPath)
@@ -218,7 +217,7 @@ func emitJSON(p *core.Predictor, sql string, cost float64, pred *core.Prediction
 		Model: &api.ModelInfo{
 			Generation: 1,
 			TrainedOn:  p.N(),
-			ModelKind:  model.KindKCCA,
+			ModelKind:  core.ModelKind,
 			Features:   opt.Features.String(),
 			TwoStep:    opt.TwoStep,
 		},
@@ -229,7 +228,7 @@ func emitJSON(p *core.Predictor, sql string, cost float64, pred *core.Prediction
 			Confidence:    pred.Confidence,
 			OptimizerCost: cost,
 			Generation:    1,
-			ModelKind:     model.KindKCCA,
+			ModelKind:     core.ModelKind,
 		}},
 	}
 	enc := json.NewEncoder(os.Stdout)

@@ -15,11 +15,7 @@
 //
 // -config loads a qpredict.Options JSON file (example under
 // examples/config/); any flag explicitly set on the command line overrides
-// the corresponding config field. With challengers configured
-// (champion.challengers in the config, or -challengers) the daemon runs
-// the model zoo: every observation shadow-scores each challenger model
-// kind against the champion, and a challenger that dominates on windowed
-// relative error is promoted through the ordinary generation hot-swap.
+// the corresponding config field.
 //
 // Every daemon serves through one engine, a router over -shards N shards
 // (internal/shard). The stock daemon runs one shard, which everything routes
@@ -56,7 +52,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/exec"
 	"repro/internal/linalg"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/shard"
@@ -143,16 +138,6 @@ func bindFlags(fs *flag.FlagSet, o *qpredict.Options) (cfgPath *string, timings 
 	fs.IntVar(&o.State.FsyncEvery, "fsync-every", o.State.FsyncEvery, "appends between fsyncs with -fsync batch")
 	fs.IntVar(&o.State.SnapshotEvery, "snapshot-every", o.State.SnapshotEvery, "applied observations between state snapshots with -state-dir")
 	fs.IntVar(&o.Serve.PlanCache, "plan-cache", o.Serve.PlanCache, "plan/feature cache entries (0 = built-in default, negative disables caching)")
-	fs.StringVar(&o.Champion.Kind, "champion", o.Champion.Kind, "initial champion model kind (kcca, planstruct, optcost)")
-	fs.Func("challengers", "comma-separated challenger model kinds to shadow-score (enables the model zoo)", func(v string) error {
-		o.Champion.Challengers = nil
-		for _, k := range strings.Split(v, ",") {
-			if k = strings.TrimSpace(k); k != "" {
-				o.Champion.Challengers = append(o.Champion.Challengers, k)
-			}
-		}
-		return nil
-	})
 	return cfgPath, timings
 }
 
@@ -217,7 +202,7 @@ func boot(opts qpredict.Options, logw io.Writer) (svc *serve.Server, modelDesc s
 	// so a query seen on any of them is planned once. Generation-free
 	// keying (plans depend only on schema, data seed, and machine, all
 	// fixed for the process) means hot swaps never invalidate it.
-	planner := newPlanner(opts, schema, machine)
+	planner := serve.NewPlanner(schema, opts.Train.DataSeed, machine, opts.Serve.PlanCache)
 	if planner.Enabled() {
 		fmt.Fprintf(logw, "plan cache: %d entries\n", planner.Cap())
 	} else {
@@ -295,7 +280,6 @@ func boot(opts qpredict.Options, logw io.Writer) (svc *serve.Server, modelDesc s
 	}
 
 	var predictor *core.Predictor
-	var pool *dataset.Dataset
 	if allWarm {
 		fmt.Fprintf(logw, "recovered %d warm partition(s) from %s; skipping boot training\n", nShards, opts.State.Dir)
 	} else if opts.Train.Load != "" {
@@ -311,7 +295,7 @@ func boot(opts qpredict.Options, logw io.Writer) (svc *serve.Server, modelDesc s
 		fmt.Fprintf(logw, "loaded model trained on %d queries\n", predictor.N())
 	} else {
 		fmt.Fprintf(logw, "generating %d training queries on %s...\n", opts.Train.Count, machine)
-		pool, err = dataset.Generate(dataset.GenConfig{
+		pool, err := dataset.Generate(dataset.GenConfig{
 			Seed:      opts.Train.Seed,
 			DataSeed:  opts.Train.DataSeed,
 			Machine:   machine,
@@ -332,36 +316,6 @@ func boot(opts qpredict.Options, logw io.Writer) (svc *serve.Server, modelDesc s
 		modelDesc = fmt.Sprintf("model: %d queries", predictor.N())
 	}
 
-	// With the zoo on, every configured kind gets a seed model trained on
-	// the same boot pool, so challengers shadow-score from the first
-	// observation instead of waiting for their first window retrain. A
-	// kind whose boot training fails just starts cold.
-	zooOn := opts.Champion.Enabled()
-	var seeds map[string]model.Model
-	if zooOn {
-		seeds = map[string]model.Model{}
-		if predictor != nil {
-			seeds[model.KindKCCA] = model.WrapKCCA(predictor)
-		}
-		if pool != nil {
-			for _, kind := range append([]string{opts.Champion.Kind}, opts.Champion.Challengers...) {
-				if seeds[kind] != nil {
-					continue
-				}
-				tr, err := model.NewTrainer(kind, opt)
-				if err != nil {
-					return nil, "", err
-				}
-				m, err := tr.Train(pool.Queries)
-				if err != nil {
-					fmt.Fprintf(logw, "boot training %s model: %v (kind starts cold)\n", kind, err)
-					continue
-				}
-				seeds[kind] = m
-			}
-		}
-	}
-
 	for i := range cfgs {
 		sc := &cfgs[i]
 		// A shard that did not recover a model boots from the shared trained
@@ -370,22 +324,6 @@ func boot(opts qpredict.Options, logw io.Writer) (svc *serve.Server, modelDesc s
 		// the restart.
 		if sc.BootGen == 0 {
 			sc.Boot = predictor
-		}
-		if zooOn {
-			sc.Zoo = &shard.ZooConfig{
-				Champion:    opts.Champion.Kind,
-				Challengers: opts.Champion.Challengers,
-				Seeds:       seeds,
-				Policy:      opts.Champion.Policy(),
-				Opt:         opt,
-			}
-			// A durably recorded promotion outlives the process: the shard
-			// restarts under the champion it had promoted to.
-			if sc.Store != nil {
-				if k := sc.Store.ChampionKind(); k != "" {
-					sc.Zoo.Champion = k
-				}
-			}
 		}
 	}
 	router, err := shard.NewRouter(cfgs, part, shard.Config{
@@ -400,10 +338,6 @@ func boot(opts qpredict.Options, logw io.Writer) (svc *serve.Server, modelDesc s
 		fmt.Fprintf(logw, "sharded tier: %d shards, %s partitioner, per-shard window %d\n",
 			nShards, part.Name(), partCap)
 	}
-	if zooOn {
-		fmt.Fprintf(logw, "model zoo: champion %s, challengers %v (margin %.0f%%, hysteresis %d)\n",
-			opts.Champion.Kind, opts.Champion.Challengers, opts.Champion.Margin*100, opts.Champion.Hysteresis)
-	}
 	svc, err = serve.New(serve.Config{
 		Router:   router,
 		Schema:   schema,
@@ -416,19 +350,6 @@ func boot(opts qpredict.Options, logw io.Writer) (svc *serve.Server, modelDesc s
 		return nil, "", fmt.Errorf("starting service: %w", err)
 	}
 	return svc, modelDesc, nil
-}
-
-// newPlanner builds the daemon's plan/feature cache. An entry is a feature
-// vector and a cost-only plan, except under the model zoo: there the cache
-// keeps plan trees, because the zoo may run the planstruct model, the one
-// reader of plan trees — as a configured kind, or as the champion a state
-// directory recorded from an earlier run.
-func newPlanner(opts qpredict.Options, schema *catalog.Schema, machine exec.Machine) *core.PlanCache {
-	planner := serve.NewPlanner(schema, opts.Train.DataSeed, machine, opts.Serve.PlanCache)
-	if opts.Champion.Enabled() {
-		planner.KeepTrees()
-	}
-	return planner
 }
 
 // Connection timeouts of the daemon's listener. A client gets

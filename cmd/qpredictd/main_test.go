@@ -20,10 +20,8 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/dataset"
 	"repro/internal/exec"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/wal"
 	"repro/internal/workload"
 	"repro/pkg/qpredict"
 )
@@ -70,10 +68,9 @@ func generationOf(t *testing.T, svc *serve.Server) int64 {
 
 // TestOneShardStateDirAcrossBoots: a state directory written by the stock
 // daemon holds one partition, and every way of asking for one shard opens
-// it — no -shards, -shards 0, -shards 1 under either partitioner, and the
-// model zoo (which used to force -shards 1 behind the operator's back) —
-// warm, at the generation it held, answering a probe with the same bytes. A
-// real change of layout is still refused.
+// it — no -shards, -shards 0, -shards 1 under either partitioner — warm, at
+// the generation it held, answering a probe with the same bytes. A real
+// change of layout is still refused.
 func TestOneShardStateDirAcrossBoots(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"-train", "60", "-capacity", "20", "-retrain-every", "5", "-snapshot-every", "4", "-state-dir", dir}
@@ -86,17 +83,6 @@ func TestOneShardStateDirAcrossBoots(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := api.PredictRequest{SQL: "SELECT COUNT(*) FROM store_sales"}
-	// results cuts a predict body down to its results: the zoo adds champion
-	// state to the model block beside them.
-	results := func(raw []byte) string {
-		var body struct {
-			Results json.RawMessage `json:"results"`
-		}
-		if err := json.Unmarshal(raw, &body); err != nil || len(body.Results) == 0 {
-			t.Fatalf("predict body %s: %v", raw, err)
-		}
-		return string(body.Results)
-	}
 
 	// First life: the stock daemon trains, takes twelve observations — two
 	// retrains, so generation 3 — and drains.
@@ -125,13 +111,11 @@ func TestOneShardStateDirAcrossBoots(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		args []string
-		zoo  bool
 	}{
 		{name: "no -shards"},
 		{name: "-shards 0", args: []string{"-shards", "0"}},
 		{name: "-shards 1", args: []string{"-shards", "1"}},
 		{name: "-shards 1 -partitioner category", args: []string{"-shards", "1", "-partitioner", "category"}},
-		{name: "-challengers optcost", args: []string{"-challengers", "optcost"}, zoo: true},
 		{name: "the stock daemon again", args: nil},
 	} {
 		svc, log, err := bootArgs(t, append(base[:len(base):len(base)], tc.args...)...)
@@ -145,7 +129,7 @@ func TestOneShardStateDirAcrossBoots(t *testing.T) {
 			t.Errorf("%s: serves generation %d, the directory held 3", tc.name, gen)
 		}
 		code, got := call(t, svc, http.MethodPost, "/v1/predict", probe)
-		if code != http.StatusOK || results(got) != results(want) || (!tc.zoo && !bytes.Equal(got, want)) {
+		if code != http.StatusOK || !bytes.Equal(got, want) {
 			t.Errorf("%s: probe answered %d\n got %s\nwant %s", tc.name, code, got, want)
 		}
 		svc.Close()
@@ -156,138 +140,123 @@ func TestOneShardStateDirAcrossBoots(t *testing.T) {
 	}
 }
 
-// TestPlanTreesKeptOnlyUnderZoo: the stock daemon's plan cache hands out
-// cost-only plans — no AST, no plan tree — at the cost the uncached pipeline
-// computes, bit for bit, on a miss and on a hit. Under the model zoo, which
-// may run the planstruct model (the one reader of plan trees), it keeps the
-// trees, whichever kinds the command line names.
-func TestPlanTreesKeptOnlyUnderZoo(t *testing.T) {
+// TestStockPlannerKeepsNoTrees: the plan cache qpredictd builds hands out
+// cost-only plans — no AST, no plan tree — at the cost the uncached
+// pipeline computes, bit for bit, on a miss and on a hit.
+func TestStockPlannerKeepsNoTrees(t *testing.T) {
 	schema, machine := catalog.TPCDS(1), exec.Research4()
 	const sql = "SELECT COUNT(*) FROM store_sales, item WHERE ss_item_sk = i_item_sk AND i_category = 'v3'"
-	want, err := serve.PlannerFunc(schema, qpredict.Default().Train.DataSeed, machine)(sql)
+	def := qpredict.Default()
+	want, err := serve.PlannerFunc(schema, def.Train.DataSeed, machine)(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hits := obs.GetCounter("core.plancache.hits")
-	for _, tc := range []struct {
-		name  string
-		args  []string
-		trees bool
-	}{
-		{"stock", nil, false},
-		{"planstruct challenger", []string{"-challengers", "planstruct"}, true},
-		{"optcost challenger", []string{"-challengers", "optcost"}, true},
-	} {
-		opts, _, err := loadOptions(flag.NewFlagSet("qpredictd", flag.ContinueOnError), tc.args, io.Discard)
+	plans := serve.NewPlanner(schema, def.Train.DataSeed, machine, def.Serve.PlanCache)
+	before := hits.Value()
+	for _, lookup := range []string{"miss", "hit"} {
+		q, err := plans.Plan(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plans := newPlanner(opts, schema, machine)
-		before := hits.Value()
-		for _, lookup := range []string{"miss", "hit"} {
-			q, err := plans.Plan(sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if q.AST != nil {
-				t.Errorf("%s: the %s kept the AST", tc.name, lookup)
-			}
-			if got := q.Plan.Root != nil; got != tc.trees {
-				t.Errorf("%s: the %s carries a plan tree: %v, want %v", tc.name, lookup, got, tc.trees)
-			}
-			if math.Float64bits(q.Plan.Cost) != math.Float64bits(want.Plan.Cost) {
-				t.Errorf("%s: the %s costs %v, the uncached pipeline %v", tc.name, lookup, q.Plan.Cost, want.Plan.Cost)
-			}
+		if q.AST != nil || q.Plan.Root != nil {
+			t.Errorf("the %s kept the AST (%v) or the plan tree (%v)", lookup, q.AST != nil, q.Plan.Root != nil)
 		}
-		if n := hits.Value() - before; n != 1 {
-			t.Errorf("%s: %d plan-cache hits, want 1", tc.name, n)
+		if math.Float64bits(q.Plan.Cost) != math.Float64bits(want.Plan.Cost) {
+			t.Errorf("the %s costs %v, the uncached pipeline %v", lookup, q.Plan.Cost, want.Plan.Cost)
 		}
+	}
+	if n := hits.Value() - before; n != 1 {
+		t.Errorf("%d plan-cache hits, want 1", n)
 	}
 }
 
-// TestRecordedPlanStructChampionRetrains: a state directory that recorded
-// planstruct as its champion keeps serving planstruct when the daemon
-// restarts with a zoo that does not name it. The champion trains from the
-// window the restarted daemon plans, so that window must carry plan trees;
-// without them every planstruct training fails and KCCA answers under a
-// planstruct champion.
-func TestRecordedPlanStructChampionRetrains(t *testing.T) {
-	dir := t.TempDir()
-	base := []string{"-train", "60", "-capacity", "20", "-retrain-every", "5", "-snapshot-every", "4", "-state-dir", dir}
-	def := qpredict.Default()
-	pool, err := dataset.Generate(dataset.GenConfig{
-		Seed: def.Train.Seed, DataSeed: def.Train.DataSeed, Machine: exec.Research4(),
-		Schema: catalog.TPCDS(1), Templates: workload.TPCDSTemplates(), Count: 60,
+// TestZooEraStateDirBootsWarm: testdata/zoo-era is a one-shard state
+// directory as a daemon running the model zoo (-challengers planstruct) left
+// it when it crashed after 50 observations — a KCCA snapshot, two WAL
+// records past it, and the champion.json its promotion of planstruct wrote
+// — and testdata/zoo-era-predict.json is what that daemon's build answered
+// for eight queries on reopening the directory without the zoo. Today's
+// daemon ignores champion.json: every way of asking for one shard opens the
+// directory warm, at the recovered generation, and answers the same eight
+// queries with the same bytes, every result from the kcca model.
+func TestZooEraStateDirBootsWarm(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "zoo-era-predict.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden api.PredictResponse
+	if err := json.Unmarshal(want, &golden); err != nil {
+		t.Fatal(err)
+	}
+	if len(golden.Results) != 8 {
+		t.Fatalf("golden has %d results, want 8", len(golden.Results))
+	}
+	for i, r := range golden.Results {
+		if r.ModelKind != "kcca" || r.Error != nil {
+			t.Errorf("result %d: model_kind %q, error %v", i, r.ModelKind, r.Error)
+		}
+	}
+	var req api.PredictRequest
+	for _, r := range golden.Results {
+		req.Queries = append(req.Queries, api.QueryInput{SQL: r.SQL})
+	}
+
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{name: "no -shards"},
+		{name: "-shards 1", args: []string{"-shards", "1"}},
+		{name: "-shards 1 -partitioner category", args: []string{"-shards", "1", "-partitioner", "category"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "state")
+			copyDir(t, filepath.Join("testdata", "zoo-era"), dir)
+			args := append([]string{"-train", "60", "-capacity", "60", "-retrain-every", "20", "-snapshot-every", "16", "-state-dir", dir}, tc.args...)
+			svc, log, err := bootArgs(t, args...)
+			if err != nil {
+				t.Fatalf("boot: %v\n%s", err, log)
+			}
+			defer svc.Close()
+			if !strings.Contains(log, "skipping boot training") || !strings.Contains(log, "replayed 2 records") {
+				t.Errorf("the zoo-era directory did not reopen warm from its snapshot and WAL:\n%s", log)
+			}
+			if gen := generationOf(t, svc); gen != golden.Model.Generation || gen != 4 {
+				t.Errorf("serves generation %d, the directory held %d", gen, golden.Model.Generation)
+			}
+			code, got := call(t, svc, http.MethodPost, "/v1/predict", req)
+			if code != http.StatusOK || !bytes.Equal(got, want) {
+				t.Fatalf("predict answered %d\n got %s\nwant %s", code, got, want)
+			}
+		})
+	}
+}
+
+// copyDir copies the regular files under src to dst, so a test can reopen a
+// checked-in state directory without writing to it.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	observe := func(svc *serve.Server, qs []*dataset.Query) {
-		t.Helper()
-		var req api.ObserveRequest
-		for _, q := range qs {
-			req.Observations = append(req.Observations, api.Observation{SQL: q.SQL, Metrics: api.MetricsFrom(q.Metrics)})
-		}
-		if code, raw := call(t, svc, http.MethodPost, "/v1/observe", req); code != http.StatusAccepted {
-			t.Fatalf("observe: %d %s", code, raw)
-		}
-	}
-
-	// First life: a zoo with planstruct fills the window and drains; then
-	// the shard's state records planstruct as champion, as a promotion does.
-	svc, log, err := bootArgs(t, append(base, "-challengers", "planstruct")...)
-	if err != nil {
-		t.Fatalf("first boot: %v\n%s", err, log)
-	}
-	observe(svc, pool.Queries[:12])
-	for deadline := time.Now().Add(60 * time.Second); generationOf(t, svc) != 3; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("generation %d after two retrains' worth of observations, want 3", generationOf(t, svc))
-		}
-	}
-	svc.Close()
-	st, err := wal.OpenStore(wal.StoreOptions{
-		Dir:  filepath.Join(dir, "shard-0"),
-		Plan: serve.PlannerFunc(catalog.TPCDS(1), def.Train.DataSeed, exec.Research4()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SetChampion(model.KindPlanStruct); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(nil, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second life, under a zoo that names optcost and kcca but not
-	// planstruct: the champion trains from the recovered window at boot,
-	// and again at the retrain five more observations bring.
-	svc, log, err = bootArgs(t, append(base, "-champion", "optcost", "-challengers", "kcca")...)
-	if err != nil {
-		t.Fatalf("second boot: %v\n%s", err, log)
-	}
-	defer svc.Close()
-	answeredBy := func(when string) {
-		t.Helper()
-		code, raw := call(t, svc, http.MethodPost, "/v1/predict", api.PredictRequest{SQL: pool.Queries[0].SQL})
-		var resp api.PredictResponse
-		if err := json.Unmarshal(raw, &resp); code != http.StatusOK || err != nil || len(resp.Results) != 1 {
-			t.Fatalf("predict %s: %d %s (%v)", when, code, raw, err)
-		}
-		if got := resp.Results[0].ModelKind; got != model.KindPlanStruct {
-			t.Errorf("%s, %q answered under the recorded planstruct champion", when, got)
-		}
-	}
-	answeredBy("after boot")
-	gen := generationOf(t, svc)
-	observe(svc, pool.Queries[12:17])
-	for deadline := time.Now().Add(60 * time.Second); generationOf(t, svc) == gen; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("still generation %d after a retrain's worth of observations\n%s", gen, log)
-		}
-	}
-	answeredBy("after a retrain")
 }
 
 // TestFlagsOverConfigOverDefaults: the three layers of loadOptions. A field
@@ -297,19 +266,19 @@ func TestRecordedPlanStructChampionRetrains(t *testing.T) {
 func TestFlagsOverConfigOverDefaults(t *testing.T) {
 	path := t.TempDir() + "/qpredictd.json"
 	cfg := `{"serve": {"addr": ":9090", "window": "5ms", "max_batch": 32}, "shards": {"count": 4},
-		"champion": {"challengers": ["optcost", "planstruct"]}, "train": {"twostep": true}}`
+		"state": {"fsync": "none"}, "train": {"twostep": true}}`
 	if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var note bytes.Buffer
 	fs := flag.NewFlagSet("qpredictd", flag.ContinueOnError)
-	opts, timings, err := loadOptions(fs, []string{"-window", "1ms", "-config", path, "-shards", "2", "-challengers", "optcost", "-timings"}, &note)
+	opts, timings, err := loadOptions(fs, []string{"-window", "1ms", "-config", path, "-shards", "2", "-fsync", "always", "-timings"}, &note)
 	if err != nil {
 		t.Fatal(err)
 	}
 	def := qpredict.Default()
-	if opts.Serve.Window.Std() != time.Millisecond || opts.Shards.Count != 2 || len(opts.Champion.Challengers) != 1 {
-		t.Errorf("flags did not beat the file: window %v, shards %d, challengers %v", opts.Serve.Window, opts.Shards.Count, opts.Champion.Challengers)
+	if opts.Serve.Window.Std() != time.Millisecond || opts.Shards.Count != 2 || opts.State.Fsync != "always" {
+		t.Errorf("flags did not beat the file: window %v, shards %d, fsync %q", opts.Serve.Window, opts.Shards.Count, opts.State.Fsync)
 	}
 	if opts.Serve.Addr != ":9090" || opts.Serve.MaxBatch != 32 || !opts.Train.TwoStep {
 		t.Errorf("the file did not beat the defaults: %+v %+v", opts.Serve, opts.Train)
@@ -317,7 +286,7 @@ func TestFlagsOverConfigOverDefaults(t *testing.T) {
 	if opts.Serve.QueueCap != def.Serve.QueueCap || opts.Sliding != def.Sliding || !timings {
 		t.Errorf("defaults perturbed: %+v %+v timings %v", opts.Serve, opts.Sliding, timings)
 	}
-	if got := note.String(); !strings.Contains(got, "note: -challengers -shards -window override "+path) {
+	if got := note.String(); !strings.Contains(got, "note: -fsync -shards -window override "+path) {
 		t.Errorf("override note %q", got)
 	}
 
@@ -331,6 +300,26 @@ func TestFlagsOverConfigOverDefaults(t *testing.T) {
 	if _, _, err := loadOptions(flag.NewFlagSet("qpredictd", flag.ContinueOnError), []string{"-capacity", "50"}, &note); err == nil {
 		t.Error("retrain-every 100 over -capacity 50 was accepted")
 	}
+	// The model zoo's flags and config section are gone, and say so: an
+	// undefined flag, and a file refused naming the section.
+	for _, flagName := range []string{"-champion", "-challengers"} {
+		t.Run(flagName, func(t *testing.T) {
+			fs := flag.NewFlagSet("qpredictd", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			if _, _, err := loadOptions(fs, []string{flagName, "optcost"}, &note); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flagName) {
+				t.Errorf("%s optcost: %v, want an undefined flag", flagName, err)
+			}
+		})
+	}
+	t.Run("champion section", func(t *testing.T) {
+		zooCfg := t.TempDir() + "/zoo.json"
+		if err := os.WriteFile(zooCfg, []byte(`{"champion": {"kind": "kcca", "challengers": ["planstruct"]}}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := loadOptions(flag.NewFlagSet("qpredictd", flag.ContinueOnError), []string{"-config", zooCfg}, &note); err == nil || !strings.Contains(err.Error(), `"champion"`) {
+			t.Errorf("config with a champion section: %v, want an error naming \"champion\"", err)
+		}
+	})
 }
 
 // TestSlowHeaderIsCutOff: a connection that sends half a request line and

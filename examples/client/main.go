@@ -14,9 +14,8 @@
 // With -observe N the example regenerates the daemon's workload locally
 // (same -train/-seed/-dataseed) and replays N executed queries through
 // /v1/observe with their true measured metrics, issuing a prediction after
-// every batch to prove the daemon keeps serving. Against a daemon whose
-// champion/challenger zoo is on, this is what drives shadow scoring and
-// promotion (the CI zoo smoke uses exactly this).
+// every batch to prove the daemon keeps serving while the observations
+// slide its window and retrain its model.
 package main
 
 import (
@@ -146,8 +145,8 @@ func main() {
 // executor is deterministic in its seeds, so the same parameters reproduce
 // the same queries and metrics) and replays n of them as executed-query
 // observations. A prediction is issued after every batch: the serving path
-// must never drop a request while observations retrain, shadow-score, and
-// possibly promote models behind it.
+// must never drop a request while observations retrain and hot-swap the
+// model behind it.
 func runObserve(ctx context.Context, c *qpredictclient.Client, n, train int, seed, dataseed int64) {
 	pool, err := dataset.Generate(dataset.GenConfig{
 		Seed: seed, DataSeed: dataseed, Machine: exec.Research4(),

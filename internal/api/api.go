@@ -111,10 +111,8 @@ type QueryResult struct {
 	// FallbackShard is set when the owning shard was cold and a warm shard
 	// answered instead (cold-start fallback).
 	FallbackShard string `json:"fallback_shard,omitempty"`
-	// ModelKind names the model family that produced this result ("kcca",
-	// "planstruct", "optcost"). It reports the model that actually answered,
-	// so a cold-start fallback answer is attributed to the fallback shard's
-	// model kind, never ambiguously to the cold owner's.
+	// ModelKind names the model family that produced this result: always
+	// "kcca", the paper's KCCA + kNN pipeline.
 	ModelKind string `json:"model_kind,omitempty"`
 	// Error is set instead of Metrics when this query failed.
 	Error *Error `json:"error,omitempty"`
@@ -154,16 +152,8 @@ type ModelInfo struct {
 	// Partitioner names the routing policy ("hash", "category"), present
 	// only on a multi-shard daemon.
 	Partitioner string `json:"partitioner,omitempty"`
-	// ModelKind names the served model family ("kcca", "planstruct",
-	// "optcost"); on a multi-shard daemon whose shards serve different
-	// kinds it is "mixed" (per-shard kinds are on GET /v1/shards).
+	// ModelKind names the served model family: always "kcca".
 	ModelKind string `json:"model_kind,omitempty"`
-	// Champion describes the champion/challenger state, present only when
-	// the daemon runs with challengers configured.
-	Champion *ChampionInfo `json:"champion,omitempty"`
-	// Challengers carries per-kind shadow scores (champion included),
-	// present only when the daemon runs with challengers configured.
-	Challengers []ChallengerInfo `json:"challengers,omitempty"`
 	// Index describes the neighbor-search index of the served generation.
 	Index *IndexInfo `json:"index,omitempty"`
 	// Recovery reports how the serving state was rebuilt at boot. Present
@@ -279,55 +269,8 @@ type ShardInfo struct {
 	// Recovery reports how this shard's state was rebuilt at boot, present
 	// only with -state-dir.
 	Recovery *RecoveryInfo `json:"recovery,omitempty"`
-	// ModelKind names the shard's served model family.
+	// ModelKind names the shard's served model family: always "kcca".
 	ModelKind string `json:"model_kind,omitempty"`
-	// Champion and Challengers describe this shard's champion/challenger
-	// state, present only when the shard runs with challengers configured.
-	Champion    *ChampionInfo    `json:"champion,omitempty"`
-	Challengers []ChallengerInfo `json:"challengers,omitempty"`
-}
-
-// ChampionInfo describes the model kind currently serving traffic under
-// champion/challenger operation.
-type ChampionInfo struct {
-	// Kind is the champion model family; "mixed" in an aggregate view when
-	// shards disagree.
-	Kind string `json:"kind"`
-	// Promotions counts completed challenger promotions since boot.
-	Promotions int64 `json:"promotions"`
-	// SinceGeneration is the model generation at which the current champion
-	// took over (its boot generation until the first promotion).
-	SinceGeneration int64 `json:"since_generation,omitempty"`
-}
-
-// ChallengerInfo is one model kind's shadow-scoring summary (the champion
-// appears too, so consumers can compare without joining fields).
-type ChallengerInfo struct {
-	// Kind is the scored model family.
-	Kind string `json:"kind"`
-	// Champion marks the entry that is currently serving traffic.
-	Champion bool `json:"champion,omitempty"`
-	// Streak is the challenger's consecutive dominant promotion-decision
-	// count (promotion fires at the policy's hysteresis threshold).
-	Streak int `json:"streak,omitempty"`
-	// Categories are the per-workload-category windowed scores.
-	Categories []CategoryScore `json:"categories,omitempty"`
-}
-
-// CategoryScore is one (model kind, workload category) shadow-score cell.
-type CategoryScore struct {
-	// Category is the workload class ("feather", "golf_ball",
-	// "bowling_ball", "wrecking_ball") of the scored observations, by
-	// measured runtime.
-	Category string `json:"category"`
-	// Samples is the windowed observation count behind the statistics.
-	Samples int `json:"samples"`
-	// MeanRelErr is the windowed mean relative error of predicted vs
-	// actual elapsed time.
-	MeanRelErr float64 `json:"mean_rel_err"`
-	// Within20 is the fraction of windowed predictions within 20% of the
-	// actual elapsed time (the paper's headline accuracy statistic).
-	Within20 float64 `json:"within_20"`
 }
 
 // ShardsResponse is the body of GET /v1/shards: the routing policy and the

@@ -651,9 +651,9 @@ func (s *scanner) failure() (*Error, bool) {
 }
 
 // internTable holds what version, category and model_kind nearly always
-// spell (Version, workload.Category's names, model.Kind*); a wrong or missing
-// entry costs an allocation, never a value.
-var internTable = [...]string{Version, "feather", "golf_ball", "bowling_ball", "wrecking_ball", "kcca", "planstruct", "optcost"}
+// spell (Version, workload.Category's names, core.ModelKind); a wrong or
+// missing entry costs an allocation, never a value.
+var internTable = [...]string{Version, "feather", "golf_ball", "bowling_ball", "wrecking_ball", "kcca"}
 
 // interned scans one string value, without allocating when it is in
 // internTable.

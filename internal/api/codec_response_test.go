@@ -230,12 +230,12 @@ func encoded(t testing.TB, resp PredictResponse, fromFragments bool) []byte {
 func daemonBodies(t testing.TB) [][]byte {
 	hot := hotBatch()
 	one := PredictResponse{Version: Version, Model: hot.Model, Results: hot.Results[:1]}
-	sharded := PredictResponse{Version: Version, Model: &ModelInfo{Generation: 2, TrainedOn: 800, Features: "query-plan", Shards: 2, Partitioner: "hash", ModelKind: "mixed"},
+	sharded := PredictResponse{Version: Version, Model: &ModelInfo{Generation: 2, TrainedOn: 800, Features: "query-plan", Shards: 2, Partitioner: "hash", ModelKind: "kcca"},
 		Results: append([]QueryResult{}, hot.Results[:4]...)}
 	for i := range sharded.Results {
 		sharded.Results[i].Shard = fmt.Sprint(i % 2)
 	}
-	sharded.Results[1].FallbackShard, sharded.Results[1].ModelKind = "0", "optcost"
+	sharded.Results[1].FallbackShard = "0"
 	sharded.Results[2] = QueryResult{SQL: "SELEC <", Shard: "0", Error: &Error{Code: CodeParse, Message: `unexpected "SELEC" at offset 0`}}
 	nonFinite := PredictResponse{Version: Version, Results: append([]QueryResult{}, hot.Results[:3]...)}
 	nonFinite.Results[1].Metrics = &Metrics{ElapsedSec: math.Inf(1)}

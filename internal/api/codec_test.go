@@ -267,9 +267,7 @@ func (s *byteSource) response() (PredictResponse, []*Fragment) {
 		resp.Model = &ModelInfo{Generation: 3, TrainedOn: 800, Features: "query-plan", ModelKind: "kcca"}
 	case 2:
 		resp.Model = &ModelInfo{Generation: 1, Features: s.str(), TwoStep: true, Shards: 2, Partitioner: "hash",
-			Champion:    &ChampionInfo{Kind: "kcca"},
-			Challengers: []ChallengerInfo{{Kind: "optcost", Categories: []CategoryScore{{Category: "feather", Samples: 3, MeanRelErr: 0.25}}}},
-			Index:       &IndexInfo{Kind: "kdtree", Metric: "euclidean", Points: 800, Nodes: 1599, MinPoints: 64}}
+			Index: &IndexInfo{Kind: "kdtree", Metric: "euclidean", Points: 800, Nodes: 1599, MinPoints: 64}}
 	case 3:
 		resp.Version = s.str()
 	}
@@ -499,7 +497,7 @@ func TestNonFiniteResultFailsAlone(t *testing.T) {
 // is its refusal; dst comes back as it went in.
 func TestModelBlockErrorIsReturned(t *testing.T) {
 	resp := PredictResponse{Version: Version, Results: []QueryResult{},
-		Model: &ModelInfo{Challengers: []ChallengerInfo{{Categories: []CategoryScore{{MeanRelErr: math.NaN()}}}}}}
+		Model: &ModelInfo{Index: &IndexInfo{MeanScored: math.NaN()}}}
 	out, _, err := AppendPredictResponse([]byte("kept"), &resp, nil)
 	if err == nil || string(out) != "kept" {
 		t.Fatalf("out %q, err %v", out, err)

@@ -46,12 +46,11 @@ var (
 )
 
 // Item is one query of a group: the request, and — once Wait returns nil —
-// its result with the generation and kind of the model that served it.
+// its result with the generation of the model that served it.
 type Item struct {
-	Req  core.Request
-	Res  core.Result
-	Gen  int64
-	Kind string
+	Req core.Request
+	Res core.Result
+	Gen int64
 }
 
 // Group is one request's queries travelling the queue together. The caller
@@ -310,14 +309,14 @@ func (b *Batch) Live() []core.Request {
 }
 
 // Answer stores results — positionally those of the requests Live returned,
-// all served by one model of the given generation and kind — and completes
-// every group whose last item this batch carried.
-func (b *Batch) Answer(results []core.Result, gen int64, kind string) {
+// all served by one model of the given generation — and completes every
+// group whose last item this batch carried.
+func (b *Batch) Answer(results []core.Result, gen int64) {
 	k := 0
 	for _, r := range b.runs {
 		for i := r.lo; i < r.hi; i++ {
 			it := &r.g.Items[i]
-			it.Res, it.Gen, it.Kind = results[k], gen, kind
+			it.Res, it.Gen = results[k], gen
 			k++
 		}
 		if r.hi == len(r.g.Items) {

@@ -37,7 +37,7 @@ func startEngine(t *testing.T, cfg Config) *engine {
 		e.mu.Lock()
 		e.sizes = append(e.sizes, len(reqs))
 		e.mu.Unlock()
-		b.Answer(make([]core.Result, len(reqs)), 1, "test")
+		b.Answer(make([]core.Result, len(reqs)), 7)
 	})
 	t.Cleanup(e.q.Close)
 	return e
@@ -82,7 +82,7 @@ func TestWholeGroupsWhileTheyFit(t *testing.T) {
 			t.Fatalf("group %d: %v", i, err)
 		}
 		for k := range g.Items {
-			if g.Items[k].Gen != 1 || g.Items[k].Kind != "test" {
+			if g.Items[k].Gen != 7 {
 				t.Fatalf("group %d item %d not answered: %+v", i, k, g.Items[k])
 			}
 		}

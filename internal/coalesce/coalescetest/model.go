@@ -3,22 +3,27 @@
 package coalescetest
 
 import (
-	"io"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/obs"
 )
+
+// Predictor is what a shard serves (shard.Model, declared again here
+// because the shard tests import this package): *core.Predictor, or Stub.
+type Predictor interface {
+	Predict(reqs ...core.Request) []core.Result
+	N() int
+}
 
 // Model wraps a model for queue tests: it records the size of every Predict
 // call — one call is one micro-batch — and runs Hook first, on the
 // coalescer's goroutine, where a test can hold the batch at a gate or swap
 // the engine's slot between two batches.
 type Model struct {
-	model.Model
+	Predictor
 	// Hook, when set, runs at the start of each Predict with the call's
 	// index (from 0) and its batch size.
 	Hook func(call, size int)
@@ -35,7 +40,7 @@ func (m *Model) Predict(reqs ...core.Request) []core.Result {
 	if m.Hook != nil {
 		m.Hook(call, len(reqs))
 	}
-	return m.Model.Predict(reqs...)
+	return m.Predictor.Predict(reqs...)
 }
 
 // Sizes returns the size of every micro-batch predicted so far, in order.
@@ -85,10 +90,7 @@ func WaitDepth(tb testing.TB, want int64) {
 // into micro-batches, not about what is predicted.
 type Stub struct{}
 
-func (Stub) Kind() string         { return "stub" }
-func (Stub) N() int               { return 0 }
-func (Stub) Save(io.Writer) error { return nil }
-func (Stub) Fingerprint() uint64  { return 0 }
+func (Stub) N() int { return 0 }
 
 func (Stub) Predict(reqs ...core.Request) []core.Result {
 	out := make([]core.Result, len(reqs))

@@ -29,14 +29,12 @@ const defaultPlanCacheCap = 4096
 // (SQL, schema, data seed, planner config), so the cache needs no
 // invalidation: unlike the per-generation prediction cache, it survives hot
 // swaps untouched (plans don't change when the model does) and one cache
-// serves the predict path, the observe path, WAL replay, and the shadow
-// scorer alike.
+// serves the predict path, the observe path and WAL replay alike.
 //
 // An entry keeps only what serving reads: the SQL, the memoized PlanFeat
 // vector and the optimizer cost, as a cost-only plan (Plan.Root nil). The
-// AST and the plan tree are dropped at insert — nothing after planning
-// reads the AST, and only a plan-structured model (model.KindPlanStruct)
-// reads the tree; a process that serves one asks for trees with KeepTrees.
+// AST and the plan tree are dropped at insert: nothing after planning reads
+// either.
 //
 // A hit and a miss return the same prototype: a shallow copy whose SQL,
 // Plan and PlanFeat are shared read-only, while the struct itself is fresh
@@ -55,8 +53,6 @@ const defaultPlanCacheCap = 4096
 // is not churned by garbage). Safe for concurrent use.
 type PlanCache struct {
 	plan PlanFunc
-	// keepTrees keeps each entry's plan tree for a plan-structured model.
-	keepTrees bool
 	// protos holds the immutable prototypes: what the plan pipeline
 	// returned, with PlanFeat memoized and the trees dropped. Hits hand out
 	// shallow copies. It is nil for the capacity<0 passthrough, where every
@@ -83,11 +79,6 @@ func NewPlanCache(capacity int, plan PlanFunc) *PlanCache {
 	return c
 }
 
-// KeepTrees makes the cache keep each entry's plan tree, for a process that
-// serves a model reading plan structure (model.KindPlanStruct). Call it
-// before the first Plan.
-func (c *PlanCache) KeepTrees() { c.keepTrees = true }
-
 // Plan returns the planned query for sql, from cache when possible. It is
 // itself a PlanFunc, so a cache drops into every seam that takes one (WAL
 // replay, snapshot restore, the serving handlers).
@@ -112,9 +103,7 @@ func (c *PlanCache) Plan(sql string) (*dataset.Query, error) {
 		if q.PlanFeat == nil {
 			q.PlanFeat = features.PlanVector(q.Plan)
 		}
-		if !c.keepTrees {
-			q.Plan = &optimizer.Plan{Cost: q.Plan.Cost}
-		}
+		q.Plan = &optimizer.Plan{Cost: q.Plan.Cost}
 	}
 	c.protos.put(sql, *q)
 	return q, nil

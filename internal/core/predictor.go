@@ -105,6 +105,10 @@ type Prediction struct {
 // store equal bytes.
 type Memo = atomic.Pointer[[]byte]
 
+// ModelKind names the model family a Predictor is — the paper's KCCA + kNN
+// pipeline — as every response's model_kind reports it.
+const ModelKind = "kcca"
+
 // Predictor predicts query performance metrics before execution.
 type Predictor struct {
 	opt Options

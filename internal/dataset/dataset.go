@@ -26,8 +26,7 @@ type Query struct {
 	// (core.PlanCache) carries none: nothing after planning reads it.
 	AST *sqlgen.Query
 	// Plan is the optimizer's plan. A query from the serving plan cache
-	// carries a cost-only plan (Root nil) unless the cache keeps trees for
-	// a plan-structured model; Cost is always set.
+	// carries a cost-only plan: Root nil, Cost set.
 	Plan     *optimizer.Plan
 	Metrics  exec.Metrics
 	Category workload.Category

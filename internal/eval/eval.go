@@ -90,35 +90,6 @@ func WithinFactor(pred, act []float64, frac float64) float64 {
 	return float64(ok) / float64(len(act))
 }
 
-// RelativeError returns |pred − act| / |act| with the denominator floored
-// at 1e-9 (so near-zero actuals don't explode the statistic) and the result
-// capped at 1e6 (so one wild prediction can't saturate a windowed mean
-// forever). This is the per-observation statistic the serving tier's
-// champion/challenger scoreboard accumulates.
-func RelativeError(pred, act float64) float64 {
-	denom := math.Abs(act)
-	if denom < 1e-9 {
-		denom = 1e-9
-	}
-	e := math.Abs(pred-act) / denom
-	if e > 1e6 {
-		e = 1e6
-	}
-	return e
-}
-
-// MeanRelativeError returns the mean of RelativeError over the series.
-func MeanRelativeError(pred, act []float64) float64 {
-	if len(pred) != len(act) || len(act) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for i := range act {
-		s += RelativeError(pred[i], act[i])
-	}
-	return s / float64(len(act))
-}
-
 // OrdersOfMagnitudeOff returns how many predictions are off by at least
 // the given factor (e.g. 10 for "an order of magnitude").
 func OrdersOfMagnitudeOff(pred, act []float64, factor float64) int {

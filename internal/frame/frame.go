@@ -2,9 +2,8 @@
 // files: a 24-byte header — an 8-byte magic, a little-endian uint32 format
 // version, a uint64 payload length and the payload's CRC-32C — followed by
 // the payload. core's model files (QPREDMDL) and sliding-state files
-// (QPREDST1) and model's zoo files (QPREDZOO) are frames, told apart by
-// magic, so a truncated, bit-flipped or different-format file fails fast
-// instead of decoding plausibly.
+// (QPREDST1) are frames, told apart by magic, so a truncated, bit-flipped
+// or different-format file fails fast instead of decoding plausibly.
 //
 // Checksum is the repository's only CRC-32C; the WAL's snapshot and record
 // layouts, whose headers carry other fields, use it too.

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/shard"
 )
 
@@ -206,7 +205,7 @@ func TestPredictBodyAcrossHotSwap(t *testing.T) {
 		var s *Server
 		s, m := recordingServer(t, cfg, func(call, _ int) {
 			if call == 0 {
-				s.router.Shard(0).Publish(model.WrapKCCA(next))
+				s.router.Shard(0).Publish(next)
 			}
 		})
 		defer s.Close()
@@ -397,7 +396,7 @@ func TestHugeObservedMetricsServeFinite(t *testing.T) {
 func TestEncodeFailureIsTheEnvelope(t *testing.T) {
 	for name, write := range map[string]func(http.ResponseWriter){
 		"writeJSON": func(w http.ResponseWriter) {
-			writeJSON(w, http.StatusOK, api.CategoryScore{MeanRelErr: math.NaN()})
+			writeJSON(w, http.StatusOK, api.IndexInfo{MeanAbandoned: math.NaN()})
 		},
 		"writePredict": func(w http.ResponseWriter) {
 			writePredict(w, &api.ModelInfo{Index: &api.IndexInfo{MeanScored: math.Inf(1)}}, newPredictReply(1))

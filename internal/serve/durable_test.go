@@ -69,7 +69,9 @@ func TestWarmRestartByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 
 	// First life: boot cold, stream 25 executed queries (retrains at 10
-	// and 20), capture a prediction once both swaps landed.
+	// and 20), capture a prediction once both swaps landed and all 25 are
+	// in the window (the model block reports window_size, so a capture
+	// between the 20th and the 25th would not be what the drain persists).
 	s1, err := New(durableConfig(t, dir))
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +86,7 @@ func TestWarmRestartByteIdentical(t *testing.T) {
 	}
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if info := modelInfoOf(t, ts1.URL); info != nil && info.Generation >= 2 {
+		if info := modelInfoOf(t, ts1.URL); info != nil && info.Generation >= 2 && info.WindowSize == 25 {
 			break
 		}
 		if time.Now().After(deadline) {

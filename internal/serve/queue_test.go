@@ -16,7 +16,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/coalesce/coalescetest"
 	"repro/internal/dataset"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/testutil"
@@ -37,7 +36,7 @@ var corePredictCount = obs.GetCounter("core.predict.count")
 // and can hook the coalescer's goroutine.
 func recordingServer(t testing.TB, cfg Config, hook func(call, size int)) (*Server, *coalescetest.Model) {
 	t.Helper()
-	m := &coalescetest.Model{Model: model.WrapKCCA(cfg.Predictor), Hook: hook}
+	m := &coalescetest.Model{Predictor: cfg.Predictor, Hook: hook}
 	router, err := shard.NewRouter([]shard.ShardConfig{{BootModel: m}}, shard.Passthrough{},
 		shard.Config{Window: cfg.Window, MaxBatch: cfg.MaxBatch, QueueCap: cfg.QueueCap}, false)
 	if err != nil {

@@ -67,9 +67,8 @@ type Config struct {
 	// background retrain loop. The Server takes ownership and closes the
 	// router on Close. When nil, New builds a one-shard passthrough router
 	// from the shorthand fields Predictor, Sliding, Store, BootGen, Window,
-	// MaxBatch and QueueCap (as shard.ShardConfig.Boot is shorthand for
-	// BootModel); with a Router set, Predictor, Sliding and Store must be
-	// nil and the queue knobs are the router's own.
+	// MaxBatch and QueueCap; with a Router set, Predictor, Sliding and Store
+	// must be nil and the queue knobs are the router's own.
 	Router *shard.Router
 	// Predictor is the one shard's boot model. It may be nil when Sliding is
 	// set — the daemon then starts cold and becomes ready after the first
@@ -129,8 +128,7 @@ type Server struct {
 	// plans is the SQL-keyed plan/feature cache (core.PlanCache):
 	// generation-independent — plans are pure in (SQL, schema, data seed,
 	// planner config), so hot swaps never invalidate it — and shared by the
-	// predict path, the observe path, and (through the planned queries it
-	// returns) the shard tier's shadow scorer.
+	// predict path and the observe path.
 	plans *core.PlanCache
 	// router holds every model, queue and retrain loop the Server serves from.
 	router *shard.Router
@@ -333,10 +331,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		case err != nil:
 			res.Error = apiError(err)
 		default:
-			// The answer is attributed to the model that actually produced
+			// The answer carries the generation that actually produced
 			// it — under the cold-start fallback that is the fallback
-			// shard's generation and kind, not the cold owner's.
-			reply.served(idx[k], out.Res.Prediction, out.Gen, out.Kind)
+			// shard's, not the cold owner's.
+			reply.served(idx[k], out.Res.Prediction, out.Gen)
 		}
 		if sharded {
 			res.Shard = strconv.Itoa(out.Shard)
@@ -386,14 +384,14 @@ func (s *Server) planInputs(inputs []api.QueryInput, reply *predictReply) (qs []
 // prediction cache brings that entry's memo: metrics, category and
 // confidence are then the same for every request the entry serves, which is
 // what an api.Fragment needs, so the memo is the result's fragment.
-func (p *predictReply) served(i int, pred *core.Prediction, gen int64, kind string) {
+func (p *predictReply) served(i int, pred *core.Prediction, gen int64) {
 	res := &p.results[i]
 	p.metrics[i] = api.MetricsFrom(pred.Metrics)
 	res.Metrics = &p.metrics[i]
 	res.Category = pred.Category.String()
 	res.Confidence = pred.Confidence
 	res.Generation = gen
-	res.ModelKind = kind
+	res.ModelKind = core.ModelKind
 	p.frags[i] = pred.Memo
 }
 
@@ -528,7 +526,6 @@ func (s *Server) modelInfo() *api.ModelInfo {
 	var info *api.ModelInfo
 	trained := 0
 	var swaps, maxGen int64
-	kind, mixed := "", false
 	for i := 0; i < s.router.NumShards(); i++ {
 		m := s.router.Shard(i).Model()
 		if m == nil {
@@ -537,15 +534,8 @@ func (s *Server) modelInfo() *api.ModelInfo {
 		if info == nil {
 			info = &api.ModelInfo{}
 		}
-		switch k := m.Model.Kind(); {
-		case kind == "":
-			kind = k
-		case kind != k:
-			mixed = true
-		}
-		// KCCA-specific introspection (feature space, neighbor index)
-		// reports only the shards serving that kind; other kinds have no
-		// neighbor index. Index shape aggregates across shards.
+		// Feature space and neighbor index come from the served predictor
+		// (a test double has neither). Index shape aggregates across shards.
 		if pred := m.Pred(); pred != nil {
 			if info.Features == "" {
 				opt := pred.Options()
@@ -573,10 +563,7 @@ func (s *Server) modelInfo() *api.ModelInfo {
 	if info == nil {
 		return nil
 	}
-	info.ModelKind = kind
-	if mixed {
-		info.ModelKind = "mixed"
-	}
+	info.ModelKind = core.ModelKind
 	info.Generation = maxGen
 	info.TrainedOn = trained
 	info.Swaps = swaps
@@ -585,61 +572,7 @@ func (s *Server) modelInfo() *api.ModelInfo {
 		info.Shards = s.router.NumShards()
 		info.Partitioner = s.router.Partitioner().Name()
 	}
-	info.Champion, info.Challengers = s.zooInfo()
 	return info
-}
-
-// zooInfo aggregates champion/challenger state across the router's shards
-// into wire form, or (nil, nil) when no shard runs a zoo. Promotions sum
-// across shards; a disagreeing champion reports "mixed"; per-kind shadow
-// scores come from the first zoo shard (per-shard detail is on /v1/shards).
-func (s *Server) zooInfo() (*api.ChampionInfo, []api.ChallengerInfo) {
-	var champ *api.ChampionInfo
-	var chals []api.ChallengerInfo
-	for i := 0; i < s.router.NumShards(); i++ {
-		zs := s.router.Shard(i).Zoo()
-		if zs == nil {
-			continue
-		}
-		c, cs := zooStatusInfo(zs)
-		if champ == nil {
-			champ, chals = c, cs
-			continue
-		}
-		champ.Promotions += zs.Promotions
-		if zs.Champion != champ.Kind {
-			champ.Kind = "mixed"
-			champ.SinceGeneration = 0
-		}
-	}
-	return champ, chals
-}
-
-// zooStatusInfo converts one shard's champion/challenger snapshot to wire
-// form.
-func zooStatusInfo(zs *shard.ZooStatus) (*api.ChampionInfo, []api.ChallengerInfo) {
-	if zs == nil {
-		return nil, nil
-	}
-	champ := &api.ChampionInfo{
-		Kind:            zs.Champion,
-		Promotions:      zs.Promotions,
-		SinceGeneration: zs.SinceGeneration,
-	}
-	chals := make([]api.ChallengerInfo, 0, len(zs.Scores))
-	for _, ks := range zs.Scores {
-		ci := api.ChallengerInfo{Kind: ks.Kind, Champion: ks.Kind == zs.Champion, Streak: ks.Streak}
-		for _, cs := range ks.Categories {
-			ci.Categories = append(ci.Categories, api.CategoryScore{
-				Category:   cs.Category.String(),
-				Samples:    cs.Samples,
-				MeanRelErr: cs.MeanRelErr,
-				Within20:   cs.Within20,
-			})
-		}
-		chals = append(chals, ci)
-	}
-	return champ, chals
 }
 
 // apiRecovery converts a store's recovery record to its wire form.
@@ -743,9 +676,8 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 			si.Generation = m.Gen
 			si.Swaps = m.Gen - 1
 			si.TrainedOn = m.Model.N()
-			si.ModelKind = m.Model.Kind()
+			si.ModelKind = core.ModelKind
 		}
-		si.Champion, si.Challengers = zooStatusInfo(sh.Zoo())
 		if ri := sh.Recovery(); ri != nil {
 			si.Recovery = apiRecovery(*ri)
 		}

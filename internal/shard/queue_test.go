@@ -14,18 +14,17 @@ import (
 	"repro/internal/coalesce/coalescetest"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/model"
 )
 
 // recordingRouter builds a router of n shards routed by query ID, each
 // serving base behind a coalescetest.Model; hook runs on shard 0's
 // coalescer.
-func recordingRouter(t testing.TB, n int, cfg Config, base model.Model, hook func(call, size int)) (*Router, []*coalescetest.Model) {
+func recordingRouter(t testing.TB, n int, cfg Config, base Model, hook func(call, size int)) (*Router, []*coalescetest.Model) {
 	t.Helper()
 	models := make([]*coalescetest.Model, n)
 	cfgs := make([]ShardConfig, n)
 	for i := range cfgs {
-		models[i] = &coalescetest.Model{Model: base}
+		models[i] = &coalescetest.Model{Predictor: base}
 		cfgs[i] = ShardConfig{BootModel: models[i]}
 	}
 	models[0].Hook = hook
@@ -44,7 +43,7 @@ func gatedRouter(t testing.TB, n int, cfg Config) (r *Router, models []*coalesce
 	t.Helper()
 	_, pred := fixture(t)
 	hook, arrived, release := coalescetest.Gate()
-	r, models = recordingRouter(t, n, cfg, model.WrapKCCA(pred), hook)
+	r, models = recordingRouter(t, n, cfg, pred, hook)
 	t.Cleanup(func() {
 		release()
 		r.Close()
@@ -189,7 +188,7 @@ func TestRouterBatchComposition(t *testing.T) {
 func TestRouterOversizedGroupAcrossSwap(t *testing.T) {
 	pool, pred := fixture(t)
 	var r *Router
-	r, models := recordingRouter(t, 1, Config{MaxBatch: 64}, model.WrapKCCA(pred), func(call, _ int) {
+	r, models := recordingRouter(t, 1, Config{MaxBatch: 64}, pred, func(call, _ int) {
 		if call == 0 {
 			// On the coalescer's goroutine: the first run has read the slot,
 			// the second has not.
@@ -299,26 +298,23 @@ func TestRouterCloseAnswersBacklog(t *testing.T) {
 	}
 }
 
-// gatedTrainer holds its first Train until release is closed, and closes
-// arrived once that call is in.
-type gatedTrainer struct {
-	model.Trainer
-	once             *sync.Once
-	arrived, release chan struct{}
-}
-
-func (g gatedTrainer) Train(qs []*dataset.Query) (model.Model, error) {
-	g.once.Do(func() {
-		close(g.arrived)
-		<-g.release
-	})
-	return g.Trainer.Train(qs)
+// parkAt returns an observe hook that holds its shard's observe loop at the
+// n-th observation (from 1) until release is closed, and closes arrived once
+// the loop is there. Only the observe loop calls it.
+func parkAt(n int, arrived, release chan struct{}) func() {
+	calls := 0
+	return func() {
+		if calls++; calls == n {
+			close(arrived)
+			<-release
+		}
+	}
 }
 
 // TestObserveQueueDepth: serve.observe.queue_depth counts the observations
 // accepted and not yet taken by an observe loop, summed over the shards.
-// Each of two shards parks its observe loop inside a retrain (the
-// challenger's refit, held at a gate) with observations queued behind it;
+// Each of two shards parks its observe loop at a gate before it applies its
+// fifth observation, with observations queued behind it;
 // the gauge reads their sum, and returns to where it was once the gates
 // open and the loops catch up.
 func TestObserveQueueDepth(t *testing.T) {
@@ -326,9 +322,7 @@ func TestObserveQueueDepth(t *testing.T) {
 	const shards, every, parked = 2, 5, 3
 	cfgs := make([]ShardConfig, shards)
 	for i := range cfgs {
-		cfgs[i] = ShardConfig{Boot: pred, Sliding: newSliding(t, 20, every), Zoo: &ZooConfig{
-			Challengers: []string{model.KindOptCost}, Policy: zooTestPolicy(), Opt: core.DefaultOptions(),
-		}}
+		cfgs[i] = ShardConfig{Boot: pred, Sliding: newSliding(t, 20, every)}
 	}
 	byID := funcPartitioner{n: "by-id", f: func(q *dataset.Query) (int, error) { return q.ID % shards, nil }}
 	r, err := NewRouter(cfgs, byID, Config{}, false)
@@ -345,8 +339,7 @@ func TestObserveQueueDepth(t *testing.T) {
 	arrived := make([]chan struct{}, shards)
 	for i := range arrived {
 		arrived[i] = make(chan struct{})
-		z := r.Shard(i).zoo
-		z.trainers[model.KindOptCost] = gatedTrainer{z.trainers[model.KindOptCost], new(sync.Once), arrived[i], release}
+		r.Shard(i).observeHook = parkAt(every, arrived[i], release)
 	}
 
 	base := observeDepth.Value()
@@ -360,8 +353,8 @@ func TestObserveQueueDepth(t *testing.T) {
 	for _, in := range arrived {
 		<-in
 	}
-	// Both loops took their first five and are inside the retrain the fifth
-	// set off; what each was sent after that is queued.
+	// Both loops took their first five and are parked before applying the
+	// fifth; what each was sent after that is queued.
 	if got := observeDepth.Value() - base; got != shards*parked {
 		t.Fatalf("serve.observe.queue_depth rose by %d with %d observations parked on each of %d shards", got, parked, shards)
 	}
@@ -379,8 +372,8 @@ func TestObserveQueueDepth(t *testing.T) {
 }
 
 // TestRouterObserveAllOrNothing pins observe admission across shards: a
-// batch is queued whole or not at all. Both observe loops are held inside a
-// retrain with observations parked behind it; a batch whose share for shard
+// batch is queued whole or not at all. Both observe loops are held at a gate
+// with observations parked behind it; a batch whose share for shard
 // 0 does not fit beside what is parked there is refused with ErrOverloaded
 // even though shard 1 has room for its share, and once the loops drain
 // neither shard has applied any of it. A batch that fits on both is
@@ -390,9 +383,7 @@ func TestRouterObserveAllOrNothing(t *testing.T) {
 	const shards, every, parked, queue = 2, 5, 3, 4
 	cfgs := make([]ShardConfig, shards)
 	for i := range cfgs {
-		cfgs[i] = ShardConfig{Boot: pred, Sliding: newSliding(t, 40, every), Zoo: &ZooConfig{
-			Challengers: []string{model.KindOptCost}, Policy: zooTestPolicy(), Opt: core.DefaultOptions(),
-		}}
+		cfgs[i] = ShardConfig{Boot: pred, Sliding: newSliding(t, 40, every)}
 	}
 	byID := funcPartitioner{n: "by-id", f: func(q *dataset.Query) (int, error) { return q.ID % shards, nil }}
 	r, err := NewRouter(cfgs, byID, Config{QueueCap: queue}, false)
@@ -407,14 +398,13 @@ func TestRouterObserveAllOrNothing(t *testing.T) {
 	arrived := make([]chan struct{}, shards)
 	for i := range arrived {
 		arrived[i] = make(chan struct{})
-		z := r.Shard(i).zoo
-		z.trainers[model.KindOptCost] = gatedTrainer{z.trainers[model.KindOptCost], new(sync.Once), arrived[i], release}
+		r.Shard(i).observeHook = parkAt(every, arrived[i], release)
 	}
 
 	own := [shards][]*dataset.Query{ownedBy(pool, 0, shards), ownedBy(pool, 1, shards)}
 	// Each shard's first batch meets an empty queue and is admitted whole,
-	// larger than the queue as it is; the loop takes all of it and parks in
-	// the retrain the fifth observation sets off.
+	// larger than the queue as it is; the loop takes all of it and parks
+	// before applying the fifth.
 	for i := 0; i < shards; i++ {
 		if _, err := r.ObserveBatch(own[i][:every]); err != nil {
 			t.Fatalf("shard %d: first batch: %v", i, err)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/coalesce"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
@@ -24,15 +23,11 @@ var (
 // ShardConfig describes one shard at construction time.
 type ShardConfig struct {
 	// Boot, when non-nil, is published as the shard's generation 1 so the
-	// shard serves immediately — the KCCA shorthand for BootModel (wrapped
-	// automatically). Ignored when BootModel is set.
+	// shard serves immediately. Ignored when BootModel is set.
 	Boot *core.Predictor
-	// BootModel, when non-nil, is the boot model of any kind.
-	BootModel model.Model
-	// Zoo, when non-nil, enables champion/challenger operation: shadow
-	// scoring of every configured kind on the observe path and automatic
-	// promotion through the generation slot.
-	Zoo *ZooConfig
+	// BootModel, when non-nil, is the boot model in place of Boot: a
+	// test double wrapping a predictor.
+	BootModel Model
 	// Sliding, when non-nil, enables observation feedback and background
 	// retrains; the shard's observe goroutine takes sole ownership of it.
 	Sliding *core.SlidingPredictor
@@ -75,17 +70,13 @@ func NewRouter(shards []ShardConfig, part Partitioner, cfg Config, warmFallback 
 	cfg.fill()
 	r := &Router{part: part, warmFallback: warmFallback}
 	for i, sc := range shards {
-		if sc.Boot == nil && sc.BootModel == nil && sc.Sliding == nil && sc.Zoo == nil {
+		if sc.Boot == nil && sc.BootModel == nil && sc.Sliding == nil {
 			return nil, fmt.Errorf("shard: shard %d needs a boot model or a sliding window", i)
 		}
 		if sc.Store != nil && sc.Sliding == nil {
 			return nil, fmt.Errorf("shard: shard %d has a durable store and no sliding window to persist", i)
 		}
-		s, err := newShard(i, sc, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		r.shards = append(r.shards, s)
+		r.shards = append(r.shards, newShard(i, sc, cfg))
 	}
 	return r, nil
 }
@@ -176,8 +167,7 @@ type Outcome struct {
 	// Served is the shard that actually answered — equal to Shard except
 	// when the cold-start fallback rerouted the request to a warm shard.
 	Served int
-	// Kind is the model kind that answered, so fallback answers are
-	// attributed to the model family that actually produced them.
+	// Kind is the model kind that answered: always core.ModelKind.
 	Kind string
 	Err  error
 }
@@ -247,7 +237,7 @@ func (r *Router) Predict(ctx context.Context, qs []*dataset.Query) []Outcome {
 		}
 		for k, i := range f.idx {
 			it := &f.g.Items[k]
-			outs[i].Res, outs[i].Gen, outs[i].Kind = it.Res, it.Gen, it.Kind
+			outs[i].Res, outs[i].Gen, outs[i].Kind = it.Res, it.Gen, core.ModelKind
 		}
 	}
 	return outs

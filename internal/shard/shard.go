@@ -12,8 +12,8 @@
 // retrain cost scales with per-shard window size instead of fleet size.
 //
 // The hot-swap discipline lives in Slot: predictions read an atomic pointer,
-// completed retrains and promotions swap a new generation in (Shard.Publish)
-// without blocking a read, and generations only move forward. One shard
+// completed retrains swap a new generation in (Shard.Publish) without
+// blocking a read, and generations only move forward. One shard
 // behind the Passthrough partitioner is the stock daemon; on the wire it is
 // byte-identical to the single-model engine internal/serve carried before
 // it (internal/serve's TestShardedSingleEquivalence holds that engine's
@@ -30,7 +30,6 @@ import (
 	"repro/internal/coalesce"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
@@ -94,9 +93,6 @@ type Shard struct {
 
 	slot    Slot
 	sliding *core.SlidingPredictor
-	// zoo, when non-nil, runs champion/challenger shadow evaluation on the
-	// observe path and promotes challengers through the slot.
-	zoo *zoo
 	// store, when non-nil, is the shard's durable state: the observe loop
 	// WAL-logs each observation before applying it and snapshots the
 	// sliding state periodically and at drain. Owned by the observe
@@ -137,14 +133,18 @@ type Shard struct {
 	// batchHook, when set (tests only), runs before each micro-batch is
 	// predicted — it is how tests make one shard artificially slow.
 	batchHook func()
+	// observeHook, when set (tests only), runs on the observe loop before
+	// each queued observation is applied — it is how tests park the loop
+	// with observations queued behind it.
+	observeHook func()
 }
 
-// newShard wires one shard. sc.BootModel (or sc.Boot, the KCCA shorthand)
-// is published as generation 1; sc.Sliding (optional) enables observation
+// newShard wires one shard. sc.Boot (or sc.BootModel, a test double) is
+// published as generation 1; sc.Sliding (optional) enables observation
 // feedback and background retrains. With a store and a positive BootGen the
 // recovered model is published at the generation it held before the
-// restart. sc.Zoo enables champion/challenger operation.
-func newShard(id int, sc ShardConfig, cfg Config) (*Shard, error) {
+// restart.
+func newShard(id int, sc ShardConfig, cfg Config) *Shard {
 	s := &Shard{
 		ID:        id,
 		sliding:   sc.Sliding,
@@ -156,33 +156,16 @@ func newShard(id int, sc ShardConfig, cfg Config) (*Shard, error) {
 	}
 	boot := sc.BootModel
 	if boot == nil && sc.Boot != nil {
-		boot = model.WrapKCCA(sc.Boot)
+		boot = sc.Boot
 	}
 	if boot == nil && sc.Sliding != nil && sc.Sliding.Ready() {
-		boot = model.WrapKCCA(sc.Sliding.Current())
-	}
-	if sc.Zoo != nil {
-		var err error
-		s.zoo, boot, err = buildZoo(&sc, boot)
-		if err != nil {
-			return nil, err
-		}
-		// A non-KCCA champion with no seed and a warm window trains at
-		// boot so the shard serves immediately; failure leaves the shard
-		// cold until the first retrain fills the zoo.
-		if boot == nil && sc.Sliding != nil && sc.Sliding.WindowSize() > 0 {
-			s.zoo.onRetrain(sc.Sliding.Current(), sc.Sliding.Window())
-			boot = s.zoo.championModel()
-		}
+		boot = sc.Sliding.Current()
 	}
 	switch {
 	case boot != nil && sc.BootGen > 0:
 		s.slot.Restore(boot, sc.BootGen)
 	case boot != nil:
 		s.slot.Swap(boot)
-	}
-	if s.zoo != nil {
-		s.zoo.sinceGen.Store(s.generation())
 	}
 	s.queue = coalesce.Start(coalesce.Config(cfg), s.runBatch)
 	if s.sliding != nil {
@@ -195,7 +178,7 @@ func newShard(id int, sc ShardConfig, cfg Config) (*Shard, error) {
 		s.mWindow.Set(s.windowSize.Load())
 		go s.observeLoop()
 	}
-	return s, nil
+	return s
 }
 
 // Ready reports whether this shard serves a model.
@@ -250,22 +233,18 @@ func (s *Shard) enqueueObserve(share []*dataset.Query) {
 	s.observeCh <- share
 }
 
-// apply is the one per-observation path: WAL-log, shadow-score, slide the
-// window (retraining when due), publish a completed retrain, promote, and
-// persist. The observe loop runs it for every queued observation;
-// Router.ObserveSync runs it on the caller's goroutine — the
-// embedding/benchmark path, bypassing the observe queue. SlidingPredictor is
-// internally synchronized, so the two may run side by side, but do not mix
-// them on a durable shard: the store is single-owner.
+// apply is the one per-observation path: WAL-log, slide the window
+// (retraining when due), publish a completed retrain, and persist. The
+// observe loop runs it for every queued observation; Router.ObserveSync
+// runs it on the caller's goroutine — the embedding/benchmark path,
+// bypassing the observe queue. SlidingPredictor is internally
+// synchronized, so the two may run side by side, but do not mix them on a
+// durable shard: the store is single-owner.
 func (s *Shard) apply(q *dataset.Query) error {
 	seq := s.logObservation(q)
-	// Shadow-score before the window sees the query: every model is
-	// evaluated on data it has never trained on.
-	s.shadowScore(q)
 	before := s.sliding.Retrains()
 	err := s.sliding.Observe(q)
 	s.afterObserve(before, err)
-	s.maybePromote()
 	s.persistApplied(seq)
 	return err
 }
@@ -314,25 +293,14 @@ func (s *Shard) afterObserve(retrainsBefore int, err error) {
 	s.nObserved.Add(1)
 	s.mObserved.Inc()
 	if s.sliding.Retrains() != retrainsBefore {
-		cur := s.sliding.Current()
-		var m model.Model
-		if s.zoo != nil {
-			// Refresh every zoo kind from the new window, then publish
-			// whichever kind is champion right now.
-			s.zoo.onRetrain(cur, s.sliding.Window())
-			m = s.zoo.championModel()
-		}
-		if m == nil {
-			m = model.WrapKCCA(cur)
-		}
-		s.Publish(m)
+		s.Publish(s.sliding.Current())
 	}
 }
 
 // Publish hot-swaps m in as the shard's next generation, without blocking a
-// read, and returns that generation. Completed retrains and promotions
-// publish through it; so may an embedder that trained a model elsewhere.
-func (s *Shard) Publish(m model.Model) int64 {
+// read, and returns that generation. Completed retrains publish through it;
+// so may an embedder that trained a model elsewhere.
+func (s *Shard) Publish(m Model) int64 {
 	gen := s.slot.Swap(m)
 	s.mSwaps.Inc()
 	modelSwaps.Inc()
@@ -349,6 +317,9 @@ func (s *Shard) observeLoop() {
 		for _, q := range share {
 			s.observePending.Add(-1)
 			observeDepth.Add(-1)
+			if s.observeHook != nil {
+				s.observeHook()
+			}
 			s.apply(q) // a failed retrain is counted; the previous model keeps serving
 		}
 	}
@@ -371,7 +342,7 @@ func (s *Shard) runBatch(b *coalesce.Batch) {
 	results := m.Model.Predict(reqs...)
 	s.nPredicts.Add(int64(len(reqs)))
 	s.mPredicts.Add(int64(len(reqs)))
-	b.Answer(results, m.Gen, m.Model.Kind())
+	b.Answer(results, m.Gen)
 }
 
 // close drains the shard: new submissions are refused, in-flight

@@ -198,6 +198,39 @@ func TestColdStartFallback(t *testing.T) {
 	}
 }
 
+// TestStockShardServesBootPredictor: a shard booted with a predictor serves
+// that predictor's own answers, bit for bit, at generation 1 and as the
+// kcca kind — the router adds routing and batching, never a different model.
+func TestStockShardServesBootPredictor(t *testing.T) {
+	pool, pred := fixture(t)
+	zero := funcPartitioner{n: "zero", f: func(*dataset.Query) (int, error) { return 0, nil }}
+	r, err := NewRouter([]ShardConfig{{Boot: pred}}, zero, Config{MaxBatch: 8}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	test := pool.Queries[120:150]
+	outs := r.Predict(context.Background(), test)
+	for i, q := range test {
+		want, err := pred.PredictQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := outs[i]
+		if o.Err != nil || o.Res.Err != nil {
+			t.Fatalf("query %d: %v / %v", i, o.Err, o.Res.Err)
+		}
+		got := o.Res.Prediction
+		if got.Metrics != want.Metrics || got.Confidence != want.Confidence || got.Category != want.Category {
+			t.Fatalf("query %d: served %+v, the boot predictor answers %+v", i, got, want)
+		}
+		if o.Gen != 1 || o.Kind != core.ModelKind {
+			t.Fatalf("query %d: generation %d kind %q, want 1 and %q", i, o.Gen, o.Kind, core.ModelKind)
+		}
+	}
+}
+
 // TestSlowShardIsolation is the regression test for per-request context
 // propagation into the batch path: one shard stalls mid-batch, and (a) a
 // concurrent request on the other shard completes within its own deadline,

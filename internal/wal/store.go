@@ -321,43 +321,3 @@ func CheckManifest(dir string, want Manifest) error {
 	}
 	return nil
 }
-
-// championFile is the per-partition record of which model kind is champion,
-// written on every promotion so a restart re-installs the promoted kind
-// instead of silently reverting to the boot champion.
-const championFile = "champion.json"
-
-// championRecord is the champion.json schema.
-type championRecord struct {
-	Kind string `json:"kind"`
-}
-
-// SetChampion durably records the partition's champion model kind.
-func (s *Store) SetChampion(kind string) error {
-	out, err := json.Marshal(championRecord{Kind: kind})
-	if err != nil {
-		return err
-	}
-	return WriteFileAtomic(filepath.Join(s.opts.Dir, championFile), append(out, '\n'), 0o644)
-}
-
-// ChampionKind returns the durably recorded champion kind, or "" when none
-// was ever recorded (fresh directory, or a pre-zoo state dir).
-func (s *Store) ChampionKind() string {
-	return ReadChampionKind(s.opts.Dir)
-}
-
-// ReadChampionKind reads a state directory's recorded champion kind without
-// opening the store ("" when absent or unreadable — the caller falls back
-// to its configured champion).
-func ReadChampionKind(dir string) string {
-	data, err := os.ReadFile(filepath.Join(dir, championFile))
-	if err != nil {
-		return ""
-	}
-	var rec championRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return ""
-	}
-	return rec.Kind
-}

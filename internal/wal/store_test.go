@@ -411,6 +411,64 @@ func TestCleanShutdownSnapshot(t *testing.T) {
 	}
 }
 
+// TestKCCASnapshotRestoreEquivalence: a window whose retrains kept the
+// frozen kernel scales, closed cleanly and recovered from its final
+// snapshot, serves bit-identical predictions at the same generation —
+// under the automatic kernel-PCA rank and under a fixed one.
+func TestKCCASnapshotRestoreEquivalence(t *testing.T) {
+	incremental := obs.GetCounter("kcca.retrain.incremental")
+	for _, sh := range []struct {
+		name                  string
+		capacity, every, rank int
+		observes              int
+	}{
+		// At 60 rows the τ-drift guard trips on many retrains; some keep the
+		// frozen scales.
+		{name: "auto-rank", capacity: 60, every: 10, observes: 150},
+		// The 160-query pool cycles through a 400-slot ring, so the window
+		// keeps changing after it fills at 400.
+		{name: "fixed-rank", capacity: 400, every: 50, rank: 2, observes: 470},
+	} {
+		t.Run(sh.name, func(t *testing.T) {
+			opt := core.DefaultOptions()
+			opt.KCCA.Rank = sh.rank
+			dir := t.TempDir()
+			st := openStore(t, dir, 1000)
+			live, gen, err := st.Recover(sh.capacity, sh.every, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gen != 0 {
+				t.Fatalf("fresh store recovered generation %d", gen)
+			}
+			incBefore := incremental.Value()
+			for _, q := range observations(t, sh.observes) {
+				feed(t, st, live, q, &gen)
+			}
+			if incremental.Value() == incBefore {
+				t.Fatal("no retrain kept the frozen kernel scales")
+			}
+			if err := st.Close(live, gen); err != nil {
+				t.Fatal(err)
+			}
+
+			st2 := openStore(t, dir, 1000)
+			recovered, gen2, err := st2.Recover(sh.capacity, sh.every, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st2.Close(recovered, gen2)
+			if gen2 != gen {
+				t.Fatalf("recovered generation %d, want %d", gen2, gen)
+			}
+			if ri := st2.Info(); ri.Replayed != 0 || ri.SnapshotSeq != uint64(sh.observes) {
+				t.Fatalf("recovery %+v, want the final snapshot at %d and nothing replayed", ri, sh.observes)
+			}
+			checkIdentical(t, recovered, live)
+		})
+	}
+}
+
 // TestFailedSnapshotCountsTowardCadence: once snapshots start failing (the
 // state directory is gone; the open WAL segment stays writable), the store
 // retries one per SnapshotEvery observations rather than on every one.

@@ -1,9 +1,9 @@
 // Package qpredict is the configuration surface of the qpredict binaries:
-// one Options struct covering the trainer, predictor, serving, sharding,
-// durable-state, and champion/challenger knobs, and the defaults the
-// binaries' flags start from. A JSON file loaded with LoadFile
-// (qpredictd -config / qpredict -config) populates it; explicitly set
-// flags override individual fields afterwards. The package holds no global
+// one Options struct covering the trainer, predictor, serving, sharding and
+// durable-state knobs, and the defaults the binaries' flags start from. A
+// JSON file loaded with LoadFile (qpredictd -config / qpredict -config)
+// populates it; explicitly set flags override individual fields
+// afterwards. The package holds no global
 // state — every call works on the Options value it is given.
 package qpredict
 
@@ -13,7 +13,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/model"
 	"repro/internal/wal"
 )
 
@@ -121,58 +120,18 @@ type StateOptions struct {
 	SnapshotEvery int `json:"snapshot_every"`
 }
 
-// ChampionOptions configures champion/challenger model selection: which
-// kinds run, and the promotion policy that swaps the champion.
-type ChampionOptions struct {
-	// Kind is the initial champion model family ("kcca", "planstruct",
-	// "optcost").
-	Kind string `json:"kind"`
-	// Challengers are the shadow-scored families; empty disables the zoo.
-	Challengers []string `json:"challengers,omitempty"`
-	// Window is the per-(kind, category) shadow-score ring size.
-	Window int `json:"window"`
-	// MinSamples is the per-category sample floor before a category is
-	// comparable.
-	MinSamples int `json:"min_samples"`
-	// Margin is the relative-error improvement a challenger must show in
-	// every comparable category (0.05 = 5% better).
-	Margin float64 `json:"margin"`
-	// Hysteresis is how many consecutive dominant promotion decisions a
-	// challenger needs before it is promoted.
-	Hysteresis int `json:"hysteresis"`
-	// Cooldown is how many decisions are skipped after a promotion.
-	Cooldown int `json:"cooldown"`
-}
-
-// Enabled reports whether champion/challenger operation is configured.
-func (c ChampionOptions) Enabled() bool { return len(c.Challengers) > 0 }
-
-// Policy returns the promotion policy these options describe.
-func (c ChampionOptions) Policy() model.PromotionPolicy {
-	return model.PromotionPolicy{
-		Window:     c.Window,
-		MinSamples: c.MinSamples,
-		Margin:     c.Margin,
-		Hysteresis: c.Hysteresis,
-		Cooldown:   c.Cooldown,
-	}
-}
-
 // Options is the full configuration of the qpredict binaries. Zero value
 // is not useful; start from Default.
 type Options struct {
-	Train    TrainOptions    `json:"train"`
-	Serve    ServeOptions    `json:"serve"`
-	Sliding  SlidingOptions  `json:"sliding"`
-	Shards   ShardOptions    `json:"shards"`
-	State    StateOptions    `json:"state"`
-	Champion ChampionOptions `json:"champion"`
+	Train   TrainOptions   `json:"train"`
+	Serve   ServeOptions   `json:"serve"`
+	Sliding SlidingOptions `json:"sliding"`
+	Shards  ShardOptions   `json:"shards"`
+	State   StateOptions   `json:"state"`
 }
 
-// Default returns the options every binary starts from, with the champion
-// policy mirroring model.DefaultPromotionPolicy.
+// Default returns the options every binary starts from.
 func Default() Options {
-	pp := model.DefaultPromotionPolicy()
 	return Options{
 		Train: TrainOptions{Count: 800, Seed: 1, DataSeed: 1000, Machine: "research4"},
 		Serve: ServeOptions{
@@ -188,14 +147,6 @@ func Default() Options {
 			Fsync:         "batch",
 			FsyncEvery:    wal.DefaultSyncEvery,
 			SnapshotEvery: wal.DefaultSnapshotEvery,
-		},
-		Champion: ChampionOptions{
-			Kind:       model.KindKCCA,
-			Window:     pp.Window,
-			MinSamples: pp.MinSamples,
-			Margin:     pp.Margin,
-			Hysteresis: pp.Hysteresis,
-			Cooldown:   pp.Cooldown,
 		},
 	}
 }
@@ -219,16 +170,6 @@ func LoadFile(path string) (Options, error) {
 		return opts, fmt.Errorf("config %s: %w", path, err)
 	}
 	return opts, nil
-}
-
-// knownKind reports whether k names a registered model family.
-func knownKind(k string) bool {
-	for _, kk := range model.Kinds() {
-		if k == kk {
-			return true
-		}
-	}
-	return false
 }
 
 // Validate checks cross-field invariants. It does not touch the
@@ -273,20 +214,6 @@ func (o *Options) Validate() error {
 	}
 	if o.State.FsyncEvery <= 0 || o.State.SnapshotEvery <= 0 {
 		return fmt.Errorf("state.fsync_every and state.snapshot_every must be positive")
-	}
-	if !knownKind(o.Champion.Kind) {
-		return fmt.Errorf("champion.kind %q is not one of %v", o.Champion.Kind, model.Kinds())
-	}
-	for _, k := range o.Champion.Challengers {
-		if !knownKind(k) {
-			return fmt.Errorf("champion.challengers entry %q is not one of %v", k, model.Kinds())
-		}
-	}
-	if o.Champion.Margin < 0 || o.Champion.Margin >= 1 {
-		return fmt.Errorf("champion.margin %g must be in [0, 1)", o.Champion.Margin)
-	}
-	if o.Champion.Window <= 0 || o.Champion.MinSamples <= 0 || o.Champion.Hysteresis <= 0 || o.Champion.Cooldown < 0 {
-		return fmt.Errorf("champion.window, champion.min_samples, and champion.hysteresis must be positive (cooldown non-negative)")
 	}
 	return nil
 }

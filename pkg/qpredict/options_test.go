@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/model"
 )
 
 func writeConfig(t *testing.T, body string) string {
@@ -24,12 +22,6 @@ func TestDefaultValidates(t *testing.T) {
 	opts := Default()
 	if err := opts.Validate(); err != nil {
 		t.Fatalf("defaults do not validate: %v", err)
-	}
-	if opts.Champion.Enabled() {
-		t.Fatal("zoo enabled by default (no challengers configured)")
-	}
-	if got, want := opts.Champion.Policy(), model.DefaultPromotionPolicy(); got != want {
-		t.Fatalf("default champion policy %+v != model default %+v", got, want)
 	}
 	if opts.Serve.Window != 0 {
 		t.Fatalf("stock serve.window %v, want 0: an idle engine must not hold its first arrival", opts.Serve.Window)
@@ -66,7 +58,7 @@ func TestWindowStillConfigurable(t *testing.T) {
 func TestLoadFilePartialOverridesDefaults(t *testing.T) {
 	path := writeConfig(t, `{
 		"serve": {"addr": ":9090", "window": "5ms"},
-		"champion": {"challengers": ["optcost"]}
+		"state": {"fsync": "always"}
 	}`)
 	opts, err := LoadFile(path)
 	if err != nil {
@@ -79,8 +71,8 @@ func TestLoadFilePartialOverridesDefaults(t *testing.T) {
 	if opts.Serve.MaxBatch != 64 || opts.Train.Count != 800 || opts.Sliding.Capacity != 500 {
 		t.Fatalf("defaults perturbed: %+v", opts)
 	}
-	if !opts.Champion.Enabled() || opts.Champion.Kind != model.KindKCCA {
-		t.Fatalf("champion config wrong: %+v", opts.Champion)
+	if opts.State.Fsync != "always" || opts.State.SnapshotEvery != Default().State.SnapshotEvery {
+		t.Fatalf("state config wrong: %+v", opts.State)
 	}
 }
 
@@ -91,6 +83,33 @@ func TestLoadFileRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestLoadFileRejectsChampionSection: the champion section of the model
+// zoo's era is gone, and a file that still carries one — empty, setting
+// any one of its seven knobs, or as the shipped example had it — is
+// refused, naming it, rather than loaded with the section silently dropped.
+func TestLoadFileRejectsChampionSection(t *testing.T) {
+	cases := map[string]string{
+		"empty":       `{}`,
+		"kind":        `{"kind": "planstruct"}`,
+		"challengers": `{"challengers": ["optcost"]}`,
+		"window":      `{"window": 256}`,
+		"min_samples": `{"min_samples": 20}`,
+		"margin":      `{"margin": 0.05}`,
+		"hysteresis":  `{"hysteresis": 3}`,
+		"cooldown":    `{"cooldown": 200}`,
+		"example": `{"kind": "kcca", "challengers": ["planstruct", "optcost"], "window": 256,
+			"min_samples": 20, "margin": 0.05, "hysteresis": 3, "cooldown": 200}`,
+	}
+	for name, section := range cases {
+		t.Run(name, func(t *testing.T) {
+			path := writeConfig(t, `{"sliding": {"capacity": 500}, "champion": `+section+`}`)
+			if _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), `"champion"`) {
+				t.Fatalf("config with a champion section: %v, want an error naming \"champion\"", err)
+			}
+		})
+	}
+}
+
 func TestLoadFileRejectsInvalid(t *testing.T) {
 	cases := map[string]string{
 		"zero max_batch":      `{"serve": {"max_batch": -1}}`,
@@ -98,9 +117,6 @@ func TestLoadFileRejectsInvalid(t *testing.T) {
 		"retrain past window": `{"sliding": {"capacity": 50}}`,
 		"bad partitioner":     `{"shards": {"partitioner": "roundrobin"}}`,
 		"bad fsync":           `{"state": {"fsync": "sometimes"}}`,
-		"unknown champion":    `{"champion": {"kind": "xgboost"}}`,
-		"unknown challenger":  `{"champion": {"challengers": ["xgboost"]}}`,
-		"margin out of range": `{"champion": {"margin": 1.5}}`,
 	}
 	for name, body := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -149,14 +165,16 @@ func TestDurationForms(t *testing.T) {
 	}
 }
 
-// TestExampleConfigLoads keeps the shipped example config valid.
+// TestExampleConfigLoads keeps the shipped example config valid: it loads
+// through LoadFile, which refuses any section or field Options lacks, and
+// says what it sets.
 func TestExampleConfigLoads(t *testing.T) {
 	opts, err := LoadFile(filepath.Join("..", "..", "examples", "config", "qpredictd.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !opts.Champion.Enabled() || len(opts.Champion.Challengers) != 2 {
-		t.Fatalf("example config champion section drifted: %+v", opts.Champion)
+	if opts.Shards.Count != 4 || opts.State.Dir != "/var/lib/qpredictd" || opts.Sliding.Capacity != 500 {
+		t.Fatalf("example config drifted: %+v", opts)
 	}
 }
 

@@ -25,9 +25,9 @@ import (
 // client to what encoding/json made of the same bytes, and to the codec's
 // allocation budget.
 
-// zooPredictJSON is a current /v1/predict body from a sharded daemon with
-// the zoo on: shard fields, model_kind, a cold-start fallback and a
-// per-query error.
+// zooPredictJSON is a /v1/predict body from a sharded daemon that ran the
+// model zoo: shard fields, model_kind, a champion block (which the client
+// ignores), a cold-start fallback and a per-query error.
 const zooPredictJSON = `{
   "version": "v1",
   "model": {"generation": 7, "trained_on": 500, "features": "plan+text", "two_step": true, "swaps": 6, "shards": 2, "partitioner": "hash", "model_kind": "mixed",
@@ -44,21 +44,27 @@ const zooPredictJSON = `{
 func TestPredictGoldensMatchEncodingJSON(t *testing.T) {
 	oddJSON := `{"version":"v1","took_ms":3,"model":null,"results":[{"sql":"café","category":null,"Confidence":0.5}]}`
 	for name, body := range map[string]string{"pre-zoo": preZooPredictJSON, "zoo": zooPredictJSON, "encoding/json's": oddJSON} {
-		var want api.PredictResponse
-		if err := json.Unmarshal([]byte(body), &want); err != nil {
-			t.Fatal(err)
-		}
-		sqls := make([]string, len(want.Results))
-		for i, r := range want.Results {
-			sqls[i] = r.SQL
-		}
-		got, err := New(serveBody(t, body).URL, fastOpts()).Predict(context.Background(), sqls...)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(*got, want) {
-			t.Errorf("%s: Predict decoded %+v, encoding/json %+v", name, *got, want)
-		}
+		t.Run(name, func(t *testing.T) {
+			var want api.PredictResponse
+			if err := json.Unmarshal([]byte(body), &want); err != nil {
+				t.Fatal(err)
+			}
+			sqls := make([]string, len(want.Results))
+			for i, r := range want.Results {
+				sqls[i] = r.SQL
+			}
+			got, err := New(serveBody(t, body).URL, fastOpts()).Predict(context.Background(), sqls...)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !reflect.DeepEqual(*got, want) {
+				t.Errorf("%s: Predict decoded %+v, encoding/json %+v", name, *got, want)
+			}
+			if name == "zoo" && (got.Model.Generation != 7 || got.Model.Shards != 2 || len(got.Results) != 2 ||
+				got.Results[0].Metrics.ElapsedSec != 1.5 || got.Results[0].FallbackShard != "0" || got.Results[1].Error.Code != "parse_error") {
+				t.Errorf("zoo-era body lost a core field: %+v", *got)
+			}
+		})
 	}
 	_, err := New(serveBody(t, `{"version":"v1","results":[{"generation":1.5}]}`).URL, fastOpts()).Predict(context.Background(), "x")
 	want := json.Unmarshal([]byte(`{"version":"v1","results":[{"generation":1.5}]}`), new(api.PredictResponse))

@@ -11,8 +11,9 @@ import (
 	"repro/internal/api"
 )
 
-// Wire-format compatibility: the client must decode both pre-zoo daemons
-// (no model_kind, no champion/challenger blocks) and current ones. The
+// Wire-format compatibility: the client must decode pre-zoo daemons (no
+// model_kind, no champion/challenger blocks), daemons that ran the model
+// zoo (both blocks, which the client now ignores) and current ones. The
 // fixtures below are captured response bodies, not round-tripped structs —
 // they pin the actual bytes an old daemon sends.
 
@@ -41,7 +42,8 @@ const preZooPredictJSON = `{
   ]
 }`
 
-// zooModelJSON is a current /v1/model body with the zoo blocks populated.
+// zooModelJSON is a /v1/model body from a daemon that ran the model zoo,
+// with the zoo blocks populated.
 const zooModelJSON = `{
   "version": "v1",
   "model": {
@@ -80,8 +82,8 @@ func TestDecodePreZooModel(t *testing.T) {
 	if info.Generation != 3 || info.TrainedOn != 500 || !info.TwoStep {
 		t.Fatalf("core fields lost decoding a pre-zoo body: %+v", info)
 	}
-	if info.ModelKind != "" || info.Champion != nil || info.Challengers != nil {
-		t.Fatalf("zoo fields invented from a pre-zoo body: %+v", info)
+	if info.ModelKind != "" {
+		t.Fatalf("model_kind invented from a pre-zoo body: %q", info.ModelKind)
 	}
 	if info.Index == nil || info.Index.Points != 500 {
 		t.Fatalf("index info lost: %+v", info.Index)
@@ -108,32 +110,25 @@ func TestDecodeZooModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.ModelKind != "kcca" {
-		t.Fatalf("model_kind %q, want kcca", info.ModelKind)
+	if info.Generation != 7 || info.TrainedOn != 500 || info.Features != "plan+text" || !info.TwoStep || info.Swaps != 6 || info.ModelKind != "kcca" {
+		t.Fatalf("core fields lost decoding a zoo-era body: %+v", info)
 	}
-	ch := info.Champion
-	if ch == nil || ch.Kind != "kcca" || ch.Promotions != 1 || ch.SinceGeneration != 5 {
-		t.Fatalf("champion block wrong: %+v", ch)
+	// The champion and challengers blocks are ignored: nothing of them
+	// survives a round trip through the current structs.
+	b, err := json.Marshal(info)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(info.Challengers) != 2 {
-		t.Fatalf("challengers %+v, want 2", info.Challengers)
-	}
-	if !info.Challengers[0].Champion || info.Challengers[0].Kind != "kcca" {
-		t.Fatalf("champion row wrong: %+v", info.Challengers[0])
-	}
-	oc := info.Challengers[1]
-	if oc.Kind != "optcost" || oc.Streak != 2 || len(oc.Categories) != 1 {
-		t.Fatalf("challenger row wrong: %+v", oc)
-	}
-	cs := oc.Categories[0]
-	if cs.Category != "feather" || cs.Samples != 40 || cs.MeanRelErr != 0.31 || cs.Within20 != 0.4 {
-		t.Fatalf("category score wrong: %+v", cs)
+	for _, key := range []string{"champion", "challengers", "optcost"} {
+		if bytes.Contains(b, []byte(`"`+key)) {
+			t.Fatalf("zoo-era %q kept: %s", key, b)
+		}
 	}
 }
 
-// TestZooFieldsOmittedWhenEmpty: a server encoding a zoo-less ModelInfo
-// with the current structs emits no zoo keys — old clients parsing with
-// strict schemas keep working.
+// TestZooFieldsOmittedWhenEmpty: a server encoding a ModelInfo without a
+// model kind emits neither model_kind nor either zoo key — old clients
+// parsing with strict schemas keep working.
 func TestZooFieldsOmittedWhenEmpty(t *testing.T) {
 	b, err := json.Marshal(api.ModelInfo{Generation: 1, TrainedOn: 10})
 	if err != nil {
