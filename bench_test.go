@@ -473,9 +473,10 @@ func BenchmarkSQLParse(b *testing.B) {
 	}
 }
 
-// serialParallel runs the body once pinned to one worker and once with the
-// full pool, as /serial and /parallel sub-benchmarks. The equivalence tests
-// prove the two paths produce identical results; these measure the spread.
+// serialParallel runs the body once pinned to one worker and once at the
+// default width, as /serial and /parallel sub-benchmarks. The equivalence
+// tests prove the two paths produce identical results; these measure the
+// spread.
 func serialParallel(b *testing.B, body func(b *testing.B)) {
 	b.Run("serial", func(b *testing.B) {
 		defer parallel.SetMaxProcs(parallel.SetMaxProcs(1))
@@ -496,12 +497,9 @@ func BenchmarkKernelMatrix(b *testing.B) {
 		}
 		tau := kernels.ScaleHeuristic(x, 0.1)
 		b.Run(benchName("n", n), func(b *testing.B) {
-			serialParallel(b, func(b *testing.B) {
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					kernels.Matrix(x, tau)
-				}
-			})
+			for i := 0; i < b.N; i++ {
+				kernels.Matrix(x, tau)
+			}
 		})
 	}
 }

@@ -1,8 +1,8 @@
 // Command qpredictd is the online prediction service: the paper's Fig. 1
 // vendor-trains / customer-predicts workflow as a long-running daemon. It
 // trains (or loads) a performance predictor at boot, then serves JSON
-// predictions over HTTP, micro-batching concurrent requests through the
-// shared worker pool and hot-swapping in background retrains fed by
+// predictions over HTTP, micro-batching concurrent requests into batches
+// predicted one query per core and hot-swapping in background retrains fed by
 // /v1/observe execution feedback. See docs/API.md for the wire schema.
 //
 // Usage:

@@ -90,10 +90,10 @@ type batchItem struct {
 // workloads) is answered by copying the cached Prediction: one fingerprint,
 // one exact compare, no kernel, projection or neighbor search. Only the
 // distinct vectors the cache does not know are computed — projected together
-// through kcca.Model.ProjectBatch, then searched and combined across the
-// shared worker pool, one vector per task (a trained Predictor is immutable,
-// so concurrent predictions are safe) — and cached unless they failed; a
-// vector repeated within the batch copies its first occurrence's outcome.
+// through kcca.Model.ProjectBatch, then searched and combined in parallel,
+// one vector per task (a trained Predictor is immutable, so concurrent
+// predictions are safe) — and cached unless they failed; a vector repeated
+// within the batch copies its first occurrence's outcome.
 // The fingerprint is taken once per item and serves the lookup, the
 // in-batch repeat detection and the insert. Every prediction of a call is
 // carved from one slab. Counters read as if the requests had arrived one by
@@ -151,11 +151,9 @@ func (p *Predictor) compute(items []batchItem, miss []int, preds []Prediction, o
 		qs[k] = items[i].f
 	}
 	projs, maxKs := p.model.ProjectBatch(qs)
-	parallel.For(len(miss), 1, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			i := miss[k]
-			preds[i], out[i].Err = p.predictProjected(qs[k], projs[k], maxKs[k])
-		}
+	parallel.For(len(miss), func(k int) {
+		i := miss[k]
+		preds[i], out[i].Err = p.predictProjected(qs[k], projs[k], maxKs[k])
 	})
 	// Inserted in request order, not completion order, so what an LRU at
 	// capacity evicts does not depend on scheduling. Errors are never cached.

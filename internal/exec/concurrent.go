@@ -51,18 +51,16 @@ type Scenario struct {
 }
 
 // SimulateScenarios evaluates many admission policies over the same
-// workload, one SimulateConcurrent run per scenario, fanned out on the
-// shared worker pool (each run reads the input slices and writes only its
-// own outcome, so results are identical to a serial loop). Workload
-// managers use it to sweep candidate multiprogramming levels in one call.
+// workload, one SimulateConcurrent run per scenario and one parallel task
+// per run (each run reads the input slices and writes only its own outcome,
+// so results are identical to a serial loop). Workload managers use it to
+// sweep candidate multiprogramming levels in one call.
 func SimulateScenarios(arrivalSec, soloSec []float64, scenarios []Scenario) ([]ConcurrentOutcome, error) {
 	defer obs.Span("exec.simulate_scenarios")()
 	outs := make([]ConcurrentOutcome, len(scenarios))
 	errs := make([]error, len(scenarios))
-	parallel.For(len(scenarios), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			outs[i], errs[i] = SimulateConcurrent(arrivalSec, soloSec, scenarios[i].MaxConcurrent, scenarios[i].Interference)
-		}
+	parallel.For(len(scenarios), func(i int) {
+		outs[i], errs[i] = SimulateConcurrent(arrivalSec, soloSec, scenarios[i].MaxConcurrent, scenarios[i].Interference)
 	})
 	for _, err := range errs {
 		if err != nil {

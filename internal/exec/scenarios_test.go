@@ -8,7 +8,7 @@ import (
 	"repro/internal/statutil"
 )
 
-// TestSimulateScenariosMatchesSerialLoop: the pooled scenario sweep must
+// TestSimulateScenariosMatchesSerialLoop: the parallel scenario sweep must
 // return exactly what a serial SimulateConcurrent loop returns, at every
 // worker count.
 func TestSimulateScenariosMatchesSerialLoop(t *testing.T) {

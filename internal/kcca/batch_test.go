@@ -152,8 +152,8 @@ func TestProjectExactZeroKernelValue(t *testing.T) {
 
 // BenchmarkProjectBatch measures the projection at the daemon's shape — 800
 // training queries from dataset.Generate, 24 plan features, automatic rank
-// 80 — per query, at batch sizes 1, 4 and 64 (a full coalesced batch on the
-// worker pool).
+// 80 — per query, at batch sizes 1, 4 and 64 (a full coalesced batch, one
+// query per parallel task).
 func BenchmarkProjectBatch(b *testing.B) {
 	m, qs := stockModel(b, testutil.StockTrain, 256)
 	for _, size := range []int{1, 4, 64} {

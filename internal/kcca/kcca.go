@@ -169,9 +169,9 @@ func Train(x, y *linalg.Matrix, opt Options) (*Model, error) {
 	tauX, tauY := Scales(x, y, opt)
 
 	// The query-side and performance-side views are independent until the
-	// CCA fit, so each view's kernel matrix and centering run as one task on
-	// the shared worker pool (each task's internals parallelize further when
-	// the pool has idle workers). Each view has one n×n block: the kernel is
+	// CCA fit, so each view's kernel matrix and centering run as one
+	// parallel task, and so does each view's kernel PCA; the loops inside
+	// each task are serial. Each view has one n×n block: the kernel is
 	// centered in place, and kernel PCA then decomposes it in place.
 	var kx, ky *linalg.Matrix
 	var rowMeansX []float64
@@ -305,15 +305,12 @@ func (m *Model) ProjectQueryKernel(q []float64) (proj []float64, maxK float64) {
 }
 
 // ProjectBatch is ProjectQueryKernel for every query of qs, bit for bit,
-// with the queries — not strips of one query's vectors — handed to the
-// worker pool.
+// with one query per parallel task.
 func (m *Model) ProjectBatch(qs [][]float64) (projs [][]float64, maxKs []float64) {
 	projs = make([][]float64, len(qs))
 	maxKs = make([]float64, len(qs))
-	parallel.For(len(qs), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			projs[i], maxKs[i] = m.ProjectQueryKernel(qs[i])
-		}
+	parallel.For(len(qs), func(i int) {
+		projs[i], maxKs[i] = m.ProjectQueryKernel(qs[i])
 	})
 	return projs, maxKs
 }

@@ -13,8 +13,8 @@ import (
 // (n = 800) and the stock sliding window's (n = 500), and reports where the
 // time went as custom metrics: each eigensolver phase (linalg.eigen.reduce,
 // .accumulate, .ql) and each kcca.train stage, in ms per Train. Both views
-// solve at once on the worker pool, so the eigensolver phases add up the two
-// views' wall times.
+// solve at once as two parallel tasks, so the eigensolver phases add up the
+// two views' wall times.
 func BenchmarkTrainStock(b *testing.B) {
 	qs := testutil.StockQueries(b, testutil.StockTrain)
 	for _, n := range []int{500, testutil.StockTrain} {

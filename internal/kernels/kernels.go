@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/linalg"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 // Gaussian returns exp(−‖a−b‖²/τ), the paper's Eq. (1).
@@ -46,26 +45,21 @@ func ScaleHeuristic(rows *linalg.Matrix, frac float64) float64 {
 	return tau
 }
 
-// Matrix computes the N×N Gaussian kernel matrix of the rows of x. Rows are
-// partitioned across the shared worker pool; element (i, j) with i < j is
-// computed exactly once (by the worker owning row i, which mirrors it to
-// (j, i)), so the result is identical to the serial loop at every worker
-// count.
+// Matrix computes the N×N Gaussian kernel matrix of the rows of x. Element
+// (i, j) with i < j is computed once and mirrored to (j, i).
 func Matrix(x *linalg.Matrix, tau float64) *linalg.Matrix {
 	defer obs.Span("kernels.matrix")()
 	n := x.Rows
 	k := linalg.NewMatrix(n, n)
-	parallel.For(n, parallel.GrainFor(n*x.Cols/2+1, 1<<15), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			k.Set(i, i, 1)
-			ri := x.Row(i)
-			for j := i + 1; j < n; j++ {
-				v := Gaussian(ri, x.Row(j), tau)
-				k.Set(i, j, v)
-				k.Set(j, i, v)
-			}
+	for i := 0; i < n; i++ {
+		k.Set(i, i, 1)
+		ri := x.Row(i)
+		for j := i + 1; j < n; j++ {
+			v := Gaussian(ri, x.Row(j), tau)
+			k.Set(i, j, v)
+			k.Set(j, i, v)
 		}
-	})
+	}
 	return k
 }
 
@@ -131,20 +125,15 @@ func Center(k *linalg.Matrix) (rowMeans []float64, grandMean float64) {
 		panic(fmt.Sprintf("kernels: centering a %dx%d matrix, want square", k.Rows, k.Cols))
 	}
 	rowMeans = make([]float64, n)
-	grain := parallel.GrainFor(n, 1<<15)
-	parallel.For(n, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rowMeans[i] = linalg.Mean(k.Row(i))
-		}
-	})
+	for i := range rowMeans {
+		rowMeans[i] = linalg.Mean(k.Row(i))
+	}
 	grandMean = linalg.Mean(rowMeans)
-	parallel.For(n, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for j := 0; j < n; j++ {
-				k.Set(i, j, k.At(i, j)-rowMeans[i]-rowMeans[j]+grandMean)
-			}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			k.Set(i, j, k.At(i, j)-rowMeans[i]-rowMeans[j]+grandMean)
 		}
-	})
+	}
 	return rowMeans, grandMean
 }
 

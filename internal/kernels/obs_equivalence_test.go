@@ -6,12 +6,12 @@ import (
 	"repro/internal/obs"
 )
 
-// TestEquivalenceWithObsEnabled re-runs the serial/parallel equivalence
-// suite with instrumentation on: span timers and histogram observations in
-// the hot paths must not perturb bit-for-bit results.
+// TestEquivalenceWithObsEnabled re-runs the reference suite with
+// instrumentation on: span timers and histogram observations in the hot
+// paths must not perturb bit-for-bit results.
 func TestEquivalenceWithObsEnabled(t *testing.T) {
 	defer obs.SetEnabled(obs.SetEnabled(true))
-	t.Run("Matrix", TestMatrixParallelMatchesSerial)
-	t.Run("CrossVector", TestCrossVectorParallelMatchesSerial)
-	t.Run("Center", TestCenterParallelMatchesSerial)
+	t.Run("Matrix", TestMatrixIsPairwiseGaussian)
+	t.Run("CrossVector", TestCrossVectorMatchesGaussian)
+	t.Run("Center", TestCenterMatchesFormula)
 }

@@ -4,14 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/linalg"
-	"repro/internal/parallel"
 	"repro/internal/statutil"
 )
 
-func equivWorkerCounts() []int { return []int{1, 2, 7, runtime.NumCPU()} }
+// workerCounts is how many goroutines (workers) search one index at once.
+func workerCounts() []int { return []int{1, 2, 7, runtime.NumCPU()} }
 
 func randPoints(seed int64, r, c int) *linalg.Matrix {
 	rng := statutil.NewRNG(seed, "knn-equiv")
@@ -22,47 +23,49 @@ func randPoints(seed int64, r, c int) *linalg.Matrix {
 	return m
 }
 
-func TestNearestParallelMatchesSerial(t *testing.T) {
+// TestNearestMatchesBruteForce holds Nearest to the textbook search: every
+// row's linalg.Dist or linalg.CosineDistance to the query, sorted by
+// (distance, index). Rows 7 and 300 repeat row 11, so ties occur.
+func TestNearestMatchesBruteForce(t *testing.T) {
+	points := randPoints(3, 409, 6)
+	copy(points.Row(7), points.Row(11))
+	copy(points.Row(300), points.Row(11))
+	extra := randPoints(4, 2, 6)
+	queries := [][]float64{points.Row(11), extra.Row(0), extra.Row(1)}
 	for _, metric := range []Distance{Euclidean, Cosine} {
-		points := randPoints(3, 409, 6)
-		q := randPoints(4, 1, 6).Row(0)
-
-		defer parallel.SetMaxProcs(parallel.SetMaxProcs(1))
-		want, err := Nearest(points, q, 5, metric)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		for _, w := range equivWorkerCounts() {
-			parallel.SetMaxProcs(w)
-			got, err := Nearest(points, q, 5, metric)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("metric=%v workers=%d: %d neighbors, serial %d", metric, w, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("metric=%v workers=%d: neighbor %d = %+v, serial %+v", metric, w, i, got[i], want[i])
+		t.Run(metric.String(), func(t *testing.T) {
+			for qi, q := range queries {
+				want := make([]Neighbor, points.Rows)
+				for i := range want {
+					d := linalg.Dist(points.Row(i), q)
+					if metric == Cosine {
+						d = linalg.CosineDistance(points.Row(i), q)
+					}
+					want[i] = Neighbor{Index: i, Distance: d}
+				}
+				sort.SliceStable(want, func(a, b int) bool { return want[a].Distance < want[b].Distance })
+				for _, k := range []int{1, 5, points.Rows} {
+					got, err := Nearest(points, q, k, metric)
+					if err != nil {
+						t.Fatal(err)
+					}
+					mustEqualNeighbors(t, fmt.Sprintf("query %d k=%d", qi, k), got, want[:k])
 				}
 			}
-		}
-		parallel.SetMaxProcs(0)
+		})
 	}
 }
 
 // TestConcurrentNearestMatchesSerial: goroutines that search one shared
-// index and point set at once, at every worker count, get the serial
-// Nearest's neighbors bit for bit from both Index.Nearest and Nearest.
+// index and point set at once get the serial Nearest's neighbors bit for
+// bit from both Index.Nearest and Nearest.
 func TestConcurrentNearestMatchesSerial(t *testing.T) {
 	points := randPoints(5, 301, 8)
 	queries := randPoints(6, 37, 8)
 	const k = 4
 	ix := NewIndex(points, Euclidean)
 
-	// Serial oracle: Nearest per query at one worker.
-	defer parallel.SetMaxProcs(parallel.SetMaxProcs(1))
+	// Serial oracle: Nearest per query on one goroutine.
 	want := make([][]Neighbor, queries.Rows)
 	for i := 0; i < queries.Rows; i++ {
 		nbs, err := Nearest(points, queries.Row(i), k, Euclidean)
@@ -72,13 +75,11 @@ func TestConcurrentNearestMatchesSerial(t *testing.T) {
 		want[i] = nbs
 	}
 
-	for _, w := range equivWorkerCounts() {
+	for _, w := range workerCounts() {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			parallel.SetMaxProcs(w)
 			concurrentNearest(t, fmt.Sprintf("workers=%d", w), ix, points, queries, k, w, want)
 		})
 	}
-	parallel.SetMaxProcs(0)
 }
 
 // TestNearestRejectsBadInput: the flat scan and the index return the same
@@ -124,9 +125,9 @@ func TestNearestRejectsBadInput(t *testing.T) {
 
 // TestTieBreakByIndexWithDuplicateRows is the regression test for
 // nondeterministic tie-breaking: with deliberately duplicated training
-// rows, equal-distance neighbors must come back ordered by index at every
-// worker count, so parallel partitioning can never reorder downstream
-// predictions (rank weighting makes order observable).
+// rows, equal-distance neighbors must come back ordered by index from the
+// flat scan and the tree alike, so the path taken can never reorder
+// downstream predictions (rank weighting makes order observable).
 func TestTieBreakByIndexWithDuplicateRows(t *testing.T) {
 	// Rows 2, 5, 9, 11 are identical, all at distance 0 from the query;
 	// rows 0 and 7 are identical at a larger distance.
@@ -148,30 +149,26 @@ func TestTieBreakByIndexWithDuplicateRows(t *testing.T) {
 	q := []float64{1, 2}
 
 	wantIdx := []int{2, 5, 9, 11, 0, 7}
-	for _, w := range equivWorkerCounts() {
-		defer parallel.SetMaxProcs(parallel.SetMaxProcs(w))
-		nbs, err := Nearest(points, q, 6, Euclidean)
-		if err != nil {
-			t.Fatal(err)
+	nbs, err := Nearest(points, q, 6, Euclidean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, nb := range nbs {
+		if nb.Index != wantIdx[i] {
+			t.Fatalf("neighbor %d has index %d, want %d (ties must break by index)", i, nb.Index, wantIdx[i])
 		}
-		for i, nb := range nbs {
-			if nb.Index != wantIdx[i] {
-				t.Fatalf("workers=%d: neighbor %d has index %d, want %d (ties must break by index)", w, i, nb.Index, wantIdx[i])
-			}
+	}
+	// The tree must agree with the flat scan.
+	tree, err := NewIndexWith(points, Euclidean, IndexConfig{MinPoints: 1, LeafSize: 3}).Nearest(q, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tree) != len(wantIdx) {
+		t.Fatalf("Index.Nearest returned %d neighbors, want %d", len(tree), len(wantIdx))
+	}
+	for i, nb := range tree {
+		if nb.Index != wantIdx[i] {
+			t.Fatalf("Index.Nearest neighbor %d has index %d, want %d", i, nb.Index, wantIdx[i])
 		}
-		// The tree must agree with the flat scan.
-		tree, err := NewIndexWith(points, Euclidean, IndexConfig{MinPoints: 1, LeafSize: 3}).Nearest(q, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(tree) != len(wantIdx) {
-			t.Fatalf("workers=%d: Index.Nearest returned %d neighbors, want %d", w, len(tree), len(wantIdx))
-		}
-		for i, nb := range tree {
-			if nb.Index != wantIdx[i] {
-				t.Fatalf("workers=%d: Index.Nearest neighbor %d has index %d, want %d", w, i, nb.Index, wantIdx[i])
-			}
-		}
-		parallel.SetMaxProcs(0)
 	}
 }

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/linalg"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 // Search metrics: every Nearest call counts its queries and observes
@@ -130,9 +129,8 @@ func DefaultOptions() Options {
 // implementation — one pointDistance per row, then a full sort — which the
 // oracle suite holds Index to, bit for bit. The index tie-break
 // is load-bearing: equal-distance neighbors (duplicated training rows are
-// common in template workloads) must order identically no matter how the
-// distance computation was partitioned, or parallel runs could silently
-// reorder predictions under weighted combination.
+// common in template workloads) must order identically here and in Index,
+// or the two could reorder predictions under weighted combination.
 func Nearest(points *linalg.Matrix, q []float64, k int, metric Distance) ([]Neighbor, error) {
 	defer obs.Span("knn.search")()
 	n := points.Rows
@@ -162,14 +160,9 @@ func Nearest(points *linalg.Matrix, q []float64, k int, metric Distance) ([]Neig
 	if metric == Cosine {
 		qn = linalg.Norm(q)
 	}
-	// Distance computation fans out across the worker pool; each index is
-	// written by exactly one worker, so the slice contents match the serial
-	// loop exactly and the sort below sees identical input.
-	parallel.For(n, parallel.GrainFor(points.Cols, 1<<14), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			all[i] = Neighbor{Index: i, Distance: pointDistance(points.Row(i), q, qn, metric)}
-		}
-	})
+	for i := range all {
+		all[i] = Neighbor{Index: i, Distance: pointDistance(points.Row(i), q, qn, metric)}
+	}
 	sort.Sort(scratch)
 	return append(make([]Neighbor, 0, k), all[:k]...), nil
 }

@@ -3,20 +3,18 @@ package knn
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/linalg"
-	"repro/internal/parallel"
 	"repro/internal/statutil"
 )
 
 // The oracle suite proves the KD-tree index EXACT: for every supported
-// metric, point-cloud shape, k, and worker count, Index.Nearest must
-// return bit-identical (distance, index) neighbor sets to the flat scan —
-// same values, same total order, NaN-last. It runs under -race in CI at
-// worker counts {1, 2, 7, NumCPU}. The oracle is the package-level Nearest:
+// metric, point-cloud shape and k, Index.Nearest must return bit-identical
+// (distance, index) neighbor sets to the flat scan — same values, same
+// total order, NaN-last. It runs under -race in CI with {1, 2, 7, NumCPU}
+// goroutines sharing one index. The oracle is the package-level Nearest:
 // one linalg.Dist per candidate and a full sort, none of the scorer's
 // grouped passes, early abandoning or heap.
 
@@ -206,15 +204,13 @@ func concurrentNearest(t *testing.T, ctx string, ix *Index, points, queries *lin
 
 // TestIndexOracle is the headline exactness proof: randomized point clouds
 // across sizes, dimensions, pathologies, and both metrics; tree results
-// must be bit-identical to the flat scan for k ∈ {1, 3, 7, N, N+5}, at every
-// worker count. With LeafSize 3 every leaf is a short group (the scorer's
+// must be bit-identical to the flat scan for k ∈ {1, 3, 7, N, N+5}, also
+// when several goroutines share the index. With LeafSize 3 every leaf is a short group (the scorer's
 // repeated-row tail) and k = 7 exceeds it.
 func TestIndexOracle(t *testing.T) {
 	// 17 and 40 cross the scorer's 16-term abandon stride once and twice.
 	dims := []int{1, 2, 3, 8, 15, 17, 40}
 	sizes := []int{1, 5, 63, 64, 257, 600}
-	workers := []int{1, 2, 7, runtime.NumCPU()}
-	defer parallel.SetMaxProcs(parallel.SetMaxProcs(1))
 
 	seed := int64(100)
 	for _, cl := range clouds() {
@@ -245,7 +241,7 @@ func TestIndexOracle(t *testing.T) {
 							mustEqualNeighbors(t, ctx, got, want)
 						}
 					}
-					// Shared index at every goroutine and worker count, k = 3.
+					// Shared index at every worker count, k = 3.
 					want := make([][]Neighbor, queries.Rows)
 					for qi := range want {
 						nbs, err := Nearest(points, queries.Row(qi), 3, metric)
@@ -254,12 +250,10 @@ func TestIndexOracle(t *testing.T) {
 						}
 						want[qi] = nbs
 					}
-					for _, w := range workers {
-						parallel.SetMaxProcs(w)
+					for _, w := range workerCounts() {
 						ctx := fmt.Sprintf("cloud=%s metric=%v n=%d dim=%d workers=%d", cl.name, metric, n, dim, w)
 						concurrentNearest(t, ctx, ix, points, queries, 3, w, want)
 					}
-					parallel.SetMaxProcs(1)
 				}
 			}
 		}

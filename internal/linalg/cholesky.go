@@ -73,22 +73,6 @@ func (c *CholeskyFactor) SolveVec(b []float64) []float64 {
 	return x
 }
 
-// Solve solves A X = B column by column.
-func (c *CholeskyFactor) Solve(b *Matrix) *Matrix {
-	n := c.L.Rows
-	if b.Rows != n {
-		panic("linalg: Cholesky Solve dimension mismatch")
-	}
-	out := NewMatrix(n, b.Cols)
-	for j := 0; j < b.Cols; j++ {
-		x := c.SolveVec(b.Col(j))
-		for i, v := range x {
-			out.Set(i, j, v)
-		}
-	}
-	return out
-}
-
 // InvLower returns L⁻¹ (lower triangular).
 func (c *CholeskyFactor) InvLower() *Matrix {
 	n := c.L.Rows

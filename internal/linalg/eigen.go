@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 // EigenSym holds the eigendecomposition of a real symmetric matrix:
@@ -205,17 +204,8 @@ func tred2(t *Matrix, d, e []float64) {
 			for j := 0; j < i; j++ {
 				e[j] -= hh * d[j]
 			}
-			// Updates of V's columns are independent (column j only reads d
-			// and e, which are fixed here, plus its own entries), so they go
-			// to the worker pool; the d refresh moves after the barrier
-			// because column j's final entries are written only by its own
-			// worker.
-			parallel.For(i, parallel.GrainFor(i/2+1, 1<<14), func(lo, hi int) {
-				for j := lo; j < hi; j++ {
-					subRank2(t.Row(j)[j:i], e[j:i], d[j:i], d[j], e[j])
-				}
-			})
 			for j := 0; j < i; j++ {
+				subRank2(t.Row(j)[j:i], e[j:i], d[j:i], d[j], e[j])
 				d[j] = t.Data[j*n+i-1]
 				t.Data[j*n+i] = 0
 			}

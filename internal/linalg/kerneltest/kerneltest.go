@@ -13,11 +13,12 @@ import (
 
 // Main is a TestMain body: it runs the suite as the process came up, and —
 // if that passed on the AVX2 kernels — once more on the portable loops, the
-// path a host without AVX2 or another architecture takes. Benchmark runs are
-// not repeated.
+// path a host without AVX2 or another architecture takes. Benchmark and
+// -list runs are not repeated.
 func Main(m *testing.M) {
 	code := m.Run()
-	if code == 0 && flag.Lookup("test.bench").Value.String() == "" && linalg.SetVectorKernels(false) {
+	once := flag.Lookup("test.bench").Value.String() != "" || flag.Lookup("test.list").Value.String() != ""
+	if code == 0 && !once && linalg.SetVectorKernels(false) {
 		fmt.Println("=== AVX2 kernels off: running the suite again on the portable loops")
 		code = m.Run()
 	}

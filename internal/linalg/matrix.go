@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"repro/internal/parallel"
 )
 
 // Matrix is a dense row-major matrix of float64 values.
@@ -123,25 +121,20 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 		panic(fmt.Sprintf("linalg: Mul dimension mismatch %dx%d * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
 	}
 	out := NewMatrix(m.Rows, b.Cols)
-	// ikj loop order for cache friendliness on row-major storage. Output
-	// rows are independent, so row blocks go to the worker pool; each
-	// element keeps the serial k-ascending summation order and the result
-	// is exact at every worker count.
-	parallel.For(m.Rows, parallel.GrainFor(m.Cols*b.Cols, 1<<15), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := m.Data[i*m.Cols : (i+1)*m.Cols]
-			orow := out.Data[i*b.Cols : (i+1)*b.Cols]
-			for k, aik := range arow {
-				if aik == 0 {
-					continue
-				}
-				brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-				for j, bkj := range brow {
-					orow[j] += aik * bkj
-				}
+	// ikj loop order for cache friendliness on row-major storage.
+	for i := 0; i < m.Rows; i++ {
+		arow := m.Data[i*m.Cols : (i+1)*m.Cols]
+		orow := out.Data[i*b.Cols : (i+1)*b.Cols]
+		for k, aik := range arow {
+			if aik == 0 {
+				continue
+			}
+			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+			for j, bkj := range brow {
+				orow[j] += aik * bkj
 			}
 		}
-	})
+	}
 	return out
 }
 
@@ -151,11 +144,9 @@ func (m *Matrix) MulVec(v []float64) []float64 {
 		panic(fmt.Sprintf("linalg: MulVec dimension mismatch %dx%d * %d", m.Rows, m.Cols, len(v)))
 	}
 	out := make([]float64, m.Rows)
-	parallel.For(m.Rows, parallel.GrainFor(m.Cols, 1<<14), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = Dot(m.Row(i), v)
-		}
-	})
+	for i := range out {
+		out[i] = Dot(m.Row(i), v)
+	}
 	return out
 }
 
@@ -165,24 +156,14 @@ func (m *Matrix) TMulVec(v []float64) []float64 {
 		panic(fmt.Sprintf("linalg: TMulVec dimension mismatch %dx%d, vec %d", m.Rows, m.Cols, len(v)))
 	}
 	out := make([]float64, m.Cols)
-	// Parallel over disjoint column blocks; every out[j] accumulates over i
-	// in the same ascending order as the serial loop, so results are exact.
-	g := parallel.GrainFor(m.Rows, 1<<14)
-	if g < 8 {
-		g = 8
-	}
-	parallel.For(m.Cols, g, func(lo, hi int) {
-		for i, vi := range v {
-			if vi == 0 {
-				continue
-			}
-			row := m.Row(i)[lo:hi]
-			o := out[lo:hi]
-			for j, mij := range row {
-				o[j] += vi * mij
-			}
+	for i, vi := range v {
+		if vi == 0 {
+			continue
 		}
-	})
+		for j, mij := range m.Row(i) {
+			out[j] += vi * mij
+		}
+	}
 	return out
 }
 
@@ -212,15 +193,13 @@ func (m *Matrix) MulT(b *Matrix) *Matrix {
 		panic(fmt.Sprintf("linalg: MulT dimension mismatch %dx%d *ᵀ %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
 	}
 	out := NewMatrix(m.Rows, b.Rows)
-	parallel.For(m.Rows, parallel.GrainFor(m.Cols*b.Rows, 1<<15), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := m.Row(i)
-			orow := out.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				orow[j] = Dot(arow, b.Row(j))
-			}
+	for i := 0; i < m.Rows; i++ {
+		arow := m.Row(i)
+		orow := out.Row(i)
+		for j := 0; j < b.Rows; j++ {
+			orow[j] = Dot(arow, b.Row(j))
 		}
-	})
+	}
 	return out
 }
 

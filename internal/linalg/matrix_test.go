@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -69,6 +70,46 @@ func TestTMulAndMulTMatchExplicitTranspose(t *testing.T) {
 	c := randMatrix(rng, 6, 4)
 	if got, want := a.MulT(c), a.Mul(c.T()); !got.Equal(want, 1e-10) {
 		t.Errorf("MulT does not match explicit transpose")
+	}
+}
+
+// TestProductsMatchNaive holds Mul, MulT, MulVec and TMulVec bit for bit to
+// the textbook loops: every element sums its terms in index order from +0.
+// Every 13th operand entry is an exact zero, so the zero-skip paths run.
+func TestProductsMatchNaive(t *testing.T) {
+	for _, s := range [][3]int{{5, 4, 3}, {64, 32, 80}, {211, 97, 133}} {
+		r, inner, c := s[0], s[1], s[2]
+		t.Run(fmt.Sprintf("%dx%dx%d", r, inner, c), func(t *testing.T) {
+			a := randEquivMatrix(int64(r), r, inner)
+			b := randEquivMatrix(int64(inner), inner, c)
+			bt := randEquivMatrix(int64(c), c, inner)
+			v := randEquivMatrix(77, 1, inner).Row(0)
+			u := randEquivMatrix(78, 1, r).Row(0)
+
+			mul, mulT := NewMatrix(r, c), NewMatrix(r, c)
+			mulVec, tMulVec := make([]float64, r), make([]float64, inner)
+			for i := 0; i < r; i++ {
+				for j := 0; j < c; j++ {
+					for k := 0; k < inner; k++ {
+						mul.Data[i*c+j] += a.At(i, k) * b.At(k, j)
+						mulT.Data[i*c+j] += a.At(i, k) * bt.At(j, k)
+					}
+				}
+				for k := 0; k < inner; k++ {
+					mulVec[i] += a.At(i, k) * v[k]
+				}
+			}
+			for j := 0; j < inner; j++ {
+				for i := 0; i < r; i++ {
+					tMulVec[j] += u[i] * a.At(i, j)
+				}
+			}
+
+			exactEqual(t, "Mul", a.Mul(b), mul)
+			exactEqual(t, "MulT", a.MulT(bt), mulT)
+			exactEqual(t, "MulVec", NewMatrixFrom(1, r, a.MulVec(v)), NewMatrixFrom(1, r, mulVec))
+			exactEqual(t, "TMulVec", NewMatrixFrom(1, inner, a.TMulVec(u)), NewMatrixFrom(1, inner, tMulVec))
+		})
 	}
 }
 

@@ -6,13 +6,63 @@ import (
 	"repro/internal/obs"
 )
 
-// TestEquivalenceWithObsEnabled re-runs the serial/parallel equivalence
-// suite with instrumentation on: span timers in SymEig/SVD must not
-// perturb bit-for-bit results.
+// TestEquivalenceWithObsEnabled: span timers in the products, SymEig,
+// TopEigenInPlace and SVD must not perturb bit-for-bit results, so each
+// returns with instrumentation on exactly what it returns with
+// instrumentation off.
 func TestEquivalenceWithObsEnabled(t *testing.T) {
-	defer obs.SetEnabled(obs.SetEnabled(true))
-	t.Run("MatMul", TestMatMulParallelMatchesSerial)
-	t.Run("SymEig", TestSymEigParallelMatchesSerial)
-	t.Run("TopEigenInPlace", TestTopEigenInPlaceParallelMatchesSerial)
-	t.Run("SVD", TestSVDParallelMatchesSerial)
+	// same runs f with instrumentation off and then on, and holds every
+	// matrix of the second run to the first.
+	same := func(t *testing.T, names []string, f func() []*Matrix) {
+		t.Helper()
+		was := obs.SetEnabled(false)
+		defer obs.SetEnabled(was)
+		want := f()
+		obs.SetEnabled(true)
+		for i, got := range f() {
+			exactEqual(t, names[i], got, want[i])
+		}
+	}
+	row := func(v []float64) *Matrix { return NewMatrixFrom(1, len(v), v) }
+
+	t.Run("MatMul", func(t *testing.T) {
+		a := randEquivMatrix(211, 211, 97)
+		b := randEquivMatrix(97, 97, 133)
+		at := randEquivMatrix(310, 211, 133)
+		v := randEquivMatrix(77, 1, 97).Row(0)
+		vr := randEquivMatrix(78, 1, 211).Row(0)
+		same(t, []string{"Mul", "TMul", "MulT", "MulVec", "TMulVec"}, func() []*Matrix {
+			return []*Matrix{a.Mul(b), a.TMul(at), a.MulT(a), row(a.MulVec(v)), row(a.TMulVec(vr))}
+		})
+	})
+	t.Run("SymEig", func(t *testing.T) {
+		spd := spdMatrix(150, 150)
+		same(t, []string{"SymEig values", "SymEig vectors"}, func() []*Matrix {
+			eig, err := SymEig(spd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []*Matrix{row(eig.Values), eig.Vectors}
+		})
+	})
+	t.Run("TopEigenInPlace", func(t *testing.T) {
+		a := spdMatrix(150, 151)
+		same(t, []string{"TopEigenInPlace values", "TopEigenInPlace vectors"}, func() []*Matrix {
+			vals, vecs, err := TopEigenInPlace(a.Clone(), 38)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []*Matrix{row(vals), vecs}
+		})
+	})
+	t.Run("SVD", func(t *testing.T) {
+		x := randEquivMatrix(9060, 90, 60)
+		same(t, []string{"SVD S", "SVD U", "SVD V"}, func() []*Matrix {
+			svd, err := SVD(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []*Matrix{row(svd.S), svd.U, svd.V}
+		})
+	})
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 // SVDFactor holds a thin singular value decomposition A = U · diag(S) · Vᵀ,
@@ -69,24 +68,20 @@ func svdTall(arg *Matrix) (*SVDFactor, error) {
 			}
 			s[k] = -s[k]
 		}
-		// Householder application is independent per column j > k (column k
-		// is read-only here), so column blocks go to the worker pool.
-		parallel.For(n-(k+1), parallel.GrainFor(2*(m-k)+1, 1<<14), func(lo, hi int) {
-			for j := k + 1 + lo; j < k+1+hi; j++ {
-				if k < nct && s[k] != 0 {
-					// Apply the transformation.
-					t := 0.0
-					for i := k; i < m; i++ {
-						t += a.At(i, k) * a.At(i, j)
-					}
-					t = -t / a.At(k, k)
-					for i := k; i < m; i++ {
-						a.Set(i, j, a.At(i, j)+t*a.At(i, k))
-					}
+		for j := k + 1; j < n; j++ {
+			if k < nct && s[k] != 0 {
+				// Apply the transformation.
+				t := 0.0
+				for i := k; i < m; i++ {
+					t += a.At(i, k) * a.At(i, j)
 				}
-				e[j] = a.At(k, j)
+				t = -t / a.At(k, k)
+				for i := k; i < m; i++ {
+					a.Set(i, j, a.At(i, j)+t*a.At(i, k))
+				}
 			}
-		})
+			e[j] = a.At(k, j)
+		}
 		if k < nct {
 			for i := k; i < m; i++ {
 				u.Set(i, k, a.At(i, k))
@@ -152,20 +147,16 @@ func svdTall(arg *Matrix) (*SVDFactor, error) {
 	}
 	for k := nct - 1; k >= 0; k-- {
 		if s[k] != 0 {
-			// Column k is only modified after this loop, so columns j > k
-			// update independently.
-			parallel.For(nu-(k+1), parallel.GrainFor(2*(m-k)+1, 1<<14), func(lo, hi int) {
-				for j := k + 1 + lo; j < k+1+hi; j++ {
-					t := 0.0
-					for i := k; i < m; i++ {
-						t += u.At(i, k) * u.At(i, j)
-					}
-					t = -t / u.At(k, k)
-					for i := k; i < m; i++ {
-						u.Set(i, j, u.At(i, j)+t*u.At(i, k))
-					}
+			for j := k + 1; j < nu; j++ {
+				t := 0.0
+				for i := k; i < m; i++ {
+					t += u.At(i, k) * u.At(i, j)
 				}
-			})
+				t = -t / u.At(k, k)
+				for i := k; i < m; i++ {
+					u.Set(i, j, u.At(i, j)+t*u.At(i, k))
+				}
+			}
 			for i := k; i < m; i++ {
 				u.Set(i, k, -u.At(i, k))
 			}
@@ -184,18 +175,16 @@ func svdTall(arg *Matrix) (*SVDFactor, error) {
 	// Generate V.
 	for k := n - 1; k >= 0; k-- {
 		if k < nrt && e[k] != 0 {
-			parallel.For(nu-(k+1), parallel.GrainFor(2*(n-k)+1, 1<<14), func(lo, hi int) {
-				for j := k + 1 + lo; j < k+1+hi; j++ {
-					t := 0.0
-					for i := k + 1; i < n; i++ {
-						t += v.At(i, k) * v.At(i, j)
-					}
-					t = -t / v.At(k+1, k)
-					for i := k + 1; i < n; i++ {
-						v.Set(i, j, v.At(i, j)+t*v.At(i, k))
-					}
+			for j := k + 1; j < nu; j++ {
+				t := 0.0
+				for i := k + 1; i < n; i++ {
+					t += v.At(i, k) * v.At(i, j)
 				}
-			})
+				t = -t / v.At(k+1, k)
+				for i := k + 1; i < n; i++ {
+					v.Set(i, j, v.At(i, j)+t*v.At(i, k))
+				}
+			}
 		}
 		for i := 0; i < n; i++ {
 			v.Set(i, k, 0)
@@ -379,17 +368,13 @@ func svdTall(arg *Matrix) (*SVDFactor, error) {
 	return &SVDFactor{U: u, S: s[:n], V: v}, nil
 }
 
-// rotateCols applies the Givens rotation (cs, sn) to columns (j, j+1) of a,
-// splitting rows across the worker pool; each row is independent, so the
-// result is exact at every worker count.
+// rotateCols applies the Givens rotation (cs, sn) to columns (j, j+1) of a.
 func rotateCols(a *Matrix, j int, cs, sn float64) {
-	parallel.For(a.Rows, parallel.GrainFor(6, 1<<14), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			t := cs*a.At(i, j) + sn*a.At(i, j+1)
-			a.Set(i, j+1, -sn*a.At(i, j)+cs*a.At(i, j+1))
-			a.Set(i, j, t)
-		}
-	})
+	for i := 0; i < a.Rows; i++ {
+		t := cs*a.At(i, j) + sn*a.At(i, j+1)
+		a.Set(i, j+1, -sn*a.At(i, j)+cs*a.At(i, j+1))
+		a.Set(i, j, t)
+	}
 }
 
 func min(a, b int) int {

@@ -30,9 +30,9 @@ func TestHandlerEndpoints(t *testing.T) {
 	prev := obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
 
-	// Exercise the instrument kinds the acceptance criteria name: pool,
-	// predict latency, simulator.
-	obs.GetGauge("parallel.pool.workers").Set(4)
+	// Exercise one instrument of each kind: the coalescer's queue-depth
+	// gauge, predict latency, the simulator's counter, a stage.
+	obs.GetGauge("serve.queue.depth").Set(4)
 	obs.GetHistogram("core.predict.seconds").Observe(0.002)
 	obs.GetCounter("exec.simulate.queries").Add(100)
 	obs.Span("kcca.train.eigen")()
@@ -48,8 +48,8 @@ func TestHandlerEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatalf("/metrics is not valid JSON: %v", err)
 	}
-	if snap.Gauges["parallel.pool.workers"] != 4 {
-		t.Errorf("pool gauge missing from snapshot: %v", snap.Gauges)
+	if snap.Gauges["serve.queue.depth"] != 4 {
+		t.Errorf("queue-depth gauge missing from snapshot: %v", snap.Gauges)
 	}
 	if snap.Histograms["core.predict.seconds"].Count != 1 {
 		t.Error("predict latency histogram missing from snapshot")

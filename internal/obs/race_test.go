@@ -1,5 +1,5 @@
 // Race coverage for concurrent instrument updates. This file is in package
-// obs_test so it can drive updates through the real shared worker pool
+// obs_test so it can drive updates through parallel.For's goroutines
 // (internal/parallel imports obs, so the inverse import must live outside
 // the obs package proper).
 package obs_test
@@ -13,7 +13,7 @@ import (
 )
 
 // TestConcurrentUpdatesFromPoolWorkers hammers every instrument kind from
-// pool workers while snapshots are taken concurrently. Run under -race (the
+// parallel.For's workers while snapshots are taken concurrently. Run under -race (the
 // CI race job does) this proves the atomic instrument implementations and
 // the lock-free snapshot path are data-race free.
 func TestConcurrentUpdatesFromPoolWorkers(t *testing.T) {
@@ -45,14 +45,12 @@ func TestConcurrentUpdatesFromPoolWorkers(t *testing.T) {
 
 	const n, rounds = 512, 8
 	for r := 0; r < rounds; r++ {
-		parallel.For(n, 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				c.Inc()
-				g.Set(int64(i))
-				ft.Add(0.001)
-				h.Observe(float64(i+1) * 1e-6)
-				obs.Span("race.stage")()
-			}
+		parallel.For(n, func(i int) {
+			c.Inc()
+			g.Set(int64(i))
+			ft.Add(0.001)
+			h.Observe(float64(i+1) * 1e-6)
+			obs.Span("race.stage")()
 		})
 	}
 	close(stopSnaps)

@@ -1,8 +1,9 @@
 package parallel
 
 import (
+	"bytes"
 	"runtime"
-	"sync"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,48 +14,88 @@ func workerCounts() []int {
 	return []int{1, 2, 7, runtime.NumCPU()}
 }
 
+// goroutineID parses the calling goroutine's id from its stack header,
+// "goroutine N [running]:".
+func goroutineID(t *testing.T) uint64 {
+	var buf [64]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	id, err := strconv.ParseUint(string(b[:bytes.IndexByte(b, ' ')]), 10, 64)
+	if err != nil {
+		t.Fatalf("goroutine id: %v", err)
+	}
+	return id
+}
+
 func TestForCoversRangeExactlyOnce(t *testing.T) {
 	for _, w := range workerCounts() {
 		defer SetMaxProcs(SetMaxProcs(w))
 		for _, n := range []int{0, 1, 7, 64, 1000} {
-			for _, grain := range []int{1, 3, 64, 4096} {
-				hits := make([]int32, n)
-				For(n, grain, func(lo, hi int) {
-					if lo < 0 || hi > n || lo > hi {
-						t.Fatalf("bad range [%d,%d) for n=%d", lo, hi, n)
-					}
-					for i := lo; i < hi; i++ {
-						atomic.AddInt32(&hits[i], 1)
-					}
-				})
-				for i, h := range hits {
-					if h != 1 {
-						t.Fatalf("w=%d n=%d grain=%d: index %d hit %d times", w, n, grain, i, h)
-					}
+			hits := make([]int32, n)
+			For(n, func(i int) {
+				if i < 0 || i >= n {
+					t.Errorf("index %d out of [0,%d)", i, n)
+					return
+				}
+				atomic.AddInt32(&hits[i], 1)
+			})
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("w=%d n=%d: index %d hit %d times", w, n, i, h)
 				}
 			}
 		}
 	}
 }
 
+// TestForSerialFallbackRunsOnCaller: with one index, or one worker, every
+// call runs on the calling goroutine in index order, so writes need no
+// synchronization at all.
 func TestForSerialFallbackRunsOnCaller(t *testing.T) {
-	// With n <= grain the body must run inline exactly once, so writes need
-	// no synchronization at all.
-	calls := 0
-	For(10, 10, func(lo, hi int) {
-		calls++
-		if lo != 0 || hi != 10 {
-			t.Fatalf("serial fallback got [%d,%d), want [0,10)", lo, hi)
+	caller := goroutineID(t)
+	check := func(n int) {
+		var order []int
+		For(n, func(i int) {
+			if id := goroutineID(t); id != caller {
+				t.Errorf("n=%d: index %d ran on goroutine %d, caller is %d", n, i, id, caller)
+			}
+			order = append(order, i)
+		})
+		for i, got := range order {
+			if got != i {
+				t.Fatalf("n=%d: call %d got index %d", n, i, got)
+			}
 		}
-	})
-	if calls != 1 {
-		t.Fatalf("serial fallback ran %d times", calls)
+		if len(order) != n {
+			t.Fatalf("n=%d: %d calls", n, len(order))
+		}
 	}
-	defer SetMaxProcs(SetMaxProcs(1))
-	calls = 0
-	For(1000, 1, func(lo, hi int) { calls++ })
-	if calls != 1 {
-		t.Fatalf("one-worker fallback chunked the range (%d calls)", calls)
+	defer SetMaxProcs(SetMaxProcs(8))
+	check(1)
+	SetMaxProcs(1)
+	check(1000)
+}
+
+// TestForLeavesNoGoroutine: every fn call has returned when For does, and
+// the goroutines For started exit with it; nothing outlives the call.
+func TestForLeavesNoGoroutine(t *testing.T) {
+	defer SetMaxProcs(SetMaxProcs(4))
+	before := runtime.NumGoroutine()
+	var running, done atomic.Int64
+	For(64, func(i int) {
+		running.Add(1)
+		time.Sleep(100 * time.Microsecond)
+		running.Add(-1)
+		done.Add(1)
+	})
+	if r, d := running.Load(), done.Load(); r != 0 || d != 64 {
+		t.Fatalf("after For: %d calls running, %d done, want 0 and 64", r, d)
+	}
+	// A goroutine signals the WaitGroup just before it exits, so give the
+	// scheduler a moment to retire it.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after For, %d before", runtime.NumGoroutine(), before)
+		}
 	}
 }
 
@@ -68,19 +109,21 @@ func TestDoRunsAll(t *testing.T) {
 	}
 }
 
+// TestNestedForDoesNotDeadlock: For and Do inside For and Do all finish,
+// at every worker count.
 func TestNestedForDoesNotDeadlock(t *testing.T) {
-	// Nested parallelism must degrade gracefully (inline execution when the
-	// pool is saturated), never deadlock.
-	var total atomic.Int64
-	For(64, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			For(64, 8, func(lo2, hi2 int) {
-				total.Add(int64(hi2 - lo2))
-			})
+	for _, w := range workerCounts() {
+		defer SetMaxProcs(SetMaxProcs(w))
+		var total atomic.Int64
+		inner := func() {
+			For(16, func(int) { total.Add(1) })
+			Do(func() { total.Add(1) }, func() { total.Add(1) })
 		}
-	})
-	if total.Load() != 64*64 {
-		t.Fatalf("nested For covered %d indexes, want %d", total.Load(), 64*64)
+		For(16, func(int) { inner() })
+		Do(inner, inner)
+		if want := int64(18 * 18); total.Load() != want {
+			t.Fatalf("w=%d: nested calls ran %d bodies, want %d", w, total.Load(), want)
+		}
 	}
 }
 
@@ -101,20 +144,8 @@ func TestSetMaxProcs(t *testing.T) {
 	SetMaxProcs(old)
 }
 
-func TestGrainFor(t *testing.T) {
-	if g := GrainFor(100, 1000); g != 10 {
-		t.Fatalf("GrainFor(100,1000)=%d", g)
-	}
-	if g := GrainFor(0, 8); g != 8 {
-		t.Fatalf("GrainFor(0,8)=%d", g)
-	}
-	if g := GrainFor(1<<20, 10); g != 1 {
-		t.Fatalf("GrainFor huge perItem = %d, want 1", g)
-	}
-}
-
-// TestForStress hammers the pool from many concurrent callers; run under
-// -race this is the core data-race check for the pool itself.
+// TestForStress runs For from many concurrent callers; run under -race this
+// is the data-race check for the package itself.
 func TestForStress(t *testing.T) {
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
@@ -122,11 +153,7 @@ func TestForStress(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			sums := make([]int64, 256)
 			for rep := 0; rep < 50; rep++ {
-				For(len(sums), 16, func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						sums[i]++
-					}
-				})
+				For(len(sums), func(i int) { sums[i]++ })
 			}
 			for i, s := range sums {
 				if s != 50 {
@@ -138,59 +165,5 @@ func TestForStress(t *testing.T) {
 	}
 	for g := 0; g < 8; g++ {
 		<-done
-	}
-}
-
-// TestPoolGrowsAfterSmallStart is the regression test for the stale pool
-// sizing bug: the pool used to be sized to GOMAXPROCS at the FIRST parallel
-// call and never resized, so a pool born under GOMAXPROCS=1 (or a small
-// SetMaxProcs override) permanently under-provisioned every later call.
-// Here the pool is deliberately started 1-2 workers wide, the cap is then
-// raised, and a rendezvous requires at least three chunk bodies to be in
-// flight at once — impossible unless the pool grew.
-func TestPoolGrowsAfterSmallStart(t *testing.T) {
-	oldGMP := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(oldGMP)
-	defer SetMaxProcs(SetMaxProcs(2))
-
-	// First parallel call while narrow: the buggy pool froze its worker
-	// count here.
-	For(8, 1, func(lo, hi int) {})
-
-	// Widen and demand real width. The rendezvous releases everyone once
-	// three bodies are concurrently inside; with a frozen 1-worker pool only
-	// the caller plus one worker can be inside simultaneously (queued and
-	// inline helpers run strictly after the caller's own drain blocks), so
-	// the timeout path fires.
-	runtime.GOMAXPROCS(4)
-	SetMaxProcs(4)
-	// Under CPU contention TestForStress can leave the queue full of stale
-	// helpers. A full queue makes the submits below run inline on the
-	// caller, one after another, which is not the sizing under test: let
-	// the workers drain it first.
-	for deadline := time.Now().Add(5 * time.Second); len(tasks) > 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d stale helpers still queued after 5 s", len(tasks))
-		}
-	}
-	var entered atomic.Int64
-	var timedOut atomic.Bool
-	release := make(chan struct{})
-	var once sync.Once
-	For(4, 1, func(lo, hi int) {
-		if entered.Add(1) >= 3 {
-			once.Do(func() { close(release) })
-		}
-		select {
-		case <-release:
-		case <-time.After(5 * time.Second):
-			timedOut.Store(true)
-		}
-	})
-	if timedOut.Load() {
-		t.Fatalf("pool never reached width 3 after widening (workers=%d): stale pool sizing", poolWorkers.Load())
-	}
-	if got := int(poolWorkers.Load()); got < 4 {
-		t.Fatalf("pool has %d workers after widening to 4, want >= 4", got)
 	}
 }
