@@ -36,21 +36,59 @@ var copiedAsIs = func() (t [256]bool) {
 	return t
 }()
 
+// Word-at-a-time byte tests. With w eight bytes of input, some byte of
+// zeroIn(w) has its high bit set exactly when some byte of w is zero, and
+// some byte of controlOrNonASCII(w) exactly when some byte of w is below
+// ' ' or above 0x7f. Which byte it is they do not say reliably (a borrow
+// can mark the byte above a true one), so a scan that meets one goes on a
+// byte at a time.
+const (
+	lsb = 0x0101010101010101
+	msb = 0x8080808080808080
+)
+
+func zeroIn(w uint64) uint64            { return (w - lsb) &^ w }
+func controlOrNonASCII(w uint64) uint64 { return (w - lsb*' ') | w }
+
+// copiedWords returns where, from i on, the first eight-byte word of s
+// that holds a byte AppendJSONString does not copy as it is starts, or the
+// first i+8k with fewer than eight bytes left. '<' and '>' differ in one
+// bit, and so do '"' and '&': a byte is one of a pair when it matches the
+// pair with that bit masked off.
+func copiedWords(s string, i int) int {
+	const ltGt, quoteAmp = '<' ^ '>', '"' ^ '&'
+	for ; i+8 <= len(s); i += 8 {
+		b := s[i : i+8] // one bounds check, one load
+		w := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+		if (controlOrNonASCII(w)|zeroIn(w^lsb*'\\')|
+			zeroIn((w^lsb*'<')&(lsb*(0xff^ltGt)))|
+			zeroIn((w^lsb*'"')&(lsb*(0xff^quoteAmp))))&msb != 0 {
+			break
+		}
+	}
+	return i
+}
+
 // AppendJSONString appends a JSON string literal exactly as encoding/json's
 // default (HTML-escaping) encoder does: ", backslash and control characters
 // escaped (\n \r \t \b \f named; the rest as \u00xx), the HTML characters
 // <, > and & as \u003c / \u003e / \u0026, invalid UTF-8 bytes as the
 // \ufffd escape, and U+2028/U+2029 (legal JSON, illegal JavaScript) as
-// \u2028 / \u2029.
+// \u2028 / \u2029. Runs that need no escape are found eight bytes at a time
+// and copied whole.
 func AppendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
-	for i := 0; i < len(s); {
-		b := s[i]
-		if copiedAsIs[b] {
+	for i := 0; ; {
+		i = copiedWords(s, i)
+		for i < len(s) && copiedAsIs[s[i]] { // at most eight bytes
 			i++
-			continue
 		}
+		if i == len(s) {
+			break
+		}
+		b := s[i]
 		if b < utf8.RuneSelf {
 			dst = append(dst, s[start:i]...)
 			switch b {

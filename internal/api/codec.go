@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"strconv"
@@ -228,15 +229,24 @@ var unquoted = func() (t [256]bool) {
 	return t
 }()
 
+// unquotedWord reports whether all eight bytes of w are unquoted.
+func unquotedWord(w uint64) bool {
+	return (controlOrNonASCII(w)|zeroIn(w^lsb*'"')|zeroIn(w^lsb*'\\'))&msb == 0
+}
+
 // quoted scans one string value (after optional whitespace) and returns the
-// inside of its literal and whether that holds escapes.
+// inside of its literal and whether that holds escapes. Runs of bytes that
+// stand for themselves are skipped eight at a time.
 func (s *scanner) quoted() (raw []byte, escapes, ok bool) {
 	if !s.token('"') {
 		return nil, false, false
 	}
 	data, i := s.data, s.i
 	for {
-		for i < len(data) && unquoted[data[i]] {
+		for i+8 <= len(data) && unquotedWord(binary.LittleEndian.Uint64(data[i:])) {
+			i += 8
+		}
+		for i < len(data) && unquoted[data[i]] { // at most eight bytes
 			i++
 		}
 		switch {
@@ -755,13 +765,16 @@ type FragmentUse struct {
 // result i's Metrics, Category and Confidence are exactly what that fragment
 // was, or will be, filled from: a filled fragment is copied in place of
 // formatting those fields, an empty one is filled. Results without Metrics
-// ignore their fragment.
+// ignore their fragment. costs is empty or parallel to resp.Results too, and
+// does the same for each result's OptimizerCost alone (the serving layer
+// hangs one on every plan-cache entry, dataset.PlanMemo.Cost); FragmentUse
+// does not count them.
 //
 // Unlike encoding/json, which refuses the whole response, a result holding a
 // NaN or ±Inf is encoded as a per-result failure — sql, shard, a finite
 // optimizer_cost, and error{internal, "prediction is not finite (<field>)"}
 // — and the results beside it are unaffected.
-func AppendPredictResponse(dst []byte, resp *PredictResponse, frags []*Fragment) ([]byte, FragmentUse, error) {
+func AppendPredictResponse(dst []byte, resp *PredictResponse, frags []*Fragment, costs ...*Fragment) ([]byte, FragmentUse, error) {
 	var use FragmentUse
 	out := append(dst, `{"version":`...)
 	out = AppendJSONString(out, resp.Version)
@@ -782,15 +795,35 @@ func AppendPredictResponse(dst []byte, resp *PredictResponse, frags []*Fragment)
 			if i > 0 {
 				out = append(out, ',')
 			}
-			var frag *Fragment
+			var frag, cost *Fragment
 			if frags != nil {
 				frag = frags[i]
 			}
-			out = appendResult(out, &resp.Results[i], frag, &use)
+			if costs != nil {
+				cost = costs[i]
+			}
+			out = appendResult(out, &resp.Results[i], frag, cost, &use)
 		}
 		out = append(out, ']')
 	}
 	return append(out, '}', '\n'), use, nil
+}
+
+// appendMemoFloat appends f as AppendJSONFloat does, copying the bytes from
+// memo when it is filled and filling it when it is empty (a nil memo is
+// neither). The caller vouches that memo holds, or will hold, f's bytes.
+func appendMemoFloat(dst []byte, f float64, memo *Fragment) []byte {
+	if memo == nil {
+		return AppendJSONFloat(dst, f)
+	}
+	if p := memo.Load(); p != nil {
+		return append(dst, *p...)
+	}
+	start := len(dst)
+	dst = AppendJSONFloat(dst, f)
+	stored := bytes.Clone(dst[start:])
+	memo.Store(&stored)
+	return dst
 }
 
 func (m *Metrics) vector() [exec.NumMetrics]float64 {
@@ -818,7 +851,7 @@ func (r *QueryResult) nonFinite() string {
 	return ""
 }
 
-func appendResult(dst []byte, r *QueryResult, frag *Fragment, use *FragmentUse) []byte {
+func appendResult(dst []byte, r *QueryResult, frag, cost *Fragment, use *FragmentUse) []byte {
 	var run []byte
 	if r.Metrics == nil {
 		frag = nil
@@ -885,8 +918,9 @@ func appendResult(dst []byte, r *QueryResult, frag *Fragment, use *FragmentUse) 
 		}
 	}
 	if r.OptimizerCost != 0 {
+		// Finite here: a result whose cost is not was replaced above.
 		field(`"optimizer_cost":`)
-		dst = AppendJSONFloat(dst, r.OptimizerCost)
+		dst = appendMemoFloat(dst, r.OptimizerCost, cost)
 	}
 	if r.Generation != 0 {
 		field(`"generation":`)

@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -170,6 +171,33 @@ func TestCanonicalBatchNeverFallsBack(t *testing.T) {
 	t.Logf("64-query canonical body: %.0f allocs per decode", allocs)
 	if allocs > 66 {
 		t.Errorf("decode allocates %.0f per 64-query body, bound 66", allocs)
+	}
+}
+
+// TestWordScansMatchByteTables holds the eight-bytes-at-a-time string scans
+// to the byte tables they stand in for: a word passes exactly when every
+// byte of it does. Every pair of byte values is tried at every position —
+// a filler in seven lanes and another byte in the eighth — which is where a
+// borrow from one lane into the next would show.
+func TestWordScansMatchByteTables(t *testing.T) {
+	for fill := 0; fill < 256; fill++ {
+		for b := 0; b < 256; b++ {
+			for pos := 0; pos < 8; pos++ {
+				word := bytes.Repeat([]byte{byte(fill)}, 8)
+				word[pos] = byte(b)
+				w := binary.LittleEndian.Uint64(word)
+				if got, want := unquotedWord(w), unquoted[fill] && unquoted[b]; got != want {
+					t.Fatalf("unquotedWord(% x) = %v, the table says %v", word, got, want)
+				}
+				want := 0
+				if copiedAsIs[fill] && copiedAsIs[b] {
+					want = 8
+				}
+				if got := copiedWords(string(word), 0); got != want {
+					t.Fatalf("copiedWords(% x) = %d, the table says %d", word, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -461,6 +489,41 @@ func TestAppendPredictResponseMatchesEncoder(t *testing.T) {
 	}
 	checkEncode(t, PredictResponse{}, nil)
 	checkEncode(t, PredictResponse{Version: Version, Results: []QueryResult{}}, nil)
+}
+
+// TestCostFragmentsMatchEncoder holds the optimizer-cost fragments to the
+// oracle: beside a served result, an error result and one that fails for a
+// non-finite metric, for every edge float as the cost, the body is
+// encoding/json's without fragments, while filling them and served from
+// them; a fragment is filled exactly when its cost is written, with what
+// AppendJSONFloat writes; and FragmentUse does not count them.
+func TestCostFragmentsMatchEncoder(t *testing.T) {
+	for _, f := range wireFloats {
+		served := QueryResult{SQL: "a", Metrics: &Metrics{ElapsedSec: 1}, Category: "feather", Confidence: 0.5, OptimizerCost: f}
+		failed := QueryResult{SQL: "b", OptimizerCost: f, Error: &Error{Code: CodePlan, Message: "m"}}
+		nonFinite := served
+		nonFinite.Metrics = &Metrics{DiskIOs: math.Inf(-1)}
+		resp := PredictResponse{Version: Version, Results: []QueryResult{served, failed, nonFinite}}
+		want := encodeOracle(t, resp)
+		costs := []*Fragment{new(Fragment), new(Fragment), new(Fragment)}
+		for pass, costs := range [][]*Fragment{nil, costs, costs} {
+			out, use, err := AppendPredictResponse(nil, &resp, nil, costs...)
+			if err != nil || string(out) != string(want) || use != (FragmentUse{}) {
+				t.Fatalf("cost %v, pass %d (use %+v, err %v)\n got: %s\nwant: %s", f, pass, use, err, out, want)
+			}
+		}
+		for i, c := range costs {
+			p := c.Load()
+			switch {
+			case f == 0 || !finite(f):
+				if p != nil {
+					t.Fatalf("cost %v, result %d: fragment %q filled, but no cost is written", f, i, *p)
+				}
+			case p == nil || string(*p) != string(AppendJSONFloat(nil, f)):
+				t.Fatalf("cost %v, result %d: fragment %v", f, i, p)
+			}
+		}
+	}
 }
 
 // TestNonFiniteResultFailsAlone pins the one place the encoder departs from

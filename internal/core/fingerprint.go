@@ -44,11 +44,25 @@ func Fingerprint(f []float64) uint64 {
 // QueryFingerprint extracts the feature vector of a planned query (per the
 // given feature kind) and returns its Fingerprint. It fails exactly when
 // feature extraction does (ErrNoPlan for plan features on an unplanned
-// query, parse errors for SQL-text features).
+// query, parse errors for SQL-text features). A query from the plan cache
+// brings its plan vector's fingerprint along, and is not hashed again.
 func QueryFingerprint(q *dataset.Query, kind FeatureKind) (uint64, error) {
+	if fp, ok := memoFingerprint(q, kind); ok {
+		return fp, nil
+	}
 	f, err := queryFeature(q, kind)
 	if err != nil {
 		return 0, err
 	}
 	return Fingerprint(f), nil
+}
+
+// memoFingerprint returns the Fingerprint of q's feature vector of the given
+// kind when q's plan-cache entry stored it: plan features only, since SQL
+// text features are extracted afresh every time.
+func memoFingerprint(q *dataset.Query, kind FeatureKind) (uint64, bool) {
+	if kind == SQLFeatures || q.Memo == nil || q.PlanFeat == nil {
+		return 0, false
+	}
+	return q.Memo.Fingerprint, true
 }

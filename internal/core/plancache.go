@@ -16,11 +16,12 @@ var (
 )
 
 // defaultPlanCacheCap bounds the plan cache. An entry is its SQL key, the
-// feature vector and a cost-only plan: about 520 bytes beside the key for a
-// stock statement, and under 1 KiB beside it for any statement the planner
-// accepts, however deep. Template workloads cycle through a bounded set of
-// rendered SQL strings, so this comfortably covers them while bounding
-// adversarial churn; the key itself is bounded only by the caller.
+// feature vector, a cost-only plan and the entry's memo: about 600 bytes
+// beside the key for a stock statement, and under 1 KiB beside it for any
+// statement the planner accepts, however deep. Template workloads cycle
+// through a bounded set of rendered SQL strings, so this comfortably covers
+// them while bounding adversarial churn; the key itself is bounded only by
+// the caller.
 const defaultPlanCacheCap = 4096
 
 // PlanCache memoizes the deterministic SQL → planned-query pipeline — the
@@ -32,21 +33,20 @@ const defaultPlanCacheCap = 4096
 // serves the predict path, the observe path and WAL replay alike.
 //
 // An entry keeps only what serving reads: the SQL, the memoized PlanFeat
-// vector and the optimizer cost, as a cost-only plan (Plan.Root nil). The
-// AST and the plan tree are dropped at insert: nothing after planning reads
-// either.
+// vector and the optimizer cost, as a cost-only plan (Plan.Root nil), and a
+// dataset.PlanMemo holding PlanFeat's Fingerprint and a slot for the cost's
+// JSON bytes. The AST and the plan tree are dropped at insert: nothing after
+// planning reads either. PlanFeat and the fingerprint are computed once at
+// insert, so every downstream feature extraction — prediction, window
+// retrains, fingerprint routing — skips the plan walk and the hash.
 //
-// A hit and a miss return the same prototype: a shallow copy whose SQL,
-// Plan and PlanFeat are shared read-only, while the struct itself is fresh
-// so callers can set Metrics and Category (the observe path does) without
-// touching the cache. So the sliding window, WAL replay and snapshot
-// restore, which all plan through the cache, hold no trees either. PlanFeat
-// is extracted once at insert, so every downstream feature extraction —
-// prediction, window retrains, fingerprint routing — skips the plan walk.
-//
-// A miss costs what the pipeline allocates plus the cost-only plan: the
-// prototype is stored by value in its entry, and at capacity the evicted
-// entry is taken over for the newcomer.
+// Each entry is an immutable prototype. Shared hands it out as it is, to
+// readers that only read (the predict path), so a hit allocates nothing.
+// Plan hands out a shallow copy whose SQL, Plan, PlanFeat and Memo are
+// shared read-only, while the struct itself is fresh so callers can set
+// Metrics and Category (the observe path does) without touching the cache.
+// So the sliding window, WAL replay and snapshot restore, which all plan
+// through the cache, hold no trees either.
 //
 // The key is the SQL text itself. Plan failures are never cached (errors
 // stay as cheap or expensive as the pipeline makes them, and the bounded LRU
@@ -54,11 +54,10 @@ const defaultPlanCacheCap = 4096
 type PlanCache struct {
 	plan PlanFunc
 	// protos holds the immutable prototypes: what the plan pipeline
-	// returned, with PlanFeat memoized and the trees dropped. Hits hand out
-	// shallow copies. It is nil for the capacity<0 passthrough, where every
-	// Plan call runs the pipeline and nothing is memoized (the honest
-	// no-cache baseline).
-	protos *lru[string, dataset.Query]
+	// returned, with PlanFeat and Memo filled in and the trees dropped. It
+	// is nil for the capacity<0 passthrough, where every call runs the
+	// pipeline and nothing is memoized (the honest no-cache baseline).
+	protos *lru[string, *dataset.Query]
 }
 
 // NewPlanCache wraps a deterministic plan pipeline in a bounded LRU.
@@ -75,23 +74,36 @@ func NewPlanCache(capacity int, plan PlanFunc) *PlanCache {
 	if capacity == 0 {
 		capacity = defaultPlanCacheCap
 	}
-	c.protos = newLRU[string, dataset.Query](capacity)
+	c.protos = newLRU[string, *dataset.Query](capacity)
 	return c
 }
 
-// Plan returns the planned query for sql, from cache when possible. It is
-// itself a PlanFunc, so a cache drops into every seam that takes one (WAL
-// replay, snapshot restore, the serving handlers).
+// Plan returns the planned query for sql, from cache when possible, in a
+// struct of the caller's own. It is itself a PlanFunc, so a cache drops into
+// every seam that takes one (WAL replay, snapshot restore, the serving
+// handlers).
 func (c *PlanCache) Plan(sql string) (*dataset.Query, error) {
 	if c.protos == nil {
 		return c.plan(sql)
 	}
+	proto, err := c.Shared(sql)
+	if err != nil {
+		return nil, err
+	}
+	q := *proto
+	return &q, nil
+}
+
+// Shared returns the planned query for sql like Plan, but as the cache's
+// own prototype: the caller must not write to it, and a hit costs a lookup
+// and nothing else. Under the passthrough it is Plan.
+func (c *PlanCache) Shared(sql string) (*dataset.Query, error) {
+	if c.protos == nil {
+		return c.plan(sql)
+	}
 	if proto, ok := c.protos.get(sql); ok {
-		// Only a hit moves its copy to the heap: declared in the if header,
-		// the copy would escape on misses too.
-		q := proto
 		planHits.Inc()
-		return &q, nil
+		return proto, nil
 	}
 	planMisses.Inc()
 	q, err := c.plan(sql)
@@ -104,8 +116,9 @@ func (c *PlanCache) Plan(sql string) (*dataset.Query, error) {
 			q.PlanFeat = features.PlanVector(q.Plan)
 		}
 		q.Plan = &optimizer.Plan{Cost: q.Plan.Cost}
+		q.Memo = &dataset.PlanMemo{Fingerprint: Fingerprint(q.PlanFeat)}
 	}
-	c.protos.put(sql, *q)
+	c.protos.put(sql, q)
 	return q, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/dataset"
 	"repro/internal/exec"
+	"repro/internal/features"
 	"repro/internal/optimizer"
 	"repro/internal/sqlparse"
 	"repro/internal/workload"
@@ -207,6 +208,116 @@ func TestPlanCachePredictionEquivalence(t *testing.T) {
 	}
 }
 
+// TestPlanCacheFingerprintMemo: a plan-cache entry stores its plan vector's
+// Fingerprint once (dataset.PlanMemo), and the readers that key by it take
+// it in place of hashing, exactly where hashing gives the same:
+//
+//   - on the miss that made the entry and on every hit, shared or copied,
+//     the stored value is Fingerprint(PlanFeat), and QueryFingerprint
+//     returns it for plan features;
+//   - an SQL-text-feature predictor, and QueryFingerprint for SQL features,
+//     hash their own vector: a memo made to lie about it changes nothing;
+//   - a prediction cache whose test hash makes every vector collide still
+//     collides memoized queries, and predicts each of them as an uncached
+//     predictor does alone.
+func TestPlanCacheFingerprintMemo(t *testing.T) {
+	train, test := trainTest(t)
+	c := NewPlanCache(0, testPlanFunc())
+	var reqs []Request
+	for _, q := range test {
+		miss, err := c.Plan(q.SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared, err := c.Shared(q.SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hit, err := c.Plan(q.SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string]*dataset.Query{"miss": miss, "shared hit": shared, "copied hit": hit} {
+			if got.Memo == nil || got.Memo != shared.Memo || got.Memo.Fingerprint != Fingerprint(got.PlanFeat) {
+				t.Fatalf("%s: memo %+v, want the entry's, holding %x", name, got.Memo, Fingerprint(got.PlanFeat))
+			}
+			if fp, err := QueryFingerprint(got, PlanFeatures); err != nil || fp != Fingerprint(got.PlanFeat) {
+				t.Fatalf("%s: QueryFingerprint %x, %v; want %x", name, fp, err, Fingerprint(got.PlanFeat))
+			}
+		}
+		reqs = append(reqs, Request{Query: hit}, Request{Query: shared})
+	}
+
+	plan, err := Train(train, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	opt.Features = SQLFeatures
+	sql, err := Train(train, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A lying memo: every query claims the same fingerprint.
+	lying := make([]Request, len(reqs))
+	for i, r := range reqs {
+		q := *r.Query
+		q.Memo = &dataset.PlanMemo{Fingerprint: 42}
+		lying[i] = Request{Query: &q}
+		if fp, err := QueryFingerprint(&q, SQLFeatures); err != nil || fp != Fingerprint(mustSQLVector(t, q.SQL)) {
+			t.Fatalf("QueryFingerprint(SQL features) took the memo: %x, %v", fp, err)
+		}
+	}
+	distinct := func(p *Predictor) int {
+		seen := map[uint64]bool{}
+		for _, r := range reqs {
+			f, err := p.featureVector(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen[Fingerprint(f)] = true
+		}
+		return len(seen)
+	}
+	if distinct(plan) < 2 || distinct(sql) < 2 {
+		t.Fatalf("%d distinct plan vectors, %d SQL vectors: a collision would not show", distinct(plan), distinct(sql))
+	}
+	collide := func() *projCache {
+		c := newProjCache(0)
+		c.hash = func([]float64) uint64 { return 42 }
+		return c
+	}
+	for _, tc := range []struct {
+		name  string
+		p     *Predictor
+		reqs  []Request
+		cache *projCache
+		want  int // entries the cache must hold after the batch
+	}{
+		{"plan features", plan, reqs, newProjCache(0), distinct(plan)},
+		{"sql features, lying memo", sql, lying, newProjCache(0), distinct(sql)},
+		{"plan features, colliding", plan, reqs, collide(), 1},
+		{"sql features, colliding", sql, lying, collide(), 1},
+	} {
+		want := alone(tc.p, tc.reqs)
+		cached := withCache(tc.p, tc.cache)
+		mustMatchAlone(t, tc.name, cached.Predict(tc.reqs...), want)
+		mustMatchAlone(t, tc.name+" again", cached.Predict(tc.reqs...), want)
+		if n := tc.cache.len(); n != tc.want {
+			t.Fatalf("%s: the cache holds %d entries, want %d", tc.name, n, tc.want)
+		}
+	}
+}
+
+func mustSQLVector(t *testing.T, sql string) []float64 {
+	t.Helper()
+	f, err := features.SQLVector(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // TestPlanCacheObserveEquivalence feeds two sliding predictors the same
 // observation stream — one through cache-planned queries, one through fresh
 // plans — and checks the published models predict bit-identically after the
@@ -346,6 +457,19 @@ func BenchmarkPlanCache(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := c.Plan(sql); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("shared-hit", func(b *testing.B) {
+		c := NewPlanCache(0, testPlanFunc())
+		if _, err := c.Shared(sql); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.Shared(sql); err != nil {
 				b.Fatal(err)
 			}
 		}

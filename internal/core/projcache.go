@@ -42,8 +42,18 @@ const defaultProjCacheCap = 1024
 // request.
 type projCache struct {
 	entries *lru[uint64, *projEntry]
-	// hash is Fingerprint; a field so a test can make vectors collide.
+	// hash, when set, keys the cache in place of Fingerprint, and in place of
+	// a fingerprint a plan-cache entry stored: a test makes vectors collide
+	// with it.
 	hash func([]float64) uint64
+}
+
+// key returns the fingerprint the cache keys f by.
+func (c *projCache) key(f []float64) uint64 {
+	if c.hash != nil {
+		return c.hash(f)
+	}
+	return Fingerprint(f)
 }
 
 // projEntry is immutable once stored: get reads it outside the lock, and put
@@ -57,10 +67,10 @@ func newProjCache(capacity int) *projCache {
 	if capacity <= 0 {
 		capacity = defaultProjCacheCap
 	}
-	return &projCache{entries: newLRU[uint64, *projEntry](capacity), hash: Fingerprint}
+	return &projCache{entries: newLRU[uint64, *projEntry](capacity)}
 }
 
-// get returns the cached prediction for f, whose fingerprint (c.hash(f)) the
+// get returns the cached prediction for f, whose fingerprint (c.key(f)) the
 // caller supplies. Keys are the shared template Fingerprint (bit patterns,
 // not values — so 0.0 and −0.0 hash apart; the exact compare below uses the
 // same equality, keeping hit/miss decisions consistent). The Prediction is

@@ -14,22 +14,22 @@ func testPred(x float64) Prediction {
 func TestProjCacheBasic(t *testing.T) {
 	c := newProjCache(4)
 	f := []float64{1, 2, 3}
-	if _, ok := c.get(c.hash(f), f); ok {
+	if _, ok := c.get(c.key(f), f); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.put(c.hash(f), f, testPred(9))
-	pred, ok := c.get(c.hash(f), f)
+	c.put(c.key(f), f, testPred(9))
+	pred, ok := c.get(c.key(f), f)
 	if !ok || pred.Confidence != 9 || len(pred.Neighbors) != 1 || pred.Neighbors[0].Index != 9 {
 		t.Fatalf("get = %+v, %v", pred, ok)
 	}
 	// A different vector of the same length must miss.
 	g := []float64{1, 2, 4}
-	if _, ok := c.get(c.hash(g), g); ok {
+	if _, ok := c.get(c.key(g), g); ok {
 		t.Fatal("hit for a vector that was never cached")
 	}
 	// The key is a copy: the caller may reuse its vector.
 	f[0] = 7
-	if _, ok := c.get(c.hash(f), f); ok {
+	if _, ok := c.get(c.key(f), f); ok {
 		t.Fatal("hit after the caller changed the vector it inserted")
 	}
 }
@@ -38,17 +38,17 @@ func TestProjCacheLRUEviction(t *testing.T) {
 	c := newProjCache(3)
 	vecs := [][]float64{{1}, {2}, {3}, {4}}
 	hit := func(f []float64) bool {
-		_, ok := c.get(c.hash(f), f)
+		_, ok := c.get(c.key(f), f)
 		return ok
 	}
 	for i, f := range vecs[:3] {
-		c.put(c.hash(f), f, testPred(float64(i)))
+		c.put(c.key(f), f, testPred(float64(i)))
 	}
 	// Touch {1} so {2} becomes the eviction victim.
 	if !hit(vecs[0]) {
 		t.Fatal("expected hit for {1}")
 	}
-	c.put(c.hash(vecs[3]), vecs[3], testPred(3))
+	c.put(c.key(vecs[3]), vecs[3], testPred(3))
 	if c.len() != 3 {
 		t.Fatalf("len = %d, want 3", c.len())
 	}
@@ -192,7 +192,7 @@ func TestMemoFollowsTheCacheEntry(t *testing.T) {
 		twice := append(reqs[:12:12], reqs...)
 		entryMemo := func(c *Predictor, r Request) *Memo {
 			f, _ := c.featureVector(r)
-			entry, _ := c.cache.get(c.cache.hash(f), f)
+			entry, _ := c.cache.get(c.cache.key(f), f)
 			return entry.Memo
 		}
 		memos := map[*Memo]bool{}
@@ -240,7 +240,7 @@ func TestMemoFollowsTheCacheEntry(t *testing.T) {
 		// prediction must not outlive it.
 		old := entryMemo(p, reqs[0])
 		f, _ := p.featureVector(reqs[0])
-		if m := p.cache.put(p.cache.hash(f), f, testPred(1)); m == nil || m == old || m != entryMemo(p, reqs[0]) {
+		if m := p.cache.put(p.cache.key(f), f, testPred(1)); m == nil || m == old || m != entryMemo(p, reqs[0]) {
 			t.Fatalf("twoStep=%v: an overwritten entry kept its memo", twoStep)
 		}
 		// A clone with other neighbor options answers from its own entries.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/obs"
@@ -48,13 +50,25 @@ func (p *Predictor) Predict(reqs ...Request) []Result {
 	defer predictSeconds.Time()()
 	batchSize.Observe(float64(len(reqs)))
 	out := make([]Result, len(reqs))
-	items := make([]batchItem, len(reqs))
+	scratch := itemPool.Get().(*[]batchItem)
+	items := slices.Grow((*scratch)[:0], len(reqs))[:len(reqs)]
+	defer func() {
+		clear(items) // pooled empty, holding no feature vector
+		*scratch = items
+		itemPool.Put(scratch)
+	}()
 	for i, r := range reqs {
-		items[i].f, out[i].Err = p.featureVector(r)
+		it := &items[i]
+		if it.f, out[i].Err = p.featureVector(r); it.f != nil && r.Vector == nil {
+			it.fp, it.memo = memoFingerprint(r.Query, p.opt.Features)
+		}
 	}
 	p.predictVectors(items, out)
 	return out
 }
+
+// itemPool holds Predict's batchItem scratch, which no result keeps.
+var itemPool = sync.Pool{New: func() any { return new([]batchItem) }}
 
 // featureVector resolves and validates a request's feature vector.
 func (p *Predictor) featureVector(r Request) ([]float64, error) {
@@ -79,8 +93,11 @@ func (p *Predictor) featureVector(r Request) ([]float64, error) {
 // vector (nil when the request already failed), the vector's fingerprint,
 // and whether an earlier item of the batch carries the same vector.
 type batchItem struct {
-	f     []float64
-	fp    uint64
+	f  []float64
+	fp uint64
+	// memo says fp is already f's Fingerprint, stored by the request's
+	// plan-cache entry (dataset.PlanMemo).
+	memo  bool
 	dupOf int // 1 + the index of an earlier item with the same vector, else 0
 }
 
@@ -94,8 +111,9 @@ type batchItem struct {
 // one vector per task (a trained Predictor is immutable, so concurrent
 // predictions are safe) — and cached unless they failed; a vector repeated
 // within the batch copies its first occurrence's outcome.
-// The fingerprint is taken once per item and serves the lookup, the
-// in-batch repeat detection and the insert. Every prediction of a call is
+// The fingerprint is taken once per item, or not at all when the item's
+// plan-cache entry brought it, and serves the lookup, the in-batch repeat
+// detection and the insert. Every prediction of a call is
 // carved from one slab. Counters read as if the requests had arrived one by
 // one: a computed vector is one miss, a cached or repeated one a hit.
 func (p *Predictor) predictVectors(items []batchItem, out []Result) {
@@ -110,7 +128,9 @@ next:
 		}
 		valid++
 		if p.cache != nil {
-			it.fp = p.cache.hash(it.f)
+			if !it.memo || p.cache.hash != nil {
+				it.fp = p.cache.key(it.f)
+			}
 			var ok bool
 			if preds[i], ok = p.cache.get(it.fp, it.f); ok {
 				continue

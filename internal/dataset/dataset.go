@@ -7,6 +7,7 @@ package dataset
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
@@ -37,6 +38,23 @@ type Query struct {
 	// Query copies (the plan cache's hit path) share it safely. Nil means
 	// "not yet extracted", never "no features".
 	PlanFeat []float64
+	// Memo, when non-nil, is what the serving plan cache (core.PlanCache)
+	// derived once for its entry of this SQL; every copy the entry hands out
+	// shares it. Whoever sets PlanFeat or Plan on such a copy must set Memo
+	// to nil. It is never persisted: snapshots, the WAL and dataset files
+	// hold the SQL and re-plan it.
+	Memo *PlanMemo
+}
+
+// PlanMemo is what a plan-cache entry computes once from its planned query
+// so that a repeat of the SQL costs a lookup instead of the work again.
+type PlanMemo struct {
+	// Fingerprint is core.Fingerprint(PlanFeat).
+	Fingerprint uint64
+	// Cost holds the JSON number of Plan.Cost once the first response that
+	// carries it is encoded (an api.Fragment): racing fillers store equal
+	// bytes, and the stored slice is never written again.
+	Cost atomic.Pointer[[]byte]
 }
 
 // Dataset is a set of queries executed on one machine configuration

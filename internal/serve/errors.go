@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
 	"sync"
 
 	"repro/internal/api"
@@ -126,9 +127,14 @@ func readBody(w http.ResponseWriter, r *http.Request, maxBody int64, decode func
 	return decode(buf.Bytes())
 }
 
-// writeBody emits an encoded response body with the right headers.
+// writeBody emits an encoded response body with the right headers. Every
+// body is sent with its Content-Length: net/http sets one by itself only on a
+// body that fits its 2 KiB write buffer, and sends a larger one (any batch
+// predict) chunk-encoded, in more writes.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	w.Write(body)
 }

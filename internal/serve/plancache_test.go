@@ -4,15 +4,32 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/testutil"
 )
 
 // entryOverheadBound is what one plan-cache entry may retain beside its SQL
-// key: the feature vector, the cost-only plan, the cached query and the
-// LRU's element and map slot.
+// key: the feature vector, the cost-only plan, the cached query, its memo
+// with the cost's JSON bytes, and the LRU's element and map slot.
 const entryOverheadBound = 1 << 10
+
+// planAndEncode plans sql through the cache as the predict path does, and
+// encodes the query's optimizer cost through its entry's memo, which fills
+// it on a miss.
+func planAndEncode(t *testing.T, plans *core.PlanCache, sql string) {
+	t.Helper()
+	q, err := plans.Shared(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := api.PredictResponse{Results: []api.QueryResult{{OptimizerCost: q.Plan.Cost}}}
+	if _, _, err := api.AppendPredictResponse(nil, &resp, nil, &q.Memo.Cost); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // retainedHeap reports how many bytes of live heap fill leaves behind once
 // everything it allocated and dropped is collected. Two collections on each
@@ -31,11 +48,12 @@ func retainedHeap(fill func()) int64 {
 
 // TestPlanCacheRetainedBytes bounds what the daemon's plan cache keeps per
 // entry: the caller's SQL string, which becomes the key, plus at most
-// entryOverheadBound, whatever the statement. The parse tree and plan tree
-// a miss builds must not outlive the miss — for the stock templates (a full
-// default-size cache) and for a 48 KB nested EXISTS statement, whose trees
-// alone run to about a megabyte. The SQL strings exist before the
-// measurement starts, so what is measured is everything beside the keys.
+// entryOverheadBound, whatever the statement, with the entry's memo
+// filled. The parse tree and plan tree a miss builds must not outlive the
+// miss — for the stock templates (a full default-size cache) and for a
+// 48 KB nested EXISTS statement, whose trees alone run to about a
+// megabyte. The SQL strings exist before the measurement starts, so what is
+// measured is everything beside the keys.
 func TestPlanCacheRetainedBytes(t *testing.T) {
 	plans := NewPlanner(catalog.TPCDS(1), 3, exec.Research4(), 0)
 	n := plans.Cap()
@@ -46,9 +64,7 @@ func TestPlanCacheRetainedBytes(t *testing.T) {
 	}
 	got := retainedHeap(func() {
 		for _, sql := range sqls {
-			if _, err := plans.Plan(sql); err != nil {
-				t.Fatal(err)
-			}
+			planAndEncode(t, plans, sql)
 		}
 	})
 	runtime.KeepAlive(sqls)
@@ -67,11 +83,7 @@ func TestPlanCacheRetainedBytes(t *testing.T) {
 	hostile := testutil.NestedExistsSQL(1000)
 	for rep := 0; rep < 3; rep++ {
 		one := NewPlanner(catalog.TPCDS(1), 3, exec.Research4(), 0)
-		n := retainedHeap(func() {
-			if _, err := one.Plan(hostile); err != nil {
-				t.Fatal(err)
-			}
-		})
+		n := retainedHeap(func() { planAndEncode(t, one, hostile) })
 		if rep == 0 || n < got {
 			got = n
 		}
@@ -79,9 +91,9 @@ func TestPlanCacheRetainedBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if one.Len() != 1 || q.AST != nil || q.Plan.Root != nil {
-			t.Fatalf("cache holds %d entries, the hit's AST %v, plan tree %v: want 1, nil, nil",
-				one.Len(), q.AST != nil, q.Plan.Root != nil)
+		if one.Len() != 1 || q.AST != nil || q.Plan.Root != nil || q.Memo.Cost.Load() == nil {
+			t.Fatalf("cache holds %d entries, the hit's AST %v, plan tree %v, cost bytes %v: want 1, nil, nil, filled",
+				one.Len(), q.AST != nil, q.Plan.Root != nil, q.Memo.Cost.Load())
 		}
 	}
 	runtime.KeepAlive(hostile)

@@ -251,18 +251,14 @@ func NewPlanner(schema *catalog.Schema, dataSeed int64, machine exec.Machine, en
 	return core.NewPlanCache(entries, PlannerFunc(schema, dataSeed, machine))
 }
 
-// planQuery turns SQL text into a planned query through the plan cache,
-// classifying failures as parse vs plan errors.
-func (s *Server) planQuery(sql string) (*dataset.Query, float64, *api.Error) {
-	q, err := s.plans.Plan(sql)
-	if err != nil {
-		var stage *planStageError
-		if errors.As(err, &stage) {
-			return nil, 0, &api.Error{Code: stage.code, Message: stage.err.Error()}
-		}
-		return nil, 0, &api.Error{Code: api.CodePlan, Message: err.Error()}
+// planError classifies a failure of the plan cache as a parse or a plan
+// error.
+func planError(err error) *api.Error {
+	var stage *planStageError
+	if errors.As(err, &stage) {
+		return &api.Error{Code: stage.code, Message: stage.err.Error()}
 	}
-	return q, q.Plan.Cost, nil
+	return &api.Error{Code: api.CodePlan, Message: err.Error()}
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -304,7 +300,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// a queue, so a batch mixing good and bad SQL still gets predictions
 	// for the good part.
 	reply := newPredictReply(len(inputs))
-	qs, idx := s.planInputs(inputs, reply)
+	defer reply.release()
+	s.planInputs(inputs, reply)
 	// The request context, bounded by the per-request deadline, rides with
 	// each shard's group: when the handler gives up, the coalescer skips the
 	// abandoned group instead of predicting for nobody.
@@ -314,8 +311,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// errors) land in their own result slot; a shed queue, the drain and the
 	// request deadline reject the whole request.
 	sharded := s.router.Sharded()
-	for k, out := range s.router.Predict(ctx, qs) {
-		res := &reply.results[idx[k]]
+	for k, out := range s.router.Predict(ctx, reply.qs) {
+		i := reply.idx[k]
+		res := &reply.results[i]
 		err := out.Err
 		if err == nil {
 			err = out.Res.Err
@@ -334,7 +332,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			// The answer carries the generation that actually produced
 			// it — under the cold-start fallback that is the fallback
 			// shard's, not the cold owner's.
-			reply.served(idx[k], out.Res.Prediction, out.Gen)
+			reply.served(i, out.Res.Prediction, out.Gen)
 		}
 		if sharded {
 			res.Shard = strconv.Itoa(out.Shard)
@@ -348,35 +346,68 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 // predictReply is a predict response under construction: one result per
 // input and, parallel to the results, the storage their Metrics point into
-// and the fragment (api.AppendPredictResponse) each served result may be
-// encoded through.
+// and the fragments (api.AppendPredictResponse) each result may be encoded
+// through — its prediction's and its plan's optimizer cost's. Replies are
+// pooled, so a request allocates none of its slices in the steady state:
+// nothing holds a reply once its body is written.
 type predictReply struct {
 	results []api.QueryResult
 	metrics []api.Metrics
 	frags   []*api.Fragment
+	costs   []*api.Fragment
+	// qs are the queries that planned, in input order, and idx the result
+	// index of each (planInputs).
+	qs  []*dataset.Query
+	idx []int
 }
 
+var replyPool = sync.Pool{New: func() any { return new(predictReply) }}
+
+// newPredictReply returns an empty reply for n inputs; release returns it.
 func newPredictReply(n int) *predictReply {
-	return &predictReply{make([]api.QueryResult, n), make([]api.Metrics, n), make([]*api.Fragment, n)}
+	p := replyPool.Get().(*predictReply)
+	if cap(p.results) < n {
+		*p = predictReply{
+			make([]api.QueryResult, n), make([]api.Metrics, n), make([]*api.Fragment, n), make([]*api.Fragment, n),
+			make([]*dataset.Query, 0, n), make([]int, 0, n),
+		}
+	}
+	p.results, p.metrics, p.frags, p.costs = p.results[:n], p.metrics[:n], p.frags[:n], p.costs[:n]
+	return p
 }
 
-// planInputs parses and plans every input through the plan cache. A query
-// that fails has its error in its result slot and goes no further; the rest
-// come back in input order, with the result index of each.
-func (s *Server) planInputs(inputs []api.QueryInput, reply *predictReply) (qs []*dataset.Query, idx []int) {
-	qs, idx = make([]*dataset.Query, 0, len(inputs)), make([]int, 0, len(inputs))
+// release clears the reply, so the pool keeps no request's strings,
+// queries or fragments alive, and pools it.
+func (p *predictReply) release() {
+	clear(p.results)
+	clear(p.metrics)
+	clear(p.frags)
+	clear(p.costs)
+	clear(p.qs)
+	p.qs, p.idx = p.qs[:0], p.idx[:0]
+	replyPool.Put(p)
+}
+
+// planInputs parses and plans every input through the plan cache into
+// reply.qs, with each one's result index in reply.idx. A query that fails
+// has its error in its result slot and goes no further. The queries are the
+// cache's own, read-only.
+func (s *Server) planInputs(inputs []api.QueryInput, reply *predictReply) {
 	for i, in := range inputs {
-		reply.results[i].SQL = in.SQL
-		q, cost, apiErr := s.planQuery(in.SQL)
-		if apiErr != nil {
-			reply.results[i].Error = apiErr
+		res := &reply.results[i]
+		res.SQL = in.SQL
+		q, err := s.plans.Shared(in.SQL)
+		if err != nil {
+			res.Error = planError(err)
 			continue
 		}
-		reply.results[i].OptimizerCost = cost
-		qs = append(qs, q)
-		idx = append(idx, i)
+		res.OptimizerCost = q.Plan.Cost
+		if q.Memo != nil {
+			reply.costs[i] = &q.Memo.Cost
+		}
+		reply.qs = append(reply.qs, q)
+		reply.idx = append(reply.idx, i)
 	}
-	return qs, idx
 }
 
 // served fills result i from the prediction a model of the given generation
@@ -404,7 +435,7 @@ func writePredict(w http.ResponseWriter, model *api.ModelInfo, reply *predictRep
 	buf := respPool.Get().(*[]byte)
 	defer respPool.Put(buf)
 	resp := api.PredictResponse{Version: api.Version, Model: model, Results: reply.results}
-	body, use, err := api.AppendPredictResponse((*buf)[:0], &resp, reply.frags)
+	body, use, err := api.AppendPredictResponse((*buf)[:0], &resp, reply.frags, reply.costs...)
 	if err != nil {
 		writeError(w, api.CodeInternal, "encoding response: "+err.Error())
 		return
@@ -451,9 +482,10 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	// observation refuses the request with nothing from it applied.
 	qs := make([]*dataset.Query, len(req.Observations))
 	for i, o := range req.Observations {
-		q, _, apiErr := s.planQuery(o.SQL)
-		if apiErr != nil {
-			writeError(w, apiErr.Code, fmt.Sprintf("observation %d: %s", i, apiErr.Message))
+		q, err := s.plans.Plan(o.SQL)
+		if err != nil {
+			e := planError(err)
+			writeError(w, e.Code, fmt.Sprintf("observation %d: %s", i, e.Message))
 			return
 		}
 		q.Metrics = o.Metrics.Exec()

@@ -3,6 +3,8 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/coalesce"
 	"repro/internal/core"
@@ -178,7 +180,18 @@ type fan struct {
 	g   coalesce.Group
 	idx []int
 	n   int // the share's size, counted before idx and the items are sized
+	// scratch is where the items and idx came from, and go back to once
+	// the group is answered — never after a context error, which leaves
+	// the items with the coalescer.
+	scratch *fanScratch
 }
+
+type fanScratch struct {
+	items []coalesce.Item
+	idx   []int
+}
+
+var fanPool = sync.Pool{New: func() any { return new(fanScratch) }}
 
 // Predict routes each planned query to its shard, admits each shard's share
 // as one group, and merges the results back in input order. Per-request
@@ -207,8 +220,9 @@ func (r *Router) Predict(ctx context.Context, qs []*dataset.Query) []Outcome {
 		}
 		f := &fans[outs[i].Served]
 		if f.idx == nil {
-			f.g = coalesce.Group{Ctx: ctx, Items: make([]coalesce.Item, 0, f.n)}
-			f.idx = make([]int, 0, f.n)
+			f.scratch = fanPool.Get().(*fanScratch)
+			f.g = coalesce.Group{Ctx: ctx, Items: slices.Grow(f.scratch.items[:0], f.n)}
+			f.idx = slices.Grow(f.scratch.idx[:0], f.n)
 		}
 		f.g.Items = append(f.g.Items, coalesce.Item{Req: core.Request{Query: q}})
 		f.idx = append(f.idx, i)
@@ -239,6 +253,9 @@ func (r *Router) Predict(ctx context.Context, qs []*dataset.Query) []Outcome {
 			it := &f.g.Items[k]
 			outs[i].Res, outs[i].Gen, outs[i].Kind = it.Res, it.Gen, core.ModelKind
 		}
+		clear(f.g.Items) // pooled holding no query or prediction
+		f.scratch.items, f.scratch.idx = f.g.Items, f.idx
+		fanPool.Put(f.scratch)
 	}
 	return outs
 }

@@ -164,7 +164,7 @@ func (st *Store) Recover(capacity, retrainEvery int, opt core.Options) (*core.Sl
 		}
 		q, err := st.opts.Plan(rec.SQL)
 		if err != nil {
-			return fmt.Errorf("wal: record %d: re-planning %q: %w", seq, rec.SQL, err)
+			return fmt.Errorf("wal: record %d: re-planning %d bytes of SQL %s: %w", seq, len(rec.SQL), quotePrefix(rec.SQL), err)
 		}
 		q.Metrics = rec.Metrics
 		q.Category = workload.Categorize(q.Metrics.ElapsedSec)
@@ -195,6 +195,19 @@ func (st *Store) Recover(capacity, retrainEvery int, opt core.Options) (*core.Sl
 	}
 	st.sinceSnap = 0
 	return sliding, gen, nil
+}
+
+// sqlQuoteBytes bounds how much of a statement a replay error quotes: a
+// record may hold up to the daemon's MaxBody of SQL.
+const sqlQuoteBytes = 128
+
+// quotePrefix quotes sql with %q, or its first sqlQuoteBytes bytes and an
+// ellipsis when it is longer.
+func quotePrefix(sql string) string {
+	if len(sql) <= sqlQuoteBytes {
+		return fmt.Sprintf("%q", sql)
+	}
+	return fmt.Sprintf("%q…", sql[:sqlQuoteBytes])
 }
 
 // Info returns what recovery did. Immutable after Recover.

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -499,6 +501,49 @@ func TestFailedSnapshotCountsTowardCadence(t *testing.T) {
 	}
 	if failed != 20/every {
 		t.Fatalf("%d failed snapshot attempts over 20 observations, want %d", failed, 20/every)
+	}
+}
+
+// TestReplayErrorQuotesBoundedPrefix: a record that no longer plans fails
+// recovery with an error that names the record and its statement's length
+// and quotes a bounded prefix of the statement — a record may hold up to the
+// daemon's MaxBody (4 MiB) of SQL, and the error reaches the boot log whole.
+func TestReplayErrorQuotesBoundedPrefix(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir, 100)
+	qs := observations(t, 1)
+	if _, err := st.Append(qs[0].SQL, qs[0].Metrics); err != nil {
+		t.Fatal(err)
+	}
+	huge := qs[0].SQL + " AND " + strings.Repeat("x", 1<<20)
+	if _, err := st.Append(huge, qs[0].Metrics); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(nil, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	refused := errors.New("statement refused")
+	plan := storePlan()
+	st2, err := wal.OpenStore(wal.StoreOptions{Dir: dir, Policy: wal.SyncNone, Plan: func(sql string) (*dataset.Query, error) {
+		if len(sql) > 1<<20 {
+			return nil, refused
+		}
+		return plan(sql)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close(nil, 0)
+	_, _, err = st2.Recover(testCapacity, testRetrain, core.DefaultOptions())
+	if !errors.Is(err, refused) {
+		t.Fatalf("recovery error %v, want the plan function's", err)
+	}
+	msg := err.Error()
+	t.Logf("%d bytes: %s", len(msg), msg)
+	if len(msg) >= 1<<10 || !strings.Contains(msg, "record 2:") || !strings.Contains(msg, strconv.Itoa(len(huge))+" bytes") ||
+		!strings.Contains(msg, `"`+huge[:40]) {
+		t.Fatalf("recovery error (%d bytes) does not name record 2 and its %d bytes under 1 KiB: %.300s", len(msg), len(huge), msg)
 	}
 }
 
