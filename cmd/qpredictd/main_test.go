@@ -179,7 +179,10 @@ func TestStockPlannerKeepsNoTrees(t *testing.T) {
 // for eight queries on reopening the directory without the zoo. Today's
 // daemon ignores champion.json: every way of asking for one shard opens the
 // directory warm, at the recovered generation, and answers the same eight
-// queries with the same bytes, every result from the kcca model.
+// queries with the same bytes, every result from the kcca model. The one
+// edit to that file since is the model's "index" object, which now describes
+// the exact scan that replaced the KD-tree ("min_points":0); every
+// prediction byte is as that build wrote it.
 func TestZooEraStateDirBootsWarm(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "zoo-era-predict.json"))
 	if err != nil {

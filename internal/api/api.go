@@ -185,37 +185,36 @@ type RecoveryInfo struct {
 }
 
 // IndexInfo describes the k-nearest-neighbor index serving predictions for
-// the current model generation. The index is exact — predictions are
-// bit-identical to a flat scan — so this is purely a performance surface.
-// It is rebuilt with every generation and immutable in between. Predict
-// and observe responses carry only its static per-generation shape; GET
-// /v1/model adds how well it has pruned since the generation was installed
+// the current model generation. The index is an exact scan — predictions
+// are bit-identical to knn.Nearest — so this is purely a performance
+// surface. It is rebuilt with every generation and immutable in between.
+// Predict and observe responses carry only its static per-generation shape;
+// GET /v1/model adds what it has done since the generation was installed
 // (Searches and the two means; process-wide counters are on /metrics under
 // knn.index.*). On a multi-shard daemon the counts are totals across shards
 // and the means are over all shards' searches.
 type IndexInfo struct {
-	// Kind is "kdtree" when a tree serves searches, "flat" when the
-	// generation fell back to the linear scan (for example a window smaller
-	// than MinPoints).
+	// Kind is always "flat", the exact linear scan. Daemons that served from
+	// a KD-tree said "kdtree"; clients must accept either.
 	Kind string `json:"kind"`
 	// Metric is the distance metric the index is built for ("euclidean" or
 	// "cosine").
 	Metric string `json:"metric"`
-	// Points is the number of indexed training points; Nodes is the KD-tree
-	// node count (0 for flat).
+	// Points is the number of indexed training points.
 	Points int `json:"points"`
-	Nodes  int `json:"nodes"`
-	// Stragglers counts points held outside the tree and scanned linearly
-	// (degenerate coordinates); normally 0.
+	// Nodes, Stragglers and MinPoints described the KD-tree older daemons
+	// served from (its node count, the points it kept out, the window size
+	// below which it fell back to the scan). They are kept so older clients
+	// decode: Nodes and MinPoints are now always 0, and Stragglers is 0 and
+	// so omitted.
+	Nodes      int `json:"nodes"`
 	Stragglers int `json:"stragglers,omitempty"`
-	// MinPoints is the window size below which the generation uses the flat
-	// scan.
-	MinPoints int `json:"min_points"`
-	// Searches counts the tree searches this generation has served. Per
-	// search, MeanScored of the Points were reached by the tree walk and
-	// offered for distance scoring, and MeanAbandoned of those were dropped
-	// part-way through their distance sums because they could no longer
-	// enter the result. Only on GET /v1/model, and only once Searches > 0.
+	MinPoints  int `json:"min_points"`
+	// Searches counts the searches this generation has served. Each offers
+	// every point for distance scoring, so MeanScored equals Points;
+	// MeanAbandoned of them were dropped part-way through their distance
+	// sums because they could no longer enter the result. Only on GET
+	// /v1/model, and only once Searches > 0.
 	Searches      int64   `json:"searches,omitempty"`
 	MeanScored    float64 `json:"mean_scored,omitempty"`
 	MeanAbandoned float64 `json:"mean_abandoned,omitempty"`

@@ -9,7 +9,7 @@ import (
 )
 
 // TestIndexGenerationLifecycle is the generation-lifecycle proof for the
-// per-generation KD-tree index: while retrains hot-swap model generations
+// per-generation k-NN index: while retrains hot-swap model generations
 // under live predict traffic,
 //
 //  1. every prediction is served by a consistent (model, index) pair —
@@ -39,12 +39,6 @@ func TestIndexGenerationLifecycle(t *testing.T) {
 	idx1 := p1.Index()
 	if idx1 == nil {
 		t.Fatal("generation 1 has no index")
-	}
-	// 40 < DefaultIndexMinPoints: the young window serves via the exact flat
-	// fallback; once the window grows past the threshold, later generations
-	// must switch to a real tree.
-	if !idx1.Flat() {
-		t.Fatalf("index over %d points should be a flat fallback (threshold %d)", p1.N(), knn.DefaultIndexMinPoints)
 	}
 
 	// mirror recomputes a prediction against one pinned generation with the
@@ -129,19 +123,13 @@ func TestIndexGenerationLifecycle(t *testing.T) {
 	if idxN == idx1 {
 		t.Fatal("new generation reuses the retired generation's index")
 	}
-	if idxN.Flat() {
-		t.Fatalf("full window (%d points) should serve from a tree", pN.N())
-	}
 	if idxN.Len() != pN.N() {
 		t.Fatalf("current index covers %d points for a %d-point model", idxN.Len(), pN.N())
 	}
 
 	// Retirement: once the swap has landed, nothing reads the old index. Its
 	// counters must freeze while the current generation's advance.
-	reads := func(ix *knn.Index) int64 {
-		st := ix.Stats()
-		return st.Searches + st.FlatSearches
-	}
+	reads := func(ix *knn.Index) int64 { return ix.Stats().Searches }
 	oldReads, curReads := reads(idx1), reads(idxN)
 	for i := 0; i < 50; i++ {
 		if _, err := s.PredictQuery(ds.Queries[i]); err != nil {

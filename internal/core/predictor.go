@@ -131,11 +131,10 @@ type Predictor struct {
 	// new generation implicitly invalidates every cached prediction.
 	cache *projCache
 
-	// index is the exact KD-tree over this generation's projected training
-	// points (knn.Index): built once alongside the model, immutable, and
-	// retired with the Predictor on hot swap exactly like the prediction
-	// cache. It degrades to the flat scan for small windows, so predictions
-	// are bit-identical either way.
+	// index is the exact k-NN index over this generation's projected
+	// training points (knn.Index): built once alongside the model, immutable,
+	// and retired with the Predictor on hot swap exactly like the prediction
+	// cache. It answers bit for bit as knn.Nearest would.
 	index *knn.Index
 }
 
@@ -293,13 +292,13 @@ func (p *Predictor) referenceScales() (distScale, kernelScale float64) {
 	var near []float64
 	for _, i := range idx {
 		// Mean distance to the k nearest other training points — the same
-		// statistic Confidence computes for a prediction. The index, built
-		// one line before this call, answers it with the float64s a scan of
-		// linalg.Dist over every other row and a sort would: (a−b)² is
-		// (b−a)², the terms are added in the same order, and the k smallest
-		// come back ascending — so the mean adds the same values in the same
-		// order too (TestReferenceScalesMatchScan keeps the scan). Nor does
-		// the question count as a search this generation served.
+		// statistic Confidence computes for a prediction. The index answers
+		// it with the float64s a scan of linalg.Dist over every other row and
+		// a sort would: (a−b)² is (b−a)², the terms are added in the same
+		// order, and the k smallest come back ascending — so the mean adds
+		// the same values in the same order too (TestReferenceScalesMatchScan
+		// keeps the scan). Nor does the question count as a search this
+		// generation served.
 		near = near[:0]
 		for _, nb := range ix.LeaveOneOut(i, k) {
 			near = append(near, nb.Distance)
@@ -382,18 +381,16 @@ func (p *Predictor) predictVector(f []float64) (Prediction, error) {
 // find neighbors and combine them (directly or via the two-step
 // type-specific model, which projects f again in its own space).
 func (p *Predictor) predictProjected(f, proj []float64, maxK float64) (Prediction, error) {
-	// Neighbor search goes through this generation's KD-tree index — exact,
-	// so bit-identical to knn.Nearest on the projection matrix. At the
-	// daemon's 80 projection dimensions the tree prunes little (about five
-	// sixths of an 800-point window is still offered per search); what keeps
-	// a search cheap is the scorer abandoning most candidates part-way, and
-	// (where the AVX2 kernels serve) reading them from the index's own
-	// leaf-ordered, feature-major copy of the projection: one vector-kernel
-	// pass over 16 rows of a 16-point block settles most of a leaf, and a
-	// block it does not settle is summed whole. Which candidates are
-	// abandoned is a function of their final sums either way, so
-	// model.index's mean_scored and mean_abandoned read as they did when
-	// every candidate was gathered from the row-major matrix.
+	// Neighbor search goes through this generation's index — an exact scan,
+	// so bit-identical to knn.Nearest on the projection matrix. Every search
+	// offers every training point; what keeps it cheap is the order (sorted
+	// once along the leading canonical direction and visited outward from
+	// the query, so the kth-best distance is small early) and the scorer
+	// abandoning most candidates part-way, reading them (where the AVX2
+	// kernels serve) from the index's own feature-major copy of the
+	// projection: one vector-kernel pass over 16 rows of a 16-point block
+	// settles most of it, and a block it does not settle is summed whole.
+	// model.index's mean_abandoned does not depend on which scorer ran.
 	nbs, err := p.index.Nearest(proj, p.opt.KNN.K)
 	if err != nil {
 		return Prediction{}, err
@@ -500,10 +497,16 @@ func (p *Predictor) WithKNN(opt knn.Options) *Predictor {
 	// rightly, their caches.
 	clone.cache = newProjCache(0)
 	// The index depends only on the point set and the metric: a changed
-	// metric needs a rebuild (cheap — 2–3 ms at the stock 800 × 80), while k
-	// and weighting changes reuse the shared tree.
+	// metric needs a rebuild (a sort and a copy — about 0.4 ms at the stock
+	// 800 × 80), while k and weighting changes share this one's index.
 	if clone.opt.KNN.Distance != p.opt.KNN.Distance {
 		clone.index = knn.NewIndex(p.model.QueryProj, clone.opt.KNN.Distance)
+	}
+	// Confidence is calibrated on the mean distance to k neighbours, so a
+	// changed k needs the distance scale Train would have computed for it
+	// (the kernel scale does not depend on k).
+	if clone.opt.KNN.K != p.opt.KNN.K {
+		clone.confScale, _ = clone.referenceScales()
 	}
 	return &clone
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
@@ -279,6 +281,50 @@ func TestWithKNNVariants(t *testing.T) {
 	}
 	if len(orig.Neighbors) != 3 {
 		t.Error("WithKNN mutated the original predictor")
+	}
+}
+
+// TestWithKNNMatchesTrain: a predictor cloned with other k-NN options
+// predicts exactly what one trained with those options does — metrics,
+// confidence, category and neighbours, bit for bit. The confidence is the
+// part at risk: it is calibrated on the mean distance to k neighbours, so a
+// clone with another k needs the scale Train computes for that k.
+func TestWithKNNMatchesTrain(t *testing.T) {
+	train, test := trainTest(t)
+	opt := DefaultOptions()
+	opt.TwoStep = false
+	base, err := Train(train, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kopt := range []knn.Options{
+		{K: 1}, {K: 5}, {K: 7},
+		{K: 3, Distance: knn.Cosine},
+		{K: 3, Weighting: knn.RankWeight},
+		{K: 3, Weighting: knn.DistanceWeight},
+		{K: 5, Distance: knn.Cosine, Weighting: knn.DistanceWeight},
+	} {
+		opt.KNN = kopt
+		trained, err := Train(train, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cloned := base.WithKNN(kopt)
+		for i, q := range test {
+			want, err := trained.PredictQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := cloned.PredictQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Metrics != want.Metrics || math.Float64bits(got.Confidence) != math.Float64bits(want.Confidence) ||
+				got.Category != want.Category || !slices.Equal(got.Neighbors, want.Neighbors) {
+				t.Fatalf("%+v query %d: WithKNN predicts %+v (confidence %v), Train %+v (confidence %v)",
+					kopt, i, got.Metrics, got.Confidence, want.Metrics, want.Confidence)
+			}
+		}
 	}
 }
 

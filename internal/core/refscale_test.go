@@ -47,16 +47,16 @@ func scanDistScale(p *Predictor) float64 {
 // k-NN index, to the scan it replaced — bit for bit, on a window where many
 // rows are duplicated (so sampled points sit at distance 0 from rows of
 // smaller and larger index, and whole neighbour sets tie), for k below, at
-// and above the number of copies, under both metrics, and on a window too
-// small for a tree. The calibration must also leave the index's served-search
-// counters at zero: /v1/model reports them per generation.
+// and above the number of copies, under both metrics, and on a small window.
+// The calibration must also leave the index's served-search counters at
+// zero: /v1/model reports them per generation.
 func TestReferenceScalesMatchScan(t *testing.T) {
 	train, _ := trainTest(t)
 	dup := append([]*dataset.Query{}, train[:150]...)
 	for c := 0; c < 4; c++ {
 		dup = append(dup, train[:30]...) // five copies of the first 30
 	}
-	windows := map[string][]*dataset.Query{"duplicated": dup, "plain": train[:200], "flat": train[:40]}
+	windows := map[string][]*dataset.Query{"duplicated": dup, "plain": train[:200], "small": train[:40]}
 	for name, window := range windows {
 		for _, kopt := range []knn.Options{
 			{K: 1}, {K: 3}, {K: 4}, {K: 7}, {K: 3, Distance: knn.Cosine},
@@ -67,14 +67,11 @@ func TestReferenceScalesMatchScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if name != "flat" && p.index.Flat() {
-				t.Fatalf("%s: a %d-point window should be served from a tree", name, len(window))
-			}
 			want := scanDistScale(p)
 			if got, _ := p.referenceScales(); math.Float64bits(got) != math.Float64bits(want) || got != p.confScale {
 				t.Errorf("%s %+v: confScale %v (trained with %v), the scan gives %v", name, kopt, got, p.confScale, want)
 			}
-			if st := p.index.Stats(); st.Searches != 0 || st.FlatSearches != 0 || st.PointsScored != 0 {
+			if st := p.index.Stats(); st.Searches != 0 || st.PointsScored != 0 {
 				t.Errorf("%s %+v: calibration counted as served searches: %+v", name, kopt, st)
 			}
 		}

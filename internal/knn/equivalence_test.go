@@ -126,7 +126,7 @@ func TestNearestRejectsBadInput(t *testing.T) {
 // TestTieBreakByIndexWithDuplicateRows is the regression test for
 // nondeterministic tie-breaking: with deliberately duplicated training
 // rows, equal-distance neighbors must come back ordered by index from the
-// flat scan and the tree alike, so the path taken can never reorder
+// flat scan and the index alike, so the path taken can never reorder
 // downstream predictions (rank weighting makes order observable).
 func TestTieBreakByIndexWithDuplicateRows(t *testing.T) {
 	// Rows 2, 5, 9, 11 are identical, all at distance 0 from the query;
@@ -158,15 +158,15 @@ func TestTieBreakByIndexWithDuplicateRows(t *testing.T) {
 			t.Fatalf("neighbor %d has index %d, want %d (ties must break by index)", i, nb.Index, wantIdx[i])
 		}
 	}
-	// The tree must agree with the flat scan.
-	tree, err := NewIndexWith(points, Euclidean, IndexConfig{MinPoints: 1, LeafSize: 3}).Nearest(q, 6)
+	// The index must agree with the flat scan.
+	indexed, err := NewIndex(points, Euclidean).Nearest(q, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tree) != len(wantIdx) {
-		t.Fatalf("Index.Nearest returned %d neighbors, want %d", len(tree), len(wantIdx))
+	if len(indexed) != len(wantIdx) {
+		t.Fatalf("Index.Nearest returned %d neighbors, want %d", len(indexed), len(wantIdx))
 	}
-	for i, nb := range tree {
+	for i, nb := range indexed {
 		if nb.Index != wantIdx[i] {
 			t.Fatalf("Index.Nearest neighbor %d has index %d, want %d", i, nb.Index, wantIdx[i])
 		}

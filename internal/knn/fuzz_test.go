@@ -8,7 +8,7 @@ import (
 	"repro/internal/linalg"
 )
 
-// FuzzKDTree feeds arbitrary float bit patterns through index build and
+// FuzzIndex feeds arbitrary float bit patterns through index build and
 // search. The invariants under fuzz:
 //
 //  1. build/search never panic, whatever the coordinates (NaN, ±Inf,
@@ -18,17 +18,21 @@ import (
 //  3. the returned set is sorted under the total (distance, index) order;
 //  4. the full result is bit-identical to the flat-scan oracle.
 //
-// The seed corpus under testdata/fuzz/FuzzKDTree pins clouds with NaN
-// rows, infinities, duplicate points, zero vectors (cosine stragglers),
-// and magnitudes beyond the tree's overflow gate. The top bit of the
-// dimension byte adds 32 dimensions, so the scorer's partial-sum abandon
-// (checked every 16 terms) is reachable; the two wide seeds below pin an
-// equal-distance, smaller-index tie behind far points and squared terms
-// that overflow to +Inf. Bit 4 adds 16 dimensions (17 is one stride and one
-// more row: the blocked scorer's first look falls short of the whole sum) and
-// bit 3 builds leaves of 5 instead of 2 (a full group and a short one in one
-// padded block); the last two seeds pin one of each.
-func FuzzKDTree(f *testing.F) {
+// The seed corpus under testdata/fuzz/FuzzIndex pins clouds with NaN rows,
+// infinities, duplicate points, zero vectors, huge magnitudes, and two
+// subnormal points both at computed distance 0 from a query with a nonzero
+// gap between them (c45e4d424dfc4e23, which once broke the tree's pruning). It
+// was collected against the KD-tree this index replaced, under the same
+// decoding of the bytes, so every stored input still means the same cloud.
+// The top bit of the dimension byte adds 32 dimensions, so the scorer's
+// partial-sum abandon (checked every 16 terms) is reachable; the two wide
+// seeds below pin an equal-distance, smaller-index tie behind far points and
+// squared terms that overflow to +Inf. Bit 4 adds 16 dimensions (17 is one
+// stride and one more row: the blocked scorer's first look falls short of
+// the whole sum). Bit 3 chose the tree's leaf size and selects nothing now;
+// the last two seeds pin a full group and a short one, and a tail the first
+// stride does not see.
+func FuzzIndex(f *testing.F) {
 	add := func(vals []float64, k, dim uint8, cosine bool) {
 		buf := make([]byte, 8*len(vals))
 		for i, v := range vals {
@@ -49,8 +53,8 @@ func FuzzKDTree(f *testing.F) {
 	}
 	add(tie, 0, 0x80, false)
 	add(overflow, 1, 0x80, false)
-	// Leaves of 5 over 3-dimensional points, most of them far from the query
-	// at the origin, two at it (a tie), one of those in a short group.
+	// 3-dimensional points, most of them far from the query at the origin,
+	// two at it (a tie), one of those in a short group.
 	add([]float64{0, 0, 0 /* the query */, 7, 7, 7, 0, 0, 0, 7, 8, 7, -7, 7, 7, 8, 8, 8, 7, -7, 7, 0, 0, 0, 9, 9, 9, 1, 1, 1, -9, 9, 9, 6, 6, 6}, 1, 0x0a, false)
 	// 17 dimensions: points that differ from their neighbours only in the
 	// last coordinate, the one the first stride does not see.
@@ -63,6 +67,7 @@ func FuzzKDTree(f *testing.F) {
 	add(last, 2, 0x10, false)
 
 	f.Fuzz(func(t *testing.T, data []byte, kRaw, dimRaw uint8, cosine bool) {
+		// Unchanged since the corpus was written: bit 3 adds nothing here.
 		dim := 1 + int(dimRaw)%8 + int(dimRaw&0x10) + int(dimRaw&0x80)/4
 		nFloats := len(data) / 8
 		if nFloats < 2*dim {
@@ -81,12 +86,7 @@ func FuzzKDTree(f *testing.F) {
 		if cosine {
 			metric = Cosine
 		}
-		// Tiny thresholds force a real tree on even the smallest inputs.
-		leaf := 2
-		if dimRaw&0x08 != 0 {
-			leaf = 5
-		}
-		ix := NewIndexWith(points, metric, IndexConfig{MinPoints: 1, LeafSize: leaf})
+		ix := NewIndex(points, metric)
 		got, err := ix.Nearest(q, k)
 		if err != nil {
 			t.Fatalf("index search failed on valid input: %v", err)

@@ -10,23 +10,15 @@ import (
 	"repro/internal/testutil"
 )
 
-// Benchmarks on a templated 15-dimensional cloud: N points, k = 3 Euclidean.
-// BenchmarkPredictScan is the flat O(N·rank) baseline,
-// BenchmarkPredictIndexed the per-generation KD-tree; CI runs both at
-// N ∈ {4000, 20000, 100000} and BENCH_knn.json records the curves. This is
-// the regime an exact KD-tree prunes well in — not the cloud a stock daemon
-// serves, which is 80-dimensional (kcca.Options.Dims 0 keeps every
-// kernel-PCA component): BenchmarkNearestStock measures that one.
-
+// benchDims is the dimensionality of benchCloud, the cloud
+// BenchmarkNearestCosine searches.
 const benchDims = 15
 
 // benchCloud models the paper's workload structure: queries are template
 // instantiations, so each projected point is its template's mode plus a few
 // latent parameter directions (the varied literals) plus small residual
 // noise. The ambient space is 15-dimensional but the intrinsic
-// dimensionality per cluster is ~3 — the regime where an exact KD-tree
-// prunes effectively. (Uniform i.i.d. 15-dim noise is the known KD-tree
-// worst case and does not resemble a templated workload.)
+// dimensionality per cluster is ~3.
 func benchCloud(seed int64, n int) *linalg.Matrix {
 	rng := statutil.NewRNG(seed, "knn-bench")
 	const templates, factors = 12, 3
@@ -57,8 +49,6 @@ func benchCloud(seed int64, n int) *linalg.Matrix {
 	return m
 }
 
-func benchSizes() []int { return []int{4000, 20000, 100000} }
-
 // benchSplit draws points and queries from one cloud (same templates —
 // queries are instantiations of the same workload the model trained on,
 // as in serving).
@@ -70,62 +60,20 @@ func benchSplit(seed int64, n int) (points, queries *linalg.Matrix) {
 	return points, queries
 }
 
-func BenchmarkPredictScan(b *testing.B) {
-	for _, n := range benchSizes() {
-		points, queries := benchSplit(31, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Nearest(points, queries.Row(i%queries.Rows), 3, Euclidean); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkPredictIndexed(b *testing.B) {
-	for _, n := range benchSizes() {
-		points, queries := benchSplit(31, n)
-		ix := NewIndex(points, Euclidean)
-		if ix.Flat() {
-			b.Fatal("benchmark index unexpectedly flat")
-		}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ix.Nearest(queries.Row(i%queries.Rows), 3); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkIndexBuild prices the once-per-generation construction cost the
-// retrain-install path pays for sub-linear serving — packing the leaf blocks
-// included. The stock case is the daemon's: the 800 × 80 query projection.
+// retrain-install path pays — the sort and the blocked store. The stock case
+// is the daemon's: the 800 × 80 query projection.
 func BenchmarkIndexBuild(b *testing.B) {
-	build := func(b *testing.B, points *linalg.Matrix) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ix := NewIndex(points, Euclidean)
-			if ix.Flat() {
-				b.Fatal("flat")
-			}
-		}
-	}
-	for _, n := range benchSizes() {
-		points := benchCloud(31, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { build(b, points) })
-	}
 	var stock *kcca.Model // trained only if the case runs, and then once
 	b.Run("stock", func(b *testing.B) {
 		if stock == nil {
-			stock, _ = stockProjection(b, 0)
+			stock, _ = stockProjection(b, testutil.StockTrain, 0)
 		}
-		build(b, stock.QueryProj)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			NewIndex(stock.QueryProj, Euclidean)
+		}
 	})
 }
 
@@ -144,46 +92,51 @@ func BenchmarkNearestCosine(b *testing.B) {
 	}
 }
 
-// BenchmarkNearestStock is Index.Nearest at the daemon's shape: the 800 × 80
-// query projection of a KCCA model trained on a dataset.Generate workload,
-// searched with the projections of held-out queries from the same workload.
-// scored/op and abandoned/op say how well the index prunes there: how many
-// of the 800 points a search offers to the scorer, and how many of those the
-// scorer drops part-way through their distance sums. rescored_blocks/op is
-// how many 16-point leaf blocks a search sums in full because the first
-// stride of sums did not settle every group in them (0 on a host without the
-// vector kernels, where the index keeps no blocks).
+// BenchmarkNearestStock is Index.Nearest at the shapes a daemon serves: the
+// query projection of a KCCA model trained on n rows of a dataset.Generate
+// workload, searched with the projections of held-out queries from the same
+// workload. n=800 is the stock window (80 dimensions); n=500 is a smaller
+// window with a model of its own (also 80). abandoned/op says how many of
+// the n points a search drops part-way through their distance sums;
+// rescored_blocks/op is how many 16-point blocks it sums in full because the
+// first stride of sums did not settle every group in them (0 on a host
+// without the vector kernels, where the index keeps no blocks).
 func BenchmarkNearestStock(b *testing.B) {
 	const held = 256
-	m, queries := stockProjection(b, held)
-	ix := NewIndex(m.QueryProj, Euclidean)
-	if ix.Flat() {
-		b.Fatal("benchmark index unexpectedly flat")
+	for _, n := range []int{500, testutil.StockTrain} {
+		var m *kcca.Model // trained only if the case runs, and then once
+		var queries [][]float64
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			if m == nil {
+				m, queries = stockProjection(b, n, held)
+			}
+			ix := NewIndex(m.QueryProj, Euclidean)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ix.Nearest(queries[i%held], 3); err != nil {
+					b.Fatal(err)
+				}
+			}
+			st := ix.Stats()
+			b.ReportMetric(float64(st.PointsAbandoned)/float64(st.Searches), "abandoned/op")
+			b.ReportMetric(float64(ix.rescored.Load())/float64(st.Searches), "rescored_blocks/op")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ix.Nearest(queries[i%held], 3); err != nil {
-			b.Fatal(err)
-		}
-	}
-	st := ix.Stats()
-	b.ReportMetric(float64(st.PointsScored)/float64(st.Searches), "scored/op")
-	b.ReportMetric(float64(st.PointsAbandoned)/float64(st.Searches), "abandoned/op")
-	b.ReportMetric(float64(ix.rescored.Load())/float64(st.Searches), "rescored_blocks/op")
 }
 
-// stockProjection trains the daemon's KCCA model on a dataset.Generate
-// workload and projects held further queries of the same workload.
-func stockProjection(tb testing.TB, held int) (*kcca.Model, [][]float64) {
-	x, y := testutil.StockFeatures(testutil.StockQueries(tb, testutil.StockTrain+held))
-	m, err := kcca.Train(x.SliceRows(0, testutil.StockTrain), y.SliceRows(0, testutil.StockTrain), kcca.DefaultOptions())
+// stockProjection trains a KCCA model with the daemon's options on the first
+// train queries of a dataset.Generate workload and projects held further
+// queries of the same workload.
+func stockProjection(tb testing.TB, train, held int) (*kcca.Model, [][]float64) {
+	x, y := testutil.StockFeatures(testutil.StockQueries(tb, train+held))
+	m, err := kcca.Train(x.SliceRows(0, train), y.SliceRows(0, train), kcca.DefaultOptions())
 	if err != nil {
 		tb.Fatal(err)
 	}
 	queries := make([][]float64, held)
 	for i := range queries {
-		queries[i] = m.ProjectQuery(x.Row(testutil.StockTrain + i))
+		queries[i] = m.ProjectQuery(x.Row(train + i))
 	}
 	return m, queries
 }

@@ -172,7 +172,7 @@ func Nearest(points *linalg.Matrix, q []float64, k int, metric Distance) ([]Neig
 // neighbors; among themselves NaN entries also break ties by index, so the
 // order is total even on all-NaN tails (sort.Sort is unstable — without the
 // index tie-break, two NaN rows could come back in either order, and the
-// tree and flat paths could then legally disagree).
+// index and the flat scan could then legally disagree).
 func less(a, b Neighbor) bool {
 	an, bn := math.IsNaN(a.Distance), math.IsNaN(b.Distance)
 	if an != bn {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/statutil"
 )
 
-// The oracle suite proves the KD-tree index EXACT: for every supported
+// The oracle suite proves the index EXACT: for every supported
 // metric, point-cloud shape and k, Index.Nearest must return bit-identical
 // (distance, index) neighbor sets to the flat scan — same values, same
 // total order, NaN-last. It runs under -race in CI with {1, 2, 7, NumCPU}
@@ -52,7 +52,7 @@ func clouds() []cloud {
 		}},
 		{"colinear", func(seed int64, n, dim int) *linalg.Matrix {
 			// Degenerate cluster: every point on one line through the origin,
-			// so most splitting axes have zero spread.
+			// so every coordinate orders the points the same way.
 			rng := statutil.NewRNG(seed, "oracle-colinear")
 			dir := make([]float64, dim)
 			for j := range dir {
@@ -84,9 +84,9 @@ func clouds() []cloud {
 		}},
 		{"poisoned", func(seed int64, n, dim int) *linalg.Matrix {
 			// Degenerate rows among ordinary ones: NaN coordinates, ±Inf,
-			// huge magnitudes past the tree's overflow gate, exact zeros
-			// (zero-norm under Cosine). These become stragglers the index
-			// must still rank exactly like the flat scan (NaN-last).
+			// huge magnitudes whose squares overflow, exact zeros (zero-norm
+			// under Cosine). The index must rank them exactly like the flat
+			// scan (NaN-last).
 			rng := statutil.NewRNG(seed, "oracle-poison")
 			m := linalg.NewMatrix(n, dim)
 			for i := range m.Data {
@@ -109,11 +109,11 @@ func clouds() []cloud {
 			return m
 		}},
 		{"magnitudes", func(seed int64, n, dim int) *linalg.Matrix {
-			// Rows at the edges of what the tree admits and the abandon limit
-			// tolerates: coordinates whose squares are subnormal or flush to
-			// zero, coordinates that are subnormal themselves, and 1e150 (the
-			// overflow gate), next to ordinary rows. The kth-best distance
-			// then ranges from 0 through subnormal to ~1e151.
+			// Rows at the edges of what the abandon limit tolerates:
+			// coordinates whose squares are subnormal or flush to zero,
+			// coordinates that are subnormal themselves, and 1e150, next to
+			// ordinary rows. The kth-best distance then ranges from 0 through
+			// subnormal to ~1e151.
 			rng := statutil.NewRNG(seed, "oracle-magnitudes")
 			m := linalg.NewMatrix(n, dim)
 			for i := 0; i < n; i++ {
@@ -128,8 +128,7 @@ func clouds() []cloud {
 }
 
 // oracleQueries builds query rows exercising every search path: ordinary,
-// coincident with training points, far away, zero, and non-finite (the
-// per-query flat fallback).
+// coincident with training points, far away, zero, and non-finite.
 func oracleQueries(seed int64, points *linalg.Matrix) *linalg.Matrix {
 	rng := statutil.NewRNG(seed, "oracle-query")
 	dim := points.Cols
@@ -137,10 +136,10 @@ func oracleQueries(seed int64, points *linalg.Matrix) *linalg.Matrix {
 	for j := 0; j < dim; j++ {
 		qs.Row(0)[j] = rng.NormFloat64()           // ordinary
 		qs.Row(2)[j] = 100 + 10*rng.NormFloat64()  // far outside the cloud
-		qs.Row(3)[j] = 0                           // zero (cosine fallback)
+		qs.Row(3)[j] = 0                           // zero (zero norm under Cosine)
 		qs.Row(4)[j] = rng.NormFloat64()           // NaN-poisoned below
 		qs.Row(5)[j] = 1e-30 * rng.NormFloat64()   // tiny magnitudes
-		qs.Row(6)[j] = rng.NormFloat64() * 1e160   // past the overflow gate
+		qs.Row(6)[j] = rng.NormFloat64() * 1e160   // squares overflow
 		qs.Row(7)[j] = math.Abs(rng.NormFloat64()) // positive orthant
 	}
 	copy(qs.Row(1), points.Row(points.Rows/2)) // exact duplicate of a point
@@ -171,8 +170,8 @@ func mustEqualNeighbors(t *testing.T, ctx string, got, want []Neighbor) {
 func concurrentNearest(t *testing.T, ctx string, ix *Index, points, queries *linalg.Matrix, k, g int, want [][]Neighbor) {
 	t.Helper()
 	type answer struct {
-		tree, flat []Neighbor
-		err        error
+		indexed, flat []Neighbor
+		err           error
 	}
 	got := make([][]answer, g)
 	var wg sync.WaitGroup
@@ -184,7 +183,7 @@ func concurrentNearest(t *testing.T, ctx string, ix *Index, points, queries *lin
 			for i := range out {
 				qi := (start + i) % len(out)
 				a := &out[qi]
-				if a.tree, a.err = ix.Nearest(queries.Row(qi), k); a.err == nil {
+				if a.indexed, a.err = ix.Nearest(queries.Row(qi), k); a.err == nil {
 					a.flat, a.err = Nearest(points, queries.Row(qi), k, ix.metric)
 				}
 			}
@@ -196,17 +195,17 @@ func concurrentNearest(t *testing.T, ctx string, ix *Index, points, queries *lin
 			if a.err != nil {
 				t.Fatalf("%s goroutine=%d query=%d: %v", ctx, w, qi, a.err)
 			}
-			mustEqualNeighbors(t, fmt.Sprintf("%s goroutine=%d query=%d index", ctx, w, qi), a.tree, want[qi])
+			mustEqualNeighbors(t, fmt.Sprintf("%s goroutine=%d query=%d index", ctx, w, qi), a.indexed, want[qi])
 			mustEqualNeighbors(t, fmt.Sprintf("%s goroutine=%d query=%d flat", ctx, w, qi), a.flat, want[qi])
 		}
 	}
 }
 
 // TestIndexOracle is the headline exactness proof: randomized point clouds
-// across sizes, dimensions, pathologies, and both metrics; tree results
+// across sizes, dimensions, pathologies, and both metrics; index results
 // must be bit-identical to the flat scan for k ∈ {1, 3, 7, N, N+5}, also
-// when several goroutines share the index. With LeafSize 3 every leaf is a short group (the scorer's
-// repeated-row tail) and k = 7 exceeds it.
+// when several goroutines share the index. Sizes 5, 63 and 257 end on a
+// short block, whose last group repeats a row.
 func TestIndexOracle(t *testing.T) {
 	// 17 and 40 cross the scorer's 16-term abandon stride once and twice.
 	dims := []int{1, 2, 3, 8, 15, 17, 40}
@@ -223,9 +222,7 @@ func TestIndexOracle(t *testing.T) {
 					seed++
 					points := cl.gen(seed, n, dim)
 					queries := oracleQueries(seed, points)
-					// Tiny MinPoints/LeafSize force real trees even on small
-					// clouds; the default config path is covered separately.
-					ix := NewIndexWith(points, metric, IndexConfig{MinPoints: 1, LeafSize: 3})
+					ix := NewIndex(points, metric)
 					for _, k := range []int{1, 3, 7, n, n + 5} {
 						for qi := 0; qi < queries.Rows; qi++ {
 							q := queries.Row(qi)
@@ -260,17 +257,14 @@ func TestIndexOracle(t *testing.T) {
 	}
 }
 
-// TestIndexOracleDefaultConfig exercises the production configuration
-// (MinPoints 64, leaf 16) at a size where the tree actually builds, plus
-// one below the threshold where every search must take the flat fallback.
+// TestIndexOracleDefaultConfig exercises the index as core builds it — one
+// configuration, NewIndex — at 12 dimensions and sizes from one point through
+// one short block, exactly one block and one past it, to many blocks.
 func TestIndexOracleDefaultConfig(t *testing.T) {
 	for _, metric := range []Distance{Euclidean, Cosine} {
-		for _, n := range []int{63, 64, 1000} {
+		for _, n := range []int{1, 15, 16, 17, 1000} {
 			points := clouds()[0].gen(int64(7000+n), n, 12)
 			ix := NewIndex(points, metric)
-			if wantFlat := n < DefaultIndexMinPoints; ix.Flat() != wantFlat {
-				t.Fatalf("n=%d: Flat()=%v, want %v", n, ix.Flat(), wantFlat)
-			}
 			queries := oracleQueries(int64(8000+n), points)
 			for qi := 0; qi < queries.Rows; qi++ {
 				q := queries.Row(qi)
@@ -296,7 +290,7 @@ func TestIndexOracleWeightings(t *testing.T) {
 	values := clouds()[0].gen(43, 200, 4)
 	queries := oracleQueries(44, points)
 	for _, metric := range []Distance{Euclidean, Cosine} {
-		ix := NewIndexWith(points, metric, IndexConfig{MinPoints: 1, LeafSize: 4})
+		ix := NewIndex(points, metric)
 		for qi := 0; qi < queries.Rows; qi++ {
 			q := queries.Row(qi)
 			want, err := Nearest(points, q, 5, metric)
@@ -338,13 +332,13 @@ func TestIndexErrorParity(t *testing.T) {
 }
 
 // TestIndexStats sanity-checks the introspection surface the serving tier
-// and the lifecycle tests rely on.
+// and the lifecycle tests rely on: every search, a NaN query's too, is one
+// search that offers every point.
 func TestIndexStats(t *testing.T) {
 	points := clouds()[0].gen(11, 300, 8)
 	ix := NewIndex(points, Euclidean)
-	st := ix.Stats()
-	if st.Flat || st.Nodes == 0 || st.TreePoints != 300 || st.Points != 300 || st.Stragglers != 0 {
-		t.Fatalf("unexpected tree stats: %+v", st)
+	if st := ix.Stats(); st != (IndexStats{}) || ix.Len() != 300 {
+		t.Fatalf("unexpected stats before any search: %+v", st)
 	}
 	q := oracleQueries(12, points).Row(0)
 	for i := 0; i < 5; i++ {
@@ -352,26 +346,20 @@ func TestIndexStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st = ix.Stats()
-	if st.Searches != 5 || st.FlatSearches != 0 {
-		t.Fatalf("searches=%d flat=%d, want 5/0", st.Searches, st.FlatSearches)
+	st := ix.Stats()
+	if st.Searches != 5 || st.PointsScored != 5*300 {
+		t.Fatalf("searches=%d scored=%d, want 5 and %d", st.Searches, st.PointsScored, 5*300)
 	}
-	if st.PointsScored <= 0 || st.PointsScored >= 5*300 {
-		t.Fatalf("PointsScored=%d: tree search should score fewer than all %d candidates", st.PointsScored, 5*300)
+	if st.PointsAbandoned <= 0 || st.PointsAbandoned >= st.PointsScored {
+		t.Fatalf("abandoned %d of %d offered: want some, not all", st.PointsAbandoned, st.PointsScored)
 	}
-	// A NaN query is answered exactly, via the per-query flat fallback.
 	nanq := make([]float64, 8)
 	nanq[3] = math.NaN()
 	if _, err := ix.Nearest(nanq, 3); err != nil {
 		t.Fatal(err)
 	}
-	if st = ix.Stats(); st.FlatSearches != 1 {
-		t.Fatalf("FlatSearches=%d after NaN query, want 1", st.FlatSearches)
-	}
-	// Below the size threshold the whole index is flat.
-	small := NewIndex(clouds()[0].gen(13, 10, 4), Euclidean)
-	if st = small.Stats(); !st.Flat || st.FlatReason == "" || st.Nodes != 0 {
-		t.Fatalf("small index should be flat with a reason: %+v", st)
+	if st = ix.Stats(); st.Searches != 6 || st.PointsScored != 6*300 {
+		t.Fatalf("searches=%d scored=%d after a NaN query, want 6 and %d", st.Searches, st.PointsScored, 6*300)
 	}
 }
 
@@ -388,8 +376,8 @@ func TestAbandonKeepsTies(t *testing.T) {
 	points := linalg.FromRows([][]float64{far, row(1, 1, 1), far, far, far, row(0, 1, 1, 1), far, far, far, far})
 	q := make([]float64, dim)
 
-	s := getTreeSearch(points, q, 0, 1, Euclidean)
-	defer putTreeSearch(s)
+	s := getScan(points, q, 1, Euclidean)
+	defer putScan(s)
 	s.score([]int{5})
 	if s.limit >= 3.1 || s.limit <= 3 {
 		t.Fatalf("limit after the first point is %v, want just above 3", s.limit)
@@ -434,12 +422,12 @@ func TestAbandonNeverArmsWithoutABound(t *testing.T) {
 		{"cosine", Cosine, 1, []int{3}, false},
 		{"ordinary", Euclidean, 2, []int{3, 4}, true},
 	} {
-		s := getTreeSearch(points, q, linalg.Norm(q), c.k, c.metric)
+		s := getScan(points, q, c.k, c.metric)
 		s.score(c.rows)
 		if armed := !math.IsInf(s.limit, 1); armed != c.armed {
 			t.Errorf("%s: limit %v, armed=%v want %v", c.name, s.limit, armed, c.armed)
 		}
-		putTreeSearch(s)
+		putScan(s)
 	}
 }
 
@@ -465,14 +453,14 @@ func TestAbandonCounts(t *testing.T) {
 	if st.PointsAbandoned <= 0 || st.PointsAbandoned >= st.PointsScored {
 		t.Fatalf("abandoned %d of %d offered: want some, not all", st.PointsAbandoned, st.PointsScored)
 	}
-	if st.PointsScored > 2*int64(points.Rows) || st.PointsScored < 2*3 {
+	if st.PointsScored != 2*int64(points.Rows) {
 		t.Fatalf("PointsScored=%d over 2 searches of %d points", st.PointsScored, points.Rows)
 	}
 }
 
 // TestNaNTieBreakTotalOrder pins the completed total order: multiple
-// NaN-distance rows sort last AND among themselves by ascending index, on
-// both the flat and tree paths.
+// NaN-distance rows sort last AND among themselves by ascending index, from
+// the flat scan and the index alike.
 func TestNaNTieBreakTotalOrder(t *testing.T) {
 	rows := [][]float64{
 		{1, 1}, {math.NaN(), 0}, {2, 2}, {math.NaN(), 5}, {0.5, 0.5}, {math.NaN(), 1},
@@ -484,8 +472,7 @@ func TestNaNTieBreakTotalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := NewIndexWith(points, Euclidean, IndexConfig{MinPoints: 1, LeafSize: 2})
-	tree, err := ix.Nearest(q, 6)
+	indexed, err := NewIndex(points, Euclidean).Nearest(q, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,8 +480,8 @@ func TestNaNTieBreakTotalOrder(t *testing.T) {
 		if flat[i].Index != want {
 			t.Fatalf("flat neighbor %d has index %d, want %d", i, flat[i].Index, want)
 		}
-		if tree[i].Index != want {
-			t.Fatalf("tree neighbor %d has index %d, want %d", i, tree[i].Index, want)
+		if indexed[i].Index != want {
+			t.Fatalf("index neighbor %d has index %d, want %d", i, indexed[i].Index, want)
 		}
 	}
 }

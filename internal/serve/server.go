@@ -537,7 +537,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	}
 	// Recovery status rides only on GET /v1/model (not on every predict
 	// response), and only when the daemon runs with durable state; so do the
-	// index's live pruning figures.
+	// index's live search figures.
 	info.Recovery = s.recoveryInfo()
 	if info.Index != nil {
 		s.indexPruning(info.Index)
@@ -578,11 +578,6 @@ func (s *Server) modelInfo() *api.ModelInfo {
 				info.Index = ii
 			} else {
 				info.Index.Points += ii.Points
-				info.Index.Nodes += ii.Nodes
-				info.Index.Stragglers += ii.Stragglers
-				if ii.Kind == "kdtree" {
-					info.Index.Kind = "kdtree"
-				}
 			}
 		}
 		trained += m.Model.N()
@@ -648,7 +643,7 @@ func (s *Server) recoveryInfo() *api.RecoveryInfo {
 }
 
 // indexPruning fills in how every shard's served generation's index has
-// pruned so far: searches, and the mean candidates scored and abandoned per
+// served so far: searches, and the mean candidates scored and abandoned per
 // search.
 func (s *Server) indexPruning(ii *api.IndexInfo) {
 	var searches, scored, abandoned int64
@@ -670,21 +665,9 @@ func (s *Server) indexPruning(ii *api.IndexInfo) {
 }
 
 // indexInfo reports the static per-generation shape of a predictor's
-// neighbor index: deterministic for a given training window.
+// neighbor index: an exact scan over the generation's training points.
 func indexInfo(p *core.Predictor) *api.IndexInfo {
-	st := p.Index().Stats()
-	kind := "kdtree"
-	if st.Flat {
-		kind = "flat"
-	}
-	return &api.IndexInfo{
-		Kind:       kind,
-		Metric:     p.Index().Metric().String(),
-		Points:     st.Points,
-		Nodes:      st.Nodes,
-		Stragglers: st.Stragglers,
-		MinPoints:  st.MinPoints,
-	}
+	return &api.IndexInfo{Kind: "flat", Metric: p.Index().Metric().String(), Points: p.Index().Len()}
 }
 
 // handleShards serves GET /v1/shards: the routing policy and per-shard

@@ -599,9 +599,8 @@ func TestModelEndpointIndexPruning(t *testing.T) {
 	if got := cacheHits.Value() - hits; got != n-int64(len(distinct)) {
 		t.Fatalf("%d cache hits on a cold cache, want %d (vectors repeated within the request)", got, n-int64(len(distinct)))
 	}
-	if after.MeanScored <= 0 || after.MeanScored > float64(after.Points) ||
-		after.MeanAbandoned < 0 || after.MeanAbandoned > after.MeanScored {
-		t.Fatalf("index pruning %+v: want 0 < mean_scored ≤ points and 0 ≤ mean_abandoned ≤ mean_scored", after)
+	if after.MeanScored != float64(after.Points) || after.MeanAbandoned < 0 || after.MeanAbandoned > after.MeanScored {
+		t.Fatalf("index figures %+v: want mean_scored = points (every search offers every point) and 0 ≤ mean_abandoned ≤ mean_scored", after)
 	}
 
 	hits = cacheHits.Value()

@@ -82,7 +82,10 @@ func settleModel(t testing.TB, url string, window int, gen int64) []byte {
 // to engineScript, written by that engine at the last commit that had it.
 // The files are the reference, not a snapshot of current behaviour: a change
 // that makes the comparison fail is wrong, and the files are never
-// regenerated to make it pass.
+// regenerated to make it pass. The one edit since is by hand, to the
+// model's "index" object alone: when the KD-tree gave way to the exact scan
+// it describes, "kdtree" became "flat" and "nodes" and "min_points" became
+// 0. Every other byte, every prediction included, is the legacy engine's.
 const legacyEngineDir = "testdata/legacy-engine"
 
 // engineScript drives one server through boot state, predictions, error
