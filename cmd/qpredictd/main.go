@@ -20,7 +20,7 @@
 // Every daemon serves through one engine, a router over -shards N shards
 // (internal/shard). The stock daemon runs one shard, which everything routes
 // to; with N > 1 traffic is partitioned across N per-shard sliding
-// predictors (-partitioner picks the policy, hash or category), each with
+// predictors by consistent hashing of the template fingerprint, each with
 // its own coalescer, generation, and background retrain loop. GET /v1/shards
 // exposes the per-shard state either way.
 //
@@ -132,7 +132,6 @@ func bindFlags(fs *flag.FlagSet, o *qpredict.Options) (cfgPath *string, timings 
 	fs.IntVar(&o.Sliding.RetrainEvery, "retrain-every", o.Sliding.RetrainEvery, "observations between background retrains (at most -capacity)")
 	fs.DurationVar((*time.Duration)(&o.Serve.DrainTimeout), "drain-timeout", o.Serve.DrainTimeout.Std(), "graceful shutdown deadline")
 	fs.IntVar(&o.Shards.Count, "shards", o.Shards.Count, "shards the serving tier runs, each with its own model, queue and retrain loop (0 and 1 both run one)")
-	fs.StringVar(&o.Shards.Partitioner, "partitioner", o.Shards.Partitioner, "routing policy across more than one shard: hash or category")
 	fs.StringVar(&o.State.Dir, "state-dir", o.State.Dir, "durable state directory (observation WAL + model snapshots, one subdirectory per shard); a restart recovers the serving state from it")
 	fs.StringVar(&o.State.Fsync, "fsync", o.State.Fsync, "WAL fsync policy with -state-dir: always, batch, or none")
 	fs.IntVar(&o.State.FsyncEvery, "fsync-every", o.State.FsyncEvery, "appends between fsyncs with -fsync batch")
@@ -211,19 +210,18 @@ func boot(opts qpredict.Options, logw io.Writer) (svc *serve.Server, modelDesc s
 
 	// Partition layout first: it decides the per-shard window knobs durable
 	// state must be recovered under. They divide the daemon's budget so the
-	// fleet-wide totals hold (Validate keeps retrain_every within capacity,
-	// and the division keeps it there); one shard gets the budget as it is.
-	// One shard is also where every partitioner agrees, so it gets the one
-	// that computes nothing, and its manifest names none.
+	// fleet-wide totals hold (Validate keeps retrain_every within capacity
+	// and the shard count within capacity/5, so no share is raised to the
+	// floor of 5); one shard gets the budget as it is. One shard routes
+	// everything to itself, so it gets the partitioner that computes
+	// nothing, and its manifest names none; more route by hash.
 	nShards := max(1, opts.Shards.Count)
 	partCap := max(5, opts.Sliding.Capacity/nShards)
 	partEvery := max(1, opts.Sliding.RetrainEvery/nShards)
 	var part shard.Partitioner = shard.Passthrough{}
 	manifestPart := "none"
 	if nShards > 1 {
-		if part, err = shard.NewPartitioner(opts.Shards.Partitioner, nShards, opt.Features); err != nil {
-			return nil, "", err
-		}
+		part = shard.NewHashPartitioner(nShards, opt.Features)
 		manifestPart = part.Name()
 	}
 

@@ -22,6 +22,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/wal"
 	"repro/internal/workload"
 	"repro/pkg/qpredict"
 )
@@ -68,9 +69,10 @@ func generationOf(t *testing.T, svc *serve.Server) int64 {
 
 // TestOneShardStateDirAcrossBoots: a state directory written by the stock
 // daemon holds one partition, and every way of asking for one shard opens
-// it — no -shards, -shards 0, -shards 1 under either partitioner — warm, at
-// the generation it held, answering a probe with the same bytes. A real
-// change of layout is still refused.
+// it — no -shards, -shards 0, -shards 1, and -shards 1 over a copy whose
+// manifest names the category partitioner, as a one-shard daemon of that
+// era could record it — warm, at the generation it held, answering a probe
+// with the same bytes. A real change of layout is still refused.
 func TestOneShardStateDirAcrossBoots(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"-train", "60", "-capacity", "20", "-retrain-every", "5", "-snapshot-every", "4", "-state-dir", dir}
@@ -107,6 +109,9 @@ func TestOneShardStateDirAcrossBoots(t *testing.T) {
 		t.Fatalf("probe: %d %s", code, want)
 	}
 	svc.Close()
+	categoryDir := filepath.Join(t.TempDir(), "state")
+	copyDir(t, dir, categoryDir)
+	setManifestPartitioner(t, categoryDir, "category")
 
 	for _, tc := range []struct {
 		name string
@@ -115,7 +120,7 @@ func TestOneShardStateDirAcrossBoots(t *testing.T) {
 		{name: "no -shards"},
 		{name: "-shards 0", args: []string{"-shards", "0"}},
 		{name: "-shards 1", args: []string{"-shards", "1"}},
-		{name: "-shards 1 -partitioner category", args: []string{"-shards", "1", "-partitioner", "category"}},
+		{name: "-shards 1, manifest naming category", args: []string{"-shards", "1", "-state-dir", categoryDir}},
 		{name: "the stock daemon again", args: nil},
 	} {
 		svc, log, err := bootArgs(t, append(base[:len(base):len(base)], tc.args...)...)
@@ -137,6 +142,34 @@ func TestOneShardStateDirAcrossBoots(t *testing.T) {
 
 	if _, _, err := bootArgs(t, append(base[:len(base):len(base)], "-shards", "2")...); err == nil || !strings.Contains(err.Error(), "was written under") {
 		t.Fatalf("-shards 2 on a one-shard state dir: %v", err)
+	}
+}
+
+// TestCategoryStateDirRefused: a directory a multi-shard daemon wrote under
+// the category partitioner spread its observations by measured runtime
+// class, so replaying its WALs into hash routing would train each shard on
+// another shard's traffic; a -shards 2 boot refuses it, while the same
+// layout recorded under hash boots.
+func TestCategoryStateDirRefused(t *testing.T) {
+	for _, part := range []string{"category", "hash"} {
+		t.Run(part, func(t *testing.T) {
+			dir := t.TempDir()
+			m, err := json.Marshal(wal.Manifest{Shards: 2, Partitioner: part, Capacity: 20, RetrainEvery: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "manifest.json"), m, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			svc, log, err := bootArgs(t, "-train", "60", "-capacity", "20", "-retrain-every", "5", "-shards", "2", "-state-dir", dir)
+			if err == nil {
+				svc.Close()
+			}
+			refused := err != nil && strings.Contains(err.Error(), "was written under")
+			if refused != (part == "category") {
+				t.Fatalf("-shards 2 over a %s manifest: %v\n%s", part, err, log)
+			}
+		})
 	}
 }
 
@@ -177,7 +210,8 @@ func TestStockPlannerKeepsNoTrees(t *testing.T) {
 // records past it, and the champion.json its promotion of planstruct wrote
 // — and testdata/zoo-era-predict.json is what that daemon's build answered
 // for eight queries on reopening the directory without the zoo. Today's
-// daemon ignores champion.json: every way of asking for one shard opens the
+// daemon ignores champion.json: every way of asking for one shard — also
+// over a copy whose manifest names the category partitioner — opens the
 // directory warm, at the recovered generation, and answers the same eight
 // queries with the same bytes, every result from the kcca model. The one
 // edit to that file since is the model's "index" object, which now describes
@@ -206,16 +240,20 @@ func TestZooEraStateDirBootsWarm(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name string
-		args []string
+		name     string
+		args     []string
+		manifest string // the partitioner the copy's manifest names, if not as written
 	}{
 		{name: "no -shards"},
 		{name: "-shards 1", args: []string{"-shards", "1"}},
-		{name: "-shards 1 -partitioner category", args: []string{"-shards", "1", "-partitioner", "category"}},
+		{name: "-shards 1, manifest naming category", args: []string{"-shards", "1"}, manifest: "category"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "state")
 			copyDir(t, filepath.Join("testdata", "zoo-era"), dir)
+			if tc.manifest != "" {
+				setManifestPartitioner(t, dir, tc.manifest)
+			}
 			args := append([]string{"-train", "60", "-capacity", "60", "-retrain-every", "20", "-snapshot-every", "16", "-state-dir", dir}, tc.args...)
 			svc, log, err := bootArgs(t, args...)
 			if err != nil {
@@ -262,6 +300,29 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
+// setManifestPartitioner rewrites the partitioner a state directory's
+// manifest records, as a daemon run under that partitioner would have
+// written it.
+func setManifestPartitioner(t *testing.T, dir, name string) {
+	t.Helper()
+	path := filepath.Join(dir, "manifest.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m wal.Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	m.Partitioner = name
+	if data, err = json.MarshalIndent(m, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFlagsOverConfigOverDefaults: the three layers of loadOptions. A field
 // the file sets beats the default, a flag given on the command line beats
 // the file — for every kind of flag value — and a field neither names keeps
@@ -303,14 +364,15 @@ func TestFlagsOverConfigOverDefaults(t *testing.T) {
 	if _, _, err := loadOptions(flag.NewFlagSet("qpredictd", flag.ContinueOnError), []string{"-capacity", "50"}, &note); err == nil {
 		t.Error("retrain-every 100 over -capacity 50 was accepted")
 	}
-	// The model zoo's flags and config section are gone, and say so: an
-	// undefined flag, and a file refused naming the section.
-	for _, flagName := range []string{"-champion", "-challengers"} {
-		t.Run(flagName, func(t *testing.T) {
+	// The model zoo's flags and config section are gone, and so is the
+	// choice of partitioner, and they say so: an undefined flag, and a file
+	// refused naming the section.
+	for _, args := range [][]string{{"-champion", "optcost"}, {"-challengers", "optcost"}, {"-partitioner", "hash"}} {
+		t.Run(args[0], func(t *testing.T) {
 			fs := flag.NewFlagSet("qpredictd", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
-			if _, _, err := loadOptions(fs, []string{flagName, "optcost"}, &note); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flagName) {
-				t.Errorf("%s optcost: %v, want an undefined flag", flagName, err)
+			if _, _, err := loadOptions(fs, args, &note); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+				t.Errorf("%s: %v, want an undefined flag", strings.Join(args, " "), err)
 			}
 		})
 	}

@@ -149,8 +149,8 @@ type ModelInfo struct {
 	// TrainedOn and Swaps are totals, and GET /v1/shards has the per-shard
 	// breakdown.
 	Shards int `json:"shards,omitempty"`
-	// Partitioner names the routing policy ("hash", "category"), present
-	// only on a multi-shard daemon.
+	// Partitioner names the routing policy, present only on a multi-shard
+	// daemon, which routes by "hash".
 	Partitioner string `json:"partitioner,omitempty"`
 	// ModelKind names the served model family: always "kcca".
 	ModelKind string `json:"model_kind,omitempty"`
@@ -272,9 +272,9 @@ type ShardInfo struct {
 	ModelKind string `json:"model_kind,omitempty"`
 }
 
-// ShardsResponse is the body of GET /v1/shards: the routing policy and the
-// per-shard model state. The endpoint exists only on a sharded daemon
-// (including -shards=1).
+// ShardsResponse is the body of GET /v1/shards: the routing policy
+// ("passthrough" on a one-shard daemon, "hash" on more) and the per-shard
+// model state. Every daemon serves it.
 type ShardsResponse struct {
 	Version     string      `json:"version"`
 	Partitioner string      `json:"partitioner"`

@@ -349,7 +349,7 @@ func TestShardedServeHTTP(t *testing.T) {
 		}
 		seen[r.Shard] = true
 		// Routing matches the partitioner run locally on the same plan.
-		want, err := part.RoutePredict(planLocal(t, r.SQL))
+		want, err := part.Route(planLocal(t, r.SQL))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,42 +7,19 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/workload"
 )
 
-// Partitioner maps queries to shard indexes. Predict and observe routing
-// are separate methods because they see different information: a predict
-// request is pre-execution (plan only), while an observation carries
-// measured metrics and a real category. A partitioner that uses only
-// pre-execution information (the hash partitioner) routes both identically;
-// the category partitioner routes observations by their measured class and
-// predicts by a pre-execution estimate of it.
+// Partitioner maps queries to shard indexes. Predicts and observations
+// route alike: both use only what is known before execution, so a shard
+// trains on exactly the traffic it serves.
 //
 // Implementations must be deterministic and safe for concurrent use: the
 // router calls them from every request goroutine.
 type Partitioner interface {
 	// Name identifies the partitioner on /v1/shards and in logs.
 	Name() string
-	// RoutePredict returns the owning shard index for a planned,
-	// not-yet-executed query.
-	RoutePredict(q *dataset.Query) (int, error)
-	// RouteObserve returns the owning shard index for an executed query
-	// (Metrics and Category populated).
-	RouteObserve(q *dataset.Query) (int, error)
-}
-
-// NewPartitioner constructs a partitioner by name: "hash" (consistent
-// hashing of the template fingerprint) or "category" (workload-category
-// routing).
-func NewPartitioner(name string, shards int, kind core.FeatureKind) (Partitioner, error) {
-	switch name {
-	case "hash", "":
-		return NewHashPartitioner(shards, kind), nil
-	case "category":
-		return NewCategoryPartitioner(shards), nil
-	default:
-		return nil, fmt.Errorf("shard: unknown partitioner %q (want hash or category)", name)
-	}
+	// Route returns the owning shard index for a planned query.
+	Route(q *dataset.Query) (int, error)
 }
 
 // ringReplicas is the number of virtual nodes per shard on the consistent
@@ -65,9 +42,6 @@ type ringPoint struct {
 //   - the mapping is consistent: changing the shard count moves only the
 //     keys whose ring arc changed ownership, not a full reshuffle — the
 //     property that makes resizing a warm fleet cheap.
-//
-// Predict and observe routing are identical (both use only pre-execution
-// features), so a shard always trains on exactly the traffic it serves.
 type HashPartitioner struct {
 	kind core.FeatureKind
 	ring []ringPoint
@@ -105,7 +79,7 @@ func (p *HashPartitioner) Locate(key uint64) int {
 	return p.ring[i].shard
 }
 
-func (p *HashPartitioner) route(q *dataset.Query) (int, error) {
+func (p *HashPartitioner) Route(q *dataset.Query) (int, error) {
 	key, err := core.QueryFingerprint(q, p.kind)
 	if err != nil {
 		return 0, err
@@ -113,58 +87,10 @@ func (p *HashPartitioner) route(q *dataset.Query) (int, error) {
 	return p.Locate(key), nil
 }
 
-func (p *HashPartitioner) RoutePredict(q *dataset.Query) (int, error) { return p.route(q) }
-func (p *HashPartitioner) RouteObserve(q *dataset.Query) (int, error) { return p.route(q) }
-
-// costPerSecond calibrates the optimizer's scalar cost to wall seconds for
-// pre-execution category estimation: on the research4 simulator scale a
-// cost of ~4000 units corresponds to roughly one elapsed second. The
-// mapping only has to be monotone and stable — it decides routing, not
-// predictions — and any systematic error simply shifts which shard a
-// borderline template warms up on.
-const costPerSecond = 4000.0
-
-// CategoryPartitioner routes by the paper's runtime classes — feathers,
-// golf balls, bowling balls, wrecking balls — so each shard's window
-// specializes on one runtime regime (the per-workload-model operating
-// point of the LinkedIn study). Observations route by their measured
-// category; predict requests, which have no measured runtime, route by the
-// optimizer's cost estimate mapped through the same workload.Categorize
-// boundaries. The two can disagree for queries the optimizer misjudges —
-// that is inherent to pre-execution routing and is why the router's warm
-// fallback keeps mispredicted cold-class traffic servable.
-type CategoryPartitioner struct {
-	n int
-}
-
-// NewCategoryPartitioner routes the four workload categories onto n shards
-// round-robin (category index mod n).
-func NewCategoryPartitioner(n int) *CategoryPartitioner {
-	if n < 1 {
-		n = 1
-	}
-	return &CategoryPartitioner{n: n}
-}
-
-func (p *CategoryPartitioner) Name() string { return "category" }
-
-func (p *CategoryPartitioner) RoutePredict(q *dataset.Query) (int, error) {
-	if q.Plan == nil {
-		return 0, core.ErrNoPlan
-	}
-	est := q.Plan.Cost / costPerSecond
-	return int(workload.Categorize(est)) % p.n, nil
-}
-
-func (p *CategoryPartitioner) RouteObserve(q *dataset.Query) (int, error) {
-	return int(q.Category) % p.n, nil
-}
-
 // Passthrough routes everything to shard 0: the partitioner of a one-shard
 // router, where every policy would choose the same and this one computes
 // nothing. It is what the stock daemon runs.
 type Passthrough struct{}
 
-func (Passthrough) Name() string                             { return "passthrough" }
-func (Passthrough) RoutePredict(*dataset.Query) (int, error) { return 0, nil }
-func (Passthrough) RouteObserve(*dataset.Query) (int, error) { return 0, nil }
+func (Passthrough) Name() string                      { return "passthrough" }
+func (Passthrough) Route(*dataset.Query) (int, error) { return 0, nil }

@@ -126,20 +126,27 @@ func (r *Router) AnyReady() bool {
 	return false
 }
 
+// route returns q's owning shard: the partitioner's pick, checked to name
+// one of the router's shards. Predicts and observations both route here.
+func (r *Router) route(q *dataset.Query) (int, error) {
+	owner, err := r.part.Route(q)
+	if err == nil && (owner < 0 || owner >= len(r.shards)) {
+		err = fmt.Errorf("shard: partitioner %s routed to %d of %d shards", r.part.Name(), owner, len(r.shards))
+	}
+	if err != nil {
+		routeErrors.Inc()
+	}
+	return owner, err
+}
+
 // Target resolves the shard that will serve a predict for q: the
 // partitioner's pick, or — when that shard is cold and the warm fallback is
 // on — the lowest-index ready shard. The returned owner is the
 // partitioner's pick either way (it is what responses report). A cold
 // target with no rescue available returns core.ErrNotTrained.
 func (r *Router) Target(q *dataset.Query) (sh *Shard, owner int, err error) {
-	owner, err = r.part.RoutePredict(q)
-	if err != nil {
-		routeErrors.Inc()
+	if owner, err = r.route(q); err != nil {
 		return nil, 0, err
-	}
-	if owner < 0 || owner >= len(r.shards) {
-		routeErrors.Inc()
-		return nil, 0, fmt.Errorf("shard: partitioner %s routed to %d of %d shards", r.part.Name(), owner, len(r.shards))
 	}
 	if s := r.shards[owner]; s.Ready() {
 		return s, owner, nil
@@ -274,12 +281,8 @@ func (r *Router) ObserveBatch(qs []*dataset.Query) ([]int, error) {
 	owners := make([]int, len(qs))
 	shares := make([][]*dataset.Query, len(r.shards))
 	for i, q := range qs {
-		owner, err := r.part.RouteObserve(q)
-		if err == nil && (owner < 0 || owner >= len(r.shards)) {
-			err = fmt.Errorf("shard: partitioner %s routed to %d of %d shards", r.part.Name(), owner, len(r.shards))
-		}
+		owner, err := r.route(q)
 		if err != nil {
-			routeErrors.Inc()
 			return nil, fmt.Errorf("observation %d: %w", i, err)
 		}
 		owners[i] = owner
@@ -302,26 +305,6 @@ func (r *Router) ObserveBatch(qs []*dataset.Query) ([]int, error) {
 		}
 	}
 	return owners, nil
-}
-
-// ObserveSync applies one observation synchronously on the caller's
-// goroutine, retraining and hot-swapping inline when due — the embedding
-// and benchmark path (no HTTP, no background queue). Do not mix with
-// concurrent Observe traffic on the same shard: both paths are safe, but
-// interleaving makes retrain timing nondeterministic.
-func (r *Router) ObserveSync(q *dataset.Query) (int, error) {
-	owner, err := r.part.RouteObserve(q)
-	if err != nil {
-		return 0, err
-	}
-	if owner < 0 || owner >= len(r.shards) {
-		return 0, fmt.Errorf("shard: partitioner %s routed to %d of %d shards", r.part.Name(), owner, len(r.shards))
-	}
-	s := r.shards[owner]
-	if s.sliding == nil {
-		return owner, fmt.Errorf("shard %d: no sliding window (static model)", owner)
-	}
-	return owner, s.apply(q)
 }
 
 // TotalWindow sums the mirrored window occupancy across shards.

@@ -234,12 +234,8 @@ func (s *Shard) enqueueObserve(share []*dataset.Query) {
 }
 
 // apply is the one per-observation path: WAL-log, slide the window
-// (retraining when due), publish a completed retrain, and persist. The
-// observe loop runs it for every queued observation; Router.ObserveSync
-// runs it on the caller's goroutine — the embedding/benchmark path,
-// bypassing the observe queue. SlidingPredictor is internally
-// synchronized, so the two may run side by side, but do not mix them on a
-// durable shard: the store is single-owner.
+// (retraining when due), publish a completed retrain, and persist. Only the
+// observe loop runs it, so the store keeps its single owner.
 func (s *Shard) apply(q *dataset.Query) error {
 	seq := s.logObservation(q)
 	before := s.sliding.Retrains()

@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -50,9 +49,8 @@ type funcPartitioner struct {
 	f func(q *dataset.Query) (int, error)
 }
 
-func (p funcPartitioner) Name() string                               { return p.n }
-func (p funcPartitioner) RoutePredict(q *dataset.Query) (int, error) { return p.f(q) }
-func (p funcPartitioner) RouteObserve(q *dataset.Query) (int, error) { return p.f(q) }
+func (p funcPartitioner) Name() string                        { return p.n }
+func (p funcPartitioner) Route(q *dataset.Query) (int, error) { return p.f(q) }
 
 func newSliding(t testing.TB, capacity, every int) *core.SlidingPredictor {
 	t.Helper()
@@ -175,13 +173,15 @@ func TestColdStartFallback(t *testing.T) {
 
 	// Warm the owner through its own observations: after the first retrain
 	// it serves its own traffic.
-	for i := 0; i < 5; i++ {
-		if _, err := r.ObserveSync(pool.Queries[i]); err != nil {
-			t.Fatalf("observe %d: %v", i, err)
-		}
+	if _, err := r.ObserveBatch(pool.Queries[:5]); err != nil {
+		t.Fatal(err)
 	}
-	if !r.Shard(1).Ready() {
-		t.Fatal("shard 1 still cold after enough observations for a retrain")
+	deadline := time.Now().Add(30 * time.Second)
+	for !r.Shard(1).Ready() {
+		if time.Now().After(deadline) {
+			t.Fatal("shard 1 still cold after enough observations for a retrain")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	outs = r.Predict(context.Background(), []*dataset.Query{q})
 	if outs[0].Shard != 1 || outs[0].Served != 1 || outs[0].Res.Err != nil {
@@ -323,18 +323,15 @@ func TestFingerprintDeterminism(t *testing.T) {
 		if fp != fp2 {
 			t.Fatalf("query %d: fingerprint unstable across calls: %x vs %x", q.ID, fp, fp2)
 		}
-		sh, err := p.RoutePredict(q)
+		sh, err := p.Route(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := p.Locate(fp); sh != want {
-			t.Fatalf("query %d: RoutePredict %d, Locate(core.QueryFingerprint) %d", q.ID, sh, want)
+			t.Fatalf("query %d: Route %d, Locate(core.QueryFingerprint) %d", q.ID, sh, want)
 		}
-		if sh2, _ := p2.RoutePredict(q); sh2 != sh {
+		if sh2, _ := p2.Route(q); sh2 != sh {
 			t.Fatalf("query %d: two identically built rings disagree: %d vs %d", q.ID, sh, sh2)
-		}
-		if obsSh, _ := p.RouteObserve(q); obsSh != sh {
-			t.Fatalf("query %d: predict/observe routing disagree: %d vs %d", q.ID, sh, obsSh)
 		}
 	}
 	// The function itself is a fixture: FNV-1a over IEEE-754 bit patterns,
@@ -387,38 +384,6 @@ func TestHashRingConsistency(t *testing.T) {
 	}
 }
 
-// TestCategoryPartitioner checks the workload-category policy: observations
-// route by measured class, predictions by the optimizer's cost estimate
-// through the same category boundaries, both within shard bounds.
-func TestCategoryPartitioner(t *testing.T) {
-	pool, _ := fixture(t)
-	p := NewCategoryPartitioner(3)
-	seen := map[int]bool{}
-	for _, q := range pool.Queries {
-		obsSh, err := p.RouteObserve(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := int(q.Category) % 3; obsSh != want {
-			t.Fatalf("query %d (category %v): observe shard %d, want %d", q.ID, q.Category, obsSh, want)
-		}
-		predSh, err := p.RoutePredict(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if predSh < 0 || predSh >= 3 {
-			t.Fatalf("query %d: predict shard %d out of range", q.ID, predSh)
-		}
-		seen[obsSh] = true
-	}
-	if len(seen) < 2 {
-		t.Errorf("all observations landed on one shard; categories not spreading: %v", seen)
-	}
-	if _, err := p.RoutePredict(&dataset.Query{SQL: "x"}); !errors.Is(err, core.ErrNoPlan) {
-		t.Errorf("unplanned predict err = %v, want ErrNoPlan", err)
-	}
-}
-
 // TestRouterObserveWarmsOwner checks that observations never fall back:
 // they go to the owner, whose window and observed counter grow.
 func TestRouterObserveWarmsOwner(t *testing.T) {
@@ -454,51 +419,5 @@ func TestRouterObserveWarmsOwner(t *testing.T) {
 	}
 	if got := r.TotalWindow(); got != 7 {
 		t.Errorf("TotalWindow %d, want 7", got)
-	}
-}
-
-// BenchmarkShardedObserveRetrain measures the observe+retrain pipeline at a
-// fixed total window, varying only the shard count: sharding divides the
-// retrain working set, so per-observation cost should fall as shards grow
-// (the reason the tier exists). Recorded in BENCH_shard.json.
-func BenchmarkShardedObserveRetrain(b *testing.B) {
-	pool, pred := fixture(b)
-	const totalWindow = 120
-	const totalEvery = 24
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cap := totalWindow / shards
-			every := totalEvery / shards
-			if every < 1 {
-				every = 1
-			}
-			cfgs := make([]ShardConfig, shards)
-			for i := range cfgs {
-				sl, err := core.NewSliding(cap, every, core.DefaultOptions())
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfgs[i] = ShardConfig{Boot: pred, Sliding: sl}
-			}
-			part := NewHashPartitioner(shards, core.DefaultOptions().Features)
-			r, err := NewRouter(cfgs, part, Config{}, true)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer r.Close()
-			// Prefill every window to capacity so the steady state — full
-			// windows, periodic retrains — is what gets measured.
-			for i := 0; i < totalWindow*2; i++ {
-				if _, err := r.ObserveSync(pool.Queries[i%len(pool.Queries)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.ObserveSync(pool.Queries[i%len(pool.Queries)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

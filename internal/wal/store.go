@@ -292,10 +292,12 @@ func (st *Store) Close(s *core.SlidingPredictor, gen int64) error {
 // written under. Shard count and routing policy change which observations
 // land in which partition's WAL, so restarting with different values would
 // silently replay history into the wrong models; the manifest turns that
-// into a boot-time error. With one shard there is one partition and every
-// routing policy fills it alike, so the partitioner then pins nothing:
-// one-shard manifests match whatever theirs say ("none" from a daemon
-// started without -shards, "hash" or "category" with -shards 1).
+// into a boot-time error. Today's daemon records "none" for one shard and
+// "hash" for more; a multi-shard directory an older daemon wrote under the
+// "category" partitioner is refused. With one shard there is one partition
+// and every routing policy fills it alike, so the partitioner then pins
+// nothing: one-shard manifests match whatever theirs say ("hash" or
+// "category" from an older daemon started with -shards 1).
 type Manifest struct {
 	Shards       int    `json:"shards"`
 	Partitioner  string `json:"partitioner"`

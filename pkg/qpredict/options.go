@@ -101,11 +101,11 @@ type SlidingOptions struct {
 // ShardOptions configures how many shards the serving tier runs.
 type ShardOptions struct {
 	// Count is the shard count; 0 and 1 both run one shard, which
-	// everything routes to.
+	// everything routes to. More shards route by consistent hashing of the
+	// template fingerprint and split the sliding window between them; each
+	// share must hold the training minimum of 5, so Count is at most
+	// sliding.capacity/5.
 	Count int `json:"count"`
-	// Partitioner is the routing policy across more than one shard: "hash"
-	// or "category".
-	Partitioner string `json:"partitioner"`
 }
 
 // StateOptions configures durable serving state.
@@ -142,7 +142,6 @@ func Default() Options {
 			DrainTimeout: Duration(15 * time.Second),
 		},
 		Sliding: SlidingOptions{Capacity: 500, RetrainEvery: 100},
-		Shards:  ShardOptions{Partitioner: "hash"},
 		State: StateOptions{
 			Fsync:         "batch",
 			FsyncEvery:    wal.DefaultSyncEvery,
@@ -202,10 +201,12 @@ func (o *Options) Validate() error {
 	if o.Shards.Count < 0 {
 		return fmt.Errorf("shards.count must be non-negative")
 	}
-	switch o.Shards.Partitioner {
-	case "hash", "category":
-	default:
-		return fmt.Errorf("shards.partitioner %q is not hash or category", o.Shards.Partitioner)
+	if o.Shards.Count > o.Sliding.Capacity/5 {
+		// Each shard's window is capacity/count rows and must hold the
+		// training minimum, or the shards together would keep more rows
+		// than the window the daemon was given.
+		return fmt.Errorf("shards.count %d exceeds sliding.capacity %d / 5: each shard's window must hold at least 5 rows",
+			o.Shards.Count, o.Sliding.Capacity)
 	}
 	switch o.State.Fsync {
 	case "always", "batch", "none":

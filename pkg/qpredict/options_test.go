@@ -2,6 +2,7 @@ package qpredict
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -115,7 +116,6 @@ func TestLoadFileRejectsInvalid(t *testing.T) {
 		"zero max_batch":      `{"serve": {"max_batch": -1}}`,
 		"tiny window":         `{"sliding": {"capacity": 3}}`,
 		"retrain past window": `{"sliding": {"capacity": 50}}`,
-		"bad partitioner":     `{"shards": {"partitioner": "roundrobin"}}`,
 		"bad fsync":           `{"state": {"fsync": "sometimes"}}`,
 	}
 	for name, body := range cases {
@@ -124,6 +124,42 @@ func TestLoadFileRejectsInvalid(t *testing.T) {
 				t.Fatalf("invalid config accepted: %s", body)
 			}
 		})
+	}
+}
+
+// TestLoadFileRejectsPartitioner: shards.partitioner is gone (more than one
+// shard always routes by hash), and a file that still names one — either
+// policy the field once took, or any other — is refused, naming it.
+func TestLoadFileRejectsPartitioner(t *testing.T) {
+	for _, name := range []string{"hash", "category", "roundrobin"} {
+		t.Run(name, func(t *testing.T) {
+			path := writeConfig(t, `{"shards": {"count": 2, "partitioner": "`+name+`"}}`)
+			if _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), `"partitioner"`) {
+				t.Fatalf("config naming a partitioner: %v, want an error naming \"partitioner\"", err)
+			}
+		})
+	}
+}
+
+// TestShardCountWithinCapacity: every shard's share of the window holds the
+// training minimum of 5 rows, so the shards together keep no more rows than
+// sliding.capacity; a count past capacity/5 is refused, naming both values.
+func TestShardCountWithinCapacity(t *testing.T) {
+	for _, c := range []struct{ capacity, most int }{{500, 100}, {50, 10}, {5, 1}} {
+		opts := Default()
+		opts.Sliding.Capacity, opts.Sliding.RetrainEvery = c.capacity, c.capacity
+		opts.Shards.Count = c.most
+		if err := opts.Validate(); err != nil {
+			t.Errorf("capacity %d: %d shards refused: %v", c.capacity, c.most, err)
+		}
+		opts.Shards.Count = c.most + 1
+		want := fmt.Sprintf("shards.count %d exceeds sliding.capacity %d", c.most+1, c.capacity)
+		if err := opts.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("capacity %d: %d shards: %v, want an error containing %q", c.capacity, c.most+1, err, want)
+		}
+	}
+	if _, err := LoadFile(writeConfig(t, `{"shards": {"count": 200}}`)); err == nil || !strings.Contains(err.Error(), "shards.count 200") {
+		t.Fatalf("200 shards over the default 500-row window: %v", err)
 	}
 }
 
