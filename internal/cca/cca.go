@@ -122,20 +122,29 @@ func (m *Model) project(v, mean []float64, w *linalg.Matrix) []float64 {
 	return w.TMulVec(centered)
 }
 
-// ProjectAllX maps every row of x into canonical space.
+// ProjectAllX maps every row of x into canonical space: row i is
+// ProjectX(x.Row(i)), bit for bit.
 func (m *Model) ProjectAllX(x *linalg.Matrix) *linalg.Matrix {
-	out := linalg.NewMatrix(x.Rows, m.WX.Cols)
-	for i := 0; i < x.Rows; i++ {
-		copy(out.Row(i), m.ProjectX(x.Row(i)))
-	}
-	return out
+	return projectAll(x, m.MeanX, m.WX)
 }
 
-// ProjectAllY maps every row of y into canonical space.
+// ProjectAllY maps every row of y into canonical space: row i is
+// ProjectY(y.Row(i)), bit for bit.
 func (m *Model) ProjectAllY(y *linalg.Matrix) *linalg.Matrix {
-	out := linalg.NewMatrix(y.Rows, m.WY.Cols)
-	for i := 0; i < y.Rows; i++ {
-		copy(out.Row(i), m.ProjectY(y.Row(i)))
+	return projectAll(y, m.MeanY, m.WY)
+}
+
+// projectAll is project for every row of x, into one output matrix through
+// one centered scratch row; TMulVecInto is TMulVec bit for bit, skipped
+// zero terms included.
+func projectAll(x *linalg.Matrix, mean []float64, w *linalg.Matrix) *linalg.Matrix {
+	out := linalg.NewMatrix(x.Rows, w.Cols)
+	centered := make([]float64, x.Cols)
+	for i := 0; i < x.Rows; i++ {
+		for j, v := range x.Row(i) {
+			centered[j] = v - mean[j]
+		}
+		w.TMulVecInto(out.Row(i), centered)
 	}
 	return out
 }

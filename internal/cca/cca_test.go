@@ -76,26 +76,51 @@ func TestCorrelationsSortedAndBounded(t *testing.T) {
 	}
 }
 
+// TestProjectSingleMatchesBatch holds ProjectAllX/ProjectAllY to ProjectX/
+// ProjectY row by row, bit for bit, at a canonical dimension that crosses the
+// 16-column blocks TMulVecInto takes on AVX2 (the suite runs again on the
+// portable loops). One row is the fitted mean itself, so its centered copy is
+// all exact zeros — terms both forms skip — and another has a few.
 func TestProjectSingleMatchesBatch(t *testing.T) {
-	x, y := plantedViews(3, 80)
-	m, err := Fit(x, y, 2, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	px := m.ProjectAllX(x)
-	py := m.ProjectAllY(y)
-	for i := 0; i < 5; i++ {
-		sx := m.ProjectX(x.Row(i))
-		sy := m.ProjectY(y.Row(i))
-		for j := range sx {
-			if math.Abs(sx[j]-px.At(i, j)) > 1e-12 {
-				t.Fatalf("X projection mismatch at (%d,%d)", i, j)
-			}
-			if math.Abs(sy[j]-py.At(i, j)) > 1e-12 {
-				t.Fatalf("Y projection mismatch at (%d,%d)", i, j)
+	for _, tc := range []struct{ n, dx, dy, r int }{{80, 3, 2, 2}, {120, 37, 21, 20}} {
+		x, y := randViews(int64(tc.n), tc.n, tc.dx, tc.dy)
+		m, err := Fit(x, y, tc.r, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(x.Row(0), m.MeanX)
+		copy(y.Row(0), m.MeanY)
+		x.Set(1, 0, m.MeanX[0])
+		y.Set(1, tc.dy-1, m.MeanY[tc.dy-1])
+		px, py := m.ProjectAllX(x), m.ProjectAllY(y)
+		for i := 0; i < tc.n; i++ {
+			sx, sy := m.ProjectX(x.Row(i)), m.ProjectY(y.Row(i))
+			for j := range sx {
+				if math.Float64bits(sx[j]) != math.Float64bits(px.At(i, j)) {
+					t.Fatalf("%+v: X projection (%d,%d) = %v, ProjectX %v", tc, i, j, px.At(i, j), sx[j])
+				}
+				if math.Float64bits(sy[j]) != math.Float64bits(py.At(i, j)) {
+					t.Fatalf("%+v: Y projection (%d,%d) = %v, ProjectY %v", tc, i, j, py.At(i, j), sy[j])
+				}
 			}
 		}
 	}
+}
+
+// randViews draws two views of n rows whose first columns share a signal.
+func randViews(seed int64, n, dx, dy int) (*linalg.Matrix, *linalg.Matrix) {
+	rng := rand.New(rand.NewSource(seed))
+	x, y := linalg.NewMatrix(n, dx), linalg.NewMatrix(n, dy)
+	for i := 0; i < n; i++ {
+		z := rng.NormFloat64()
+		for j := range x.Row(i) {
+			x.Set(i, j, z*float64(j%3)+rng.NormFloat64())
+		}
+		for j := range y.Row(i) {
+			y.Set(i, j, z*float64(j%2)+rng.NormFloat64())
+		}
+	}
+	return x, y
 }
 
 func TestUncorrelatedDataHasLowCorrelations(t *testing.T) {

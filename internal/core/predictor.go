@@ -22,7 +22,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/features"
 	"repro/internal/kcca"
-	"repro/internal/kernels"
 	"repro/internal/knn"
 	"repro/internal/linalg"
 	"repro/internal/obs"
@@ -290,6 +289,7 @@ func (p *Predictor) referenceScales() (distScale, kernelScale float64) {
 		ix = knn.NewIndex(p.model.QueryProj, knn.Euclidean)
 	}
 	var near []float64
+	row := make([]float64, n)
 	for _, i := range idx {
 		// Mean distance to the k nearest other training points — the same
 		// statistic Confidence computes for a prediction. The index answers
@@ -306,13 +306,11 @@ func (p *Predictor) referenceScales() (distScale, kernelScale float64) {
 		if len(near) > 0 {
 			dists = append(dists, linalg.Mean(near))
 		}
+		// The largest kernel value against every other training point: one
+		// cross-kernel vector per sampled row, Gaussian's values bit for bit.
 		bestK := 0.0
-		xi := p.model.X.Row(i)
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			if kv := kernels.Gaussian(xi, p.model.X.Row(j), p.model.TauX); kv > bestK {
+		for j, kv := range p.model.TrainingKernelInto(row, i) {
+			if j != i && kv > bestK {
 				bestK = kv
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/testutil"
 )
 
@@ -18,7 +19,10 @@ const stockWindow, stockEvery = 500, 100
 // the data the daemon sees, through the whole observe path. One op is one
 // retrain interval: 100 observations (ring writes), the last of which
 // retrains inline and accounts for nearly all of the op's time and bytes.
-// Every timed retrain must keep the frozen scales. It fails if a
+// Every timed retrain must keep the frozen scales. Beside ms per op it
+// reports, in ms per retrain, the kernel matrix and its centering
+// (kernels.matrix, kernels.center: both views, whose tasks run at once, so
+// their wall times add) and the CCA's SVD (linalg.svd). It fails if a
 // steady-state interval allocates an object as large as an n×n float64
 // block anywhere but the one kernel matrix per view that kcca.Train builds,
 // centers and decomposes in place.
@@ -41,6 +45,8 @@ func BenchmarkRetrainStock(b *testing.B) {
 	// interval so the timed ones start from a steady-state retrain.
 	observe(stockWindow + stockEvery)
 
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	obs.Reset()
 	incBefore, fullBefore := kccaInc.Value(), kccaFull.Value()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -48,6 +54,10 @@ func BenchmarkRetrainStock(b *testing.B) {
 		observe(stockEvery)
 	}
 	b.StopTimer()
+	for _, stage := range []string{"kernels.matrix", "kernels.center", "linalg.svd"} {
+		ms := float64(obs.GetStage(stage).Total().Nanoseconds()) / 1e6 / float64(b.N)
+		b.ReportMetric(ms, stage+"-ms/op")
+	}
 	if got := kccaInc.Value() - incBefore; got != int64(b.N) {
 		b.Fatalf("%d of %d retrains kept the frozen scales (%d recomputed them)",
 			got, b.N, kccaFull.Value()-fullBefore)

@@ -252,11 +252,15 @@ func kernelPCA(k *linalg.Matrix, r int) (phi, u *linalg.Matrix, lam []float64, e
 	}
 	vals = vals[:keep]
 	vecs = vecs.SliceCols(0, keep)
+	roots := make([]float64, keep)
+	for j, v := range vals {
+		roots[j] = math.Sqrt(v)
+	}
 	phi = linalg.NewMatrix(n, keep)
-	for j := 0; j < keep; j++ {
-		s := math.Sqrt(vals[j])
-		for i := 0; i < n; i++ {
-			phi.Set(i, j, vecs.At(i, j)*s)
+	for i := 0; i < n; i++ {
+		row := phi.Row(i)
+		for j, x := range vecs.Row(i) {
+			row[j] = x * roots[j]
 		}
 	}
 	return phi, vecs, vals, nil
@@ -313,6 +317,14 @@ func (m *Model) ProjectBatch(qs [][]float64) (projs [][]float64, maxKs []float64
 		projs[i], maxKs[i] = m.ProjectQueryKernel(qs[i])
 	})
 	return projs, maxKs
+}
+
+// TrainingKernelInto sets out[j] to the kernel value of training points i
+// and j — kernels.Gaussian(X.Row(i), X.Row(j), TauX), bit for bit — for
+// every j, through the feature-major layout ProjectQueryKernel reads, and
+// returns out.
+func (m *Model) TrainingKernelInto(out []float64, i int) []float64 {
+	return kernels.CrossVectorColsInto(out, m.xT, m.X.Row(i), m.TauX)
 }
 
 // Dims returns the dimensionality of the canonical projections.

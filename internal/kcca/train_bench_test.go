@@ -31,6 +31,7 @@ func BenchmarkTrainStock(b *testing.B) {
 			b.StopTimer()
 			for _, stage := range []string{
 				"linalg.eigen.reduce", "linalg.eigen.accumulate", "linalg.eigen.ql",
+				"kernels.matrix", "kernels.center", "linalg.svd",
 				"kcca.train.kernel", "kcca.train.eigen", "kcca.train.cca", "kcca.train.project",
 			} {
 				ms := float64(obs.GetStage(stage).Total().Nanoseconds()) / 1e6 / float64(b.N)

@@ -45,22 +45,69 @@ func ScaleHeuristic(rows *linalg.Matrix, frac float64) float64 {
 	return tau
 }
 
-// Matrix computes the N×N Gaussian kernel matrix of the rows of x. Element
-// (i, j) with i < j is computed once and mirrored to (j, i).
+// Matrix computes the N×N Gaussian kernel matrix of the rows of x:
+// Gaussian(x.Row(i), x.Row(j), tau) at (i, j), bit for bit, with the
+// diagonal exactly 1 and the lower triangle the mirror of the upper.
+//
+// Row i's upper triangle is one distance pass per blockWidth-point
+// feature-major block from the block holding column i+1 on (linalg.SqDistCols:
+// (xⱼ−xᵢ)² is (xᵢ−xⱼ)², added in feature order from +0 as Gaussian adds
+// them), then one linalg.ExpNegScaledInto over columns i+1.. — math.Exp's own
+// arithmetic, the path CrossVectorColsInto takes. Each finished strip of
+// blockWidth rows is mirrored below the diagonal a row at a time, one
+// contiguous run per row: a column at a time, the mirror's scattered stores
+// cost a third of the matrix at six features.
 func Matrix(x *linalg.Matrix, tau float64) *linalg.Matrix {
 	defer obs.Span("kernels.matrix")()
+	if tau <= 0 {
+		panic("kernels: nonpositive scale")
+	}
 	n := x.Rows
 	k := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		k.Set(i, i, 1)
-		ri := x.Row(i)
-		for j := i + 1; j < n; j++ {
-			v := Gaussian(ri, x.Row(j), tau)
-			k.Set(i, j, v)
-			k.Set(j, i, v)
+	blocks := featureBlocks(x)
+	dist := make([]float64, n)
+	for lo := 0; lo < n; lo += blockWidth {
+		hi := min(lo+blockWidth, n)
+		for i := lo; i < hi; i++ {
+			xi, row := x.Row(i), k.Row(i)
+			for b := (i + 1) / blockWidth; b < len(blocks); b++ {
+				linalg.SqDistCols(dist[b*blockWidth:][:blocks[b].Cols], blocks[b], xi)
+			}
+			row[i] = 1
+			linalg.ExpNegScaledInto(row[i+1:], dist[i+1:], tau)
+		}
+		for j := lo + 1; j < n; j++ {
+			dst := k.Data[j*n+lo : j*n+min(hi, j)]
+			for c := range dst {
+				dst[c] = k.Data[(lo+c)*n+j]
+			}
 		}
 	}
 	return k
+}
+
+// blockWidth is the number of points per feature-major block of Matrix: the
+// width linalg.SqDistCols carries through one pass on AVX2.
+const blockWidth = 16
+
+// featureBlocks splits the rows of x into consecutive groups of blockWidth
+// (the last may be narrower) and returns each group feature-major: block b
+// holds point 16b+c's feature f at (f, c).
+func featureBlocks(x *linalg.Matrix) []*linalg.Matrix {
+	n, d := x.Rows, x.Cols
+	data := make([]float64, n*d)
+	blocks := make([]*linalg.Matrix, 0, (n+blockWidth-1)/blockWidth)
+	for lo := 0; lo < n; lo += blockWidth {
+		w := min(blockWidth, n-lo)
+		b := linalg.NewMatrixFrom(d, w, data[lo*d:(lo+w)*d:(lo+w)*d])
+		for c := 0; c < w; c++ {
+			for f, v := range x.Row(lo + c) {
+				b.Data[f*w+c] = v
+			}
+		}
+		blocks = append(blocks, b)
+	}
+	return blocks
 }
 
 // crossScratch pools the per-call kernel vectors of the prediction hot path
@@ -130,8 +177,9 @@ func Center(k *linalg.Matrix) (rowMeans []float64, grandMean float64) {
 	}
 	grandMean = linalg.Mean(rowMeans)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			k.Set(i, j, k.At(i, j)-rowMeans[i]-rowMeans[j]+grandMean)
+		row, ri := k.Row(i), rowMeans[i]
+		for j, v := range row {
+			row[j] = v - ri - rowMeans[j] + grandMean
 		}
 	}
 	return rowMeans, grandMean

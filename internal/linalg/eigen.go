@@ -160,40 +160,38 @@ func tred2(t *Matrix, d, e []float64) {
 			for j := 0; j < i; j++ {
 				e[j] = 0
 			}
-			// Columns j and j+1 of V go through the loop together: each of
-			// the two running sums g keeps its own index order, and e[k]
-			// still receives column j's term before column j+1's, so every
-			// value is what the one-column loop below computes — two
-			// independent add chains instead of one.
-			j := 0
-			for ; j+2 <= i; j += 2 {
-				f0, f1 := d[j], d[j+1]
-				ti[j], ti[j+1] = f0, f1
-				t0, t1 := t.Row(j), t.Row(j+1)
-				g0 := e[j] + t0[j]*f0
-				g0 += t0[j+1] * f1
-				e[j+1] += t0[j+1] * f0
-				g1 := e[j+1] + t1[j+1]*f1
-				dk, ek, t1k := d[j+2:i], e[j+2:i], t1[j+2:i]
-				for k, x0 := range t0[j+2 : i] {
-					x1 := t1k[k]
-					g0 += x0 * dk[k]
-					g1 += x1 * dk[k]
-					ek[k] = ek[k] + x0*f0 + x1*f1
+			// column is the EISPACK loop for column c of V, stopped before
+			// row end: it adds the column's terms to e below the diagonal
+			// and returns the column's running dot g.
+			column := func(c, end int) float64 {
+				fc := d[c]
+				ti[c] = fc
+				tc := t.Row(c)
+				g := e[c] + tc[c]*fc
+				dk, ek := d[c+1:end], e[c+1:end]
+				for k, x := range tc[c+1 : end] {
+					g += x * dk[k]
+					ek[k] += x * fc
 				}
-				e[j], e[j+1] = g0, g1
+				return g
+			}
+			// Columns go symvCols at a time: the block's own triangle
+			// column by column, then every row below it in one symv pass,
+			// which continues each column's dot down its rows in order and
+			// adds the columns' terms to each e[k] in column order. The
+			// columns left over take the loop whole.
+			j := 0
+			for ; j+symvCols <= i; j += symvCols {
+				var fs, gs [symvCols]float64
+				end := j + symvCols
+				for c := j; c < end; c++ {
+					fs[c-j], gs[c-j] = d[c], column(c, end)
+				}
+				symv(t.Data[j*n+end:], n, d[end:i], e[end:i], &fs, &gs)
+				copy(e[j:end], gs[:])
 			}
 			for ; j < i; j++ {
-				f = d[j]
-				ti[j] = f
-				tj := t.Row(j)
-				g = e[j] + tj[j]*f
-				dk, ek := d[j+1:i], e[j+1:i]
-				for k, x := range tj[j+1 : i] {
-					g += x * dk[k]
-					ek[k] += x * f
-				}
-				e[j] = g
+				e[j] = column(j, i)
 			}
 			f = 0
 			for j := 0; j < i; j++ {

@@ -17,6 +17,10 @@ import (
 // the vectors' and columns', m the rows' and rotations'); off is the
 // element offset of every operand. The exponential reads raw from its start
 // again, τ first and then d, and is held to math.Exp itself on both paths.
+// The kernel matrix (kernels.Matrix, m points of n%41 features, read after
+// the exponential's operands, at τ = |the next value|) is held on both paths
+// to the pairwise loop it replaced: one Gaussian per pair, mirrored, with a
+// diagonal of 1.
 func FuzzKernels(f *testing.F) {
 	add := func(vals []float64, n, m, off uint8) {
 		raw := make([]byte, 8*len(vals))
@@ -97,6 +101,18 @@ func FuzzKernels(f *testing.F) {
 			return x
 		})
 
+		sd, se := vec(n), vec(n)
+		sm := vec(symvCols*(n+off) + 1)
+		var sf, sg [symvCols]float64
+		for l := range sf {
+			sf[l], sg[l] = draw(), draw()
+		}
+		both("symv", func() []float64 {
+			e, g := cp(se), sg
+			symv(sm, n+off, sd, e, &sf, &g)
+			return append(e, g[:]...)
+		})
+
 		w, rows := n, m/2
 		if m%2 == 0 {
 			w = 16 // the width accumulate uses, which the assembly takes
@@ -136,5 +152,43 @@ func FuzzKernels(f *testing.F) {
 			mustSameBits(t, "ExpNegScaledInto in place", inPlace, out)
 			return out
 		})
+
+		pts, tauK := NewMatrixFrom(m, n%41, vec(m*(n%41))), math.Abs(draw())
+		if !(tauK > 0) {
+			return
+		}
+		want := gaussianPairwise(pts, tauK)
+		both("kernel matrix", func() []float64 {
+			got := KernelMatrix(pts, tauK)
+			mustSameBits(t, "kernel matrix vs the pairwise loop", got.Data, want.Data)
+			return got.Data
+		})
 	})
+}
+
+// KernelMatrix is kernels.Matrix. That package imports this one, so the
+// tests here cannot import it; main_test.go, in the external test package,
+// sets it.
+var KernelMatrix func(x *Matrix, tau float64) *Matrix
+
+// gaussianPairwise is the kernel matrix as kernels.Matrix computed it before
+// its blocked rows: exp(−Σ(xᵢ−xⱼ)²/τ) for each pair i < j, summed in feature
+// order, mirrored to (j, i); 1 on the diagonal.
+func gaussianPairwise(x *Matrix, tau float64) *Matrix {
+	n := x.Rows
+	k := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		k.Set(i, i, 1)
+		for j := i + 1; j < n; j++ {
+			d := 0.0
+			for f, v := range x.Row(i) {
+				e := v - x.At(j, f)
+				d += e * e
+			}
+			v := math.Exp(-d / tau)
+			k.Set(i, j, v)
+			k.Set(j, i, v)
+		}
+	}
+	return k
 }

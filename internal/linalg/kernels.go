@@ -250,3 +250,45 @@ func subRank2(t, e, d []float64, f, g float64) {
 		t[k] = x - (f*e[k] + g*d[k])
 	}
 }
+
+// symvCols is the number of columns of V that symv carries at once.
+const symvCols = 8
+
+// symv is tred2's matrix-vector pass for symvCols columns of V together. Row
+// l of the block is t[l·stride:][:len(e)] (the column's entries from the
+// first row below the block on); for every k in order it adds
+// t[l·stride+k]·d[k] to g[l], and it sets e[k] to
+// e[k] + t[k]·f[0] + t[stride+k]·f[1] + … added for l ascending. That is what
+// the one-column loop does to those entries, column after column: each g[l]
+// is its own sum over k and each e[k] its own sum over l, so the AVX2 form
+// gives a lane to four of either.
+func symv(t []float64, stride int, d, e []float64, f, g *[symvCols]float64) {
+	d = d[:len(e)]
+	if len(e) == 0 {
+		return
+	}
+	_ = t[(symvCols-1)*stride+len(e)-1]
+	symvGo(t, stride, d, e, f, g, symvBlocks(t, stride, d, e, f, g))
+}
+
+// symvGo is symv for the entries from k = lo on.
+func symvGo(t []float64, stride int, d, e []float64, f, g *[symvCols]float64, lo int) {
+	n := len(e)
+	r0, r1, r2, r3 := t[:n], t[stride:][:n], t[2*stride:][:n], t[3*stride:][:n]
+	r4, r5, r6, r7 := t[4*stride:][:n], t[5*stride:][:n], t[6*stride:][:n], t[7*stride:][:n]
+	g0, g1, g2, g3, g4, g5, g6, g7 := g[0], g[1], g[2], g[3], g[4], g[5], g[6], g[7]
+	for k := lo; k < n; k++ {
+		dk := d[k]
+		x0, x1, x2, x3, x4, x5, x6, x7 := r0[k], r1[k], r2[k], r3[k], r4[k], r5[k], r6[k], r7[k]
+		g0 += x0 * dk
+		g1 += x1 * dk
+		g2 += x2 * dk
+		g3 += x3 * dk
+		g4 += x4 * dk
+		g5 += x5 * dk
+		g6 += x6 * dk
+		g7 += x7 * dk
+		e[k] = e[k] + x0*f[0] + x1*f[1] + x2*f[2] + x3*f[3] + x4*f[4] + x5*f[5] + x6*f[6] + x7*f[7]
+	}
+	g[0], g[1], g[2], g[3], g[4], g[5], g[6], g[7] = g0, g1, g2, g3, g4, g5, g6, g7
+}

@@ -109,6 +109,12 @@ func addScaledAVX2(y, x *float64, n int, a float64)
 //go:noescape
 func expNegScaledAVX2(out, d *float64, n int, tau float64) (done int)
 
+// symvAVX2 is symv on n entries, n a multiple of 4, with acc for g; fb
+// holds f with each entry repeated four times.
+//
+//go:noescape
+func symvAVX2(t *float64, stride int, d, e *float64, n int, fb, acc *float64)
+
 // The …Blocks functions run the assembly over the leading whole blocks of
 // their operands and return how many columns or elements that covered (zero
 // when the portable loops serve).
@@ -196,4 +202,17 @@ func expNegScaledBlocks(out, d []float64, tau float64) int {
 		return 0
 	}
 	return expNegScaledAVX2(&out[0], &d[0], n, tau)
+}
+
+func symvBlocks(t []float64, stride int, d, e []float64, f, g *[symvCols]float64) int {
+	n := len(e) &^ 3
+	if !useAVX2 || n == 0 {
+		return 0
+	}
+	var fb [4 * symvCols]float64
+	for l, x := range f {
+		fb[4*l], fb[4*l+1], fb[4*l+2], fb[4*l+3] = x, x, x, x
+	}
+	symvAVX2(&t[0], stride, &d[0], &e[0], n, &fb[0], &g[0])
+	return n
 }

@@ -396,6 +396,107 @@ adds4:
 	VZEROUPPER
 	RET
 
+// func symvAVX2(t *float64, stride int, d, e *float64, n int, fb, acc *float64)
+//
+// Four entries k per pass. Rows 0–3 of the block (SI, stride R8 bytes) and
+// rows 4–7 (DI) are loaded four entries wide; e[k..k+3] takes their
+// products with f one row after another (fb: f[l] four times, l = 0..7).
+// For g the four rows of each half are transposed, two VPERM2F128 and two
+// VUNPCK per pair of entries, into one vector per entry k — lanes l = 0–3 in
+// Y0, 4–7 in Y1 — and added in entry order, each times a broadcast d[k].
+TEXT ·symvAVX2(SB), NOSPLIT, $0-56
+	MOVQ    t+0(FP), SI
+	MOVQ    stride+8(FP), R8
+	MOVQ    d+16(FP), DX
+	MOVQ    e+24(FP), BX
+	MOVQ    n+32(FP), CX
+	MOVQ    fb+40(FP), R10
+	MOVQ    acc+48(FP), R11
+	SHLQ    $3, R8         // row stride in bytes
+	LEAQ    (R8)(R8*2), R9 // three rows
+	LEAQ    (SI)(R8*4), DI // row 4
+	VMOVUPD (R11), Y0
+	VMOVUPD 32(R11), Y1
+
+symv4:
+	VBROADCASTSD (DX), Y2
+	VBROADCASTSD 8(DX), Y3
+	VBROADCASTSD 16(DX), Y4
+	VBROADCASTSD 24(DX), Y5
+	VMOVUPD      (BX), Y6
+
+	// Rows 0–3.
+	VMOVUPD    (SI), Y7
+	VMULPD     (R10), Y7, Y8
+	VADDPD     Y8, Y6, Y6
+	VMOVUPD    (SI)(R8*1), Y9
+	VMULPD     32(R10), Y9, Y8
+	VADDPD     Y8, Y6, Y6
+	VMOVUPD    (SI)(R8*2), Y10
+	VMULPD     64(R10), Y10, Y8
+	VADDPD     Y8, Y6, Y6
+	VMOVUPD    (SI)(R9*1), Y11
+	VMULPD     96(R10), Y11, Y8
+	VADDPD     Y8, Y6, Y6
+	VPERM2F128 $0x20, Y10, Y7, Y12 // r0[k], r0[k+1] | r2[k], r2[k+1]
+	VPERM2F128 $0x20, Y11, Y9, Y13 // r1 … | r3 …
+	VPERM2F128 $0x31, Y10, Y7, Y7  // r0[k+2], r0[k+3] | r2[k+2], r2[k+3]
+	VPERM2F128 $0x31, Y11, Y9, Y9  // r1 … | r3 …
+	VUNPCKLPD  Y13, Y12, Y10       // rows 0–3 at k
+	VUNPCKHPD  Y13, Y12, Y11       // … at k+1
+	VUNPCKLPD  Y9, Y7, Y12         // … at k+2
+	VUNPCKHPD  Y9, Y7, Y13         // … at k+3
+	VMULPD     Y2, Y10, Y10
+	VADDPD     Y10, Y0, Y0
+	VMULPD     Y3, Y11, Y11
+	VADDPD     Y11, Y0, Y0
+	VMULPD     Y4, Y12, Y12
+	VADDPD     Y12, Y0, Y0
+	VMULPD     Y5, Y13, Y13
+	VADDPD     Y13, Y0, Y0
+
+	// Rows 4–7.
+	VMOVUPD    (DI), Y7
+	VMULPD     128(R10), Y7, Y8
+	VADDPD     Y8, Y6, Y6
+	VMOVUPD    (DI)(R8*1), Y9
+	VMULPD     160(R10), Y9, Y8
+	VADDPD     Y8, Y6, Y6
+	VMOVUPD    (DI)(R8*2), Y10
+	VMULPD     192(R10), Y10, Y8
+	VADDPD     Y8, Y6, Y6
+	VMOVUPD    (DI)(R9*1), Y11
+	VMULPD     224(R10), Y11, Y8
+	VADDPD     Y8, Y6, Y6
+	VMOVUPD    Y6, (BX)
+	VPERM2F128 $0x20, Y10, Y7, Y12
+	VPERM2F128 $0x20, Y11, Y9, Y13
+	VPERM2F128 $0x31, Y10, Y7, Y7
+	VPERM2F128 $0x31, Y11, Y9, Y9
+	VUNPCKLPD  Y13, Y12, Y10
+	VUNPCKHPD  Y13, Y12, Y11
+	VUNPCKLPD  Y9, Y7, Y12
+	VUNPCKHPD  Y9, Y7, Y13
+	VMULPD     Y2, Y10, Y10
+	VADDPD     Y10, Y1, Y1
+	VMULPD     Y3, Y11, Y11
+	VADDPD     Y11, Y1, Y1
+	VMULPD     Y4, Y12, Y12
+	VADDPD     Y12, Y1, Y1
+	VMULPD     Y5, Y13, Y13
+	VADDPD     Y13, Y1, Y1
+
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $32, DX
+	ADDQ $32, BX
+	SUBQ $4, CX
+	JNZ  symv4
+	VMOVUPD Y0, (R11)
+	VMOVUPD Y1, 32(R11)
+	VZEROUPPER
+	RET
+
 // The constants of expNegScaledAVX2, four lanes wide so that every
 // instruction can take them from memory: the values math.archExp
 // (src/math/exp_amd64.s) uses, written the same way.

@@ -16,3 +16,6 @@ func sweepBlocks(v []float64, stride, w int, cs []float64) int   { return 0 }
 func subOuterBlocks(b, g, d []float64) int                       { return 0 }
 func addScaledBlocks(y, x []float64, a float64) int              { return 0 }
 func expNegScaledBlocks(out, d []float64, tau float64) int       { return 0 }
+func symvBlocks(t []float64, stride int, d, e []float64, f, g *[symvCols]float64) int {
+	return 0
+}

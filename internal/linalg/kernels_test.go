@@ -414,6 +414,49 @@ func TestSubOuterMatchesReference(t *testing.T) {
 	})
 }
 
+// symvRef is tred2's one-column matrix-vector loop run on the symvCols
+// columns of a block, one after another, over the rows below the block.
+func symvRef(t []float64, stride int, d, e []float64, f, g *[symvCols]float64) {
+	for l := 0; l < symvCols; l++ {
+		for k := range e {
+			x := t[l*stride+k]
+			g[l] += x * d[k]
+			e[k] += x * f[l]
+		}
+	}
+}
+
+// TestSymvMatchesReference holds symv to symvRef: lengths across the
+// four-entry blocks from both sides, rows of a wider matrix at an unaligned
+// start, and nothing outside e and g may change.
+func TestSymvMatchesReference(t *testing.T) {
+	onBothPaths(t, func(t *testing.T) {
+		rng := statutil.NewRNG(47, "symv")
+		for _, n := range append(append([]int(nil), blockEdges...), longRuns...) {
+			for variant, draw := range map[string]func() float64{
+				"normal":  rng.NormFloat64,
+				"special": func() float64 { return special(rng) },
+			} {
+				ctx := fmt.Sprintf("n=%d %s", n, variant)
+				stride := n + 1 + rng.Intn(5)
+				m := offsetSlice(symvCols*stride, 1, draw)
+				d, e := offsetSlice(n, 3, draw), offsetSlice(n, 1, draw)
+				var f, g [symvCols]float64
+				for l := range f {
+					f[l], g[l] = draw(), draw()
+				}
+				wantE, wantG := CloneVec(e), g
+				symvRef(m, stride, d, wantE, &f, &wantG)
+				before := CloneVec(m)
+				symv(m, stride, d, e, &f, &g)
+				mustSameBits(t, ctx+" e", e, wantE)
+				mustSameBits(t, ctx+" g", g[:], wantG[:])
+				mustSameBits(t, ctx+" block", m, before)
+			}
+		}
+	})
+}
+
 // tmulRef is TMul as it was before addScaled: each output element sums its
 // terms for k ascending from +0, skipping exact-zero m[k][i].
 func tmulRef(m, b *Matrix) *Matrix {

@@ -22,70 +22,72 @@ type SVDFactor struct {
 func SVD(a *Matrix) (*SVDFactor, error) {
 	defer obs.Span("linalg.svd")()
 	if a.Rows >= a.Cols {
-		return svdTall(a)
+		return svdTall(a.T())
 	}
-	f, err := svdTall(a.T())
+	f, err := svdTall(a.Clone())
 	if err != nil {
 		return nil, err
 	}
 	return &SVDFactor{U: f.V, S: f.S, V: f.U}, nil
 }
 
-// svdTall implements the Golub-Reinsch algorithm (JAMA translation) for
-// m >= n.
-func svdTall(arg *Matrix) (*SVDFactor, error) {
-	a := arg.Clone()
-	m, n := a.Rows, a.Cols
+// svdTall implements the Golub-Reinsch algorithm (JAMA translation) for an
+// m×n matrix A with m >= n, given as its transpose at, which it consumes.
+//
+// The JAMA loops walk the columns of A, U and V, so all three are held
+// transposed, as tred2 holds its V: column j is row j of at, ut and vt. Every
+// inner loop is then a contiguous slice — each dot product one serial sum
+// from +0 like the original's (reflectRows), the updates addScaled, each
+// Givens rotation rotate on two rows — and every element sees the same operations in the same order as
+// in the column-walking form, so the factors are bit-identical to it
+// (svd_ref_test.go keeps it). A rotation JAMA writes as
+// (cs·x + sn·y, −sn·x + cs·y) is rotate with s = −sn: c·x − (−sn)·y rounds
+// exactly as c·x + sn·y does, since negation is exact and x − y is x + (−y).
+func svdTall(at *Matrix) (*SVDFactor, error) {
+	n, m := at.Rows, at.Cols
 	if n == 0 {
 		return &SVDFactor{U: NewMatrix(m, 0), S: nil, V: NewMatrix(0, 0)}, nil
 	}
 	nu := n
 	s := make([]float64, n+1)
-	u := NewMatrix(m, nu)
-	v := NewMatrix(n, n)
+	ut := NewMatrix(nu, m)
+	vt := NewMatrix(n, n)
 	e := make([]float64, n)
 	work := make([]float64, m)
+	dots := make([]float64, n)
 
-	// Reduce a to bidiagonal form, storing the diagonal elements in s and
+	// Reduce A to bidiagonal form, storing the diagonal elements in s and
 	// the super-diagonal elements in e.
 	nct := min(m-1, n)
 	nrt := max(0, min(n-2, m))
 	for k := 0; k < max(nct, nrt); k++ {
+		ak := at.Row(k)
 		if k < nct {
-			// Compute the 2-norm of the k-th column of a below the diagonal.
+			// Compute the 2-norm of the k-th column of A below the diagonal.
 			s[k] = 0
-			for i := k; i < m; i++ {
-				s[k] = math.Hypot(s[k], a.At(i, k))
+			for _, x := range ak[k:] {
+				s[k] = math.Hypot(s[k], x)
 			}
 			if s[k] != 0 {
-				if a.At(k, k) < 0 {
+				if ak[k] < 0 {
 					s[k] = -s[k]
 				}
-				for i := k; i < m; i++ {
-					a.Set(i, k, a.At(i, k)/s[k])
+				for i, x := range ak[k:] {
+					ak[k+i] = x / s[k]
 				}
-				a.Set(k, k, a.At(k, k)+1)
+				ak[k]++
 			}
 			s[k] = -s[k]
 		}
+		if k < nct && s[k] != 0 {
+			// Apply the transformation.
+			reflectRows(at, k, k, dots)
+		}
 		for j := k + 1; j < n; j++ {
-			if k < nct && s[k] != 0 {
-				// Apply the transformation.
-				t := 0.0
-				for i := k; i < m; i++ {
-					t += a.At(i, k) * a.At(i, j)
-				}
-				t = -t / a.At(k, k)
-				for i := k; i < m; i++ {
-					a.Set(i, j, a.At(i, j)+t*a.At(i, k))
-				}
-			}
-			e[j] = a.At(k, j)
+			e[j] = at.At(j, k)
 		}
 		if k < nct {
-			for i := k; i < m; i++ {
-				u.Set(i, k, a.At(i, k))
-			}
+			copy(ut.Row(k)[k:], ak[k:])
 		}
 		if k < nrt {
 			// Compute the k-th row transformation.
@@ -104,95 +106,69 @@ func svdTall(arg *Matrix) (*SVDFactor, error) {
 			}
 			e[k] = -e[k]
 			if k+1 < m && e[k] != 0 {
-				for i := k + 1; i < m; i++ {
-					work[i] = 0
+				w := work[k+1:]
+				clear(w)
+				for j := k + 1; j < n; j++ {
+					addScaled(w, at.Row(j)[k+1:], e[j])
 				}
 				for j := k + 1; j < n; j++ {
-					for i := k + 1; i < m; i++ {
-						work[i] += e[j] * a.At(i, j)
-					}
-				}
-				for j := k + 1; j < n; j++ {
-					t := -e[j] / e[k+1]
-					for i := k + 1; i < m; i++ {
-						a.Set(i, j, a.At(i, j)+t*work[i])
-					}
+					addScaled(at.Row(j)[k+1:], w, -e[j]/e[k+1])
 				}
 			}
-			for i := k + 1; i < n; i++ {
-				v.Set(i, k, e[i])
-			}
+			copy(vt.Row(k)[k+1:], e[k+1:])
 		}
 	}
 
 	// Set up the final bidiagonal matrix of order p.
 	p := min(n, m+1)
 	if nct < n {
-		s[nct] = a.At(nct, nct)
+		s[nct] = at.At(nct, nct)
 	}
 	if m < p {
 		s[p-1] = 0
 	}
 	if nrt+1 < p {
-		e[nrt] = a.At(nrt, p-1)
+		e[nrt] = at.At(p-1, nrt)
 	}
 	e[p-1] = 0
 
 	// Generate U.
 	for j := nct; j < nu; j++ {
-		for i := 0; i < m; i++ {
-			u.Set(i, j, 0)
-		}
-		u.Set(j, j, 1)
+		uj := ut.Row(j)
+		clear(uj)
+		uj[j] = 1
 	}
 	for k := nct - 1; k >= 0; k-- {
+		uk := ut.Row(k)
 		if s[k] != 0 {
-			for j := k + 1; j < nu; j++ {
-				t := 0.0
-				for i := k; i < m; i++ {
-					t += u.At(i, k) * u.At(i, j)
-				}
-				t = -t / u.At(k, k)
-				for i := k; i < m; i++ {
-					u.Set(i, j, u.At(i, j)+t*u.At(i, k))
-				}
+			reflectRows(ut, k, k, dots)
+			for i, x := range uk[k:] {
+				uk[k+i] = -x
 			}
-			for i := k; i < m; i++ {
-				u.Set(i, k, -u.At(i, k))
-			}
-			u.Set(k, k, 1+u.At(k, k))
+			uk[k] = 1 + uk[k]
 			for i := 0; i < k-1; i++ {
-				u.Set(i, k, 0)
+				uk[i] = 0
 			}
 		} else {
-			for i := 0; i < m; i++ {
-				u.Set(i, k, 0)
-			}
-			u.Set(k, k, 1)
+			clear(uk)
+			uk[k] = 1
 		}
 	}
 
 	// Generate V.
 	for k := n - 1; k >= 0; k-- {
+		vk := vt.Row(k)
 		if k < nrt && e[k] != 0 {
-			for j := k + 1; j < nu; j++ {
-				t := 0.0
-				for i := k + 1; i < n; i++ {
-					t += v.At(i, k) * v.At(i, j)
-				}
-				t = -t / v.At(k+1, k)
-				for i := k + 1; i < n; i++ {
-					v.Set(i, j, v.At(i, j)+t*v.At(i, k))
-				}
-			}
+			reflectRows(vt, k, k+1, dots)
 		}
-		for i := 0; i < n; i++ {
-			v.Set(i, k, 0)
-		}
-		v.Set(k, k, 1)
+		clear(vk)
+		vk[k] = 1
 	}
 
-	// Main iteration loop for the singular values.
+	// Main iteration loop for the singular values. It turns and reorders
+	// whole columns of U and V: u[j] and v[j] are column j, and reordering
+	// swaps slice headers instead of their contents.
+	u, v := rowSlices(ut), rowSlices(vt)
 	pp := p - 1
 	iter := 0
 	eps := math.Pow(2, -52)
@@ -256,11 +232,7 @@ func svdTall(arg *Matrix) (*SVDFactor, error) {
 					f = -sn * e[j-1]
 					e[j-1] = cs * e[j-1]
 				}
-				for i := 0; i < n; i++ {
-					t = cs*v.At(i, j) + sn*v.At(i, p-1)
-					v.Set(i, p-1, -sn*v.At(i, j)+cs*v.At(i, p-1))
-					v.Set(i, j, t)
-				}
+				rotate(v[j], v[p-1], cs, -sn)
 			}
 		case 2: // Split at negligible s(k).
 			f := e[k-1]
@@ -272,11 +244,7 @@ func svdTall(arg *Matrix) (*SVDFactor, error) {
 				s[j] = t
 				f = -sn * e[j]
 				e[j] = cs * e[j]
-				for i := 0; i < m; i++ {
-					t = cs*u.At(i, j) + sn*u.At(i, k-1)
-					u.Set(i, k-1, -sn*u.At(i, j)+cs*u.At(i, k-1))
-					u.Set(i, j, t)
-				}
+				rotate(u[j], u[k-1], cs, -sn)
 			}
 		case 3: // Perform one QR step.
 			// Calculate the shift.
@@ -312,7 +280,7 @@ func svdTall(arg *Matrix) (*SVDFactor, error) {
 				e[j] = cs*e[j] - sn*s[j]
 				g = sn * s[j+1]
 				s[j+1] = cs * s[j+1]
-				rotateCols(v, j, cs, sn)
+				rotate(v[j], v[j+1], cs, -sn)
 				t = math.Hypot(f, g)
 				cs = f / t
 				sn = g / t
@@ -322,7 +290,7 @@ func svdTall(arg *Matrix) (*SVDFactor, error) {
 				g = sn * e[j+1]
 				e[j+1] = cs * e[j+1]
 				if j < m-1 {
-					rotateCols(u, j, cs, sn)
+					rotate(u[j], u[j+1], cs, -sn)
 				}
 			}
 			e[p-2] = f
@@ -335,8 +303,9 @@ func svdTall(arg *Matrix) (*SVDFactor, error) {
 				} else {
 					s[k] = 0
 				}
-				for i := 0; i <= pp; i++ {
-					v.Set(i, k, -v.At(i, k))
+				vk := v[k][:pp+1]
+				for i, x := range vk {
+					vk[i] = -x
 				}
 			}
 			// Order the singular values.
@@ -346,18 +315,10 @@ func svdTall(arg *Matrix) (*SVDFactor, error) {
 				}
 				s[k], s[k+1] = s[k+1], s[k]
 				if k < n-1 {
-					for i := 0; i < n; i++ {
-						t := v.At(i, k+1)
-						v.Set(i, k+1, v.At(i, k))
-						v.Set(i, k, t)
-					}
+					v[k], v[k+1] = v[k+1], v[k]
 				}
 				if k < m-1 {
-					for i := 0; i < m; i++ {
-						t := u.At(i, k+1)
-						u.Set(i, k+1, u.At(i, k))
-						u.Set(i, k, t)
-					}
+					u[k], u[k+1] = u[k+1], u[k]
 				}
 				k++
 			}
@@ -365,16 +326,57 @@ func svdTall(arg *Matrix) (*SVDFactor, error) {
 			p--
 		}
 	}
-	return &SVDFactor{U: u, S: s[:n], V: v}, nil
+	return &SVDFactor{U: fromColumns(u, m), S: s[:n], V: fromColumns(v, n)}, nil
 }
 
-// rotateCols applies the Givens rotation (cs, sn) to columns (j, j+1) of a.
-func rotateCols(a *Matrix, j int, cs, sn float64) {
-	for i := 0; i < a.Rows; i++ {
-		t := cs*a.At(i, j) + sn*a.At(i, j+1)
-		a.Set(i, j+1, -sn*a.At(i, j)+cs*a.At(i, j+1))
-		a.Set(i, j, t)
+// reflectRows applies the Householder reflection held in row k of t, from
+// column c on, to every row j > k: t[j][c:] += (−(x·t[j][c:])/x[0])·x with
+// x = t[k][c:]. The reflection leaves x alone, so every row's dot product is
+// taken first, four rows per pass over x (dots is scratch); each is still
+// one sum from +0 over ascending columns, as Dot adds it.
+func reflectRows(t *Matrix, k, c int, dots []float64) {
+	x := t.Row(k)[c:]
+	n := len(x)
+	row := func(j int) []float64 { return t.Data[(k+1+j)*t.Cols+c:][:n] }
+	dots = dots[:t.Rows-k-1]
+	j := 0
+	for ; j+4 <= len(dots); j += 4 {
+		r0, r1, r2, r3 := row(j), row(j+1), row(j+2), row(j+3)
+		var s0, s1, s2, s3 float64
+		for i, xi := range x {
+			s0 += xi * r0[i]
+			s1 += xi * r1[i]
+			s2 += xi * r2[i]
+			s3 += xi * r3[i]
+		}
+		dots[j], dots[j+1], dots[j+2], dots[j+3] = s0, s1, s2, s3
 	}
+	for ; j < len(dots); j++ {
+		dots[j] = Dot(x, row(j))
+	}
+	for j, d := range dots {
+		addScaled(row(j), x, -d/x[0])
+	}
+}
+
+// rowSlices returns the rows of a as slices into its storage.
+func rowSlices(a *Matrix) [][]float64 {
+	rows := make([][]float64, a.Rows)
+	for i := range rows {
+		rows[i] = a.Row(i)
+	}
+	return rows
+}
+
+// fromColumns returns the r×len(cols) matrix whose column j is cols[j].
+func fromColumns(cols [][]float64, r int) *Matrix {
+	out := NewMatrix(r, len(cols))
+	for j, c := range cols {
+		for i, x := range c[:r] {
+			out.Data[i*len(cols)+j] = x
+		}
+	}
+	return out
 }
 
 func min(a, b int) int {

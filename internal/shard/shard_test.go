@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -420,4 +421,96 @@ func TestRouterObserveWarmsOwner(t *testing.T) {
 	if got := r.TotalWindow(); got != 7 {
 		t.Errorf("TotalWindow %d, want 7", got)
 	}
+}
+
+// TestRetrainFailureKeepsServing reads serve.retrain.errors on its failure
+// path. A window of observations with identical plan features has a
+// centered kernel of exact zeros, so its retrain fails with
+// kcca.ErrDegenerate: the counter moves by exactly one, the shard keeps
+// serving the generation before it with the same predictions bit for bit,
+// and the window keeps the observations.
+func TestRetrainFailureKeepsServing(t *testing.T) {
+	pool, _ := fixture(t)
+	zero := funcPartitioner{n: "zero", f: func(*dataset.Query) (int, error) { return 0, nil }}
+	r, err := NewRouter([]ShardConfig{{Sliding: newSliding(t, 5, 5)}}, zero, Config{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	sh := r.Shard(0)
+	observe := func(qs []*dataset.Query, total int64) {
+		t.Helper()
+		if _, err := r.ObserveBatch(qs); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for sh.Observed() < total {
+			if time.Now().After(deadline) {
+				t.Fatalf("observe loop stuck at %d of %d observations", sh.Observed(), total)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	observe(pool.Queries[:5], 5)
+	if !sh.Ready() {
+		t.Fatal("no generation after a full window of distinct queries")
+	}
+	gen := sh.Model().Gen
+	probe := pool.Queries[120:140]
+	before := r.Predict(context.Background(), probe)
+	errsBefore := retrainErrors.Value()
+
+	same := make([]*dataset.Query, 5)
+	for i := range same {
+		same[i] = pool.Queries[7]
+	}
+	observe(same, 10)
+
+	if got := retrainErrors.Value() - errsBefore; got != 1 {
+		t.Fatalf("serve.retrain.errors moved by %d, want 1", got)
+	}
+	if g := sh.Model().Gen; g != gen {
+		t.Fatalf("serving generation %d after the failed retrain, want %d", g, gen)
+	}
+	after := r.Predict(context.Background(), probe)
+	for i := range probe {
+		b, a := before[i], after[i]
+		if b.Err != nil || a.Err != nil || b.Res.Err != nil || a.Res.Err != nil {
+			t.Fatalf("probe %d: %v / %v, %v / %v", i, b.Err, b.Res.Err, a.Err, a.Res.Err)
+		}
+		if a.Gen != gen || b.Gen != gen {
+			t.Fatalf("probe %d: served by generations %d and %d, want %d", i, b.Gen, a.Gen, gen)
+		}
+		if !samePrediction(a.Res.Prediction, b.Res.Prediction) {
+			t.Fatalf("probe %d: %+v after the failed retrain, %+v before", i, a.Res.Prediction, b.Res.Prediction)
+		}
+	}
+	if n := sh.WindowSize(); n != 5 {
+		t.Fatalf("window holds %d queries, want 5", n)
+	}
+	for i, q := range sh.sliding.Window() {
+		if q != pool.Queries[7] {
+			t.Fatalf("window slot %d holds %q, want the observed duplicate", i, q.SQL)
+		}
+	}
+}
+
+// samePrediction compares two predictions bit for bit, neighbours included.
+func samePrediction(a, b *core.Prediction) bool {
+	av, bv := a.Metrics.Vector(), b.Metrics.Vector()
+	for i := range av {
+		if math.Float64bits(av[i]) != math.Float64bits(bv[i]) {
+			return false
+		}
+	}
+	if math.Float64bits(a.Confidence) != math.Float64bits(b.Confidence) || a.Category != b.Category || len(a.Neighbors) != len(b.Neighbors) {
+		return false
+	}
+	for i, n := range a.Neighbors {
+		if n.Index != b.Neighbors[i].Index || math.Float64bits(n.Distance) != math.Float64bits(b.Neighbors[i].Distance) {
+			return false
+		}
+	}
+	return true
 }
