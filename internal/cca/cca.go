@@ -12,13 +12,14 @@ import (
 	"repro/internal/linalg"
 )
 
-// Model is a fitted CCA basis.
+// Model is a fitted CCA basis on the x side: every consumer projects
+// x-observations only, so the y side's weights are not kept.
 type Model struct {
-	// MeanX and MeanY are the column means removed before fitting.
-	MeanX, MeanY []float64
-	// WX and WY map (centered) observations into canonical space: one
+	// MeanX holds the column means of x removed before fitting.
+	MeanX []float64
+	// WX maps (centered) x-observations into canonical space: one
 	// canonical direction per column.
-	WX, WY *linalg.Matrix
+	WX *linalg.Matrix
 	// Correlations are the canonical correlations, descending.
 	Correlations []float64
 }
@@ -47,7 +48,7 @@ func Fit(x, y *linalg.Matrix, r int, reg float64) (*Model, error) {
 	cx := x.Clone()
 	cy := y.Clone()
 	meanX := cx.CenterColumns()
-	meanY := cy.CenterColumns()
+	cy.CenterColumns()
 	n := float64(x.Rows - 1)
 
 	sxx := cx.TMul(cx).Scale(1 / n)
@@ -74,12 +75,10 @@ func Fit(x, y *linalg.Matrix, r int, reg float64) (*Model, error) {
 		return nil, err
 	}
 	u := svd.U.SliceCols(0, min(r, svd.U.Cols))
-	v := svd.V.SliceCols(0, min(r, svd.V.Cols))
 	r = u.Cols
 
-	// Canonical weights: WX = Lx⁻ᵀ U, WY = Ly⁻ᵀ V.
+	// Canonical weights: WX = Lx⁻ᵀ U.
 	wx := lxInv.TMul(u)
-	wy := lyInv.TMul(v)
 
 	corr := make([]float64, r)
 	for i := 0; i < r; i++ {
@@ -89,7 +88,7 @@ func Fit(x, y *linalg.Matrix, r int, reg float64) (*Model, error) {
 		}
 		corr[i] = c
 	}
-	return &Model{MeanX: meanX, MeanY: meanY, WX: wx, WY: wy, Correlations: corr}, nil
+	return &Model{MeanX: meanX, WX: wx, Correlations: corr}, nil
 }
 
 func ridge(s *linalg.Matrix, reg float64) {
@@ -106,45 +105,25 @@ func ridge(s *linalg.Matrix, reg float64) {
 
 // ProjectX maps one x-observation into canonical space.
 func (m *Model) ProjectX(x []float64) []float64 {
-	return m.project(x, m.MeanX, m.WX)
-}
-
-// ProjectY maps one y-observation into canonical space.
-func (m *Model) ProjectY(y []float64) []float64 {
-	return m.project(y, m.MeanY, m.WY)
-}
-
-func (m *Model) project(v, mean []float64, w *linalg.Matrix) []float64 {
-	centered := make([]float64, len(v))
-	for i := range v {
-		centered[i] = v[i] - mean[i]
+	centered := make([]float64, len(x))
+	for i := range x {
+		centered[i] = x[i] - m.MeanX[i]
 	}
-	return w.TMulVec(centered)
+	return m.WX.TMulVec(centered)
 }
 
 // ProjectAllX maps every row of x into canonical space: row i is
-// ProjectX(x.Row(i)), bit for bit.
+// ProjectX(x.Row(i)), bit for bit, into one output matrix through one
+// centered scratch row (TMulVecInto is TMulVec bit for bit, skipped zero
+// terms included).
 func (m *Model) ProjectAllX(x *linalg.Matrix) *linalg.Matrix {
-	return projectAll(x, m.MeanX, m.WX)
-}
-
-// ProjectAllY maps every row of y into canonical space: row i is
-// ProjectY(y.Row(i)), bit for bit.
-func (m *Model) ProjectAllY(y *linalg.Matrix) *linalg.Matrix {
-	return projectAll(y, m.MeanY, m.WY)
-}
-
-// projectAll is project for every row of x, into one output matrix through
-// one centered scratch row; TMulVecInto is TMulVec bit for bit, skipped
-// zero terms included.
-func projectAll(x *linalg.Matrix, mean []float64, w *linalg.Matrix) *linalg.Matrix {
-	out := linalg.NewMatrix(x.Rows, w.Cols)
+	out := linalg.NewMatrix(x.Rows, m.WX.Cols)
 	centered := make([]float64, x.Cols)
 	for i := 0; i < x.Rows; i++ {
 		for j, v := range x.Row(i) {
-			centered[j] = v - mean[j]
+			centered[j] = v - m.MeanX[j]
 		}
-		w.TMulVecInto(out.Row(i), centered)
+		m.WX.TMulVecInto(out.Row(i), centered)
 	}
 	return out
 }

@@ -171,6 +171,16 @@ func fromWire(wire *predictorWire) (*Predictor, error) {
 			if err != nil {
 				return nil, err
 			}
+			// A routed prediction hands the sub-model the parent's feature
+			// vector, so a sub-model over other features would panic in
+			// the kernel on first use.
+			if sp.opt.Features != wire.Opt.Features || sp.model.X.Cols != model.X.Cols {
+				return nil, fmt.Errorf("core: decoded predictor's %v model takes %d features (%v), the predictor %d (%v)",
+					c, sp.model.X.Cols, sp.opt.Features, model.X.Cols, wire.Opt.Features)
+			}
+			if sp.sub != nil || sp.opt.TwoStep {
+				return nil, fmt.Errorf("core: decoded predictor's %v model is itself two-step", c)
+			}
 			p.sub[c] = sp
 		}
 	}

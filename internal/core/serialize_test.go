@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/frame"
+	"repro/internal/workload"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -71,6 +72,69 @@ func TestSaveLoadTwoStep(t *testing.T) {
 		if a.Metrics != b.Metrics || a.Category != b.Category {
 			t.Fatal("two-step prediction changed after round trip")
 		}
+	}
+}
+
+// TestLoadRejectsMismatchedSubModel: a two-step file whose type model takes
+// other features than the predictor, or is itself two-step, is refused at
+// Load with an error naming the type model, instead of loading and then
+// panicking on the first prediction routed to it.
+func TestLoadRejectsMismatchedSubModel(t *testing.T) {
+	train, _ := trainTest(t)
+	opt := DefaultOptions()
+	opt.TwoStep = true
+	p, err := Train(train, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sqlOpt := DefaultOptions()
+	sqlOpt.Features = SQLFeatures
+	sqlModel, err := Train(train[:60], sqlOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nested, err := Train(train[:120], opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.sub) == 0 || len(nested.sub) == 0 {
+		t.Fatal("the two-step fixtures have no type models")
+	}
+	// The SQL-feature model labelled as a plan-feature one: only its width
+	// gives it away.
+	mislabelled := *sqlModel
+	mislabelled.opt.Features = PlanFeatures
+	for _, tc := range []struct {
+		name string
+		sub  *Predictor
+		want string
+	}{
+		{"SQL-feature type model", sqlModel, "features"},
+		{"plan-labelled type model over SQL features", &mislabelled, "takes 9 features (query-plan)"},
+		{"two-step type model", nested, "itself two-step"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *p
+			bad.sub = map[workload.Category]*Predictor{}
+			for c, sp := range p.sub {
+				bad.sub[c] = sp
+			}
+			for c := range p.sub {
+				bad.sub[c] = tc.sub
+				break
+			}
+			var buf bytes.Buffer
+			if err := bad.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Load(&buf)
+			if err == nil {
+				t.Fatal("a two-step model with a mismatched type model loaded")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not say %q", err, tc.want)
+			}
+		})
 	}
 }
 

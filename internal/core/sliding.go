@@ -3,27 +3,21 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/dataset"
-	"repro/internal/kcca"
 	"repro/internal/obs"
 )
 
 // Sliding-window metrics (visible in obs snapshots next to the predict
 // latency histograms, so retrain cadence and window churn can be watched
-// in production). The retrain counters keep the names they had when a
-// retrain at frozen scales was served from incrementally maintained kernels.
+// in production). Every completed retrain counts as kcca.retrain.full: the
+// name dashboards and the benchmark's retrain accounting read.
 var (
 	slidingObserved = obs.GetCounter("core.sliding.observed")
 	slidingEvicted  = obs.GetCounter("core.sliding.evicted")
-	slidingRetrains = obs.GetCounter("core.sliding.retrains")
-	// retrainFrozen counts retrains at frozen kernel scales, retrainFresh
-	// those that computed them anew (window growth, τ-drift, TwoStep).
-	retrainFrozen = obs.GetCounter("kcca.retrain.incremental")
-	retrainFresh  = obs.GetCounter("kcca.retrain.full")
+	slidingRetrains = obs.GetCounter("kcca.retrain.full")
 )
 
 // SlidingPredictor maintains a bounded window of the most recently
@@ -33,12 +27,11 @@ var (
 // the model adapt to workload drift without the cubic cost of retraining
 // after every query.
 //
-// A retrain is kcca.Train on a snapshot of the window, taken under the lock
-// and trained outside it, so concurrent PredictQuery/Observe calls never
-// stall behind the O(N³) solve. Only the kernel scales carry state from one
-// retrain to the next: once the window is full they stay frozen until the
-// scale heuristic drifts (see train), so a steady stream of similar
-// queries does not move the kernel under the model.
+// A retrain is Train on a snapshot of the window, taken under the lock and
+// trained outside it, so concurrent PredictQuery/Observe calls never stall
+// behind the O(N³) solve. Nothing carries from one retrain to the next:
+// each model generation is a function of its window alone, which is why a
+// snapshot needs only the window to continue exactly.
 //
 // SlidingPredictor is safe for concurrent use: Observe/Retrain serialize on
 // an internal mutex, while PredictQuery/Current read the published model
@@ -62,24 +55,10 @@ type SlidingPredictor struct {
 	head, size int
 
 	sinceTrain int
-	// version counts window mutations; a retrain that computed fresh scales
-	// on a snapshot taken at version v only freezes them if the window is
-	// still at v when it finishes (the model itself is published either
-	// way — it is the freshest completed training).
-	version uint64
-	// frozen is the τ policy's state, nil until a retrain freezes scales.
-	frozen *frozenTau
 	// retrains counts completed trainings (visible for tests/metrics).
 	retrains int
 
 	current atomic.Pointer[Predictor]
-}
-
-// frozenTau is the kernel-scale pair a retrain froze and the window size it
-// froze them at. It is also the snapshot wire form (exported fields).
-type frozenTau struct {
-	X, Y float64
-	N    int
 }
 
 // NewSliding returns a sliding predictor that keeps up to capacity recent
@@ -118,7 +97,6 @@ func (s *SlidingPredictor) Observe(q *dataset.Query) error {
 		s.buf[(s.head+s.size)%s.capacity] = q
 		s.size++
 	}
-	s.version++
 	s.sinceTrain++
 	due := s.sinceTrain >= s.retrainEvery && s.size >= 5
 	s.mu.Unlock()
@@ -128,91 +106,38 @@ func (s *SlidingPredictor) Observe(q *dataset.Query) error {
 	return nil
 }
 
-// Retrain rebuilds the predictor from the current window: a snapshot taken
-// under the lock, trained outside it, published under it.
+// Retrain rebuilds the predictor from the current window: Train on the
+// slot-order window, taken under the lock and trained outside it, published
+// under it.
 func (s *SlidingPredictor) Retrain() error {
-	qs, version, frozen, err := s.snapshot()
+	qs, err := s.snapshot()
 	if err != nil {
 		return err
 	}
-	p, fresh, err := s.train(qs, frozen)
+	p, err := Train(qs, s.opt)
 	if err != nil {
 		return err
 	}
-	s.publish(p, fresh, version)
+	s.publish(p)
 	return nil
 }
 
-// snapshot returns the slot-order window, its version and the frozen
-// scales, or ErrEmptyWindow below five queries.
-func (s *SlidingPredictor) snapshot() ([]*dataset.Query, uint64, *frozenTau, error) {
+// snapshot returns the slot-order window, or ErrEmptyWindow below five
+// queries.
+func (s *SlidingPredictor) snapshot() ([]*dataset.Query, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.size < 5 {
-		return nil, 0, nil, fmt.Errorf("%w: have %d, need at least 5", ErrEmptyWindow, s.size)
+		return nil, fmt.Errorf("%w: have %d, need at least 5", ErrEmptyWindow, s.size)
 	}
-	return s.slotWindow(), s.version, s.frozen, nil
-}
-
-// train is kcca.Train on the slot-order window qs at the scales the τ policy
-// picks: the frozen ones while the window has the size they were frozen at
-// and neither view's heuristic has drifted from them by more than
-// TauDriftTol (pinned TauX/TauY never drift), fresh ones otherwise. It
-// returns the fresh scales, nil when it reused the frozen ones. TwoStep is
-// core.Train: its per-type sub-models take fresh scales every time, and
-// none are frozen.
-func (s *SlidingPredictor) train(qs []*dataset.Query, frozen *frozenTau) (*Predictor, *frozenTau, error) {
-	if s.opt.TwoStep {
-		p, err := Train(qs, s.opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		retrainFresh.Inc()
-		return p, nil, nil
-	}
-	x, y, rawRows, cats, err := extractFeatures(qs, s.opt.Features)
-	if err != nil {
-		return nil, nil, err
-	}
-	kopt := s.opt.KCCA
-	tau := frozenTau{N: len(qs)}
-	tau.X, tau.Y = kcca.Scales(x, y, kopt)
-	tol := kopt.TauDriftTol
-	if tol <= 0 {
-		tol = 0.1
-	}
-	drifted := func(frozen, fresh float64) bool { return math.Abs(fresh-frozen) > tol*frozen }
-	reuse := frozen != nil && frozen.N == tau.N && !drifted(frozen.X, tau.X) && !drifted(frozen.Y, tau.Y)
-	if reuse {
-		tau = *frozen
-	}
-	kopt.TauX, kopt.TauY = tau.X, tau.Y
-	model, err := kcca.Train(x, y, kopt)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: KCCA training: %w", err)
-	}
-	p := newPredictor(model, rawRows, cats, s.opt)
-	if reuse {
-		retrainFrozen.Inc()
-		return p, nil, nil
-	}
-	retrainFresh.Inc()
-	return p, &tau, nil
+	return s.slotWindow(), nil
 }
 
 // publish swaps p in as the next model generation, which retires the
-// previous generation's prediction cache wholesale. Fresh scales are frozen
-// only if they describe the live window: if it moved from version while
-// they were computed, none are, and the next retrain computes anew.
-func (s *SlidingPredictor) publish(p *Predictor, fresh *frozenTau, version uint64) {
+// previous generation's prediction cache wholesale.
+func (s *SlidingPredictor) publish(p *Predictor) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if fresh != nil {
-		s.frozen = nil
-		if s.version == version {
-			s.frozen = fresh
-		}
-	}
 	s.current.Store(p)
 	s.sinceTrain = 0
 	s.retrains++

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -22,21 +21,15 @@ import (
 // Never regenerate these files: they stand for every state directory a
 // daemon of that format left behind.
 //
-// The writer: NewSliding(60, 15) under DefaultOptions with TauDriftTol 0.5
-// (at 60 rows the default 0.1 sends nearly every retrain down the full
-// path), fed legacyStream's first 90 queries; the retrains at 75 and 90 were
-// incremental, so the kernels had been patched 30 times. Probes are pool
-// queries 400..404, re-planned.
+// The writer: NewSliding(60, 15) under DefaultOptions with a τ-drift
+// tolerance of 0.5 (an option since removed, which gob skips), fed the pool's
+// first 90 queries, re-planned; the retrains at 75 and 90 were incremental,
+// so the kernels had been patched 30 times. Probes are pool queries
+// 400..404, re-planned.
 const (
 	legacyCapacity, legacyEvery = 60, 15
 	legacySaved, legacyMore     = 90, 30
 )
-
-func legacyOptions() Options {
-	opt := DefaultOptions()
-	opt.KCCA.TauDriftTol = 0.5
-	return opt
-}
 
 // legacyPlan re-plans SQL the way the daemon's observe path does, on the
 // schema, data seed and machine of the core test pool.
@@ -76,7 +69,9 @@ func legacyReplan(t *testing.T, src []*dataset.Query) []*dataset.Query {
 // probeJSON encodes the predictions of probes the way the fixture's were
 // written (Memo cleared: it is a per-cache-entry slot, not part of the
 // answer).
-func probeJSON(t *testing.T, s *SlidingPredictor, probes []*dataset.Query) []byte {
+func probeJSON(t *testing.T, s interface {
+	PredictQuery(*dataset.Query) (*Prediction, error)
+}, probes []*dataset.Query) []byte {
 	t.Helper()
 	preds := make([]Prediction, len(probes))
 	for i, q := range probes {
@@ -95,10 +90,10 @@ func probeJSON(t *testing.T, s *SlidingPredictor, probes []*dataset.Query) []byt
 }
 
 // TestLegacySlidingSnapshotRestores holds the current code to a snapshot in
-// the older format: it restores, answers the probes byte for byte as the
-// writer did, continues for 30 observations exactly like a fresh predictor
-// fed the whole 120-observation stream, and its next incremental retrain is
-// Train on the slot-order window at the frozen kernel scales.
+// the older format: it restores and answers the probes byte for byte as the
+// writer did until its next retrain, which is Train on the slot-order
+// window; from then on it predicts exactly like a fresh predictor fed the
+// whole 120-observation stream, at the same generation throughout.
 func TestLegacySlidingSnapshotRestores(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// The fixture's floats were computed on amd64; another architecture
@@ -109,7 +104,7 @@ func TestLegacySlidingSnapshotRestores(t *testing.T) {
 	ds := pool(t)
 	stream := legacyReplan(t, ds.Queries[:legacySaved+legacyMore])
 	probes := legacyReplan(t, ds.Queries[400:405])
-	opt := legacyOptions()
+	opt := DefaultOptions()
 
 	state, err := os.ReadFile("testdata/legacy-sliding/state.snap")
 	if err != nil {
@@ -136,7 +131,6 @@ func TestLegacySlidingSnapshotRestores(t *testing.T) {
 			t.Fatalf("fresh observe %d: %v", i, err)
 		}
 	}
-	incBefore := kccaInc.Value()
 	checked := false
 	for i, q := range stream[legacySaved:] {
 		before := restored.Retrains()
@@ -149,34 +143,103 @@ func TestLegacySlidingSnapshotRestores(t *testing.T) {
 		if restored.Retrains() != fresh.Retrains() {
 			t.Fatalf("observe %d: restored generation %d, fresh %d", legacySaved+i, restored.Retrains(), fresh.Retrains())
 		}
-		if !bytes.Equal(probeJSON(t, restored, probes), probeJSON(t, fresh, probes)) {
-			t.Fatalf("observe %d: restored and fresh predictors predict differently", legacySaved+i)
+		if !checked && restored.Retrains() != before {
+			// The first retrain after the restore: Train on the window it
+			// saw, in slot order.
+			checked = true
+			ref, err := Train(window(restored), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameTrained(restored.Current(), ref) {
+				t.Fatalf("observe %d: the retrain after the restore is not Train on its window", legacySaved+i)
+			}
 		}
-		if checked || restored.Retrains() == before {
-			continue
+		// Until then the restored predictor serves the writer's model,
+		// trained at scales a retrain reused, which a fresh predictor no
+		// longer reproduces; from then on both are Train on one window.
+		want := wantProbes
+		if checked {
+			want = probeJSON(t, fresh, probes)
 		}
-		// The first retrain after the restore: Train on the window it saw,
-		// in slot order, at the kernel scales frozen in the snapshot.
-		checked = true
-		got := restored.Current().Model()
-		refOpt := opt
-		refOpt.KCCA.TauX, refOpt.KCCA.TauY = got.TauX, got.TauY
-		restored.mu.Lock()
-		window := restored.slotWindow()
-		restored.mu.Unlock()
-		ref, err := Train(window, refOpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, ref.Model()) {
-			t.Fatalf("observe %d: the retrain after the restore is not Train on its window", legacySaved+i)
+		if !bytes.Equal(probeJSON(t, restored, probes), want) {
+			t.Fatalf("observe %d: restored predictor predicts differently (first retrain since restore done: %v)", legacySaved+i, checked)
 		}
 	}
 	if !checked {
 		t.Fatal("no retrain ran after the restore")
 	}
-	if kccaInc.Value()-incBefore != 2*int64(legacyMore/legacyEvery) {
-		t.Fatalf("%d of the %d retrains after the restore (both predictors) were incremental; the fixture no longer exercises the restored kernels",
-			kccaInc.Value()-incBefore, 2*legacyMore/legacyEvery)
+}
+
+// testdata/pre-43 holds files written by the last build whose models carried
+// the performance projection (KyB: kcca PerfProj, cca MeanY and WY) and
+// whose sliding snapshots carried frozen kernel scales, and the answers
+// that build gave for five probes. Never regenerate them: they stand for
+// every model file and state directory such a build left behind.
+//
+// The writer, under DefaultOptions, re-planned the pool's first 300 queries
+// as legacyReplan does and wrote
+//   - model.bin: core.Save of Train on the first 60;
+//   - state.snap: SaveState of NewSliding(60, 15) after the first 255
+//     observations, with scales frozen at 60 rows; that build's next retrain,
+//     at 270, reused them;
+//   - model-probes.json, state-probes.json: both predictors' answers for pool
+//     queries 400..404, re-planned, encoded as probeJSON does.
+const pre43Saved = 255
+
+// TestPre43FilesLoad: a model file and a snapshot from a build that still
+// wrote the performance projection and frozen scales both load, answer the
+// probes byte for byte as that build did, and the restored window's next
+// retrain is Train on the window.
+func TestPre43FilesLoad(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("fixture was written on amd64, this is %s", runtime.GOARCH)
 	}
+	ds := pool(t)
+	probes := legacyReplan(t, ds.Queries[400:405])
+	read := func(name string) []byte {
+		t.Helper()
+		b, err := os.ReadFile("testdata/pre-43/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	t.Run("model file", func(t *testing.T) {
+		m, err := Load(bytes.NewReader(read("model.bin")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := probeJSON(t, m, probes), read("model-probes.json"); !bytes.Equal(got, want) {
+			t.Fatalf("loaded model's probe predictions differ from the writer's:\n%s\nwant\n%s", got, want)
+		}
+	})
+
+	t.Run("snapshot", func(t *testing.T) {
+		opt := DefaultOptions()
+		s, err := RestoreSliding(bytes.NewReader(read("state.snap")), 60, 15, opt, legacyPlan())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := probeJSON(t, s, probes), read("state-probes.json"); !bytes.Equal(got, want) {
+			t.Fatalf("restored predictor's probe predictions differ from the writer's:\n%s\nwant\n%s", got, want)
+		}
+		before := s.Retrains()
+		for _, q := range legacyReplan(t, ds.Queries[pre43Saved:pre43Saved+15]) {
+			if err := s.Observe(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.Retrains() != before+1 {
+			t.Fatalf("%d retrains after 15 observations, want 1", s.Retrains()-before)
+		}
+		want, err := Train(window(s), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameTrained(s.Current(), want) {
+			t.Fatal("the restored window's next retrain is not Train on the window")
+		}
+	})
 }

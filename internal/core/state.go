@@ -33,7 +33,10 @@ type observationWire struct {
 	Metrics exec.Metrics
 }
 
-// slidingWire is the gob-encodable mirror of SlidingPredictor.
+// slidingWire is the gob-encodable mirror of SlidingPredictor. Snapshots
+// written by older builds also carry the kernel scales a retrain froze
+// (Frozen) and the maintained kernels before them (IncState); gob skips
+// both, since a retrain is a function of the window alone.
 type slidingWire struct {
 	Capacity     int
 	RetrainEvery int
@@ -45,41 +48,13 @@ type slidingWire struct {
 	// ModelBytes is the published predictor in Save's framed format, nil
 	// before the first training.
 	ModelBytes []byte
-	// Frozen is the τ policy's state: the frozen kernel scales and the
-	// window size they were frozen at, nil while none are frozen.
-	Frozen *frozenTau
-	// IncState is read from snapshots that carried maintained kernel
-	// matrices, never written: gob decodes only the frozen scales and
-	// whether they were current, and skips the matrices.
-	IncState *legacyIncState
-}
-
-// legacyIncState is the part of the incremental retrainer's old wire form
-// that still means something: per view, the frozen scale and whether the
-// kernel was built at it for the current window size (Synced), and whether
-// the window moved under the train that froze them (Stale).
-type legacyIncState struct {
-	MX, MY *struct {
-		Tau    float64
-		Synced bool
-	}
-	Stale bool
-}
-
-// frozen returns the scales an old snapshot's next retrain would have kept,
-// or nil where it would have computed them anew.
-func (st *legacyIncState) frozen(n int) *frozenTau {
-	if st == nil || st.Stale || st.MX == nil || st.MY == nil || !st.MX.Synced || !st.MY.Synced {
-		return nil
-	}
-	return &frozenTau{X: st.MX.Tau, Y: st.MY.Tau, N: n}
 }
 
 // SaveState serializes the complete sliding-predictor state — window
-// contents, retrain bookkeeping, published model, and frozen kernel scales
-// — in the framed, checksummed container Load uses for models. It
-// locks out Observe/Retrain for the duration (predictions are unaffected;
-// they read an atomic pointer).
+// contents, retrain bookkeeping and published model — in the framed,
+// checksummed container Load uses for models. It locks out Observe/Retrain
+// for the duration (predictions are unaffected; they read an atomic
+// pointer).
 func (s *SlidingPredictor) SaveState(w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -90,7 +65,6 @@ func (s *SlidingPredictor) SaveState(w io.Writer) error {
 		Head:         s.head,
 		SinceTrain:   s.sinceTrain,
 		Retrains:     s.retrains,
-		Frozen:       s.frozen,
 	}
 	wire.Slots = make([]observationWire, s.size)
 	for i := 0; i < s.size; i++ {
@@ -157,14 +131,6 @@ func RestoreSliding(r io.Reader, capacity, retrainEvery int, opt Options, plan P
 	s.head = wire.Head
 	s.sinceTrain = wire.SinceTrain
 	s.retrains = wire.Retrains
-	s.frozen = wire.Frozen
-	if wire.IncState != nil {
-		s.frozen = wire.IncState.frozen(s.size)
-	}
-	if f := s.frozen; f != nil && !(f.X > 0 && f.Y > 0 && f.N >= 5 && f.N <= s.size) {
-		return nil, fmt.Errorf("%w: snapshot froze scales (%v, %v) at %d of %d rows",
-			ErrBadModelFile, f.X, f.Y, f.N, s.size)
-	}
 	if wire.ModelBytes != nil {
 		p, err := Load(bytes.NewReader(wire.ModelBytes))
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -54,11 +55,8 @@ func TestTrainBasics(t *testing.T) {
 	if m.Dims() <= 0 {
 		t.Errorf("dims = %d", m.Dims())
 	}
-	if m.QueryProj.Rows != 120 || m.PerfProj.Rows != 120 {
-		t.Error("projection row counts wrong")
-	}
-	if m.QueryProj.Cols != m.PerfProj.Cols {
-		t.Error("projection dims differ")
+	if m.QueryProj.Rows != 120 {
+		t.Error("projection row count wrong")
 	}
 	for i, c := range m.Correlations {
 		if c < -1e-9 || c > 1+1e-9 {
@@ -241,6 +239,89 @@ func TestSaveLoadModel(t *testing.T) {
 	}
 }
 
+// legacyModelWire is modelWire as builds wrote it while models kept the
+// performance projection: PerfProj beside QueryProj, and the CCA's y-side
+// mean and weights.
+type legacyModelWire struct {
+	X            *linalg.Matrix
+	TauX, TauY   float64
+	QueryProj    *linalg.Matrix
+	PerfProj     *linalg.Matrix
+	Correlations []float64
+	RowMeansX    []float64
+	GrandX       float64
+	Ux           *linalg.Matrix
+	Lamx         []float64
+	CCA          *struct {
+		MeanX, MeanY []float64
+		WX, WY       *linalg.Matrix
+		Correlations []float64
+	}
+}
+
+// TestLoadSkipsPerformanceProjection: a model file that still carries the
+// performance projection loads into the same model as one without it, on
+// every architecture (the byte-for-byte fixtures in internal/core run on
+// amd64 only).
+func TestLoadSkipsPerformanceProjection(t *testing.T) {
+	x, y := nonlinearViews(10, 50)
+	m, err := Train(x, y, unitOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cur bytes.Buffer
+	if err := m.Save(&cur); err != nil {
+		t.Fatal(err)
+	}
+	var w modelWire
+	if err := gob.NewDecoder(bytes.NewReader(cur.Bytes())).Decode(&w); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(10))
+	filled := func(rows, cols int) *linalg.Matrix {
+		out := linalg.NewMatrix(rows, cols)
+		for i := range out.Data {
+			out.Data[i] = rng.NormFloat64()
+		}
+		return out
+	}
+	legacy := legacyModelWire{
+		X: w.X, TauX: w.TauX, TauY: w.TauY, QueryProj: w.QueryProj,
+		PerfProj:     filled(w.QueryProj.Rows, w.QueryProj.Cols),
+		Correlations: w.Correlations, RowMeansX: w.RowMeansX, GrandX: w.GrandX,
+		Ux: w.Ux, Lamx: w.Lamx,
+	}
+	legacy.CCA = &struct {
+		MeanX, MeanY []float64
+		WX, WY       *linalg.Matrix
+		Correlations []float64
+	}{w.CCA.MeanX, filled(1, 7).Data, w.CCA.WX, filled(7, w.CCA.WX.Cols), w.CCA.Correlations}
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	if old.Len() <= cur.Len() {
+		t.Fatalf("the file with the performance projection is %d bytes, without %d", old.Len(), cur.Len())
+	}
+	for _, tc := range []struct {
+		name string
+		file []byte
+	}{
+		{"with performance projection", old.Bytes()},
+		{"without", cur.Bytes()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := Load(bytes.NewReader(tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, m) {
+				t.Fatal("the loaded model differs from the trained one")
+			}
+		})
+	}
+}
+
 // TestLoadRejectsCorruptModel tampers with each validated invariant of the
 // wire form and checks Load returns an error rather than building a model
 // that panics on first use.
@@ -268,8 +349,8 @@ func TestLoadRejectsCorruptModel(t *testing.T) {
 		{"truncated X data", func(w *modelWire) { w.X.Data = w.X.Data[:len(w.X.Data)-1] }},
 		{"negative dims", func(w *modelWire) { w.QueryProj.Rows = -1 }},
 		{"projection rows disagree", func(w *modelWire) {
-			w.PerfProj.Rows--
-			w.PerfProj.Data = w.PerfProj.Data[:w.PerfProj.Rows*w.PerfProj.Cols]
+			w.QueryProj.Rows--
+			w.QueryProj.Data = w.QueryProj.Data[:w.QueryProj.Rows*w.QueryProj.Cols]
 		}},
 		{"short row means", func(w *modelWire) { w.RowMeansX = w.RowMeansX[:len(w.RowMeansX)-2] }},
 		{"truncated eigenvalues", func(w *modelWire) { w.Lamx = w.Lamx[:len(w.Lamx)-1] }},

@@ -23,43 +23,6 @@ func trainViews(seed int64, n, templates int, jitter float64) (x, y *linalg.Matr
 	return x, y
 }
 
-// TestTrainAtPinnedScalesBitIdentical: the sliding predictor freezes the
-// scales Scales picks and trains at them pinned, so Train at pinned
-// Scales(x, y) must be Train at the heuristic, bit for bit, at the automatic
-// rank and at an explicit rank far below the window size.
-func TestTrainAtPinnedScalesBitIdentical(t *testing.T) {
-	for _, sh := range []struct {
-		name      string
-		n, rank   int
-		templates int
-	}{
-		{name: "auto-rank", n: 160, templates: 20},
-		{name: "fixed-rank", n: 240, rank: 3, templates: 20},
-	} {
-		t.Run(sh.name, func(t *testing.T) {
-			x, y := trainViews(int64(sh.n), sh.n, sh.templates, 0.05)
-			opt := DefaultOptions()
-			opt.Rank = sh.rank
-			want, err := Train(x, y, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pinned := opt
-			pinned.TauX, pinned.TauY = Scales(x, y, opt)
-			if want.TauX != pinned.TauX || want.TauY != pinned.TauY {
-				t.Fatalf("Train used (%v, %v), Scales says (%v, %v)", want.TauX, want.TauY, pinned.TauX, pinned.TauY)
-			}
-			got, err := Train(x, y, pinned)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatal("Train at the pinned heuristic scales differs from Train at the heuristic")
-			}
-		})
-	}
-}
-
 // TestTrainFlatSpectrum is the degenerate-spectrum case: twenty equally
 // weighted templates with almost no jitter at rank 3 put the rank cut inside
 // a plateau of equal eigenvalues, where which eigenvectors are kept is
@@ -86,12 +49,12 @@ func TestTrainFlatSpectrum(t *testing.T) {
 	}
 }
 
-// TestScales: each view's scale is its pinned value where positive and the
-// heuristic at its fraction (0.1 and 0.2 when unset) otherwise, independent
-// of the other view.
+// TestScales: Train's kernel scale for each view is the heuristic at that
+// view's fraction (0.1 and 0.2 when unset), independent of the other view.
 func TestScales(t *testing.T) {
 	x, y := trainViews(3, 60, 10, 0.05)
 	hx, hy := kernels.ScaleHeuristic(x, 0.1), kernels.ScaleHeuristic(y, 0.2)
+	ox, oy := kernels.ScaleHeuristic(x, 3), kernels.ScaleHeuristic(y, 0.5)
 	for _, tc := range []struct {
 		name         string
 		opt          Options
@@ -99,40 +62,18 @@ func TestScales(t *testing.T) {
 	}{
 		{name: "heuristic", opt: DefaultOptions(), wantX: hx, wantY: hy},
 		{name: "default fractions", opt: Options{}, wantX: hx, wantY: hy},
-		{name: "pinned x", opt: Options{TauX: 4}, wantX: 4, wantY: hy},
-		{name: "pinned y", opt: Options{TauY: 0.5}, wantX: hx, wantY: 0.5},
-		{
-			name:  "pinned both",
-			opt:   Options{TauFracX: 3, TauFracY: 3, TauX: 4, TauY: 0.5},
-			wantX: 4, wantY: 0.5,
-		},
+		{name: "own x fraction", opt: Options{TauFracX: 3}, wantX: ox, wantY: hy},
+		{name: "own y fraction", opt: Options{TauFracY: 0.5}, wantX: hx, wantY: oy},
+		{name: "own fractions", opt: Options{TauFracX: 3, TauFracY: 0.5}, wantX: ox, wantY: oy},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if gx, gy := Scales(x, y, tc.opt); gx != tc.wantX || gy != tc.wantY {
-				t.Fatalf("Scales = (%v, %v), want (%v, %v)", gx, gy, tc.wantX, tc.wantY)
+			m, err := Train(x, y, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.TauX != tc.wantX || m.TauY != tc.wantY {
+				t.Fatalf("Train used (%v, %v), want (%v, %v)", m.TauX, m.TauY, tc.wantX, tc.wantY)
 			}
 		})
-	}
-}
-
-// TestTrainIgnoresTauDriftTol: the drift tolerance is the sliding
-// predictor's policy, not a training input.
-func TestTrainIgnoresTauDriftTol(t *testing.T) {
-	x, y := trainViews(5, 80, 12, 0.05)
-	opt := DefaultOptions()
-	want, err := Train(x, y, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tol := range []float64{1e-9, 0.5} {
-		o := opt
-		o.TauDriftTol = tol
-		got, err := Train(x, y, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("TauDriftTol %v changed the trained model", tol)
-		}
 	}
 }

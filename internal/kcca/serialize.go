@@ -11,12 +11,13 @@ import (
 )
 
 // modelWire is the gob-encodable mirror of Model (whose projection
-// internals are unexported by design).
+// internals are unexported by design). Files written by older builds also
+// carry the training rows' performance projection and the CCA's y-side
+// weights; gob skips them. An older build refuses a file without them.
 type modelWire struct {
 	X            *linalg.Matrix
 	TauX, TauY   float64
 	QueryProj    *linalg.Matrix
-	PerfProj     *linalg.Matrix
 	Correlations []float64
 	RowMeansX    []float64
 	GrandX       float64
@@ -31,7 +32,7 @@ type modelWire struct {
 func (m *Model) Save(w io.Writer) error {
 	wire := modelWire{
 		X: m.X, TauX: m.TauX, TauY: m.TauY,
-		QueryProj: m.QueryProj, PerfProj: m.PerfProj,
+		QueryProj:    m.QueryProj,
 		Correlations: m.Correlations,
 		RowMeansX:    m.rowMeansX, GrandX: m.grandX,
 		Ux: m.ux, Lamx: m.lamx, CCA: m.ccaModel,
@@ -56,7 +57,7 @@ func Load(r io.Reader) (*Model, error) {
 	}
 	return (&Model{
 		X: wire.X, TauX: wire.TauX, TauY: wire.TauY,
-		QueryProj: wire.QueryProj, PerfProj: wire.PerfProj,
+		QueryProj:    wire.QueryProj,
 		Correlations: wire.Correlations,
 		rowMeansX:    wire.RowMeansX, grandX: wire.GrandX,
 		ux: wire.Ux, lamx: wire.Lamx, ccaModel: wire.CCA,
@@ -72,7 +73,7 @@ func (w *modelWire) validate() error {
 		name string
 		mat  *linalg.Matrix
 	}{
-		{"X", w.X}, {"QueryProj", w.QueryProj}, {"PerfProj", w.PerfProj}, {"Ux", w.Ux},
+		{"X", w.X}, {"QueryProj", w.QueryProj}, {"Ux", w.Ux},
 	} {
 		if err := m.mat.CheckShape(); err != nil {
 			return fmt.Errorf("kcca: decoded model: %s: %w", m.name, err)
@@ -82,9 +83,9 @@ func (w *modelWire) validate() error {
 	if n < 1 {
 		return fmt.Errorf("kcca: decoded model has no training rows")
 	}
-	if w.QueryProj.Rows != n || w.PerfProj.Rows != n || w.Ux.Rows != n {
-		return fmt.Errorf("kcca: decoded model row counts disagree: X=%d QueryProj=%d PerfProj=%d Ux=%d",
-			n, w.QueryProj.Rows, w.PerfProj.Rows, w.Ux.Rows)
+	if w.QueryProj.Rows != n || w.Ux.Rows != n {
+		return fmt.Errorf("kcca: decoded model row counts disagree: X=%d QueryProj=%d Ux=%d",
+			n, w.QueryProj.Rows, w.Ux.Rows)
 	}
 	if len(w.RowMeansX) != n {
 		return fmt.Errorf("kcca: decoded model has %d row means, want %d", len(w.RowMeansX), n)
@@ -105,9 +106,6 @@ func (w *modelWire) validate() error {
 	}
 	if err := w.CCA.WX.CheckShape(); err != nil {
 		return fmt.Errorf("kcca: decoded model: CCA.WX: %w", err)
-	}
-	if err := w.CCA.WY.CheckShape(); err != nil {
-		return fmt.Errorf("kcca: decoded model: CCA.WY: %w", err)
 	}
 	if len(w.CCA.MeanX) != w.Ux.Cols || w.CCA.WX.Rows != w.Ux.Cols {
 		return fmt.Errorf("kcca: decoded model CCA input dims (mean %d, WX rows %d) do not match %d kernel-PCA components",

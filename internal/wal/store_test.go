@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
-	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -153,30 +152,28 @@ func checkIdentical(t testing.TB, got, want *core.SlidingPredictor) {
 // process killed without any shutdown path (no final snapshot, no sync —
 // SyncNone survives process death, just not power loss) recovers from its
 // newest snapshot plus the WAL tail to the exact state of an uninterrupted
-// mirror — and, crucially, continues to evolve identically, because the
-// sliding predictor's frozen kernel scales are restored rather than
-// recomputed. The "growing" shape crashes and recovers while the window
-// still grows (every retrain at fresh scales); the "sliding" one crashes with the window full and must continue with
-// retrains at the restored scales.
+// mirror — and, crucially, continues to evolve identically, because each
+// retrain is a function of the restored window alone. The "growing" shape
+// crashes and recovers while the window still grows; the "sliding" one
+// crashes with the window full and continues with retrains on a sliding
+// window.
 func TestRecoverBitIdenticalAfterCrash(t *testing.T) {
-	incremental := obs.GetCounter("kcca.retrain.incremental")
 	for _, sh := range []struct {
 		name            string
 		capacity, every int
 		snapEvery       int
 		kill, total     int
 		wantSnapshot    uint64
-		incremental     bool
+		full            bool
 	}{
 		// 27 observations (snapshots at 8, 16, 24; retrains at 10, 20), then
 		// killed; observations 28..40 cross retrains at 30 and 40.
 		{name: "growing", capacity: testCapacity, every: testRetrain, snapEvery: 8, kill: 27, total: 40, wantSnapshot: 24},
 		// The 160-query pool cycles through a 400-slot ring (400 is not a
 		// multiple of 160, so the window keeps changing). The window fills
-		// at 400, the first retrain at frozen scales runs at 450, the kill at 487
-		// lands behind the snapshot at 480, and observations 488..600 cross
-		// retrains at 500, 550 and 600.
-		{name: "sliding", capacity: 400, every: 50, snapEvery: 160, kill: 487, total: 600, wantSnapshot: 480, incremental: true},
+		// at 400, the kill at 487 lands behind the snapshot at 480, and
+		// observations 488..600 cross retrains at 500, 550 and 600.
+		{name: "sliding", capacity: 400, every: 50, snapEvery: 160, kill: 487, total: 600, wantSnapshot: 480, full: true},
 	} {
 		t.Run(sh.name, func(t *testing.T) {
 			opt := core.DefaultOptions()
@@ -233,7 +230,9 @@ func TestRecoverBitIdenticalAfterCrash(t *testing.T) {
 
 			// The recovered process keeps evolving bit-identically across
 			// further retrain boundaries.
-			incBefore := incremental.Value()
+			if full := recovered.WindowSize() == sh.capacity; full != sh.full {
+				t.Fatalf("recovered window full: %v, this shape is there to cover: %v", full, sh.full)
+			}
 			for _, q := range qs[sh.kill:] {
 				feed(t, st2, recovered, q, &gen)
 				observeMirror(q)
@@ -241,9 +240,6 @@ func TestRecoverBitIdenticalAfterCrash(t *testing.T) {
 			checkIdentical(t, recovered, mirror)
 			if gen != mirrorGen {
 				t.Fatalf("post-recovery generation %d, mirror %d", gen, mirrorGen)
-			}
-			if served := incremental.Value() != incBefore; served != sh.incremental {
-				t.Fatalf("post-recovery retrains kept the restored scales: %v, this shape is there to cover: %v", served, sh.incremental)
 			}
 		})
 	}
@@ -413,19 +409,17 @@ func TestCleanShutdownSnapshot(t *testing.T) {
 	}
 }
 
-// TestKCCASnapshotRestoreEquivalence: a window whose retrains kept the
-// frozen kernel scales, closed cleanly and recovered from its final
-// snapshot, serves bit-identical predictions at the same generation —
-// under the automatic kernel-PCA rank and under a fixed one.
+// TestKCCASnapshotRestoreEquivalence: a window that filled and slid,
+// closed cleanly and recovered from its final snapshot, serves
+// bit-identical predictions at the same generation — under the automatic
+// kernel-PCA rank and under a fixed one.
 func TestKCCASnapshotRestoreEquivalence(t *testing.T) {
-	incremental := obs.GetCounter("kcca.retrain.incremental")
 	for _, sh := range []struct {
 		name                  string
 		capacity, every, rank int
 		observes              int
 	}{
-		// At 60 rows the τ-drift guard trips on many retrains; some keep the
-		// frozen scales.
+		// The window fills at 60 and slides through nine more retrains.
 		{name: "auto-rank", capacity: 60, every: 10, observes: 150},
 		// The 160-query pool cycles through a 400-slot ring, so the window
 		// keeps changing after it fills at 400.
@@ -443,12 +437,11 @@ func TestKCCASnapshotRestoreEquivalence(t *testing.T) {
 			if gen != 0 {
 				t.Fatalf("fresh store recovered generation %d", gen)
 			}
-			incBefore := incremental.Value()
 			for _, q := range observations(t, sh.observes) {
 				feed(t, st, live, q, &gen)
 			}
-			if incremental.Value() == incBefore {
-				t.Fatal("no retrain kept the frozen kernel scales")
+			if live.WindowSize() != sh.capacity {
+				t.Fatalf("the window holds %d of %d rows; it never slid", live.WindowSize(), sh.capacity)
 			}
 			if err := st.Close(live, gen); err != nil {
 				t.Fatal(err)
