@@ -201,15 +201,16 @@ func extractFeatures(train []*dataset.Query, kind FeatureKind) (x, y *linalg.Mat
 	return features.Matrices(xRows), features.Matrices(yRows), rawRows, cats, nil
 }
 
-// newPredictor assembles a Predictor around an already-trained KCCA model:
-// the raw metric matrix and categories (row-aligned with the model),
+// newPredictor assembles a Predictor around a KCCA model: the raw metric
+// matrix and categories (row-aligned with the model), the k-NN index,
 // calibrated confidence scales, and a fresh prediction cache for this model
-// generation. Shared by one-shot Train and the sliding retrain.
-func newPredictor(model *kcca.Model, rawRows [][]float64, cats []workload.Category, opt Options) *Predictor {
+// generation. Train and Load both build every Predictor here, so a loaded
+// predictor's index and scales are the trained one's bit for bit.
+func newPredictor(model *kcca.Model, perfRaw *linalg.Matrix, cats []workload.Category, opt Options) *Predictor {
 	p := &Predictor{
 		opt:     opt,
 		model:   model,
-		perfRaw: features.Matrices(rawRows),
+		perfRaw: perfRaw,
 		cats:    cats,
 		cache:   newProjCache(0),
 		index:   knn.NewIndex(model.QueryProj, opt.KNN.Distance),
@@ -235,7 +236,7 @@ func Train(train []*dataset.Query, opt Options) (*Predictor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: KCCA training: %w", err)
 	}
-	p := newPredictor(model, rawRows, cats, opt)
+	p := newPredictor(model, features.Matrices(rawRows), cats, opt)
 
 	if opt.TwoStep {
 		p.sub = map[workload.Category]*Predictor{}

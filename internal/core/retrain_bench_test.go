@@ -85,9 +85,10 @@ func BenchmarkRetrainStock(b *testing.B) {
 }
 
 // TestStockSnapshotSize: a snapshot at the stock shape carries the window's
-// SQL and metrics and the published model — no kernel matrices and no
-// performance projection. With the 500×500 kernel matrices of both views
-// the snapshot was about 6 MB; with the performance projection, 1.4 MB.
+// SQL and metrics and what training fitted — no kernel matrices and no
+// training projections, which Load derives. With the 500×500 kernel matrices
+// of both views the snapshot was about 6 MB; with both training projections,
+// 1.4 MB; with the query projection, 985 kB; without, 624 kB.
 func TestStockSnapshotSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains seven 500-row windows")
@@ -106,7 +107,7 @@ func TestStockSnapshotSize(t *testing.T) {
 	if err := s.SaveState(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if n := snap.Len(); n >= 1_200_000 {
-		t.Fatalf("stock snapshot is %d bytes, want under 1.2 MB", n)
+	if n := snap.Len(); n >= 656_000 {
+		t.Fatalf("stock snapshot is %d bytes, want under 656 kB", n)
 	}
 }

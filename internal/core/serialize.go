@@ -6,12 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/exec"
 	"repro/internal/frame"
 	"repro/internal/kcca"
-	"repro/internal/knn"
 	"repro/internal/linalg"
 	"repro/internal/workload"
 )
@@ -50,17 +48,17 @@ func readFrame(r io.Reader, magic string) ([]byte, error) {
 	return payload, nil
 }
 
-// predictorWire is the gob-encodable mirror of Predictor. The KCCA model
-// is nested as its own Save() bytes so its unexported internals stay
-// encapsulated.
+// predictorWire is the gob-encodable form of what training fitted; Load
+// derives the k-NN index and the confidence scales through newPredictor,
+// as Train does. The KCCA model is nested as its own Save() bytes so its
+// unexported internals stay encapsulated. Files written by older builds
+// also carry the two confidence scales; gob skips them.
 type predictorWire struct {
-	Opt         Options
-	ModelBytes  []byte
-	PerfRaw     *linalg.Matrix
-	Cats        []workload.Category
-	ConfScale   float64
-	KernelScale float64
-	Subs        map[workload.Category][]byte
+	Opt        Options
+	ModelBytes []byte
+	PerfRaw    *linalg.Matrix
+	Cats       []workload.Category
+	Subs       map[workload.Category][]byte
 }
 
 // Save serializes the trained predictor (including two-step sub-models)
@@ -87,12 +85,10 @@ func (p *Predictor) toWire() (*predictorWire, error) {
 		return nil, err
 	}
 	wire := &predictorWire{
-		Opt:         p.opt,
-		ModelBytes:  modelBuf.Bytes(),
-		PerfRaw:     p.perfRaw,
-		Cats:        p.cats,
-		ConfScale:   p.confScale,
-		KernelScale: p.kernelScale,
+		Opt:        p.opt,
+		ModelBytes: modelBuf.Bytes(),
+		PerfRaw:    p.perfRaw,
+		Cats:       p.cats,
 	}
 	if p.sub != nil {
 		wire.Subs = map[workload.Category][]byte{}
@@ -129,11 +125,10 @@ func fromWire(wire *predictorWire) (*Predictor, error) {
 		return nil, err
 	}
 	// Validate everything PredictVector touches: the raw metric matrix must
-	// be structurally sound and row-aligned with the model, the category
-	// slice must cover every neighbor index the two-step vote can produce,
-	// and the confidence scales are divided by (so they must be positive
-	// and finite). A hand-edited or truncated file fails here with an
-	// error instead of panicking deep in linalg.
+	// be structurally sound and row-aligned with the model, and the
+	// category slice must cover every neighbor index the two-step vote can
+	// produce. A hand-edited or truncated file fails here with an error
+	// instead of panicking deep in linalg.
 	if err := wire.PerfRaw.CheckShape(); err != nil {
 		return nil, fmt.Errorf("core: decoded predictor: performance matrix: %w", err)
 	}
@@ -149,21 +144,7 @@ func fromWire(wire *predictorWire) (*Predictor, error) {
 		return nil, fmt.Errorf("core: decoded predictor has %d categories for %d training queries",
 			len(wire.Cats), model.N())
 	}
-	if !(wire.ConfScale > 0) || math.IsInf(wire.ConfScale, 0) ||
-		!(wire.KernelScale > 0) || math.IsInf(wire.KernelScale, 0) {
-		return nil, fmt.Errorf("core: decoded predictor confidence scales (%v, %v) must be positive and finite",
-			wire.ConfScale, wire.KernelScale)
-	}
-	p := &Predictor{
-		opt:         wire.Opt,
-		model:       model,
-		perfRaw:     wire.PerfRaw,
-		cats:        wire.Cats,
-		confScale:   wire.ConfScale,
-		kernelScale: wire.KernelScale,
-		cache:       newProjCache(0),
-		index:       knn.NewIndex(model.QueryProj, wire.Opt.KNN.Distance),
-	}
+	p := newPredictor(model, wire.PerfRaw, wire.Cats, wire.Opt)
 	if wire.Subs != nil {
 		p.sub = map[workload.Category]*Predictor{}
 		for c, raw := range wire.Subs {

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
-	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -195,8 +194,6 @@ func TestLoadRejectsCorruptWire(t *testing.T) {
 			w.PerfRaw = &m
 		}},
 		{"missing categories", func(w *predictorWire) { w.Cats = w.Cats[:3] }},
-		{"nonpositive confidence scale", func(w *predictorWire) { w.ConfScale = 0 }},
-		{"NaN kernel scale", func(w *predictorWire) { w.KernelScale = math.NaN() }},
 		{"truncated nested model bytes", func(w *predictorWire) { w.ModelBytes = w.ModelBytes[:len(w.ModelBytes)/2] }},
 		{"empty nested model bytes", func(w *predictorWire) { w.ModelBytes = nil }},
 	}

@@ -133,7 +133,6 @@ func TestProjectExactZeroKernelValue(t *testing.T) {
 	for j := 0; j < m.ux.Cols; j++ {
 		m.ux.Set(row, j, math.Inf(1))
 	}
-	m.finish()
 	if c := kernels.CenterCross(kq, m.rowMeansX, m.grandX); c[row] != 0 {
 		t.Fatalf("centered kernel value at row %d is %v, the construction wants exactly 0", row, c[row])
 	}

@@ -34,16 +34,13 @@ type Options struct {
 	// automatic rank (enough components to cover most kernel variance,
 	// capped for tractability).
 	Rank int
-	// Dims is the number of canonical dimensions kept; 0 keeps all
-	// available (= reduced rank).
-	Dims int
 	// Reg is the CCA ridge regularization; 0 selects a default.
 	Reg float64
 }
 
 // DefaultOptions returns the paper's settings.
 func DefaultOptions() Options {
-	return Options{TauFracX: 0.1, TauFracY: 0.2, Rank: 0, Dims: 0, Reg: 1e-3}
+	return Options{TauFracX: 0.1, TauFracY: 0.2, Rank: 0, Reg: 1e-3}
 }
 
 // Sentinel errors, for errors.Is branching by callers (core wraps these).
@@ -67,10 +64,10 @@ type Model struct {
 	TauX, TauY float64
 
 	// QueryProj is the training queries' projection (N×d), the paper's
-	// KxA: row i is training query i.
+	// KxA: row i is training query i. Derived by finish.
 	QueryProj *linalg.Matrix
 
-	// Correlations are the canonical correlations per dimension.
+	// Correlations are the CCA fit's canonical correlations. Set by finish.
 	Correlations []float64
 
 	// Centering data for out-of-sample query projection.
@@ -84,14 +81,17 @@ type Model struct {
 	ccaModel *cca.Model
 
 	// xT is X feature-major (one row per feature): the layout the
-	// cross-kernel reads (kernels.CrossVectorColsInto). Derived by finish
-	// wherever a model is assembled — Train and Load — and never serialized.
+	// cross-kernel reads (kernels.CrossVectorColsInto). Derived by finish.
 	xT *linalg.Matrix
 }
 
-// finish derives the projection layout from the fitted (or decoded) fields
-// and returns the model.
-func (m *Model) finish() *Model {
+// finish derives what a model holds beyond what training fitted — QueryProj,
+// Correlations, xT — from the fitted (or decoded) fields and the training
+// queries' kernel-PCA coordinates phiX = Ux·Λx^{1/2}, and returns the model.
+// Train and Load both end here, so a loaded model is the trained one.
+func (m *Model) finish(phiX *linalg.Matrix) *Model {
+	m.QueryProj = m.ccaModel.ProjectAllX(phiX)
+	m.Correlations = m.ccaModel.Correlations
 	m.xT = m.X.T()
 	return m
 }
@@ -180,35 +180,26 @@ func Train(x, y *linalg.Matrix, opt Options) (*Model, error) {
 		return nil, errY
 	}
 
-	dims := opt.Dims
-	if dims <= 0 || dims > phiX.Cols || dims > phiY.Cols {
-		dims = phiX.Cols
-		if phiY.Cols < dims {
-			dims = phiY.Cols
-		}
-	}
+	// Every canonical dimension is kept: min(rx, ry).
 	stopCCA := obs.Span("kcca.train.cca")
-	cm, err := cca.Fit(phiX, phiY, dims, opt.Reg)
+	cm, err := cca.Fit(phiX, phiY, 0, opt.Reg)
 	stopCCA()
 	if err != nil {
 		return nil, err
 	}
 
-	stopProj := obs.Span("kcca.train.project")
-	queryProj := cm.ProjectAllX(phiX)
-	stopProj()
-	return (&Model{
-		X:            x.Clone(),
-		TauX:         tauX,
-		TauY:         tauY,
-		QueryProj:    queryProj,
-		Correlations: cm.Correlations,
-		rowMeansX:    rowMeansX,
-		grandX:       grandX,
-		ux:           ux,
-		lamx:         lamx,
-		ccaModel:     cm,
-	}).finish(), nil
+	m := &Model{
+		X:         x.Clone(),
+		TauX:      tauX,
+		TauY:      tauY,
+		rowMeansX: rowMeansX,
+		grandX:    grandX,
+		ux:        ux,
+		lamx:      lamx,
+		ccaModel:  cm,
+	}
+	defer obs.Span("kcca.train.project")()
+	return m.finish(phiX), nil
 }
 
 // kernelPCA returns Phi = U·Λ^{1/2} for the top-r eigenpairs of the
@@ -219,7 +210,6 @@ func kernelPCA(k *linalg.Matrix, r int) (phi, u *linalg.Matrix, lam []float64, e
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	n := k.Rows
 	keep := 0
 	tol := keepFrac * math.Max(vals[0], 1)
 	for keep < len(vals) && vals[keep] > tol {
@@ -230,18 +220,24 @@ func kernelPCA(k *linalg.Matrix, r int) (phi, u *linalg.Matrix, lam []float64, e
 	}
 	vals = vals[:keep]
 	vecs = vecs.SliceCols(0, keep)
-	roots := make([]float64, keep)
-	for j, v := range vals {
+	return scaledBasis(vecs, vals), vecs, vals, nil
+}
+
+// scaledBasis returns the kernel-PCA coordinates of the training points,
+// Phi = U·Λ^{1/2}: row i of u with column j scaled by √lam[j].
+func scaledBasis(u *linalg.Matrix, lam []float64) *linalg.Matrix {
+	roots := make([]float64, len(lam))
+	for j, v := range lam {
 		roots[j] = math.Sqrt(v)
 	}
-	phi = linalg.NewMatrix(n, keep)
-	for i := 0; i < n; i++ {
+	phi := linalg.NewMatrix(u.Rows, len(lam))
+	for i := 0; i < u.Rows; i++ {
 		row := phi.Row(i)
-		for j, x := range vecs.Row(i) {
+		for j, x := range u.Row(i) {
 			row[j] = x * roots[j]
 		}
 	}
-	return phi, vecs, vals, nil
+	return phi
 }
 
 // ProjectQuery maps a new query feature vector into the query projection

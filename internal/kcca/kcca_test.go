@@ -240,8 +240,8 @@ func TestSaveLoadModel(t *testing.T) {
 }
 
 // legacyModelWire is modelWire as builds wrote it while models kept the
-// performance projection: PerfProj beside QueryProj, and the CCA's y-side
-// mean and weights.
+// performance projection: PerfProj beside QueryProj and a copy of the
+// correlations, and the CCA's y-side mean and weights.
 type legacyModelWire struct {
 	X            *linalg.Matrix
 	TauX, TauY   float64
@@ -259,10 +259,11 @@ type legacyModelWire struct {
 	}
 }
 
-// TestLoadSkipsPerformanceProjection: a model file that still carries the
-// performance projection loads into the same model as one without it, on
-// every architecture (the byte-for-byte fixtures in internal/core run on
-// amd64 only).
+// TestLoadSkipsPerformanceProjection: a model file that still carries both
+// training projections and the correlations loads into the same model as
+// one that carries neither, bit for bit (the derived query projection
+// included), on every architecture (the byte-for-byte fixtures in
+// internal/core run on amd64 only).
 func TestLoadSkipsPerformanceProjection(t *testing.T) {
 	x, y := nonlinearViews(10, 50)
 	m, err := Train(x, y, unitOpts())
@@ -286,9 +287,9 @@ func TestLoadSkipsPerformanceProjection(t *testing.T) {
 		return out
 	}
 	legacy := legacyModelWire{
-		X: w.X, TauX: w.TauX, TauY: w.TauY, QueryProj: w.QueryProj,
-		PerfProj:     filled(w.QueryProj.Rows, w.QueryProj.Cols),
-		Correlations: w.Correlations, RowMeansX: w.RowMeansX, GrandX: w.GrandX,
+		X: w.X, TauX: w.TauX, TauY: w.TauY, QueryProj: m.QueryProj,
+		PerfProj:     filled(m.QueryProj.Rows, m.QueryProj.Cols),
+		Correlations: m.Correlations, RowMeansX: w.RowMeansX, GrandX: w.GrandX,
 		Ux: w.Ux, Lamx: w.Lamx,
 	}
 	legacy.CCA = &struct {
@@ -301,7 +302,7 @@ func TestLoadSkipsPerformanceProjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	if old.Len() <= cur.Len() {
-		t.Fatalf("the file with the performance projection is %d bytes, without %d", old.Len(), cur.Len())
+		t.Fatalf("the file with the projections is %d bytes, without %d", old.Len(), cur.Len())
 	}
 	for _, tc := range []struct {
 		name string
@@ -317,6 +318,11 @@ func TestLoadSkipsPerformanceProjection(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, m) {
 				t.Fatal("the loaded model differs from the trained one")
+			}
+			for i, v := range m.QueryProj.Data {
+				if math.Float64bits(got.QueryProj.Data[i]) != math.Float64bits(v) {
+					t.Fatalf("derived projection element %d = %v, trained %v", i, got.QueryProj.Data[i], v)
+				}
 			}
 		})
 	}
@@ -347,10 +353,10 @@ func TestLoadRejectsCorruptModel(t *testing.T) {
 		corrupt func(w *modelWire)
 	}{
 		{"truncated X data", func(w *modelWire) { w.X.Data = w.X.Data[:len(w.X.Data)-1] }},
-		{"negative dims", func(w *modelWire) { w.QueryProj.Rows = -1 }},
-		{"projection rows disagree", func(w *modelWire) {
-			w.QueryProj.Rows--
-			w.QueryProj.Data = w.QueryProj.Data[:w.QueryProj.Rows*w.QueryProj.Cols]
+		{"negative dims", func(w *modelWire) { w.Ux.Rows = -1 }},
+		{"basis rows disagree", func(w *modelWire) {
+			w.Ux.Rows--
+			w.Ux.Data = w.Ux.Data[:w.Ux.Rows*w.Ux.Cols]
 		}},
 		{"short row means", func(w *modelWire) { w.RowMeansX = w.RowMeansX[:len(w.RowMeansX)-2] }},
 		{"truncated eigenvalues", func(w *modelWire) { w.Lamx = w.Lamx[:len(w.Lamx)-1] }},
@@ -358,9 +364,8 @@ func TestLoadRejectsCorruptModel(t *testing.T) {
 		{"NaN kernel scale", func(w *modelWire) { w.TauX = math.NaN() }},
 		{"missing CCA weights", func(w *modelWire) { w.CCA = nil }},
 		{"CCA input dim mismatch", func(w *modelWire) { w.CCA.MeanX = w.CCA.MeanX[:1] }},
-		{"projection dim mismatch", func(w *modelWire) {
-			w.QueryProj.Cols--
-			w.QueryProj.Data = w.QueryProj.Data[:w.QueryProj.Rows*w.QueryProj.Cols]
+		{"more canonical dims than components", func(w *modelWire) {
+			w.CCA.WX = linalg.NewMatrix(w.CCA.WX.Rows, w.CCA.WX.Rows+1)
 		}},
 	}
 	for _, tc := range cases {

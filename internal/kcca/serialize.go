@@ -10,20 +10,20 @@ import (
 	"repro/internal/linalg"
 )
 
-// modelWire is the gob-encodable mirror of Model (whose projection
-// internals are unexported by design). Files written by older builds also
-// carry the training rows' performance projection and the CCA's y-side
-// weights; gob skips them. An older build refuses a file without them.
+// modelWire is the gob-encodable form of what training fitted (Model's
+// projection internals are unexported by design); Load derives the rest
+// through finish, as Train does. Files written by older builds also carry
+// the training rows' query projection, a copy of the correlations, and
+// before that the performance projection and the CCA's y-side weights; gob
+// skips them. An older build refuses a file without the query projection.
 type modelWire struct {
-	X            *linalg.Matrix
-	TauX, TauY   float64
-	QueryProj    *linalg.Matrix
-	Correlations []float64
-	RowMeansX    []float64
-	GrandX       float64
-	Ux           *linalg.Matrix
-	Lamx         []float64
-	CCA          *cca.Model
+	X          *linalg.Matrix
+	TauX, TauY float64
+	RowMeansX  []float64
+	GrandX     float64
+	Ux         *linalg.Matrix
+	Lamx       []float64
+	CCA        *cca.Model
 }
 
 // Save serializes the model. The paper's deployment story (Fig. 1) has the
@@ -32,9 +32,7 @@ type modelWire struct {
 func (m *Model) Save(w io.Writer) error {
 	wire := modelWire{
 		X: m.X, TauX: m.TauX, TauY: m.TauY,
-		QueryProj:    m.QueryProj,
-		Correlations: m.Correlations,
-		RowMeansX:    m.rowMeansX, GrandX: m.grandX,
+		RowMeansX: m.rowMeansX, GrandX: m.grandX,
 		Ux: m.ux, Lamx: m.lamx, CCA: m.ccaModel,
 	}
 	if err := gob.NewEncoder(w).Encode(&wire); err != nil {
@@ -43,10 +41,12 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
-// Load deserializes a model written by Save. The wire form is validated
-// for full shape consistency before a Model is built: a truncated or
-// hand-edited file must fail here with an error, not panic later deep in
-// the linalg kernels when the model is first used.
+// Load deserializes a model written by Save and derives the training
+// queries' projection from it as Train does. The wire form is validated for
+// full shape consistency before a Model is built: a truncated or
+// hand-edited file must fail here with an error, not panic in the
+// derivation or later deep in the linalg kernels when the model is first
+// used.
 func Load(r io.Reader) (*Model, error) {
 	var wire modelWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
@@ -57,23 +57,21 @@ func Load(r io.Reader) (*Model, error) {
 	}
 	return (&Model{
 		X: wire.X, TauX: wire.TauX, TauY: wire.TauY,
-		QueryProj:    wire.QueryProj,
-		Correlations: wire.Correlations,
-		rowMeansX:    wire.RowMeansX, grandX: wire.GrandX,
+		rowMeansX: wire.RowMeansX, grandX: wire.GrandX,
 		ux: wire.Ux, lamx: wire.Lamx, ccaModel: wire.CCA,
-	}).finish(), nil
+	}).finish(scaledBasis(wire.Ux, wire.Lamx)), nil
 }
 
-// validate checks every invariant ProjectQuery and the kNN pipeline rely
-// on: structural matrix shapes, cross-matrix row/column agreement, and the
-// positivity of the kernel scale and kernel-PCA eigenvalues (both are
-// divided by or passed to panicking kernels).
+// validate checks every invariant finish, ProjectQuery and the kNN
+// pipeline rely on: structural matrix shapes, cross-matrix row/column
+// agreement, and the positivity of the kernel scale and kernel-PCA
+// eigenvalues (both are divided by or passed to panicking kernels).
 func (w *modelWire) validate() error {
 	for _, m := range []struct {
 		name string
 		mat  *linalg.Matrix
 	}{
-		{"X", w.X}, {"QueryProj", w.QueryProj}, {"Ux", w.Ux},
+		{"X", w.X}, {"Ux", w.Ux},
 	} {
 		if err := m.mat.CheckShape(); err != nil {
 			return fmt.Errorf("kcca: decoded model: %s: %w", m.name, err)
@@ -83,9 +81,8 @@ func (w *modelWire) validate() error {
 	if n < 1 {
 		return fmt.Errorf("kcca: decoded model has no training rows")
 	}
-	if w.QueryProj.Rows != n || w.Ux.Rows != n {
-		return fmt.Errorf("kcca: decoded model row counts disagree: X=%d QueryProj=%d Ux=%d",
-			n, w.QueryProj.Rows, w.Ux.Rows)
+	if w.Ux.Rows != n {
+		return fmt.Errorf("kcca: decoded model row counts disagree: X=%d Ux=%d", n, w.Ux.Rows)
 	}
 	if len(w.RowMeansX) != n {
 		return fmt.Errorf("kcca: decoded model has %d row means, want %d", len(w.RowMeansX), n)
@@ -111,8 +108,10 @@ func (w *modelWire) validate() error {
 		return fmt.Errorf("kcca: decoded model CCA input dims (mean %d, WX rows %d) do not match %d kernel-PCA components",
 			len(w.CCA.MeanX), w.CCA.WX.Rows, w.Ux.Cols)
 	}
-	if w.QueryProj.Cols != w.CCA.WX.Cols {
-		return fmt.Errorf("kcca: decoded model projection has %d dims but CCA produces %d", w.QueryProj.Cols, w.CCA.WX.Cols)
+	// Load allocates the N×d training projection: d ≤ components, as any fit
+	// has, bounds it by what the file holds.
+	if w.CCA.WX.Cols > w.CCA.WX.Rows {
+		return fmt.Errorf("kcca: decoded model has %d canonical dims for %d kernel-PCA components", w.CCA.WX.Cols, w.CCA.WX.Rows)
 	}
 	return nil
 }

