@@ -93,6 +93,10 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
+	// Boot training and any retrains a WAL replay ran are over: hand their
+	// working set back to the OS. The listener already answers, so
+	// readiness never waits for this.
+	fmt.Fprintf(os.Stderr, "returned %.1f MB of training memory to the OS\n", float64(shard.ReleaseMemory())/(1<<20))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -228,7 +232,9 @@ func boot(opts qpredict.Options, logw io.Writer) (svc *serve.Server, modelDesc s
 	// Each shard's window: fresh, or — with durable state — its WAL opened
 	// (and repaired), the newest snapshot installed and the tail replayed
 	// before serving starts. A shard that recovers a model skips boot
-	// training; when all do, nothing is trained.
+	// training; when all do, nothing is trained. A recovered generation is
+	// not enough: a snapshot taken before the window's first retrain records
+	// the boot model's generation but not the model.
 	cfgs := make([]shard.ShardConfig, nShards)
 	durable := opts.State.Dir != ""
 	allWarm := durable
@@ -274,7 +280,7 @@ func boot(opts qpredict.Options, logw io.Writer) (svc *serve.Server, modelDesc s
 				fmt.Fprintf(logw, "shard %d: torn WAL tail repaired, %d bytes truncated\n", i, info.TruncatedBytes)
 			}
 		}
-		allWarm = allWarm && sc.BootGen > 0
+		allWarm = allWarm && sc.Sliding.Ready()
 	}
 
 	var predictor *core.Predictor
@@ -317,10 +323,10 @@ func boot(opts qpredict.Options, logw io.Writer) (svc *serve.Server, modelDesc s
 	for i := range cfgs {
 		sc := &cfgs[i]
 		// A shard that did not recover a model boots from the shared trained
-		// model, then diverges as its own observations arrive; a recovered
-		// shard keeps serving its own model at the generation it held before
-		// the restart.
-		if sc.BootGen == 0 {
+		// model, then diverges as its own observations arrive — at the
+		// generation it held before the restart when it recovered one; a
+		// recovered model keeps serving at its generation.
+		if !sc.Sliding.Ready() {
 			sc.Boot = predictor
 		}
 	}

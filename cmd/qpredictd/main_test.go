@@ -54,8 +54,8 @@ func call(t *testing.T, svc *serve.Server, method, path string, body any) (int, 
 	return rec.Code, rec.Body.Bytes()
 }
 
-// generationOf reads the served generation off GET /v1/model.
-func generationOf(t *testing.T, svc *serve.Server) int64 {
+// modelOf reads GET /v1/model.
+func modelOf(t *testing.T, svc *serve.Server) api.ModelInfo {
 	t.Helper()
 	code, raw := call(t, svc, http.MethodGet, "/v1/model", nil)
 	var body struct {
@@ -64,7 +64,13 @@ func generationOf(t *testing.T, svc *serve.Server) int64 {
 	if err := json.Unmarshal(raw, &body); code != http.StatusOK || err != nil {
 		t.Fatalf("GET /v1/model: %d %s (%v)", code, raw, err)
 	}
-	return body.Model.Generation
+	return body.Model
+}
+
+// generationOf reads the served generation off GET /v1/model.
+func generationOf(t *testing.T, svc *serve.Server) int64 {
+	t.Helper()
+	return modelOf(t, svc).Generation
 }
 
 // TestOneShardStateDirAcrossBoots: a state directory written by the stock
@@ -142,6 +148,68 @@ func TestOneShardStateDirAcrossBoots(t *testing.T) {
 
 	if _, _, err := bootArgs(t, append(base[:len(base):len(base)], "-shards", "2")...); err == nil || !strings.Contains(err.Error(), "was written under") {
 		t.Fatalf("-shards 2 on a one-shard state dir: %v", err)
+	}
+}
+
+// TestRestartBeforeFirstRetrain: a daemon that drains after one observation
+// leaves a snapshot recording the boot model's generation but no model — the
+// window has not retrained yet, and the boot model is not part of the
+// sliding state. The restart recovers that window and still serves: the
+// shard gets the boot model back at generation 1, ready, answering a probe
+// set with the bytes the cold boot answered after the same observation.
+func TestRestartBeforeFirstRetrain(t *testing.T) {
+	args := []string{"-train", "60", "-capacity", "20", "-retrain-every", "5", "-snapshot-every", "1", "-state-dir", t.TempDir()}
+	def := qpredict.Default()
+	pool, err := dataset.Generate(dataset.GenConfig{
+		Seed: def.Train.Seed, DataSeed: def.Train.DataSeed, Machine: exec.Research4(),
+		Schema: catalog.TPCDS(1), Templates: workload.TPCDSTemplates(), Count: 60,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var probe api.PredictRequest
+	for _, q := range pool.Queries[40:48] {
+		probe.Queries = append(probe.Queries, api.QueryInput{SQL: q.SQL})
+	}
+
+	// Cold boot: train, take one observation, answer the probe, drain.
+	svc, log, err := bootArgs(t, args...)
+	if err != nil {
+		t.Fatalf("cold boot: %v\n%s", err, log)
+	}
+	q := pool.Queries[0]
+	obs := api.ObserveRequest{Observations: []api.Observation{{SQL: q.SQL, Metrics: api.MetricsFrom(q.Metrics)}}}
+	if code, raw := call(t, svc, http.MethodPost, "/v1/observe", obs); code != http.StatusAccepted {
+		t.Fatalf("observe: %d %s", code, raw)
+	}
+	for deadline := time.Now().Add(60 * time.Second); modelOf(t, svc).WindowSize != 1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the observation never reached the window")
+		}
+	}
+	code, want := call(t, svc, http.MethodPost, "/v1/predict", probe)
+	if code != http.StatusOK {
+		t.Fatalf("cold boot's probe: %d %s", code, want)
+	}
+	svc.Close()
+
+	svc, log, err = bootArgs(t, args...)
+	if err != nil {
+		t.Fatalf("restart: %v\n%s", err, log)
+	}
+	defer svc.Close()
+	if !strings.Contains(log, "recovered snapshot") {
+		t.Fatalf("the restart recovered no snapshot:\n%s", log)
+	}
+	if code, raw := call(t, svc, http.MethodGet, "/readyz", nil); code != http.StatusOK {
+		t.Fatalf("/readyz after the restart: %d %s\n%s", code, raw, log)
+	}
+	if gen := generationOf(t, svc); gen != 1 {
+		t.Errorf("serves generation %d after the restart, want the boot model's 1", gen)
+	}
+	code, got := call(t, svc, http.MethodPost, "/v1/predict", probe)
+	if code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("probe after the restart answered %d\n got %s\nwant %s", code, got, want)
 	}
 }
 

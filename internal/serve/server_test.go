@@ -295,9 +295,14 @@ func TestOverload(t *testing.T) {
 	go serveBody(s, context.Background(), body)
 	coalescetest.WaitDepth(t, depth+1)
 
+	rejected := obs.GetCounter("serve.rejected.overload")
+	before := rejected.Value()
 	resp, raw := postJSON(t, ts.URL+"/v1/predict", api.PredictRequest{SQL: pool.Queries[121].SQL})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", resp.StatusCode, raw)
+	}
+	if n := rejected.Value() - before; n != 1 {
+		t.Errorf("serve.rejected.overload moved by %d on one 429, want 1", n)
 	}
 	if got := resp.Header.Get("Retry-After"); got != "1" {
 		t.Errorf("Retry-After %q on a 429, want 1", got)

@@ -23,6 +23,8 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,6 +44,7 @@ var (
 	retrainErrors = obs.GetCounter("serve.retrain.errors")
 	rejectedLoad  = obs.GetCounter("serve.rejected.overload")
 	snapshotFails = obs.GetCounter("wal.snapshot.errors")
+	memReleased   = obs.GetCounter("serve.memory.released.bytes")
 	// observeDepth counts observations admitted by Router.ObserveBatch and
 	// not yet taken by an observe loop, over every shard.
 	observeDepth = obs.GetGauge("serve.observe.queue_depth")
@@ -137,6 +140,10 @@ type Shard struct {
 	// each queued observation is applied — it is how tests park the loop
 	// with observations queued behind it.
 	observeHook func()
+	// release returns a retrain's dead working set to the OS after each
+	// retrain attempt: ReleaseMemory, or a test's recorder — it is how tests
+	// see when the release happens relative to the publish.
+	release func() uint64
 }
 
 // newShard wires one shard. sc.Boot (or sc.BootModel, a test double) is
@@ -153,6 +160,7 @@ func newShard(id int, sc ShardConfig, cfg Config) *Shard {
 		mSwaps:    obs.GetCounter(fmt.Sprintf("serve.shard.%d.swaps", id)),
 		mPredicts: obs.GetCounter(fmt.Sprintf("serve.shard.%d.predictions", id)),
 		mObserved: obs.GetCounter(fmt.Sprintf("serve.shard.%d.observed", id)),
+		release:   ReleaseMemory,
 	}
 	boot := sc.BootModel
 	if boot == nil && sc.Boot != nil {
@@ -234,15 +242,48 @@ func (s *Shard) enqueueObserve(share []*dataset.Query) {
 }
 
 // apply is the one per-observation path: WAL-log, slide the window
-// (retraining when due), publish a completed retrain, and persist. Only the
-// observe loop runs it, so the store keeps its single owner.
+// (retraining when due), return a retrain's working set to the OS, publish
+// a completed retrain, and persist. Only the observe loop runs it, so the
+// store keeps its single owner.
+//
+// The release comes before the publish: a generation serves only once the
+// memory that trained it is back with the OS, so whoever reads the new
+// generation and then the process's resident size sees the serving state,
+// not the training peak.
 func (s *Shard) apply(q *dataset.Query) error {
 	seq := s.logObservation(q)
 	before := s.sliding.Retrains()
 	err := s.sliding.Observe(q)
+	if err != nil || s.sliding.Retrains() != before {
+		s.release()
+	}
 	s.afterObserve(before, err)
 	s.persistApplied(seq)
 	return err
+}
+
+// ReleaseMemory returns the heap the runtime holds but no longer uses to
+// the OS — one forced collection and a full scavenge
+// (debug.FreeOSMemory) — and reports how many bytes that released: the
+// move of runtime/metrics /memory/classes/heap/released:bytes across the
+// call, clamped at 0, also added to serve.memory.released.bytes. A
+// training's kernels and eigensolver scratch (about 24·n² bytes) are dead
+// once it returns, but the runtime would keep their pages resident; the
+// observe loop calls this after every retrain attempt and the daemon once
+// after boot, never on the predict path.
+func ReleaseMemory() uint64 {
+	before := heapReleased()
+	debug.FreeOSMemory()
+	n := max(heapReleased(), before) - before
+	memReleased.Add(int64(n))
+	return n
+}
+
+// heapReleased reads the bytes of heap the runtime has returned to the OS.
+func heapReleased() uint64 {
+	s := []metrics.Sample{{Name: "/memory/classes/heap/released:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }
 
 // logObservation WAL-logs one observation ahead of applying it. A failed

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
+	"repro/internal/testutil"
 	"repro/internal/workload"
 )
 
@@ -493,6 +495,95 @@ func TestRetrainFailureKeepsServing(t *testing.T) {
 		if q != pool.Queries[7] {
 			t.Fatalf("window slot %d holds %q, want the observed duplicate", i, q.SQL)
 		}
+	}
+}
+
+// TestRetrainReleasesBeforePublish: the observe loop hands a retrain's
+// working set back to the OS once per retrain attempt and before the
+// publish — a successful retrain releases while the slot still serves the
+// generation before it, a failed one releases and publishes nothing, and an
+// observation that does not retrain does not release.
+func TestRetrainReleasesBeforePublish(t *testing.T) {
+	pool, _ := fixture(t)
+	zero := funcPartitioner{n: "zero", f: func(*dataset.Query) (int, error) { return 0, nil }}
+	r, err := NewRouter([]ShardConfig{{Sliding: newSliding(t, 5, 5)}}, zero, Config{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	sh := r.Shard(0)
+	var mu sync.Mutex
+	var servedAtRelease []int64
+	sh.release = func() uint64 {
+		mu.Lock()
+		defer mu.Unlock()
+		servedAtRelease = append(servedAtRelease, sh.generation())
+		return 0
+	}
+	releases := func() []int64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(servedAtRelease)
+	}
+
+	same := make([]*dataset.Query, 5)
+	for i := range same {
+		same[i] = pool.Queries[7]
+	}
+	stream := append(slices.Clone(pool.Queries[:10]), same...)
+	swaps := modelSwaps.Value()
+	for i, q := range stream {
+		if _, err := r.ObserveBatch([]*dataset.Query{q}); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for sh.Observed() < int64(i+1) {
+			if time.Now().After(deadline) {
+				t.Fatalf("observe loop stuck at %d of %d observations", sh.Observed(), i+1)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		// Observations 5 and 10 retrain into generations 1 and 2; 15
+		// retrains a window of one query five times over, which fails.
+		attempts := (i + 1) / 5
+		want := []int64{0, 1, 2}[:attempts]
+		if got := releases(); !slices.Equal(got, want) {
+			t.Fatalf("after observation %d: releases saw generations %v, want %v", i+1, got, want)
+		}
+		if gen, wantGen := sh.generation(), int64(min(attempts, 2)); gen != wantGen {
+			t.Fatalf("after observation %d: serving generation %d, want %d", i+1, gen, wantGen)
+		}
+	}
+	if n := modelSwaps.Value() - swaps; n != 2 {
+		t.Fatalf("%d swaps published, want 2: the failed retrain published", n)
+	}
+}
+
+// TestRetrainReturnsMemory: a retrain of a 500-query window frees two
+// 500 × 500 kernels and the eigensolver's scratch when Train returns, and
+// the release hands at least half of the kernels back to the OS —
+// serve.memory.released.bytes says so by the time the generation moves.
+func TestRetrainReturnsMemory(t *testing.T) {
+	qs := testutil.StockQueries(t, 500)
+	r, err := NewRouter([]ShardConfig{{Sliding: newSliding(t, 500, 500)}}, Passthrough{}, Config{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	released := memReleased.Value()
+	if _, err := r.ObserveBatch(qs); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(120 * time.Second)
+	for !r.Shard(0).Ready() {
+		if time.Now().After(deadline) {
+			t.Fatal("no generation after a full window")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	const kernel = 500 * 500 * 8
+	if n := memReleased.Value() - released; n < kernel {
+		t.Fatalf("serve.memory.released.bytes moved by %d, want at least %d (one 500 × 500 kernel)", n, kernel)
 	}
 }
 

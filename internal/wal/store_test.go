@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -318,6 +319,8 @@ func TestRecoverTornTail(t *testing.T) {
 		_ = mirror.Observe(q)
 	}
 
+	truncations, truncated := obs.GetCounter("wal.tail.truncations"), obs.GetCounter("wal.truncated.bytes")
+	truncationsBefore, truncatedBefore := truncations.Value(), truncated.Value()
 	st2 := openStore(t, dir, 100)
 	recovered, _, err := st2.Recover(testCapacity, testRetrain, core.DefaultOptions())
 	if err != nil {
@@ -327,6 +330,17 @@ func TestRecoverTornTail(t *testing.T) {
 	ri := st2.Info()
 	if !ri.TornTail || ri.TruncatedBytes == 0 {
 		t.Fatalf("torn tail not reported: %+v", ri)
+	}
+	repaired, err := os.Stat(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := info.Size() - 5 - repaired.Size()
+	if n := truncations.Value() - truncationsBefore; n != 1 {
+		t.Errorf("wal.tail.truncations moved by %d, want 1", n)
+	}
+	if n := truncated.Value() - truncatedBefore; n != cut || ri.TruncatedBytes != cut {
+		t.Errorf("wal.truncated.bytes moved by %d and recovery reports %d, the repair cut %d bytes", n, ri.TruncatedBytes, cut)
 	}
 	if ri.Replayed != 14 {
 		t.Fatalf("replayed %d, want 14 (the valid prefix)", ri.Replayed)
@@ -366,6 +380,8 @@ func TestRecoverCorruptSnapshotFallback(t *testing.T) {
 		_ = mirror.Observe(q)
 	}
 
+	corrupt := obs.GetCounter("wal.snapshots.corrupt")
+	before := corrupt.Value()
 	st2 := openStore(t, dir, 8)
 	recovered, _, err := st2.Recover(testCapacity, testRetrain, core.DefaultOptions())
 	if err != nil {
@@ -375,6 +391,9 @@ func TestRecoverCorruptSnapshotFallback(t *testing.T) {
 	ri := st2.Info()
 	if ri.SnapshotSeq != 16 || ri.Replayed != 14 {
 		t.Fatalf("recovery info %+v, want fallback snapshot 16 + 14 replayed", ri)
+	}
+	if n := corrupt.Value() - before; n != 1 {
+		t.Errorf("wal.snapshots.corrupt moved by %d, want 1 (the flipped newest snapshot)", n)
 	}
 }
 
