@@ -11,25 +11,29 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/catalog"
+	"repro/internal/cli"
 	"repro/internal/dataset"
 	"repro/internal/exec"
 	"repro/internal/workload"
 )
 
-func main() {
-	schemaName := flag.String("schema", "tpcds", "schema: tpcds or customer")
-	machineName := flag.String("machine", "research4", "machine: research4 or prod32:<cpus>")
-	count := flag.Int("count", 500, "number of queries to generate")
-	seed := flag.Int64("seed", 1, "workload seed")
-	dataSeed := flag.Int64("dataseed", 1000, "data realization seed")
-	sf := flag.Float64("sf", 1, "TPC-DS scale factor")
-	out := flag.String("out", "", "output CSV path (default stdout)")
-	flag.Parse()
+func main() { cli.Main(run) }
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.SetOutput(stderr)
+	schemaName := fs.String("schema", "tpcds", "schema: tpcds or customer")
+	machineName := fs.String("machine", "research4", "machine: research4 or prod32:<cpus>")
+	count := fs.Int("count", 500, "number of queries to generate")
+	seed := fs.Int64("seed", 1, "workload seed")
+	dataSeed := fs.Int64("dataseed", 1000, "data realization seed")
+	sf := fs.Float64("sf", 1, "TPC-DS scale factor")
+	out := fs.String("out", "", "output CSV path (default stdout)")
+	fs.Parse(args)
 
 	var (
 		schema    = catalog.TPCDS(*sf)
@@ -41,12 +45,12 @@ func main() {
 		schema = catalog.CustomerSchema()
 		templates = workload.CustomerTemplates()
 	default:
-		fatal("unknown schema %q (want tpcds or customer)", *schemaName)
+		return fmt.Errorf("unknown schema %q (want tpcds or customer)", *schemaName)
 	}
 
-	machine, err := parseMachine(*machineName)
+	machine, err := exec.ParseMachine(*machineName)
 	if err != nil {
-		fatal("%v", err)
+		return err
 	}
 
 	ds, err := dataset.Generate(dataset.GenConfig{
@@ -58,45 +62,29 @@ func main() {
 		Count:     *count,
 	})
 	if err != nil {
-		fatal("generating dataset: %v", err)
+		return fmt.Errorf("generating dataset: %v", err)
 	}
 
-	w := os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal("creating %s: %v", *out, err)
+			return fmt.Errorf("creating %s: %v", *out, err)
 		}
 		defer f.Close()
 		w = f
 	}
 	if err := ds.WriteCSV(w); err != nil {
-		fatal("writing CSV: %v", err)
+		return fmt.Errorf("writing CSV: %v", err)
 	}
 
 	counts := ds.CategoryCounts()
-	fmt.Fprintf(os.Stderr, "generated %d queries on %s:", len(ds.Queries), machine)
-	for cat, n := range counts {
-		fmt.Fprintf(os.Stderr, " %s=%d", cat, n)
-	}
-	fmt.Fprintln(os.Stderr)
-}
-
-func parseMachine(name string) (exec.Machine, error) {
-	if name == "research4" {
-		return exec.Research4(), nil
-	}
-	if rest, ok := strings.CutPrefix(name, "prod32:"); ok {
-		p, err := strconv.Atoi(rest)
-		if err != nil || p <= 0 || p > 32 {
-			return exec.Machine{}, fmt.Errorf("bad processor count %q (want 1..32)", rest)
+	fmt.Fprintf(stderr, "generated %d queries on %s:", len(ds.Queries), machine)
+	for cat := workload.Feather; cat < workload.NumCategories; cat++ {
+		if counts[cat] > 0 {
+			fmt.Fprintf(stderr, " %s=%d", cat, counts[cat])
 		}
-		return exec.Production32(p), nil
 	}
-	return exec.Machine{}, fmt.Errorf("unknown machine %q (want research4 or prod32:<cpus>)", name)
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
+	fmt.Fprintln(stderr)
+	return nil
 }

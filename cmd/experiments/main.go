@@ -10,10 +10,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 )
@@ -49,50 +52,49 @@ var registry = []experiment{
 	{"fig17", "optimizer cost baseline", wrap((*experiments.Lab).OptimizerCostBaseline)},
 }
 
-func main() {
-	seed := flag.Int64("seed", 42, "root seed for workload generation and splits")
-	run := flag.String("run", "", "comma-separated experiment ids (default: all)")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	out := flag.String("out", "", "also write the reports as markdown to this file")
-	timings := flag.Bool("timings", false, "print the per-stage timing table on exit")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /timings, /debug/pprof on this address (e.g. localhost:6060)")
-	flag.Parse()
+func main() { cli.Main(run) }
+
+// run's exits go through internal/cli, so the -timings table prints on
+// error exits too.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Int64("seed", 42, "root seed for workload generation and splits")
+	runIDs := fs.String("run", "", "comma-separated experiment ids (default: all)")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	out := fs.String("out", "", "also write the reports as markdown to this file")
+	timings := fs.Bool("timings", false, "print the per-stage timing table on exit")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /timings, /debug/pprof on this address (e.g. localhost:6060)")
+	fs.Parse(args)
 
 	if *metricsAddr != "" {
 		addr, err := obs.ServeMetrics(*metricsAddr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "metrics server: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("metrics server: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "metrics at http://%s/metrics (timings, expvar, pprof alongside)\n", addr)
+		fmt.Fprintf(stderr, "metrics at http://%s/metrics (timings, expvar, pprof alongside)\n", addr)
 	}
 	if *timings {
 		obs.SetEnabled(true)
-		defer func() { fmt.Fprint(os.Stderr, "\n"+obs.TimingsTable()) }()
+		cli.AtExit(func() { fmt.Fprint(stderr, "\n"+obs.TimingsTable()) })
 	}
 
 	if *list {
 		for _, e := range registry {
-			fmt.Printf("%-8s %s\n", e.id, e.desc)
+			fmt.Fprintf(stdout, "%-8s %s\n", e.id, e.desc)
 		}
-		return
+		return nil
 	}
 
 	selected := map[string]bool{}
-	if *run != "" {
-		for _, id := range strings.Split(*run, ",") {
+	if *runIDs != "" {
+		for _, id := range strings.Split(*runIDs, ",") {
 			selected[strings.TrimSpace(id)] = true
 		}
 		for id := range selected {
-			found := false
-			for _, e := range registry {
-				if e.id == id {
-					found = true
-				}
-			}
-			if !found {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
-				os.Exit(2)
+			if !slices.ContainsFunc(registry, func(e experiment) bool { return e.id == id }) {
+				fmt.Fprintf(stderr, "unknown experiment %q (use -list)\n", id)
+				return cli.ExitCode(2)
 			}
 		}
 	}
@@ -110,20 +112,19 @@ func main() {
 		start := time.Now()
 		res, err := e.run(lab)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.id, err)
-			os.Exit(1)
+			return fmt.Errorf("%s failed: %v", e.id, err)
 		}
 		report := res.Report()
-		fmt.Printf("=== %s (%.1fs) ===\n%s\n", e.id, time.Since(start).Seconds(), report)
+		fmt.Fprintf(stdout, "=== %s (%.1fs) ===\n%s\n", e.id, time.Since(start).Seconds(), report)
 		if md != nil {
 			fmt.Fprintf(md, "\n## %s — %s\n\n```\n%s```\n", e.id, e.desc, report)
 		}
 	}
 	if md != nil {
 		if err := os.WriteFile(*out, []byte(md.String()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *out, err)
-			os.Exit(1)
+			return fmt.Errorf("writing %s: %v", *out, err)
 		}
-		fmt.Fprintf(os.Stderr, "markdown report written to %s\n", *out)
+		fmt.Fprintf(stderr, "markdown report written to %s\n", *out)
 	}
+	return nil
 }

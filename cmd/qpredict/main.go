@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -41,22 +42,25 @@ import (
 	"repro/pkg/qpredict"
 )
 
-func main() {
-	cfgPath := flag.String("config", "", "JSON options file (pkg/qpredict Options; explicitly set flags override it)")
-	sqlText := flag.String("sql", "", "SQL statement to predict (omit to run a self-evaluation)")
-	trainCount := flag.Int("train", 1000, "training workload size")
-	seed := flag.Int64("seed", 1, "workload seed")
-	dataSeed := flag.Int64("dataseed", 1000, "data realization seed")
-	machineName := flag.String("machine", "research4", "machine: research4 or prod32:<cpus>")
-	twoStep := flag.Bool("twostep", false, "use two-step (query-type-specific) prediction")
-	verbose := flag.Bool("v", false, "print the query plan")
-	jsonOut := flag.Bool("json", false, "emit the prediction as JSON in the qpredictd wire schema (docs/API.md)")
-	saveTo := flag.String("save", "", "after training, save the model to this file")
-	loadFrom := flag.String("load", "", "load a previously saved model instead of training")
-	timings := flag.Bool("timings", false, "print the per-stage timing table on exit")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /timings, /debug/pprof on this address (e.g. localhost:6060)")
-	flag.Parse()
-	defer cli.RunHooks()
+func main() { cli.Main(run) }
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.SetOutput(stderr)
+	cfgPath := fs.String("config", "", "JSON options file (pkg/qpredict Options; explicitly set flags override it)")
+	sqlText := fs.String("sql", "", "SQL statement to predict (omit to run a self-evaluation)")
+	trainCount := fs.Int("train", 1000, "training workload size")
+	seed := fs.Int64("seed", 1, "workload seed")
+	dataSeed := fs.Int64("dataseed", 1000, "data realization seed")
+	machineName := fs.String("machine", "research4", "machine: research4 or prod32:<cpus>")
+	twoStep := fs.Bool("twostep", false, "use two-step (query-type-specific) prediction")
+	verbose := fs.Bool("v", false, "print the query plan")
+	jsonOut := fs.Bool("json", false, "emit the prediction as JSON in the qpredictd wire schema (docs/API.md)")
+	saveTo := fs.String("save", "", "after training, save the model to this file")
+	loadFrom := fs.String("load", "", "load a previously saved model instead of training")
+	timings := fs.Bool("timings", false, "print the per-stage timing table on exit")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /timings, /debug/pprof on this address (e.g. localhost:6060)")
+	fs.Parse(args)
 
 	// -config loads the shared qpredict.Options file; the CLI consumes its
 	// train block (the serve/shard/state blocks belong to qpredictd).
@@ -64,11 +68,11 @@ func main() {
 	if *cfgPath != "" {
 		opts, err := qpredict.LoadFile(*cfgPath)
 		if err != nil {
-			cli.Fatalf("%v", err)
+			return err
 		}
 		set := map[string]bool{}
 		var overridden []string
-		flag.Visit(func(f *flag.Flag) {
+		fs.Visit(func(f *flag.Flag) {
 			set[f.Name] = true
 			switch f.Name {
 			case "train", "seed", "dataseed", "machine", "twostep", "load":
@@ -94,7 +98,7 @@ func main() {
 			*loadFrom = opts.Train.Load
 		}
 		if len(overridden) > 0 {
-			fmt.Fprintf(os.Stderr, "note: %s override %s (flags beat config; move them into the file to silence this)\n",
+			fmt.Fprintf(stderr, "note: %s override %s (flags beat config; move them into the file to silence this)\n",
 				strings.Join(overridden, " "), *cfgPath)
 		}
 	}
@@ -102,20 +106,20 @@ func main() {
 	if *metricsAddr != "" {
 		addr, err := obs.ServeMetrics(*metricsAddr)
 		if err != nil {
-			cli.Fatalf("metrics server: %v", err)
+			return fmt.Errorf("metrics server: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "metrics at http://%s/metrics (timings, expvar, pprof alongside)\n", addr)
+		fmt.Fprintf(stderr, "metrics at http://%s/metrics (timings, expvar, pprof alongside)\n", addr)
 	}
 	if *timings {
 		obs.SetEnabled(true)
-		// Registered as an exit hook (not a defer), so cli.Fatalf error
-		// paths print the table too.
-		cli.AtExit(func() { fmt.Fprint(os.Stderr, "\n"+obs.TimingsTable()) })
+		// Registered as an exit hook (not a defer), so error exits print
+		// the table too.
+		cli.AtExit(func() { fmt.Fprint(stderr, "\n"+obs.TimingsTable()) })
 	}
 
 	machine, err := exec.ParseMachine(*machineName)
 	if err != nil {
-		cli.Fatalf("%v", err)
+		return err
 	}
 	schema := catalog.TPCDS(1)
 	opt := core.DefaultOptions()
@@ -125,16 +129,16 @@ func main() {
 	if *loadFrom != "" {
 		f, err := os.Open(*loadFrom)
 		if err != nil {
-			cli.Fatalf("opening model: %v", err)
+			return fmt.Errorf("opening model: %v", err)
 		}
 		predictor, err = core.Load(f)
 		f.Close()
 		if err != nil {
-			cli.Fatalf("loading model: %v", err)
+			return fmt.Errorf("loading model: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "loaded model trained on %d queries\n", predictor.N())
+		fmt.Fprintf(stderr, "loaded model trained on %d queries\n", predictor.N())
 	} else {
-		fmt.Fprintf(os.Stderr, "generating %d training queries on %s...\n", *trainCount, machine)
+		fmt.Fprintf(stderr, "generating %d training queries on %s...\n", *trainCount, machine)
 		pool, err := dataset.Generate(dataset.GenConfig{
 			Seed:      *seed,
 			DataSeed:  *dataSeed,
@@ -144,16 +148,15 @@ func main() {
 			Count:     *trainCount,
 		})
 		if err != nil {
-			cli.Fatalf("generating training workload: %v", err)
+			return fmt.Errorf("generating training workload: %v", err)
 		}
-		fmt.Fprintln(os.Stderr, "training KCCA model...")
+		fmt.Fprintln(stderr, "training KCCA model...")
 		if *sqlText == "" && *saveTo == "" {
-			selfEvaluate(pool, opt)
-			return
+			return selfEvaluate(stdout, pool, opt)
 		}
 		predictor, err = core.Train(pool.Queries, opt)
 		if err != nil {
-			cli.Fatalf("training: %v", err)
+			return fmt.Errorf("training: %v", err)
 		}
 	}
 
@@ -162,54 +165,54 @@ func main() {
 		// where a valid one (or nothing) used to be.
 		var buf bytes.Buffer
 		if err := predictor.Save(&buf); err != nil {
-			cli.Fatalf("saving model: %v", err)
+			return fmt.Errorf("saving model: %v", err)
 		}
 		if err := wal.WriteFileAtomic(*saveTo, buf.Bytes(), 0o644); err != nil {
-			cli.Fatalf("writing %s: %v", *saveTo, err)
+			return fmt.Errorf("writing %s: %v", *saveTo, err)
 		}
-		fmt.Fprintf(os.Stderr, "model saved to %s\n", *saveTo)
+		fmt.Fprintf(stderr, "model saved to %s\n", *saveTo)
 		if *sqlText == "" {
-			return
+			return nil
 		}
 	}
 	if *sqlText == "" {
-		cli.Fatalf("-load requires -sql (nothing to self-evaluate a loaded model against)")
+		return fmt.Errorf("-load requires -sql (nothing to self-evaluate a loaded model against)")
 	}
 
 	ast, err := sqlparse.Parse(*sqlText)
 	if err != nil {
-		cli.Fatalf("parsing SQL: %v", err)
+		return fmt.Errorf("parsing SQL: %v", err)
 	}
 	plan, err := optimizer.BuildPlan(ast, schema, *dataSeed, optimizer.DefaultConfig(machine.Processors))
 	if err != nil {
-		cli.Fatalf("planning: %v", err)
+		return fmt.Errorf("planning: %v", err)
 	}
 	if *verbose {
-		fmt.Fprint(os.Stderr, optimizer.Explain(plan))
+		fmt.Fprint(stderr, optimizer.Explain(plan))
 	}
 
 	pred, err := predictor.PredictQuery(&dataset.Query{SQL: *sqlText, AST: ast, Plan: plan})
 	if err != nil {
-		cli.Fatalf("predicting: %v", err)
+		return fmt.Errorf("predicting: %v", err)
 	}
 
 	if *jsonOut {
-		emitJSON(predictor, *sqlText, plan.Cost, pred)
-		return
+		return emitJSON(stdout, predictor, *sqlText, plan.Cost, pred)
 	}
-	fmt.Printf("predicted query type:  %s\n", pred.Category)
-	fmt.Printf("confidence:            %.2f\n", pred.Confidence)
-	fmt.Printf("elapsed time:          %.2f s\n", pred.Metrics.ElapsedSec)
-	fmt.Printf("records accessed:      %.0f\n", pred.Metrics.RecordsAccessed)
-	fmt.Printf("records used:          %.0f\n", pred.Metrics.RecordsUsed)
-	fmt.Printf("disk I/Os:             %.0f\n", pred.Metrics.DiskIOs)
-	fmt.Printf("message count:         %.0f\n", pred.Metrics.MessageCount)
-	fmt.Printf("message bytes:         %.0f\n", pred.Metrics.MessageBytes)
+	fmt.Fprintf(stdout, "predicted query type:  %s\n", pred.Category)
+	fmt.Fprintf(stdout, "confidence:            %.2f\n", pred.Confidence)
+	fmt.Fprintf(stdout, "elapsed time:          %.2f s\n", pred.Metrics.ElapsedSec)
+	fmt.Fprintf(stdout, "records accessed:      %.0f\n", pred.Metrics.RecordsAccessed)
+	fmt.Fprintf(stdout, "records used:          %.0f\n", pred.Metrics.RecordsUsed)
+	fmt.Fprintf(stdout, "disk I/Os:             %.0f\n", pred.Metrics.DiskIOs)
+	fmt.Fprintf(stdout, "message count:         %.0f\n", pred.Metrics.MessageCount)
+	fmt.Fprintf(stdout, "message bytes:         %.0f\n", pred.Metrics.MessageBytes)
+	return nil
 }
 
 // emitJSON prints the prediction in the exact wire schema qpredictd
 // serves, so scripted consumers parse one format regardless of binary.
-func emitJSON(p *core.Predictor, sql string, cost float64, pred *core.Prediction) {
+func emitJSON(w io.Writer, p *core.Predictor, sql string, cost float64, pred *core.Prediction) error {
 	opt := p.Options()
 	m := api.MetricsFrom(pred.Metrics)
 	resp := api.PredictResponse{
@@ -231,15 +234,16 @@ func emitJSON(p *core.Predictor, sql string, cost float64, pred *core.Prediction
 			ModelKind:     core.ModelKind,
 		}},
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(resp); err != nil {
-		cli.Fatalf("encoding JSON: %v", err)
+		return fmt.Errorf("encoding JSON: %v", err)
 	}
+	return nil
 }
 
 // selfEvaluate holds out a fifth of the pool and reports accuracy.
-func selfEvaluate(pool *dataset.Dataset, opt core.Options) {
+func selfEvaluate(w io.Writer, pool *dataset.Dataset, opt core.Options) error {
 	r := statutil.NewRNG(99, "qpredict-split")
 	n := len(pool.Queries)
 	testIdx := r.SampleInts(n, n/5)
@@ -257,19 +261,20 @@ func selfEvaluate(pool *dataset.Dataset, opt core.Options) {
 	}
 	predictor, err := core.Train(train, opt)
 	if err != nil {
-		cli.Fatalf("training: %v", err)
+		return fmt.Errorf("training: %v", err)
 	}
 	preds, err := predictor.PredictBatch(test)
 	if err != nil {
-		cli.Fatalf("predicting: %v", err)
+		return fmt.Errorf("predicting: %v", err)
 	}
 	var pred, act []float64
 	for i, q := range test {
 		pred = append(pred, preds[i].Metrics.ElapsedSec)
 		act = append(act, q.Metrics.ElapsedSec)
 	}
-	fmt.Printf("self-evaluation on %d held-out queries:\n", len(test))
-	fmt.Printf("  elapsed-time predictive risk: %s\n", eval.FormatRisk(eval.PredictiveRisk(pred, act)))
-	fmt.Printf("  within 20%% of actual:         %.0f%%\n", eval.WithinFactor(pred, act, 0.2)*100)
-	fmt.Print(eval.ScatterLogLog(pred, act, 60, 18, "  predicted vs actual elapsed time"))
+	fmt.Fprintf(w, "self-evaluation on %d held-out queries:\n", len(test))
+	fmt.Fprintf(w, "  elapsed-time predictive risk: %s\n", eval.FormatRisk(eval.PredictiveRisk(pred, act)))
+	fmt.Fprintf(w, "  within 20%% of actual:         %.0f%%\n", eval.WithinFactor(pred, act, 0.2)*100)
+	fmt.Fprint(w, eval.ScatterLogLog(pred, act, 60, 18, "  predicted vs actual elapsed time"))
+	return nil
 }

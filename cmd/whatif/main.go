@@ -17,9 +17,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/catalog"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
@@ -29,15 +31,19 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	workloadPath := flag.String("workload", "", "workload CSV from dsgen (omit to generate one)")
-	window := flag.Float64("window", 120, "batch window in seconds")
-	maxQuery := flag.Float64("maxquery", 0, "per-query SLA in seconds (0 = none)")
-	seed := flag.Int64("seed", 5, "history/workload generation seed")
-	dataSeed := flag.Int64("dataseed", 1000, "data realization seed")
-	histCount := flag.Int("history", 700, "training history size per configuration")
-	genCount := flag.Int("gen", 60, "generated workload size when -workload is omitted")
-	flag.Parse()
+func main() { cli.Main(run) }
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.SetOutput(stderr)
+	workloadPath := fs.String("workload", "", "workload CSV from dsgen (omit to generate one)")
+	window := fs.Float64("window", 120, "batch window in seconds")
+	maxQuery := fs.Float64("maxquery", 0, "per-query SLA in seconds (0 = none)")
+	seed := fs.Int64("seed", 5, "history/workload generation seed")
+	dataSeed := fs.Int64("dataseed", 1000, "data realization seed")
+	histCount := fs.Int("history", 700, "training history size per configuration")
+	genCount := fs.Int("gen", 60, "generated workload size when -workload is omitted")
+	fs.Parse(args)
 
 	schema := catalog.TPCDS(1)
 	var reporting []workload.Template
@@ -52,12 +58,12 @@ func main() {
 	if *workloadPath != "" {
 		f, err := os.Open(*workloadPath)
 		if err != nil {
-			fatal("opening workload: %v", err)
+			return fmt.Errorf("opening workload: %v", err)
 		}
 		rows, err := dataset.ReadCSV(f)
 		f.Close()
 		if err != nil {
-			fatal("reading workload: %v", err)
+			return fmt.Errorf("reading workload: %v", err)
 		}
 		for _, row := range rows {
 			sqls = append(sqls, row.SQL)
@@ -68,30 +74,30 @@ func main() {
 			Schema: schema, Templates: reporting, Count: *genCount,
 		})
 		if err != nil {
-			fatal("generating workload: %v", err)
+			return fmt.Errorf("generating workload: %v", err)
 		}
 		for _, q := range ds.Queries {
 			sqls = append(sqls, q.SQL)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "workload: %d queries; window %.0fs\n", len(sqls), *window)
+	fmt.Fprintf(stderr, "workload: %d queries; window %.0fs\n", len(sqls), *window)
 
 	// Build candidates: train one predictor per configuration.
 	var candidates []sizing.Candidate
 	workloads := map[string][]*dataset.Query{}
 	for _, procs := range []int{4, 8, 16, 32} {
 		m := exec.Production32(procs)
-		fmt.Fprintf(os.Stderr, "training candidate %s from %d historical queries...\n", m.Name, *histCount)
+		fmt.Fprintf(stderr, "training candidate %s from %d historical queries...\n", m.Name, *histCount)
 		hist, err := dataset.Generate(dataset.GenConfig{
 			Seed: *seed, DataSeed: *dataSeed, Machine: m,
 			Schema: schema, Templates: reporting, Count: *histCount,
 		})
 		if err != nil {
-			fatal("history for %s: %v", m.Name, err)
+			return fmt.Errorf("history for %s: %v", m.Name, err)
 		}
 		p, err := core.Train(hist.Queries, core.DefaultOptions())
 		if err != nil {
-			fatal("training %s: %v", m.Name, err)
+			return fmt.Errorf("training %s: %v", m.Name, err)
 		}
 		candidates = append(candidates, sizing.Candidate{Machine: m, Predictor: p})
 
@@ -101,11 +107,11 @@ func main() {
 		for i, sqlText := range sqls {
 			ast, err := sqlparse.Parse(sqlText)
 			if err != nil {
-				fatal("parsing workload query %d: %v", i, err)
+				return fmt.Errorf("parsing workload query %d: %v", i, err)
 			}
 			plan, err := optimizer.BuildPlan(ast, schema, *dataSeed, cfg)
 			if err != nil {
-				fatal("planning workload query %d: %v", i, err)
+				return fmt.Errorf("planning workload query %d: %v", i, err)
 			}
 			qs = append(qs, &dataset.Query{ID: i, SQL: sqlText, AST: ast, Plan: plan})
 		}
@@ -113,12 +119,12 @@ func main() {
 	}
 
 	constraint := sizing.Constraint{MaxTotalElapsedSec: *window, MaxQueryElapsedSec: *maxQuery}
-	fmt.Printf("%-14s %14s %14s %12s %8s\n", "config", "pred total (s)", "max query (s)", "min conf", "fits?")
+	fmt.Fprintf(stdout, "%-14s %14s %14s %12s %8s\n", "config", "pred total (s)", "max query (s)", "min conf", "fits?")
 	recommended := ""
 	for _, cand := range candidates {
 		assessments, rec, err := sizing.Plan(workloads[cand.Machine.Name], []sizing.Candidate{cand}, constraint)
 		if err != nil {
-			fatal("sizing %s: %v", cand.Machine.Name, err)
+			return fmt.Errorf("sizing %s: %v", cand.Machine.Name, err)
 		}
 		a := assessments[0]
 		fits := "no"
@@ -128,17 +134,13 @@ func main() {
 				recommended = cand.Machine.Name
 			}
 		}
-		fmt.Printf("%-14s %14.0f %14.1f %12.2f %8s\n",
+		fmt.Fprintf(stdout, "%-14s %14.0f %14.1f %12.2f %8s\n",
 			cand.Machine.Name, a.Totals.ElapsedSec, a.MaxQueryElapsedSec, a.MinConfidence, fits)
 	}
 	if recommended == "" {
-		fmt.Println("\nno candidate fits — recommend a larger system or a longer window")
-		os.Exit(2)
+		fmt.Fprintln(stdout, "\nno candidate fits — recommend a larger system or a longer window")
+		return cli.ExitCode(2)
 	}
-	fmt.Printf("\nrecommendation: %s\n", recommended)
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "\nrecommendation: %s\n", recommended)
+	return nil
 }

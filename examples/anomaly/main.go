@@ -23,8 +23,8 @@ import (
 	"log"
 	"sort"
 
-	"repro"
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
 	"repro/internal/workload"
@@ -46,7 +46,7 @@ func main() {
 	train := pool.Queries[:600]
 	inDist := pool.Queries[600:]
 
-	predictor, err := repro.Train(train, repro.DefaultOptions())
+	predictor, err := core.Train(train, core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
 	"repro/internal/workload"
@@ -36,7 +36,7 @@ func main() {
 	// 2. Train the predictor: KCCA correlates plan feature vectors with
 	//    performance vectors; prediction averages the metrics of the three
 	//    nearest neighbors in the learned projection.
-	predictor, err := repro.Train(train, repro.DefaultOptions())
+	predictor, err := core.Train(train, core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,8 +21,8 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/driver"
 	"repro/internal/exec"
@@ -62,7 +62,7 @@ func main() {
 		}
 	}
 
-	predictor, err := repro.Train(train, repro.DefaultOptions())
+	predictor, err := core.Train(train, core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

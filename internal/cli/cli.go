@@ -1,14 +1,15 @@
 // Package cli is the shared exit path of the repo's commands. Its one job
 // is making cleanup reliable: hooks registered with AtExit (flushing the
 // obs timings table, draining a server, removing a partial output file)
-// run exactly once on every exit route — normal return, Fatalf, or a
+// run exactly once on every exit route — Main's return, Fatalf, or a
 // signal-triggered shutdown — where a bare os.Exit would silently skip
-// deferred cleanup (the old qpredict fatal() wart: -timings printed
-// nothing on error paths).
+// deferred cleanup (-timings tables went missing on error paths that way).
 package cli
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 )
@@ -30,10 +31,8 @@ func AtExit(hook func()) {
 	hooks = append(hooks, hook)
 }
 
-// RunHooks runs the registered hooks now (reverse order, once). Exit calls
-// it automatically; main functions that return normally instead of calling
-// Exit should defer it.
-func RunHooks() {
+// runHooks runs the registered hooks (reverse order, once).
+func runHooks() {
 	mu.Lock()
 	if ran {
 		mu.Unlock()
@@ -49,7 +48,7 @@ func RunHooks() {
 
 // Exit runs the hooks and terminates with the given status code.
 func Exit(code int) {
-	RunHooks()
+	runHooks()
 	exit(code)
 }
 
@@ -57,4 +56,26 @@ func Exit(code int) {
 func Fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 	Exit(1)
+}
+
+// ExitCode is the error a command's run function returns to end with that
+// status and no further message: run has already said why.
+type ExitCode int
+
+func (c ExitCode) Error() string { return fmt.Sprintf("exit status %d", int(c)) }
+
+// Main runs a command's body on the process's arguments and standard
+// streams, then exits through the hooks: 0 when run returns nil, the status
+// an ExitCode names, and otherwise 1 with the error on stderr.
+func Main(run func(args []string, stdout, stderr io.Writer) error) {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	var code ExitCode
+	switch {
+	case err == nil:
+		Exit(0)
+	case errors.As(err, &code):
+		Exit(int(code))
+	default:
+		Fatalf("%v", err)
+	}
 }

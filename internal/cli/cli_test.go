@@ -1,6 +1,9 @@
 package cli
 
 import (
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"testing"
 )
@@ -31,9 +34,9 @@ func TestExitRunsHooksInReverseOnce(t *testing.T) {
 		t.Fatalf("hooks ran in order %v, want [2 1]", order)
 	}
 
-	// A second RunHooks (for example Exit after a deferred RunHooks) is a
-	// no-op: hooks never run twice.
-	RunHooks()
+	// A second run (a second Exit, say from a signal-triggered shutdown)
+	// is a no-op: hooks never run twice.
+	runHooks()
 	if len(order) != 2 {
 		t.Fatalf("hooks re-ran: %v", order)
 	}
@@ -43,7 +46,7 @@ func TestRunHooksThenExit(t *testing.T) {
 	reset()
 	runs := 0
 	AtExit(func() { runs++ })
-	RunHooks()
+	runHooks()
 	exited := false
 	exit = func(int) { exited = true }
 	defer func() { exit = os.Exit }()
@@ -53,5 +56,28 @@ func TestRunHooksThenExit(t *testing.T) {
 	}
 	if !exited {
 		t.Fatal("Exit did not terminate")
+	}
+}
+
+func TestMainExitStatus(t *testing.T) {
+	defer func() { exit = os.Exit }()
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{nil, 0},
+		{ExitCode(2), 2},
+		{fmt.Errorf("wrapped: %w", ExitCode(3)), 3},
+		{errors.New("boom"), 1},
+	} {
+		reset()
+		hooked := false
+		AtExit(func() { hooked = true })
+		code := -1
+		exit = func(c int) { code = c }
+		Main(func(args []string, stdout, stderr io.Writer) error { return tc.err })
+		if code != tc.want || !hooked {
+			t.Errorf("run returned %v: exit %d (hooks ran: %v), want %d with hooks", tc.err, code, hooked, tc.want)
+		}
 	}
 }

@@ -194,6 +194,9 @@ func TestFeatureKindString(t *testing.T) {
 	if PlanFeatures.String() != "query-plan" || SQLFeatures.String() != "sql-text" {
 		t.Error("feature kind names wrong")
 	}
+	if DefaultOptions().Features != PlanFeatures {
+		t.Error("default options should use plan features")
+	}
 }
 
 func TestInfluences(t *testing.T) {
@@ -331,7 +334,8 @@ func TestWithKNNMatchesTrain(t *testing.T) {
 func TestTwoStepTieBreaking(t *testing.T) {
 	// With k=2 neighbors a category tie is guaranteed whenever the two
 	// nearest neighbors have different types; the vote must break toward
-	// the nearer neighbor's category (exercising nearestRank).
+	// the nearer neighbor's category (nearestRank), counting a wrecking
+	// ball as a bowling ball.
 	train, test := trainTest(t)
 	opt := DefaultOptions()
 	opt.TwoStep = true
@@ -347,6 +351,30 @@ func TestTwoStepTieBreaking(t *testing.T) {
 		}
 		if pred.Category < workload.Feather || pred.Category > workload.BowlingBall {
 			t.Errorf("two-step category out of range: %v", pred.Category)
+		}
+	}
+
+	// A 1–1 vote over two training rows of different types, in both orders.
+	first := map[workload.Category]int{}
+	for i, c := range p.cats {
+		if _, ok := first[c]; !ok {
+			first[c] = i
+		}
+	}
+	for _, tc := range []struct{ near, far, want workload.Category }{
+		{workload.Feather, workload.GolfBall, workload.Feather},
+		{workload.GolfBall, workload.Feather, workload.GolfBall},
+		{workload.WreckingBall, workload.Feather, workload.BowlingBall},
+		{workload.Feather, workload.WreckingBall, workload.Feather},
+	} {
+		near, okNear := first[tc.near]
+		far, okFar := first[tc.far]
+		if !okNear || !okFar {
+			t.Fatalf("training set has no %v or no %v", tc.near, tc.far)
+		}
+		nbs := []knn.Neighbor{{Index: near, Distance: 1}, {Index: far, Distance: 2}}
+		if got := p.voteCategory(nbs); got != tc.want {
+			t.Errorf("tie between a nearer %v and a farther %v voted %v, want %v", tc.near, tc.far, got, tc.want)
 		}
 	}
 }

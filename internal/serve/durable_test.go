@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -11,6 +12,8 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/optimizer"
+	"repro/internal/sqlparse"
 	"repro/internal/wal"
 )
 
@@ -147,5 +150,63 @@ func TestWarmRestartByteIdentical(t *testing.T) {
 	}
 	if info.Generation != 2 {
 		t.Errorf("generation %d after restart, want 2 (continuity)", info.Generation)
+	}
+
+	// GET /v1/shards carries the one shard's own recovery block, which is
+	// what /v1/model aggregates.
+	resp, err := http.Get(ts2.URL + "/v1/shards")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shards api.ShardsResponse
+	if raw := readAll(t, resp); json.Unmarshal(raw, &shards) != nil || len(shards.Shards) != 1 {
+		t.Fatalf("GET /v1/shards: %s", raw)
+	}
+	got, want := shards.Shards[0].Recovery, info.Recovery
+	if got == nil || got.Recovered != want.Recovered || got.Replayed != want.Replayed || got.SnapshotSeq != want.SnapshotSeq {
+		t.Errorf("shard recovery %+v, /v1/model's %+v", got, want)
+	}
+	if want.SnapshotSeq == 0 {
+		t.Error("recovered from a snapshot at sequence 0")
+	}
+}
+
+// TestPlannerErrorsPassThrough: PlannerFunc tags which stage failed, but
+// its errors read, and unwrap to, exactly what sqlparse and the optimizer
+// said, so WAL-replay diagnostics do not change.
+func TestPlannerErrorsPassThrough(t *testing.T) {
+	schema := catalog.TPCDS(1)
+	plan := PlannerFunc(schema, fixDataSeed, exec.Research4())
+
+	const unparsable = "SELEC nonsense"
+	_, parseErr := sqlparse.Parse(unparsable)
+	const unplannable = "SELECT COUNT(*) FROM no_such_table"
+	ast, err := sqlparse.Parse(unplannable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, planErr := optimizer.NewPlanner(schema, fixDataSeed, optimizer.DefaultConfig(exec.Research4().Processors)).Plan(ast)
+
+	for _, tc := range []struct {
+		sql  string
+		want error
+		code string
+	}{
+		{unparsable, parseErr, api.CodeParse},
+		{unplannable, planErr, api.CodePlan},
+	} {
+		_, err := plan(tc.sql)
+		if err == nil || tc.want == nil {
+			t.Fatalf("%q: planner error %v, reference error %v", tc.sql, err, tc.want)
+		}
+		if err.Error() != tc.want.Error() {
+			t.Errorf("%q: Error() = %q, want %q", tc.sql, err, tc.want)
+		}
+		if inner := errors.Unwrap(err); inner == nil || inner.Error() != tc.want.Error() {
+			t.Errorf("%q: Unwrap = %v, want %v", tc.sql, inner, tc.want)
+		}
+		if got := planError(err); got.Code != tc.code || got.Message != tc.want.Error() {
+			t.Errorf("%q: reported as %+v, want code %s", tc.sql, got, tc.code)
+		}
 	}
 }
