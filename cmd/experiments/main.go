@@ -75,7 +75,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "metrics at http://%s/metrics (timings, expvar, pprof alongside)\n", addr)
 	}
 	if *timings {
-		obs.SetEnabled(true)
 		cli.AtExit(func() { fmt.Fprint(stderr, "\n"+obs.TimingsTable()) })
 	}
 
@@ -86,16 +85,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
+	// The ids are checked in the order given, so the first unknown one is
+	// the one named.
 	selected := map[string]bool{}
 	if *runIDs != "" {
 		for _, id := range strings.Split(*runIDs, ",") {
-			selected[strings.TrimSpace(id)] = true
-		}
-		for id := range selected {
+			id = strings.TrimSpace(id)
 			if !slices.ContainsFunc(registry, func(e experiment) bool { return e.id == id }) {
 				fmt.Fprintf(stderr, "unknown experiment %q (use -list)\n", id)
 				return cli.ExitCode(2)
 			}
+			selected[id] = true
 		}
 	}
 

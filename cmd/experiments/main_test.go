@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cli"
 )
 
 // TestMain lets a test run the command as its own process (the test binary
@@ -47,6 +49,22 @@ func TestRunOneWithMarkdown(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(raw), "# Experiment reports (seed 42)\n\n## fig2 — query census") {
 		t.Errorf("markdown report:\n%s", raw)
+	}
+}
+
+// TestFirstUnknownIDIsNamed: with two unknown ids around a known one, the
+// first one given is the one named, on every run.
+func TestFirstUnknownIDIsNamed(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-run", "nope1,fig2,nope2"}, &stdout, &stderr)
+		var code cli.ExitCode
+		if !errors.As(err, &code) || code != 2 {
+			t.Fatalf("run %d: %v, want exit status 2", i, err)
+		}
+		if got := stderr.String(); !strings.HasPrefix(got, `unknown experiment "nope1"`) {
+			t.Fatalf("run %d: stderr %q, want nope1 named", i, got)
+		}
 	}
 }
 

@@ -111,7 +111,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "metrics at http://%s/metrics (timings, expvar, pprof alongside)\n", addr)
 	}
 	if *timings {
-		obs.SetEnabled(true)
 		// Registered as an exit hook (not a defer), so error exits print
 		// the table too.
 		cli.AtExit(func() { fmt.Fprint(stderr, "\n"+obs.TimingsTable()) })

@@ -66,7 +66,6 @@ func main() {
 		cli.Fatalf("%v", err)
 	}
 	if timings {
-		obs.SetEnabled(true)
 		cli.AtExit(func() { fmt.Fprint(os.Stderr, "\n"+obs.TimingsTable()) })
 	}
 	svc, modelDesc, err := boot(opts, os.Stderr)

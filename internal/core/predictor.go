@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/exec"
@@ -138,8 +139,7 @@ type Predictor struct {
 }
 
 // Train/predict metrics: latency distributions for the public entry points
-// and a count of predictions served. Latency histograms only populate when
-// obs timing is enabled; counters always do.
+// and a count of predictions served.
 var (
 	trainSeconds   = obs.GetHistogram("core.train.seconds")
 	predictSeconds = obs.GetHistogram("core.predict.seconds")
@@ -221,8 +221,7 @@ func newPredictor(model *kcca.Model, perfRaw *linalg.Matrix, cats []workload.Cat
 
 // Train fits a predictor on executed training queries.
 func Train(train []*dataset.Query, opt Options) (*Predictor, error) {
-	defer obs.Span("core.train")()
-	defer trainSeconds.Time()()
+	defer trainSeconds.Since(time.Now())
 	if len(train) < 5 {
 		return nil, fmt.Errorf("%w: need at least 5, have %d", ErrTooFewQueries, len(train))
 	}

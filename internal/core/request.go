@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -46,8 +46,7 @@ type Result struct {
 // backing array with this generation's prediction cache and with other
 // results for the same feature vector: treat the elements as read-only.
 func (p *Predictor) Predict(reqs ...Request) []Result {
-	defer obs.Span("core.predict_batch")()
-	defer predictSeconds.Time()()
+	defer predictSeconds.Since(time.Now())
 	batchSize.Observe(float64(len(reqs)))
 	out := make([]Result, len(reqs))
 	scratch := itemPool.Get().(*[]batchItem)

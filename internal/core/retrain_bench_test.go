@@ -45,7 +45,6 @@ func BenchmarkRetrainStock(b *testing.B) {
 	// from a steady-state retrain.
 	observe(stockWindow + stockEvery)
 
-	defer obs.SetEnabled(obs.SetEnabled(true))
 	obs.Reset()
 	fullBefore := kccaFull.Value()
 	b.ReportAllocs()
@@ -55,7 +54,7 @@ func BenchmarkRetrainStock(b *testing.B) {
 	}
 	b.StopTimer()
 	for _, stage := range []string{"kernels.matrix", "kernels.center", "linalg.svd"} {
-		ms := float64(obs.GetStage(stage).Total().Nanoseconds()) / 1e6 / float64(b.N)
+		ms := obs.GetHistogram(stage+".seconds").Sum() * 1e3 / float64(b.N)
 		b.ReportMetric(ms, stage+"-ms/op")
 	}
 	if got := kccaFull.Value() - fullBefore; got != int64(b.N) {

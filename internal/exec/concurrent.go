@@ -4,18 +4,21 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
 // Simulator metrics: simulated-queries/sec is simQueries divided by the
-// "exec.simulate" stage total in a snapshot.
+// sum of exec.simulate.seconds in a snapshot.
 var (
-	simRuns        = obs.GetCounter("exec.simulate.runs")
-	simQueries     = obs.GetCounter("exec.simulate.queries")
-	simBatchSize   = obs.GetHistogram("exec.simulate.batch_queries")
-	simMakespanSec = obs.GetHistogram("exec.simulate.makespan_sec")
+	simRuns          = obs.GetCounter("exec.simulate.runs")
+	simQueries       = obs.GetCounter("exec.simulate.queries")
+	simBatchSize     = obs.GetHistogram("exec.simulate.batch_queries")
+	simMakespanSec   = obs.GetHistogram("exec.simulate.makespan_sec")
+	simSeconds       = obs.GetHistogram("exec.simulate.seconds")
+	scenariosSeconds = obs.GetHistogram("exec.simulate_scenarios.seconds")
 )
 
 // The paper predicts single-query-mode performance and uses the
@@ -56,7 +59,7 @@ type Scenario struct {
 // so results are identical to a serial loop). Workload managers use it to
 // sweep candidate multiprogramming levels in one call.
 func SimulateScenarios(arrivalSec, soloSec []float64, scenarios []Scenario) ([]ConcurrentOutcome, error) {
-	defer obs.Span("exec.simulate_scenarios")()
+	defer scenariosSeconds.Since(time.Now())
 	outs := make([]ConcurrentOutcome, len(scenarios))
 	errs := make([]error, len(scenarios))
 	parallel.For(len(scenarios), func(i int) {
@@ -73,7 +76,7 @@ func SimulateScenarios(arrivalSec, soloSec []float64, scenarios []Scenario) ([]C
 // SimulateConcurrent runs the processor-sharing simulation. arrivalSec and
 // soloSec must have equal length; soloSec entries must be positive.
 func SimulateConcurrent(arrivalSec, soloSec []float64, maxConcurrent int, interference float64) (ConcurrentOutcome, error) {
-	defer obs.Span("exec.simulate")()
+	defer simSeconds.Since(time.Now())
 	n := len(arrivalSec)
 	if n == 0 {
 		return ConcurrentOutcome{}, errors.New("exec: no queries")

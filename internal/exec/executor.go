@@ -9,8 +9,7 @@ import (
 )
 
 // Per-operator simulated cost totals ("exec.op.<operator>.seconds") and
-// node counts. Accounting is gated on obs.Enabled() so the bulk workload
-// generation path pays nothing by default.
+// node counts.
 var (
 	opCostSec   [optimizer.NumOpTypes]*obs.FloatTotal
 	opNodeCount [optimizer.NumOpTypes]*obs.Counter
@@ -39,7 +38,6 @@ func Execute(p *optimizer.Plan, m Machine, noise *statutil.RNG) Metrics {
 	pageBytes := float64(c.PageSizeKB) * 1024
 
 	execQueries.Inc()
-	obsOn := obs.Enabled()
 
 	var met Metrics
 	cacheLeft := m.BufferPoolBytes()
@@ -150,7 +148,7 @@ func Execute(p *optimizer.Plan, m Machine, noise *statutil.RNG) Metrics {
 		// themselves run largely in sequence along the pipeline.
 		cost := math.Max(cpu, math.Max(io, net))
 		elapsed += cost
-		if obsOn && int(n.Op) >= 0 && int(n.Op) < optimizer.NumOpTypes {
+		if int(n.Op) >= 0 && int(n.Op) < optimizer.NumOpTypes {
 			opCostSec[n.Op].Add(cost)
 			opNodeCount[n.Op].Inc()
 		}

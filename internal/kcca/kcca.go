@@ -14,6 +14,7 @@ package kcca
 import (
 	"errors"
 	"math"
+	"time"
 
 	"repro/internal/cca"
 	"repro/internal/kernels"
@@ -130,6 +131,17 @@ func resolveRank(n int, opt Options) int {
 	return rank
 }
 
+// Training timings — the whole fit and its four stages, the two views of
+// each stage together — and one query's projection.
+var (
+	trainSeconds        = obs.GetHistogram("kcca.train.seconds")
+	kernelSeconds       = obs.GetHistogram("kcca.train.kernel.seconds")
+	eigenSeconds        = obs.GetHistogram("kcca.train.eigen.seconds")
+	ccaSeconds          = obs.GetHistogram("kcca.train.cca.seconds")
+	projectSeconds      = obs.GetHistogram("kcca.train.project.seconds")
+	projectQuerySeconds = obs.GetHistogram("kcca.project_query.seconds")
+)
+
 // keepFrac is the kernel-PCA significance threshold: components with
 // eigenvalues below keepFrac·max(λ₁, 1) are dropped.
 const keepFrac = 1e-10
@@ -137,7 +149,7 @@ const keepFrac = 1e-10
 // Train fits KCCA on the query features x and performance features y (one
 // row per training query in both, same order).
 func Train(x, y *linalg.Matrix, opt Options) (*Model, error) {
-	defer obs.Span("kcca.train")()
+	defer trainSeconds.Since(time.Now())
 	if x.Rows != y.Rows {
 		return nil, ErrRowMismatch
 	}
@@ -156,23 +168,23 @@ func Train(x, y *linalg.Matrix, opt Options) (*Model, error) {
 	var kx, ky *linalg.Matrix
 	var rowMeansX []float64
 	var grandX float64
-	stopKernel := obs.Span("kcca.train.kernel")
+	start := time.Now()
 	parallel.Do(
 		func() { kx = kernels.Matrix(x, tauX); rowMeansX, grandX = kernels.Center(kx) },
 		func() { ky = kernels.Matrix(y, tauY); kernels.Center(ky) },
 	)
-	stopKernel()
+	kernelSeconds.Since(start)
 
 	rank := resolveRank(n, opt)
 	var phiX, phiY, ux *linalg.Matrix
 	var lamx []float64
 	var errX, errY error
-	stopEigen := obs.Span("kcca.train.eigen")
+	start = time.Now()
 	parallel.Do(
 		func() { phiX, ux, lamx, errX = kernelPCA(kx, rank) },
 		func() { phiY, _, _, errY = kernelPCA(ky, rank) },
 	)
-	stopEigen()
+	eigenSeconds.Since(start)
 	if errX != nil {
 		return nil, errX
 	}
@@ -181,9 +193,9 @@ func Train(x, y *linalg.Matrix, opt Options) (*Model, error) {
 	}
 
 	// Every canonical dimension is kept: min(rx, ry).
-	stopCCA := obs.Span("kcca.train.cca")
+	start = time.Now()
 	cm, err := cca.Fit(phiX, phiY, 0, opt.Reg)
-	stopCCA()
+	ccaSeconds.Since(start)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +210,7 @@ func Train(x, y *linalg.Matrix, opt Options) (*Model, error) {
 		lamx:      lamx,
 		ccaModel:  cm,
 	}
-	defer obs.Span("kcca.train.project")()
+	defer projectSeconds.Since(time.Now())
 	return m.finish(phiX), nil
 }
 
@@ -259,7 +271,7 @@ func (m *Model) ProjectQuery(q []float64) []float64 {
 // goroutine; every intermediate lives in one leased scratch buffer, so the
 // only allocation is the returned coordinate slice.
 func (m *Model) ProjectQueryKernel(q []float64) (proj []float64, maxK float64) {
-	defer obs.Span("kcca.project_query")()
+	defer projectQuerySeconds.Since(time.Now())
 	n, r := m.X.Rows, len(m.lamx)
 	scratch := kernels.GetScratch(n + r)
 	defer kernels.PutScratch(scratch)

@@ -20,7 +20,6 @@ func BenchmarkTrainStock(b *testing.B) {
 	for _, n := range []int{500, testutil.StockTrain} {
 		x, y := testutil.StockFeatures(qs[:n])
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			defer obs.SetEnabled(obs.SetEnabled(true))
 			obs.Reset()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -34,7 +33,7 @@ func BenchmarkTrainStock(b *testing.B) {
 				"kernels.matrix", "kernels.center", "linalg.svd",
 				"kcca.train.kernel", "kcca.train.eigen", "kcca.train.cca", "kcca.train.project",
 			} {
-				ms := float64(obs.GetStage(stage).Total().Nanoseconds()) / 1e6 / float64(b.N)
+				ms := obs.GetHistogram(stage+".seconds").Sum() * 1e3 / float64(b.N)
 				b.ReportMetric(ms, stage+"-ms/op")
 			}
 		})

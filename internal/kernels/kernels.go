@@ -8,9 +8,18 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"repro/internal/linalg"
 	"repro/internal/obs"
+)
+
+// Kernel-matrix timings: the n×n training kernel, its centering, and one
+// query's cross-kernel vector.
+var (
+	matrixSeconds      = obs.GetHistogram("kernels.matrix.seconds")
+	centerSeconds      = obs.GetHistogram("kernels.center.seconds")
+	crossVectorSeconds = obs.GetHistogram("kernels.cross_vector.seconds")
 )
 
 // Gaussian returns exp(−‖a−b‖²/τ), the paper's Eq. (1).
@@ -58,7 +67,7 @@ func ScaleHeuristic(rows *linalg.Matrix, frac float64) float64 {
 // contiguous run per row: a column at a time, the mirror's scattered stores
 // cost a third of the matrix at six features.
 func Matrix(x *linalg.Matrix, tau float64) *linalg.Matrix {
-	defer obs.Span("kernels.matrix")()
+	defer matrixSeconds.Since(time.Now())
 	if tau <= 0 {
 		panic("kernels: nonpositive scale")
 	}
@@ -139,7 +148,7 @@ func PutScratch(p *[]float64) { crossScratch.Put(p) }
 // own arithmetic four points at a time where the processor has AVX2 and FMA,
 // math.Exp per point elsewhere.
 func CrossVectorColsInto(out []float64, xT *linalg.Matrix, q []float64, tau float64) []float64 {
-	defer obs.Span("kernels.cross_vector")()
+	defer crossVectorSeconds.Since(time.Now())
 	checkCross(out, xT.Cols, xT.Rows, q, tau)
 	linalg.SqDistCols(out, xT, q)
 	linalg.ExpNegScaledInto(out, out, tau)
@@ -166,7 +175,7 @@ func checkCross(out []float64, points, features int, q []float64, tau float64) {
 // exact: once the row means exist, each element is read only to overwrite
 // itself.
 func Center(k *linalg.Matrix) (rowMeans []float64, grandMean float64) {
-	defer obs.Span("kernels.center")()
+	defer centerSeconds.Since(time.Now())
 	n := k.Rows
 	if k.Cols != n {
 		panic(fmt.Sprintf("kernels: centering a %dx%d matrix, want square", k.Rows, k.Cols))

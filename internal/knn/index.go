@@ -39,6 +39,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/linalg"
 	"repro/internal/obs"
@@ -200,7 +201,7 @@ func (ix *Index) Stats() IndexStats {
 // Nearest(points, q, k, metric) on the same point set: same (distance,
 // index) values in the same total order, NaN-last.
 func (ix *Index) Nearest(q []float64, k int) ([]Neighbor, error) {
-	defer obs.Span("knn.search")()
+	defer searchSeconds.Since(time.Now())
 	// The flat scan's error contract, exactly.
 	switch {
 	case ix.points.Rows == 0:

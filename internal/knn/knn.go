@@ -12,16 +12,19 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/linalg"
 	"repro/internal/obs"
 )
 
 // Search metrics: every Nearest call counts its queries and observes
-// how many candidate points each query was ranked against.
+// how many candidate points each query was ranked against; every search,
+// flat or indexed, is timed.
 var (
 	searchQueries    = obs.GetCounter("knn.search.queries")
 	searchCandidates = obs.GetHistogram("knn.search.candidates")
+	searchSeconds    = obs.GetHistogram("knn.search.seconds")
 )
 
 // Sentinel errors, for errors.Is branching by callers (core wraps these,
@@ -132,7 +135,7 @@ func DefaultOptions() Options {
 // common in template workloads) must order identically here and in Index,
 // or the two could reorder predictions under weighted combination.
 func Nearest(points *linalg.Matrix, q []float64, k int, metric Distance) ([]Neighbor, error) {
-	defer obs.Span("knn.search")()
+	defer searchSeconds.Since(time.Now())
 	n := points.Rows
 	if n == 0 {
 		return nil, ErrNoPoints

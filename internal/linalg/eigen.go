@@ -4,8 +4,17 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"time"
 
 	"repro/internal/obs"
+)
+
+// The dense eigensolver's timings: the whole solve and its three phases.
+var (
+	eigenSeconds      = obs.GetHistogram("linalg.eigen.seconds")
+	reduceSeconds     = obs.GetHistogram("linalg.eigen.reduce.seconds")
+	accumulateSeconds = obs.GetHistogram("linalg.eigen.accumulate.seconds")
+	qlSeconds         = obs.GetHistogram("linalg.eigen.ql.seconds")
 )
 
 // EigenSym holds the eigendecomposition of a real symmetric matrix:
@@ -54,7 +63,7 @@ const rotLogLen = 1 << 16
 // topEigen is TopEigenInPlace with the rotation log bounded at logLen
 // rotations (at least one).
 func topEigen(a *Matrix, r, logLen int) (vals []float64, vecs *Matrix, err error) {
-	defer obs.Span("linalg.eigen")()
+	defer eigenSeconds.Since(time.Now())
 	if a.Rows != a.Cols {
 		return nil, nil, errors.New("linalg: TopEigenInPlace requires a square matrix")
 	}
@@ -87,15 +96,13 @@ func topEigen(a *Matrix, r, logLen int) (vals []float64, vecs *Matrix, err error
 	scratch := make([]float64, max(tri, 2))
 	logCap := min(2*logLen, len(scratch)&^1)
 
-	stop := obs.Span("linalg.eigen.reduce")
+	start := time.Now()
 	tred2(a, d, e)
-	stop()
-	stop = obs.Span("linalg.eigen.accumulate")
+	start = reduceSeconds.Since(start)
 	accumulate(a, d, scratch[:tri])
-	stop()
-	stop = obs.Span("linalg.eigen.ql")
+	start = accumulateSeconds.Since(start)
 	err = tql2(a, d, e, scratch[:0:logCap])
-	stop()
+	qlSeconds.Since(start)
 	if err != nil {
 		return nil, nil, err
 	}

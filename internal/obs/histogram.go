@@ -110,17 +110,22 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return UpperEdge(histNumBuckets - 1)
 }
 
-// Time starts a latency measurement and returns the stop function that
-// observes the elapsed seconds. When instrumentation is disabled it returns
-// a shared no-op without reading the clock:
+// Since observes the seconds elapsed since start and returns the time it
+// read, so back-to-back regions can share a clock read. The call sites are
 //
-//	defer latencyHist.Time()()
-func (h *Histogram) Time() func() {
-	if !enabled.Load() {
-		return noop
-	}
-	start := time.Now()
-	return func() { h.Observe(time.Since(start).Seconds()) }
+//	defer stageSeconds.Since(time.Now())
+//
+// for whole functions and
+//
+//	start := time.Now()
+//	... the stage ...
+//	stageSeconds.Since(start)
+//
+// for regions. It allocates nothing.
+func (h *Histogram) Since(start time.Time) time.Time {
+	now := time.Now()
+	h.Observe(now.Sub(start).Seconds())
+	return now
 }
 
 func (h *Histogram) reset() {

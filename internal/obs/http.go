@@ -11,7 +11,7 @@ import (
 // Handler returns the observability HTTP handler:
 //
 //	/metrics        JSON snapshot (the JSON() encoding of Take())
-//	/timings        human-readable stage-timing table and latency histograms
+//	/timings        human-readable stage-timing table (TimingsTable)
 //	/debug/vars     expvar (includes the "obs" variable publishing Take())
 //	/debug/pprof/*  runtime profiling endpoints
 func Handler() http.Handler {
@@ -43,14 +43,11 @@ func publishExpvar() {
 
 // ServeMetrics starts the observability endpoint on addr (e.g. ":6060" or
 // "127.0.0.1:0") in a background goroutine and returns the bound address.
-// It also enables timing instrumentation — serving metrics implies wanting
-// them populated.
 func ServeMetrics(addr string) (boundAddr string, err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
-	SetEnabled(true)
 	srv := &http.Server{Handler: Handler()}
 	go srv.Serve(ln)
 	return ln.Addr().String(), nil

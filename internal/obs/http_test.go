@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -27,15 +28,13 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 
 func TestHandlerEndpoints(t *testing.T) {
 	obs.Reset()
-	prev := obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
 
 	// Exercise one instrument of each kind: the coalescer's queue-depth
 	// gauge, predict latency, the simulator's counter, a stage.
 	obs.GetGauge("serve.queue.depth").Set(4)
 	obs.GetHistogram("core.predict.seconds").Observe(0.002)
 	obs.GetCounter("exec.simulate.queries").Add(100)
-	obs.Span("kcca.train.eigen")()
+	obs.GetHistogram("kcca.train.eigen.seconds").Since(time.Now())
 
 	srv := httptest.NewServer(obs.Handler())
 	defer srv.Close()
@@ -80,9 +79,6 @@ func TestServeMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !obs.Enabled() {
-		t.Error("ServeMetrics should enable instrumentation")
-	}
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +88,7 @@ func TestServeMetrics(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatalf("snapshot decode: %v", err)
 	}
-	if !snap.Enabled {
-		t.Error("served snapshot reports disabled")
+	if _, ok := snap.Counters["parallel.for.calls"]; !ok {
+		t.Errorf("served snapshot lacks the registered counters: %v", snap.Counters)
 	}
 }

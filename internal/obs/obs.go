@@ -1,19 +1,18 @@
 // Package obs is the repository's stdlib-only observability layer:
-// counters, gauges, float totals, fixed-log-bucket histograms, and span
-// timers that aggregate into a per-stage timing tree. The numeric packages
-// (parallel, kernels, linalg, kcca, knn, core, exec) record into it from
-// their hot paths, and the commands expose the collected state as a JSON
-// snapshot (Take/JSON), a human-readable stage table (TimingsTable), and an
-// optional HTTP endpoint with expvar and pprof (ServeMetrics).
+// counters, gauges, float totals and fixed-log-bucket histograms. A
+// histogram named "<stage>.seconds" times one pipeline stage, and the dotted
+// stage names form the timing tree that TimingsTable renders. The numeric
+// packages (parallel, kernels, linalg, kcca, knn, core, exec) record into it
+// from their hot paths, and the commands expose the collected state as a
+// JSON snapshot (Take/JSON), a human-readable stage table (TimingsTable),
+// and an HTTP endpoint with expvar and pprof (Handler, ServeMetrics).
 //
 // Cost contract: every instrument is a fixed atomic update — no locks and
-// no allocation on the record path — so instrumentation can stay compiled
-// into the hot loops. Instruments that must read the clock (Span,
-// Histogram.Time) additionally consult the package enable flag and return a
-// shared no-op when disabled, so a non-observed run performs no timing work
-// at all. Recording never feeds back into the instrumented computation, so
-// the bit-for-bit serial/parallel equivalence guarantees of the numeric
-// packages hold with instrumentation on or off.
+// no allocation on the record path — so instrumentation stays compiled into
+// the hot loops and is always on. A timed stage costs two clock reads and
+// one Observe. Recording never feeds back into the instrumented
+// computation, so the bit-for-bit serial/parallel equivalence guarantees of
+// the numeric packages hold with every timer running.
 package obs
 
 import (
@@ -21,24 +20,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// enabled gates the clock-reading instruments (spans and histogram
-// timers). Counters, gauges, histograms and float totals always record;
-// they are single atomic operations.
-var enabled atomic.Bool
-
-// SetEnabled turns timing instrumentation on or off and returns the
-// previous state, so callers can restore it:
-//
-//	defer obs.SetEnabled(obs.SetEnabled(true))
-func SetEnabled(on bool) bool { return enabled.Swap(on) }
-
-// Enabled reports whether timing instrumentation is on.
-func Enabled() bool { return enabled.Load() }
-
-// noop is the shared do-nothing stop function returned by disabled timers;
-// returning it allocates nothing.
-var noop = func() {}
 
 // Counter is a monotonically increasing integer metric.
 type Counter struct{ v atomic.Int64 }
@@ -96,7 +77,6 @@ var (
 	gauges   sync.Map // string -> *Gauge
 	totals   sync.Map // string -> *FloatTotal
 	hists    sync.Map // string -> *Histogram
-	stages   sync.Map // string -> *Stage
 )
 
 // GetCounter returns the named counter, creating it if needed.
@@ -135,15 +115,6 @@ func GetHistogram(name string) *Histogram {
 	return v.(*Histogram)
 }
 
-// GetStage returns the named span-timer stage, creating it if needed.
-func GetStage(name string) *Stage {
-	if v, ok := stages.Load(name); ok {
-		return v.(*Stage)
-	}
-	v, _ := stages.LoadOrStore(name, &Stage{})
-	return v.(*Stage)
-}
-
 // Reset zeroes every registered instrument in place. Instrument identity is
 // preserved (package-level variables that captured an instrument keep
 // recording into it), which is what test isolation needs.
@@ -152,5 +123,4 @@ func Reset() {
 	gauges.Range(func(_, v any) bool { v.(*Gauge).reset(); return true })
 	totals.Range(func(_, v any) bool { v.(*FloatTotal).reset(); return true })
 	hists.Range(func(_, v any) bool { v.(*Histogram).reset(); return true })
-	stages.Range(func(_, v any) bool { v.(*Stage).reset(); return true })
 }

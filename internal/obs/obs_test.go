@@ -109,84 +109,54 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 	}
 }
 
-func TestSpanAggregation(t *testing.T) {
-	Reset()
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
+func TestSinceRecordsElapsedSeconds(t *testing.T) {
+	h := &Histogram{}
 	for i := 0; i < 3; i++ {
-		stop := Span("test.stage")
+		start := time.Now()
 		time.Sleep(time.Millisecond)
-		stop()
+		if end := h.Since(start); end.Before(start.Add(time.Millisecond)) {
+			t.Errorf("Since returned %v, not the end of the region", end)
+		}
 	}
-	st := GetStage("test.stage")
-	if st.Count() != 3 {
-		t.Fatalf("stage count = %d, want 3", st.Count())
+	if h.Count() != 3 {
+		t.Fatalf("count = %d, want 3", h.Count())
 	}
-	if st.Total() <= 0 || st.Max() <= 0 || st.Max() > st.Total() {
-		t.Errorf("total=%v max=%v", st.Total(), st.Max())
-	}
-}
-
-func TestDisabledSpanIsNoop(t *testing.T) {
-	Reset()
-	prev := SetEnabled(false)
-	defer SetEnabled(prev)
-	Span("test.disabled")()
-	if GetStage("test.disabled").Count() != 0 {
-		t.Error("disabled span recorded a timing")
-	}
-	h := GetHistogram("test.disabled.hist")
-	h.Time()()
-	if h.Count() != 0 {
-		t.Error("disabled histogram timer recorded")
-	}
-	// Counters are always live: they are one atomic add, not a clock read.
-	GetCounter("test.disabled.counter").Inc()
-	if GetCounter("test.disabled.counter").Value() != 1 {
-		t.Error("counter did not record while disabled")
+	if h.Sum() < 3e-3 || h.Quantile(1) < 1e-3 {
+		t.Errorf("sum=%v p100=%v after three 1 ms regions", h.Sum(), h.Quantile(1))
 	}
 }
 
-func TestDisabledSpanAllocFree(t *testing.T) {
-	Reset()
-	prev := SetEnabled(false)
-	defer SetEnabled(prev)
-	allocs := testing.AllocsPerRun(100, func() {
-		Span("test.allocfree")()
-	})
-	if allocs != 0 {
-		t.Errorf("disabled Span allocates %v times per call, want 0", allocs)
+// TestSinceAllocFree: a timed call costs no allocation, in either idiom.
+func TestSinceAllocFree(t *testing.T) {
+	h := GetHistogram("test.allocfree.seconds")
+	for name, timed := range map[string]func(){
+		"defer":  func() { defer h.Since(time.Now()) },
+		"region": func() { start := time.Now(); h.Since(start) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			if allocs := testing.AllocsPerRun(100, timed); allocs != 0 {
+				t.Errorf("a timed call allocates %v times, want 0", allocs)
+			}
+		})
 	}
 }
 
 func TestSnapshotAndJSON(t *testing.T) {
 	Reset()
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
 	GetCounter("snap.counter").Add(2)
 	GetGauge("snap.gauge").Set(9)
 	GetFloatTotal("snap.total").Add(1.5)
 	GetHistogram("snap.hist").Observe(0.01)
-	Span("snap.stage")()
 	s := Take()
-	if !s.Enabled || s.Counters["snap.counter"] != 2 || s.Gauges["snap.gauge"] != 9 || s.Totals["snap.total"] != 1.5 {
+	if s.Counters["snap.counter"] != 2 || s.Gauges["snap.gauge"] != 9 || s.Totals["snap.total"] != 1.5 {
 		t.Errorf("snapshot scalars wrong: %+v", s)
 	}
 	hs, ok := s.Histograms["snap.hist"]
 	if !ok || hs.Count != 1 || len(hs.Buckets) != 1 {
 		t.Errorf("snapshot histogram wrong: %+v", hs)
 	}
-	found := false
-	for _, st := range s.Stages {
-		if st.Name == "snap.stage" && st.Count == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("snapshot missing stage")
-	}
 	out := JSON()
-	for _, want := range []string{"snap.counter", "snap.gauge", "snap.total", "snap.hist", "snap.stage"} {
+	for _, want := range []string{"snap.counter", "snap.gauge", "snap.total", "snap.hist"} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("JSON output missing %q", want)
 		}
@@ -195,27 +165,57 @@ func TestSnapshotAndJSON(t *testing.T) {
 
 func TestTimingsTable(t *testing.T) {
 	Reset()
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
 	if !strings.Contains(TimingsTable(), "no stage timings") {
 		t.Error("empty table should say so")
 	}
-	for _, name := range []string{"train", "train.kernel", "train.eigen", "predict"} {
-		stop := Span(name)
-		time.Sleep(time.Millisecond)
-		stop()
-	}
-	// Latency histograms follow the stage tree; other histograms do not.
-	GetHistogram("queue_wait.seconds").Observe(0.002)
-	GetHistogram("batch.size").Observe(64)
-	tbl := TimingsTable()
-	for _, want := range []string{"stage", "calls", "total_s", "self_s", "train", "  train.kernel", "  train.eigen", "predict",
-		"histogram", "p50_ms", "queue_wait.seconds"} {
-		if !strings.Contains(tbl, want) {
-			t.Errorf("timings table missing %q:\n%s", want, tbl)
+	// A parent of 10 s with children of 3 s and 4 s has 3 s of its own, and
+	// the 4 s child's own child of 1 s leaves it 3 s. A stage whose parent
+	// is not listed (run.predict: no run.seconds) is a root.
+	GetHistogram("train.seconds").Observe(10)
+	GetHistogram("train.kernel.seconds").Observe(3)
+	GetHistogram("train.eigen.seconds").Observe(4)
+	GetHistogram("train.eigen.ql.seconds").Observe(1)
+	GetHistogram("run.predict.seconds").Observe(0.002)
+	GetHistogram("run.predict.seconds").Observe(0.002)
+	GetHistogram("batch.size").Observe(64) // not a latency
+	lines := strings.Split(strings.TrimSuffix(TimingsTable(), "\n"), "\n")
+	var got []string
+	for i, line := range lines {
+		if i != 1 { // the rule under the header
+			indent := len(line) - len(strings.TrimLeft(line, " "))
+			got = append(got, strings.Repeat(" ", indent)+strings.Join(strings.Fields(line), " "))
 		}
 	}
-	if strings.Contains(tbl, "batch.size") {
-		t.Errorf("timings table lists a histogram that is not a latency:\n%s", tbl)
+	want := []string{
+		"stage calls total_s self_s mean_ms p50_ms p99_ms",
+		"run.predict 2 0.0040 0.0040 2.000 3.162 3.162",
+		"train 1 10.0000 3.0000 10000.000 10000.000 10000.000",
+		"  train.eigen 1 4.0000 3.0000 4000.000 5623.413 5623.413",
+		"    train.eigen.ql 1 1.0000 1.0000 1000.000 1000.000 1000.000",
+		"  train.kernel 1 3.0000 3.0000 3000.000 3162.278 3162.278",
 	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("timings table:\n%s\nwant rows:\n%s", strings.Join(lines, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// BenchmarkSince is the cost of one timed call, `defer h.Since(time.Now())`,
+// alone and from every P at once into the same histogram.
+func BenchmarkSince(b *testing.B) {
+	h := GetHistogram("bench.since.seconds")
+	timed := func() { defer h.Since(time.Now()) }
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			timed()
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				timed()
+			}
+		})
+	})
 }

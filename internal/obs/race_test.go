@@ -7,6 +7,7 @@ package obs_test
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -18,13 +19,12 @@ import (
 // the lock-free snapshot path are data-race free.
 func TestConcurrentUpdatesFromPoolWorkers(t *testing.T) {
 	obs.Reset()
-	prev := obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
 
 	c := obs.GetCounter("race.counter")
 	g := obs.GetGauge("race.gauge")
 	ft := obs.GetFloatTotal("race.total")
 	h := obs.GetHistogram("race.hist")
+	stage := obs.GetHistogram("race.stage.seconds")
 
 	var wg sync.WaitGroup
 	stopSnaps := make(chan struct{})
@@ -50,7 +50,7 @@ func TestConcurrentUpdatesFromPoolWorkers(t *testing.T) {
 			g.Set(int64(i))
 			ft.Add(0.001)
 			h.Observe(float64(i+1) * 1e-6)
-			obs.Span("race.stage")()
+			stage.Since(time.Now())
 		})
 	}
 	close(stopSnaps)
@@ -63,8 +63,8 @@ func TestConcurrentUpdatesFromPoolWorkers(t *testing.T) {
 	if h.Count() != want {
 		t.Errorf("histogram count = %d, want %d", h.Count(), want)
 	}
-	if st := obs.GetStage("race.stage"); st.Count() != want {
-		t.Errorf("stage count = %d, want %d", st.Count(), want)
+	if stage.Count() != want {
+		t.Errorf("stage count = %d, want %d", stage.Count(), want)
 	}
 	if ft.Value() <= 0 {
 		t.Errorf("float total = %v", ft.Value())

@@ -53,33 +53,3 @@ func (m *Model) PredictAll(x *linalg.Matrix) []float64 {
 	}
 	return out
 }
-
-// MultiModel fits one linear model per target column.
-type MultiModel struct {
-	Models []*Model
-}
-
-// FitMulti fits an independent linear model for every column of y.
-func FitMulti(x *linalg.Matrix, y *linalg.Matrix) (*MultiModel, error) {
-	if x.Rows != y.Rows {
-		return nil, errors.New("regress: design and target row counts differ")
-	}
-	mm := &MultiModel{Models: make([]*Model, y.Cols)}
-	for j := 0; j < y.Cols; j++ {
-		m, err := Fit(x, y.Col(j))
-		if err != nil {
-			return nil, err
-		}
-		mm.Models[j] = m
-	}
-	return mm, nil
-}
-
-// Predict evaluates every per-metric model on one feature vector.
-func (mm *MultiModel) Predict(x []float64) []float64 {
-	out := make([]float64, len(mm.Models))
-	for j, m := range mm.Models {
-		out[j] = m.Predict(x)
-	}
-	return out
-}

@@ -95,32 +95,6 @@ func TestLinearModelFailsOnMultiplicativeData(t *testing.T) {
 	}
 }
 
-func TestFitMulti(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := 60
-	x := linalg.NewMatrix(n, 2)
-	y := linalg.NewMatrix(n, 3)
-	for i := 0; i < n; i++ {
-		a, b := rng.NormFloat64(), rng.NormFloat64()
-		x.Set(i, 0, a)
-		x.Set(i, 1, b)
-		y.Set(i, 0, 2*a)
-		y.Set(i, 1, -b+1)
-		y.Set(i, 2, a+b)
-	}
-	mm, err := FitMulti(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred := mm.Predict([]float64{1, 1})
-	want := []float64{2, 0, 2}
-	for i := range want {
-		if math.Abs(pred[i]-want[i]) > 1e-8 {
-			t.Errorf("multi prediction %d = %v, want %v", i, pred[i], want[i])
-		}
-	}
-}
-
 func TestFitErrors(t *testing.T) {
 	x := linalg.NewMatrix(3, 2)
 	if _, err := Fit(x, []float64{1, 2}); err == nil {
@@ -128,8 +102,5 @@ func TestFitErrors(t *testing.T) {
 	}
 	if _, err := Fit(linalg.NewMatrix(0, 2), nil); err == nil {
 		t.Error("empty design accepted")
-	}
-	if _, err := FitMulti(x, linalg.NewMatrix(2, 2)); err == nil {
-		t.Error("mismatched multi rows accepted")
 	}
 }

@@ -267,7 +267,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	predictRequests.Inc()
-	defer predictSeconds.Time()()
+	defer predictSeconds.Since(time.Now())
 
 	var req api.PredictRequest
 	err := readBody(w, r, s.cfg.MaxBody, func(body []byte) error {
