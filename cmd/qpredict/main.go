@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/api"
 	"repro/internal/catalog"
@@ -35,10 +34,9 @@ import (
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
-	"repro/internal/sqlparse"
+	"repro/internal/serve"
 	"repro/internal/statutil"
 	"repro/internal/wal"
-	"repro/internal/workload"
 	"repro/pkg/qpredict"
 )
 
@@ -47,60 +45,17 @@ func main() { cli.Main(run) }
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	fs.SetOutput(stderr)
-	cfgPath := fs.String("config", "", "JSON options file (pkg/qpredict Options; explicitly set flags override it)")
 	sqlText := fs.String("sql", "", "SQL statement to predict (omit to run a self-evaluation)")
-	trainCount := fs.Int("train", 1000, "training workload size")
-	seed := fs.Int64("seed", 1, "workload seed")
-	dataSeed := fs.Int64("dataseed", 1000, "data realization seed")
-	machineName := fs.String("machine", "research4", "machine: research4 or prod32:<cpus>")
-	twoStep := fs.Bool("twostep", false, "use two-step (query-type-specific) prediction")
 	verbose := fs.Bool("v", false, "print the query plan")
 	jsonOut := fs.Bool("json", false, "emit the prediction as JSON in the qpredictd wire schema (docs/API.md)")
 	saveTo := fs.String("save", "", "after training, save the model to this file")
-	loadFrom := fs.String("load", "", "load a previously saved model instead of training")
 	timings := fs.Bool("timings", false, "print the per-stage timing table on exit")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /timings, /debug/pprof on this address (e.g. localhost:6060)")
-	fs.Parse(args)
-
-	// -config loads the shared qpredict.Options file; the CLI consumes its
-	// train block (the serve/shard/state blocks belong to qpredictd).
-	// Explicitly set flags override the file, reported once.
-	if *cfgPath != "" {
-		opts, err := qpredict.LoadFile(*cfgPath)
-		if err != nil {
-			return err
-		}
-		set := map[string]bool{}
-		var overridden []string
-		fs.Visit(func(f *flag.Flag) {
-			set[f.Name] = true
-			switch f.Name {
-			case "train", "seed", "dataseed", "machine", "twostep", "load":
-				overridden = append(overridden, "-"+f.Name)
-			}
-		})
-		if !set["train"] {
-			*trainCount = opts.Train.Count
-		}
-		if !set["seed"] {
-			*seed = opts.Train.Seed
-		}
-		if !set["dataseed"] {
-			*dataSeed = opts.Train.DataSeed
-		}
-		if !set["machine"] {
-			*machineName = opts.Train.Machine
-		}
-		if !set["twostep"] {
-			*twoStep = opts.Train.TwoStep
-		}
-		if !set["load"] && opts.Train.Load != "" {
-			*loadFrom = opts.Train.Load
-		}
-		if len(overridden) > 0 {
-			fmt.Fprintf(stderr, "note: %s override %s (flags beat config; move them into the file to silence this)\n",
-				strings.Join(overridden, " "), *cfgPath)
-		}
+	// The CLI consumes the options' train block; the serve, shard and state
+	// blocks of a -config file belong to qpredictd.
+	opts, err := qpredict.Parse(fs, args, stderr, qpredict.TrainFlags)
+	if err != nil {
+		return err
 	}
 
 	if *metricsAddr != "" {
@@ -116,47 +71,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cli.AtExit(func() { fmt.Fprint(stderr, "\n"+obs.TimingsTable()) })
 	}
 
-	machine, err := exec.ParseMachine(*machineName)
-	if err != nil {
-		return err
-	}
-	schema := catalog.TPCDS(1)
-	opt := core.DefaultOptions()
-	opt.TwoStep = *twoStep
-
-	var predictor *core.Predictor
-	if *loadFrom != "" {
-		f, err := os.Open(*loadFrom)
+	if *sqlText == "" && *saveTo == "" && opts.Train.Load == "" {
+		pool, err := qpredict.Pool(opts.Train, stderr)
 		if err != nil {
-			return fmt.Errorf("opening model: %v", err)
-		}
-		predictor, err = core.Load(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("loading model: %v", err)
-		}
-		fmt.Fprintf(stderr, "loaded model trained on %d queries\n", predictor.N())
-	} else {
-		fmt.Fprintf(stderr, "generating %d training queries on %s...\n", *trainCount, machine)
-		pool, err := dataset.Generate(dataset.GenConfig{
-			Seed:      *seed,
-			DataSeed:  *dataSeed,
-			Machine:   machine,
-			Schema:    schema,
-			Templates: workload.TPCDSTemplates(),
-			Count:     *trainCount,
-		})
-		if err != nil {
-			return fmt.Errorf("generating training workload: %v", err)
+			return err
 		}
 		fmt.Fprintln(stderr, "training KCCA model...")
-		if *sqlText == "" && *saveTo == "" {
-			return selfEvaluate(stdout, pool, opt)
-		}
-		predictor, err = core.Train(pool.Queries, opt)
-		if err != nil {
-			return fmt.Errorf("training: %v", err)
-		}
+		return selfEvaluate(stdout, pool, opts.Train.Core())
+	}
+	predictor, err := qpredict.Model(opts.Train, stderr)
+	if err != nil {
+		return err
 	}
 
 	if *saveTo != "" {
@@ -178,25 +103,30 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-load requires -sql (nothing to self-evaluate a loaded model against)")
 	}
 
-	ast, err := sqlparse.Parse(*sqlText)
+	// The daemon's own SQL → plan pipeline, so a query plans here exactly as
+	// qpredictd plans it.
+	machine, err := exec.ParseMachine(opts.Train.Machine)
 	if err != nil {
-		return fmt.Errorf("parsing SQL: %v", err)
+		return err
 	}
-	plan, err := optimizer.BuildPlan(ast, schema, *dataSeed, optimizer.DefaultConfig(machine.Processors))
+	q, err := serve.PlannerFunc(catalog.TPCDS(1), opts.Train.DataSeed, machine)(*sqlText)
 	if err != nil {
+		if serve.PlanError(err).Code == api.CodeParse {
+			return fmt.Errorf("parsing SQL: %v", err)
+		}
 		return fmt.Errorf("planning: %v", err)
 	}
 	if *verbose {
-		fmt.Fprint(stderr, optimizer.Explain(plan))
+		fmt.Fprint(stderr, optimizer.Explain(q.Plan))
 	}
 
-	pred, err := predictor.PredictQuery(&dataset.Query{SQL: *sqlText, AST: ast, Plan: plan})
+	pred, err := predictor.PredictQuery(q)
 	if err != nil {
 		return fmt.Errorf("predicting: %v", err)
 	}
 
 	if *jsonOut {
-		return emitJSON(stdout, predictor, *sqlText, plan.Cost, pred)
+		return emitJSON(stdout, predictor, *sqlText, q.Plan.Cost, pred)
 	}
 	fmt.Fprintf(stdout, "predicted query type:  %s\n", pred.Category)
 	fmt.Fprintf(stdout, "confidence:            %.2f\n", pred.Confidence)

@@ -34,11 +34,11 @@ func bootArgs(t *testing.T, args ...string) (*serve.Server, string, error) {
 	var log bytes.Buffer
 	fs := flag.NewFlagSet("qpredictd", flag.ContinueOnError)
 	fs.SetOutput(&log)
-	opts, _, err := loadOptions(fs, args, &log)
+	opts, err := parse(fs, args, &log)
 	if err != nil {
 		return nil, log.String(), err
 	}
-	svc, _, err := boot(opts, &log)
+	svc, _, err := qpredict.Start(opts, &log)
 	return svc, log.String(), err
 }
 
@@ -391,7 +391,12 @@ func setManifestPartitioner(t *testing.T, dir, name string) {
 	}
 }
 
-// TestFlagsOverConfigOverDefaults: the three layers of loadOptions. A field
+// parse resolves the daemon's options from a command line, as main does.
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer) (qpredict.Options, error) {
+	return qpredict.Parse(fs, args, stderr, qpredict.TrainFlags, qpredict.DaemonFlags)
+}
+
+// TestFlagsOverConfigOverDefaults: the three layers of qpredict.Parse. A field
 // the file sets beats the default, a flag given on the command line beats
 // the file — for every kind of flag value — and a field neither names keeps
 // its default.
@@ -404,7 +409,9 @@ func TestFlagsOverConfigOverDefaults(t *testing.T) {
 	}
 	var note bytes.Buffer
 	fs := flag.NewFlagSet("qpredictd", flag.ContinueOnError)
-	opts, timings, err := loadOptions(fs, []string{"-window", "1ms", "-config", path, "-shards", "2", "-fsync", "always", "-timings"}, &note)
+	timingsFlag := fs.Bool("timings", false, "")
+	opts, err := parse(fs, []string{"-window", "1ms", "-config", path, "-shards", "2", "-fsync", "always", "-timings"}, &note)
+	timings := *timingsFlag
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,12 +431,12 @@ func TestFlagsOverConfigOverDefaults(t *testing.T) {
 
 	// Without a file the flags land on the defaults, and nothing is noted.
 	note.Reset()
-	opts, _, err = loadOptions(flag.NewFlagSet("qpredictd", flag.ContinueOnError), []string{"-train", "160", "-timeout", "3s"}, &note)
+	opts, err = parse(flag.NewFlagSet("qpredictd", flag.ContinueOnError), []string{"-train", "160", "-timeout", "3s"}, &note)
 	if err != nil || opts.Train.Count != 160 || opts.Serve.Timeout.Std() != 3*time.Second || opts.Serve.Addr != def.Serve.Addr || note.Len() != 0 {
 		t.Errorf("flags over defaults: %+v, err %v, note %q", opts, err, note.String())
 	}
 	// What Validate refuses is refused before anything is opened.
-	if _, _, err := loadOptions(flag.NewFlagSet("qpredictd", flag.ContinueOnError), []string{"-capacity", "50"}, &note); err == nil {
+	if _, err := parse(flag.NewFlagSet("qpredictd", flag.ContinueOnError), []string{"-capacity", "50"}, &note); err == nil {
 		t.Error("retrain-every 100 over -capacity 50 was accepted")
 	}
 	// The model zoo's flags and config section are gone, and so is the
@@ -439,7 +446,7 @@ func TestFlagsOverConfigOverDefaults(t *testing.T) {
 		t.Run(args[0], func(t *testing.T) {
 			fs := flag.NewFlagSet("qpredictd", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
-			if _, _, err := loadOptions(fs, args, &note); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			if _, err := parse(fs, args, &note); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
 				t.Errorf("%s: %v, want an undefined flag", strings.Join(args, " "), err)
 			}
 		})
@@ -449,7 +456,7 @@ func TestFlagsOverConfigOverDefaults(t *testing.T) {
 		if err := os.WriteFile(zooCfg, []byte(`{"champion": {"kind": "kcca", "challengers": ["planstruct"]}}`), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := loadOptions(flag.NewFlagSet("qpredictd", flag.ContinueOnError), []string{"-config", zooCfg}, &note); err == nil || !strings.Contains(err.Error(), `"champion"`) {
+		if _, err := parse(flag.NewFlagSet("qpredictd", flag.ContinueOnError), []string{"-config", zooCfg}, &note); err == nil || !strings.Contains(err.Error(), `"champion"`) {
 			t.Errorf("config with a champion section: %v, want an error naming \"champion\"", err)
 		}
 	})

@@ -25,9 +25,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
-	"repro/internal/optimizer"
+	"repro/internal/serve"
 	"repro/internal/sizing"
-	"repro/internal/sqlparse"
 	"repro/internal/workload"
 )
 
@@ -46,14 +45,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.Parse(args)
 
 	schema := catalog.TPCDS(1)
-	var reporting []workload.Template
-	for _, t := range workload.TPCDSTemplates() {
-		if t.Class == "tpcds" {
-			reporting = append(reporting, t)
-		}
-	}
-
-	// Load or generate the workload SQL.
+	// Each candidate's history is drawn from the template classes the
+	// workload holds: a generated workload is reporting ("tpcds") queries
+	// only, a dsgen file names its classes in its class column.
+	classes := map[string]bool{"tpcds": true}
 	var sqls []string
 	if *workloadPath != "" {
 		f, err := os.Open(*workloadPath)
@@ -65,13 +60,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("reading workload: %v", err)
 		}
+		classes = map[string]bool{}
 		for _, row := range rows {
 			sqls = append(sqls, row.SQL)
+			classes[row.Class] = true
 		}
-	} else {
+	}
+	var history []workload.Template
+	for _, t := range workload.TPCDSTemplates() {
+		if classes[t.Class] {
+			history = append(history, t)
+		}
+	}
+	if len(history) == 0 {
+		return fmt.Errorf("workload: no TPC-DS template belongs to any of its classes")
+	}
+	if *workloadPath == "" {
 		ds, err := dataset.Generate(dataset.GenConfig{
 			Seed: *seed + 77, DataSeed: *dataSeed, Machine: exec.Production32(32),
-			Schema: schema, Templates: reporting, Count: *genCount,
+			Schema: schema, Templates: history, Count: *genCount,
 		})
 		if err != nil {
 			return fmt.Errorf("generating workload: %v", err)
@@ -90,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "training candidate %s from %d historical queries...\n", m.Name, *histCount)
 		hist, err := dataset.Generate(dataset.GenConfig{
 			Seed: *seed, DataSeed: *dataSeed, Machine: m,
-			Schema: schema, Templates: reporting, Count: *histCount,
+			Schema: schema, Templates: history, Count: *histCount,
 		})
 		if err != nil {
 			return fmt.Errorf("history for %s: %v", m.Name, err)
@@ -101,19 +108,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		candidates = append(candidates, sizing.Candidate{Machine: m, Predictor: p})
 
-		// Re-plan the workload's SQL for this configuration.
-		cfg := optimizer.DefaultConfig(procs)
+		// Re-plan the workload's SQL for this configuration, through the
+		// daemon's SQL → plan pipeline.
+		plan := serve.PlannerFunc(schema, *dataSeed, m)
 		var qs []*dataset.Query
 		for i, sqlText := range sqls {
-			ast, err := sqlparse.Parse(sqlText)
-			if err != nil {
-				return fmt.Errorf("parsing workload query %d: %v", i, err)
-			}
-			plan, err := optimizer.BuildPlan(ast, schema, *dataSeed, cfg)
+			q, err := plan(sqlText)
 			if err != nil {
 				return fmt.Errorf("planning workload query %d: %v", i, err)
 			}
-			qs = append(qs, &dataset.Query{ID: i, SQL: sqlText, AST: ast, Plan: plan})
+			q.ID = i
+			qs = append(qs, q)
 		}
 		workloads[m.Name] = qs
 	}

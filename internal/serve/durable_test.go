@@ -205,7 +205,7 @@ func TestPlannerErrorsPassThrough(t *testing.T) {
 		if inner := errors.Unwrap(err); inner == nil || inner.Error() != tc.want.Error() {
 			t.Errorf("%q: Unwrap = %v, want %v", tc.sql, inner, tc.want)
 		}
-		if got := planError(err); got.Code != tc.code || got.Message != tc.want.Error() {
+		if got := PlanError(err); got.Code != tc.code || got.Message != tc.want.Error() {
 			t.Errorf("%q: reported as %+v, want code %s", tc.sql, got, tc.code)
 		}
 	}

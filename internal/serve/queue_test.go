@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -19,7 +17,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/testutil"
-	"repro/pkg/qpredict"
 )
 
 // What the queue does with requests — whole-or-nothing admission per shard,
@@ -172,14 +169,12 @@ func TestCloseAnswersBacklog(t *testing.T) {
 	}
 }
 
-// TestIdleDispatch: under the stock options an idle server answers a
-// single predict in service time — nothing on the path sleeps.
+// TestIdleDispatch: with no hold window, as the stock daemon runs, an idle
+// server answers a single predict in service time — nothing on the path
+// sleeps.
 func TestIdleDispatch(t *testing.T) {
 	pool, _ := fixture(t)
-	stock := qpredict.Default().Serve
-	cfg := baseConfig(t)
-	cfg.Window, cfg.MaxBatch, cfg.QueueCap = stock.Window.Std(), stock.MaxBatch, stock.QueueCap
-	s, err := New(cfg)
+	s, err := New(baseConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,23 +199,17 @@ func TestIdleDispatch(t *testing.T) {
 	}
 }
 
-// TestWindowOptionHolds: a config file that sets serve.window restores the
-// held batch — a request arriving half a millisecond after the first shares
-// its micro-batch — while the stock options dispatch the first on arrival.
+// TestWindowOptionHolds: a hold window restores the held batch — a request
+// arriving half a millisecond after the first shares its micro-batch — while
+// no window dispatches the first on arrival. Reading serve.window from a
+// file is pkg/qpredict's TestWindowStillConfigurable, and handing it to the
+// router its TestStartHoldsTheWindow.
 func TestWindowOptionHolds(t *testing.T) {
 	pool, _ := fixture(t)
-	path := filepath.Join(t.TempDir(), "config.json")
-	if err := os.WriteFile(path, []byte(`{"serve": {"window": "100ms"}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	held, err := qpredict.LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	body := predictBody(pool.Queries[120:121])
-	run := func(t *testing.T, opts qpredict.Options, firstIsIn func(dispatched <-chan struct{})) []int {
+	run := func(t *testing.T, window time.Duration, firstIsIn func(dispatched <-chan struct{})) []int {
 		cfg := baseConfig(t)
-		cfg.Window = opts.Serve.Window.Std()
+		cfg.Window = window
 		dispatched := make(chan struct{})
 		s, m := recordingServer(t, cfg, func(call, _ int) {
 			if call == 0 {
@@ -243,14 +232,14 @@ func TestWindowOptionHolds(t *testing.T) {
 		// The first request is admitted and stays pending: the idle engine
 		// is holding it.
 		depth := coalescetest.Depth()
-		got := run(t, held, func(<-chan struct{}) { coalescetest.WaitDepth(t, depth+1) })
+		got := run(t, 100*time.Millisecond, func(<-chan struct{}) { coalescetest.WaitDepth(t, depth+1) })
 		if want := []int{2}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("micro-batches %v, want %v", got, want)
 		}
 	})
 	t.Run("stock", func(t *testing.T) {
 		// The first request reaches the model alone, before the second exists.
-		got := run(t, qpredict.Default(), func(dispatched <-chan struct{}) { <-dispatched })
+		got := run(t, 0, func(dispatched <-chan struct{}) { <-dispatched })
 		if want := []int{1, 1}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("micro-batches %v, want %v", got, want)
 		}

@@ -86,13 +86,9 @@ type Config struct {
 
 	// Plans, when set, is the plan/feature cache every handler plans SQL
 	// through — qpredictd shares one cache between live traffic and WAL
-	// replay so recovery pre-warms serving. Nil builds a private cache with
-	// PlanCacheEntries capacity over the daemon's planner.
+	// replay so recovery pre-warms serving. Nil builds a private cache of
+	// the default size over the daemon's planner.
 	Plans *core.PlanCache
-	// PlanCacheEntries bounds the private plan cache when Plans is nil:
-	// 0 selects the default, negative disables caching (every request pays
-	// the full parse + optimize pipeline — the benchmark baseline).
-	PlanCacheEntries int
 
 	// Window, MaxBatch and QueueCap are the one shard's shard.Config: how
 	// long its coalescer holds an open micro-batch for more arrivals (zero
@@ -168,7 +164,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxBody = 4 << 20
 	}
 	if cfg.Plans == nil {
-		cfg.Plans = NewPlanner(cfg.Schema, cfg.DataSeed, cfg.Machine, cfg.PlanCacheEntries)
+		cfg.Plans = NewPlanner(cfg.Schema, cfg.DataSeed, cfg.Machine, 0)
 	}
 	return &Server{cfg: cfg, plans: cfg.Plans, router: cfg.Router}, nil
 }
@@ -251,9 +247,9 @@ func NewPlanner(schema *catalog.Schema, dataSeed int64, machine exec.Machine, en
 	return core.NewPlanCache(entries, PlannerFunc(schema, dataSeed, machine))
 }
 
-// planError classifies a failure of the plan cache as a parse or a plan
-// error.
-func planError(err error) *api.Error {
+// PlanError classifies a failure of PlannerFunc's pipeline, called directly
+// or through the plan cache, as a parse or a plan error.
+func PlanError(err error) *api.Error {
 	var stage *planStageError
 	if errors.As(err, &stage) {
 		return &api.Error{Code: stage.code, Message: stage.err.Error()}
@@ -398,7 +394,7 @@ func (s *Server) planInputs(inputs []api.QueryInput, reply *predictReply) {
 		res.SQL = in.SQL
 		q, err := s.plans.Shared(in.SQL)
 		if err != nil {
-			res.Error = planError(err)
+			res.Error = PlanError(err)
 			continue
 		}
 		res.OptimizerCost = q.Plan.Cost
@@ -484,7 +480,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	for i, o := range req.Observations {
 		q, err := s.plans.Plan(o.SQL)
 		if err != nil {
-			e := planError(err)
+			e := PlanError(err)
 			writeError(w, e.Code, fmt.Sprintf("observation %d: %s", i, e.Message))
 			return
 		}

@@ -83,7 +83,6 @@ type Store struct {
 	log  *Log
 
 	appliedSeq uint64 // last WAL seq applied to the sliding predictor
-	loggedSeq  uint64 // last WAL seq appended
 	sinceSnap  int
 
 	// encBuf is the reusable observation-record encode buffer. The observe
@@ -114,7 +113,7 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{opts: opts, log: l, loggedSeq: l.LastSeq()}, nil
+	return &Store{opts: opts, log: l}, nil
 }
 
 // Recover rebuilds the partition's sliding predictor: install the newest
@@ -232,7 +231,6 @@ func (st *Store) Append(sql string, m exec.Metrics) (uint64, error) {
 		walAppendErrors.Inc()
 		return 0, err
 	}
-	st.loggedSeq = seq
 	return seq, nil
 }
 
