@@ -33,9 +33,9 @@ func main() {
 	train := pool.Queries[:480]
 	test := pool.Queries[480:]
 
-	// 2. Train the predictor: KCCA correlates plan feature vectors with
-	//    performance vectors; prediction averages the metrics of the three
-	//    nearest neighbors in the learned projection.
+	// 2. Train the predictor: KCCA projects the plan feature vectors;
+	//    prediction averages the metrics of the three nearest neighbors in
+	//    that projection.
 	predictor, err := core.Train(train, core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)

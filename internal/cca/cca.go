@@ -2,7 +2,8 @@
 // Sec. V-D stepping stone between PCA and KCCA. Given two centered
 // multivariate datasets over the same items, CCA finds pairs of directions
 // (one per dataset) whose projections are maximally correlated. It is
-// solved here in its standard whitened-SVD form with ridge regularization.
+// solved here in its standard whitened-SVD form with ridge regularization;
+// Whiten is that form's x side alone, which is all kcca.Train needs.
 package cca
 
 import (
@@ -31,42 +32,19 @@ func Fit(x, y *linalg.Matrix, r int, reg float64) (*Model, error) {
 	if x.Rows != y.Rows {
 		return nil, errors.New("cca: datasets must have equal row counts")
 	}
-	if x.Rows < 3 {
-		return nil, errors.New("cca: need at least three rows")
-	}
-	if reg <= 0 {
-		reg = 1e-6
-	}
-	maxR := x.Cols
-	if y.Cols < maxR {
-		maxR = y.Cols
-	}
-	if r <= 0 || r > maxR {
+	if maxR := min(x.Cols, y.Cols); r <= 0 || r > maxR {
 		r = maxR
 	}
 
-	cx := x.Clone()
-	cy := y.Clone()
-	meanX := cx.CenterColumns()
-	cy.CenterColumns()
-	n := float64(x.Rows - 1)
-
-	sxx := cx.TMul(cx).Scale(1 / n)
-	syy := cy.TMul(cy).Scale(1 / n)
-	sxy := cx.TMul(cy).Scale(1 / n)
-	ridge(sxx, reg)
-	ridge(syy, reg)
-
-	lx, err := linalg.Cholesky(sxx)
+	cx, meanX, lxInv, err := whiten(x, reg)
 	if err != nil {
 		return nil, err
 	}
-	ly, err := linalg.Cholesky(syy)
+	cy, _, lyInv, err := whiten(y, reg)
 	if err != nil {
 		return nil, err
 	}
-	lxInv := lx.InvLower()
-	lyInv := ly.InvLower()
+	sxy := cx.TMul(cy).Scale(1 / float64(x.Rows-1))
 
 	// M = Lx⁻¹ Sxy Ly⁻ᵀ; its SVD gives the canonical structure.
 	m := lxInv.Mul(sxy).MulT(lyInv)
@@ -89,6 +67,40 @@ func Fit(x, y *linalg.Matrix, r int, reg float64) (*Model, error) {
 		corr[i] = c
 	}
 	return &Model{MeanX: meanX, WX: wx, Correlations: corr}, nil
+}
+
+// Whiten is Fit's x side alone: WX = Lx⁻ᵀ, where Lx·Lxᵀ is the ridged
+// covariance of x, so the projected rows have the identity as their ridged
+// covariance. Where x is no wider than y and Fit keeps every canonical
+// dimension, Fit's WX is Lx⁻ᵀU for a square orthogonal U, so the two project
+// any two rows the same distance apart. The model has no correlations.
+func Whiten(x *linalg.Matrix, reg float64) (*Model, error) {
+	_, meanX, lxInv, err := whiten(x, reg)
+	if err != nil {
+		return nil, err
+	}
+	return &Model{MeanX: meanX, WX: lxInv.T()}, nil
+}
+
+// whiten returns x with its column means removed, those means, and L⁻¹ for
+// the Cholesky factor L of the centered rows' covariance plus the ridge reg
+// (1e-6 when reg ≤ 0).
+func whiten(x *linalg.Matrix, reg float64) (centered *linalg.Matrix, mean []float64, lInv *linalg.Matrix, err error) {
+	if x.Rows < 3 {
+		return nil, nil, nil, errors.New("cca: need at least three rows")
+	}
+	if reg <= 0 {
+		reg = 1e-6
+	}
+	centered = x.Clone()
+	mean = centered.CenterColumns()
+	s := centered.TMul(centered).Scale(1 / float64(x.Rows-1))
+	ridge(s, reg)
+	l, err := linalg.Cholesky(s)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return centered, mean, l.InvLower(), nil
 }
 
 func ridge(s *linalg.Matrix, reg float64) {
@@ -126,11 +138,4 @@ func (m *Model) ProjectAllX(x *linalg.Matrix) *linalg.Matrix {
 		m.WX.TMulVecInto(out.Row(i), centered)
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

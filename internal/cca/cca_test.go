@@ -144,3 +144,30 @@ func TestFitErrors(t *testing.T) {
 		t.Error("too few rows accepted")
 	}
 }
+
+// TestWhitenKeepsFitDistances: where Fit keeps every canonical dimension of
+// x (x no wider than y), Whiten projects every pair of rows the same
+// distance apart as Fit does.
+func TestWhitenKeepsFitDistances(t *testing.T) {
+	x, y := randViews(5, 200, 4, 6)
+	fit, err := Fit(x, y, 0, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := Whiten(x, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, pw := fit.ProjectAllX(x), w.ProjectAllX(x)
+	for a := 0; a < 20; a++ {
+		for b := a + 1; b < 20; b++ {
+			df, dw := linalg.Dist(pf.Row(a), pf.Row(b)), linalg.Dist(pw.Row(a), pw.Row(b))
+			if math.Abs(df-dw) > 1e-12*df {
+				t.Fatalf("rows %d, %d: %v apart under Whiten, %v under Fit", a, b, dw, df)
+			}
+		}
+	}
+	if _, err := Whiten(linalg.NewMatrix(2, 2), 1e-3); err == nil {
+		t.Error("too few rows accepted")
+	}
+}

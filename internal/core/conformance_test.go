@@ -114,9 +114,8 @@ func TestConformance(t *testing.T) {
 }
 
 // TestTrainerDeterminism: in every configuration, two trainings on the same
-// window learn the same projections and correlations and answer bit for
-// bit alike — what lets a recovered or replayed window be compared with the
-// model it replaces. (Save bytes are not compared: gob's map encoding
+// window learn the same projection and answer bit for bit alike — what lets
+// a recovered or replayed window be compared with the model it replaces. (Save bytes are not compared: gob's map encoding
 // orders a two-step model's sub-models at random.)
 func TestTrainerDeterminism(t *testing.T) {
 	train, _ := trainTest(t)
@@ -134,9 +133,6 @@ func TestTrainerDeterminism(t *testing.T) {
 			ma, mb := a.Model(), b.Model()
 			if !ma.QueryProj.Equal(mb.QueryProj, 0) {
 				t.Fatal("two trainings of the same window learned different projections")
-			}
-			if !equalBits(ma.Correlations, mb.Correlations) {
-				t.Fatalf("canonical correlations %v, then %v", ma.Correlations, mb.Correlations)
 			}
 			sameResults(t, b.Predict(reqs...), a.Predict(reqs...))
 		})

@@ -84,17 +84,9 @@ func TestSentinelErrors(t *testing.T) {
 			knn.ErrDimension,
 		},
 		{
-			"kcca with mismatched row counts",
-			func() error {
-				_, err := kcca.Train(linalg.NewMatrix(6, 2), linalg.NewMatrix(5, 2), kcca.DefaultOptions())
-				return err
-			},
-			kcca.ErrRowMismatch,
-		},
-		{
 			"kcca with too few rows",
 			func() error {
-				_, err := kcca.Train(linalg.NewMatrix(3, 2), linalg.NewMatrix(3, 2), kcca.DefaultOptions())
+				_, err := kcca.Train(linalg.NewMatrix(3, 2), kcca.DefaultOptions())
 				return err
 			},
 			kcca.ErrTooFew,

@@ -180,25 +180,22 @@ func normalizeOptions(opt Options) Options {
 }
 
 // extractFeatures builds the KCCA training inputs from executed queries:
-// query-side features x, performance kernel features y, raw metric rows for
-// neighbor combination, and the observed categories — all row-aligned with
-// the input order.
-func extractFeatures(train []*dataset.Query, kind FeatureKind) (x, y *linalg.Matrix, rawRows [][]float64, cats []workload.Category, err error) {
+// query-side features x, raw metric rows for neighbor combination, and the
+// observed categories — all row-aligned with the input order.
+func extractFeatures(train []*dataset.Query, kind FeatureKind) (x *linalg.Matrix, rawRows [][]float64, cats []workload.Category, err error) {
 	xRows := make([][]float64, len(train))
-	yRows := make([][]float64, len(train))
 	rawRows = make([][]float64, len(train))
 	cats = make([]workload.Category, len(train))
 	for i, q := range train {
 		f, ferr := queryFeature(q, kind)
 		if ferr != nil {
-			return nil, nil, nil, nil, fmt.Errorf("core: query %d: %w", q.ID, ferr)
+			return nil, nil, nil, fmt.Errorf("core: query %d: %w", q.ID, ferr)
 		}
 		xRows[i] = f
-		yRows[i] = features.PerfKernelVector(q.Metrics)
 		rawRows[i] = features.PerfRawVector(q.Metrics)
 		cats[i] = q.Category
 	}
-	return features.Matrices(xRows), features.Matrices(yRows), rawRows, cats, nil
+	return features.Matrices(xRows), rawRows, cats, nil
 }
 
 // newPredictor assembles a Predictor around a KCCA model: the raw metric
@@ -227,11 +224,11 @@ func Train(train []*dataset.Query, opt Options) (*Predictor, error) {
 	}
 	opt = normalizeOptions(opt)
 
-	x, y, rawRows, cats, err := extractFeatures(train, opt.Features)
+	x, rawRows, cats, err := extractFeatures(train, opt.Features)
 	if err != nil {
 		return nil, err
 	}
-	model, err := kcca.Train(x, y, opt.KCCA)
+	model, err := kcca.Train(x, opt.KCCA)
 	if err != nil {
 		return nil, fmt.Errorf("core: KCCA training: %w", err)
 	}
@@ -382,7 +379,7 @@ func (p *Predictor) predictProjected(f, proj []float64, maxK float64) (Predictio
 	// Neighbor search goes through this generation's index — an exact scan,
 	// so bit-identical to knn.Nearest on the projection matrix. Every search
 	// offers every training point; what keeps it cheap is the order (sorted
-	// once along the leading canonical direction and visited outward from
+	// once along the leading kernel-PCA component and visited outward from
 	// the query, so the kth-best distance is small early) and the scorer
 	// abandoning most candidates part-way, reading them (where the AVX2
 	// kernels serve) from the index's own feature-major copy of the

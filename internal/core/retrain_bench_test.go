@@ -20,12 +20,11 @@ const stockWindow, stockEvery = 500, 100
 // retrain interval: 100 observations (ring writes), the last of which
 // retrains inline and accounts for nearly all of the op's time and bytes.
 // Every timed interval must retrain exactly once. Beside ms per op it
-// reports, in ms per retrain, the kernel matrix and its centering
-// (kernels.matrix, kernels.center: both views, whose tasks run at once, so
-// their wall times add) and the CCA's SVD (linalg.svd). It fails if a
-// steady-state interval allocates an object as large as an n×n float64
-// block anywhere but the one kernel matrix per view that kcca.Train builds,
-// centers and decomposes in place.
+// reports, in ms per retrain, the query view's kernel matrix and its
+// centering (kernels.matrix, kernels.center) and its eigensolve
+// (linalg.eigen). It fails if a steady-state interval allocates an object as
+// large as an n×n float64 block anywhere but the one kernel matrix that
+// kcca.Train builds, centers and decomposes in place.
 func BenchmarkRetrainStock(b *testing.B) {
 	qs := testutil.StockQueries(b, stockWindow+8*stockEvery)
 	s, err := NewSliding(stockWindow, stockEvery, DefaultOptions())
@@ -53,7 +52,7 @@ func BenchmarkRetrainStock(b *testing.B) {
 		observe(stockEvery)
 	}
 	b.StopTimer()
-	for _, stage := range []string{"kernels.matrix", "kernels.center", "linalg.svd"} {
+	for _, stage := range []string{"kernels.matrix", "kernels.center", "linalg.eigen"} {
 		ms := obs.GetHistogram(stage+".seconds").Sum() * 1e3 / float64(b.N)
 		b.ReportMetric(ms, stage+"-ms/op")
 	}
@@ -62,8 +61,8 @@ func BenchmarkRetrainStock(b *testing.B) {
 	}
 
 	// One more interval under the allocation profile: whatever else a
-	// retrain allocates (n×rank eigenvectors, the CCA fit, the k-NN index),
-	// the only n×n-sized objects are the two kernel matrices.
+	// retrain allocates (n×rank eigenvectors, the whitening, the k-NN
+	// index), the only n×n-sized object is the kernel matrix.
 	sites := testutil.LargeAllocSites(stockWindow*stockWindow*8, func() { observe(stockEvery) })
 	objs := 0
 	for _, site := range sites {
@@ -72,13 +71,13 @@ func BenchmarkRetrainStock(b *testing.B) {
 			b.Fatal(err)
 		}
 		objs += n
-		if !strings.Contains(site, "repro/internal/kernels.Matrix:") {
-			b.Fatalf("a steady-state retrain allocated a %dx%d-sized block outside kernels.Matrix:\n%s",
+		if !strings.Contains(site, "repro/internal/kernels.matrix:") {
+			b.Fatalf("a steady-state retrain allocated a %dx%d-sized block outside the kernel matrix:\n%s",
 				stockWindow, stockWindow, strings.Join(sites, "\n"))
 		}
 	}
-	if objs != 2 {
-		b.Fatalf("a steady-state retrain allocated %d %dx%d-sized blocks, want one kernel matrix per view:\n%s",
+	if objs != 1 {
+		b.Fatalf("a steady-state retrain allocated %d %dx%d-sized blocks, want the one kernel matrix:\n%s",
 			objs, stockWindow, stockWindow, strings.Join(sites, "\n"))
 	}
 }
@@ -87,7 +86,8 @@ func BenchmarkRetrainStock(b *testing.B) {
 // SQL and metrics and what training fitted — no kernel matrices and no
 // training projections, which Load derives. With the 500×500 kernel matrices
 // of both views the snapshot was about 6 MB; with both training projections,
-// 1.4 MB; with the query projection, 985 kB; without, 624 kB.
+// 1.4 MB; with the query projection, 985 kB; without, 624 kB; with the
+// whitening's triangular weights in place of the rotated ones, 598 kB.
 func TestStockSnapshotSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains seven 500-row windows")

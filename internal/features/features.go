@@ -79,8 +79,9 @@ func SQLVector(sql string) ([]float64, error) {
 	return ts.Vector(), nil
 }
 
-// PerfKernelVector returns the log1p-transformed performance vector used
-// on the Y side of KCCA training.
+// PerfKernelVector returns the log1p-transformed performance vector: the
+// performance view of the two-view fits (the Sec. V-D CCA baseline, and the
+// two-view KCCA that kcca's tests hold Train to).
 func PerfKernelVector(m exec.Metrics) []float64 {
 	v := m.Vector()
 	out := make([]float64, len(v))

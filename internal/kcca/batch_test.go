@@ -52,8 +52,8 @@ func mustSameBits(t *testing.T, ctx string, got []float64, gotK float64, want []
 // vectors of the rest as queries.
 func stockModel(tb testing.TB, n, held int) (*Model, [][]float64) {
 	tb.Helper()
-	x, y := testutil.StockFeatures(testutil.StockQueries(tb, n+held))
-	m, err := Train(x.SliceRows(0, n), y.SliceRows(0, n), DefaultOptions())
+	x, _ := testutil.StockFeatures(testutil.StockQueries(tb, n+held))
+	m, err := Train(x.SliceRows(0, n), DefaultOptions())
 	if err != nil {
 		tb.Fatal(err)
 	}

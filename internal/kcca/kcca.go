@@ -1,14 +1,13 @@
 // Package kcca implements Kernel Canonical Correlation Analysis — the
-// paper's chosen technique (Sec. V-E and VI). Gaussian kernel matrices are
-// computed for the query-feature and performance-feature datasets, centered
-// in feature space, reduced via kernel PCA, and correlated with
-// regularized linear CCA in the reduced space. The result is a pair of
-// projections — the query projection KxA and performance projection KyB of
-// the paper — in which corresponding rows are maximally correlated, plus
-// the machinery to project a previously unseen query into the query
-// projection (the first step of Fig. 7's prediction pipeline). Prediction
-// reads only the query projection and the training queries' raw metrics, so
-// a trained model keeps KxA and drops KyB.
+// paper's chosen technique (Sec. V-E and VI) — as far as prediction reads
+// it. KCCA kernelizes the query and performance features with Gaussian
+// kernels, centers and reduces each by kernel PCA, and correlates the two
+// with regularized linear CCA. Prediction reads only distances in the query
+// projection KxA (Fig. 7), and with every canonical dimension kept those are
+// the whitened query-view kernel PCA's: the CCA's weights are Lx⁻ᵀU for an
+// orthogonal U, which moves no distance. So Train fits the query view alone
+// and never reads the performance data, which only labels the neighbours.
+// A model also projects previously unseen queries (Fig. 7's first step).
 package kcca
 
 import (
@@ -25,33 +24,29 @@ import (
 
 // Options configures KCCA training.
 type Options struct {
-	// TauFracX and TauFracY set the Gaussian kernel scales as fractions of
-	// the empirical variance of data-point norms. The paper uses 0.1 for
-	// query vectors and 0.2 for performance vectors. The heuristic suits
-	// data whose norms vary over orders of magnitude (like cardinality
-	// features).
-	TauFracX, TauFracY float64
-	// Rank is the kernel-PCA reduction rank per view; 0 selects an
-	// automatic rank (enough components to cover most kernel variance,
-	// capped for tractability).
+	// TauFracX sets the Gaussian kernel scale as a fraction of the empirical
+	// variance of the query vectors' norms; the paper uses 0.1. The
+	// heuristic suits data whose norms vary over orders of magnitude (like
+	// cardinality features).
+	TauFracX float64
+	// Rank is the kernel-PCA reduction rank; 0 selects an automatic rank
+	// (enough components to cover most kernel variance, capped for
+	// tractability).
 	Rank int
-	// Reg is the CCA ridge regularization; 0 selects a default.
+	// Reg is the whitening's ridge regularization; 0 selects a default.
 	Reg float64
 }
 
 // DefaultOptions returns the paper's settings.
 func DefaultOptions() Options {
-	return Options{TauFracX: 0.1, TauFracY: 0.2, Rank: 0, Reg: 1e-3}
+	return Options{TauFracX: 0.1, Rank: 0, Reg: 1e-3}
 }
 
 // Sentinel errors, for errors.Is branching by callers (core wraps these).
 var (
-	// ErrRowMismatch means the query and performance feature matrices
-	// disagree on training-query count.
-	ErrRowMismatch = errors.New("kcca: feature matrices must have equal row counts")
 	// ErrTooFew means the training set was below the five-query minimum.
 	ErrTooFew = errors.New("kcca: need at least five training queries")
-	// ErrDegenerate means a kernel matrix had no numerically significant
+	// ErrDegenerate means the kernel matrix had no numerically significant
 	// components to build a projection from.
 	ErrDegenerate = errors.New("kcca: kernel matrix has no significant components")
 )
@@ -61,24 +56,22 @@ type Model struct {
 	// X holds the training query feature matrix (needed to kernelize new
 	// queries).
 	X *linalg.Matrix
-	// TauX and TauY are the kernel scales actually used.
-	TauX, TauY float64
+	// TauX is the kernel scale actually used.
+	TauX float64
 
 	// QueryProj is the training queries' projection (N×d), the paper's
 	// KxA: row i is training query i. Derived by finish.
 	QueryProj *linalg.Matrix
 
-	// Correlations are the CCA fit's canonical correlations. Set by finish.
-	Correlations []float64
-
 	// Centering data for out-of-sample query projection.
 	rowMeansX []float64
 	grandX    float64
-	// Kernel-PCA basis for the X view: Phi = Ux·Λx^{1/2}; a new kernel
-	// vector kq maps to φq = Λx^{−1/2}·Uxᵀ·kq.
+	// Kernel-PCA basis: Phi = Ux·Λx^{1/2}; a new kernel vector kq maps to
+	// φq = Λx^{−1/2}·Uxᵀ·kq.
 	ux   *linalg.Matrix
 	lamx []float64
-	// CCA weights in reduced space.
+	// Weights from kernel-PCA coordinates to the projection: Lx⁻ᵀ from
+	// Train, Lx⁻ᵀU in files the two-view fit wrote.
 	ccaModel *cca.Model
 
 	// xT is X feature-major (one row per feature): the layout the
@@ -86,13 +79,12 @@ type Model struct {
 	xT *linalg.Matrix
 }
 
-// finish derives what a model holds beyond what training fitted — QueryProj,
-// Correlations, xT — from the fitted (or decoded) fields and the training
-// queries' kernel-PCA coordinates phiX = Ux·Λx^{1/2}, and returns the model.
-// Train and Load both end here, so a loaded model is the trained one.
+// finish derives what a model holds beyond what training fitted — QueryProj
+// and xT — from the fitted (or decoded) fields and the training queries'
+// kernel-PCA coordinates phiX = Ux·Λx^{1/2}, and returns the model. Train
+// and Load both end here, so a loaded model is the trained one.
 func (m *Model) finish(phiX *linalg.Matrix) *Model {
 	m.QueryProj = m.ccaModel.ProjectAllX(phiX)
-	m.Correlations = m.ccaModel.Correlations
 	m.xT = m.X.T()
 	return m
 }
@@ -101,9 +93,6 @@ func (m *Model) finish(phiX *linalg.Matrix) *Model {
 func applyDefaults(opt Options) Options {
 	if opt.TauFracX <= 0 {
 		opt.TauFracX = 0.1
-	}
-	if opt.TauFracY <= 0 {
-		opt.TauFracY = 0.2
 	}
 	if opt.Reg <= 0 {
 		opt.Reg = 1e-3
@@ -117,22 +106,13 @@ func applyDefaults(opt Options) Options {
 func resolveRank(n int, opt Options) int {
 	rank := opt.Rank
 	if rank <= 0 {
-		rank = n / 4
-		if rank > 80 {
-			rank = 80
-		}
-		if rank < 8 {
-			rank = 8
-		}
+		rank = min(max(n/4, 8), 80)
 	}
-	if rank > n-1 {
-		rank = n - 1
-	}
-	return rank
+	return min(rank, n-1)
 }
 
-// Training timings — the whole fit and its four stages, the two views of
-// each stage together — and one query's projection.
+// Training timings — the whole fit and its four stages — and one query's
+// projection. The cca stage is the whitening.
 var (
 	trainSeconds        = obs.GetHistogram("kcca.train.seconds")
 	kernelSeconds       = obs.GetHistogram("kcca.train.kernel.seconds")
@@ -146,70 +126,38 @@ var (
 // eigenvalues below keepFrac·max(λ₁, 1) are dropped.
 const keepFrac = 1e-10
 
-// Train fits KCCA on the query features x and performance features y (one
-// row per training query in both, same order).
-func Train(x, y *linalg.Matrix, opt Options) (*Model, error) {
+// Train fits KCCA's query projection on the query features x (one row per
+// training query): the centered Gaussian kernel of x — one n×n block, built,
+// centered and then decomposed in place — its kernel PCA, and the kernel-PCA
+// coordinates whitened with the ridged Cholesky factor of their covariance
+// (cca.Whiten). That is the two-view fit's query projection up to an
+// orthogonal rotation, so every distance the k-NN search reads is the same.
+func Train(x *linalg.Matrix, opt Options) (*Model, error) {
 	defer trainSeconds.Since(time.Now())
-	if x.Rows != y.Rows {
-		return nil, ErrRowMismatch
-	}
 	n := x.Rows
 	if n < 5 {
 		return nil, ErrTooFew
 	}
 	opt = applyDefaults(opt)
-	tauX, tauY := kernels.ScaleHeuristic(x, opt.TauFracX), kernels.ScaleHeuristic(y, opt.TauFracY)
+	tauX := kernels.ScaleHeuristic(x, opt.TauFracX)
 
-	// The query-side and performance-side views are independent until the
-	// CCA fit, so each view's kernel matrix and centering run as one
-	// parallel task, and so does each view's kernel PCA; the loops inside
-	// each task are serial. Each view has one n×n block: the kernel is
-	// centered in place, and kernel PCA then decomposes it in place.
-	var kx, ky *linalg.Matrix
-	var rowMeansX []float64
-	var grandX float64
 	start := time.Now()
-	parallel.Do(
-		func() { kx = kernels.Matrix(x, tauX); rowMeansX, grandX = kernels.Center(kx) },
-		func() { ky = kernels.Matrix(y, tauY); kernels.Center(ky) },
-	)
-	kernelSeconds.Since(start)
+	kx, rowMeansX, grandX := kernels.CenteredMatrix(x, tauX)
+	start = kernelSeconds.Since(start)
 
-	rank := resolveRank(n, opt)
-	var phiX, phiY, ux *linalg.Matrix
-	var lamx []float64
-	var errX, errY error
-	start = time.Now()
-	parallel.Do(
-		func() { phiX, ux, lamx, errX = kernelPCA(kx, rank) },
-		func() { phiY, _, _, errY = kernelPCA(ky, rank) },
-	)
-	eigenSeconds.Since(start)
-	if errX != nil {
-		return nil, errX
-	}
-	if errY != nil {
-		return nil, errY
+	phiX, ux, lamx, err := kernelPCA(kx, resolveRank(n, opt))
+	start = eigenSeconds.Since(start)
+	if err != nil {
+		return nil, err
 	}
 
-	// Every canonical dimension is kept: min(rx, ry).
-	start = time.Now()
-	cm, err := cca.Fit(phiX, phiY, 0, opt.Reg)
+	cm, err := cca.Whiten(phiX, opt.Reg)
 	ccaSeconds.Since(start)
 	if err != nil {
 		return nil, err
 	}
 
-	m := &Model{
-		X:         x.Clone(),
-		TauX:      tauX,
-		TauY:      tauY,
-		rowMeansX: rowMeansX,
-		grandX:    grandX,
-		ux:        ux,
-		lamx:      lamx,
-		ccaModel:  cm,
-	}
+	m := &Model{X: x.Clone(), TauX: tauX, rowMeansX: rowMeansX, grandX: grandX, ux: ux, lamx: lamx, ccaModel: cm}
 	defer projectSeconds.Since(time.Now())
 	return m.finish(phiX), nil
 }

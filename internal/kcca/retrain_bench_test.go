@@ -14,8 +14,8 @@ import (
 // retrain, through the whole observe path, is core's BenchmarkRetrainStock.
 //
 // Asymptotics per retrain with window N, feature dim d, reduced rank r ≤ 80:
-// an O(N²·d) kernel build + ≈ 9N³ dense eigensolve per view, plus the shared
-// O(N·r²)-ish CCA/projection tail.
+// one O(N²·d) kernel build and one ≈ 9N³ dense eigensolve, plus the
+// O(N·r²)-ish whitening and projection tail.
 
 const benchD, benchE, benchTemplates = 12, 6, 24
 
@@ -81,11 +81,11 @@ func benchViews(n int) (x, y *linalg.Matrix) {
 func BenchmarkRetrainFull(b *testing.B) {
 	for _, n := range []int{200, 1000, 4000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			x, y := benchViews(n)
+			x, _ := benchViews(n)
 			opt := DefaultOptions()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Train(x, y, opt); err != nil {
+				if _, err := Train(x, opt); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,12 +1,11 @@
 package kcca
 
 import (
-	"reflect"
+	"math"
 	"testing"
 
 	"repro/internal/kernels"
 	"repro/internal/linalg"
-	"repro/internal/parallel"
 	"repro/internal/statutil"
 )
 
@@ -26,53 +25,56 @@ func trainViews(seed int64, n, templates int, jitter float64) (x, y *linalg.Matr
 // TestTrainFlatSpectrum is the degenerate-spectrum case: twenty equally
 // weighted templates with almost no jitter at rank 3 put the rank cut inside
 // a plateau of equal eigenvalues, where which eigenvectors are kept is
-// decided by rounding alone. Train must still pick the same ones at every
-// worker count.
+// decided by rounding alone. Train must still keep the ones the two-view
+// fit keeps on its query side, bit for bit, and project every training row
+// the same distance from every other.
 func TestTrainFlatSpectrum(t *testing.T) {
 	x, y := trainViews(11, 240, 20, 1e-6)
 	opt := DefaultOptions()
 	opt.Rank = 3
-	defer parallel.SetMaxProcs(parallel.SetMaxProcs(1))
-	want, err := Train(x, y, opt)
+	one, err := Train(x, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{1, 2, 7} {
-		parallel.SetMaxProcs(w)
-		got, err := Train(x, y, opt)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: Train on a flat spectrum differs from the serial one", w)
+	two, rx, ry, err := trainTwoView(x, y, opt, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rx != 3 || ry != 3 {
+		t.Fatalf("kernel-PCA ranks %d and %d, want 3", rx, ry)
+	}
+	sameQuerySide(t, one, two)
+	for a := 0; a < x.Rows; a += 7 {
+		for b := a + 1; b < x.Rows; b += 5 {
+			d1 := linalg.Dist(one.QueryProj.Row(a), one.QueryProj.Row(b))
+			d2 := linalg.Dist(two.QueryProj.Row(a), two.QueryProj.Row(b))
+			if math.Abs(d1-d2) > 1e-9*(1+d2) {
+				t.Fatalf("rows %d, %d: %v apart, %v in the two-view fit", a, b, d1, d2)
+			}
 		}
 	}
 }
 
-// TestScales: Train's kernel scale for each view is the heuristic at that
-// view's fraction (0.1 and 0.2 when unset), independent of the other view.
+// TestScales: Train's kernel scale is the heuristic at the query fraction
+// (0.1 when unset).
 func TestScales(t *testing.T) {
-	x, y := trainViews(3, 60, 10, 0.05)
-	hx, hy := kernels.ScaleHeuristic(x, 0.1), kernels.ScaleHeuristic(y, 0.2)
-	ox, oy := kernels.ScaleHeuristic(x, 3), kernels.ScaleHeuristic(y, 0.5)
+	x, _ := trainViews(3, 60, 10, 0.05)
 	for _, tc := range []struct {
-		name         string
-		opt          Options
-		wantX, wantY float64
+		name string
+		opt  Options
+		want float64
 	}{
-		{name: "heuristic", opt: DefaultOptions(), wantX: hx, wantY: hy},
-		{name: "default fractions", opt: Options{}, wantX: hx, wantY: hy},
-		{name: "own x fraction", opt: Options{TauFracX: 3}, wantX: ox, wantY: hy},
-		{name: "own y fraction", opt: Options{TauFracY: 0.5}, wantX: hx, wantY: oy},
-		{name: "own fractions", opt: Options{TauFracX: 3, TauFracY: 0.5}, wantX: ox, wantY: oy},
+		{name: "heuristic", opt: DefaultOptions(), want: kernels.ScaleHeuristic(x, 0.1)},
+		{name: "default fraction", opt: Options{}, want: kernels.ScaleHeuristic(x, 0.1)},
+		{name: "own fraction", opt: Options{TauFracX: 3}, want: kernels.ScaleHeuristic(x, 3)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := Train(x, y, tc.opt)
+			m, err := Train(x, tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.TauX != tc.wantX || m.TauY != tc.wantY {
-				t.Fatalf("Train used (%v, %v), want (%v, %v)", m.TauX, m.TauY, tc.wantX, tc.wantY)
+			if m.TauX != tc.want {
+				t.Fatalf("Train used %v, want %v", m.TauX, tc.want)
 			}
 		})
 	}

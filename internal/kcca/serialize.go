@@ -13,17 +13,20 @@ import (
 // modelWire is the gob-encodable form of what training fitted (Model's
 // projection internals are unexported by design); Load derives the rest
 // through finish, as Train does. Files written by older builds also carry
-// the training rows' query projection, a copy of the correlations, and
-// before that the performance projection and the CCA's y-side weights; gob
-// skips them. An older build refuses a file without the query projection.
+// the performance kernel's scale TauY and the canonical correlations (in
+// CCA), before that the training rows' query projection and a copy of the
+// correlations, and before that the performance projection and the CCA's
+// y-side weights; gob skips them. Their CCA weights are Lx⁻ᵀU where Train
+// now fits Lx⁻ᵀ: U is orthogonal, so they answer as they did. An older
+// build refuses a file without the query projection, or without TauY.
 type modelWire struct {
-	X          *linalg.Matrix
-	TauX, TauY float64
-	RowMeansX  []float64
-	GrandX     float64
-	Ux         *linalg.Matrix
-	Lamx       []float64
-	CCA        *cca.Model
+	X         *linalg.Matrix
+	TauX      float64
+	RowMeansX []float64
+	GrandX    float64
+	Ux        *linalg.Matrix
+	Lamx      []float64
+	CCA       *cca.Model
 }
 
 // Save serializes the model. The paper's deployment story (Fig. 1) has the
@@ -31,7 +34,7 @@ type modelWire struct {
 // shipping format.
 func (m *Model) Save(w io.Writer) error {
 	wire := modelWire{
-		X: m.X, TauX: m.TauX, TauY: m.TauY,
+		X: m.X, TauX: m.TauX,
 		RowMeansX: m.rowMeansX, GrandX: m.grandX,
 		Ux: m.ux, Lamx: m.lamx, CCA: m.ccaModel,
 	}
@@ -56,7 +59,7 @@ func Load(r io.Reader) (*Model, error) {
 		return nil, err
 	}
 	return (&Model{
-		X: wire.X, TauX: wire.TauX, TauY: wire.TauY,
+		X: wire.X, TauX: wire.TauX,
 		rowMeansX: wire.RowMeansX, grandX: wire.GrandX,
 		ux: wire.Ux, lamx: wire.Lamx, ccaModel: wire.CCA,
 	}).finish(scaledBasis(wire.Ux, wire.Lamx)), nil
@@ -95,8 +98,8 @@ func (w *modelWire) validate() error {
 			return fmt.Errorf("kcca: decoded model eigenvalue %d is %v, want positive and finite", i, l)
 		}
 	}
-	if !(w.TauX > 0) || math.IsInf(w.TauX, 0) || !(w.TauY > 0) || math.IsInf(w.TauY, 0) {
-		return fmt.Errorf("kcca: decoded model kernel scales (%v, %v) must be positive and finite", w.TauX, w.TauY)
+	if !(w.TauX > 0) || math.IsInf(w.TauX, 0) {
+		return fmt.Errorf("kcca: decoded model kernel scale %v must be positive and finite", w.TauX)
 	}
 	if w.CCA == nil {
 		return fmt.Errorf("kcca: decoded model has no CCA weights")

@@ -1,10 +1,13 @@
 package kernels
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/obs"
 	"repro/internal/statutil"
+	"repro/internal/testutil"
 )
 
 // The kernel matrix, the cross vector and the centering are held bit for bit
@@ -74,6 +77,34 @@ func TestCenterMatchesFormula(t *testing.T) {
 	}
 }
 
+// TestCenteredMatrixIsCenterOfMatrix: CenteredMatrix is Center(Matrix(x,
+// tau)) bit for bit — the matrix, the row means and the grand mean — at row
+// counts that cross the 16-row strips its row means are taken by.
+func TestCenteredMatrixIsCenterOfMatrix(t *testing.T) {
+	for _, n := range []int{1, 2, 15, 16, 17, 33, 257} {
+		for _, d := range []int{1, 6, 24} {
+			x := randMatrix(int64(7*n+d), n, d)
+			tau := ScaleHeuristic(x, 0.1)
+			want := Matrix(x, tau)
+			wantRM, wantGM := Center(want)
+			got, gotRM, gotGM := CenteredMatrix(x, tau)
+			if math.Float64bits(gotGM) != math.Float64bits(wantGM) {
+				t.Fatalf("n=%d d=%d: grand mean %v, Center %v", n, d, gotGM, wantGM)
+			}
+			for i, v := range wantRM {
+				if math.Float64bits(gotRM[i]) != math.Float64bits(v) {
+					t.Fatalf("n=%d d=%d: row mean %d = %v, Center %v", n, d, i, gotRM[i], v)
+				}
+			}
+			for i, v := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+					t.Fatalf("n=%d d=%d: element %d = %v, Center %v", n, d, i, got.Data[i], v)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkCrossVector is the cross-kernel at the daemon's shape (800
 // training rows × 24 plan features): one Gaussian per row, and the predict
 // path's feature-major form on the AVX2 kernels (where the host has them) and
@@ -99,4 +130,32 @@ func BenchmarkCrossVector(b *testing.B) {
 	b.Run("CrossVectorColsInto", cols)
 	defer linalg.SetVectorKernels(linalg.SetVectorKernels(false))
 	b.Run("CrossVectorColsIntoPortable", cols)
+}
+
+// BenchmarkCenteredMatrix is the training kernel at the daemon's boot shape
+// (the 800 stock queries' plan features), centered: Matrix then Center,
+// which reads the finished matrix twice, against CenteredMatrix, which takes
+// the row means strip by strip while each strip is in cache. It reports
+// both timers in ms per op: the row means move from kernels.center to
+// kernels.matrix.
+func BenchmarkCenteredMatrix(b *testing.B) {
+	x, _ := testutil.StockFeatures(testutil.StockQueries(b, testutil.StockTrain))
+	tau := ScaleHeuristic(x, 0.1)
+	for _, bc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"MatrixThenCenter", func() { Center(Matrix(x, tau)) }},
+		{"CenteredMatrix", func() { CenteredMatrix(x, tau) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			obs.Reset()
+			for i := 0; i < b.N; i++ {
+				bc.fn()
+			}
+			for _, stage := range []string{"kernels.matrix", "kernels.center"} {
+				b.ReportMetric(obs.GetHistogram(stage+".seconds").Sum()*1e3/float64(b.N), stage+"-ms/op")
+			}
+		})
+	}
 }

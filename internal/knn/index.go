@@ -12,10 +12,10 @@
 // and a scorer that profits from it:
 //
 //   - The rows are sorted once by their first coordinate — for a KCCA
-//     projection the leading canonical direction (cca.Fit returns the
-//     correlations in descending order) — and a search takes them in blocks
-//     of blockCols, outward from the block the query's first coordinate
-//     falls in, so the heap holds near neighbors early.
+//     projection the leading kernel-PCA component, whitened (Lx⁻ᵀ is
+//     triangular) — and a search takes them in blocks of blockCols, outward
+//     from the block the query's first coordinate falls in, so the heap
+//     holds near neighbors early.
 //   - Euclidean candidates are scored four at a time, and a group is dropped
 //     part-way through its distance sums once none of it can enter the
 //     result (abandonSlack): the nearer the heap's neighbors, the more fall.

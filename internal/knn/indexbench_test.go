@@ -129,8 +129,8 @@ func BenchmarkNearestStock(b *testing.B) {
 // train queries of a dataset.Generate workload and projects held further
 // queries of the same workload.
 func stockProjection(tb testing.TB, train, held int) (*kcca.Model, [][]float64) {
-	x, y := testutil.StockFeatures(testutil.StockQueries(tb, train+held))
-	m, err := kcca.Train(x.SliceRows(0, train), y.SliceRows(0, train), kcca.DefaultOptions())
+	x, _ := testutil.StockFeatures(testutil.StockQueries(tb, train+held))
+	m, err := kcca.Train(x.SliceRows(0, train), kcca.DefaultOptions())
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -400,17 +400,3 @@ func fromColumns(cols [][]float64, r int) *Matrix {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -1,7 +1,7 @@
 // Package parallel runs whole independent tasks on the available cores: the
-// two views of a KCCA fit, the queries of a prediction batch, the scenarios
-// of a what-if sweep. Loops inside the numeric kernels stay serial; a task
-// is the unit of parallel work.
+// queries of a prediction batch, the scenarios of a what-if sweep. Loops
+// inside the numeric kernels stay serial; a task is the unit of parallel
+// work.
 //
 // Determinism contract: For calls fn exactly once per index, so callers that
 // write only to per-index outputs produce the same result at every worker
@@ -17,16 +17,16 @@ import (
 	"repro/internal/obs"
 )
 
-// forCalls counts For calls (Do calls included), one atomic add each.
+// forCalls counts For calls, one atomic add each.
 var forCalls = obs.GetCounter("parallel.for.calls")
 
-// maxProcs, when positive, caps the number of goroutines a single For/Do
+// maxProcs, when positive, caps the number of goroutines a single For
 // call may use. Zero (the default) means "use GOMAXPROCS".
 var maxProcs atomic.Int64
 
 // SetMaxProcs overrides the per-call worker cap and returns the previous
 // override (0 if none was set). Passing 0 restores the GOMAXPROCS default;
-// passing 1 runs every subsequent For/Do on the caller. Tests use it to
+// passing 1 runs every subsequent For on the caller. Tests use it to
 // sweep worker counts:
 //
 //	defer parallel.SetMaxProcs(parallel.SetMaxProcs(7))
@@ -80,11 +80,4 @@ func For(n int, fn func(i int)) {
 	}
 	run()
 	wg.Wait()
-}
-
-// Do runs the functions concurrently and waits for all of them: the
-// fan-out for a handful of heterogeneous tasks, such as the query-side and
-// performance-side halves of a KCCA fit.
-func Do(fns ...func()) {
-	For(len(fns), func(i int) { fns[i]() })
 }

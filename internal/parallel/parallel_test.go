@@ -99,29 +99,16 @@ func TestForLeavesNoGoroutine(t *testing.T) {
 	}
 }
 
-func TestDoRunsAll(t *testing.T) {
-	var a, b, c atomic.Int32
-	Do()
-	Do(func() { a.Add(1) })
-	Do(func() { a.Add(1) }, func() { b.Add(1) }, func() { c.Add(1) })
-	if a.Load() != 2 || b.Load() != 1 || c.Load() != 1 {
-		t.Fatalf("Do counts: %d %d %d", a.Load(), b.Load(), c.Load())
-	}
-}
-
-// TestNestedForDoesNotDeadlock: For and Do inside For and Do all finish,
-// at every worker count.
+// TestNestedForDoesNotDeadlock: For inside For finishes, at every worker
+// count, whether the outer call has more indexes than workers or fewer.
 func TestNestedForDoesNotDeadlock(t *testing.T) {
 	for _, w := range workerCounts() {
 		defer SetMaxProcs(SetMaxProcs(w))
 		var total atomic.Int64
-		inner := func() {
-			For(16, func(int) { total.Add(1) })
-			Do(func() { total.Add(1) }, func() { total.Add(1) })
-		}
-		For(16, func(int) { inner() })
-		Do(inner, inner)
-		if want := int64(18 * 18); total.Load() != want {
+		inner := func(int) { For(16, func(int) { total.Add(1) }) }
+		For(16, inner)
+		For(2, inner)
+		if want := int64(18 * 16); total.Load() != want {
 			t.Fatalf("w=%d: nested calls ran %d bodies, want %d", w, total.Load(), want)
 		}
 	}

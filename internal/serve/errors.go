@@ -50,8 +50,7 @@ func apiError(err error) *api.Error {
 		errors.Is(err, core.ErrEmptyRequest),
 		errors.Is(err, core.ErrTooFewQueries),
 		errors.Is(err, core.ErrEmptyWindow),
-		errors.Is(err, kcca.ErrTooFew),
-		errors.Is(err, kcca.ErrRowMismatch):
+		errors.Is(err, kcca.ErrTooFew):
 		code = api.CodeBadRequest
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		code = api.CodeTimeout

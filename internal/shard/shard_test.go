@@ -498,6 +498,62 @@ func TestRetrainFailureKeepsServing(t *testing.T) {
 	}
 }
 
+// TestEqualMetricsWindowServes: a window whose observed metrics are all
+// equal but whose plans differ trains and serves. A retrain fits the query
+// view alone, so a performance view without spread — on which the two-view
+// fit failed with kcca.ErrDegenerate — refuses nothing: the retrain counts
+// no error, the shard serves its generation, and every probe is predicted
+// at the one observed value.
+func TestEqualMetricsWindowServes(t *testing.T) {
+	pool, _ := fixture(t)
+	zero := funcPartitioner{n: "zero", f: func(*dataset.Query) (int, error) { return 0, nil }}
+	r, err := NewRouter([]ShardConfig{{Sliding: newSliding(t, 5, 5)}}, zero, Config{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	sh := r.Shard(0)
+	errsBefore := retrainErrors.Value()
+
+	want := pool.Queries[7]
+	window := make([]*dataset.Query, 5)
+	for i := range window {
+		q := *pool.Queries[i]
+		q.Metrics, q.Category = want.Metrics, want.Category
+		window[i] = &q
+	}
+	if _, err := r.ObserveBatch(window); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); sh.Observed() < 5; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("observe loop stuck at %d of 5 observations", sh.Observed())
+		}
+	}
+
+	if got := retrainErrors.Value() - errsBefore; got != 0 {
+		t.Fatalf("serve.retrain.errors moved by %d, want 0", got)
+	}
+	if !sh.Ready() {
+		t.Fatal("no generation after a full window of distinct plans with equal metrics")
+	}
+	gen := sh.Model().Gen
+	wantV := want.Metrics.Vector()
+	for i, o := range r.Predict(context.Background(), pool.Queries[120:140]) {
+		if o.Err != nil || o.Res.Err != nil {
+			t.Fatalf("probe %d: %v, %v", i, o.Err, o.Res.Err)
+		}
+		if o.Gen != gen {
+			t.Fatalf("probe %d: served by generation %d, want %d", i, o.Gen, gen)
+		}
+		for j, v := range o.Res.Prediction.Metrics.Vector() {
+			if math.Abs(v-wantV[j]) > 1e-12*math.Abs(wantV[j]) {
+				t.Fatalf("probe %d: metric %d predicted %v, every observation %v", i, j, v, wantV[j])
+			}
+		}
+	}
+}
+
 // TestRetrainReleasesBeforePublish: the observe loop hands a retrain's
 // working set back to the OS once per retrain attempt and before the
 // publish — a successful retrain releases while the slot still serves the

@@ -32,9 +32,10 @@ func StockQueries(tb testing.TB, count int) []*dataset.Query {
 	return ds.Queries
 }
 
-// StockFeatures returns the KCCA inputs core.Train extracts from executed
-// queries under its default options: plan feature vectors and performance
-// kernel vectors, one row per query.
+// StockFeatures returns, one row per query, the plan feature vectors
+// core.Train extracts from executed queries under its default options, and
+// the performance kernel vectors the two-view fits (kcca's reference in
+// tests, the CCA baseline) pair with them.
 func StockFeatures(qs []*dataset.Query) (x, y *linalg.Matrix) {
 	xRows, yRows := make([][]float64, len(qs)), make([][]float64, len(qs))
 	for i, q := range qs {
