@@ -395,6 +395,50 @@ func TestPredictHotAllocs(t *testing.T) {
 	}
 }
 
+// predictColdByteBound is what a cold 64-query Predict may allocate per
+// query with no prediction cache to insert into: its share of the call's
+// prediction and result slabs and its neighbour list — 230 B, 966 while
+// each projection and each combined metrics vector was its own allocation —
+// with headroom for a pool a collection empties. A projection (80 floats, 640 B) allocated per query
+// would exceed it on its own.
+const predictColdByteBound = 512
+
+// TestPredictColdBytes is the guard on a cold batch's garbage: 64 distinct
+// vectors, every one projected and searched, on the stock model. The
+// projections are rows of a pooled slab that Predict hands back.
+func TestPredictColdBytes(t *testing.T) {
+	p, reqs := stockFixture(t, false)
+	bare := withCache(p, nil)
+	vecs := vectorRequests(t, p, reqs[:3*64])
+	predict := func(k int) {
+		for _, r := range bare.Predict(vecs[k%3*64 : k%3*64+64]...) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+	}
+	predict(0) // fill the pools
+	const calls = 30
+	misses := projMisses.Value()
+	var start, end runtime.MemStats
+	runtime.ReadMemStats(&start)
+	for k := 0; k < calls; k++ {
+		predict(k)
+	}
+	runtime.ReadMemStats(&end)
+	if n := projMisses.Value() - misses; n != calls*64 {
+		t.Fatalf("%d of %d vectors computed", n, calls*64)
+	}
+	perQuery := float64(end.TotalAlloc-start.TotalAlloc) / (calls * 64)
+	t.Logf("cold 64-query Predict: %.0f B per query", perQuery)
+	if testutil.RaceEnabled {
+		t.Skip("race detector enabled; skipping byte bound")
+	}
+	if perQuery > predictColdByteBound {
+		t.Errorf("a cold 64-query Predict allocates %.0f B per query, bound %d", perQuery, predictColdByteBound)
+	}
+}
+
 // BenchmarkPredictCold64 is Predictor.Predict on 64-request batches at the
 // daemon's shape (800 training queries, automatic rank) with the prediction
 // cache never hitting except on vectors repeated within a batch: 32 batches

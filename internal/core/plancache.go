@@ -15,10 +15,11 @@ var (
 	planMisses = obs.GetCounter("core.plancache.misses")
 )
 
-// defaultPlanCacheCap bounds the plan cache. An entry is its SQL key, the
-// feature vector, a cost-only plan and the entry's memo: about 600 bytes
-// beside the key for a stock statement, and under 1 KiB beside it for any
-// statement the planner accepts, however deep. Template workloads cycle
+// defaultPlanCacheCap bounds the plan cache. An entry is its SQL key and one
+// object holding the query, its feature vector, a cost-only plan and the
+// entry's memo: about 600 bytes beside the key for a stock statement, the
+// LRU's element and the memo's cost bytes included, and under 1 KiB beside
+// it for any statement the planner accepts, however deep. Template workloads cycle
 // through a bounded set of rendered SQL strings, so this comfortably covers
 // them while bounding adversarial churn; the key itself is bounded only by
 // the caller.
@@ -35,10 +36,14 @@ const defaultPlanCacheCap = 4096
 // An entry keeps only what serving reads: the SQL, the memoized PlanFeat
 // vector and the optimizer cost, as a cost-only plan (Plan.Root nil), and a
 // dataset.PlanMemo holding PlanFeat's Fingerprint and a slot for the cost's
-// JSON bytes. The AST and the plan tree are dropped at insert: nothing after
-// planning reads either. PlanFeat and the fingerprint are computed once at
-// insert, so every downstream feature extraction — prediction, window
-// retrains, fingerprint routing — skips the plan walk and the hash.
+// JSON bytes — one allocation (planEntry). The AST and the plan tree are
+// dropped at insert: nothing after planning reads either. When the pipeline
+// planned them in a dataset.Workspace (serve.NewPlanner's does), the miss
+// hands the workspace back right there, so the next miss parses and plans
+// into the same memory and a miss allocates only its entry. PlanFeat and the
+// fingerprint are computed once at insert, so every downstream feature
+// extraction — prediction, window retrains, fingerprint routing — skips the
+// plan walk and the hash.
 //
 // Each entry is an immutable prototype. Shared hands it out as it is, to
 // readers that only read (the predict path), so a hit allocates nothing.
@@ -65,7 +70,9 @@ type PlanCache struct {
 // entirely (Plan becomes a passthrough — the uncached baseline for
 // benchmarks). The PlanFunc must be pure in the SQL text and must return a
 // freshly planned, unexecuted query (Metrics and Category unset), which is
-// what every planner in this repository does.
+// what every planner in this repository does. A query it returns with a
+// Workspace is released once the entry is made; the passthrough never
+// releases one, so give it a pipeline whose trees the caller may keep.
 func NewPlanCache(capacity int, plan PlanFunc) *PlanCache {
 	c := &PlanCache{plan: plan}
 	if capacity < 0 {
@@ -110,16 +117,29 @@ func (c *PlanCache) Shared(sql string) (*dataset.Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	q.AST = nil
+	e := &planEntry{q: *q}
+	e.q.AST, e.q.Workspace = nil, nil
 	if q.Plan != nil {
-		if q.PlanFeat == nil {
-			q.PlanFeat = features.PlanVector(q.Plan)
+		if e.q.PlanFeat == nil {
+			e.q.PlanFeat = features.PlanVectorInto(&e.feat, q.Plan)
 		}
-		q.Plan = &optimizer.Plan{Cost: q.Plan.Cost}
-		q.Memo = &dataset.PlanMemo{Fingerprint: Fingerprint(q.PlanFeat)}
+		e.plan.Cost = q.Plan.Cost
+		e.q.Plan = &e.plan
+		e.memo.Fingerprint = Fingerprint(e.q.PlanFeat)
+		e.q.Memo = &e.memo
 	}
-	c.protos.put(sql, q)
-	return q, nil
+	q.Workspace.Release()
+	c.protos.put(sql, &e.q)
+	return &e.q, nil
+}
+
+// planEntry is a plan-cache entry in one allocation: the prototype, its
+// feature vector, its cost-only plan and its memo.
+type planEntry struct {
+	q    dataset.Query
+	feat [features.PlanVectorLen]float64
+	plan optimizer.Plan
+	memo dataset.PlanMemo
 }
 
 // Len reports the current entry count (0 when disabled).

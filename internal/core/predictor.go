@@ -416,7 +416,8 @@ func (p *Predictor) predictProjected(f, proj []float64, maxK float64) (Predictio
 // the query's largest raw kernel similarity against the training set,
 // computed by the projection step.
 func (p *Predictor) combine(maxK float64, nbs []knn.Neighbor) Prediction {
-	vals := knn.Combine(p.perfRaw, nbs, p.opt.KNN.Weighting)
+	var vals [exec.NumMetrics]float64
+	knn.CombineInto(vals[:], p.perfRaw, nbs, p.opt.KNN.Weighting)
 	// Confidence combines projection-space neighbor distance with the raw
 	// kernel similarity: a query far outside the training distribution has
 	// a numerically zero kernel vector, so its projection coordinates are
@@ -429,7 +430,7 @@ func (p *Predictor) combine(maxK float64, nbs []knn.Neighbor) Prediction {
 	}
 	conf := knn.Confidence(nbs, p.confScale) * kfac
 	return Prediction{
-		Metrics:    exec.MetricsFromVector(vals),
+		Metrics:    exec.MetricsFromVector(vals[:]),
 		Confidence: conf,
 		Neighbors:  nbs,
 	}

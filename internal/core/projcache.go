@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"repro/internal/features"
 	"repro/internal/obs"
 )
 
@@ -57,10 +58,13 @@ func (c *projCache) key(f []float64) uint64 {
 }
 
 // projEntry is immutable once stored: get reads it outside the lock, and put
-// replaces an entry rather than writing into it.
+// replaces an entry rather than writing into it. An entry is one object: a
+// plan feature vector is copied into keyBuf, and the memo lives in it too.
 type projEntry struct {
-	key  []float64  // the feature vector, copied at insert
-	pred Prediction // pred.Neighbors is shared with every caller served: read-only
+	key    []float64  // the feature vector, copied at insert
+	pred   Prediction // pred.Neighbors is shared with every caller served: read-only
+	memo   Memo
+	keyBuf [features.PlanVectorLen]float64
 }
 
 func newProjCache(capacity int) *projCache {
@@ -97,9 +101,15 @@ func (c *projCache) put(fp uint64, f []float64, pred Prediction) *Memo {
 	if c == nil {
 		return nil
 	}
-	pred.Memo = new(Memo)
-	c.entries.put(fp, &projEntry{key: append([]float64(nil), f...), pred: pred})
-	return pred.Memo
+	e := &projEntry{pred: pred}
+	if len(f) <= len(e.keyBuf) {
+		e.key = append(e.keyBuf[:0:len(f)], f...)
+	} else {
+		e.key = append([]float64(nil), f...)
+	}
+	e.pred.Memo = &e.memo
+	c.entries.put(fp, e)
+	return e.pred.Memo
 }
 
 // len reports the current entry count (for tests).

@@ -169,11 +169,12 @@ func (p *Predictor) compute(items []batchItem, miss []int, preds []Prediction, o
 	for k, i := range miss {
 		qs[k] = items[i].f
 	}
-	projs, maxKs := p.model.ProjectBatch(qs)
+	projs := p.model.ProjectBatch(qs)
 	parallel.For(len(miss), func(k int) {
 		i := miss[k]
-		preds[i], out[i].Err = p.predictProjected(qs[k], projs[k], maxKs[k])
+		preds[i], out[i].Err = p.predictProjected(qs[k], projs.Row(k), projs.MaxK[k])
 	})
+	projs.Release() // no prediction keeps its projection
 	// Inserted in request order, not completion order, so what an LRU at
 	// capacity evicts does not depend on scheduling. Errors are never cached.
 	// The computed prediction leaves with its new entry's memo, like every

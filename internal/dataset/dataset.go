@@ -7,12 +7,14 @@ package dataset
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/optimizer"
 	"repro/internal/sqlgen"
+	"repro/internal/sqlparse"
 	"repro/internal/statutil"
 	"repro/internal/workload"
 )
@@ -44,7 +46,49 @@ type Query struct {
 	// to nil. It is never persisted: snapshots, the WAL and dataset files
 	// hold the SQL and re-plan it.
 	Memo *PlanMemo
+	// Workspace, when non-nil, is the storage AST and Plan were carved
+	// from, and this Query itself lives in it. Whoever drops the trees
+	// releases it once nothing reads them — core.PlanCache does, on a miss,
+	// after reading the feature vector and the cost.
+	Workspace *Workspace
 }
+
+// Workspace is the storage of one SQL → plan run whose trees die with it:
+// the parse tree, the plan tree and the planned Query. A released
+// workspace goes back to a pool for the next run, so a plan-cache miss
+// allocates only what the cache keeps.
+type Workspace struct {
+	AST   sqlparse.Arena
+	Plan  optimizer.Arena
+	Query Query
+}
+
+// MaxPooledWorkspace is the most storage a released workspace may keep and
+// still be pooled: a stock statement's trees take a few kilobytes, a hostile
+// one (thousands of nested subqueries) megabytes. It bounds only what the
+// pool retains; a statement of any size still plans.
+const MaxPooledWorkspace = 64 << 10
+
+var workspaces = sync.Pool{New: func() any { return new(Workspace) }}
+
+// GetWorkspace returns a workspace from the pool, or a new one.
+func GetWorkspace() *Workspace { return workspaces.Get().(*Workspace) }
+
+// Release poisons everything carved from w and pools it, unless it grew
+// past MaxPooledWorkspace, in which case it is dropped. Nothing carved from
+// w may be read afterwards. A nil w is a no-op.
+func (w *Workspace) Release() {
+	if w == nil || w.Bytes() > MaxPooledWorkspace {
+		return
+	}
+	w.AST.Reset()
+	w.Plan.Reset()
+	w.Query = Query{ID: -1}
+	workspaces.Put(w)
+}
+
+// Bytes reports the storage w keeps between runs.
+func (w *Workspace) Bytes() int { return w.AST.Bytes() + w.Plan.Bytes() }
 
 // PlanMemo is what a plan-cache entry computes once from its planned query
 // so that a repeat of the SQL costs a lookup instead of the work again.

@@ -36,7 +36,12 @@ const PlanVectorLen = 2 * optimizer.NumOpTypes
 // PlanVector computes the query plan feature vector from estimated
 // cardinalities.
 func PlanVector(p *optimizer.Plan) []float64 {
-	out := make([]float64, PlanVectorLen)
+	return PlanVectorInto(new([PlanVectorLen]float64), p)
+}
+
+// PlanVectorInto is PlanVector written into out, which it returns as a
+// slice; out must be zero.
+func PlanVectorInto(out *[PlanVectorLen]float64, p *optimizer.Plan) []float64 {
 	p.Root.Walk(func(n *optimizer.Node) {
 		i := int(n.Op)
 		out[2*i]++
@@ -45,7 +50,7 @@ func PlanVector(p *optimizer.Plan) []float64 {
 	for i := 0; i < optimizer.NumOpTypes; i++ {
 		out[2*i+1] = math.Log1p(out[2*i+1])
 	}
-	return out
+	return out[:]
 }
 
 // PlanVectorRaw computes the plan feature vector with RAW cardinality sums

@@ -101,13 +101,14 @@ func TestProjectBatchMatchesReference(t *testing.T) {
 		parallel.SetMaxProcs(w)
 		for _, size := range []int{0, 1, 2, 3, 4, 5, 63, 64, 65, 67} {
 			for name, model := range map[string]*Model{"trained": m, "loaded": loaded} {
-				gotP, gotK := model.ProjectBatch(qs[:size])
-				if len(gotP) != size || len(gotK) != size {
-					t.Fatalf("%s workers=%d size=%d: %d projections, %d kernels", name, w, size, len(gotP), len(gotK))
+				got := model.ProjectBatch(qs[:size])
+				if len(got.MaxK) != size {
+					t.Fatalf("%s workers=%d size=%d: %d projections", name, w, size, len(got.MaxK))
 				}
-				for i := range gotP {
-					mustSameBits(t, fmt.Sprintf("%s workers=%d size=%d query %d", name, w, size, i), gotP[i], gotK[i], wantP[i], wantK[i])
+				for i := range got.MaxK {
+					mustSameBits(t, fmt.Sprintf("%s workers=%d size=%d query %d", name, w, size, i), got.Row(i), got.MaxK[i], wantP[i], wantK[i])
 				}
+				got.Release() // poisoned: the next batch must overwrite every row
 			}
 		}
 	}
@@ -137,10 +138,11 @@ func TestProjectExactZeroKernelValue(t *testing.T) {
 		t.Fatalf("centered kernel value at row %d is %v, the construction wants exactly 0", row, c[row])
 	}
 
-	gotP, gotK := m.ProjectBatch(qs)
+	got := m.ProjectBatch(qs)
+	defer got.Release()
 	for i, q := range qs {
 		wantP, wantK := referenceProject(m, q)
-		mustSameBits(t, fmt.Sprintf("query %d", i), gotP[i], gotK[i], wantP, wantK)
+		mustSameBits(t, fmt.Sprintf("query %d", i), got.Row(i), got.MaxK[i], wantP, wantK)
 		for _, v := range wantP {
 			if finite := !math.IsNaN(v) && !math.IsInf(v, 0); finite != (i == 0) {
 				t.Fatalf("query %d: reference coordinate %v; only the zeroed query should stay finite", i, v)
@@ -160,7 +162,7 @@ func BenchmarkProjectBatch(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i += size {
 				lo := i % (len(qs) - size + 1)
-				m.ProjectBatch(qs[lo : lo+size])
+				m.ProjectBatch(qs[lo : lo+size]).Release()
 			}
 		})
 	}

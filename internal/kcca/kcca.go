@@ -13,6 +13,8 @@ package kcca
 import (
 	"errors"
 	"math"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/cca"
@@ -219,6 +221,13 @@ func (m *Model) ProjectQuery(q []float64) []float64 {
 // goroutine; every intermediate lives in one leased scratch buffer, so the
 // only allocation is the returned coordinate slice.
 func (m *Model) ProjectQueryKernel(q []float64) (proj []float64, maxK float64) {
+	proj = make([]float64, m.Dims())
+	return proj, m.projectInto(proj, q)
+}
+
+// projectInto is ProjectQueryKernel writing the projection into proj
+// (length Dims()), which it overwrites whole.
+func (m *Model) projectInto(proj, q []float64) (maxK float64) {
 	defer projectQuerySeconds.Since(time.Now())
 	n, r := m.X.Rows, len(m.lamx)
 	scratch := kernels.GetScratch(n + r)
@@ -237,20 +246,59 @@ func (m *Model) ProjectQueryKernel(q []float64) (proj []float64, maxK float64) {
 	for j := range phi {
 		phi[j] = phi[j]/math.Sqrt(m.lamx[j]) - m.ccaModel.MeanX[j]
 	}
-	proj = make([]float64, m.ccaModel.WX.Cols)
 	m.ccaModel.WX.TMulVecInto(proj, phi)
-	return proj, maxK
+	return maxK
 }
 
 // ProjectBatch is ProjectQueryKernel for every query of qs, bit for bit,
-// with one query per parallel task.
-func (m *Model) ProjectBatch(qs [][]float64) (projs [][]float64, maxKs []float64) {
-	projs = make([][]float64, len(qs))
-	maxKs = make([]float64, len(qs))
+// with one query per parallel task. The projections are rows of one slab
+// leased from a pool, which the caller hands back with Release once it has
+// read them.
+func (m *Model) ProjectBatch(qs [][]float64) *Projections {
+	p := projectionsPool.Get().(*Projections)
+	p.dims = m.Dims()
+	p.rows = slices.Grow(p.rows[:0], len(qs)*p.dims)[:len(qs)*p.dims]
+	p.MaxK = slices.Grow(p.MaxK[:0], len(qs))[:len(qs)]
 	parallel.For(len(qs), func(i int) {
-		projs[i], maxKs[i] = m.ProjectQueryKernel(qs[i])
+		p.MaxK[i] = m.projectInto(p.Row(i), qs[i])
 	})
-	return projs, maxKs
+	return p
+}
+
+// Projections is what ProjectBatch computed: query i's projection is
+// Row(i), its largest raw kernel value MaxK[i].
+type Projections struct {
+	MaxK []float64
+	rows []float64
+	dims int
+}
+
+// Row returns query i's projection.
+func (p *Projections) Row(i int) []float64 {
+	return p.rows[i*p.dims : (i+1)*p.dims : (i+1)*p.dims]
+}
+
+// maxPooledProjections is the most floats a released Projections may hold
+// and still be pooled: a 64-query batch at rank 80 holds 5,184.
+const maxPooledProjections = 1 << 16
+
+var projectionsPool = sync.Pool{New: func() any { return new(Projections) }}
+
+// Release poisons p with NaN and hands it back to ProjectBatch's pool (or
+// drops it, when an unusually large batch grew it). Nothing read from p may
+// be used afterwards.
+func (p *Projections) Release() {
+	if cap(p.rows)+cap(p.MaxK) > maxPooledProjections {
+		return
+	}
+	nan := math.NaN()
+	for i := range p.rows {
+		p.rows[i] = nan
+	}
+	for i := range p.MaxK {
+		p.MaxK[i] = nan
+	}
+	projectionsPool.Put(p)
 }
 
 // TrainingKernelInto sets out[j] to the kernel value of training points i

@@ -199,21 +199,26 @@ func TestOneViewKeepsTwoViewNeighbours(t *testing.T) {
 		windows = append(windows, window{path, wx, wy})
 	}
 
+	// The windows are independent fits, each on one goroutine: they run
+	// side by side.
 	for _, w := range windows {
-		one, err := Train(w.x, DefaultOptions())
-		if err != nil {
-			t.Fatalf("%s: %v", w.name, err)
-		}
-		two, rx, ry, err := trainTwoView(w.x, w.y, DefaultOptions(), 0.2)
-		if err != nil {
-			t.Fatalf("%s: two-view fit: %v", w.name, err)
-		}
-		sameQuerySide(t, one, two)
-		if ry < rx {
-			t.Fatalf("%s: performance rank %d below query rank %d: the two-view fit drops directions", w.name, ry, rx)
-		}
-		ties, worst := neighbourTies(t, w.name, one, two, held)
-		t.Logf("%s: n=%d rx=%d ry=%d: %d of %d neighbour lists differ at near-ties, widest gap %.2g",
-			w.name, w.x.Rows, rx, ry, ties, held.Rows, worst)
+		t.Run(w.name, func(t *testing.T) {
+			t.Parallel()
+			one, err := Train(w.x, DefaultOptions())
+			if err != nil {
+				t.Fatalf("%s: %v", w.name, err)
+			}
+			two, rx, ry, err := trainTwoView(w.x, w.y, DefaultOptions(), 0.2)
+			if err != nil {
+				t.Fatalf("%s: two-view fit: %v", w.name, err)
+			}
+			sameQuerySide(t, one, two)
+			if ry < rx {
+				t.Fatalf("%s: performance rank %d below query rank %d: the two-view fit drops directions", w.name, ry, rx)
+			}
+			ties, worst := neighbourTies(t, w.name, one, two, held)
+			t.Logf("%s: n=%d rx=%d ry=%d: %d of %d neighbour lists differ at near-ties, widest gap %.2g",
+				w.name, w.x.Rows, rx, ry, ties, held.Rows, worst)
+		})
 	}
 }

@@ -197,7 +197,12 @@ func less(a, b Neighbor) bool {
 // rank order, whose terms are no larger than the values themselves; every
 // component that is finite the first way keeps its bits.
 func Combine(values *linalg.Matrix, neighbors []Neighbor, w Weighting) []float64 {
-	out := make([]float64, values.Cols)
+	return CombineInto(make([]float64, values.Cols), values, neighbors, w)
+}
+
+// CombineInto is Combine written into out (length values.Cols, all zero),
+// which it returns.
+func CombineInto(out []float64, values *linalg.Matrix, neighbors []Neighbor, w Weighting) []float64 {
 	if len(neighbors) == 0 {
 		return out
 	}

@@ -8,8 +8,6 @@ import (
 	"repro/internal/obs"
 )
 
-var svdSeconds = obs.GetHistogram("linalg.svd.seconds")
-
 // SVDFactor holds the singular values and left singular vectors of a thin
 // singular value decomposition A = U · diag(S) · Vᵀ, with S sorted
 // descending and U of size m x p where p = min(m, n). V is not computed:
@@ -21,9 +19,11 @@ type SVDFactor struct {
 
 // SVD computes the singular values and left singular vectors of a. For
 // matrices with more columns than rows the decomposition is computed on
-// the transpose, whose right singular vectors are a's left ones.
+// the transpose, whose right singular vectors are a's left ones. Its timer,
+// linalg.svd.seconds, is registered at the first call: no KCCA fit runs an
+// SVD, so a daemon never lists one.
 func SVD(a *Matrix) (*SVDFactor, error) {
-	defer svdSeconds.Since(time.Now())
+	defer obs.GetHistogram("linalg.svd.seconds").Since(time.Now())
 	if min(a.Rows, a.Cols) == 0 {
 		return &SVDFactor{U: NewMatrix(a.Rows, 0)}, nil
 	}

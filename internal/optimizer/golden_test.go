@@ -273,12 +273,15 @@ const fnvOffset = 14695981039346656037
 // node (op, table, widths, flags, column counts, child count, the four
 // cardinalities' bits) plus Plan.Tables; or, on failure, the stage and a
 // hash of the error text.
-func planDigest(c goldenCase) string {
-	ast, err := sqlparse.Parse(c.sql)
+func planDigest(c goldenCase) string { return planDigestIn(c, nil, nil) }
+
+// planDigestIn is planDigest with the trees carved from the two arenas.
+func planDigestIn(c goldenCase, asts *sqlparse.Arena, plans *optimizer.Arena) string {
+	ast, err := asts.Parse(c.sql)
 	if err != nil {
 		return fmt.Sprintf("parse-error:%016x", fnvString(fnvOffset, err.Error()))
 	}
-	plan, err := optimizer.BuildPlan(ast, c.schema, c.seed, c.cfg)
+	plan, err := optimizer.NewPlanner(c.schema, c.seed, c.cfg).PlanIn(plans, ast)
 	if err != nil {
 		return fmt.Sprintf("plan-error:%016x", fnvString(fnvOffset, err.Error()))
 	}
@@ -441,6 +444,53 @@ func TestPlanDeterministic(t *testing.T) {
 		digest(strings.Replace(ambiguous, "AND i_current_price", "AND b.i_current_price", 1))
 	if bare != asA || bare == asB {
 		t.Errorf("bare column planned as %s; qualified with a %s, with b %s", bare, asA, asB)
+	}
+}
+
+// TestArenaPlansMatchExact: the whole corpus parsed and planned through one
+// pair of arenas, reset — poisoned — after every case, digests exactly as
+// the exactly sized pipeline does, error texts included: a tree carved from
+// recycled memory plans nothing differently.
+func TestArenaPlansMatchExact(t *testing.T) {
+	var (
+		asts  sqlparse.Arena
+		plans optimizer.Arena
+	)
+	for i, c := range goldenCorpus(t) {
+		got := planDigestIn(c, &asts, &plans)
+		asts.Reset()
+		plans.Reset()
+		if want := planDigest(c); got != want {
+			t.Errorf("case %d: digest %s through the arenas, %s exactly sized\n%s", i, got, want, c.sql)
+		}
+	}
+	if asts.Bytes() == 0 || plans.Bytes() == 0 {
+		t.Fatal("the arenas kept no storage to recycle")
+	}
+}
+
+// TestPlanInAllocs: once the arenas have grown, parsing and planning a
+// statement into them allocates nothing.
+func TestPlanInAllocs(t *testing.T) {
+	planner := optimizer.NewPlanner(catalog.TPCDS(1), 3, optimizer.DefaultConfig(4))
+	sql := "SELECT COUNT(*) FROM store_sales, item WHERE ss_item_sk = i_item_sk AND ss_item_sk IN (SELECT i_item_sk FROM item WHERE i_current_price > 50) AND EXISTS (SELECT s_store_sk FROM store) GROUP BY i_category ORDER BY i_category"
+	var (
+		asts  sqlparse.Arena
+		plans optimizer.Arena
+	)
+	got := testing.AllocsPerRun(100, func() {
+		ast, err := asts.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := planner.PlanIn(&plans, ast); err != nil {
+			t.Fatal(err)
+		}
+		asts.Reset()
+		plans.Reset()
+	})
+	if got != 0 && !testutil.RaceEnabled {
+		t.Errorf("parsing and planning into grown arenas allocates %.0f objects, want 0", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/arena"
 	"repro/internal/catalog"
 	"repro/internal/sqlgen"
 )
@@ -57,8 +58,9 @@ func (c Config) broadcastRows() float64 {
 // plan is a pure function of the query and the three things fixed here.
 //
 // Planning allocates what the plan keeps — the Plan, its table list and one
-// slab holding every node — and nothing else: the working state of a call
-// lives in its frame, indexed by FROM position.
+// slab of nodes per (sub)query — and nothing else: the working state of a
+// call lives in its frame, indexed by FROM position. PlanIn carves the same
+// three from an Arena instead.
 type Planner struct {
 	schema *catalog.Schema
 	cfg    Config
@@ -80,15 +82,69 @@ func BuildPlan(q *sqlgen.Query, schema *catalog.Schema, seed int64, cfg Config) 
 
 // Plan compiles the query into a parallel physical plan.
 func (pl *Planner) Plan(q *sqlgen.Query) (*Plan, error) {
+	return pl.PlanIn(nil, q)
+}
+
+// Arena is storage for plans that a caller drops soon after planning: the
+// Plan, its node slabs and its table list come from it, and Reset takes
+// them back for the next plan. The zero Arena is ready to use. A nil *Arena
+// allocates each plan exactly sized, as Plan does.
+type Arena struct {
+	plans  arena.Slab[Plan]
+	nodes  arena.Slab[Node]
+	tables arena.Slab[string]
+}
+
+// PlanIn is Plan with the plan carved from a: it stays valid until the
+// next Reset. Once the arena has grown to the statements it sees, planning
+// allocates nothing.
+func (pl *Planner) PlanIn(a *Arena, q *sqlgen.Query) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	root, tables, err := pl.tree(q, true)
+	root, tables, err := pl.tree(a, q, true)
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Root: root, Tables: tables, Cost: ScalarCost(root)}, nil
+	var plans *arena.Slab[Plan]
+	if a != nil {
+		plans = &a.plans
+	}
+	plan := &plans.Take(1)[0]
+	*plan = Plan{Root: root, Tables: tables, Cost: ScalarCost(root)}
+	return plan, nil
 }
+
+// nodeSlab and tableSlab are where a plan's nodes and table list come
+// from: nil, for exactly sized allocations, when a is.
+func (a *Arena) nodeSlab() *arena.Slab[Node] {
+	if a == nil {
+		return nil
+	}
+	return &a.nodes
+}
+
+func (a *Arena) tableSlab() *arena.Slab[string] {
+	if a == nil {
+		return nil
+	}
+	return &a.tables
+}
+
+// poisonTable is what a reset arena's table names read.
+const poisonTable = "\x00released"
+
+// Reset takes back every plan carved from the arena since the last Reset,
+// poisoning its storage: nothing planned in it may be read afterwards.
+func (a *Arena) Reset() {
+	nan := math.NaN()
+	a.plans.Reset(Plan{Cost: nan})
+	a.nodes.Reset(Node{Op: -1, Table: poisonTable, EstRowsIn: nan, ActRowsIn: nan, EstRows: nan, ActRows: nan, Width: -1})
+	a.tables.Reset(poisonTable)
+}
+
+// Bytes reports the storage the arena keeps between plans.
+func (a *Arena) Bytes() int { return a.plans.Bytes() + a.nodes.Bytes() + a.tables.Bytes() }
 
 // maxFromEntries is the most FROM entries one SELECT may list: relation
 // sets are bitmasks during join ordering.
@@ -169,7 +225,7 @@ func resolve(from []fromEntry, c sqlgen.ColumnRef) (int, error) {
 // tree plans q and builds its nodes. The top-level statement (top) also
 // gets the coordinator exchange, the root and the table list; a subquery is
 // returned bare, to be embedded under a semi-join.
-func (pl *Planner) tree(q *sqlgen.Query, top bool) (*Node, []string, error) {
+func (pl *Planner) tree(a *Arena, q *sqlgen.Query, top bool) (*Node, []string, error) {
 	if len(q.From) > maxFromEntries {
 		return nil, nil, fmt.Errorf("optimizer: %d FROM entries, at most %d are supported", len(q.From), maxFromEntries)
 	}
@@ -227,7 +283,7 @@ func (pl *Planner) tree(q *sqlgen.Query, top bool) (*Node, []string, error) {
 		if pred.Exists || pred.Subquery == nil {
 			continue
 		}
-		sub, _, err := pl.tree(pred.Subquery, false)
+		sub, _, err := pl.tree(a, pred.Subquery, false)
 		if err != nil {
 			return nil, nil, fmt.Errorf("optimizer: subquery: %w", err)
 		}
@@ -302,7 +358,7 @@ func (pl *Planner) tree(q *sqlgen.Query, top bool) (*Node, []string, error) {
 		if !q.Where[i].Exists {
 			continue
 		}
-		sub, _, err := pl.tree(q.Where[i].Subquery, false)
+		sub, _, err := pl.tree(a, q.Where[i].Subquery, false)
 		if err != nil {
 			return nil, nil, fmt.Errorf("optimizer: EXISTS subquery: %w", err)
 		}
@@ -337,7 +393,7 @@ func (pl *Planner) tree(q *sqlgen.Query, top bool) (*Node, []string, error) {
 	if top {
 		count += 2
 	}
-	b := builder{slab: make([]Node, 0, count)}
+	b := builder{slab: a.nodeSlab().Take(count)[:0]}
 	tree := b.rel(&ordered{from: from, semis: semis, rels: rels}, joined)
 
 	for _, sub := range exists {
@@ -391,7 +447,7 @@ func (pl *Planner) tree(q *sqlgen.Query, top bool) (*Node, []string, error) {
 	for _, sub := range exists {
 		nTables += countScans(sub)
 	}
-	tables := make([]string, 0, nTables)
+	tables := a.tableSlab().Take(nTables)[:0]
 	for i := range from {
 		tables = append(tables, from[i].table.Name)
 	}

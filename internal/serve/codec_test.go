@@ -12,10 +12,15 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/api"
+	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/shard"
+	"repro/internal/testutil"
 )
 
 // The wire codec at the handler. Predict responses are written by
@@ -449,5 +454,71 @@ func BenchmarkPredictHandlerHot64(b *testing.B) {
 	b.StopTimer()
 	if _, now, _ := codecCounters(); now-hits != int64(64*b.N) {
 		b.Fatalf("%d memo hits over %d hot 64-query requests", now-hits, b.N)
+	}
+}
+
+// BenchmarkPredictHandlerCold64 is the batch-cold workload's request in
+// process: 64 distinct statements per request, cycling 16,384 of them
+// through the stock 4,096-entry plan cache on an 800-row stock model, so
+// every statement parses, plans, extracts features and takes over an
+// evicted entry, and most of them project and search too. Its B/op and
+// allocs/op are what a cold request leaves for the collector.
+func BenchmarkPredictHandlerCold64(b *testing.B) {
+	const batch, distinct = 64, 16384
+	qs := testutil.StockQueries(b, testutil.StockTrain)
+	pred, err := core.Train(qs, core.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := New(Config{
+		Predictor: pred,
+		Schema:    catalog.TPCDS(1),
+		Machine:   exec.Research4(),
+		DataSeed:  3,
+		Timeout:   10 * time.Second,
+		Plans:     NewPlanner(catalog.TPCDS(1), 3, exec.Research4(), 4096),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	sqls := testutil.DistinctStockSQL(b, distinct)
+	bodies := make([]string, distinct/batch)
+	for i := range bodies {
+		req := api.PredictRequest{}
+		for _, sql := range sqls[i*batch : (i+1)*batch] {
+			req.Queries = append(req.Queries, api.QueryInput{SQL: sql})
+		}
+		raw, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = string(raw)
+	}
+	h := s.Handler()
+	rec := httptest.NewRecorder()
+	next := 0
+	do := func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(bodies[next%len(bodies)]))
+		next++
+		rec.Body.Reset()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	for range bodies { // one lap fills the plan cache and the pools
+		do()
+	}
+	misses := obs.GetCounter("core.plancache.misses")
+	before := misses.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		do()
+	}
+	b.StopTimer()
+	if n := misses.Value() - before; n != int64(batch*b.N) {
+		b.Fatalf("%d plan-cache misses over %d cold 64-query requests", n, b.N)
 	}
 }

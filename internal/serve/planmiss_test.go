@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/catalog"
@@ -24,12 +25,19 @@ func stockSQL(tb testing.TB, n int) []string {
 }
 
 // planMissAllocBound is what one plan-cache miss may allocate, averaged over
-// the stock queries: the AST (query node plus a slice per clause), the plan
-// (Plan, table list, one node slab), the feature vector, the dataset.Query
-// and the cost-only plan the cache keeps in place of the tree — 12 on
-// average, a few more for a template with a subquery. The pipeline this
-// replaced made 99.
-const planMissAllocBound = 35
+// the stock queries: the entry the cache keeps (the query, its feature
+// vector, its cost-only plan and its memo, one object) and the caller's
+// copy Plan returns — 2.0 — with 2 of headroom for a pool a collection
+// empties mid-measurement. The parse tree, the plan tree and the planned
+// query come from a pooled workspace the miss hands back. The pipeline
+// before the workspace made 14, and the one before that 99.
+const planMissAllocBound = 4
+
+// planMissByteBound is what one plan-cache miss may allocate in bytes: the
+// entry (416 B) and the caller's copy (176 B), 615 B on average, with
+// headroom for the same emptied pool. With the trees allocated per miss it
+// was 3.0 KB.
+const planMissByteBound = 1 << 10
 
 // TestPlanMissAllocs is the guard on the cold path's allocations: stock SQL
 // through the daemon's own planner and a plan cache that is full, so every
@@ -51,19 +59,26 @@ func TestPlanMissAllocs(t *testing.T) {
 	misses := obs.GetCounter("core.plancache.misses")
 	before := misses.Value()
 	const runs = 1024
+	var start, end runtime.MemStats
+	runtime.ReadMemStats(&start)
 	got := testing.AllocsPerRun(runs, miss)
+	runtime.ReadMemStats(&end)
 	if n := misses.Value() - before; n != runs+1 { // AllocsPerRun warms up with one call
 		t.Fatalf("%d of %d calls missed; the measurement needs every call to", n, runs+1)
 	}
 	if plans.Len() != capacity {
 		t.Fatalf("cache holds %d entries, want %d", plans.Len(), capacity)
 	}
-	t.Logf("plan-cache miss: %.1f allocs", got)
+	bytes := float64(end.TotalAlloc-start.TotalAlloc) / (runs + 1)
+	t.Logf("plan-cache miss: %.1f allocs, %.0f B", got, bytes)
 	if testutil.RaceEnabled {
 		t.Skip("race detector enabled; skipping alloc bound")
 	}
 	if got > planMissAllocBound {
-		t.Fatalf("a plan-cache miss allocates %.1f objects, bound %d", got, planMissAllocBound)
+		t.Errorf("a plan-cache miss allocates %.1f objects, bound %d", got, planMissAllocBound)
+	}
+	if bytes > planMissByteBound {
+		t.Errorf("a plan-cache miss allocates %.0f B, bound %d", bytes, planMissByteBound)
 	}
 }
 

@@ -219,32 +219,60 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 // serving layer runs on every /v1/observe, packaged as a core.PlanFunc for
 // WAL replay and snapshot restore. Plans and feature vectors are pure
 // functions of (SQL, schema, data seed, planner config), so re-planning
-// persisted SQL through this reproduces the live observation exactly.
+// persisted SQL through this reproduces the live observation exactly. Its
+// trees are allocated exactly sized, for callers that keep them.
 func PlannerFunc(schema *catalog.Schema, dataSeed int64, machine exec.Machine) core.PlanFunc {
 	planner := optimizer.NewPlanner(schema, dataSeed, optimizer.DefaultConfig(machine.Processors))
-	return func(sql string) (*dataset.Query, error) {
-		ast, err := sqlparse.Parse(sql)
-		if err != nil {
-			// Stage-tagged so handlers report parse_error vs plan_error;
-			// Error() passes the message through unchanged, keeping WAL
-			// replay diagnostics byte-identical.
-			return nil, &planStageError{code: api.CodeParse, err: err}
-		}
-		plan, err := planner.Plan(ast)
-		if err != nil {
-			return nil, &planStageError{code: api.CodePlan, err: err}
-		}
+	return func(sql string) (*dataset.Query, error) { return planSQL(planner, sql, nil) }
+}
+
+// planSQL is PlannerFunc's pipeline. With a workspace, the trees and the
+// Query are carved from it and the Query carries it for whoever drops the
+// trees to release; a failure releases it here.
+func planSQL(planner *optimizer.Planner, sql string, ws *dataset.Workspace) (*dataset.Query, error) {
+	var (
+		asts  *sqlparse.Arena
+		plans *optimizer.Arena
+	)
+	if ws != nil {
+		asts, plans = &ws.AST, &ws.Plan
+	}
+	ast, err := asts.Parse(sql)
+	if err != nil {
+		ws.Release()
+		// Stage-tagged so handlers report parse_error vs plan_error;
+		// Error() passes the message through unchanged, keeping WAL
+		// replay diagnostics byte-identical.
+		return nil, &planStageError{code: api.CodeParse, err: err}
+	}
+	plan, err := planner.PlanIn(plans, ast)
+	if err != nil {
+		ws.Release()
+		return nil, &planStageError{code: api.CodePlan, err: err}
+	}
+	if ws == nil {
 		return &dataset.Query{SQL: sql, AST: ast, Plan: plan}, nil
 	}
+	ws.Query = dataset.Query{SQL: sql, AST: ast, Plan: plan, Workspace: ws}
+	return &ws.Query, nil
 }
 
 // NewPlanner wraps the daemon's deterministic planner in a plan/feature
 // cache (core.PlanCache). entries 0 selects the default capacity, negative
 // disables caching. qpredictd builds one and shares it between WAL replay
 // (wal.StoreOptions.Plan) and live serving (Config.Plans), so boot-time
-// recovery pre-warms the cache the first requests hit.
+// recovery pre-warms the cache the first requests hit. A caching planner
+// plans each miss in a pooled dataset.Workspace, which the cache releases
+// once it has read the feature vector and the cost; the passthrough hands
+// its trees to the caller, so it plans with PlannerFunc.
 func NewPlanner(schema *catalog.Schema, dataSeed int64, machine exec.Machine, entries int) *core.PlanCache {
-	return core.NewPlanCache(entries, PlannerFunc(schema, dataSeed, machine))
+	if entries < 0 {
+		return core.NewPlanCache(entries, PlannerFunc(schema, dataSeed, machine))
+	}
+	planner := optimizer.NewPlanner(schema, dataSeed, optimizer.DefaultConfig(machine.Processors))
+	return core.NewPlanCache(entries, func(sql string) (*dataset.Query, error) {
+		return planSQL(planner, sql, dataset.GetWorkspace())
+	})
 }
 
 // PlanError classifies a failure of PlannerFunc's pipeline, called directly

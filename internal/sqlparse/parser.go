@@ -5,14 +5,43 @@ import (
 	"math"
 	"strconv"
 
+	"repro/internal/arena"
 	"repro/internal/sqlgen"
 )
 
 // Parse parses a SELECT statement in the sqlgen dialect and returns its AST.
-// The AST — a node per (sub)query and one slice per clause — is all it
-// allocates; the names in it are slices of src.
+// The AST — a node per (sub)query and one exactly sized slice per clause —
+// is all it allocates; the names in it are slices of src.
 func Parse(src string) (*sqlgen.Query, error) {
+	var a *Arena
+	return a.Parse(src)
+}
+
+// Arena is storage for parse trees that a caller drops soon after parsing:
+// the (sub)query nodes and clause slices of a tree come from it, and Reset
+// takes them back for the next parse. The zero Arena is ready to use. A nil
+// *Arena allocates each tree exactly sized, as Parse does.
+type Arena struct {
+	queries arena.Slab[sqlgen.Query]
+	sel     arena.Slab[sqlgen.SelectItem]
+	from    arena.Slab[sqlgen.TableRef]
+	joins   arena.Slab[sqlgen.JoinPred]
+	where   arena.Slab[sqlgen.Predicate]
+	cols    arena.Slab[sqlgen.ColumnRef]
+	order   arena.Slab[sqlgen.OrderItem]
+	lits    arena.Slab[sqlgen.Literal]
+}
+
+// Parse is the package's Parse with the tree carved from the arena: it
+// stays valid until the next Reset. Once the arena has grown to the
+// statements it sees, parsing allocates nothing.
+func (a *Arena) Parse(src string) (*sqlgen.Query, error) {
 	p := parser{lx: lexer{src: src}}
+	if a != nil {
+		p.queries = &a.queries
+		p.sel.into, p.from.into, p.joins.into, p.where.into = &a.sel, &a.from, &a.joins, &a.where
+		p.cols.into, p.order.into, p.lits.into = &a.cols, &a.order, &a.lits
+	}
 	p.tok, p.peek = p.lex(), p.lex()
 	q, err := p.parseQuery()
 	if err == nil && p.tok.kind != tokEOF {
@@ -32,6 +61,34 @@ func Parse(src string) (*sqlgen.Query, error) {
 		return nil, err
 	}
 	return q, nil
+}
+
+// Poison written over a reset arena's elements: names no statement can
+// spell, a NaN for every literal, operators outside their enumerations.
+const poisonName = "\x00released"
+
+var (
+	poisonCol = sqlgen.ColumnRef{Table: poisonName, Column: poisonName}
+	poisonLit = sqlgen.Literal{Value: math.NaN()}
+)
+
+// Reset takes back every tree parsed from the arena since the last Reset,
+// poisoning its storage: nothing parsed from it may be read afterwards.
+func (a *Arena) Reset() {
+	a.queries.Reset(sqlgen.Query{Limit: -1})
+	a.sel.Reset(sqlgen.SelectItem{Agg: -1, Col: poisonCol})
+	a.from.Reset(sqlgen.TableRef{Table: poisonName, Alias: poisonName})
+	a.joins.Reset(sqlgen.JoinPred{Left: poisonCol, Right: poisonCol, Op: -1})
+	a.where.Reset(sqlgen.Predicate{Col: poisonCol, Op: -1, Value: poisonLit, Lo: poisonLit, Hi: poisonLit})
+	a.cols.Reset(poisonCol)
+	a.order.Reset(sqlgen.OrderItem{Col: poisonCol})
+	a.lits.Reset(poisonLit)
+}
+
+// Bytes reports the storage the arena keeps between parses.
+func (a *Arena) Bytes() int {
+	return a.queries.Bytes() + a.sel.Bytes() + a.from.Bytes() + a.joins.Bytes() +
+		a.where.Bytes() + a.cols.Bytes() + a.order.Bytes() + a.lits.Bytes()
 }
 
 // TextStats parses src and returns the nine SQL-text statistics of
@@ -62,15 +119,21 @@ type parser struct {
 	cols  stack[sqlgen.ColumnRef]
 	order stack[sqlgen.OrderItem]
 	lits  stack[sqlgen.Literal]
+	// queries is where (sub)query nodes come from: an arena's, or nil for
+	// one exactly sized allocation each.
+	queries *arena.Slab[sqlgen.Query]
 }
 
 // stack collects the items of a clause whose length is not known until it
 // ends. The first few live inside the stack itself — so inside the parser,
 // which stays in Parse's frame — and only a longer list spills to the heap.
+// A finished clause is carved from into: an arena's slab, or nil for an
+// exactly sized allocation.
 type stack[T any] struct {
 	n      int
 	inline [8]T
 	spill  []T
+	into   *arena.Slab[T]
 }
 
 func (s *stack[T]) push(v T) {
@@ -88,12 +151,13 @@ func (s *stack[T]) take(mark int) []T {
 	if s.n == mark {
 		return nil
 	}
-	out := make([]T, 0, s.n-mark)
+	out := s.into.Take(s.n - mark)
+	k := 0
 	if mark < len(s.inline) {
-		out = append(out, s.inline[mark:min(s.n, len(s.inline))]...)
+		k = copy(out, s.inline[mark:min(s.n, len(s.inline))])
 	}
 	if s.n > len(s.inline) {
-		out = append(out, s.spill[max(mark, len(s.inline))-len(s.inline):s.n-len(s.inline)]...)
+		copy(out[k:], s.spill[max(mark, len(s.inline))-len(s.inline):s.n-len(s.inline)])
 	}
 	s.n = mark
 	return out
@@ -160,7 +224,7 @@ func (p *parser) parseQuery() (*sqlgen.Query, error) {
 	if err := p.expectKeyword(kwSelect); err != nil {
 		return nil, err
 	}
-	q := &sqlgen.Query{}
+	q := &p.queries.Take(1)[0]
 	mark := p.sel.n
 	for {
 		item, err := p.parseSelectItem()
